@@ -12,23 +12,19 @@ check         the ten-point acceptance suite
 Exit codes: 0 success, 1 acceptance failure, 2 usage or validation error,
 3 numerical failure. CSV output has a header row, 17-significant-digit
 numbers, and LF line endings; JSON output is one object with "config",
-"rows", and "summary" keys in stable lexicographic order. Grid sweeps may
-fan out to a process pool (--threads); row order is fixed by the grid, not
-by scheduling.
+"rows", and "summary" keys in stable lexicographic order.
 """
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import dataclasses
 import json
 import math
-import os
 import sys
 
 import numpy as np
 
-from .acceptance import run_all
+from .acceptance import CRITERION_NAMES, run_all
 from .errors import DomainError, FdradianceError
 from .mirror import (
     ModePair,
@@ -69,7 +65,6 @@ class RunConfig:
     tol: float
     output_format: str
     output_path: str | None
-    threads: int
     options: dict
 
     def __post_init__(self):
@@ -77,110 +72,40 @@ class RunConfig:
             raise DomainError("format must be csv or json")
         if not (0.0 < self.tol <= 1e-2):
             raise DomainError("tol must lie in (0, 1e-2]")
-        if self.threads < 1:
-            raise DomainError("threads must be at least 1")
 
 
-def _grid(name: str, lo: float, hi: float, steps: int) -> np.ndarray:
+def _grid(ns, name: str, default=None):
+    """The --NAME-min/--NAME-max/--NAME-steps grid, checked against its domain.
+
+    When none of the three options is given, the grid comes from
+    ``default``, a (min, max, steps) triple, or is None without one.
+    """
+    lo, hi, steps = (getattr(ns, f"{name}_{end}") for end in ("min", "max", "steps"))
+    if lo is None and hi is None and steps is None:
+        if default is None:
+            return None
+        lo, hi, steps = default
+    if None in (lo, hi, steps):
+        raise DomainError(f"give all of --{name}-min/--{name}-max/--{name}-steps")
     if steps < 1:
         raise DomainError(f"{name} grid needs at least one step")
     if steps == 1:
-        return np.array([float(lo)])
-    if not (lo < hi):
+        grid = np.array([float(lo)])
+    elif not (lo < hi):
         raise DomainError(f"{name} grid bounds must be strictly ascending")
-    return np.linspace(float(lo), float(hi), int(steps))
-
-
-def _pmap(func, jobs, threads):
-    if threads <= 1 or len(jobs) <= 1:
-        return [func(j) for j in jobs]
-    workers = min(threads, len(jobs))
-    chunk = max(1, len(jobs) // (4 * workers))
-    with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(func, jobs, chunksize=chunk))
-
-
-# Worker entry points live at module scope so a process pool can pickle them.
-
-def _trajectory_row(job):
-    kappa, zeta, e2, t, z, penrose = job
-    params = TrajectoryParams(kappa, zeta, e2)
-    if z is None:
-        z = position_at_time(params, t)
-    row = {"zeta": zeta, "t": t, "z": z}
-    if penrose:
-        U, V = penrose_coordinates(params, z)
-        row["U"] = U
-        row["V"] = V
-    return row
-
-
-def _energy_row(job):
-    kappa, zeta, e2, method, tol = job
-    params = TrajectoryParams(kappa, zeta, e2)
-    scale = e2 * kappa
-    if method == "both":
-        e_larmor = total_energy_larmor(params, tol=min(tol, 1e-9))
-        e_spectral = total_energy_spectral(params, tol=max(tol, 1e-6))
-        return {
-            "zeta": zeta,
-            "E_larmor": e_larmor,
-            "E_spectral": e_spectral,
-            "rel_diff": abs(e_spectral - e_larmor) / abs(e_larmor),
-            "E_larmor_over_e2kappa": e_larmor / scale,
-            "E_spectral_over_e2kappa": e_spectral / scale,
-        }
-    if method == "larmor":
-        value = total_energy_larmor(params, tol=min(tol, 1e-9))
     else:
-        value = total_energy_spectral(params, tol=max(tol, 1e-6))
-    return {"zeta": zeta, "method": method, "E": value,
-            "E_over_e2kappa": value / scale}
-
-
-def _distribution_row(job):
-    kappa, zeta, e2, omega, theta, method, tol = job
-    params = TrajectoryParams(kappa, zeta, e2)
-    if method == "numeric":
-        s = distribution_numeric(params, omega, EmissionDirection(theta), tol)
-    elif method == "exact":
-        s = distribution_exact_zeta0(kappa, e2, omega, EmissionDirection(theta))
-    else:
-        s = fermi_dirac_distribution(params, omega)
-    return {"omega": s.omega, "omega_over_kappa": s.omega / kappa,
-            "theta": s.theta, "method": s.method, "value": s.value,
-            "abs_error": s.abs_error}
-
-
-def _spectrum_row(job):
-    kappa, zeta, e2, omega, kind, tol = job
-    params = TrajectoryParams(kappa, zeta, e2)
-    value = energy_spectrum(params, omega, tol)
-    if kind == "particle-spectrum":
-        value = value / omega
-    return {"omega": omega, "omega_over_kappa": omega / kappa,
-            "kind": kind, "value": value}
-
-
-def _mirror_pair_row(job):
-    kappa, zeta, p, q = job
-    beta = beta_squared_fd(ModePair(p, q), kappa, zeta)
-    return {"p": p, "q": q, "beta_squared": beta.beta_squared}
-
-
-def _mirror_sample_row(job):
-    kappa, zeta, e2, omega, theta, tol = job
-    params = TrajectoryParams(kappa, zeta, e2)
-    sample = distribution_numeric(params, omega, EmissionDirection(theta), tol)
-    beta = beta_squared_from_distribution(sample, e2)
-    return {"p": beta.modes.p, "q": beta.modes.q,
-            "beta_squared": beta.beta_squared}
+        grid = np.linspace(float(lo), float(hi), int(steps))
+    if name in ("z", "omega", "pq") and not np.all(grid > 0.0):
+        raise DomainError(f"{name} grid must be positive")
+    if name == "theta" and not (np.all(grid >= 0.0) and np.all(grid <= math.pi)):
+        raise DomainError("theta grid must lie in [0, pi]")
+    return grid
 
 
 def run_trajectory(config: RunConfig):
     g = config.grids
     penrose = config.options["penrose"]
-    jobs = []
+    rows = []
     for zeta in g["zeta"]:
         params = TrajectoryParams(config.params.kappa, zeta,
                                   config.params.e_squared)
@@ -188,20 +113,42 @@ def run_trajectory(config: RunConfig):
             pairs = [(float(coordinate_time(params, z)), float(z))
                      for z in g["z"]]
         else:
-            pairs = [(float(t), None) for t in g["t"]]
-        pairs.sort(key=lambda tz: tz[0])
-        jobs.extend((config.params.kappa, zeta, config.params.e_squared,
-                     t, z, penrose) for t, z in pairs)
-    rows = _pmap(_trajectory_row, jobs, config.threads)
+            pairs = [(float(t), position_at_time(params, float(t)))
+                     for t in g["t"]]
+        for t, z in sorted(pairs, key=lambda tz: tz[0]):
+            row = {"zeta": zeta, "t": t, "z": z}
+            if penrose:
+                row["U"], row["V"] = penrose_coordinates(params, z)
+            rows.append(row)
     columns = ["zeta", "t", "z"] + (["U", "V"] if penrose else [])
     return rows, columns, {}
 
 
 def run_energy(config: RunConfig):
     method = config.options["method"]
-    jobs = [(config.params.kappa, float(z), config.params.e_squared,
-             method, config.tol) for z in config.grids["zeta"]]
-    rows = _pmap(_energy_row, jobs, config.threads)
+    kappa, e2 = config.params.kappa, config.params.e_squared
+    scale = e2 * kappa
+    rows = []
+    for zeta in config.grids["zeta"]:
+        zeta = float(zeta)
+        params = TrajectoryParams(kappa, zeta, e2)
+        if method in ("larmor", "both"):
+            e_larmor = total_energy_larmor(params, tol=min(config.tol, 1e-9))
+        if method in ("spectral", "both"):
+            e_spectral = total_energy_spectral(params, tol=max(config.tol, 1e-6))
+        if method == "both":
+            rows.append({
+                "zeta": zeta,
+                "E_larmor": e_larmor,
+                "E_spectral": e_spectral,
+                "rel_diff": abs(e_spectral - e_larmor) / abs(e_larmor),
+                "E_larmor_over_e2kappa": e_larmor / scale,
+                "E_spectral_over_e2kappa": e_spectral / scale,
+            })
+        else:
+            value = e_larmor if method == "larmor" else e_spectral
+            rows.append({"zeta": zeta, "method": method, "E": value,
+                         "E_over_e2kappa": value / scale})
     if method == "both":
         columns = ["zeta", "E_larmor", "E_spectral", "rel_diff",
                    "E_larmor_over_e2kappa", "E_spectral_over_e2kappa"]
@@ -212,25 +159,31 @@ def run_energy(config: RunConfig):
 
 def run_distribution(config: RunConfig):
     method = config.options["method"]
-    zeta = config.params.zeta
+    params = config.params
+    zeta = params.zeta
     if method == "exact" and zeta != 0.0:
         raise DomainError("the exact closed form applies only at zeta = 0")
     methods = [method]
     if method == "all":
         methods = ["numeric"] + (["exact"] if zeta == 0.0 else []) + ["fd"]
-    jobs = []
+    omegas = [float(w) for w in config.grids["omega"]]
+    thetas = [float(th) for th in config.grids["theta"]]
+    samples = []
     for m in methods:
-        if m == "fd":
-            # the special-angle value is a function of omega alone
-            jobs.extend((config.params.kappa, zeta, config.params.e_squared,
-                         float(w), math.acos(zeta), m, config.tol)
-                        for w in config.grids["omega"])
+        if m == "numeric":
+            samples.extend(distribution_numeric(params, w, EmissionDirection(th),
+                                                config.tol)
+                           for w in omegas for th in thetas)
+        elif m == "exact":
+            samples.extend(distribution_exact_zeta0(params.kappa, params.e_squared,
+                                                    w, EmissionDirection(th))
+                           for w in omegas for th in thetas)
         else:
-            jobs.extend((config.params.kappa, zeta, config.params.e_squared,
-                         float(w), float(th), m, config.tol)
-                        for w in config.grids["omega"]
-                        for th in config.grids["theta"])
-    rows = _pmap(_distribution_row, jobs, config.threads)
+            # the special-angle value is a function of omega alone
+            samples.extend(fermi_dirac_distribution(params, w) for w in omegas)
+    rows = [{"omega": s.omega, "omega_over_kappa": s.omega / params.kappa,
+             "theta": s.theta, "method": s.method, "value": s.value,
+             "abs_error": s.abs_error} for s in samples]
     columns = ["omega", "omega_over_kappa", "theta", "method", "value",
                "abs_error"]
     return rows, columns, {}
@@ -238,43 +191,47 @@ def run_distribution(config: RunConfig):
 
 def run_spectrum(config: RunConfig):
     kind = config.options["kind"]
-    kinds = (["energy-spectrum", "particle-spectrum"] if kind == "both"
-             else [f"{kind}-spectrum"])
-    jobs = [(config.params.kappa, config.params.zeta, config.params.e_squared,
-             float(w), k, config.tol)
-            for k in kinds for w in config.grids["omega"]]
-    rows = _pmap(_spectrum_row, jobs, config.threads)
+    kappa = config.params.kappa
+    omegas = [float(w) for w in config.grids["omega"]]
+    values = [energy_spectrum(config.params, w, config.tol) for w in omegas]
+    rows = []
+    if kind in ("energy", "both"):
+        rows.extend({"omega": w, "omega_over_kappa": w / kappa,
+                     "kind": "energy-spectrum", "value": v}
+                    for w, v in zip(omegas, values))
+    if kind in ("particle", "both"):
+        rows.extend({"omega": w, "omega_over_kappa": w / kappa,
+                     "kind": "particle-spectrum", "value": v / w}
+                    for w, v in zip(omegas, values))
     columns = ["omega", "omega_over_kappa", "kind", "value"]
     return rows, columns, {}
 
 
 def run_mirror(config: RunConfig):
-    kappa = config.params.kappa
-    zeta = config.params.zeta
-    e2 = config.params.e_squared
-    if config.options["p"] is not None or config.options["q"] is not None:
-        if config.options["p"] is None or config.options["q"] is None:
-            raise DomainError("give both --p and --q or neither")
-        jobs = [(kappa, zeta, float(config.options["p"]),
-                 float(config.options["q"]))]
-        rows = _pmap(_mirror_pair_row, jobs, 1)
+    params = config.params
+    kappa, zeta, e2 = params.kappa, params.zeta, params.e_squared
+    if config.options["p"] is not None:
+        betas = [beta_squared_fd(ModePair(config.options["p"], config.options["q"]),
+                                 kappa, zeta)]
     elif config.grids.get("omega") is not None:
-        jobs = [(kappa, zeta, e2, float(w), float(th), config.tol)
-                for w in config.grids["omega"] for th in config.grids["theta"]]
-        rows = _pmap(_mirror_sample_row, jobs, config.threads)
+        betas = [beta_squared_from_distribution(
+                     distribution_numeric(params, float(w),
+                                          EmissionDirection(float(th)), config.tol),
+                     e2)
+                 for w in config.grids["omega"] for th in config.grids["theta"]]
     else:
-        jobs = []
-        for u in config.grids["pq"]:
-            p = float(u) * (1.0 + zeta) / 2.0
-            q = float(u) * (1.0 - zeta) / 2.0
-            jobs.append((kappa, zeta, p, q))
-        rows = _pmap(_mirror_pair_row, jobs, config.threads)
+        # pairs on the constraint line p/q = (1 + zeta)/(1 - zeta)
+        betas = [beta_squared_fd(ModePair(float(u) * (1.0 + zeta) / 2.0,
+                                          float(u) * (1.0 - zeta) / 2.0),
+                                 kappa, zeta)
+                 for u in config.grids["pq"]]
+    rows = [{"p": b.modes.p, "q": b.modes.q, "beta_squared": b.beta_squared}
+            for b in betas]
     summary = {
         "fd_energy": mirror_fd_energy(kappa, zeta),
         "particle_count": mirror_particle_count(zeta),
     }
     if config.options["duality"]:
-        params = TrajectoryParams(kappa, zeta, e2)
         electron_over_e2 = fd_particle_count(params) / e2
         summary["electron_count_over_e2"] = electron_over_e2
         summary["duality_rel_diff"] = (
@@ -346,8 +303,6 @@ def _add_common(sub, *, zeta_sweep=False):
     sub.add_argument("--format", choices=("csv", "json"), default="csv")
     sub.add_argument("--output", default=None, metavar="PATH",
                      help="write to PATH instead of standard output")
-    sub.add_argument("--threads", type=int, default=os.cpu_count() or 1,
-                     help="worker processes for grid sweeps")
     if zeta_sweep:
         sub.add_argument("--zeta-min", type=float, default=None)
         sub.add_argument("--zeta-max", type=float, default=None)
@@ -444,15 +399,9 @@ def _config_from(ns) -> RunConfig:
     options: dict = {}
 
     if ns.command in ("trajectory", "energy"):
-        if ns.zeta_min is not None or ns.zeta_max is not None \
-                or ns.zeta_steps is not None:
-            if None in (ns.zeta_min, ns.zeta_max, ns.zeta_steps):
-                raise DomainError("give all of --zeta-min/--zeta-max/--zeta-steps")
-            grids["zeta"] = _grid("zeta", ns.zeta_min, ns.zeta_max, ns.zeta_steps)
-            for z in grids["zeta"]:
-                TrajectoryParams(ns.kappa, float(z), ns.e_squared)
-        else:
-            grids["zeta"] = np.array([ns.zeta])
+        grids["zeta"] = _grid(ns, "zeta", default=(ns.zeta, ns.zeta, 1))
+        for z in grids["zeta"]:
+            TrajectoryParams(ns.kappa, float(z), ns.e_squared)
 
     if ns.command == "trajectory":
         z_given = any(v is not None for v in (ns.z_min, ns.z_max, ns.z_steps))
@@ -462,62 +411,40 @@ def _config_from(ns) -> RunConfig:
             raise DomainError("give exactly one of --t, a --t-* grid, "
                               "or a --z-* grid")
         if z_given:
-            if None in (ns.z_min, ns.z_max, ns.z_steps):
-                raise DomainError("give all of --z-min/--z-max/--z-steps")
-            grids["z"] = _grid("z", ns.z_min, ns.z_max, ns.z_steps)
-            if not np.all(grids["z"] > 0.0):
-                raise DomainError("z grid must be positive")
+            grids["z"] = _grid(ns, "z")
         elif ns.t is not None:
             grids["t"] = np.array([ns.t])
-        elif t_given:
-            if None in (ns.t_min, ns.t_max, ns.t_steps):
-                raise DomainError("give all of --t-min/--t-max/--t-steps")
-            grids["t"] = _grid("t", ns.t_min, ns.t_max, ns.t_steps)
         else:
-            grids["t"] = _grid("t", -5.0, 5.0, 101)
+            grids["t"] = _grid(ns, "t", default=(-5.0, 5.0, 101))
         options["penrose"] = bool(ns.penrose)
 
     if ns.command == "energy":
         options["method"] = ns.method
 
     if ns.command == "distribution":
-        grids["omega"] = _grid("omega", ns.omega_min, ns.omega_max, ns.omega_steps)
-        if not np.all(grids["omega"] > 0.0):
-            raise DomainError("omega grid must be positive")
-        grids["theta"] = _grid("theta", ns.theta_min, ns.theta_max, ns.theta_steps)
-        if not (np.all(grids["theta"] >= 0.0) and np.all(grids["theta"] <= math.pi)):
-            raise DomainError("theta grid must lie in [0, pi]")
+        grids["omega"] = _grid(ns, "omega")
+        grids["theta"] = _grid(ns, "theta")
         options["method"] = ns.method
 
     if ns.command == "spectrum":
-        grids["omega"] = _grid("omega", ns.omega_min, ns.omega_max, ns.omega_steps)
-        if not np.all(grids["omega"] > 0.0):
-            raise DomainError("omega grid must be positive")
+        grids["omega"] = _grid(ns, "omega")
         options["kind"] = ns.kind
 
     if ns.command == "mirror":
+        if (ns.p is None) != (ns.q is None):
+            raise DomainError("give both --p and --q or neither")
         options["p"] = ns.p
         options["q"] = ns.q
         options["duality"] = bool(ns.duality)
-        if ns.omega_min is not None or ns.omega_max is not None \
-                or ns.omega_steps is not None:
-            if None in (ns.omega_min, ns.omega_max, ns.omega_steps):
-                raise DomainError("give all of --omega-min/--omega-max/--omega-steps")
-            grids["omega"] = _grid("omega", ns.omega_min, ns.omega_max,
-                                   ns.omega_steps)
-            if not np.all(grids["omega"] > 0.0):
-                raise DomainError("omega grid must be positive")
-            grids["theta"] = _grid("theta", ns.theta_min, ns.theta_max,
-                                   ns.theta_steps)
-            if not (np.all(grids["theta"] >= 0.0)
-                    and np.all(grids["theta"] <= math.pi)):
-                raise DomainError("theta grid must lie in [0, pi]")
+        grids["omega"] = _grid(ns, "omega")
+        if grids["omega"] is not None:
+            grids["theta"] = _grid(ns, "theta")
         else:
-            grids["pq"] = _grid("pq", ns.pq_min, ns.pq_max, ns.pq_steps)
-            if not np.all(grids["pq"] > 0.0):
-                raise DomainError("p+q grid must be positive")
+            grids["pq"] = _grid(ns, "pq")
 
     if ns.command == "check":
+        if not (ns.tolerance_scale >= 0.0 and math.isfinite(ns.tolerance_scale)):
+            raise DomainError("--tolerance-scale must be finite and non-negative")
         options["tolerance_scale"] = ns.tolerance_scale
         if ns.criteria is None:
             options["criteria"] = None
@@ -526,11 +453,13 @@ def _config_from(ns) -> RunConfig:
                 options["criteria"] = [int(tok) for tok in ns.criteria.split(",")]
             except ValueError as exc:
                 raise DomainError(f"bad --criteria value: {ns.criteria}") from exc
+            unknown = sorted(set(options["criteria"]) - set(CRITERION_NAMES))
+            if unknown:
+                raise DomainError(f"unknown criterion indices: {unknown}")
 
     return RunConfig(
         command=ns.command, params=params, grids=grids, tol=ns.tol,
-        output_format=ns.format, output_path=ns.output,
-        threads=ns.threads, options=options,
+        output_format=ns.format, output_path=ns.output, options=options,
     )
 
 

@@ -157,8 +157,7 @@ def position_at_time(params: TrajectoryParams, t: float) -> float:
 def penrose_coordinates(params: TrajectoryParams, z):
     """Compactified null coordinates U = atan(t-z), V = atan(t+z)."""
     zs = _check_positions(z)
-    t = 0.25 * params.kappa * zs**2 + (2.0 / params.kappa) * np.log(params.kappa * zs) \
-        + params.zeta * zs
+    t = coordinate_time(params, zs)
     U = np.arctan(t - zs)
     V = np.arctan(t + zs)
     if np.ndim(z) == 0:

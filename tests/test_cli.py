@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from fdradiance.cli import main
+from fdradiance.spectra import fermi_dirac_distribution
 from fdradiance.trajectory import TrajectoryParams, total_energy_larmor
 
 
@@ -183,15 +184,7 @@ class TestSpectrumCommand:
         particle = {r["omega"]: float(r["value"]) for r in rows
                     if r["kind"] == "particle-spectrum"}
         for w in energy:
-            assert particle[w] == pytest.approx(energy[w] / float(w),
-                                                rel=1e-12)
-
-    def test_threads_do_not_change_bytes(self, capsys):
-        argv = ["spectrum", "--omega-min", "0.5", "--omega-max", "2",
-                "--omega-steps", "3", "--tol", "1e-3"]
-        _, serial, _ = run(capsys, argv + ["--threads", "1"])
-        _, pooled, _ = run(capsys, argv + ["--threads", "2"])
-        assert serial == pooled
+            assert particle[w] == energy[w] / float(w)
 
 
 class TestMirrorCommand:
@@ -216,7 +209,21 @@ class TestMirrorCommand:
 
     def test_explicit_pair_violating_constraint(self, capsys):
         code, _, err = run(capsys, ["mirror", "--p", "0.9", "--q", "0.1"])
-        assert code == 2 and "constraint" in err or "violates" in err
+        assert code == 2 and ("constraint" in err or "violates" in err)
+
+    def test_explicit_pair_on_constraint_line(self, capsys):
+        code, out, _ = run(capsys, ["mirror", "--zeta", "0.5",
+                                    "--p", "0.75", "--q", "0.25"])
+        assert code == 0
+        header, rows = parse_csv(out)
+        assert header == ["p", "q", "beta_squared"]
+        assert len(rows) == 1
+        assert (float(rows[0]["p"]), float(rows[0]["q"])) == (0.75, 0.25)
+        params = TrajectoryParams(1.0, 0.5)
+        u = 0.75 + 0.25
+        emission = fermi_dirac_distribution(params, u).value
+        want = 4.0 * math.pi * emission / (params.e_squared * u**2)
+        assert float(rows[0]["beta_squared"]) == pytest.approx(want, rel=1e-12)
 
     def test_emission_grid_route(self, capsys):
         code, out, _ = run(capsys, [
@@ -256,6 +263,16 @@ class TestCheckCommand:
     def test_bad_criteria_list(self, capsys):
         code, _, _ = run(capsys, ["check", "--criteria", "1,banana"])
         assert code == 2
+
+    def test_unknown_criterion(self, capsys):
+        code, _, err = run(capsys, ["check", "--criteria", "99"])
+        assert code == 2 and "error:" in err
+
+    @pytest.mark.parametrize("scale", ["-1", "nan"])
+    def test_bad_tolerance_scale(self, capsys, scale):
+        code, _, err = run(capsys, ["check", "--criteria", "1",
+                                    "--tolerance-scale", scale])
+        assert code == 2 and "error:" in err
 
 
 class TestOutputFile:
