@@ -44,7 +44,6 @@ from .trajectory import (
 )
 from .spectra import (
     EmissionDirection,
-    SpectralCurve,
     SpectralSample,
     distribution_exact_zeta0,
     distribution_numeric,
@@ -102,7 +101,6 @@ __all__ = [
     "total_energy_larmor",
     "EmissionDirection",
     "SpectralSample",
-    "SpectralCurve",
     "phase_spec",
     "distribution_numeric",
     "distribution_exact_zeta0",

@@ -15,7 +15,7 @@ import time
 
 import numpy as np
 
-from .errors import ConvergenceError
+from .errors import ConvergenceError, DomainError
 from .mirror import (
     ModePair,
     beta_squared_fd,
@@ -252,11 +252,11 @@ def run_all(tolerance_scale: float = 1.0, criteria=None) -> list[CriterionResult
         Subset of criterion indices to run; default all ten.
     """
     if tolerance_scale < 0.0 or not math.isfinite(tolerance_scale):
-        raise ValueError("tolerance_scale must be finite and non-negative")
+        raise DomainError("--tolerance-scale must be finite and non-negative")
     wanted = set(range(1, 11)) if criteria is None else {int(c) for c in criteria}
     unknown = wanted - set(CRITERION_NAMES)
     if unknown:
-        raise ValueError(f"unknown criterion indices: {sorted(unknown)}")
+        raise DomainError(f"unknown criterion indices: {sorted(unknown)}")
     results = []
     for index, name, limit, func in _CRITERIA:
         if index not in wanted:

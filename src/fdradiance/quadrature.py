@@ -92,30 +92,20 @@ class OscillatoryPhaseSpec:
             raise DomainError("lin_coeff must be finite")
 
 
-def _as_batch(f):
-    """Return a batched form of f: ndarray -> ndarray, probing if needed."""
-    probe = np.array([0.2137, 0.7919])
-
-    def looped(xs):
-        return np.array([f(float(x)) for x in xs])
-
-    try:
-        out = np.asarray(f(probe))
-        if out.shape == probe.shape:
-            return f
-    except Exception:
-        pass
-    return looped
+def _evaluate(f, xs):
+    """f on the 1-d node array xs; the batch must come back in xs's shape."""
+    fv = np.asarray(f(xs))
+    if fv.shape != xs.shape:
+        raise NonFiniteError("integrand returned a wrongly shaped batch")
+    return fv
 
 
-def _gk_panels(f_batch, lo, hi):
+def _gk_panels(f, lo, hi):
     """Evaluate GK15 on panels [lo_k, hi_k]; returns (vals, errs, l1, nevals)."""
     h = 0.5 * (hi - lo)
     mid = 0.5 * (hi + lo)
     xs = mid[:, None] + h[:, None] * _GK_NODES[None, :]
-    fv = np.asarray(f_batch(xs.ravel()))
-    if fv.shape != (xs.size,):
-        raise NonFiniteError("integrand returned a wrongly shaped batch")
+    fv = _evaluate(f, xs.ravel())
     if not np.all(np.isfinite(fv)):
         raise NonFiniteError("integrand returned a non-finite value")
     fv = fv.reshape(xs.shape)
@@ -132,12 +122,12 @@ def _gk_panels(f_batch, lo, hi):
     return resk, err, resabs, xs.size
 
 
-def _adaptive_core(f_batch, bounds, tol, max_evals, abs_floor):
+def _adaptive_core(f, bounds, tol, max_evals, abs_floor):
     """Wave-refined adaptive GK15 over the initial panel boundaries."""
     eps = np.finfo(float).eps
     lo = bounds[:-1].astype(float)
     hi = bounds[1:].astype(float)
-    vals, errs, l1s, evals = _gk_panels(f_batch, lo, hi)
+    vals, errs, l1s, evals = _gk_panels(f, lo, hi)
     for _ in range(_MAX_WAVES):
         total = vals.sum()
         toterr = float(errs.sum())
@@ -163,7 +153,7 @@ def _adaptive_core(f_batch, bounds, tol, max_evals, abs_floor):
         keep_errs = errs[~pick]
         keep_l1s = l1s[~pick]
         new_vals, new_errs, new_l1s, n = _gk_panels(
-            f_batch, np.concatenate([lo[pick], mid]), np.concatenate([mid, hi[pick]])
+            f, np.concatenate([lo[pick], mid]), np.concatenate([mid, hi[pick]])
         )
         evals += n
         lo, hi = nlo, nhi
@@ -195,7 +185,9 @@ def integrate_adaptive(f, lo, hi, tol=1e-10, *, max_evals=1_000_000,
     Parameters
     ----------
     f : callable
-        Integrand; may accept ndarray batches (preferred) or scalars.
+        Batched integrand: maps a 1-d ndarray of nodes to an ndarray of
+        the same shape. Any other shape raises ``NonFiniteError``; wrap a
+        scalar function in ``np.vectorize`` first.
     lo, hi : float
         Bounds with lo < hi; hi may be ``inf``, in which case the tail is
         folded onto [0, 1) with the map z = lo + scale*r/(1-r).
@@ -222,14 +214,13 @@ def integrate_adaptive(f, lo, hi, tol=1e-10, *, max_evals=1_000_000,
     if math.isinf(hi):
         return _semi_infinite(f, float(lo), float(scale), tol, max_evals,
                               abs_floor, points)
-    f_batch = _as_batch(f)
     if points is None:
         bounds = np.linspace(float(lo), float(hi), 9)
     else:
         pts = np.asarray(points, dtype=float)
         pts = pts[(pts > lo) & (pts < hi)]
         bounds = np.unique(np.concatenate([[float(lo)], pts, [float(hi)]]))
-    value, err, evals = _adaptive_core(f_batch, bounds, tol, max_evals, abs_floor)
+    value, err, evals = _adaptive_core(f, bounds, tol, max_evals, abs_floor)
     return QuadratureResult(_pyval(value), err, evals)
 
 
@@ -242,12 +233,11 @@ def integrate_semi_infinite(f, scale=1.0, tol=1e-10, *, max_evals=1_000_000,
 def _semi_infinite(f, lo, scale, tol, max_evals, abs_floor, points):
     if not (scale > 0.0 and math.isfinite(scale)):
         raise DomainError("scale must be positive and finite")
-    f_batch = _as_batch(f)
 
     def mapped(rs):
         one_minus = 1.0 - rs
         zs = lo + scale * rs / one_minus
-        return np.asarray(f_batch(zs)) * (scale / one_minus**2)
+        return _evaluate(f, zs) * (scale / one_minus**2)
 
     # Denser initial panels toward r=1 where the map stretches fastest.
     bounds = np.array([0.0, 0.125, 0.25, 0.375, 0.5, 0.625, 0.75, 0.875,
@@ -332,8 +322,6 @@ def integrate_oscillatory(spec: OscillatoryPhaseSpec, tol=1e-9, *,
         Complex value with an absolute error estimate that includes the
         truncation bound of the finite ray.
     """
-    if not isinstance(spec, OscillatoryPhaseSpec):
-        spec = OscillatoryPhaseSpec(*spec)
     if not (0.0 < delta < math.pi / 2):
         raise DomainError("delta must lie in (0, pi/2)")
     if not (0.0 < tol <= 1e-2):

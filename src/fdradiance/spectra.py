@@ -45,7 +45,6 @@ from .trajectory import TrajectoryParams
 __all__ = [
     "EmissionDirection",
     "SpectralSample",
-    "SpectralCurve",
     "distribution_numeric",
     "distribution_exact_zeta0",
     "fermi_dirac_distribution",
@@ -92,29 +91,6 @@ class SpectralSample:
             raise DomainError(f"method must be one of {_METHODS}")
         if not (self.abs_error >= 0.0):
             raise DomainError("abs_error must be non-negative")
-
-
-@dataclasses.dataclass(frozen=True)
-class SpectralCurve:
-    omegas: np.ndarray
-    values: np.ndarray
-    kind: str
-
-    def __post_init__(self):
-        omegas = np.asarray(self.omegas, dtype=float)
-        values = np.asarray(self.values, dtype=float)
-        object.__setattr__(self, "omegas", omegas)
-        object.__setattr__(self, "values", values)
-        if self.kind not in ("energy-spectrum", "particle-spectrum"):
-            raise DomainError("kind must be energy-spectrum or particle-spectrum")
-        if omegas.ndim != 1 or omegas.shape != values.shape:
-            raise DomainError("omegas and values must be 1-d arrays of equal length")
-        if omegas.size == 0:
-            raise DomainError("curve must contain at least one sample")
-        if not np.all(np.diff(omegas) > 0.0):
-            raise DomainError("omegas must be strictly ascending")
-        if not np.all(values >= 0.0) or not np.all(np.isfinite(values)):
-            raise DomainError("values must be non-negative and finite")
 
 
 def _check_omega(omega):
@@ -271,18 +247,12 @@ def _omega_cutoff(eval_I, kappa, peak, threshold_rel=1e-12):
 
 
 def total_energy_spectral(params: TrajectoryParams, tol: float = 1e-4,
-                          *, method: str = "auto") -> float:
+                          *, force_numeric: bool = False) -> float:
     """Total energy by the spectral route: E = int_0^inf I(omega) domega.
 
-    method 'auto' picks the exact angular integrand when zeta = 0 and the
-    numeric one otherwise; 'numeric' forces direct quadrature; 'exact'
-    requires zeta = 0.
+    The angular integrand is the exact one at zeta = 0 and the numeric one
+    otherwise; ``force_numeric`` uses direct quadrature at zeta = 0 too.
     """
-    if method not in ("auto", "numeric", "exact"):
-        raise DomainError("method must be auto, numeric, or exact")
-    if method == "exact" and params.zeta != 0.0:
-        raise DomainError("the exact angular integrand applies only at zeta = 0")
-    force_numeric = method == "numeric"
     kappa = params.kappa
 
     probe_tol = min(1e-4, tol)
@@ -297,11 +267,12 @@ def total_energy_spectral(params: TrajectoryParams, tol: float = 1e-4,
                                force_numeric=force_numeric, abs_floor=floor)
 
     hi = _omega_cutoff(I_of, kappa, peak)
+    I_batch = np.vectorize(I_of, otypes=[float])
     pts = kappa * np.array([0.125, 0.25, 0.5, 1.0, 2.0, 4.0, 8.0, 16.0])
-    res = integrate_adaptive(I_of, 0.0, hi, tol=0.5 * tol, points=pts,
+    res = integrate_adaptive(I_batch, 0.0, hi, tol=0.5 * tol, points=pts,
                              abs_floor=0.25 * tol * peak * kappa)
     # One confirmation segment past the cutoff; fold it in if it matters.
-    tail = integrate_adaptive(I_of, hi, 2.0 * hi, tol=0.5,
+    tail = integrate_adaptive(I_batch, hi, 2.0 * hi, tol=0.5,
                               abs_floor=0.05 * tol * abs(res.value))
     total = float(res.value)
     if abs(tail.value) > 0.25 * tol * abs(total):

@@ -165,15 +165,22 @@ def penrose_coordinates(params: TrajectoryParams, z):
     return U, V
 
 
-def larmor_power(params: TrajectoryParams, z):
-    """Instantaneous radiated power P = e^2 gamma^6 accel^2 / (6 pi)."""
-    zs = _check_positions(z)
+def _larmor(params: TrajectoryParams, zs, power: int):
+    """e^2 gamma^6 (dw/dz)^2 / (6 pi w^power), with w = dt/dz = 1/v.
+
+    power 6 gives the power P (accel^2 = v^6 (dw/dz)^2) and power 5 the
+    energy per unit length P/v. Everything stays in powers of w to avoid
+    overflow at the deep-tail sample points of the semi-infinite map.
+    """
     w = _inverse_speed(params, zs)
     g2 = w * w / (w * w - 1.0)                     # gamma^2
     dw_dz = 0.5 * params.kappa - 2.0 / (params.kappa * zs * zs)
-    # accel^2 = v^6 (dw/dz)^2; keep everything in powers of w to avoid
-    # overflow at the deep-tail sample points of the semi-infinite map.
-    P = params.e_squared * g2**3 * dw_dz**2 / (6.0 * math.pi * w**6)
+    return params.e_squared * g2**3 * dw_dz**2 / (6.0 * math.pi * w**power)
+
+
+def larmor_power(params: TrajectoryParams, z):
+    """Instantaneous radiated power P = e^2 gamma^6 accel^2 / (6 pi)."""
+    P = _larmor(params, _check_positions(z), 6)
     return float(P) if np.ndim(z) == 0 else P
 
 
@@ -191,15 +198,6 @@ def total_energy_larmor(params: TrajectoryParams, tol: float = 1e-9) -> float:
             RuntimeWarning,
             stacklevel=2,
         )
-    k = params.kappa
-    e2 = params.e_squared
-    zeta = params.zeta
-
-    def integrand(zs):
-        w = 0.5 * k * zs + 2.0 / (k * zs) + zeta
-        g2 = w * w / (w * w - 1.0)
-        dw_dz = 0.5 * k - 2.0 / (k * zs * zs)
-        return e2 * g2**3 * dw_dz**2 / (6.0 * math.pi * w**5)
-
-    res: QuadratureResult = integrate_semi_infinite(integrand, scale=1.0 / k, tol=tol)
+    res: QuadratureResult = integrate_semi_infinite(
+        lambda zs: _larmor(params, zs, 5), scale=1.0 / params.kappa, tol=tol)
     return float(res.value)

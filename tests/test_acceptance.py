@@ -3,10 +3,13 @@
 The per-criterion pass/fail lines are echoed in the terminal summary via
 the conftest hook, so a plain pytest run shows the full scorecard.
 """
+import math
+
 import pytest
 
 import conftest
 from fdradiance.acceptance import CRITERION_NAMES, run_all
+from fdradiance.errors import DomainError
 
 
 @pytest.fixture(scope="session")
@@ -22,3 +25,11 @@ def results():
 def test_criterion(results, index):
     result = results[index]
     assert result.passed, result.line()
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"tolerance_scale": -1.0}, {"tolerance_scale": math.nan},
+    {"criteria": [1, 99]}], ids=["negative-scale", "nan-scale", "unknown-criterion"])
+def test_bad_arguments(kwargs):
+    with pytest.raises(DomainError):
+        run_all(**kwargs)

@@ -65,6 +65,14 @@ class TestUsageErrors:
         code, _, _ = run(capsys, ["trajectory", "--z-min", "1.0"])
         assert code == 2
 
+    @pytest.mark.parametrize("argv", [
+        ["check", "--criteria", "3", "--kappa", "2"],
+        ["check", "--criteria", "3", "--tol", "1e-3"],
+        ["trajectory", "--t", "1.0", "--tol", "1e-3"]])
+    def test_option_the_command_does_not_read(self, capsys, argv):
+        code, out, err = run(capsys, argv)
+        assert code == 2 and out == "" and "unrecognized arguments" in err
+
 
 class TestTrajectoryCommand:
     def test_single_time_row(self, capsys):
@@ -259,6 +267,13 @@ class TestCheckCommand:
         assert doc["summary"]["all_passed"] is True
         assert doc["rows"][0]["criterion"] == 7
         assert "criterion" in err
+
+    def test_json_config_echo(self, capsys):
+        code, out, _ = run(capsys, ["check", "--criteria", "7",
+                                    "--format", "json"])
+        assert code == 0
+        assert sorted(json.loads(out)["config"]) == [
+            "criteria", "format", "output", "tolerance_scale"]
 
     def test_bad_criteria_list(self, capsys):
         code, _, _ = run(capsys, ["check", "--criteria", "1,banana"])

@@ -90,13 +90,15 @@ class TestAdaptive:
                                tol=1e-13, max_evals=200)
         assert info.value.best is not None
 
-    def test_scalar_fallback(self):
-        # integrand that cannot take arrays still works through the probe
-        def scalar_only(x):
-            if isinstance(x, np.ndarray):
-                raise TypeError("scalar only")
-            return math.exp(-x)
-        res = integrate_adaptive(scalar_only, 0.0, 1.0, tol=1e-12)
+    def test_scalar_integrand_rejected(self):
+        # integrands are batch-only: a scalar answer to a node batch is an
+        # error on both the finite and the mapped semi-infinite route
+        with pytest.raises(NonFiniteError):
+            integrate_adaptive(lambda x: 1.0, 0.0, 1.0)
+        with pytest.raises(NonFiniteError):
+            integrate_semi_infinite(lambda x: 1.0)
+        vectorized = np.vectorize(lambda x: math.exp(-x), otypes=[float])
+        res = integrate_adaptive(vectorized, 0.0, 1.0, tol=1e-12)
         assert rel(res.value, 1.0 - 1.0 / math.e) < 1e-11
 
 

@@ -7,13 +7,11 @@ points where an independent reference exists.
 """
 import math
 
-import numpy as np
 import pytest
 
 from fdradiance.errors import DomainError
 from fdradiance.spectra import (
     EmissionDirection,
-    SpectralCurve,
     SpectralSample,
     distribution_exact_zeta0,
     distribution_numeric,
@@ -61,18 +59,6 @@ class TestTypes:
             SpectralSample(1.0, 1.0, -1.0, "numeric", 0.0)
         with pytest.raises(DomainError):
             SpectralSample(1.0, 1.0, 1.0, "magic", 0.0)
-
-    def test_curve_validation(self):
-        SpectralCurve(np.array([1.0, 2.0]), np.array([1.0, 0.5]),
-                      "energy-spectrum")
-        with pytest.raises(DomainError):
-            SpectralCurve(np.array([2.0, 1.0]), np.array([1.0, 0.5]),
-                          "energy-spectrum")
-        with pytest.raises(DomainError):
-            SpectralCurve(np.array([1.0]), np.array([-1.0]),
-                          "energy-spectrum")
-        with pytest.raises(DomainError):
-            SpectralCurve(np.array([1.0]), np.array([1.0]), "something")
 
     def test_phase_mapping(self):
         params = TrajectoryParams(2.0, 0.3, 1.0)
@@ -190,14 +176,6 @@ class TestIntegratedSpectrum:
         spectral = total_energy_spectral(params, tol=1e-4)
         larmor = total_energy_larmor(params)
         assert rel(spectral, larmor) < 1e-3
-
-    def test_total_energy_method_validation(self):
-        with pytest.raises(DomainError):
-            total_energy_spectral(TrajectoryParams(1, 0.3, 1), tol=1e-3,
-                                  method="exact")
-        with pytest.raises(DomainError):
-            total_energy_spectral(TrajectoryParams(1, 0, 1), tol=1e-3,
-                                  method="bogus")
 
 
 class TestPartialForms:
