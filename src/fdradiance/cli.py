@@ -35,7 +35,7 @@ from .mirror import (
 )
 from .spectra import (
     EmissionDirection,
-    distribution_exact_zeta0,
+    _exact_zeta0_samples,
     distribution_numeric,
     energy_spectrum,
     fd_particle_count,
@@ -168,21 +168,21 @@ def run_distribution(ns):
     params = _params(ns)
     omegas, thetas = _grid(ns, "omega"), _grid(ns, "theta")
     method, zeta = ns.method, params.zeta
-    if method == "exact" and zeta != 0.0:
+    if method == "exact-zeta0" and zeta != 0.0:
         raise DomainError("the exact closed form applies only at zeta = 0")
     methods = [method]
     if method == "all":
-        methods = ["numeric"] + (["exact"] if zeta == 0.0 else []) + ["fd"]
+        methods = (["numeric"] + (["exact-zeta0"] if zeta == 0.0 else [])
+                   + ["fermi-dirac"])
     samples = []
     for m in methods:
         if m == "numeric":
             samples.extend(distribution_numeric(params, w, EmissionDirection(th),
                                                 ns.tol)
                            for w in omegas for th in thetas)
-        elif m == "exact":
-            samples.extend(distribution_exact_zeta0(params.kappa, params.e_squared,
-                                                    w, EmissionDirection(th))
-                           for w in omegas for th in thetas)
+        elif m == "exact-zeta0":
+            for w in omegas:
+                samples.extend(_exact_zeta0_samples(params, w, thetas))
         else:
             # the special-angle value is a function of omega alone
             samples.extend(fermi_dirac_distribution(params, w) for w in omegas)
@@ -358,7 +358,8 @@ def _build_parser():
     _add_common(d)
     _add_grid(d, "omega", (0.1, 5.0, 25))
     _add_grid(d, "theta", (0.0, math.pi, 19))
-    d.add_argument("--method", choices=("numeric", "exact", "fd", "all"),
+    d.add_argument("--method",
+                   choices=("numeric", "exact-zeta0", "fermi-dirac", "all"),
                    default="numeric")
 
     s = subs.add_parser("spectrum", help="angle-integrated I(omega) or N(omega)")

@@ -1,6 +1,17 @@
 """Exception types shared across the package."""
 from __future__ import annotations
 
+__all__ = [
+    "FdradianceError",
+    "DomainError",
+    "PoleError",
+    "ConstraintError",
+    "RegimeError",
+    "NonFiniteError",
+    "OverflowRangeError",
+    "ConvergenceError",
+]
+
 
 class FdradianceError(Exception):
     """Base class for all package errors."""

@@ -20,7 +20,8 @@ alone applies. Energy and particle-count totals of the special-angle
 family follow by the variable change u = p+q, w = (p-q)/u, under which
 the constrained double integral collapses to a single integral in u with
 Jacobian u/2 (the constraint delta function is eliminated exactly, never
-sampled numerically).
+sampled numerically). Functions taking kappa and zeta check them by
+constructing ``TrajectoryParams``, the one home of the worldline rules.
 """
 from __future__ import annotations
 
@@ -29,7 +30,8 @@ import math
 
 from .errors import ConstraintError, DomainError, RegimeError
 from .quadrature import integrate_semi_infinite
-from .spectra import EmissionDirection, SpectralSample, _occupancy
+from .spectra import EmissionDirection, SpectralSample, _check_omega, _occupancy
+from .trajectory import TrajectoryParams
 
 __all__ = [
     "ModePair",
@@ -72,8 +74,7 @@ class BetaCoefficient:
 
 def map_to_modes(omega: float, dir: EmissionDirection) -> ModePair:
     """Mode pair of the emission direction: p+q = omega, p-q = omega cos(theta)."""
-    if not (omega > 0.0 and math.isfinite(omega)):
-        raise DomainError("omega must be positive and finite")
+    _check_omega(omega)
     # half-angle forms stay exact at theta -> 0, pi where 1 -+ cos cancels
     half = 0.5 * dir.theta
     p = omega * math.cos(half) ** 2
@@ -91,13 +92,6 @@ def beta_squared_from_distribution(sample: SpectralSample,
     return BetaCoefficient(modes=modes, beta_squared=beta2)
 
 
-def _check_mirror_args(kappa, zeta):
-    if not (kappa > 0.0 and math.isfinite(kappa)):
-        raise DomainError("kappa must be positive and finite")
-    if not (-1.0 < zeta < 1.0):
-        raise DomainError("zeta must lie strictly inside (-1, 1)")
-
-
 def beta_squared_fd(modes: ModePair, kappa: float, zeta: float) -> BetaCoefficient:
     """Closed Fermi-Dirac form of |beta|^2 on the constrained mode family.
 
@@ -105,7 +99,7 @@ def beta_squared_fd(modes: ModePair, kappa: float, zeta: float) -> BetaCoefficie
     map_to_modes at the special angle, a violation beyond 1e-9 relative
     indicates a caller bug rather than roundoff and is rejected.
     """
-    _check_mirror_args(kappa, zeta)
+    TrajectoryParams(kappa, zeta)
     # symmetric residual form avoids dividing by q (which hits 0 at zeta=1)
     residual = abs(modes.p * (1.0 - zeta) - modes.q * (1.0 + zeta))
     if residual > 1e-9 * (modes.p + modes.q):
@@ -122,7 +116,7 @@ def beta_squared_fd(modes: ModePair, kappa: float, zeta: float) -> BetaCoefficie
 def beta_squared_fd_limit(q: float, kappa: float,
                           zeta_near_minus_one: float) -> BetaCoefficient:
     """Leading-order |beta|^2 for zeta near -1, where p ~ 0 and q dominates."""
-    _check_mirror_args(kappa, zeta_near_minus_one)
+    TrajectoryParams(kappa, zeta_near_minus_one)
     if not (q > 0.0 and math.isfinite(q)):
         raise DomainError("q must be positive and finite")
     zeta = zeta_near_minus_one
@@ -138,7 +132,7 @@ def beta_squared_fd_limit(q: float, kappa: float,
 
 def mirror_fd_energy(kappa: float, zeta: float) -> float:
     """Energy of the constrained pair family: kappa (1 - zeta^2)/(192 pi)."""
-    _check_mirror_args(kappa, zeta)
+    TrajectoryParams(kappa, zeta)
     return kappa * (1.0 - zeta**2) / (192.0 * math.pi)
 
 
@@ -150,7 +144,7 @@ def mirror_fd_energy_quadrature(kappa: float, zeta: float,
     the total pair frequency; evaluates the closed |beta|^2 profile, not
     the closed energy formula.
     """
-    _check_mirror_args(kappa, zeta)
+    TrajectoryParams(kappa, zeta)
     pref = (1.0 - zeta**2) / (2.0 * math.pi * kappa)
 
     def integrand(u):
@@ -166,14 +160,14 @@ def mirror_particle_count(zeta: float, kappa: float = 1.0) -> float:
     Independent of kappa; the parameter is accepted for symmetry with the
     quadrature companion, where it sets the integration scale.
     """
-    _check_mirror_args(kappa, zeta)
+    TrajectoryParams(kappa, zeta)
     return (1.0 - zeta**2) * math.log(2.0) / (8.0 * math.pi**2)
 
 
 def mirror_particle_count_quadrature(zeta: float, kappa: float = 1.0,
                                      tol: float = 1e-10) -> float:
     """Quadrature companion of mirror_particle_count: int du (u/2) |beta|^2."""
-    _check_mirror_args(kappa, zeta)
+    TrajectoryParams(kappa, zeta)
     pref = (1.0 - zeta**2) / (2.0 * math.pi * kappa)
 
     def integrand(u):

@@ -55,6 +55,10 @@ _G_IDX = np.arange(1, 15, 2)                                         # embedded 
 _G_WEIGHTS = np.concatenate([_WG_HALF[:-1], _WG_HALF[::-1]])
 
 _MAX_WAVES = 200
+# Default evaluation budget (the oscillatory route scales it up for strongly
+# detuned phases) and absolute error floor.
+_MAX_EVALS = 1_000_000
+_ABS_FLOOR = 1e-300
 
 
 @dataclasses.dataclass(frozen=True)
@@ -178,9 +182,9 @@ def _pyval(v):
     return v.real if v.imag == 0.0 else v
 
 
-def integrate_adaptive(f, lo, hi, tol=1e-10, *, max_evals=1_000_000,
-                       abs_floor=1e-300, scale=1.0, points=None):
-    """Adaptive Gauss-Kronrod integral of f over [lo, hi].
+def integrate_adaptive(f, lo, hi, tol=1e-10, *, max_evals=_MAX_EVALS,
+                       abs_floor=_ABS_FLOOR, points=None):
+    """Adaptive Gauss-Kronrod integral of f over the finite interval [lo, hi].
 
     Parameters
     ----------
@@ -189,16 +193,14 @@ def integrate_adaptive(f, lo, hi, tol=1e-10, *, max_evals=1_000_000,
         the same shape. Any other shape raises ``NonFiniteError``; wrap a
         scalar function in ``np.vectorize`` first.
     lo, hi : float
-        Bounds with lo < hi; hi may be ``inf``, in which case the tail is
-        folded onto [0, 1) with the map z = lo + scale*r/(1-r).
+        Finite bounds with lo < hi; integrals over [0, inf) go through
+        ``integrate_semi_infinite``.
     tol : float
         Relative tolerance; the absolute floor keeps zero-valued integrals
         from looping forever.
     max_evals : int
         Budget of integrand evaluations; exceeding it raises, with the best
         estimate attached to the exception.
-    scale : float
-        Length scale of the semi-infinite map (only used when hi is inf).
     points : sequence of float, optional
         Interior breakpoints seeding the initial panel set, for integrands
         whose interesting structure is known in advance.
@@ -207,13 +209,8 @@ def integrate_adaptive(f, lo, hi, tol=1e-10, *, max_evals=1_000_000,
     -------
     QuadratureResult
     """
-    if not (lo < hi):
-        raise DomainError("integration bounds must satisfy lo < hi")
-    if math.isinf(lo):
-        raise DomainError("lower bound must be finite")
-    if math.isinf(hi):
-        return _semi_infinite(f, float(lo), float(scale), tol, max_evals,
-                              abs_floor, points)
+    if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
+        raise DomainError("integration bounds must be finite with lo < hi")
     if points is None:
         bounds = np.linspace(float(lo), float(hi), 9)
     else:
@@ -224,30 +221,20 @@ def integrate_adaptive(f, lo, hi, tol=1e-10, *, max_evals=1_000_000,
     return QuadratureResult(_pyval(value), err, evals)
 
 
-def integrate_semi_infinite(f, scale=1.0, tol=1e-10, *, max_evals=1_000_000,
-                            abs_floor=1e-300):
+def integrate_semi_infinite(f, scale=1.0, tol=1e-10):
     """Integral of f over [0, inf) via the map z = scale*r/(1-r), r in [0,1)."""
-    return _semi_infinite(f, 0.0, float(scale), tol, max_evals, abs_floor, None)
-
-
-def _semi_infinite(f, lo, scale, tol, max_evals, abs_floor, points):
     if not (scale > 0.0 and math.isfinite(scale)):
         raise DomainError("scale must be positive and finite")
 
     def mapped(rs):
         one_minus = 1.0 - rs
-        zs = lo + scale * rs / one_minus
-        return _evaluate(f, zs) * (scale / one_minus**2)
+        return _evaluate(f, scale * rs / one_minus) * (scale / one_minus**2)
 
     # Denser initial panels toward r=1 where the map stretches fastest.
     bounds = np.array([0.0, 0.125, 0.25, 0.375, 0.5, 0.625, 0.75, 0.875,
                        0.9375, 0.96875, 1.0])
-    if points is not None:
-        pts = np.asarray(points, dtype=float)
-        pts = pts[pts > lo]
-        rs = (pts - lo) / (scale + pts - lo)
-        bounds = np.unique(np.concatenate([bounds, rs]))
-    value, err, evals = _adaptive_core(mapped, bounds, tol, max_evals, abs_floor)
+    value, err, evals = _adaptive_core(mapped, bounds, tol, _MAX_EVALS,
+                                       _ABS_FLOOR)
     return QuadratureResult(_pyval(value), err, evals)
 
 
@@ -301,7 +288,7 @@ def _ray_panels(spec: OscillatoryPhaseSpec, delta: float, R: float) -> np.ndarra
 
 
 def integrate_oscillatory(spec: OscillatoryPhaseSpec, tol=1e-9, *,
-                          delta=math.pi / 4, max_evals=1_000_000):
+                          delta=math.pi / 4):
     """Evaluate int_0^inf exp(i(a z^2 + b ln z + c z)) dz by contour rotation.
 
     Parameters
@@ -312,9 +299,6 @@ def integrate_oscillatory(spec: OscillatoryPhaseSpec, tol=1e-9, *,
         Relative tolerance target for the adaptive pass along the ray.
     delta : float
         Rotation angle in (0, pi/2); pi/4 maximizes the Gaussian decay.
-    max_evals : int
-        Base evaluation budget; scaled up for strongly detuned phases
-        (|lin_coeff| >> sqrt(quad_coeff)) before the integrator may fail.
 
     Returns
     -------
@@ -327,11 +311,12 @@ def integrate_oscillatory(spec: OscillatoryPhaseSpec, tol=1e-9, *,
     if not (0.0 < tol <= 1e-2):
         raise DomainError("tol must lie in (0, 1e-2]")
     a, b, c = spec.quad_coeff, spec.log_coeff, spec.lin_coeff
-    budget = int(max_evals * max(1.0, abs(c) / math.sqrt(a)))
+    # strongly detuned phases (|c| >> sqrt(a)) need more panels
+    budget = int(_MAX_EVALS * max(1.0, abs(c) / math.sqrt(a)))
     R = _ray_cutoff(spec, delta, tol)
     bounds = _ray_panels(spec, delta, R)
     g = _ray_integrand(spec, delta)
-    value, err, evals = _adaptive_core(g, bounds, tol, budget, 1e-300)
+    value, err, evals = _adaptive_core(g, bounds, tol, budget, _ABS_FLOOR)
     # Analytic head over [0, r_tiny]: the integrand there is the pure power
     # prefac * r^{i b} up to relative corrections O((|c| + a r) r).
     r_tiny = float(bounds[0])

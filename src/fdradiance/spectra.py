@@ -28,6 +28,7 @@ each claim is checkable against an independent code path.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 
 import numpy as np
@@ -45,6 +46,7 @@ from .trajectory import TrajectoryParams
 __all__ = [
     "EmissionDirection",
     "SpectralSample",
+    "phase_spec",
     "distribution_numeric",
     "distribution_exact_zeta0",
     "fermi_dirac_distribution",
@@ -61,6 +63,11 @@ _METHODS = ("numeric", "exact-zeta0", "fermi-dirac")
 # Relative error ascribed to closed-form evaluations: a conservative
 # roundoff envelope, not a quadrature estimate.
 _CLOSED_FORM_REL = 1e-13
+
+
+def _check_omega(omega):
+    if not (omega > 0.0 and math.isfinite(omega)):
+        raise DomainError("omega must be positive and finite")
 
 
 @dataclasses.dataclass(frozen=True)
@@ -83,19 +90,13 @@ class SpectralSample:
     abs_error: float
 
     def __post_init__(self):
-        if not (self.omega > 0.0 and math.isfinite(self.omega)):
-            raise DomainError("omega must be positive and finite")
+        _check_omega(self.omega)
         if not (self.value >= 0.0 and math.isfinite(self.value)):
             raise DomainError("spectral value must be non-negative and finite")
         if self.method not in _METHODS:
             raise DomainError(f"method must be one of {_METHODS}")
         if not (self.abs_error >= 0.0):
             raise DomainError("abs_error must be non-negative")
-
-
-def _check_omega(omega):
-    if not (omega > 0.0 and math.isfinite(omega)):
-        raise DomainError("omega must be positive and finite")
 
 
 def phase_spec(params: TrajectoryParams, omega: float,
@@ -139,19 +140,22 @@ def _exact_zeta0_values(kappa, e_squared, omega, us):
     return pref * math.exp(-math.pi * y) * np.abs(m) ** 2
 
 
+def _exact_zeta0_samples(params: TrajectoryParams, omega: float,
+                         thetas) -> list:
+    """Closed-form samples at zeta = 0 for every theta at one omega."""
+    _check_omega(omega)
+    us = np.array([math.cos(theta) for theta in thetas])
+    values = [max(float(v), 0.0) for v in
+              _exact_zeta0_values(params.kappa, params.e_squared, omega, us)]
+    return [SpectralSample(omega, theta, v, "exact-zeta0", v * _CLOSED_FORM_REL)
+            for theta, v in zip(thetas, values)]
+
+
 def distribution_exact_zeta0(kappa: float, e_squared: float, omega: float,
                              dir: EmissionDirection) -> SpectralSample:
     """dI/dOmega from the hypergeometric closed form (zeta = 0 only)."""
-    if not (kappa > 0.0 and math.isfinite(kappa)):
-        raise DomainError("kappa must be positive and finite")
-    if not (e_squared > 0.0 and math.isfinite(e_squared)):
-        raise DomainError("e_squared must be positive and finite")
-    _check_omega(omega)
-    u = math.cos(dir.theta)
-    value = float(_exact_zeta0_values(kappa, e_squared, omega, np.array([u]))[0])
-    value = max(value, 0.0)
-    return SpectralSample(omega, dir.theta, value, "exact-zeta0",
-                          value * _CLOSED_FORM_REL)
+    params = TrajectoryParams(kappa, 0.0, e_squared)
+    return _exact_zeta0_samples(params, omega, [dir.theta])[0]
 
 
 def _occupancy(x):
@@ -175,13 +179,9 @@ def fermi_dirac_distribution(params: TrajectoryParams, omega: float) -> Spectral
                           value * _CLOSED_FORM_REL)
 
 
-_GL_CACHE: dict = {}
-
-
+@functools.cache
 def _gl_nodes(n):
-    if n not in _GL_CACHE:
-        _GL_CACHE[n] = np.polynomial.legendre.leggauss(n)
-    return _GL_CACHE[n]
+    return np.polynomial.legendre.leggauss(n)
 
 
 def _angular_values(params, omega, us, tol, force_numeric):

@@ -14,11 +14,12 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import sys
 import warnings
 
 import numpy as np
 
-from .errors import ConvergenceError, DomainError
+from .errors import ConvergenceError, DomainError, OverflowRangeError
 from .quadrature import QuadratureResult, integrate_semi_infinite
 
 __all__ = [
@@ -109,49 +110,61 @@ def kinematic_state(params: TrajectoryParams, z: float) -> KinematicState:
 def position_at_time(params: TrajectoryParams, t: float) -> float:
     """Unique z > 0 with coordinate_time(z) = t.
 
-    The map is strictly increasing (dt/dz = 1/v > 0) and onto the reals,
-    so a bracket always exists; it is found by geometric expansion around
-    the velocity maximum kappa z = 2 and refined by Newton steps guarded
-    with bisection.
+    The map is strictly increasing (dt/dz = 1/v > 0) and onto the reals.
+    The root is sought in u = ln z, where t(u) is nearly linear in the far
+    past (z ~ e^{kappa t/2}/kappa) and nearly e^{2u} kappa/4 in the far
+    future (z ~ 2 sqrt(t/kappa)): seeded from those asymptotic inverses,
+    bracketed by doubling steps, and refined by Newton steps guarded with
+    bisection.
+
+    Raises ``OverflowRangeError`` when z or kappa z lies below the smallest
+    normal double, or when t(z) would overflow before reaching t.
     """
     if not math.isfinite(t):
         raise DomainError("t must be finite")
     k = params.kappa
-    lo = hi = 2.0 / k
-    f0 = coordinate_time(params, lo) - t
-    if f0 > 0.0:
-        for _ in range(200):
-            lo *= 0.25
-            if coordinate_time(params, lo) - t <= 0.0:
-                break
-        else:
-            raise ConvergenceError("bracket expansion failed toward z -> 0")
-    else:
-        for _ in range(200):
-            hi *= 4.0
-            if coordinate_time(params, hi) - t >= 0.0:
-                break
-        else:
-            raise ConvergenceError("bracket expansion failed toward z -> inf")
+    # ln z range over which z, kappa z and t(z) stay normal, finite doubles
+    u_floor = math.log(sys.float_info.min / min(1.0, k))
+    u_ceil = 0.5 * math.log(0.25 * sys.float_info.max / max(1.0, k))
 
-    z = 0.5 * (lo + hi)
+    def residual(u):
+        z = math.exp(u)
+        return z, coordinate_time(params, z) - t
+
+    u = 0.5 * k * t - math.log(k) if k * t < 4.0 else math.log(2.0 * math.sqrt(t / k))
+    u = min(max(u, u_floor), u_ceil)
+    z, f = residual(u)
+    # Double the stride away from the seed until f changes sign.
+    lo = hi = u
+    step = 1.0 if f < 0.0 else -1.0
+    while f * step < 0.0:
+        if u == (u_ceil if step > 0.0 else u_floor):
+            raise OverflowRangeError(
+                f"t={t} lies outside the range where z and t(z) are normal doubles")
+        u = min(max(u + step, u_floor), u_ceil)
+        lo, hi = min(lo, u), max(hi, u)
+        z, f = residual(u)
+        step *= 2.0
+
     tol = 1e-13 * max(1.0, abs(t))
-    for _ in range(200):
-        f = coordinate_time(params, z) - t
+    for _ in range(100):
         if abs(f) <= tol:
-            return z
+            break
         if f > 0.0:
-            hi = z
+            hi = u
         else:
-            lo = z
-        step = -f / _inverse_speed(params, z)     # Newton: dz = (t - t(z))*v
-        znew = z + step
-        if not (lo < znew < hi):
-            znew = 0.5 * (lo + hi)
-        if hi - lo <= 4.0 * np.finfo(float).eps * z:
-            return z
-        z = znew
-    raise ConvergenceError("position_at_time exhausted its iteration budget")
+            lo = u
+        unew = u - f / (z * _inverse_speed(params, z))   # Newton: du = dt v / z
+        if not (lo < unew < hi):
+            unew = 0.5 * (lo + hi)
+        if unew in (lo, hi, u):
+            break
+        u = unew
+        z, f = residual(u)
+    else:
+        raise ConvergenceError("position_at_time exhausted its iteration budget")
+    # A last Newton step in z itself resolves z below the spacing of ln z.
+    return z - f / _inverse_speed(params, z)
 
 
 def penrose_coordinates(params: TrajectoryParams, z):

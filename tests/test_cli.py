@@ -52,8 +52,14 @@ class TestUsageErrors:
 
     def test_exact_needs_symmetric_worldline(self, capsys):
         code, _, err = run(capsys, ["distribution", "--zeta", "0.3",
-                                    "--method", "exact"])
+                                    "--method", "exact-zeta0"])
         assert code == 2 and "zeta" in err
+
+    @pytest.mark.parametrize("name", ["exact", "fd"])
+    def test_short_method_names_rejected(self, capsys, name):
+        # --method takes the library's route names, as the rows print them
+        code, out, err = run(capsys, ["distribution", "--method", name])
+        assert code == 2 and out == "" and "invalid choice" in err
 
     def test_conflicting_trajectory_grids(self, capsys):
         code, _, _ = run(capsys, ["trajectory", "--t", "1.0",
@@ -171,7 +177,7 @@ class TestDistributionCommand:
         _, out, _ = run(capsys, [
             "distribution", "--omega-min", "1", "--omega-max", "2",
             "--omega-steps", "2", "--theta-min", "1.0", "--theta-max", "2.0",
-            "--theta-steps", "2", "--method", "exact"])
+            "--theta-steps", "2", "--method", "exact-zeta0"])
         header, rows = parse_csv(out)
         assert header == ["omega", "omega_over_kappa", "theta", "method",
                           "value", "abs_error"]

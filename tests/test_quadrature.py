@@ -79,10 +79,12 @@ class TestAdaptive:
         assert rel(seeded.value, 1.0) < 1e-14
         assert seeded.evaluations < plain.evaluations
 
-    def test_infinite_upper_limit(self):
-        res = integrate_adaptive(lambda x: np.exp(-x * x), 0.0, math.inf,
-                                 tol=1e-12)
-        assert rel(res.value, math.sqrt(math.pi) / 2.0) < 1e-11
+    def test_infinite_bound_rejected(self):
+        # [0, inf) has its own entry, integrate_semi_infinite
+        with pytest.raises(DomainError):
+            integrate_adaptive(lambda x: np.exp(-x * x), 0.0, math.inf)
+        with pytest.raises(DomainError):
+            integrate_adaptive(lambda x: np.exp(-x * x), -math.inf, 0.0)
 
     def test_budget_exhaustion(self):
         with pytest.raises(ConvergenceError) as info:
@@ -103,6 +105,10 @@ class TestAdaptive:
 
 
 class TestSemiInfinite:
+    def test_infinite_upper_limit(self):
+        res = integrate_semi_infinite(lambda x: np.exp(-x * x), tol=1e-12)
+        assert rel(res.value, math.sqrt(math.pi) / 2.0) < 1e-11
+
     def test_occupancy_integrals(self):
         # integral of x/(e^(2 pi x / kappa) + 1) over [0, inf) is kappa^2/48
         for kappa in (1.0, 2.5):

@@ -7,12 +7,14 @@ points where an independent reference exists.
 """
 import math
 
+import numpy as np
 import pytest
 
 from fdradiance.errors import DomainError
 from fdradiance.spectra import (
     EmissionDirection,
     SpectralSample,
+    _exact_zeta0_samples,
     distribution_exact_zeta0,
     distribution_numeric,
     energy_spectrum,
@@ -137,6 +139,21 @@ class TestDistribution:
         num = distribution_numeric(params, 1.0,
                                    EmissionDirection(math.acos(zeta)), 1e-8)
         assert rel(num.value, fd.value) < 1e-7
+
+    def test_exact_batch_matches_single_points(self):
+        # the CLI evaluates every theta of one omega in one closed-form call;
+        # each sample must be bit-identical to the one-point call
+        rng = np.random.default_rng(4)
+        for _ in range(10):
+            kappa = rng.uniform(0.5, 2.0)
+            params = TrajectoryParams(kappa, 0.0, rng.uniform(0.5, 2.0))
+            omega = kappa * rng.uniform(0.1, 4.0)
+            thetas = [0.0, math.pi, *rng.uniform(0.0, math.pi, 17)]
+            batch = _exact_zeta0_samples(params, omega, thetas)
+            single = [distribution_exact_zeta0(
+                          params.kappa, params.e_squared, omega,
+                          EmissionDirection(th)) for th in thetas]
+            assert batch == single
 
     def test_validation(self):
         params = TrajectoryParams(1, 0, 1)

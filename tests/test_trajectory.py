@@ -4,12 +4,13 @@ Frozen energy and power values come from 30-to-60-digit mpmath
 quadrature of the same integrand written independently.
 """
 import math
+import sys
 import warnings
 
 import numpy as np
 import pytest
 
-from fdradiance.errors import DomainError
+from fdradiance.errors import DomainError, OverflowRangeError
 from fdradiance.trajectory import (
     E_SQUARED_DEFAULT,
     TrajectoryParams,
@@ -68,6 +69,24 @@ class TestWorldline:
                     assert z > 0
                     back = coordinate_time(params, z)
                     assert abs(back - t) < 1e-11 * max(1.0, abs(t))
+
+    def test_inversion_far_times(self):
+        # z spans the normal doubles from t ~ -1400 (kappa = 1) to beyond
+        # t = 1e300; below that the position is refused, never misreported
+        tiny = sys.float_info.min
+        ts = [s * 10.0**k for k in range(301) for s in (1.0, -1.0)]
+        for kappa in (0.5, 1.0, 2.0):
+            for zeta in (-0.9, 0.0, 0.9):
+                params = TrajectoryParams(kappa, zeta, 1.0)
+                for t in ts + [-500.0, -700.0]:
+                    if coordinate_time(params, tiny) > t:
+                        with pytest.raises(OverflowRangeError):
+                            position_at_time(params, t)
+                        continue
+                    back = coordinate_time(params, position_at_time(params, t))
+                    assert abs(back - t) <= 1e-12 * max(1.0, abs(t))
+        with pytest.raises(OverflowRangeError):
+            position_at_time(TrajectoryParams(1.0, 0.0, 1.0), -1e4)
 
     def test_position_monotone(self):
         params = TrajectoryParams(1.3, 0.4, 1.0)
