@@ -34,9 +34,8 @@ from .mirror import (
     mirror_particle_count,
 )
 from .spectra import (
-    EmissionDirection,
     _exact_zeta0_samples,
-    distribution_numeric,
+    _numeric_samples,
     energy_spectrum,
     fd_particle_count,
     fermi_dirac_distribution,
@@ -177,9 +176,8 @@ def run_distribution(ns):
     samples = []
     for m in methods:
         if m == "numeric":
-            samples.extend(distribution_numeric(params, w, EmissionDirection(th),
-                                                ns.tol)
-                           for w in omegas for th in thetas)
+            for w in omegas:
+                samples.extend(_numeric_samples(params, w, thetas, ns.tol))
         elif m == "exact-zeta0":
             for w in omegas:
                 samples.extend(_exact_zeta0_samples(params, w, thetas))
@@ -225,10 +223,8 @@ def run_mirror(ns):
     if ns.p is not None:
         betas = [beta_squared_fd(ModePair(ns.p, ns.q), kappa, zeta)]
     elif omegas is not None:
-        betas = [beta_squared_from_distribution(
-                     distribution_numeric(params, w, EmissionDirection(th), ns.tol),
-                     e2)
-                 for w in omegas for th in thetas]
+        betas = [beta_squared_from_distribution(sample, e2) for w in omegas
+                 for sample in _numeric_samples(params, w, thetas, ns.tol)]
     else:
         # pairs on the constraint line p/q = (1 + zeta)/(1 - zeta)
         betas = [beta_squared_fd(ModePair(u * (1.0 + zeta) / 2.0,

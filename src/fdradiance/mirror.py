@@ -21,7 +21,8 @@ family follow by the variable change u = p+q, w = (p-q)/u, under which
 the constrained double integral collapses to a single integral in u with
 Jacobian u/2 (the constraint delta function is eliminated exactly, never
 sampled numerically). Functions taking kappa and zeta check them by
-constructing ``TrajectoryParams``, the one home of the worldline rules.
+constructing ``TrajectoryParams``, the one home of the worldline rules;
+a lone e^2 goes through the same rule in ``trajectory``.
 """
 from __future__ import annotations
 
@@ -31,7 +32,7 @@ import math
 from .errors import ConstraintError, DomainError, RegimeError
 from .quadrature import integrate_semi_infinite
 from .spectra import EmissionDirection, SpectralSample, _check_omega, _occupancy
-from .trajectory import TrajectoryParams
+from .trajectory import TrajectoryParams, _check_e_squared
 
 __all__ = [
     "ModePair",
@@ -85,8 +86,7 @@ def map_to_modes(omega: float, dir: EmissionDirection) -> ModePair:
 def beta_squared_from_distribution(sample: SpectralSample,
                                    e_squared: float) -> BetaCoefficient:
     """Invert dI/dOmega = (e^2 omega^2 / 4 pi) |beta|^2 for one sample."""
-    if not (e_squared > 0.0 and math.isfinite(e_squared)):
-        raise DomainError("e_squared must be positive and finite")
+    _check_e_squared(e_squared)
     modes = map_to_modes(sample.omega, EmissionDirection(sample.theta))
     beta2 = 4.0 * math.pi * sample.value / (e_squared * sample.omega**2)
     return BetaCoefficient(modes=modes, beta_squared=beta2)

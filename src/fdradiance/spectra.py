@@ -12,7 +12,9 @@ where J = int_0^inf dz exp(i phi(z)) with phase
 Routes, kept deliberately independent of each other:
 
 * ``distribution_numeric`` evaluates J by the oscillatory contour
-  integrator for any (zeta, theta).
+  integrator for any (zeta, theta); the directions of one omega, as the
+  angular rule and the CLI grids ask for them, run as one batched
+  integration.
 * ``distribution_exact_zeta0`` uses the closed hypergeometric form that
   exists when zeta = 0, for any theta.
 * ``fermi_dirac_distribution`` is the special observation angle
@@ -36,8 +38,8 @@ import numpy as np
 from .errors import ConvergenceError, DomainError
 from .quadrature import (
     OscillatoryPhaseSpec,
+    _oscillatory_rows,
     integrate_adaptive,
-    integrate_oscillatory,
     integrate_semi_infinite,
 )
 from .specfun import kummer_1f1, ln_gamma
@@ -110,19 +112,42 @@ def phase_spec(params: TrajectoryParams, omega: float,
     )
 
 
+def _numeric_samples(params: TrajectoryParams, omega: float, thetas,
+                     tol: float) -> list:
+    """Quadrature samples for every theta at one omega, in one batched run.
+
+    The emission integrals of one omega share their quadratic and log
+    coefficients; only the linear one varies with theta. Directions with
+    sin^2(theta) = 0 are dark and skip the integral.
+    """
+    _check_omega(omega)
+    sin2 = [math.sin(theta) ** 2 for theta in thetas]
+    lit = [theta for theta, s2 in zip(thetas, sin2) if s2 != 0.0]
+    results = iter(())
+    if lit:
+        specs = [phase_spec(params, omega, EmissionDirection(theta)) for theta in lit]
+        values, abs_errors, _ = _oscillatory_rows(
+            specs[0].quad_coeff, specs[0].log_coeff,
+            [spec.lin_coeff for spec in specs], tol, math.pi / 4)
+        results = zip(values.tolist(), abs_errors.tolist())
+    samples = []
+    for theta, s2 in zip(thetas, sin2):
+        if s2 == 0.0:
+            samples.append(SpectralSample(omega, theta, 0.0, "numeric", 0.0))
+            continue
+        pref = params.e_squared * omega**2 * s2 / (16.0 * math.pi**3)
+        value, abs_error = next(results)
+        mod = abs(value)
+        # |J|^2 error from the |J| error: 2|J| dJ + dJ^2.
+        err = pref * (2.0 * mod * abs_error + abs_error**2)
+        samples.append(SpectralSample(omega, theta, pref * mod**2, "numeric", err))
+    return samples
+
+
 def distribution_numeric(params: TrajectoryParams, omega: float,
                          dir: EmissionDirection, tol: float = 1e-9) -> SpectralSample:
     """dI/dOmega by direct quadrature of the emission integral."""
-    _check_omega(omega)
-    sin2 = math.sin(dir.theta) ** 2
-    pref = params.e_squared * omega**2 * sin2 / (16.0 * math.pi**3)
-    if sin2 == 0.0:
-        return SpectralSample(omega, dir.theta, 0.0, "numeric", 0.0)
-    res = integrate_oscillatory(phase_spec(params, omega, dir), tol)
-    mod = abs(res.value)
-    # |J|^2 error from the |J| error: 2|J| dJ + dJ^2.
-    err = pref * (2.0 * mod * res.abs_error + res.abs_error**2)
-    return SpectralSample(omega, dir.theta, pref * mod**2, "numeric", err)
+    return _numeric_samples(params, omega, [dir.theta], tol)[0]
 
 
 def _exact_zeta0_values(kappa, e_squared, omega, us):
@@ -187,12 +212,8 @@ def _gl_nodes(n):
 def _angular_values(params, omega, us, tol, force_numeric):
     if params.zeta == 0.0 and not force_numeric:
         return _exact_zeta0_values(params.kappa, params.e_squared, omega, us)
-    vals = np.empty(us.size)
-    for i, u in enumerate(us):
-        vals[i] = distribution_numeric(
-            params, omega, EmissionDirection(math.acos(u)), tol
-        ).value
-    return vals
+    thetas = [math.acos(u) for u in us]
+    return np.array([s.value for s in _numeric_samples(params, omega, thetas, tol)])
 
 
 def energy_spectrum(params: TrajectoryParams, omega: float, tol: float = 1e-6,

@@ -53,8 +53,13 @@ class TrajectoryParams:
         # and at zeta = +1 the special angle degenerates to the axis.
         if not (-1.0 < self.zeta < 1.0):
             raise DomainError("zeta must lie strictly inside (-1, 1)")
-        if not (math.isfinite(self.e_squared) and self.e_squared > 0.0):
-            raise DomainError("e_squared must be positive and finite")
+        _check_e_squared(self.e_squared)
+
+
+def _check_e_squared(e_squared):
+    """The squared-charge rule, shared with callers that take e^2 alone."""
+    if not (math.isfinite(e_squared) and e_squared > 0.0):
+        raise DomainError("e_squared must be positive and finite")
 
 
 @dataclasses.dataclass(frozen=True)
@@ -78,7 +83,9 @@ def coordinate_time(params: TrajectoryParams, z):
     """t(z) along the worldline; z may be a scalar or ndarray, all > 0."""
     zs = _check_positions(z)
     k = params.kappa
-    t = 0.25 * k * zs**2 + (2.0 / k) * np.log(k * zs) + params.zeta * zs
+    # scale before squaring: z^2 alone overflows for z > 1.3e154, where
+    # t(z) is still representable when kappa < 4
+    t = (0.25 * k * zs) * zs + (2.0 / k) * np.log(k * zs) + params.zeta * zs
     return float(t) if np.isscalar(z) or np.ndim(z) == 0 else t
 
 
@@ -123,9 +130,11 @@ def position_at_time(params: TrajectoryParams, t: float) -> float:
     if not math.isfinite(t):
         raise DomainError("t must be finite")
     k = params.kappa
-    # ln z range over which z, kappa z and t(z) stay normal, finite doubles
+    # ln z range over which z and kappa z stay normal doubles and t(z)
+    # stays finite: at the ceiling the kappa z^2/4 term is half the largest
+    # double, which leaves room for the log and linear terms
     u_floor = math.log(sys.float_info.min / min(1.0, k))
-    u_ceil = 0.5 * math.log(0.25 * sys.float_info.max / max(1.0, k))
+    u_ceil = 0.5 * (math.log(2.0) + math.log(sys.float_info.max) - math.log(k))
 
     def residual(u):
         z = math.exp(u)

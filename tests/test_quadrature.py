@@ -10,10 +10,12 @@ import math
 import numpy as np
 import pytest
 
+from fdradiance import quadrature
 from fdradiance.errors import ConvergenceError, DomainError, NonFiniteError
 from fdradiance.quadrature import (
     OscillatoryPhaseSpec,
     QuadratureResult,
+    _oscillatory_rows,
     integrate_adaptive,
     integrate_oscillatory,
     integrate_semi_infinite,
@@ -199,3 +201,56 @@ class TestOscillatory:
             integrate_oscillatory(spec, delta=0.0)
         with pytest.raises(DomainError):
             integrate_oscillatory(spec, delta=math.pi / 2)
+
+
+class TestOscillatoryRows:
+    """Many emission integrals of one frequency refined in one adaptive run."""
+
+    @staticmethod
+    def angular_rows(rng, order):
+        # the rows energy_spectrum asks for: one per Gauss-Legendre node
+        kappa = rng.uniform(0.5, 2.0)
+        zeta = rng.choice([-1.0, 1.0]) * rng.uniform(0.05, 0.6)
+        omega = kappa * math.exp(rng.uniform(math.log(0.1), math.log(8.0)))
+        us, _ = np.polynomial.legendre.leggauss(order)
+        return 0.25 * kappa * omega, 2.0 * omega / kappa, omega * (zeta - us)
+
+    def test_rows_match_single_integrals(self):
+        rng = np.random.default_rng(11)
+        tol = 1e-6 / 8.0
+        for order in (64, 128, 64, 128):
+            a, b, cs = self.angular_rows(rng, order)
+            values, errors, evals = _oscillatory_rows(a, b, cs, tol, math.pi / 4)
+            for c, value, error, n in zip(cs, values, errors, evals):
+                one = integrate_oscillatory(OscillatoryPhaseSpec(a, b, float(c)), tol)
+                assert one.evaluations == n
+                assert abs(one.value - value) <= 1e-12 * abs(one.value) + one.abs_error
+                assert abs(one.abs_error - error) <= 1e-12 * one.abs_error
+
+    def test_chunked_wave_matches_small_batches(self):
+        # a row's result must not depend on the rows sharing its waves,
+        # nor on where the wave is cut into integrand calls
+        us, _ = np.polynomial.legendre.leggauss(128)
+        a, b, cs = 0.75, 6.0, 3.0 * (0.4 - us)     # kappa 1, zeta 0.4, omega 3
+        panels = sum(quadrature._ray_panels(
+            a, b, c, math.pi / 4, quadrature._ray_cutoff(a, b, c, math.pi / 4, 1e-9)).size - 1
+            for c in cs)
+        assert panels > quadrature._WAVE_PANELS
+        whole = _oscillatory_rows(a, b, cs, 1e-9, math.pi / 4)
+        parts = [_oscillatory_rows(a, b, cs[i:i + 5], 1e-9, math.pi / 4)
+                 for i in range(0, cs.size, 5)]
+        for got, want in zip(whole, zip(*parts)):
+            assert np.array_equal(got, np.concatenate(want))
+
+    def test_stalled_row_raises_with_its_best(self, monkeypatch):
+        # budgets scale with max(1, |c|/sqrt(a)): only the c = -0.2 row
+        # runs out of a 700-evaluation budget
+        monkeypatch.setattr(quadrature, "_MAX_EVALS", 700)
+        a, b = 0.5, 4.0
+        with pytest.raises(ConvergenceError) as batch:
+            _oscillatory_rows(a, b, [3.0, -0.2, -6.0], 1e-10, math.pi / 4)
+        with pytest.raises(ConvergenceError) as single:
+            integrate_oscillatory(OscillatoryPhaseSpec(a, b, -0.2), tol=1e-10)
+        assert batch.value.best == single.value.best
+        assert batch.value.best.evaluations <= 700
+        _oscillatory_rows(a, b, [3.0, -6.0], 1e-10, math.pi / 4)

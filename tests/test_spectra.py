@@ -10,11 +10,13 @@ import math
 import numpy as np
 import pytest
 
+from fdradiance import spectra
 from fdradiance.errors import DomainError
 from fdradiance.spectra import (
     EmissionDirection,
     SpectralSample,
     _exact_zeta0_samples,
+    _numeric_samples,
     distribution_exact_zeta0,
     distribution_numeric,
     energy_spectrum,
@@ -154,6 +156,39 @@ class TestDistribution:
                           params.kappa, params.e_squared, omega,
                           EmissionDirection(th)) for th in thetas]
             assert batch == single
+
+    def test_numeric_batch_matches_single_points(self):
+        # the angular rule and the CLI evaluate every theta of one omega in
+        # one batched quadrature run; each sample must equal the one-point call
+        rng = np.random.default_rng(6)
+        for _ in range(6):
+            kappa = rng.uniform(0.5, 2.0)
+            params = TrajectoryParams(kappa, rng.uniform(-0.6, 0.6),
+                                      rng.uniform(0.5, 2.0))
+            omega = kappa * rng.uniform(0.1, 8.0)
+            thetas = [0.0, math.pi, *rng.uniform(0.0, math.pi, 9)]
+            batch = _numeric_samples(params, omega, thetas, 1e-8)
+            single = [distribution_numeric(params, omega, EmissionDirection(th),
+                                           1e-8) for th in thetas]
+            assert batch == single
+
+    def test_numeric_dark_rows_skip_the_integral(self, monkeypatch):
+        # sin^2(theta) = 0 rows are exactly 0 and never reach the quadrature
+        rows = []
+        batched = spectra._oscillatory_rows
+
+        def counting(a, b, cs, tol, delta):
+            rows.append(len(cs))
+            return batched(a, b, cs, tol, delta)
+
+        monkeypatch.setattr(spectra, "_oscillatory_rows", counting)
+        params = TrajectoryParams(1.0, 0.3, 1.0)
+        got = _numeric_samples(params, 1.5, [0.0, 1.0, 0.0, 2.0], 1e-8)
+        assert rows == [2]
+        assert [(s.value, s.abs_error) for s in got[::2]] == [(0.0, 0.0)] * 2
+        assert all(s.value > 0.0 for s in got[1::2])
+        assert _numeric_samples(params, 1.5, [0.0], 1e-8)[0].value == 0.0
+        assert rows == [2]
 
     def test_validation(self):
         params = TrajectoryParams(1, 0, 1)

@@ -88,6 +88,21 @@ class TestWorldline:
         with pytest.raises(OverflowRangeError):
             position_at_time(TrajectoryParams(1.0, 0.0, 1.0), -1e4)
 
+    def test_inversion_near_overflow(self):
+        # for kappa < 4, z^2 overflows before t(z) does
+        params = TrajectoryParams(0.5, 0.0, 1.0)
+        assert rel(coordinate_time(params, 1.5e154), 2.8125e307) < 1e-15
+        for kappa in (0.5, 1.0, 2.0):
+            for zeta in (-0.9, 0.9):
+                params = TrajectoryParams(kappa, zeta, 1.0)
+                for t in (2e307, 8e307):
+                    back = coordinate_time(params, position_at_time(params, t))
+                    assert rel(back, t) <= 1e-15
+                # past the ceiling, where the kappa z^2/4 term alone is
+                # half the largest double, positions are refused
+                with pytest.raises(OverflowRangeError):
+                    position_at_time(params, 1.5e308)
+
     def test_position_monotone(self):
         params = TrajectoryParams(1.3, 0.4, 1.0)
         ts = np.linspace(-20, 20, 41)
