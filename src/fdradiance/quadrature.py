@@ -14,14 +14,19 @@ around the integrator. ``integrate_adaptive`` and
 ``integrate_oscillatory`` evaluates the conditionally convergent phase
 integral int_0^inf exp(i(a z^2 + b ln z + c z)) dz by rotating the contour
 onto the ray z = r e^{i delta}; the Gaussian factor exp(-a r^2 sin 2delta)
-then makes the integrand absolutely integrable. On the ray the modulus of
-the z^{ib} factor is the constant e^{-b delta}, so the integral retains a
-residual cancellation of order e^{b(pi/2 - delta)}; relative accuracy
-therefore degrades like machine-eps times that factor for very large b
-(b = 2 omega/kappa in the radiation problem). The exact special-angle and
-closed-form routes do not share this limit. Integrals that share a and b,
-such as every emission direction at one frequency, run as rows of one
-adaptive run.
+then makes the integrand absolutely integrable. Near the origin the log
+phase winds without end, so the ray is split at the head radius h, where
+|c| h + a h^2 = 3: the head [0, h e^{i delta}] is a convergent Taylor
+series, and only [h, R] goes to the adaptive rule, with each row's target
+relative to its whole integral, head included (the two parts nearly cancel
+at large b). On the ray the modulus of the z^{ib} factor is the constant
+e^{-b delta}, so the integral retains a residual cancellation of order
+e^{b(pi/2 - delta)}; relative accuracy therefore degrades like machine-eps
+times that factor for very large b (b = 2 omega/kappa in the radiation
+problem). The exact special-angle and closed-form routes do not share this
+limit. Integrals that share a and b, such as every emission direction at
+one frequency, run as rows of one adaptive run, whose set-up (cutoffs,
+head radii, initial panels, heads, tails) is built for all rows at once.
 """
 from __future__ import annotations
 
@@ -71,6 +76,17 @@ _WAVE_PANELS = 1024
 _MAX_EVALS = 1_000_000
 _ABS_FLOOR = 1e-300
 _EPS = float(np.finfo(float).eps)
+# Oscillatory route: phase/envelope units per initial ray panel, and the most
+# boundaries one row's ray may start with.
+_RAY_CAP = 4.0
+_RAY_EDGES = 20000
+# Series head: the terms summed, their dropped tail in units of |Z| (the
+# largest over all splits |c| h + a h^2 = 3), and the roundoff allowance in
+# units of long-double eps times the bound on the summed term moduli.
+_HEAD_TERMS = 64
+_HEAD_TAIL = 1.2e-22
+_HEAD_ROUNDOFF = 16.0
+_HEAD_INV = list(1 / np.arange(1, _HEAD_TERMS, dtype=np.longdouble))    # 1/n at n - 1
 
 
 @dataclasses.dataclass(frozen=True)
@@ -153,14 +169,17 @@ def _gk_panels(f, lo, hi, rows):
     return tuple(np.concatenate(p) for p in zip(*parts))
 
 
-def _adaptive_rows(f, lo, hi, counts, tol, budgets, abs_floor):
+def _adaptive_rows(f, lo, hi, counts, tol, budgets, abs_floor, offsets=None):
     """Wave-refined adaptive GK15 over many integrals ("rows") at once.
 
     ``lo``/``hi`` hold every row's initial panels, row after row and in
     ascending order within a row; ``counts`` gives each row's panel count
     and ``budgets`` its evaluation budget. ``f(xs, rows)`` maps the
     (panels, 15) node array xs, whose panel k belongs to row ``rows[k]``,
-    to integrand values of the same shape.
+    to integrand values of the same shape. ``offsets``, if given, holds a
+    per-row value known apart from the integral (the oscillatory route's
+    series head): a row's relative target then applies to its integral
+    plus its offset.
 
     Every row keeps the rules of a lone integral: its own target, pick
     threshold and budget, and it finishes or stalls on its own. Its panels
@@ -185,7 +204,8 @@ def _adaptive_rows(f, lo, hi, counts, tol, budgets, abs_floor):
         # error estimates are roundoff fiction; cancellation-dominated
         # integrals legitimately bottom out there.
         machine_floor = (50.0 * _EPS) * np.add.reduceat(l1s, starts)
-        target = np.maximum(np.maximum(tol * np.abs(total), abs_floor),
+        whole = total if offsets is None else total + offsets[active]
+        target = np.maximum(np.maximum(tol * np.abs(whole), abs_floor),
                             machine_floor)
         done = toterr <= target
         if done.all():
@@ -342,77 +362,127 @@ def _ray_integrand(a, b, cs, delta):
     return g
 
 
-def _ray_cutoff(a, b, c, delta, tol):
+def _ray_setup(a, b, cs, delta, tol):
+    """Every row's ray cutoff R, head radius h and initial panels on [h, R].
+
+    Returns (R, h, lo, hi, counts): lo/hi hold the panels of all rows, row
+    after row and ascending within a row, and counts each row's number.
+    """
+    sd, cd, s2d = math.sin(delta), math.cos(delta), math.sin(2 * delta)
     # Envelope exp(-a R^2 sin2d - c R sind) <= exp(-L); L covers both the
     # requested tolerance and the residual cancellation e^{b(pi/2-delta)}.
-    sd, s2d = math.sin(delta), math.sin(2 * delta)
     L = b * (math.pi / 2 - delta) + max(30.0, -math.log(max(tol, 1e-300)) + 12.0)
-    disc = (c * sd) ** 2 + 4.0 * a * s2d * L
-    return (-c * sd + math.sqrt(disc)) / (2.0 * a * s2d)
+    R = (-cs * sd + np.sqrt((cs * sd) ** 2 + 4.0 * a * s2d * L)) / (2.0 * a * s2d)
+    # Head radius: |c| h + a h^2 = 3 bounds the series head's terms.
+    h = np.minimum(6.0 / (np.abs(cs) + np.sqrt(cs * cs + 12.0 * a)), 0.5 * R)
+    # Equal-variation boundaries, walking down from R: each step is the
+    # shortest of three that each span _RAY_CAP units of one phase or
+    # log-envelope term, so GK15 starts accurate and the adaptive pass only
+    # polishes. The quadratic term (z^2 falls by dq) binds down to z_q, the
+    # linear one (z falls by dl) down to z_l, and the log winding (z shrinks
+    # by s) below, so each row's boundaries are three closed-form runs.
+    dq = _RAY_CAP / (a * (abs(math.cos(2 * delta)) + s2d))
+    log_s = -_RAY_CAP / b if b > 0.0 else -math.inf
+    s = math.exp(log_s)
+    # The runs' formulas meet inf and nan where a term is absent (c = 0,
+    # b = 0) and in the branches np.where discards.
+    with np.errstate(all="ignore"):
+        dl = _RAY_CAP / (np.abs(cs) * (cd + sd))              # inf when c = 0
+        z_q = np.maximum(np.where(dl * dl < dq, (dq + dl * dl) / (2.0 * dl), 0.0),
+                         math.sqrt(dq / (1.0 - s * s)))
+        z_l = dl / (1.0 - s)
+        # Step counts of the three runs, capped at _RAY_EDGES boundaries.
+        nq = np.minimum(np.where(R >= z_q, np.floor((R * R - z_q * z_q) / dq) + 1.0, 0.0),
+                        _RAY_EDGES - 1)
+        w = np.sqrt(np.maximum(R * R - nq * dq, 0.0))
+        nl = np.minimum(np.where(w >= z_l, np.floor((w - z_l) / dl) + 1.0, 0.0),
+                        _RAY_EDGES - 1 - nq)
+        v = np.where(nl > 0.0, w - nl * dl, w)
+        ng = np.minimum(np.fmax(np.ceil(np.log(v / h) * (-1.0 / log_s)) - 1.0, 0.0),
+                        _RAY_EDGES - 1 - nq - nl)
+        nq, nql = nq.astype(np.intp), (nq + nl).astype(np.intp)
+        n = nql + ng.astype(np.intp) + 1
+        row = np.arange(cs.size).repeat(n)
+        # k-th boundary below R, ascending in z within each row.
+        k = (n.cumsum() - 1).repeat(n) - np.arange(n.sum())
+        kq, kql = nq[row], nql[row]
+        z = np.where(k <= kq, np.sqrt(np.maximum(R[row] ** 2 - k * dq, 0.0)),
+                     np.where(k <= kql, w[row] - (k - kq) * dl[row],
+                              v[row] * np.exp((k - kql) * log_s)))
+    keep = z > h[row]
+    hi = z[keep]
+    counts = np.bincount(row[keep], minlength=cs.size)
+    lo = np.empty_like(hi)
+    lo[1:] = hi[:-1]
+    lo[counts.cumsum() - counts] = h
+    return R, h, lo, hi, counts
 
 
-def _ray_panels(a, b, c, delta, R):
-    # Equal-variation boundaries: each panel spans at most ~cap units of
-    # combined phase + log-envelope variation, so GK15 starts accurate and
-    # the adaptive pass only polishes. The head [0, r_tiny] is handled
-    # analytically by the caller (the log phase oscillates infinitely fast
-    # toward 0 and can never be resolved by bisection).
-    cap = 4.0
-    A2 = a * (abs(math.cos(2 * delta)) + math.sin(2 * delta))
-    C2 = abs(c) * (math.cos(delta) + math.sin(delta))
-    # Step limits of the quadratic, linear and log terms.
-    dq = cap / A2
-    dl = cap / C2 if C2 > 0.0 else math.inf
-    shrink = math.exp(-cap / b) if b > 0.0 else 0.0
-    r_tiny = 1e-14 * R
-    bounds = [R]
-    z = R
-    while z > r_tiny and len(bounds) < 20000:
-        z = max(math.sqrt(max(z * z - dq, 0.0)), z - dl, z * shrink, 0.0)
-        if z <= r_tiny:
-            break
-        bounds.append(z)
-    bounds.append(r_tiny)
-    return np.array(bounds[::-1])
+def _ray_head(a, b, cs, delta, h):
+    """int_0^Z z^{ib} exp(i(c z + a z^2)) dz, Z = h e^{i delta}, by its Taylor series.
+
+    The integral is Z^{1+ib} sum_n t_n / (1+ib+n) with t_0 = 1 and
+    n t_n = i c Z t_{n-1} + 2 i a Z^2 t_{n-2}. The term moduli sum to at
+    most e^{|c| h + a h^2} = e^3, and past _HEAD_TERMS their tail is below
+    _HEAD_TAIL |Z|. The sum can be e^3 smaller again (the Gaussian decays
+    along the ray), and at large b the head nearly cancels the ray part,
+    so the series runs in long double and the head's error is mostly its
+    final rounding to double. Every row runs the same number of terms, so
+    its value does not depend on the other rows. Returns per-row arrays
+    (values, abs_errors).
+    """
+    ld = np.longdouble
+    delta, b = ld(delta), ld(b)
+    hl = h.astype(ld)
+    Z = hl * (np.cos(delta) + 1j * np.sin(delta))
+    x, y = 1j * cs * Z, 2j * ld(a) * Z * Z
+    w = list(1 / (1 + 1j * b + np.arange(_HEAD_TERMS, dtype=ld)))
+    t0, t1 = np.ones_like(Z), x
+    total = w[0] + w[1] * t1
+    for n in range(2, _HEAD_TERMS):
+        t0, t1 = t1, (x * t1 + y * t0) * _HEAD_INV[n - 1]
+        total += w[n] * t1
+    # Z^{1+ib} = h e^{-b delta} e^{i (delta + b ln h)}
+    scale = hl * np.exp(-b * delta)
+    value = (scale * np.exp(1j * (delta + b * np.log(hl))) * total).astype(complex)
+    moduli = np.exp(np.abs(cs) * h + a * h * h) * float(abs(w[0]))
+    err = scale.astype(float) * (_HEAD_ROUNDOFF * float(np.finfo(ld).eps) * moduli
+                                 + _HEAD_TAIL) + _EPS * np.abs(value)
+    return value, err
 
 
 def _oscillatory_rows(a, b, cs, tol, delta):
     """int_0^inf exp(i(a z^2 + b ln z + c z)) dz for every c in cs at once.
 
     The rows share a and b, so one adaptive run refines them all; each row
-    keeps its own ray cutoff, panels, budget, analytic head and truncation
-    tail. Returns per-row arrays (values, abs_errors, evaluations); if a
-    row stalls, the first one raises ``ConvergenceError`` with its ray
-    result as ``best``.
+    keeps its own ray cutoff R, head radius h, panels, budget, series head
+    and truncation tail. The ray is integrated on [h, R]; the head [0, h]
+    (where the log phase winds without end) is the convergent series of
+    ``_ray_head``. Each row's adaptive target is tol times its whole
+    integral, ray plus head: at large b the two nearly cancel, and a target
+    on the ray part alone would be too loose. Returns per-row arrays
+    (values, abs_errors, evaluations); if a row stalls, the first one
+    raises ``ConvergenceError`` with its ray result as ``best``.
     """
     if not (0.0 < delta < math.pi / 2):
         raise DomainError("delta must lie in (0, pi/2)")
     if not (0.0 < tol <= 1e-2):
         raise DomainError("tol must lie in (0, 1e-2]")
     cs = np.asarray(cs, dtype=float)
-    edges = [_ray_panels(a, b, c, delta, _ray_cutoff(a, b, c, delta, tol))
-             for c in cs.tolist()]
+    R, h, lo, hi, counts = _ray_setup(a, b, cs, delta, tol)
+    heads, head_errs = _ray_head(a, b, cs, delta, h)
     # strongly detuned phases (|c| >> sqrt(a)) need more panels
     budgets = _MAX_EVALS * np.maximum(1.0, np.abs(cs) / math.sqrt(a))
     values, abs_errors, stalled, evals = _adaptive_rows(
-        _ray_integrand(a, b, cs, delta),
-        np.concatenate([e[:-1] for e in edges]),
-        np.concatenate([e[1:] for e in edges]),
-        [e.size - 1 for e in edges], tol, budgets, _ABS_FLOOR)
+        _ray_integrand(a, b, cs, delta), lo, hi, counts, tol, budgets, _ABS_FLOOR,
+        heads)
     _raise_stalled(values, abs_errors, stalled, evals)
-    prefac = complex(math.cos(delta), math.sin(delta)) * math.exp(-b * delta)
+    # Truncation tail bound: envelope at R over the local decay rate.
     sd, s2d = math.sin(delta), math.sin(2 * delta)
-    for i, (c, e) in enumerate(zip(cs.tolist(), edges)):
-        # Analytic head over [0, r_tiny]: the integrand there is the pure
-        # power prefac * r^{i b} up to relative corrections O((|c| + a r) r).
-        r_tiny, R = float(e[0]), float(e[-1])
-        head = prefac * r_tiny ** (1.0 + 1j * b) / (1.0 + 1j * b)
-        head_err = abs(head) * ((abs(c) + a * r_tiny) * r_tiny + 1e-13)
-        # Truncation tail bound: envelope at R over the local decay rate.
-        tail = (math.exp(-b * delta - a * R * R * s2d - c * R * sd)
-                / (2.0 * a * R * s2d + c * sd))
-        values[i] = complex(values[i]) + head
-        abs_errors[i] = abs_errors[i] + head_err + abs(tail)
+    tails = (np.exp(-b * delta - a * R * R * s2d - cs * R * sd)
+             / (2.0 * a * R * s2d + cs * sd))
+    values = values + heads
+    abs_errors = abs_errors + head_errs + np.abs(tails)
     if not (np.isfinite(values).all() and np.isfinite(abs_errors).all()):
         raise NonFiniteError("quadrature result is not finite")
     return values, abs_errors, evals

@@ -112,36 +112,39 @@ def phase_spec(params: TrajectoryParams, omega: float,
     )
 
 
-def _numeric_samples(params: TrajectoryParams, omega: float, thetas,
-                     tol: float) -> list:
-    """Quadrature samples for every theta at one omega, in one batched run.
+def _numeric_values(params: TrajectoryParams, omega: float, cos_t, sin2, tol: float):
+    """dI/dOmega and its error by quadrature, for every direction of one omega.
 
-    The emission integrals of one omega share their quadratic and log
-    coefficients; only the linear one varies with theta. Directions with
-    sin^2(theta) = 0 are dark and skip the integral.
+    The directions are given by cos(theta) and sin^2(theta) arrays. Their
+    emission integrals share the quadratic and log coefficients; only the
+    linear one varies with the direction, so they run as rows of one
+    batched integration. Dark directions (sin^2(theta) = 0) skip the
+    integral. Returns (values, abs_errors) arrays.
     """
     _check_omega(omega)
-    sin2 = [math.sin(theta) ** 2 for theta in thetas]
-    lit = [theta for theta, s2 in zip(thetas, sin2) if s2 != 0.0]
-    results = iter(())
-    if lit:
-        specs = [phase_spec(params, omega, EmissionDirection(theta)) for theta in lit]
-        values, abs_errors, _ = _oscillatory_rows(
-            specs[0].quad_coeff, specs[0].log_coeff,
-            [spec.lin_coeff for spec in specs], tol, math.pi / 4)
-        results = zip(values.tolist(), abs_errors.tolist())
-    samples = []
-    for theta, s2 in zip(thetas, sin2):
-        if s2 == 0.0:
-            samples.append(SpectralSample(omega, theta, 0.0, "numeric", 0.0))
-            continue
-        pref = params.e_squared * omega**2 * s2 / (16.0 * math.pi**3)
-        value, abs_error = next(results)
-        mod = abs(value)
+    a, b = 0.25 * params.kappa * omega, 2.0 * omega / params.kappa
+    OscillatoryPhaseSpec(a, b, 0.0)     # validates the shared coefficients
+    values, abs_errors = np.zeros(sin2.shape), np.zeros(sin2.shape)
+    lit = sin2 != 0.0
+    if lit.any():
+        J, dJ, _ = _oscillatory_rows(a, b, omega * (params.zeta - cos_t[lit]),
+                                     tol, math.pi / 4)
+        pref = params.e_squared * omega**2 * sin2[lit] / (16.0 * math.pi**3)
+        mod = np.abs(J)
+        values[lit] = pref * mod**2
         # |J|^2 error from the |J| error: 2|J| dJ + dJ^2.
-        err = pref * (2.0 * mod * abs_error + abs_error**2)
-        samples.append(SpectralSample(omega, theta, pref * mod**2, "numeric", err))
-    return samples
+        abs_errors[lit] = pref * (2.0 * mod * dJ + dJ**2)
+    return values, abs_errors
+
+
+def _numeric_samples(params: TrajectoryParams, omega: float, thetas,
+                     tol: float) -> list:
+    """Quadrature samples for every theta at one omega, in one batched run."""
+    values, abs_errors = _numeric_values(
+        params, omega, np.array([math.cos(theta) for theta in thetas]),
+        np.array([math.sin(theta) ** 2 for theta in thetas]), tol)
+    return [SpectralSample(omega, theta, value, "numeric", err)
+            for theta, value, err in zip(thetas, values.tolist(), abs_errors.tolist())]
 
 
 def distribution_numeric(params: TrajectoryParams, omega: float,
@@ -212,8 +215,7 @@ def _gl_nodes(n):
 def _angular_values(params, omega, us, tol, force_numeric):
     if params.zeta == 0.0 and not force_numeric:
         return _exact_zeta0_values(params.kappa, params.e_squared, omega, us)
-    thetas = [math.acos(u) for u in us]
-    return np.array([s.value for s in _numeric_samples(params, omega, thetas, tol)])
+    return _numeric_values(params, omega, us, 1.0 - us * us, tol)[0]
 
 
 def energy_spectrum(params: TrajectoryParams, omega: float, tol: float = 1e-6,

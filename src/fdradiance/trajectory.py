@@ -131,10 +131,15 @@ def position_at_time(params: TrajectoryParams, t: float) -> float:
         raise DomainError("t must be finite")
     k = params.kappa
     # ln z range over which z and kappa z stay normal doubles and t(z)
-    # stays finite: at the ceiling the kappa z^2/4 term is half the largest
-    # double, which leaves room for the log and linear terms
+    # stays finite. The ceiling starts where kappa z^2/4 alone reaches the
+    # largest double and backs off, an ulp of u at a time, until t(z) is
+    # finite: the log and linear terms are far below one ulp of t there.
     u_floor = math.log(sys.float_info.min / min(1.0, k))
-    u_ceil = 0.5 * (math.log(2.0) + math.log(sys.float_info.max) - math.log(k))
+    u_ceil = min(0.5 * (math.log(4.0) + math.log(sys.float_info.max) - math.log(k)),
+                 math.log(sys.float_info.max))
+    with np.errstate(over="ignore"):
+        while not math.isfinite(coordinate_time(params, math.exp(u_ceil))):
+            u_ceil = math.nextafter(u_ceil, -math.inf)
 
     def residual(u):
         z = math.exp(u)

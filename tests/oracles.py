@@ -1,11 +1,13 @@
 """Reference implementations the tests trust instead of the package.
 
 Everything here is deliberately independent of the code under test: the
-confluent series runs in 60-digit mpmath arithmetic, and the oscillatory
+confluent series runs in 60-digit mpmath arithmetic, the oscillatory
 phase integral is evaluated on the real axis with an exponential damper
 and Richardson extrapolation in the damping parameter, never by the
-contour rotation the package uses. Frozen constants in the test files
-were produced by these routines (or printed by mpmath directly).
+contour rotation the package uses, and the head segment of the rotated
+ray is a 40-digit quadrature, never the series the package sums. Frozen
+constants in the test files were produced by these routines (or printed
+by mpmath directly).
 """
 import mpmath as mp
 import numpy as np
@@ -119,3 +121,24 @@ def damped_phase_integral(quad_coeff, log_coeff, lin_coeff,
                 L *= eps_j / (eps_j - eps_i)
         total += L * values[i]
     return total
+
+
+def ray_head_segment(a, b, c, h, delta):
+    """int_0^Z z^{ib} exp(i(c z + a z^2)) dz with Z = h e^{i delta}, to 40 digits.
+
+    The substitution z = Z e^{-s} turns it into Z^{1+ib} int_0^inf
+    e^{-(1+ib)s} exp(i(c Z e^{-s} + a Z^2 e^{-2s})) ds, whose integrand is
+    smooth and decays like e^{-s}. The constant 1 of the exponential
+    integrates to 1/(1+ib) in closed form; the rest decays like e^{-2s}
+    and goes to Gauss-Legendre quadrature on [0, 48].
+    """
+    with mp.workdps(40):
+        a, b, c, h, delta = (mp.mpf(v) for v in (a, b, c, h, delta))
+        Z = h * mp.expj(delta)
+
+        def f(s):
+            return mp.exp(-(1 + 1j * b) * s) * mp.expm1(
+                1j * (c * Z * mp.exp(-s) + a * Z**2 * mp.exp(-2 * s)))
+
+        rest = mp.quad(f, mp.linspace(0, 48, 25), method="gauss-legendre")
+        return complex(Z ** (1 + 1j * b) * (rest + 1 / (1 + 1j * b)))

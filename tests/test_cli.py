@@ -1,13 +1,14 @@
 """Command-line contract: formats, grids, exit codes, determinism."""
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
 
 from fdradiance.cli import main
 from fdradiance.spectra import fermi_dirac_distribution
-from fdradiance.trajectory import TrajectoryParams, total_energy_larmor
+from fdradiance.trajectory import TrajectoryParams, coordinate_time, total_energy_larmor
 
 
 def run(capsys, argv):
@@ -125,6 +126,18 @@ class TestTrajectoryCommand:
         assert sorted(doc.keys()) == ["config", "rows", "summary"]
         assert doc["config"]["penrose"] is True
         assert set(doc["rows"][0]) == {"zeta", "t", "z", "U", "V"}
+
+    def test_time_near_the_largest_double(self, capsys):
+        # t(z) = 1.5e308 at z = 3.46e154 is a finite double for kappa 0.5
+        code, out, _ = run(capsys, ["trajectory", "--kappa", "0.5", "--t", "1.5e308"])
+        assert code == 0
+        z = float(parse_csv(out)[1][0]["z"])
+        back = coordinate_time(TrajectoryParams(0.5, 0.0, 1.0), z)
+        assert abs(back - 1.5e308) <= 1e-15 * 1.5e308
+        # no finite z reaches the largest double itself
+        code, out, err = run(capsys, ["trajectory", "--kappa", "0.5",
+                                      "--t", repr(sys.float_info.max)])
+        assert code == 3 and out == "" and err
 
     def test_json_round_trip_stable(self, capsys):
         _, out, _ = run(capsys, ["trajectory", "--t", "2.0",

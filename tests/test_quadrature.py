@@ -21,7 +21,7 @@ from fdradiance.quadrature import (
     integrate_semi_infinite,
 )
 
-from oracles import damped_phase_integral
+from oracles import damped_phase_integral, ray_head_segment
 
 # frozen by 60-digit quadrature of the rotated integrand
 J_HALF_4_M1 = 0.008701515102645193900047 + 0.02261928691557165995927j
@@ -230,12 +230,10 @@ class TestOscillatoryRows:
     def test_chunked_wave_matches_small_batches(self):
         # a row's result must not depend on the rows sharing its waves,
         # nor on where the wave is cut into integrand calls
-        us, _ = np.polynomial.legendre.leggauss(128)
+        us, _ = np.polynomial.legendre.leggauss(256)
         a, b, cs = 0.75, 6.0, 3.0 * (0.4 - us)     # kappa 1, zeta 0.4, omega 3
-        panels = sum(quadrature._ray_panels(
-            a, b, c, math.pi / 4, quadrature._ray_cutoff(a, b, c, math.pi / 4, 1e-9)).size - 1
-            for c in cs)
-        assert panels > quadrature._WAVE_PANELS
+        counts = quadrature._ray_setup(a, b, cs, math.pi / 4, 1e-9)[-1]
+        assert counts.sum() > 2 * quadrature._WAVE_PANELS
         whole = _oscillatory_rows(a, b, cs, 1e-9, math.pi / 4)
         parts = [_oscillatory_rows(a, b, cs[i:i + 5], 1e-9, math.pi / 4)
                  for i in range(0, cs.size, 5)]
@@ -243,14 +241,45 @@ class TestOscillatoryRows:
             assert np.array_equal(got, np.concatenate(want))
 
     def test_stalled_row_raises_with_its_best(self, monkeypatch):
-        # budgets scale with max(1, |c|/sqrt(a)): only the c = -0.2 row
-        # runs out of a 700-evaluation budget
-        monkeypatch.setattr(quadrature, "_MAX_EVALS", 700)
-        a, b = 0.5, 4.0
+        # budgets scale with max(1, |c|/sqrt(a)): only the c = -0.2 row,
+        # which needs 240 evaluations, runs out of a 200-evaluation budget
+        monkeypatch.setattr(quadrature, "_MAX_EVALS", 200)
+        a, b = 0.5, 8.0
         with pytest.raises(ConvergenceError) as batch:
-            _oscillatory_rows(a, b, [3.0, -0.2, -6.0], 1e-10, math.pi / 4)
+            _oscillatory_rows(a, b, [3.0, -0.2, -6.0], 1e-12, math.pi / 4)
         with pytest.raises(ConvergenceError) as single:
-            integrate_oscillatory(OscillatoryPhaseSpec(a, b, -0.2), tol=1e-10)
+            integrate_oscillatory(OscillatoryPhaseSpec(a, b, -0.2), tol=1e-12)
         assert batch.value.best == single.value.best
-        assert batch.value.best.evaluations <= 700
-        _oscillatory_rows(a, b, [3.0, -6.0], 1e-10, math.pi / 4)
+        assert batch.value.best.evaluations <= 200
+        _oscillatory_rows(a, b, [3.0, -6.0], 1e-12, math.pi / 4)
+
+    def test_series_head_against_oracle(self):
+        # the head segment [0, h e^{i delta}] against a 40-digit quadrature
+        # that never sums the series, at the head radius the rows use
+        rng = np.random.default_rng(31)
+        delta = math.pi / 4
+        for b in (0.0, 8.0, 40.0):
+            a = math.exp(rng.uniform(math.log(0.05), math.log(10.0)))
+            # c = 0, the special angle, leaves the slowest-decaying terms
+            cs = np.array([rng.uniform(-20.0, -1.0), 0.0, rng.uniform(1.0, 20.0)])
+            h = quadrature._ray_setup(a, b, cs, delta, 1e-9)[1]
+            values, errors = quadrature._ray_head(a, b, cs, delta, h)
+            for c, hc, value, error in zip(cs, h, values, errors):
+                want = ray_head_segment(a, b, c, hc, delta)
+                assert abs(value - want) <= error
+                assert error <= 1e-11 * abs(want)
+
+    def test_work_count(self):
+        # 40 seeded batches of 16 rows at tol 1e-9, omega/kappa 0.1-12,
+        # take a deterministic 111,630 evaluations; integrating the log
+        # winding down to 1e-14 R instead of summing the head took 880,725
+        rng = np.random.default_rng(2024)
+        total = 0
+        for _ in range(40):
+            kappa = rng.uniform(0.5, 2.0)
+            zeta = rng.choice([-1.0, 1.0]) * rng.uniform(0.05, 0.6)
+            omega = kappa * math.exp(rng.uniform(math.log(0.1), math.log(12.0)))
+            cs = omega * (zeta - rng.uniform(-1.0, 1.0, 16))
+            total += int(_oscillatory_rows(0.25 * kappa * omega, 2.0 * omega / kappa,
+                                           cs, 1e-9, math.pi / 4)[2].sum())
+        assert total <= 125_000

@@ -142,6 +142,23 @@ class TestDistribution:
                                    EmissionDirection(math.acos(zeta)), 1e-8)
         assert rel(num.value, fd.value) < 1e-7
 
+    def test_numeric_bars_cover_the_special_angle(self):
+        # at cos(theta) = zeta the numeric route must land within its own
+        # error bar of the Fermi-Dirac form, and the bar must stay tight
+        # where the cancellation on the ray is mild
+        rng = np.random.default_rng(8)
+        for y in (0.1, 1.0, 4.0, 8.0, 12.0, 16.0):
+            for sign in (-1.0, 1.0):
+                kappa = rng.uniform(0.5, 2.0)
+                zeta = sign * rng.uniform(0.05, 0.6)
+                params = TrajectoryParams(kappa, zeta, rng.uniform(0.5, 2.0))
+                num = distribution_numeric(params, y * kappa,
+                                           EmissionDirection(math.acos(zeta)), 1e-9)
+                fd = fermi_dirac_distribution(params, y * kappa).value
+                assert abs(num.value - fd) <= num.abs_error
+                if y <= 8.0:
+                    assert num.abs_error <= 1e-8 * num.value
+
     def test_exact_batch_matches_single_points(self):
         # the CLI evaluates every theta of one omega in one closed-form call;
         # each sample must be bit-identical to the one-point call
@@ -223,8 +240,11 @@ class TestIntegratedSpectrum:
         numeric = energy_spectrum(params, 1.0, tol=1e-5, force_numeric=True)
         assert rel(numeric, exact) < 1e-4
 
-    def test_total_energy_closure(self):
-        params = TrajectoryParams(1, 0, 1)
+    @pytest.mark.parametrize("zeta", [0.0, -0.5, 0.5])
+    def test_total_energy_closure(self, zeta):
+        # the angular integrand is the exact route at zeta = 0 and the
+        # numeric route elsewhere
+        params = TrajectoryParams(1, zeta, 1)
         spectral = total_energy_spectral(params, tol=1e-4)
         larmor = total_energy_larmor(params)
         assert rel(spectral, larmor) < 1e-3

@@ -95,13 +95,13 @@ class TestWorldline:
         for kappa in (0.5, 1.0, 2.0):
             for zeta in (-0.9, 0.9):
                 params = TrajectoryParams(kappa, zeta, 1.0)
-                for t in (2e307, 8e307):
+                for t in (2e307, 8e307, 1.5e308):
                     back = coordinate_time(params, position_at_time(params, t))
                     assert rel(back, t) <= 1e-15
-                # past the ceiling, where the kappa z^2/4 term alone is
-                # half the largest double, positions are refused
+                # above t(z) at the largest z whose t(z) is finite (a few
+                # ulps below the largest double), positions are refused
                 with pytest.raises(OverflowRangeError):
-                    position_at_time(params, 1.5e308)
+                    position_at_time(params, sys.float_info.max)
 
     def test_position_monotone(self):
         params = TrajectoryParams(1.3, 0.4, 1.0)
