@@ -34,9 +34,9 @@ from .mirror import (
     mirror_particle_count,
 )
 from .spectra import (
+    _energy_spectra,
     _exact_zeta0_samples,
     _numeric_samples,
-    energy_spectrum,
     fd_particle_count,
     fermi_dirac_distribution,
     total_energy_spectral,
@@ -179,8 +179,7 @@ def run_distribution(ns):
             for w in omegas:
                 samples.extend(_numeric_samples(params, w, thetas, ns.tol))
         elif m == "exact-zeta0":
-            for w in omegas:
-                samples.extend(_exact_zeta0_samples(params, w, thetas))
+            samples.extend(_exact_zeta0_samples(params, omegas, thetas))
         else:
             # the special-angle value is a function of omega alone
             samples.extend(fermi_dirac_distribution(params, w) for w in omegas)
@@ -196,7 +195,7 @@ def run_spectrum(ns):
     params = _params(ns)
     omegas = _grid(ns, "omega")
     kappa = params.kappa
-    values = [energy_spectrum(params, w, ns.tol) for w in omegas]
+    values = _energy_spectra(params, np.array(omegas), ns.tol, False, 0.0).tolist()
     rows = []
     if ns.kind in ("energy", "both"):
         rows.extend({"omega": w, "omega_over_kappa": w / kappa,

@@ -16,7 +16,8 @@ Routes, kept deliberately independent of each other:
   angular rule and the CLI grids ask for them, run as one batched
   integration.
 * ``distribution_exact_zeta0`` uses the closed hypergeometric form that
-  exists when zeta = 0, for any theta.
+  exists when zeta = 0, for any theta; a whole (omega, theta) grid is one
+  vectorized evaluation.
 * ``fermi_dirac_distribution`` is the special observation angle
   cos(theta0) = zeta, where the linear phase term drops and the
   distribution collapses to (1 - zeta^2)(e^2/8 pi^2)(omega/kappa) times
@@ -26,6 +27,15 @@ Angle-integrated spectra I(omega), N(omega) = I/omega, and the partial
 energy and particle count carried by the special-angle form round out the
 module. Closed forms always come with an explicit quadrature companion so
 each claim is checkable against an independent code path.
+
+The angular integral is batched over frequency: each Gauss-Legendre order
+runs once over every omega not yet settled. At zeta = 0 that is one
+closed-form evaluation of the (omega, u) grid, with the two 1F1s taken on
+the nodes u > 0 alone (they depend on u^2), so the frequency integral of
+``total_energy_spectral`` costs one such evaluation per wave of omega
+nodes and angular order. Off zeta = 0 each omega keeps its own batched
+quadrature. A row's value does not depend on the omegas it is batched
+with; ``energy_spectrum`` is the one-omega call.
 """
 from __future__ import annotations
 
@@ -65,10 +75,24 @@ _METHODS = ("numeric", "exact-zeta0", "fermi-dirac")
 # Relative error ascribed to closed-form evaluations: a conservative
 # roundoff envelope, not a quadrature estimate.
 _CLOSED_FORM_REL = 1e-13
+# Most (omega, u) elements one 1F1 call of the closed form takes; bigger
+# grids run in slices of whole omega rows (one row at the least). This
+# bounds the series' arrays and keeps them, long-double retry included,
+# below the 256 KiB from which numpy reuses temporaries in place. That
+# reuse can swap the factors of a complex product, which numpy rounds
+# differently (fused multiply-adds), so an element's value would depend
+# on the size of its batch.
+_EXACT_ELEMENTS = 1 << 12
+_ROOT_I = complex(math.cos(math.pi / 4), math.sin(math.pi / 4))     # sqrt(i)
 
 
 def _check_omega(omega):
-    if not (omega > 0.0 and math.isfinite(omega)):
+    """omega, a float or an array of floats, must be positive and finite."""
+    if isinstance(omega, np.ndarray):
+        ok = ((omega > 0.0) & np.isfinite(omega)).all()
+    else:
+        ok = omega > 0.0 and math.isfinite(omega)
+    if not ok:
         raise DomainError("omega must be positive and finite")
 
 
@@ -153,37 +177,63 @@ def distribution_numeric(params: TrajectoryParams, omega: float,
     return _numeric_samples(params, omega, [dir.theta], tol)[0]
 
 
-def _exact_zeta0_values(kappa, e_squared, omega, us):
-    """Closed-form dI/dOmega at zeta=0, vectorized over u = cos(theta)."""
-    y = omega / kappa
-    x = 1j * y * us**2
-    A = kummer_1f1(0.5 - 1j * y, 0.5, x)
-    B = kummer_1f1(1.0 - 1j * y, 1.5, x)
-    g_half = np.exp(ln_gamma(0.5 - 1j * y))
-    g_one = np.exp(ln_gamma(1.0 - 1j * y))
-    root_iy = math.sqrt(y) * complex(math.cos(math.pi / 4), math.sin(math.pi / 4))
-    m = g_half * A + 2.0 * us * root_iy * g_one * B
+def _exact_zeta0_values(kappa, e_squared, omegas, us):
+    """Closed-form dI/dOmega at zeta = 0 on the grid omegas x us.
+
+    The (omegas.size, us.size) result follows from
+
+        m(u) = Gamma(1/2 - iy) 1F1(1/2 - iy; 1/2; iyu^2)
+               + 2u sqrt(iy) Gamma(1 - iy) 1F1(1 - iy; 3/2; iyu^2),
+
+    y = omega/kappa. The 1F1s depend on u only through u^2, so on a
+    mirror-symmetric us (us == -us[::-1], as Gauss-Legendre nodes are)
+    they run on the half u >= 0 alone and m(-u) flips the sign of the
+    second term: the same value, bit for bit, as evaluating at -u. Every
+    element is computed on its own, so it does not depend on the rest of
+    the grid; grids above _EXACT_ELEMENTS evaluations run in slices of
+    whole omega rows.
+    """
+    omegas = np.asarray(omegas, dtype=float)
+    us = np.asarray(us, dtype=float)
+    mirror = us.size > 1 and np.array_equal(us, -us[::-1])
+    half = us[us.size // 2:] if mirror else us
     sin2 = 1.0 - us**2
-    pref = e_squared * omega * sin2 / (16.0 * math.pi**3 * kappa)
-    return pref * math.exp(-math.pi * y) * np.abs(m) ** 2
+    out = np.empty((omegas.size, us.size))
+    step = max(1, _EXACT_ELEMENTS // half.size)
+    for s in range(0, omegas.size, step):
+        omega = omegas[s:s + step, None]
+        y = omega / kappa
+        x = 1j * y * half**2
+        g_half = np.exp(ln_gamma(0.5 - 1j * y))
+        g_one = np.exp(ln_gamma(1.0 - 1j * y))
+        root_iy = np.sqrt(y) * _ROOT_I
+        even = g_half * kummer_1f1(0.5 - 1j * y, 0.5, x)
+        odd = 2.0 * half * root_iy * g_one * kummer_1f1(1.0 - 1j * y, 1.5, x)
+        m = even + odd
+        if mirror:
+            # u = -half[::-1] on the first us.size // 2 nodes
+            m = np.concatenate([(even - odd)[:, ::-1][:, :us.size // 2], m], axis=1)
+        pref = e_squared * omega * sin2 / (16.0 * math.pi**3 * kappa)
+        out[s:s + step] = pref * np.exp(-math.pi * y) * np.abs(m) ** 2
+    return out
 
 
-def _exact_zeta0_samples(params: TrajectoryParams, omega: float,
-                         thetas) -> list:
-    """Closed-form samples at zeta = 0 for every theta at one omega."""
-    _check_omega(omega)
+def _exact_zeta0_samples(params: TrajectoryParams, omegas, thetas) -> list:
+    """Closed-form samples at zeta = 0 on the grid omegas x thetas, omega-major."""
+    _check_omega(np.asarray(omegas, dtype=float))
     us = np.array([math.cos(theta) for theta in thetas])
-    values = [max(float(v), 0.0) for v in
-              _exact_zeta0_values(params.kappa, params.e_squared, omega, us)]
+    values = np.maximum(
+        _exact_zeta0_values(params.kappa, params.e_squared, omegas, us), 0.0)
     return [SpectralSample(omega, theta, v, "exact-zeta0", v * _CLOSED_FORM_REL)
-            for theta, v in zip(thetas, values)]
+            for omega, row in zip(omegas, values.tolist())
+            for theta, v in zip(thetas, row)]
 
 
 def distribution_exact_zeta0(kappa: float, e_squared: float, omega: float,
                              dir: EmissionDirection) -> SpectralSample:
     """dI/dOmega from the hypergeometric closed form (zeta = 0 only)."""
     params = TrajectoryParams(kappa, 0.0, e_squared)
-    return _exact_zeta0_samples(params, omega, [dir.theta])[0]
+    return _exact_zeta0_samples(params, [omega], [dir.theta])[0]
 
 
 def _occupancy(x):
@@ -212,10 +262,47 @@ def _gl_nodes(n):
     return np.polynomial.legendre.leggauss(n)
 
 
-def _angular_values(params, omega, us, tol, force_numeric):
+def _angular_values(params, omegas, us, tol, force_numeric):
+    """dI/dOmega on the grid omegas x us: closed form at zeta = 0, else quadrature.
+
+    The quadrature runs one omega at a time, as its rows must share the
+    quadratic and log phase coefficients.
+    """
     if params.zeta == 0.0 and not force_numeric:
-        return _exact_zeta0_values(params.kappa, params.e_squared, omega, us)
-    return _numeric_values(params, omega, us, 1.0 - us * us, tol)[0]
+        return _exact_zeta0_values(params.kappa, params.e_squared, omegas, us)
+    sin2 = 1.0 - us * us
+    return np.array([_numeric_values(params, omega, us, sin2, tol)[0]
+                     for omega in omegas.tolist()])
+
+
+def _energy_spectra(params, omegas, tol, force_numeric, abs_floor):
+    """I(omega) for every omega of the 1-d array omegas (see energy_spectrum).
+
+    Each Gauss-Legendre order runs once over the omegas that have not
+    settled yet, and each row is summed on its own, so a row's value is the
+    same in any batch.
+    """
+    _check_omega(omegas)
+    out = np.empty(omegas.shape)
+    prev = np.empty(omegas.shape)
+    todo = np.arange(omegas.size)
+    for order in (64, 128, 256, 512):
+        us, ws = _gl_nodes(order)
+        vals = _angular_values(params, omegas[todo], us, tol / 8.0, force_numeric)
+        cur = 2.0 * math.pi * np.vecdot(vals, ws)
+        if order == 64:
+            done = np.abs(cur) <= abs_floor
+        else:
+            done = np.abs(cur - prev[todo]) <= np.maximum(tol * np.abs(cur), abs_floor)
+        out[todo[done]] = cur[done]
+        prev[todo] = cur
+        todo = todo[~done]
+        if todo.size == 0:
+            return out
+    raise ConvergenceError(
+        f"angular quadrature did not stabilize for omega={float(omegas[todo[0]])}",
+        best=float(prev[todo[0]]),
+    )
 
 
 def energy_spectrum(params: TrajectoryParams, omega: float, tol: float = 1e-6,
@@ -227,20 +314,8 @@ def energy_spectrum(params: TrajectoryParams, omega: float, tol: float = 1e-6,
     which deep exponential tails of a larger frequency integral use to
     avoid chasing relative accuracy of negligible numbers).
     """
-    _check_omega(omega)
-    prev = None
-    for order in (64, 128, 256, 512):
-        us, ws = _gl_nodes(order)
-        vals = _angular_values(params, omega, us, tol / 8.0, force_numeric)
-        cur = 2.0 * math.pi * float(ws @ vals)
-        if prev is not None and abs(cur - prev) <= max(tol * abs(cur), abs_floor):
-            return cur
-        if prev is None and abs(cur) <= abs_floor:
-            return cur
-        prev = cur
-    raise ConvergenceError(
-        f"angular quadrature did not stabilize for omega={omega}", best=prev
-    )
+    return float(_energy_spectra(params, np.array([omega], dtype=float), tol,
+                                 force_numeric, abs_floor)[0])
 
 
 def particle_spectrum(params: TrajectoryParams, omega: float,
@@ -249,24 +324,31 @@ def particle_spectrum(params: TrajectoryParams, omega: float,
     return energy_spectrum(params, omega, tol, **kw) / omega
 
 
-def _omega_cutoff(eval_I, kappa, peak, threshold_rel=1e-12):
+def _omega_cutoff(spectra, kappa, peak, threshold_rel=1e-12):
     """Walk the frequency cutoff to where I(omega) is negligible.
 
-    Starts from 30*kappa (guided by the e^{-pi omega/kappa} envelope),
-    halves while still below threshold, doubles if the start is not yet
-    below it.
+    ``spectra`` maps an array of omegas to I(omega). Starts from 30*kappa
+    (guided by the e^{-pi omega/kappa} envelope), halves while still below
+    threshold, doubles if the start is not yet below it, and raises
+    ConvergenceError if six doublings never get there.
     """
+    def I_at(w):
+        return float(spectra(np.array([w]))[0])
+
     thresh = threshold_rel * peak
     hi = 30.0 * kappa
-    if eval_I(hi) < thresh:
-        while hi > 4.0 * kappa and eval_I(0.5 * hi) < thresh:
+    if I_at(hi) < thresh:
+        while hi > 4.0 * kappa and I_at(0.5 * hi) < thresh:
             hi *= 0.5
-    else:
-        for _ in range(6):
-            hi *= 2.0
-            if eval_I(hi) < thresh:
-                break
-    return hi
+        return hi
+    for _ in range(6):
+        hi *= 2.0
+        value = I_at(hi)
+        if value < thresh:
+            return hi
+    raise ConvergenceError(
+        f"I(omega) = {value:.3e} at omega = {hi:.6g} is still above the "
+        f"cutoff threshold {thresh:.3e}", best=hi)
 
 
 def total_energy_spectral(params: TrajectoryParams, tol: float = 1e-4,
@@ -275,22 +357,19 @@ def total_energy_spectral(params: TrajectoryParams, tol: float = 1e-4,
 
     The angular integrand is the exact one at zeta = 0 and the numeric one
     otherwise; ``force_numeric`` uses direct quadrature at zeta = 0 too.
+    The frequency integral hands each wave of nodes to one batched
+    angular integral.
     """
     kappa = params.kappa
-
     probe_tol = min(1e-4, tol)
-    probes = [energy_spectrum(params, w * kappa, probe_tol,
-                              force_numeric=force_numeric)
-              for w in (0.1, 0.3, 1.0)]
-    peak = max(probes)
+    peak = float(np.max(_energy_spectra(
+        params, kappa * np.array([0.1, 0.3, 1.0]), probe_tol, force_numeric, 0.0)))
     floor = 1e-9 * peak
 
-    def I_of(w):
-        return energy_spectrum(params, float(w), probe_tol,
-                               force_numeric=force_numeric, abs_floor=floor)
+    def I_batch(omegas):
+        return _energy_spectra(params, omegas, probe_tol, force_numeric, floor)
 
-    hi = _omega_cutoff(I_of, kappa, peak)
-    I_batch = np.vectorize(I_of, otypes=[float])
+    hi = _omega_cutoff(I_batch, kappa, peak)
     pts = kappa * np.array([0.125, 0.25, 0.5, 1.0, 2.0, 4.0, 8.0, 16.0])
     res = integrate_adaptive(I_batch, 0.0, hi, tol=0.5 * tol, points=pts,
                              abs_floor=0.25 * tol * peak * kappa)

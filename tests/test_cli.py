@@ -6,8 +6,9 @@ import sys
 import numpy as np
 import pytest
 
+from fdradiance import spectra
 from fdradiance.cli import main
-from fdradiance.spectra import fermi_dirac_distribution
+from fdradiance.spectra import energy_spectrum, fermi_dirac_distribution
 from fdradiance.trajectory import TrajectoryParams, coordinate_time, total_energy_larmor
 
 
@@ -170,6 +171,13 @@ class TestEnergyCommand:
         assert "rel_diff" in header and "E_spectral" in header
         assert float(rows[0]["rel_diff"]) < 1e-3
 
+    def test_spectrum_that_never_decays_exits_3(self, capsys, monkeypatch):
+        # the frequency cutoff refuses instead of truncating the integral
+        monkeypatch.setattr(spectra, "_energy_spectra",
+                            lambda params, omegas, *args: 1.0 / omegas)
+        code, out, err = run(capsys, ["energy", "--method", "spectral"])
+        assert code == 3 and out == "" and "cutoff" in err
+
 
 class TestDistributionCommand:
     def test_all_methods_at_special_angle(self, capsys):
@@ -212,6 +220,19 @@ class TestSpectrumCommand:
                     if r["kind"] == "particle-spectrum"}
         for w in energy:
             assert particle[w] == energy[w] / float(w)
+
+    def test_grid_rows_match_single_calls(self, capsys):
+        # the whole grid is one batched call; each row must be what a
+        # one-omega call gives, in grid order
+        code, out, _ = run(capsys, [
+            "spectrum", "--omega-min", "0.2", "--omega-max", "6",
+            "--omega-steps", "9", "--e-squared", "1.0"])
+        assert code == 0
+        _, rows = parse_csv(out)
+        params = TrajectoryParams(1.0, 0.0, 1.0)
+        assert [float(r["value"]) for r in rows] == [
+            energy_spectrum(params, w, 1e-8)
+            for w in np.linspace(0.2, 6.0, 9).tolist()]
 
 
 class TestMirrorCommand:

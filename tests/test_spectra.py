@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from fdradiance import spectra
-from fdradiance.errors import DomainError
+from fdradiance.errors import ConvergenceError, DomainError
 from fdradiance.spectra import (
     EmissionDirection,
     SpectralSample,
@@ -29,6 +29,7 @@ from fdradiance.spectra import (
     phase_spec,
     total_energy_spectral,
 )
+from fdradiance.specfun import kummer_1f1
 from fdradiance.trajectory import TrajectoryParams, total_energy_larmor
 
 from oracles import exact_distribution
@@ -160,18 +161,19 @@ class TestDistribution:
                     assert num.abs_error <= 1e-8 * num.value
 
     def test_exact_batch_matches_single_points(self):
-        # the CLI evaluates every theta of one omega in one closed-form call;
-        # each sample must be bit-identical to the one-point call
+        # the CLI evaluates its whole omega x theta grid in one closed-form
+        # call; each sample must be bit-identical to the one-point call
         rng = np.random.default_rng(4)
         for _ in range(10):
             kappa = rng.uniform(0.5, 2.0)
             params = TrajectoryParams(kappa, 0.0, rng.uniform(0.5, 2.0))
-            omega = kappa * rng.uniform(0.1, 4.0)
+            omegas = (kappa * rng.uniform(0.1, 4.0, 3)).tolist()
             thetas = [0.0, math.pi, *rng.uniform(0.0, math.pi, 17)]
-            batch = _exact_zeta0_samples(params, omega, thetas)
+            batch = _exact_zeta0_samples(params, omegas, thetas)
             single = [distribution_exact_zeta0(
                           params.kappa, params.e_squared, omega,
-                          EmissionDirection(th)) for th in thetas]
+                          EmissionDirection(th))
+                      for omega in omegas for th in thetas]
             assert batch == single
 
     def test_numeric_batch_matches_single_points(self):
@@ -248,6 +250,95 @@ class TestIntegratedSpectrum:
         spectral = total_energy_spectral(params, tol=1e-4)
         larmor = total_energy_larmor(params)
         assert rel(spectral, larmor) < 1e-3
+
+
+class TestBatchedSpectra:
+    """energy_spectrum is the one-omega call of a batched angular integral."""
+
+    def test_rows_match_single_calls_under_any_split(self):
+        # total_energy_spectral hands whole waves of omegas to one call, the
+        # CLI a whole grid; no row may depend on the rows batched with it
+        rng = np.random.default_rng(11)
+        params = TrajectoryParams(1.3, 0.0, 0.7)
+        omegas = 1.3 * np.exp(rng.uniform(math.log(0.05), math.log(14.0), 200))
+        single = [energy_spectrum(params, w, 1e-6) for w in omegas.tolist()]
+        batch = spectra._energy_spectra(params, omegas, 1e-6, False, 0.0)
+        assert batch.tolist() == single
+        for _ in range(3):
+            cuts = np.sort(rng.choice(np.arange(1, omegas.size), 6, replace=False))
+            parts = [spectra._energy_spectra(params, part, 1e-6, False, 0.0)
+                     for part in np.split(omegas, cuts)]
+            assert np.concatenate(parts).tolist() == single
+
+    def test_mirrored_half_matches_full_nodes(self):
+        # on symmetric nodes the 1F1s run on u >= 0 only; appending one node
+        # breaks the symmetry and makes every node evaluate on its own
+        rng = np.random.default_rng(12)
+        omegas = rng.uniform(0.1, 8.0, 5)
+        grids = [spectra._gl_nodes(order)[0] for order in (64, 128, 256, 512)]
+        for us in grids + [np.array([-0.5, 0.0, 0.5])]:
+            assert np.array_equal(us, -us[::-1])
+            mirrored = spectra._exact_zeta0_values(1.3, 0.7, omegas, us)
+            full = spectra._exact_zeta0_values(1.3, 0.7, omegas,
+                                               np.append(us, 0.25))[:, :-1]
+            assert np.array_equal(mirrored, full)
+
+    def test_large_grid_matches_small_pieces(self):
+        # a grid several times _EXACT_ELEMENTS runs in slices; each element
+        # must come out as it does in a small grid
+        rng = np.random.default_rng(13)
+        omegas = rng.uniform(0.1, 14.0, 300)
+        us = spectra._gl_nodes(128)[0]
+        whole = spectra._exact_zeta0_values(1.0, 1.0, omegas, us)
+        pieces = [spectra._exact_zeta0_values(1.0, 1.0, omegas[i:i + 7], us)
+                  for i in range(0, omegas.size, 7)]
+        assert np.array_equal(whole, np.concatenate(pieces))
+
+    def test_closed_form_total_is_a_few_1f1_calls(self, monkeypatch):
+        # one 1F1 pair per frequency wave and angular order, and the exact
+        # route never reaches the oscillatory integrator
+        sizes = []
+
+        def counting(a, b, x):
+            sizes.append(np.broadcast(a, b, x).size)
+            return kummer_1f1(a, b, x)
+
+        def no_quadrature(*args):
+            raise AssertionError("the exact route ran the numeric one")
+
+        monkeypatch.setattr(spectra, "kummer_1f1", counting)
+        monkeypatch.setattr(spectra, "_oscillatory_rows", no_quadrature)
+        params = TrajectoryParams(1, 0)
+        total = total_energy_spectral(params, 1e-4)
+        assert len(sizes) <= 40
+        assert max(sizes) <= spectra._EXACT_ELEMENTS
+        assert rel(total, total_energy_larmor(params)) < 1e-8
+
+    def test_unsettled_row_raises_with_its_own_best(self, monkeypatch):
+        # rows with omega >= 1 grow with the order and never settle
+        def fake(kappa, e_squared, omegas, us):
+            grow = np.where(omegas >= 1.0, us.size, 1.0)
+            return np.outer(omegas * grow, np.ones(us.size))
+
+        monkeypatch.setattr(spectra, "_exact_zeta0_values", fake)
+        params = TrajectoryParams(1, 0)
+        with pytest.raises(ConvergenceError, match="omega=3.0") as err:
+            spectra._energy_spectra(params, np.array([0.5, 3.0, 2.0]), 1e-6,
+                                    False, 0.0)
+        ws = spectra._gl_nodes(512)[1]
+        assert err.value.best == 2.0 * math.pi * np.vecdot(np.full(512, 1536.0), ws)
+        ws = spectra._gl_nodes(128)[1]
+        assert energy_spectrum(params, 0.5) == \
+            2.0 * math.pi * np.vecdot(np.full(128, 0.5), ws)
+
+    def test_cutoff_refuses_a_spectrum_that_never_decays(self, monkeypatch):
+        # six doublings from 30 kappa end at 1920 kappa, where 1/omega is
+        # still far above 1e-12 of the peak
+        monkeypatch.setattr(spectra, "_energy_spectra",
+                            lambda params, omegas, *args: 1.0 / omegas)
+        with pytest.raises(ConvergenceError, match="omega = 1920") as err:
+            total_energy_spectral(TrajectoryParams(1, 0))
+        assert err.value.best == 1920.0
 
 
 class TestPartialForms:
