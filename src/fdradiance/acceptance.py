@@ -27,8 +27,8 @@ from .mirror import (
 from .specfun import kummer_1f1, ln_gamma
 from .spectra import (
     EmissionDirection,
+    _samples,
     distribution_exact_zeta0,
-    distribution_numeric,
     fd_partial_energy,
     fd_partial_energy_quadrature,
     fd_particle_count,
@@ -96,14 +96,9 @@ def _c3_special_angle_reduction(scale):
 
 def _c4_numeric_vs_exact_grid(scale):
     params = TrajectoryParams(kappa=1.0, zeta=0.0, e_squared=1.0)
-    worst = 0.0
-    for omega in _GRID_OMEGAS:
-        for theta in _GRID_THETAS:
-            numeric = distribution_numeric(params, omega,
-                                           EmissionDirection(theta), tol=1e-9)
-            exact = distribution_exact_zeta0(1.0, 1.0, omega,
-                                             EmissionDirection(theta))
-            worst = max(worst, _rel(numeric.value, exact.value))
+    numeric = _samples(params, _GRID_OMEGAS, _GRID_THETAS, "numeric", 1e-9)
+    exact = _samples(params, _GRID_OMEGAS, _GRID_THETAS, "exact-zeta0", None)
+    worst = max(_rel(n.value, e.value) for n, e in zip(numeric, exact))
     return worst, 1e-6 * scale, "5x5 (omega, theta) grid"
 
 
@@ -137,13 +132,11 @@ def _c6_particle_count_duality(scale):
 def _c7_duality_round_trip(scale):
     params = TrajectoryParams(kappa=1.0, zeta=0.0, e_squared=1.0)
     worst = 0.0
-    for omega in _GRID_OMEGAS:
-        for theta in _GRID_THETAS:
-            sample = distribution_numeric(params, omega,
-                                          EmissionDirection(theta), tol=1e-6)
-            beta = beta_squared_from_distribution(sample, params.e_squared)
-            back = params.e_squared * omega**2 * beta.beta_squared / (4.0 * math.pi)
-            worst = max(worst, abs(back - sample.value) / sample.value)
+    for sample in _samples(params, _GRID_OMEGAS, _GRID_THETAS, "numeric", 1e-6):
+        beta = beta_squared_from_distribution(sample, params.e_squared)
+        back = (params.e_squared * sample.omega**2 * beta.beta_squared
+                / (4.0 * math.pi))
+        worst = max(worst, abs(back - sample.value) / sample.value)
     return worst, 1e-12 * scale, "dI/dOmega -> |beta|^2 -> dI/dOmega"
 
 
@@ -189,15 +182,26 @@ def _c9_special_function_identities(scale):
         else:
             x = complex(rng.uniform(-8, 8), rng.uniform(-8, 8))
         try:
-            lhs = kummer_1f1(a, b, x)
-            rhs = np.exp(x) * kummer_1f1(b - a, b, -x)
+            if x.real == 0.0:
+                lhs = kummer_1f1(a, b, x)
+                rhs = np.exp(x) * kummer_1f1(b - a, b, -x)
+                err = abs(lhs - rhs) / abs(lhs)
+            else:
+                # Kummer's transform would flip one side internally and sum
+                # the same series twice; the contiguous relation DLMF 13.3.1,
+                # (b-a)M(a-1) + (2a-b+x)M(a) - aM(a+1) = 0, sums three
+                # different ones, measured against the largest term
+                terms = ((b - a) * kummer_1f1(a - 1.0, b, x),
+                         (2.0 * a - b + x) * kummer_1f1(a, b, x),
+                         -a * kummer_1f1(a + 1.0, b, x))
+                err = abs(sum(terms)) / max(abs(t) for t in terms)
         except ConvergenceError:
             # near a zero of the function the series cancellation makes a
             # certified 1e-10 value impossible; such points cannot witness
             # the identity at that accuracy and are redrawn (counted below)
             rejected += 1
             continue
-        worst_kummer = max(worst_kummer, abs(lhs - rhs) / abs(lhs))
+        worst_kummer = max(worst_kummer, err)
         accepted += 1
 
     # two sub-tolerances; report the fraction of budget used, worst case

@@ -34,9 +34,8 @@ from .mirror import (
     mirror_particle_count,
 )
 from .spectra import (
-    _energy_spectra,
-    _exact_zeta0_samples,
-    _numeric_samples,
+    _samples,
+    energy_spectrum,
     fd_particle_count,
     fermi_dirac_distribution,
     total_energy_spectral,
@@ -175,14 +174,11 @@ def run_distribution(ns):
                    + ["fermi-dirac"])
     samples = []
     for m in methods:
-        if m == "numeric":
-            for w in omegas:
-                samples.extend(_numeric_samples(params, w, thetas, ns.tol))
-        elif m == "exact-zeta0":
-            samples.extend(_exact_zeta0_samples(params, omegas, thetas))
-        else:
+        if m == "fermi-dirac":
             # the special-angle value is a function of omega alone
             samples.extend(fermi_dirac_distribution(params, w) for w in omegas)
+        else:
+            samples.extend(_samples(params, omegas, thetas, m, ns.tol))
     rows = [{"omega": s.omega, "omega_over_kappa": s.omega / params.kappa,
              "theta": s.theta, "method": s.method, "value": s.value,
              "abs_error": s.abs_error} for s in samples]
@@ -195,7 +191,7 @@ def run_spectrum(ns):
     params = _params(ns)
     omegas = _grid(ns, "omega")
     kappa = params.kappa
-    values = _energy_spectra(params, np.array(omegas), ns.tol, False, 0.0).tolist()
+    values = energy_spectrum(params, np.array(omegas), ns.tol).tolist()
     rows = []
     if ns.kind in ("energy", "both"):
         rows.extend({"omega": w, "omega_over_kappa": w / kappa,
@@ -222,8 +218,8 @@ def run_mirror(ns):
     if ns.p is not None:
         betas = [beta_squared_fd(ModePair(ns.p, ns.q), kappa, zeta)]
     elif omegas is not None:
-        betas = [beta_squared_from_distribution(sample, e2) for w in omegas
-                 for sample in _numeric_samples(params, w, thetas, ns.tol)]
+        betas = [beta_squared_from_distribution(sample, e2)
+                 for sample in _samples(params, omegas, thetas, "numeric", ns.tol)]
     else:
         # pairs on the constraint line p/q = (1 + zeta)/(1 - zeta)
         betas = [beta_squared_fd(ModePair(u * (1.0 + zeta) / 2.0,

@@ -71,8 +71,8 @@ _G_WEIGHTS[1::2] = np.concatenate([_WG_HALF[:-1], _WG_HALF[::-1]])
 _MAX_WAVES = 200
 # Panels per integrand call within one wave.
 _WAVE_PANELS = 1024
-# Default evaluation budget (the oscillatory route scales it up for strongly
-# detuned phases) and absolute error floor.
+# Evaluation budget of one integral (the oscillatory route scales it up for
+# strongly detuned phases) and absolute error floor.
 _MAX_EVALS = 1_000_000
 _ABS_FLOOR = 1e-300
 _EPS = float(np.finfo(float).eps)
@@ -281,18 +281,17 @@ def _raise_stalled(values, abs_errors, stalled, evals):
         )
 
 
-def _integrate(f, bounds, tol, max_evals, abs_floor):
+def _integrate(f, bounds, tol, abs_floor):
     """One integral of the batch integrand f: a one-row _adaptive_rows call."""
     values, abs_errors, stalled, evals = _adaptive_rows(
         lambda xs, rows: _evaluate(f, xs.ravel()).reshape(xs.shape),
-        bounds[:-1], bounds[1:], [bounds.size - 1], tol, [max_evals], abs_floor)
+        bounds[:-1], bounds[1:], [bounds.size - 1], tol, [_MAX_EVALS], abs_floor)
     _raise_stalled(values, abs_errors, stalled, evals)
     return QuadratureResult(_pyval(values[0]), float(abs_errors[0]),
                             int(evals[0]))
 
 
-def integrate_adaptive(f, lo, hi, tol=1e-10, *, max_evals=_MAX_EVALS,
-                       abs_floor=_ABS_FLOOR, points=None):
+def integrate_adaptive(f, lo, hi, tol=1e-10, *, abs_floor=_ABS_FLOOR, points=None):
     """Adaptive Gauss-Kronrod integral of f over the finite interval [lo, hi].
 
     Parameters
@@ -306,10 +305,8 @@ def integrate_adaptive(f, lo, hi, tol=1e-10, *, max_evals=_MAX_EVALS,
         ``integrate_semi_infinite``.
     tol : float
         Relative tolerance; the absolute floor keeps zero-valued integrals
-        from looping forever.
-    max_evals : int
-        Budget of integrand evaluations; exceeding it raises, with the best
-        estimate attached to the exception.
+        from looping forever. Past _MAX_EVALS integrand evaluations the
+        integral raises, with the best estimate attached to the exception.
     points : sequence of float, optional
         Interior breakpoints seeding the initial panel set, for integrands
         whose interesting structure is known in advance.
@@ -326,7 +323,7 @@ def integrate_adaptive(f, lo, hi, tol=1e-10, *, max_evals=_MAX_EVALS,
         pts = np.asarray(points, dtype=float)
         pts = pts[(pts > lo) & (pts < hi)]
         bounds = np.unique(np.concatenate([[float(lo)], pts, [float(hi)]]))
-    return _integrate(f, bounds, tol, max_evals, abs_floor)
+    return _integrate(f, bounds, tol, abs_floor)
 
 
 def integrate_semi_infinite(f, scale=1.0, tol=1e-10):
@@ -341,7 +338,7 @@ def integrate_semi_infinite(f, scale=1.0, tol=1e-10):
     # Denser initial panels toward r=1 where the map stretches fastest.
     bounds = np.array([0.0, 0.125, 0.25, 0.375, 0.5, 0.625, 0.75, 0.875,
                        0.9375, 0.96875, 1.0])
-    return _integrate(mapped, bounds, tol, _MAX_EVALS, _ABS_FLOOR)
+    return _integrate(mapped, bounds, tol, _ABS_FLOOR)
 
 
 def _ray_integrand(a, b, cs, delta):

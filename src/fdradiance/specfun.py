@@ -128,7 +128,11 @@ def _taylor_1f1(a, b, x, dtype=complex):
     small_runs = np.zeros(x.shape, dtype=np.int64)
     active = np.ones(x.shape, dtype=bool)
     for n in range(_SERIES_BUDGET):
-        term = np.where(active, term * (a + n) / (b + n) * x / (n + 1), term)
+        # Named ufuncs fix each product's factor order: numpy may reuse an
+        # operator's temporary in place on large arrays, which swaps the
+        # factors of a complex product and changes its last bits.
+        step = np.multiply(np.divide(np.multiply(term, a + n), b + n), x) / (n + 1)
+        term = np.where(active, step, term)
         s = np.where(active, s + term, s)
         tmag = np.abs(term).astype(np.float64)
         maxmag = np.where(active, np.maximum(maxmag, tmag), maxmag)

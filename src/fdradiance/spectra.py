@@ -12,9 +12,8 @@ where J = int_0^inf dz exp(i phi(z)) with phase
 Routes, kept deliberately independent of each other:
 
 * ``distribution_numeric`` evaluates J by the oscillatory contour
-  integrator for any (zeta, theta); the directions of one omega, as the
-  angular rule and the CLI grids ask for them, run as one batched
-  integration.
+  integrator for any (zeta, theta); the directions of one omega run as
+  one batched integration.
 * ``distribution_exact_zeta0`` uses the closed hypergeometric form that
   exists when zeta = 0, for any theta; a whole (omega, theta) grid is one
   vectorized evaluation.
@@ -28,14 +27,16 @@ energy and particle count carried by the special-angle form round out the
 module. Closed forms always come with an explicit quadrature companion so
 each claim is checkable against an independent code path.
 
-The angular integral is batched over frequency: each Gauss-Legendre order
-runs once over every omega not yet settled. At zeta = 0 that is one
+Each route takes a whole grid in one call: ``_samples`` gives the
+numeric or exact samples of an (omega, theta) grid, omega-major, and the
+two public distributions are its one-point calls. ``energy_spectrum``
+takes a float or a 1-d array of omegas, and runs each Gauss-Legendre
+order once over every omega not yet settled. At zeta = 0 that is one
 closed-form evaluation of the (omega, u) grid, with the two 1F1s taken on
 the nodes u > 0 alone (they depend on u^2), so the frequency integral of
 ``total_energy_spectral`` costs one such evaluation per wave of omega
 nodes and angular order. Off zeta = 0 each omega keeps its own batched
-quadrature. A row's value does not depend on the omegas it is batched
-with; ``energy_spectrum`` is the one-omega call.
+quadrature. A value does not depend on the grid it is batched with.
 """
 from __future__ import annotations
 
@@ -58,7 +59,6 @@ from .trajectory import TrajectoryParams
 __all__ = [
     "EmissionDirection",
     "SpectralSample",
-    "phase_spec",
     "distribution_numeric",
     "distribution_exact_zeta0",
     "fermi_dirac_distribution",
@@ -76,12 +76,8 @@ _METHODS = ("numeric", "exact-zeta0", "fermi-dirac")
 # roundoff envelope, not a quadrature estimate.
 _CLOSED_FORM_REL = 1e-13
 # Most (omega, u) elements one 1F1 call of the closed form takes; bigger
-# grids run in slices of whole omega rows (one row at the least). This
-# bounds the series' arrays and keeps them, long-double retry included,
-# below the 256 KiB from which numpy reuses temporaries in place. That
-# reuse can swap the factors of a complex product, which numpy rounds
-# differently (fused multiply-adds), so an element's value would depend
-# on the size of its batch.
+# grids run in slices of whole omega rows (one row at the least), which
+# bounds the memory of the series' arrays.
 _EXACT_ELEMENTS = 1 << 12
 _ROOT_I = complex(math.cos(math.pi / 4), math.sin(math.pi / 4))     # sqrt(i)
 
@@ -125,56 +121,31 @@ class SpectralSample:
             raise DomainError("abs_error must be non-negative")
 
 
-def phase_spec(params: TrajectoryParams, omega: float,
-               dir: EmissionDirection) -> OscillatoryPhaseSpec:
-    """Phase coefficients (quad, log, lin) of the emission integral."""
-    _check_omega(omega)
-    return OscillatoryPhaseSpec(
-        quad_coeff=0.25 * params.kappa * omega,
-        log_coeff=2.0 * omega / params.kappa,
-        lin_coeff=omega * (params.zeta - math.cos(dir.theta)),
-    )
+def _numeric_values(params: TrajectoryParams, omegas, cos_t, sin2, tol: float):
+    """dI/dOmega and its error by quadrature on the grid omegas x directions.
 
-
-def _numeric_values(params: TrajectoryParams, omega: float, cos_t, sin2, tol: float):
-    """dI/dOmega and its error by quadrature, for every direction of one omega.
-
-    The directions are given by cos(theta) and sin^2(theta) arrays. Their
-    emission integrals share the quadratic and log coefficients; only the
-    linear one varies with the direction, so they run as rows of one
-    batched integration. Dark directions (sin^2(theta) = 0) skip the
-    integral. Returns (values, abs_errors) arrays.
+    The directions are given by cos(theta) and sin^2(theta) arrays. At one
+    omega their emission integrals share the quadratic and log
+    coefficients; only the linear one varies with the direction, so they
+    run as rows of one batched integration, one omega after another. Dark
+    directions (sin^2(theta) = 0) skip the integral. Returns (values,
+    abs_errors), each of shape (omegas.size, cos_t.size).
     """
-    _check_omega(omega)
-    a, b = 0.25 * params.kappa * omega, 2.0 * omega / params.kappa
-    OscillatoryPhaseSpec(a, b, 0.0)     # validates the shared coefficients
-    values, abs_errors = np.zeros(sin2.shape), np.zeros(sin2.shape)
+    values = np.zeros((omegas.size, sin2.size))
+    abs_errors = np.zeros((omegas.size, sin2.size))
     lit = sin2 != 0.0
-    if lit.any():
-        J, dJ, _ = _oscillatory_rows(a, b, omega * (params.zeta - cos_t[lit]),
-                                     tol, math.pi / 4)
-        pref = params.e_squared * omega**2 * sin2[lit] / (16.0 * math.pi**3)
-        mod = np.abs(J)
-        values[lit] = pref * mod**2
-        # |J|^2 error from the |J| error: 2|J| dJ + dJ^2.
-        abs_errors[lit] = pref * (2.0 * mod * dJ + dJ**2)
+    for i, omega in enumerate(omegas.tolist()):
+        a, b = 0.25 * params.kappa * omega, 2.0 * omega / params.kappa
+        OscillatoryPhaseSpec(a, b, 0.0)     # validates the shared coefficients
+        if lit.any():
+            J, dJ, _ = _oscillatory_rows(a, b, omega * (params.zeta - cos_t[lit]),
+                                         tol, math.pi / 4)
+            pref = params.e_squared * omega**2 * sin2[lit] / (16.0 * math.pi**3)
+            mod = np.abs(J)
+            values[i, lit] = pref * mod**2
+            # |J|^2 error from the |J| error: 2|J| dJ + dJ^2.
+            abs_errors[i, lit] = pref * (2.0 * mod * dJ + dJ**2)
     return values, abs_errors
-
-
-def _numeric_samples(params: TrajectoryParams, omega: float, thetas,
-                     tol: float) -> list:
-    """Quadrature samples for every theta at one omega, in one batched run."""
-    values, abs_errors = _numeric_values(
-        params, omega, np.array([math.cos(theta) for theta in thetas]),
-        np.array([math.sin(theta) ** 2 for theta in thetas]), tol)
-    return [SpectralSample(omega, theta, value, "numeric", err)
-            for theta, value, err in zip(thetas, values.tolist(), abs_errors.tolist())]
-
-
-def distribution_numeric(params: TrajectoryParams, omega: float,
-                         dir: EmissionDirection, tol: float = 1e-9) -> SpectralSample:
-    """dI/dOmega by direct quadrature of the emission integral."""
-    return _numeric_samples(params, omega, [dir.theta], tol)[0]
 
 
 def _exact_zeta0_values(kappa, e_squared, omegas, us):
@@ -218,22 +189,39 @@ def _exact_zeta0_values(kappa, e_squared, omegas, us):
     return out
 
 
-def _exact_zeta0_samples(params: TrajectoryParams, omegas, thetas) -> list:
-    """Closed-form samples at zeta = 0 on the grid omegas x thetas, omega-major."""
-    _check_omega(np.asarray(omegas, dtype=float))
+def _samples(params: TrajectoryParams, omegas, thetas, method: str, tol) -> list:
+    """Samples on the grid omegas x thetas, omega-major, by one batched call.
+
+    ``method`` is "numeric" (quadrature to tol, any zeta) or "exact-zeta0"
+    (the closed form, which reads neither zeta nor tol).
+    """
+    omega_arr = np.asarray(omegas, dtype=float)
+    _check_omega(omega_arr)
     us = np.array([math.cos(theta) for theta in thetas])
-    values = np.maximum(
-        _exact_zeta0_values(params.kappa, params.e_squared, omegas, us), 0.0)
-    return [SpectralSample(omega, theta, v, "exact-zeta0", v * _CLOSED_FORM_REL)
-            for omega, row in zip(omegas, values.tolist())
-            for theta, v in zip(thetas, row)]
+    if method == "numeric":
+        values, abs_errors = _numeric_values(
+            params, omega_arr, us,
+            np.array([math.sin(theta) ** 2 for theta in thetas]), tol)
+    else:
+        values = np.maximum(
+            _exact_zeta0_values(params.kappa, params.e_squared, omega_arr, us), 0.0)
+        abs_errors = values * _CLOSED_FORM_REL
+    return [SpectralSample(omega, theta, value, method, err)
+            for omega, row, row_err in zip(omegas, values.tolist(), abs_errors.tolist())
+            for theta, value, err in zip(thetas, row, row_err)]
+
+
+def distribution_numeric(params: TrajectoryParams, omega: float,
+                         dir: EmissionDirection, tol: float = 1e-9) -> SpectralSample:
+    """dI/dOmega by direct quadrature of the emission integral."""
+    return _samples(params, [omega], [dir.theta], "numeric", tol)[0]
 
 
 def distribution_exact_zeta0(kappa: float, e_squared: float, omega: float,
                              dir: EmissionDirection) -> SpectralSample:
     """dI/dOmega from the hypergeometric closed form (zeta = 0 only)."""
     params = TrajectoryParams(kappa, 0.0, e_squared)
-    return _exact_zeta0_samples(params, [omega], [dir.theta])[0]
+    return _samples(params, [omega], [dir.theta], "exact-zeta0", None)[0]
 
 
 def _occupancy(x):
@@ -262,33 +250,37 @@ def _gl_nodes(n):
     return np.polynomial.legendre.leggauss(n)
 
 
-def _angular_values(params, omegas, us, tol, force_numeric):
-    """dI/dOmega on the grid omegas x us: closed form at zeta = 0, else quadrature.
+def energy_spectrum(params: TrajectoryParams, omega, tol: float = 1e-6,
+                    *, force_numeric: bool = False, abs_floor: float = 0.0):
+    """Solid-angle integral I(omega) = 2 pi int_{-1}^{1} du dI/dOmega.
 
-    The quadrature runs one omega at a time, as its rows must share the
-    quadratic and log phase coefficients.
+    omega is a float, which returns a float, or a 1-d array, which returns
+    an array. Gauss-Legendre in u = cos(theta), order doubled from 64
+    until two successive orders agree to tol (or the value sits below
+    abs_floor, which deep exponential tails of a larger frequency integral
+    use to avoid chasing relative accuracy of negligible numbers). The
+    integrand is the closed form at zeta = 0 and quadrature otherwise;
+    ``force_numeric`` uses quadrature at zeta = 0 too. Each order runs once
+    over the omegas not yet settled, and each row is summed on its own, so
+    a row's value is the same in any batch.
     """
-    if params.zeta == 0.0 and not force_numeric:
-        return _exact_zeta0_values(params.kappa, params.e_squared, omegas, us)
-    sin2 = 1.0 - us * us
-    return np.array([_numeric_values(params, omega, us, sin2, tol)[0]
-                     for omega in omegas.tolist()])
-
-
-def _energy_spectra(params, omegas, tol, force_numeric, abs_floor):
-    """I(omega) for every omega of the 1-d array omegas (see energy_spectrum).
-
-    Each Gauss-Legendre order runs once over the omegas that have not
-    settled yet, and each row is summed on its own, so a row's value is the
-    same in any batch.
-    """
+    omegas = np.asarray(omega, dtype=float)
+    scalar = omegas.ndim == 0
+    omegas = np.atleast_1d(omegas)
+    if omegas.ndim != 1:
+        raise DomainError("omega must be a float or a 1-d array")
     _check_omega(omegas)
+    exact = params.zeta == 0.0 and not force_numeric
     out = np.empty(omegas.shape)
     prev = np.empty(omegas.shape)
     todo = np.arange(omegas.size)
     for order in (64, 128, 256, 512):
         us, ws = _gl_nodes(order)
-        vals = _angular_values(params, omegas[todo], us, tol / 8.0, force_numeric)
+        if exact:
+            vals = _exact_zeta0_values(params.kappa, params.e_squared, omegas[todo], us)
+        else:
+            vals = _numeric_values(params, omegas[todo], us, 1.0 - us * us,
+                                   tol / 8.0)[0]
         cur = 2.0 * math.pi * np.vecdot(vals, ws)
         if order == 64:
             done = np.abs(cur) <= abs_floor
@@ -298,34 +290,20 @@ def _energy_spectra(params, omegas, tol, force_numeric, abs_floor):
         prev[todo] = cur
         todo = todo[~done]
         if todo.size == 0:
-            return out
+            return float(out[0]) if scalar else out
     raise ConvergenceError(
         f"angular quadrature did not stabilize for omega={float(omegas[todo[0]])}",
         best=float(prev[todo[0]]),
     )
 
 
-def energy_spectrum(params: TrajectoryParams, omega: float, tol: float = 1e-6,
-                    *, force_numeric: bool = False, abs_floor: float = 0.0) -> float:
-    """Solid-angle integral I(omega) = 2 pi int_{-1}^{1} du dI/dOmega.
-
-    Gauss-Legendre in u = cos(theta), order doubled from 64 until two
-    successive orders agree to tol (or the value sits below abs_floor,
-    which deep exponential tails of a larger frequency integral use to
-    avoid chasing relative accuracy of negligible numbers).
-    """
-    return float(_energy_spectra(params, np.array([omega], dtype=float), tol,
-                                 force_numeric, abs_floor)[0])
+def particle_spectrum(params: TrajectoryParams, omega, tol: float = 1e-6):
+    """Particle spectrum N(omega) = I(omega)/omega, for a float or a 1-d array."""
+    return energy_spectrum(params, omega, tol) / omega
 
 
-def particle_spectrum(params: TrajectoryParams, omega: float,
-                      tol: float = 1e-6, **kw) -> float:
-    """Particle spectrum N(omega) = I(omega)/omega."""
-    return energy_spectrum(params, omega, tol, **kw) / omega
-
-
-def _omega_cutoff(spectra, kappa, peak, threshold_rel=1e-12):
-    """Walk the frequency cutoff to where I(omega) is negligible.
+def _omega_cutoff(spectra, kappa, peak):
+    """Walk the frequency cutoff to where I(omega) is below 1e-12 of the peak.
 
     ``spectra`` maps an array of omegas to I(omega). Starts from 30*kappa
     (guided by the e^{-pi omega/kappa} envelope), halves while still below
@@ -335,7 +313,7 @@ def _omega_cutoff(spectra, kappa, peak, threshold_rel=1e-12):
     def I_at(w):
         return float(spectra(np.array([w]))[0])
 
-    thresh = threshold_rel * peak
+    thresh = 1e-12 * peak
     hi = 30.0 * kappa
     if I_at(hi) < thresh:
         while hi > 4.0 * kappa and I_at(0.5 * hi) < thresh:
@@ -351,23 +329,21 @@ def _omega_cutoff(spectra, kappa, peak, threshold_rel=1e-12):
         f"cutoff threshold {thresh:.3e}", best=hi)
 
 
-def total_energy_spectral(params: TrajectoryParams, tol: float = 1e-4,
-                          *, force_numeric: bool = False) -> float:
+def total_energy_spectral(params: TrajectoryParams, tol: float = 1e-4) -> float:
     """Total energy by the spectral route: E = int_0^inf I(omega) domega.
 
     The angular integrand is the exact one at zeta = 0 and the numeric one
-    otherwise; ``force_numeric`` uses direct quadrature at zeta = 0 too.
-    The frequency integral hands each wave of nodes to one batched
-    angular integral.
+    otherwise. The frequency integral hands each wave of nodes to one
+    batched ``energy_spectrum`` call.
     """
     kappa = params.kappa
     probe_tol = min(1e-4, tol)
-    peak = float(np.max(_energy_spectra(
-        params, kappa * np.array([0.1, 0.3, 1.0]), probe_tol, force_numeric, 0.0)))
+    peak = float(np.max(energy_spectrum(
+        params, kappa * np.array([0.1, 0.3, 1.0]), probe_tol)))
     floor = 1e-9 * peak
 
     def I_batch(omegas):
-        return _energy_spectra(params, omegas, probe_tol, force_numeric, floor)
+        return energy_spectrum(params, omegas, probe_tol, abs_floor=floor)
 
     hi = _omega_cutoff(I_batch, kappa, peak)
     pts = kappa * np.array([0.125, 0.25, 0.5, 1.0, 2.0, 4.0, 8.0, 16.0])

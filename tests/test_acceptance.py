@@ -5,9 +5,11 @@ the conftest hook, so a plain pytest run shows the full scorecard.
 """
 import math
 
+import numpy as np
 import pytest
 
 import conftest
+from fdradiance import specfun
 from fdradiance.acceptance import CRITERION_NAMES, run_all
 from fdradiance.errors import DomainError
 
@@ -33,3 +35,18 @@ def test_criterion(results, index):
 def test_bad_arguments(kwargs):
     with pytest.raises(DomainError):
         run_all(**kwargs)
+
+
+def test_kummer_identities_see_a_series_error_off_the_imaginary_axis(monkeypatch):
+    # an a-dependent error in every series summed at Re x != 0: there
+    # Kummer's transform would compare one series with itself, so only the
+    # contiguous relation can catch it
+    taylor = specfun._taylor_1f1
+
+    def faulty(a, b, x, dtype=complex):
+        s, cancel = taylor(a, b, x, dtype)
+        return np.where(x.real != 0.0, s * (1.0 + 1e-8 * a), s), cancel
+
+    monkeypatch.setattr(specfun, "_taylor_1f1", faulty)
+    [result] = run_all(criteria=[9])
+    assert not result.passed, result.line()

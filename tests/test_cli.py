@@ -173,8 +173,8 @@ class TestEnergyCommand:
 
     def test_spectrum_that_never_decays_exits_3(self, capsys, monkeypatch):
         # the frequency cutoff refuses instead of truncating the integral
-        monkeypatch.setattr(spectra, "_energy_spectra",
-                            lambda params, omegas, *args: 1.0 / omegas)
+        monkeypatch.setattr(spectra, "energy_spectrum",
+                            lambda params, omegas, *args, **kw: 1.0 / omegas)
         code, out, err = run(capsys, ["energy", "--method", "spectral"])
         assert code == 3 and out == "" and "cutoff" in err
 

@@ -88,11 +88,11 @@ class TestAdaptive:
         with pytest.raises(DomainError):
             integrate_adaptive(lambda x: np.exp(-x * x), -math.inf, 0.0)
 
-    def test_budget_exhaustion(self):
+    def test_budget_exhaustion(self, monkeypatch):
+        monkeypatch.setattr(quadrature, "_MAX_EVALS", 200)
         with pytest.raises(ConvergenceError) as info:
-            integrate_adaptive(lambda x: np.sin(50 * x), 0.0, 10.0,
-                               tol=1e-13, max_evals=200)
-        assert info.value.best is not None
+            integrate_adaptive(lambda x: np.sin(50 * x), 0.0, 10.0, tol=1e-13)
+        assert info.value.best.evaluations <= 200
 
     def test_scalar_integrand_rejected(self):
         # integrands are batch-only: a scalar answer to a node batch is an

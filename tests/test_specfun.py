@@ -122,6 +122,17 @@ class TestKummer:
         for xi, oi in zip(x, out):
             assert rel(oi, complex(hyp1f1_series(0.5, 1.5, complex(xi)))) < 1e-12
 
+    def test_batch_size_does_not_change_bits(self):
+        # a 500 x 64 grid (500 KiB of complex) is past the size from which
+        # numpy may reuse temporaries in place; each element must still
+        # come out as in a one-row call
+        rng = np.random.default_rng(21)
+        y = rng.uniform(0.1, 8.0, (500, 1))
+        x = 1j * y * rng.uniform(-1.0, 1.0, 64) ** 2
+        whole = kummer_1f1(0.5 - 1j * y, 0.5, x)
+        rows = [kummer_1f1(0.5 - 1j * y[i], 0.5, x[i]) for i in range(y.size)]
+        assert np.array_equal(whole, np.array(rows))
+
     def test_pole_raises(self):
         with pytest.raises(PoleError):
             kummer_1f1(1.0, 0.0, 1.0j)

@@ -15,8 +15,7 @@ from fdradiance.errors import ConvergenceError, DomainError
 from fdradiance.spectra import (
     EmissionDirection,
     SpectralSample,
-    _exact_zeta0_samples,
-    _numeric_samples,
+    _samples,
     distribution_exact_zeta0,
     distribution_numeric,
     energy_spectrum,
@@ -26,7 +25,6 @@ from fdradiance.spectra import (
     fd_particle_count_quadrature,
     fermi_dirac_distribution,
     particle_spectrum,
-    phase_spec,
     total_energy_spectral,
 )
 from fdradiance.specfun import kummer_1f1
@@ -64,13 +62,6 @@ class TestTypes:
             SpectralSample(1.0, 1.0, -1.0, "numeric", 0.0)
         with pytest.raises(DomainError):
             SpectralSample(1.0, 1.0, 1.0, "magic", 0.0)
-
-    def test_phase_mapping(self):
-        params = TrajectoryParams(2.0, 0.3, 1.0)
-        spec = phase_spec(params, 1.5, EmissionDirection(math.pi / 3))
-        assert spec.quad_coeff == 2.0 * 1.5 / 4.0
-        assert spec.log_coeff == 2.0 * 1.5 / 2.0
-        assert rel(spec.lin_coeff, 1.5 * (0.3 - 0.5)) < 1e-15
 
 
 class TestDistribution:
@@ -169,7 +160,7 @@ class TestDistribution:
             params = TrajectoryParams(kappa, 0.0, rng.uniform(0.5, 2.0))
             omegas = (kappa * rng.uniform(0.1, 4.0, 3)).tolist()
             thetas = [0.0, math.pi, *rng.uniform(0.0, math.pi, 17)]
-            batch = _exact_zeta0_samples(params, omegas, thetas)
+            batch = _samples(params, omegas, thetas, "exact-zeta0", None)
             single = [distribution_exact_zeta0(
                           params.kappa, params.e_squared, omega,
                           EmissionDirection(th))
@@ -186,7 +177,7 @@ class TestDistribution:
                                       rng.uniform(0.5, 2.0))
             omega = kappa * rng.uniform(0.1, 8.0)
             thetas = [0.0, math.pi, *rng.uniform(0.0, math.pi, 9)]
-            batch = _numeric_samples(params, omega, thetas, 1e-8)
+            batch = _samples(params, [omega], thetas, "numeric", 1e-8)
             single = [distribution_numeric(params, omega, EmissionDirection(th),
                                            1e-8) for th in thetas]
             assert batch == single
@@ -202,11 +193,11 @@ class TestDistribution:
 
         monkeypatch.setattr(spectra, "_oscillatory_rows", counting)
         params = TrajectoryParams(1.0, 0.3, 1.0)
-        got = _numeric_samples(params, 1.5, [0.0, 1.0, 0.0, 2.0], 1e-8)
+        got = _samples(params, [1.5], [0.0, 1.0, 0.0, 2.0], "numeric", 1e-8)
         assert rows == [2]
         assert [(s.value, s.abs_error) for s in got[::2]] == [(0.0, 0.0)] * 2
         assert all(s.value > 0.0 for s in got[1::2])
-        assert _numeric_samples(params, 1.5, [0.0], 1e-8)[0].value == 0.0
+        assert _samples(params, [1.5], [0.0], "numeric", 1e-8)[0].value == 0.0
         assert rows == [2]
 
     def test_validation(self):
@@ -253,7 +244,7 @@ class TestIntegratedSpectrum:
 
 
 class TestBatchedSpectra:
-    """energy_spectrum is the one-omega call of a batched angular integral."""
+    """energy_spectrum runs one batched angular integral over an omega array."""
 
     def test_rows_match_single_calls_under_any_split(self):
         # total_energy_spectral hands whole waves of omegas to one call, the
@@ -262,13 +253,28 @@ class TestBatchedSpectra:
         params = TrajectoryParams(1.3, 0.0, 0.7)
         omegas = 1.3 * np.exp(rng.uniform(math.log(0.05), math.log(14.0), 200))
         single = [energy_spectrum(params, w, 1e-6) for w in omegas.tolist()]
-        batch = spectra._energy_spectra(params, omegas, 1e-6, False, 0.0)
+        batch = energy_spectrum(params, omegas, 1e-6)
         assert batch.tolist() == single
         for _ in range(3):
             cuts = np.sort(rng.choice(np.arange(1, omegas.size), 6, replace=False))
-            parts = [spectra._energy_spectra(params, part, 1e-6, False, 0.0)
+            parts = [energy_spectrum(params, part, 1e-6)
                      for part in np.split(omegas, cuts)]
             assert np.concatenate(parts).tolist() == single
+
+    def test_float_gives_float_and_array_gives_array(self):
+        # off zeta = 0 each omega of the array runs its own quadrature
+        params = TrajectoryParams(1.2, 0.3, 0.8)
+        omegas = np.array([0.4, 2.5, 1.1])
+        batch = energy_spectrum(params, omegas)
+        single = [energy_spectrum(params, w) for w in omegas.tolist()]
+        assert all(type(v) is float for v in single)
+        assert batch.shape == (3,) and batch.tolist() == single
+        assert particle_spectrum(params, omegas).tolist() == \
+            [v / w for v, w in zip(single, omegas.tolist())]
+        with pytest.raises(DomainError):
+            energy_spectrum(params, omegas.reshape(1, 3))
+        with pytest.raises(DomainError):
+            energy_spectrum(params, np.array([1.0, -1.0]))
 
     def test_mirrored_half_matches_full_nodes(self):
         # on symmetric nodes the 1F1s run on u >= 0 only; appending one node
@@ -323,8 +329,7 @@ class TestBatchedSpectra:
         monkeypatch.setattr(spectra, "_exact_zeta0_values", fake)
         params = TrajectoryParams(1, 0)
         with pytest.raises(ConvergenceError, match="omega=3.0") as err:
-            spectra._energy_spectra(params, np.array([0.5, 3.0, 2.0]), 1e-6,
-                                    False, 0.0)
+            energy_spectrum(params, np.array([0.5, 3.0, 2.0]), 1e-6)
         ws = spectra._gl_nodes(512)[1]
         assert err.value.best == 2.0 * math.pi * np.vecdot(np.full(512, 1536.0), ws)
         ws = spectra._gl_nodes(128)[1]
@@ -334,8 +339,8 @@ class TestBatchedSpectra:
     def test_cutoff_refuses_a_spectrum_that_never_decays(self, monkeypatch):
         # six doublings from 30 kappa end at 1920 kappa, where 1/omega is
         # still far above 1e-12 of the peak
-        monkeypatch.setattr(spectra, "_energy_spectra",
-                            lambda params, omegas, *args: 1.0 / omegas)
+        monkeypatch.setattr(spectra, "energy_spectrum",
+                            lambda params, omegas, *args, **kw: 1.0 / omegas)
         with pytest.raises(ConvergenceError, match="omega = 1920") as err:
             total_energy_spectral(TrajectoryParams(1, 0))
         assert err.value.best == 1920.0
