@@ -280,18 +280,11 @@ def _write_csv(stream, rows, columns, summary):
         stream.write(f"# {key},{_format_cell(summary[key])}\n")
 
 
-def _jsonable(value):
-    if isinstance(value, (np.floating, np.integer)):
-        return value.item()
-    return value
-
-
 def _write_json(stream, rows, columns, summary, config_echo):
     doc = {
         "config": config_echo,
-        "rows": [{c: _jsonable(r[c]) for c in columns} for r in rows],
-        "summary": {k: _jsonable(v) for k, v in summary.items()
-                    if k != "lines"},
+        "rows": [{c: r[c] for c in columns} for r in rows],
+        "summary": {k: v for k, v in summary.items() if k != "lines"},
     }
     json.dump(doc, stream, indent=2, sort_keys=True)
     stream.write("\n")
@@ -396,12 +389,7 @@ _RUNNERS = {
 
 
 def _config_echo(ns) -> dict:
-    echo = {}
-    for key, value in sorted(vars(ns).items()):
-        if key == "command":
-            continue
-        echo[key] = _jsonable(value)
-    return echo
+    return {key: value for key, value in vars(ns).items() if key != "command"}
 
 
 def main(argv=None) -> int:
@@ -424,16 +412,21 @@ def main(argv=None) -> int:
             print(line)
         return 0 if summary["all_passed"] else 1
 
-    stream = (open(ns.output, "w", encoding="utf-8", newline="")
-              if ns.output else sys.stdout)
-    try:
+    def write(stream):
         if ns.format == "csv":
             _write_csv(stream, rows, columns, summary)
         else:
             _write_json(stream, rows, columns, summary, _config_echo(ns))
-    finally:
-        if ns.output:
-            stream.close()
+
+    if ns.output:
+        try:
+            with open(ns.output, "w", encoding="utf-8", newline="") as stream:
+                write(stream)
+        except OSError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
+    else:
+        write(sys.stdout)
     if ns.command == "check":
         for line in summary["lines"]:
             print(line, file=sys.stderr)

@@ -203,8 +203,7 @@ def _samples(params: TrajectoryParams, omegas, thetas, method: str, tol) -> list
             params, omega_arr, us,
             np.array([math.sin(theta) ** 2 for theta in thetas]), tol)
     else:
-        values = np.maximum(
-            _exact_zeta0_values(params.kappa, params.e_squared, omega_arr, us), 0.0)
+        values = _exact_zeta0_values(params.kappa, params.e_squared, omega_arr, us)
         abs_errors = values * _CLOSED_FORM_REL
     return [SpectralSample(omega, theta, value, method, err)
             for omega, row, row_err in zip(omegas, values.tolist(), abs_errors.tolist())
@@ -333,8 +332,10 @@ def total_energy_spectral(params: TrajectoryParams, tol: float = 1e-4) -> float:
     """Total energy by the spectral route: E = int_0^inf I(omega) domega.
 
     The angular integrand is the exact one at zeta = 0 and the numeric one
-    otherwise. The frequency integral hands each wave of nodes to one
-    batched ``energy_spectrum`` call.
+    otherwise. The frequency integral is one adaptive pass over [0, hi],
+    where hi is the cutoff at which I(omega) is below 1e-12 of the peak
+    (``_omega_cutoff``); nothing past hi is added. The pass hands each wave
+    of nodes to one batched ``energy_spectrum`` call.
     """
     kappa = params.kappa
     probe_tol = min(1e-4, tol)
@@ -349,13 +350,7 @@ def total_energy_spectral(params: TrajectoryParams, tol: float = 1e-4) -> float:
     pts = kappa * np.array([0.125, 0.25, 0.5, 1.0, 2.0, 4.0, 8.0, 16.0])
     res = integrate_adaptive(I_batch, 0.0, hi, tol=0.5 * tol, points=pts,
                              abs_floor=0.25 * tol * peak * kappa)
-    # One confirmation segment past the cutoff; fold it in if it matters.
-    tail = integrate_adaptive(I_batch, hi, 2.0 * hi, tol=0.5,
-                              abs_floor=0.05 * tol * abs(res.value))
-    total = float(res.value)
-    if abs(tail.value) > 0.25 * tol * abs(total):
-        total += float(tail.value)
-    return total
+    return float(res.value)
 
 
 def fd_partial_energy(params: TrajectoryParams) -> float:

@@ -354,3 +354,39 @@ class TestOutputFile:
         assert code == 0
         doc = json.loads(path.read_text())
         assert "rows" in doc and "summary" in doc
+
+    @pytest.mark.parametrize("argv", [["mirror"], ["check", "--criteria", "3"]])
+    @pytest.mark.parametrize("target", ["directory", "missing-parent"])
+    def test_unwritable_path_exits_2(self, tmp_path, capsys, argv, target):
+        # exit 1 is kept for a real acceptance failure
+        path = tmp_path if target == "directory" else tmp_path / "no" / "x.csv"
+        code, out, err = run(capsys, argv + ["--output", str(path)])
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and "Traceback" not in err
+
+
+class TestJsonRows:
+    """Every JSON row holds the CSV row's values, as JSON numbers and strings."""
+
+    @pytest.mark.parametrize("argv", [
+        ["distribution", "--method", "all", "--omega-min", "0.5",
+         "--omega-max", "2", "--omega-steps", "2", "--theta-steps", "3"],
+        ["spectrum", "--kind", "both", "--omega-min", "0.5",
+         "--omega-max", "2", "--omega-steps", "3", "--tol", "1e-6"],
+        ["energy", "--method", "both", "--tol", "1e-4"]],
+        ids=["distribution", "spectrum", "energy"])
+    def test_json_matches_csv(self, capsys, argv):
+        code, out, _ = run(capsys, argv + ["--format", "json"])
+        assert code == 0
+        doc = json.loads(out)
+        assert sorted(doc) == ["config", "rows", "summary"]
+        _, csv_out, _ = run(capsys, argv)
+        header, csv_rows = parse_csv(csv_out)
+        assert len(doc["rows"]) == len(csv_rows) > 0
+        for got, want in zip(doc["rows"], csv_rows):
+            assert sorted(got) == sorted(header)
+            for key in header:
+                if isinstance(got[key], str):
+                    assert got[key] == want[key]
+                else:
+                    assert isinstance(got[key], float) and got[key] == float(want[key])
