@@ -156,8 +156,8 @@ def _c8_energy_zeta_trend(scale):
 def _c9_special_function_identities(scale):
     ys = np.arange(0.0, 10.0 + 1e-9, 0.1)
     worst_refl = 0.0
-    for y in ys:
-        val = math.exp(2.0 * ln_gamma(complex(0.5, y)).real)
+    for y, lg in zip(ys.tolist(), ln_gamma(0.5 + 1j * ys).tolist()):
+        val = math.exp(2.0 * lg.real)
         ref = math.pi / math.cosh(math.pi * y)
         worst_refl = max(worst_refl, _rel(val, ref))
 

@@ -10,9 +10,10 @@ mirror        mode pairs (p, q) with |beta|^2, plus energy/count summaries
 check         the ten-point acceptance suite
 
 Exit codes: 0 success, 1 acceptance failure, 2 usage or validation error,
-3 numerical failure. CSV output has a header row, 17-significant-digit
-numbers, and LF line endings; JSON output is one object with "config",
-"rows", and "summary" keys in stable lexicographic order.
+3 numerical failure, 141 stdout closed by its reader (128 + SIGPIPE). CSV
+output has a header row, 17-significant-digit numbers, and LF line
+endings; JSON output is one object with "config", "rows", and "summary"
+keys in stable lexicographic order.
 """
 from __future__ import annotations
 
@@ -20,6 +21,7 @@ import argparse
 import dataclasses
 import json
 import math
+import os
 import sys
 
 import numpy as np
@@ -407,11 +409,6 @@ def main(argv=None) -> int:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
 
-    if ns.command == "check" and ns.format == "csv" and ns.output is None:
-        for line in summary["lines"]:
-            print(line)
-        return 0 if summary["all_passed"] else 1
-
     def write(stream):
         if ns.format == "csv":
             _write_csv(stream, rows, columns, summary)
@@ -426,7 +423,22 @@ def main(argv=None) -> int:
             print(f"error: {exc}", file=sys.stderr)
             return 2
     else:
-        write(sys.stdout)
+        try:
+            if ns.command == "check" and ns.format == "csv":
+                for line in summary["lines"]:
+                    print(line)
+                sys.stdout.flush()
+                return 0 if summary["all_passed"] else 1
+            write(sys.stdout)
+            sys.stdout.flush()
+        except BrokenPipeError:
+            # The reader closed stdout early (``| head``). Point its
+            # descriptor at devnull so that the flush at exit cannot fail,
+            # and exit as a process killed by SIGPIPE would: 128 + 13.
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+            return 141
     if ns.command == "check":
         for line in summary["lines"]:
             print(line, file=sys.stderr)

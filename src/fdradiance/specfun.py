@@ -10,10 +10,13 @@ a few ulp relative to the scale of ln Gamma for |z| <= 100, far inside the
 
 ``kummer_1f1`` sums the Taylor series directly, applying the Kummer
 transform 1F1(a;b;x) = e^x 1F1(b-a;b;-x) when Re x < 0 so the summed series
-always has non-negative real argument. Term cancellation is tracked per
-element; when the cancellation-amplified roundoff endangers the 1e-10
-contract, the affected elements are recomputed in extended precision, and a
-convergence error is raised if even that cannot certify the target.
+always has non-negative real argument. Each term is summed only over the
+elements that have not yet converged: an element leaves the batch at the
+term that meets its stop rule, with the same bits as in a call of its own.
+Term cancellation is tracked per element; when the cancellation-amplified
+roundoff endangers the 1e-10 contract, the affected elements are
+recomputed in extended precision, and a convergence error is raised if
+even that cannot certify the target.
 """
 from __future__ import annotations
 
@@ -116,41 +119,53 @@ def _taylor_1f1(a, b, x, dtype=complex):
     elementwise. All inputs must be broadcast to a common 1-d shape already.
     tol for the stop rule is tied to the dtype's epsilon; stopping requires
     three consecutive small terms so alternating near-zeros cannot fool it.
+    An element leaves the working arrays at the term that meets the rule,
+    so each term is computed only for the elements still summing; an
+    element's arithmetic does not depend on the others. If the budget runs
+    out, ``best`` holds every element's sum, partial for the unconverged.
     """
     eps = np.finfo(np.float64 if dtype == complex else np.longdouble).eps
     tol = 0.1 * eps
     a = a.astype(dtype)
     b = b.astype(dtype)
     x = x.astype(dtype)
+    total = np.ones(x.shape, dtype=dtype)
+    peak = np.ones(x.shape, dtype=np.float64)
+    live = np.arange(x.size)
     s = np.ones(x.shape, dtype=dtype)
     term = np.ones(x.shape, dtype=dtype)
     maxmag = np.ones(x.shape, dtype=np.float64)
     small_runs = np.zeros(x.shape, dtype=np.int64)
-    active = np.ones(x.shape, dtype=bool)
     for n in range(_SERIES_BUDGET):
         # Named ufuncs fix each product's factor order: numpy may reuse an
         # operator's temporary in place on large arrays, which swaps the
         # factors of a complex product and changes its last bits.
-        step = np.multiply(np.divide(np.multiply(term, a + n), b + n), x) / (n + 1)
-        term = np.where(active, step, term)
-        s = np.where(active, s + term, s)
+        term = np.multiply(np.divide(np.multiply(term, a + n), b + n), x) / (n + 1)
+        s = s + term
         tmag = np.abs(term).astype(np.float64)
-        maxmag = np.where(active, np.maximum(maxmag, tmag), maxmag)
+        maxmag = np.maximum(maxmag, tmag)
         small = tmag <= tol * np.abs(s).astype(np.float64)
-        small_runs = np.where(active & small, small_runs + 1, 0)
-        active = active & (small_runs < 3)
-        if not np.any(active):
+        small_runs = np.where(small, small_runs + 1, 0)
+        done = small_runs >= 3
+        if done.any():
+            total[live[done]] = s[done]
+            peak[live[done]] = maxmag[done]
+            keep = ~done
+            live, a, b, x, s, term, maxmag, small_runs = (
+                v[keep] for v in (live, a, b, x, s, term, maxmag, small_runs))
+        if not live.size:
             break
     else:
+        total[live] = s
         raise ConvergenceError(
             f"1F1 series did not converge within {_SERIES_BUDGET} terms",
-            best=s.astype(complex),
+            best=total.astype(complex),
         )
-    if not np.all(np.isfinite(s.astype(complex))):
+    if not np.all(np.isfinite(total.astype(complex))):
         raise OverflowRangeError("1F1 series overflowed the floating range")
-    smag = np.abs(s).astype(np.float64)
-    cancel = np.where(smag > 0.0, maxmag / np.where(smag > 0, smag, 1.0), np.inf)
-    return s, cancel
+    smag = np.abs(total).astype(np.float64)
+    cancel = np.where(smag > 0.0, peak / np.where(smag > 0, smag, 1.0), np.inf)
+    return total, cancel
 
 
 def kummer_1f1(a, b, x):
@@ -174,7 +189,8 @@ def kummer_1f1(a, b, x):
         If b is a non-positive integer.
     ConvergenceError
         If the iteration budget is exhausted, or if cancellation exceeds
-        what extended precision can certify; the best estimate is attached.
+        what extended precision can certify; the best estimate, shaped as
+        the result, is attached.
     OverflowRangeError
         If intermediate terms leave the representable range.
     """
@@ -202,21 +218,29 @@ def kummer_1f1(a, b, x):
     xs[flip] = -x_flat[flip]
     prefac = np.where(flip, np.exp(x_flat), 1.0)
 
-    s, cancel = _taylor_1f1(as_, b_flat, xs)
+    def result(s):
+        out = (prefac * s).reshape(shape)
+        return complex(out.ravel()[0]) if scalar else out
+
+    try:
+        s, cancel = _taylor_1f1(as_, b_flat, xs)
+    except ConvergenceError as exc:
+        raise ConvergenceError(str(exc), best=result(exc.best)) from None
     retry = cancel > _CANCEL_RETRY
     if np.any(retry):
-        s_ld, cancel_ld = _taylor_1f1(
-            as_[retry], b_flat[retry], xs[retry], dtype=np.clongdouble
-        )
+        try:
+            s_ld, cancel_ld = _taylor_1f1(
+                as_[retry], b_flat[retry], xs[retry], dtype=np.clongdouble
+            )
+        except ConvergenceError as exc:
+            s[retry] = exc.best
+            raise ConvergenceError(str(exc), best=result(s)) from None
         if np.any(cancel_ld > _CANCEL_FAIL):
             worst = float(np.max(cancel_ld))
-            out = (prefac * s.astype(complex)).reshape(shape)
             raise ConvergenceError(
                 "1F1 cancellation too severe to certify 1e-10 relative "
                 f"accuracy (max term / |sum| = {worst:.2e})",
-                best=complex(out.ravel()[0]) if scalar else out,
+                best=result(s),
             )
         s[retry] = s_ld.astype(complex)
-
-    out = (prefac * s).reshape(shape)
-    return complex(out.ravel()[0]) if scalar else out
+    return result(s)

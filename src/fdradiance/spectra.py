@@ -75,11 +75,15 @@ _METHODS = ("numeric", "exact-zeta0", "fermi-dirac")
 # Relative error ascribed to closed-form evaluations: a conservative
 # roundoff envelope, not a quadrature estimate.
 _CLOSED_FORM_REL = 1e-13
-# Most (omega, u) elements one 1F1 call of the closed form takes; bigger
-# grids run in slices of whole omega rows (one row at the least), which
-# bounds the memory of the series' arrays.
+# Most elements one 1F1 call of the closed form takes, counting both of
+# its series at every (omega, u); bigger grids run in slices of whole omega
+# rows (one row at the least), which bounds the memory of the series' arrays.
 _EXACT_ELEMENTS = 1 << 12
 _ROOT_I = complex(math.cos(math.pi / 4), math.sin(math.pi / 4))     # sqrt(i)
+# The closed form's two 1F1 series, M(1/2 - iy; 1/2; x) and
+# M(1 - iy; 3/2; x), stacked on a leading axis so that one call sums both.
+_EXACT_A = np.array([0.5, 1.0])[:, None, None]
+_EXACT_B = np.array([0.5, 1.5])[:, None, None]
 
 
 def _check_omega(omega):
@@ -159,10 +163,11 @@ def _exact_zeta0_values(kappa, e_squared, omegas, us):
     y = omega/kappa. The 1F1s depend on u only through u^2, so on a
     mirror-symmetric us (us == -us[::-1], as Gauss-Legendre nodes are)
     they run on the half u >= 0 alone and m(-u) flips the sign of the
-    second term: the same value, bit for bit, as evaluating at -u. Every
-    element is computed on its own, so it does not depend on the rest of
-    the grid; grids above _EXACT_ELEMENTS evaluations run in slices of
-    whole omega rows.
+    second term: the same value, bit for bit, as evaluating at -u. Both
+    1F1s run as one stacked call. Every element is computed on its own, so
+    it does not depend on the rest of the grid; grids whose two series
+    hold more than _EXACT_ELEMENTS evaluations run in slices of whole
+    omega rows.
     """
     omegas = np.asarray(omegas, dtype=float)
     us = np.asarray(us, dtype=float)
@@ -170,16 +175,17 @@ def _exact_zeta0_values(kappa, e_squared, omegas, us):
     half = us[us.size // 2:] if mirror else us
     sin2 = 1.0 - us**2
     out = np.empty((omegas.size, us.size))
-    step = max(1, _EXACT_ELEMENTS // half.size)
+    step = max(1, _EXACT_ELEMENTS // (2 * half.size))
     for s in range(0, omegas.size, step):
         omega = omegas[s:s + step, None]
         y = omega / kappa
         x = 1j * y * half**2
-        g_half = np.exp(ln_gamma(0.5 - 1j * y))
-        g_one = np.exp(ln_gamma(1.0 - 1j * y))
+        a = _EXACT_A - 1j * y
+        g_half, g_one = np.exp(ln_gamma(a))
         root_iy = np.sqrt(y) * _ROOT_I
-        even = g_half * kummer_1f1(0.5 - 1j * y, 0.5, x)
-        odd = 2.0 * half * root_iy * g_one * kummer_1f1(1.0 - 1j * y, 1.5, x)
+        m_half, m_one = kummer_1f1(a, _EXACT_B, x)
+        even = g_half * m_half
+        odd = 2.0 * half * root_iy * g_one * m_one
         m = even + odd
         if mirror:
             # u = -half[::-1] on the first us.size // 2 nodes
@@ -307,20 +313,19 @@ def _omega_cutoff(spectra, kappa, peak):
     ``spectra`` maps an array of omegas to I(omega). Starts from 30*kappa
     (guided by the e^{-pi omega/kappa} envelope), halves while still below
     threshold, doubles if the start is not yet below it, and raises
-    ConvergenceError if six doublings never get there.
+    ConvergenceError if six doublings never get there. The halving walk's
+    candidates 30, 15, 7.5 and 3.75 kappa run as one call; hi is the last
+    of the leading run below threshold, as the walk would have stopped.
     """
-    def I_at(w):
-        return float(spectra(np.array([w]))[0])
-
     thresh = 1e-12 * peak
     hi = 30.0 * kappa
-    if I_at(hi) < thresh:
-        while hi > 4.0 * kappa and I_at(0.5 * hi) < thresh:
-            hi *= 0.5
-        return hi
+    walk = hi * np.array([1.0, 0.5, 0.25, 0.125])
+    run = int(np.logical_and.accumulate(spectra(walk) < thresh).sum())
+    if run:
+        return float(walk[run - 1])
     for _ in range(6):
         hi *= 2.0
-        value = I_at(hi)
+        value = float(spectra(np.array([hi]))[0])
         if value < thresh:
             return hi
     raise ConvergenceError(

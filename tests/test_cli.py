@@ -1,11 +1,14 @@
 """Command-line contract: formats, grids, exit codes, determinism."""
 import json
 import math
+import os
+import subprocess
 import sys
 
 import numpy as np
 import pytest
 
+import fdradiance
 from fdradiance import spectra
 from fdradiance.cli import main
 from fdradiance.spectra import energy_spectrum, fermi_dirac_distribution
@@ -363,6 +366,44 @@ class TestOutputFile:
         code, out, err = run(capsys, argv + ["--output", str(path)])
         assert code == 2 and out == ""
         assert err.startswith("error: ") and "Traceback" not in err
+
+
+class TestBrokenPipe:
+    """A reader that closes stdout early (``| head -1``) gets exit 141."""
+
+    @pytest.mark.parametrize("argv", [
+        ["trajectory", "--t-min", "-5", "--t-max", "5", "--t-steps", "1000"],
+        ["trajectory", "--t", "1.0"],
+        ["check", "--criteria", "10"]], ids=["many-rows", "one-row", "check"])
+    def test_closed_stdout_exits_141(self, capfd, monkeypatch, argv):
+        # a real pipe whose read end is gone: every write fails with EPIPE,
+        # whether it comes mid-stream or at the final flush
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        with open(write_end, "w") as pipe:
+            monkeypatch.setattr(sys, "stdout", pipe)
+            code = main(argv)
+            monkeypatch.undo()
+        # closing flushed the pipe's buffer without a BrokenPipeError
+        assert code == 141
+        assert capfd.readouterr().err == ""
+
+    def test_head_sees_no_traceback(self):
+        # 160 kB of rows: more than the pipe holds, so the writer is still
+        # writing when the reader goes, and nothing is printed at exit
+        src = os.path.dirname(os.path.dirname(fdradiance.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.Popen(
+            [sys.executable, "-c",
+             "import sys; from fdradiance.cli import main; sys.exit(main())",
+             "trajectory", "--t-min", "-5", "--t-max", "5", "--t-steps", "4000"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+        assert proc.stdout.readline() == b"zeta,t,z\n"
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == 141
+        assert err == b""
 
 
 class TestJsonRows:

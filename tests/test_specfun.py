@@ -6,6 +6,7 @@ copied from the implementation.
 import numpy as np
 import pytest
 
+from fdradiance import specfun
 from fdradiance.errors import ConvergenceError, PoleError
 from fdradiance.specfun import _taylor_1f1, kummer_1f1, ln_gamma
 
@@ -132,6 +133,85 @@ class TestKummer:
         whole = kummer_1f1(0.5 - 1j * y, 0.5, x)
         rows = [kummer_1f1(0.5 - 1j * y[i], 0.5, x[i]) for i in range(y.size)]
         assert np.array_equal(whole, np.array(rows))
+
+    def test_stop_terms_and_retry_do_not_change_bits(self):
+        # y up to 16 spreads the elements' stopping terms over hundreds of
+        # terms; x = -i|x| below |x| = 6 (cancelling, but still certifiable)
+        # sends hundreds of elements through the long-double retry. Each
+        # element must come out as in a one-row call, and the two
+        # closed-form series stacked on a leading axis as in their own calls
+        rng = np.random.default_rng(22)
+        y = rng.uniform(0.01, 16.0, (120, 1))
+        x = 1j * y * rng.uniform(-1.0, 1.0, 24) ** 2
+        x = np.where(np.abs(x) < 6.0, -x, x)
+        a = 0.5 - 1j * y
+        cancel = _taylor_1f1(*(v.ravel() for v in np.broadcast_arrays(a, 0.5, x)))[1]
+        assert np.count_nonzero(cancel > specfun._CANCEL_RETRY) >= 100
+        whole = kummer_1f1(a, 0.5, x)
+        rows = [kummer_1f1(a[i], 0.5, x[i]) for i in range(y.size)]
+        assert np.array_equal(whole, np.array(rows))
+        stacked = kummer_1f1(np.array([0.5, 1.0])[:, None, None] - 1j * y,
+                             np.array([0.5, 1.5])[:, None, None], x)
+        assert np.array_equal(stacked[0], whole)
+        assert np.array_equal(stacked[1], kummer_1f1(1.0 - 1j * y, 1.5, x))
+
+    @pytest.mark.parametrize("dtype", [complex, np.clongdouble])
+    def test_series_matches_the_whole_batch_loop(self, dtype):
+        # the reference advances every element until the slowest has met
+        # the stop rule, masking the finished ones; dropping an element at
+        # its own stopping term must leave its sum and peak term unchanged
+        def masked(a, b, x):
+            tol = 0.1 * np.finfo(np.float64 if dtype == complex else np.longdouble).eps
+            a, b, x = a.astype(dtype), b.astype(dtype), x.astype(dtype)
+            s = np.ones(x.shape, dtype=dtype)
+            term = np.ones(x.shape, dtype=dtype)
+            maxmag = np.ones(x.shape)
+            runs = np.zeros(x.shape, dtype=np.int64)
+            active = np.ones(x.shape, dtype=bool)
+            for n in range(specfun._SERIES_BUDGET):
+                step = np.multiply(np.divide(np.multiply(term, a + n), b + n), x) / (n + 1)
+                term = np.where(active, step, term)
+                s = np.where(active, s + term, s)
+                tmag = np.abs(term).astype(np.float64)
+                maxmag = np.where(active, np.maximum(maxmag, tmag), maxmag)
+                small = tmag <= tol * np.abs(s).astype(np.float64)
+                runs = np.where(active & small, runs + 1, 0)
+                active = active & (runs < 3)
+                if not active.any():
+                    return s, maxmag / np.abs(s).astype(np.float64)
+            raise AssertionError("reference did not converge")
+
+        rng = np.random.default_rng(23)
+        y = rng.uniform(0.01, 16.0, 400)
+        x = 1j * y * rng.uniform(-1.0, 1.0, 400) ** 2
+        x = np.where(np.abs(x) < 6.0, -x, x)
+        a = np.where(rng.random(400) < 0.5, 0.5, 1.0) - 1j * y
+        b = np.where(a.real == 0.5, 0.5, 1.5)
+        got_sum, got_cancel = _taylor_1f1(a, b, x, dtype=dtype)
+        want_sum, want_cancel = masked(a, b, x)
+        assert got_sum.dtype == want_sum.dtype
+        assert np.array_equal(got_sum, want_sum)
+        assert np.array_equal(got_cancel, want_cancel)
+
+    def test_budget_exhaustion_keeps_every_element(self, monkeypatch):
+        # tiny |x| converges within a dozen terms, |x| >= 1.5 does not; the
+        # error's best holds the input's shape, with the converged elements
+        # (transformed ones included) exactly as an unlimited call gives
+        # them and the rest as partial sums, already within 1e-4 for |x| <= 2
+        a = np.array([[0.5 - 1j, 1.0 - 3j, 0.5 - 2j], [1.3 + 0.2j, 0.7, 2.0 - 1j]])
+        b = np.array([[0.5, 1.5, 0.5], [2.5, 1.5, 0.5]])
+        x = np.array([[1e-4j, 1.5j, -1e-5 + 3e-5j], [-2.0, 0.0, 2j]])
+        want = kummer_1f1(a, b, x)
+        monkeypatch.setattr(specfun, "_SERIES_BUDGET", 12)
+        with pytest.raises(ConvergenceError, match="12 terms") as info:
+            kummer_1f1(a, b, x)
+        best = info.value.best
+        assert best.shape == x.shape
+        converged = np.abs(x) < 1e-3
+        assert np.array_equal(best[converged], want[converged])
+        partial = best[~converged]
+        assert np.all(partial != want[~converged])
+        assert np.all(np.abs(partial - want[~converged]) < 1e-4 * np.abs(want[~converged]))
 
     def test_pole_raises(self):
         with pytest.raises(PoleError):

@@ -304,8 +304,8 @@ class TestBatchedSpectra:
         assert np.array_equal(whole, np.concatenate(pieces))
 
     def test_closed_form_total_is_a_few_1f1_calls(self, monkeypatch):
-        # one 1F1 pair per frequency wave and angular order, and the exact
-        # route never reaches the oscillatory integrator
+        # one stacked 1F1 call per frequency wave and angular order, and the
+        # exact route never reaches the oscillatory integrator
         sizes = []
 
         def counting(a, b, x):
@@ -319,7 +319,7 @@ class TestBatchedSpectra:
         monkeypatch.setattr(spectra, "_oscillatory_rows", no_quadrature)
         params = TrajectoryParams(1, 0)
         total = total_energy_spectral(params, 1e-4)
-        assert len(sizes) <= 18 and sum(sizes) <= 24_000
+        assert len(sizes) <= 10 and sum(sizes) <= 24_000
         assert max(sizes) <= spectra._EXACT_ELEMENTS
         assert rel(total, total_energy_larmor(params)) < 1e-8
 
@@ -347,6 +347,47 @@ class TestBatchedSpectra:
         with pytest.raises(ConvergenceError, match="omega = 1920") as err:
             total_energy_spectral(TrajectoryParams(1, 0))
         assert err.value.best == 1920.0
+
+    @pytest.mark.parametrize("kappa", [0.7, 1.0])
+    def test_cutoff_walk_matches_the_sequential_rule(self, kappa):
+        # the halving candidates run as one call; the chosen hi must be the
+        # one of the walk that probes one omega at a time
+        def sequential(spectra, kappa, peak):
+            def I_at(w):
+                return float(spectra(np.array([w]))[0])
+
+            thresh = 1e-12 * peak
+            hi = 30.0 * kappa
+            if I_at(hi) < thresh:
+                while hi > 4.0 * kappa and I_at(0.5 * hi) < thresh:
+                    hi *= 0.5
+                return hi
+            for _ in range(6):
+                hi *= 2.0
+                if I_at(hi) < thresh:
+                    return hi
+            raise ConvergenceError("no cutoff")
+
+        # e^{-omega/scale} crosses 1e-12 at 27.6 scale: below 3.75 kappa,
+        # between each pair of walk steps, and out in the doubling branch
+        crossings = kappa * np.array([1.0, 3.7, 3.8, 5.0, 7.4, 7.6, 11.0, 14.9,
+                                      15.1, 22.0, 29.9, 30.1, 45.0, 100.0, 1000.0])
+        calls = []
+        for crossing in crossings:
+            def fake(omegas, scale=crossing / math.log(1e12)):
+                calls.append(omegas.size)
+                return np.exp(-omegas / scale)
+
+            want = sequential(fake, kappa, 1.0)
+            calls.clear()
+            assert spectra._omega_cutoff(fake, kappa, 1.0) == want
+            assert calls[0] == 4 and all(size == 1 for size in calls[1:])
+        # a candidate above threshold ends the walk, whatever lies below it
+        def dip(omegas):
+            return np.where(omegas == 15.0 * kappa, 1.0, 0.0)
+
+        assert spectra._omega_cutoff(dip, kappa, 1.0) == sequential(dip, kappa, 1.0)
+        assert spectra._omega_cutoff(dip, kappa, 1.0) == 30.0 * kappa
 
 
 class TestPartialForms:
