@@ -12,21 +12,33 @@ around the integrator. ``integrate_adaptive`` and
 ``integrate_semi_infinite`` are one-row runs.
 
 ``integrate_oscillatory`` evaluates the conditionally convergent phase
-integral int_0^inf exp(i(a z^2 + b ln z + c z)) dz by rotating the contour
-onto the ray z = r e^{i delta}; the Gaussian factor exp(-a r^2 sin 2delta)
-then makes the integrand absolutely integrable. Near the origin the log
-phase winds without end, so the ray is split at the head radius h, where
-|c| h + a h^2 = 3: the head [0, h e^{i delta}] is a convergent Taylor
-series, and only [h, R] goes to the adaptive rule, with each row's target
-relative to its whole integral, head included (the two parts nearly cancel
-at large b). On the ray the modulus of the z^{ib} factor is the constant
-e^{-b delta}, so the integral retains a residual cancellation of order
-e^{b(pi/2 - delta)}; relative accuracy therefore degrades like machine-eps
-times that factor for very large b (b = 2 omega/kappa in the radiation
-problem). The exact special-angle and closed-form routes do not share this
-limit. Integrals that share a and b, such as every emission direction at
-one frequency, run as rows of one adaptive run, whose set-up (cutoffs,
-head radii, initial panels, heads, tails) is built for all rows at once.
+integral int_0^inf exp(i(a z^2 + b ln z + c z)) dz on a contour through
+its saddle point. Its domain is a > 0, b > 0 and c^2 < 8ab, where the
+phase has a conjugate pair of saddles on the circle |z| = rho =
+sqrt(b/2a); the radiation problem always lies in it (c^2 / 8ab =
+(zeta - cos theta)^2 / 4 < 1). The contour runs from 0 along the ray at
+the upper saddle's angle alpha (cos alpha = -c/sqrt(8ab), alpha in
+(0, pi)) to the saddle S = rho e^{i alpha}, then from S along its
+steepest-descent direction e^{i alpha/2} until the integrand has fallen
+e^{-L} below its value at S. It stays in the upper half plane, so the
+principal ln z is continuous on it. Near the origin the log phase winds
+without end, so the ray starts at the head radius h (|c| h + a h^2 = 3,
+and at most rho/2): the head [0, h e^{i alpha}] is a convergent Taylor
+series, and the two legs go to the adaptive rule as one row, with each
+row's target relative to its whole integral, head included.
+
+Limit: on the descent leg the integrand falls away from |f(S)|, and for
+c < 0 it grows along the ray up to S, so nothing cancels. For c > 0
+(alpha > pi/2; in the radiation problem the directions with cos theta <
+zeta) it falls along the ray instead, by e^{b |sin alpha cos alpha|} <=
+e^{b/2}, so the start of the contour cancels against the rest by up to
+that factor and the relative error grows like eps times it (b = 2
+omega/kappa). The adaptive rule's roundoff floor carries that
+cancellation into the error bar.
+
+Integrals that share a and b, such as every emission direction at one
+frequency, run as rows of one adaptive run, whose set-up (contours, head
+radii, initial panels, heads, tails) is built for all rows at once.
 """
 from __future__ import annotations
 
@@ -71,22 +83,16 @@ _G_WEIGHTS[1::2] = np.concatenate([_WG_HALF[:-1], _WG_HALF[::-1]])
 _MAX_WAVES = 200
 # Panels per integrand call within one wave.
 _WAVE_PANELS = 1024
-# Evaluation budget of one integral (the oscillatory route scales it up for
-# strongly detuned phases) and absolute error floor.
+# Evaluation budget of one integral and absolute error floor.
 _MAX_EVALS = 1_000_000
 _ABS_FLOOR = 1e-300
 _EPS = float(np.finfo(float).eps)
-# Oscillatory route: phase/envelope units per initial ray panel, and the most
-# boundaries one row's ray may start with.
-_RAY_CAP = 4.0
-_RAY_EDGES = 20000
 # Series head: the terms summed, their dropped tail in units of |Z| (the
 # largest over all splits |c| h + a h^2 = 3), and the roundoff allowance in
-# units of long-double eps times the bound on the summed term moduli.
+# units of eps times the bound on the summed term moduli.
 _HEAD_TERMS = 64
 _HEAD_TAIL = 1.2e-22
 _HEAD_ROUNDOFF = 16.0
-_HEAD_INV = list(1 / np.arange(1, _HEAD_TERMS, dtype=np.longdouble))    # 1/n at n - 1
 
 
 @dataclasses.dataclass(frozen=True)
@@ -115,13 +121,18 @@ class OscillatoryPhaseSpec:
     lin_coeff: float
 
     def __post_init__(self):
-        if not (self.quad_coeff > 0.0 and math.isfinite(self.quad_coeff)):
-            raise DomainError("quad_coeff must be positive and finite")
-        # log_coeff = 0 is allowed: the pure-Fresnel limit has no log term.
-        if not (self.log_coeff >= 0.0 and math.isfinite(self.log_coeff)):
-            raise DomainError("log_coeff must be non-negative and finite")
-        if not math.isfinite(self.lin_coeff):
-            raise DomainError("lin_coeff must be finite")
+        _check_phase(self.quad_coeff, self.log_coeff, np.array([self.lin_coeff]))
+
+
+def _check_phase(a, b, cs):
+    """The saddle contour's domain: a, b > 0 and c^2 < 8ab for every c in cs."""
+    if not (a > 0.0 and math.isfinite(a)):
+        raise DomainError("quad_coeff must be positive and finite")
+    if not (b > 0.0 and math.isfinite(b)):
+        raise DomainError("log_coeff must be positive and finite")
+    if not (cs * cs < 8.0 * a * b).all():
+        raise DomainError("lin_coeff^2 must lie below 8 quad_coeff log_coeff "
+                          "(a complex pair of saddles)")
 
 
 def _evaluate(f, xs):
@@ -341,170 +352,143 @@ def integrate_semi_infinite(f, scale=1.0, tol=1e-10):
     return _integrate(mapped, bounds, tol, _ABS_FLOOR)
 
 
-def _ray_integrand(a, b, cs, delta):
-    sd, cd = math.sin(delta), math.cos(delta)
-    s2d, c2d = math.sin(2 * delta), math.cos(2 * delta)
-    prefac = complex(math.cos(delta), math.sin(delta)) * math.exp(-b * delta)
+def _exponent(a, b, c, x, y):
+    """Real and imaginary parts of i(a z^2 + b ln z + c z) at z = x + iy, y > 0."""
+    return (-2.0 * a * x * y - b * np.arctan2(y, x) - c * y,
+            a * (x - y) * (x + y) + b * np.log(np.hypot(x, y)) + c * x)
 
-    def g(rs, rows):
-        c = cs[rows, None]
-        r2 = rs**2
-        decay = -a * r2 * s2d - c * rs * sd
-        phase = a * r2 * c2d + c * rs * cd + b * np.log(rs)
-        # np.multiply, not "*": numpy would reuse a large temporary in
-        # place, and its in-place complex product rounds differently, which
-        # would make a node's value depend on the size of its wave.
-        return np.multiply(prefac, np.exp(decay + 1j * phase))
+
+def _saddle_setup(a, b, cs, tol):
+    """Every row's saddle contour, initial panels and truncation tail.
+
+    The saddles of the phase are rho e^{+-i alpha}, rho = sqrt(b/2a) and
+    cos alpha = -c/sqrt(8ab). The contour parameter s runs over [h, rho]
+    on the ray z = s e^{i alpha} and over [rho, rho + T] on the
+    steepest-descent leg z = S + (s - rho) e^{i alpha/2} from the upper
+    saddle S. Returns (rho, alpha, h, tails, lo, hi, counts): tails bounds
+    each row's integral past rho + T, lo/hi hold the panels of all rows,
+    row after row and ascending within a row, and counts each row's number.
+    """
+    rho = math.sqrt(b / (2.0 * a))
+    alpha = np.arccos(-cs / math.sqrt(8.0 * a * b))
+    # Head radius: |c| h + a h^2 = 3 bounds the series head's terms.
+    h = np.minimum(6.0 / (np.abs(cs) + np.sqrt(cs * cs + 12.0 * a)), 0.5 * rho)
+    # On the descent leg the log-modulus of the integrand lies below its
+    # value at S by at least a sin(alpha) t^2 + 2 a rho sin(alpha/2) t
+    # - b alpha/2; T is where that reaches L.
+    L = max(30.0, -math.log(tol) + 12.0) + 0.5 * b * alpha
+    p = 2.0 * a * rho * np.sin(0.5 * alpha)
+    T = 2.0 * L / (p + np.sqrt(p * p + 4.0 * a * np.sin(alpha) * L))
+    # Truncation tail bound: |f| at z = x + iy, the end of the descent leg,
+    # over its decay rate there, Im(phi'(z) e^{i alpha/2}).
+    cos_h, sin_h = np.cos(0.5 * alpha), np.sin(0.5 * alpha)
+    x = rho * np.cos(alpha) + T * cos_h
+    y = rho * np.sin(alpha) + T * sin_h
+    rate = (2.0 * a * (x * sin_h + y * cos_h) + cs * sin_h
+            + b * (x * sin_h - y * cos_h) / (x * x + y * y))
+    tails = np.exp(_exponent(a, b, cs, x, y)[0]) / np.abs(rate)
+    # Two geometric panels on the ray and three equal ones past the saddle.
+    edges = np.column_stack([h, np.sqrt(h * rho), np.full(cs.size, rho),
+                             rho + T[:, None] * (np.arange(1, 4) / 3.0)])
+    counts = np.full(cs.size, edges.shape[1] - 1)
+    return rho, alpha, h, tails, edges[:, :-1].ravel(), edges[:, 1:].ravel(), counts
+
+
+def _saddle_integrand(a, b, cs, rho, alpha):
+    cos_a, sin_a = np.cos(alpha), np.sin(alpha)
+    cos_h, sin_h = np.cos(0.5 * alpha), np.sin(0.5 * alpha)
+
+    def g(ss, rows):
+        r, t = np.minimum(ss, rho), np.maximum(ss - rho, 0.0)
+        x = r * cos_a[rows, None] + t * cos_h[rows, None]
+        y = r * sin_a[rows, None] + t * sin_h[rows, None]
+        decay, phase = _exponent(a, b, cs[rows, None], x, y)
+        # dz/ds is e^{i alpha} on the ray and e^{i alpha/2} past the saddle.
+        turn = np.where(ss < rho, 1.0, 0.5) * alpha[rows, None]
+        return np.exp(decay + 1j * (phase + turn))
 
     return g
 
 
-def _ray_setup(a, b, cs, delta, tol):
-    """Every row's ray cutoff R, head radius h and initial panels on [h, R].
-
-    Returns (R, h, lo, hi, counts): lo/hi hold the panels of all rows, row
-    after row and ascending within a row, and counts each row's number.
-    """
-    sd, cd, s2d = math.sin(delta), math.cos(delta), math.sin(2 * delta)
-    # Envelope exp(-a R^2 sin2d - c R sind) <= exp(-L); L covers both the
-    # requested tolerance and the residual cancellation e^{b(pi/2-delta)}.
-    L = b * (math.pi / 2 - delta) + max(30.0, -math.log(max(tol, 1e-300)) + 12.0)
-    R = (-cs * sd + np.sqrt((cs * sd) ** 2 + 4.0 * a * s2d * L)) / (2.0 * a * s2d)
-    # Head radius: |c| h + a h^2 = 3 bounds the series head's terms.
-    h = np.minimum(6.0 / (np.abs(cs) + np.sqrt(cs * cs + 12.0 * a)), 0.5 * R)
-    # Equal-variation boundaries, walking down from R: each step is the
-    # shortest of three that each span _RAY_CAP units of one phase or
-    # log-envelope term, so GK15 starts accurate and the adaptive pass only
-    # polishes. The quadratic term (z^2 falls by dq) binds down to z_q, the
-    # linear one (z falls by dl) down to z_l, and the log winding (z shrinks
-    # by s) below, so each row's boundaries are three closed-form runs.
-    dq = _RAY_CAP / (a * (abs(math.cos(2 * delta)) + s2d))
-    log_s = -_RAY_CAP / b if b > 0.0 else -math.inf
-    s = math.exp(log_s)
-    # The runs' formulas meet inf and nan where a term is absent (c = 0,
-    # b = 0) and in the branches np.where discards.
-    with np.errstate(all="ignore"):
-        dl = _RAY_CAP / (np.abs(cs) * (cd + sd))              # inf when c = 0
-        z_q = np.maximum(np.where(dl * dl < dq, (dq + dl * dl) / (2.0 * dl), 0.0),
-                         math.sqrt(dq / (1.0 - s * s)))
-        z_l = dl / (1.0 - s)
-        # Step counts of the three runs, capped at _RAY_EDGES boundaries.
-        nq = np.minimum(np.where(R >= z_q, np.floor((R * R - z_q * z_q) / dq) + 1.0, 0.0),
-                        _RAY_EDGES - 1)
-        w = np.sqrt(np.maximum(R * R - nq * dq, 0.0))
-        nl = np.minimum(np.where(w >= z_l, np.floor((w - z_l) / dl) + 1.0, 0.0),
-                        _RAY_EDGES - 1 - nq)
-        v = np.where(nl > 0.0, w - nl * dl, w)
-        ng = np.minimum(np.fmax(np.ceil(np.log(v / h) * (-1.0 / log_s)) - 1.0, 0.0),
-                        _RAY_EDGES - 1 - nq - nl)
-        nq, nql = nq.astype(np.intp), (nq + nl).astype(np.intp)
-        n = nql + ng.astype(np.intp) + 1
-        row = np.arange(cs.size).repeat(n)
-        # k-th boundary below R, ascending in z within each row.
-        k = (n.cumsum() - 1).repeat(n) - np.arange(n.sum())
-        kq, kql = nq[row], nql[row]
-        z = np.where(k <= kq, np.sqrt(np.maximum(R[row] ** 2 - k * dq, 0.0)),
-                     np.where(k <= kql, w[row] - (k - kq) * dl[row],
-                              v[row] * np.exp((k - kql) * log_s)))
-    keep = z > h[row]
-    hi = z[keep]
-    counts = np.bincount(row[keep], minlength=cs.size)
-    lo = np.empty_like(hi)
-    lo[1:] = hi[:-1]
-    lo[counts.cumsum() - counts] = h
-    return R, h, lo, hi, counts
-
-
-def _ray_head(a, b, cs, delta, h):
-    """int_0^Z z^{ib} exp(i(c z + a z^2)) dz, Z = h e^{i delta}, by its Taylor series.
+def _series_head(a, b, cs, alpha, h):
+    """int_0^Z z^{ib} exp(i(c z + a z^2)) dz, Z = h e^{i alpha}, by its Taylor series.
 
     The integral is Z^{1+ib} sum_n t_n / (1+ib+n) with t_0 = 1 and
     n t_n = i c Z t_{n-1} + 2 i a Z^2 t_{n-2}. The term moduli sum to at
-    most e^{|c| h + a h^2} = e^3, and past _HEAD_TERMS their tail is below
-    _HEAD_TAIL |Z|. The sum can be e^3 smaller again (the Gaussian decays
-    along the ray), and at large b the head nearly cancels the ray part,
-    so the series runs in long double and the head's error is mostly its
-    final rounding to double. Every row runs the same number of terms, so
-    its value does not depend on the other rows. Returns per-row arrays
-    (values, abs_errors).
+    most e^{|c| h + a h^2} <= e^3, and past _HEAD_TERMS their tail is below
+    _HEAD_TAIL |Z|; the error bound is the roundoff on those moduli plus
+    that tail. Every row runs the same number of terms, and complex
+    products go through np.multiply, so a row's value does not depend on
+    the other rows. Returns per-row arrays (values, abs_errors).
     """
-    ld = np.longdouble
-    delta, b = ld(delta), ld(b)
-    hl = h.astype(ld)
-    Z = hl * (np.cos(delta) + 1j * np.sin(delta))
-    x, y = 1j * cs * Z, 2j * ld(a) * Z * Z
-    w = list(1 / (1 + 1j * b + np.arange(_HEAD_TERMS, dtype=ld)))
+    Z = h * np.exp(1j * alpha)
+    x, y = np.multiply(1j * cs, Z), np.multiply(2j * a * Z, Z)
+    w = 1.0 / (1.0 + 1j * b + np.arange(_HEAD_TERMS))
     t0, t1 = np.ones_like(Z), x
-    total = w[0] + w[1] * t1
+    total = w[0] + np.multiply(w[1], t1)
     for n in range(2, _HEAD_TERMS):
-        t0, t1 = t1, (x * t1 + y * t0) * _HEAD_INV[n - 1]
-        total += w[n] * t1
-    # Z^{1+ib} = h e^{-b delta} e^{i (delta + b ln h)}
-    scale = hl * np.exp(-b * delta)
-    value = (scale * np.exp(1j * (delta + b * np.log(hl))) * total).astype(complex)
-    moduli = np.exp(np.abs(cs) * h + a * h * h) * float(abs(w[0]))
-    err = scale.astype(float) * (_HEAD_ROUNDOFF * float(np.finfo(ld).eps) * moduli
-                                 + _HEAD_TAIL) + _EPS * np.abs(value)
+        t0, t1 = t1, (np.multiply(x, t1) + np.multiply(y, t0)) / n
+        total += np.multiply(w[n], t1)
+    # Z^{1+ib} = h e^{-b alpha} e^{i (alpha + b ln h)}
+    scale = h * np.exp(-b * alpha)
+    value = np.multiply(scale * np.exp(1j * (alpha + b * np.log(h))), total)
+    moduli = np.exp(np.abs(cs) * h + a * h * h) * abs(w[0])
+    err = scale * (_HEAD_ROUNDOFF * _EPS * moduli + _HEAD_TAIL) + _EPS * np.abs(value)
     return value, err
 
 
-def _oscillatory_rows(a, b, cs, tol, delta):
+def _oscillatory_rows(a, b, cs, tol):
     """int_0^inf exp(i(a z^2 + b ln z + c z)) dz for every c in cs at once.
 
     The rows share a and b, so one adaptive run refines them all; each row
-    keeps its own ray cutoff R, head radius h, panels, budget, series head
-    and truncation tail. The ray is integrated on [h, R]; the head [0, h]
-    (where the log phase winds without end) is the convergent series of
-    ``_ray_head``. Each row's adaptive target is tol times its whole
-    integral, ray plus head: at large b the two nearly cancel, and a target
-    on the ray part alone would be too loose. Returns per-row arrays
-    (values, abs_errors, evaluations); if a row stalls, the first one
-    raises ``ConvergenceError`` with its ray result as ``best``.
+    keeps its own saddle contour, panels, budget and truncation tail
+    (``_saddle_setup``) and series head. The two legs of the contour are one
+    adaptive row; the head [0, h e^{i alpha}] (where the log phase winds
+    without end) is the convergent series of ``_series_head``. Each row's
+    adaptive target is tol times its whole integral, legs plus head.
+    Returns per-row arrays (values, abs_errors, evaluations); if a row
+    stalls, the first one raises ``ConvergenceError`` with its leg result
+    as ``best``.
     """
-    if not (0.0 < delta < math.pi / 2):
-        raise DomainError("delta must lie in (0, pi/2)")
     if not (0.0 < tol <= 1e-2):
         raise DomainError("tol must lie in (0, 1e-2]")
     cs = np.asarray(cs, dtype=float)
-    R, h, lo, hi, counts = _ray_setup(a, b, cs, delta, tol)
-    heads, head_errs = _ray_head(a, b, cs, delta, h)
-    # strongly detuned phases (|c| >> sqrt(a)) need more panels
-    budgets = _MAX_EVALS * np.maximum(1.0, np.abs(cs) / math.sqrt(a))
+    _check_phase(a, b, cs)
+    rho, alpha, h, tails, lo, hi, counts = _saddle_setup(a, b, cs, tol)
+    heads, head_errs = _series_head(a, b, cs, alpha, h)
     values, abs_errors, stalled, evals = _adaptive_rows(
-        _ray_integrand(a, b, cs, delta), lo, hi, counts, tol, budgets, _ABS_FLOOR,
-        heads)
+        _saddle_integrand(a, b, cs, rho, alpha), lo, hi, counts, tol,
+        np.full(cs.size, float(_MAX_EVALS)), _ABS_FLOOR, heads)
     _raise_stalled(values, abs_errors, stalled, evals)
-    # Truncation tail bound: envelope at R over the local decay rate.
-    sd, s2d = math.sin(delta), math.sin(2 * delta)
-    tails = (np.exp(-b * delta - a * R * R * s2d - cs * R * sd)
-             / (2.0 * a * R * s2d + cs * sd))
     values = values + heads
-    abs_errors = abs_errors + head_errs + np.abs(tails)
+    abs_errors = abs_errors + head_errs + tails
     if not (np.isfinite(values).all() and np.isfinite(abs_errors).all()):
         raise NonFiniteError("quadrature result is not finite")
     return values, abs_errors, evals
 
 
-def integrate_oscillatory(spec: OscillatoryPhaseSpec, tol=1e-9, *,
-                          delta=math.pi / 4):
-    """Evaluate int_0^inf exp(i(a z^2 + b ln z + c z)) dz by contour rotation.
+def integrate_oscillatory(spec: OscillatoryPhaseSpec, tol=1e-9):
+    """Evaluate int_0^inf exp(i(a z^2 + b ln z + c z)) dz on its saddle contour.
 
     Parameters
     ----------
     spec : OscillatoryPhaseSpec
-        Phase coefficients (a, b, c) = (quad, log, lin).
+        Phase coefficients (a, b, c) = (quad, log, lin), with a, b > 0 and
+        c^2 < 8ab: the phase then has a complex pair of saddles, and the
+        contour runs from 0 through the upper one and down its
+        steepest-descent direction (module docstring).
     tol : float
-        Relative tolerance target for the adaptive pass along the ray.
-    delta : float
-        Rotation angle in (0, pi/2); pi/4 maximizes the Gaussian decay.
+        Relative tolerance target for the adaptive pass along the contour.
 
     Returns
     -------
     QuadratureResult
         Complex value with an absolute error estimate that includes the
-        truncation bound of the finite ray.
+        series head's bound and the truncation bound of the finite
+        contour. For c > 0 the ray to the saddle cancels by up to
+        e^{b/2}, and relative accuracy degrades like eps times that.
     """
     values, abs_errors, evals = _oscillatory_rows(
-        spec.quad_coeff, spec.log_coeff, [spec.lin_coeff], tol, delta)
+        spec.quad_coeff, spec.log_coeff, [spec.lin_coeff], tol)
     return QuadratureResult(complex(values[0]), float(abs_errors[0]),
                             int(evals[0]))

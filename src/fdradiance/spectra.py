@@ -11,9 +11,11 @@ where J = int_0^inf dz exp(i phi(z)) with phase
 
 Routes, kept deliberately independent of each other:
 
-* ``distribution_numeric`` evaluates J by the oscillatory contour
+* ``distribution_numeric`` evaluates J by the saddle-contour
   integrator for any (zeta, theta); the directions of one omega run as
-  one batched integration.
+  one batched integration. Behind the special angle the contour cancels
+  by up to e^{omega/kappa}, and a sample whose error bar exceeds
+  _NUMERIC_REFUSAL of its value raises ConvergenceError instead.
 * ``distribution_exact_zeta0`` uses the closed hypergeometric form that
   exists when zeta = 0, for any theta; a whole (omega, theta) grid is one
   vectorized evaluation.
@@ -47,12 +49,7 @@ import math
 import numpy as np
 
 from .errors import ConvergenceError, DomainError
-from .quadrature import (
-    OscillatoryPhaseSpec,
-    _oscillatory_rows,
-    integrate_adaptive,
-    integrate_semi_infinite,
-)
+from .quadrature import _oscillatory_rows, integrate_adaptive, integrate_semi_infinite
 from .specfun import kummer_1f1, ln_gamma
 from .trajectory import TrajectoryParams
 
@@ -75,6 +72,11 @@ _METHODS = ("numeric", "exact-zeta0", "fermi-dirac")
 # Relative error ascribed to closed-form evaluations: a conservative
 # roundoff envelope, not a quadrature estimate.
 _CLOSED_FORM_REL = 1e-13
+# A numeric sample whose error bar exceeds this fraction of its value is
+# refused rather than returned: behind the special angle the contour's
+# cancellation grows like e^{omega/kappa}, and such a value has fewer than
+# three significant digits left.
+_NUMERIC_REFUSAL = 1e-3
 # Most elements one 1F1 call of the closed form takes, counting both of
 # its series at every (omega, u); bigger grids run in slices of whole omega
 # rows (one row at the least), which bounds the memory of the series' arrays.
@@ -139,11 +141,10 @@ def _numeric_values(params: TrajectoryParams, omegas, cos_t, sin2, tol: float):
     abs_errors = np.zeros((omegas.size, sin2.size))
     lit = sin2 != 0.0
     for i, omega in enumerate(omegas.tolist()):
-        a, b = 0.25 * params.kappa * omega, 2.0 * omega / params.kappa
-        OscillatoryPhaseSpec(a, b, 0.0)     # validates the shared coefficients
         if lit.any():
-            J, dJ, _ = _oscillatory_rows(a, b, omega * (params.zeta - cos_t[lit]),
-                                         tol, math.pi / 4)
+            J, dJ, _ = _oscillatory_rows(0.25 * params.kappa * omega,
+                                         2.0 * omega / params.kappa,
+                                         omega * (params.zeta - cos_t[lit]), tol)
             pref = params.e_squared * omega**2 * sin2[lit] / (16.0 * math.pi**3)
             mod = np.abs(J)
             values[i, lit] = pref * mod**2
@@ -199,7 +200,9 @@ def _samples(params: TrajectoryParams, omegas, thetas, method: str, tol) -> list
     """Samples on the grid omegas x thetas, omega-major, by one batched call.
 
     ``method`` is "numeric" (quadrature to tol, any zeta) or "exact-zeta0"
-    (the closed form, which reads neither zeta nor tol).
+    (the closed form, which reads neither zeta nor tol). A numeric sample
+    whose abs_error exceeds _NUMERIC_REFUSAL of its value raises
+    ``ConvergenceError`` with that sample as ``best``.
     """
     omega_arr = np.asarray(omegas, dtype=float)
     _check_omega(omega_arr)
@@ -211,9 +214,17 @@ def _samples(params: TrajectoryParams, omegas, thetas, method: str, tol) -> list
     else:
         values = _exact_zeta0_values(params.kappa, params.e_squared, omega_arr, us)
         abs_errors = values * _CLOSED_FORM_REL
-    return [SpectralSample(omega, theta, value, method, err)
-            for omega, row, row_err in zip(omegas, values.tolist(), abs_errors.tolist())
-            for theta, value, err in zip(thetas, row, row_err)]
+    samples = [SpectralSample(omega, theta, value, method, err)
+               for omega, row, row_err in zip(omegas, values.tolist(), abs_errors.tolist())
+               for theta, value, err in zip(thetas, row, row_err)]
+    if method == "numeric":
+        for s in samples:
+            if s.abs_error > _NUMERIC_REFUSAL * s.value:
+                raise ConvergenceError(
+                    f"numeric dI/dOmega at omega={s.omega:.6g}, theta={s.theta:.6g} "
+                    f"is {s.value:.3e} +- {s.abs_error:.3e}, an error bar above "
+                    f"{_NUMERIC_REFUSAL:g} of the value", best=s)
+    return samples
 
 
 def distribution_numeric(params: TrajectoryParams, omega: float,

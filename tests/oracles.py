@@ -3,8 +3,8 @@
 Everything here is deliberately independent of the code under test: the
 confluent series runs in 60-digit mpmath arithmetic, the oscillatory
 phase integral is evaluated on the real axis with an exponential damper
-and Richardson extrapolation in the damping parameter, never by the
-contour rotation the package uses, and the head segment of the rotated
+and Richardson extrapolation in the damping parameter, never on the
+saddle contour the package uses, and the head segment of that contour's
 ray is a 40-digit quadrature, never the series the package sums. Frozen
 constants in the test files were produced by these routines (or printed
 by mpmath directly).
@@ -21,15 +21,21 @@ DAMPING_LADDER = (0.1, 0.05, 0.025, 0.0125)
 
 
 def hyp1f1_series(a, b, x, nmax=200000):
-    """Plain Taylor sum of 1F1 in mpmath arithmetic."""
+    """Plain Taylor sum of 1F1 in mpmath arithmetic.
+
+    The sum stops at terms 1e5 ulps of the working precision below it
+    (1e-55 at the default 60 digits), so a caller that raises the
+    precision with ``mp.workdps`` gets a correspondingly finer sum.
+    """
     a, b, x = mp.mpc(a), mp.mpc(b), mp.mpc(x)
     s = mp.mpc(1)
     term = mp.mpc(1)
     small = 0
+    stop = mp.mpf(10) ** (5 - mp.mp.dps)
     for n in range(nmax):
         term *= (a + n) / (b + n) * x / (n + 1)
         s += term
-        if abs(term) < mp.mpf("1e-55") * abs(s):
+        if abs(term) < stop * abs(s):
             small += 1
             if small >= 5:
                 break
@@ -123,8 +129,8 @@ def damped_phase_integral(quad_coeff, log_coeff, lin_coeff,
     return total
 
 
-def ray_head_segment(a, b, c, h, delta):
-    """int_0^Z z^{ib} exp(i(c z + a z^2)) dz with Z = h e^{i delta}, to 40 digits.
+def ray_head_segment(a, b, c, h, alpha):
+    """int_0^Z z^{ib} exp(i(c z + a z^2)) dz with Z = h e^{i alpha}, to 40 digits.
 
     The substitution z = Z e^{-s} turns it into Z^{1+ib} int_0^inf
     e^{-(1+ib)s} exp(i(c Z e^{-s} + a Z^2 e^{-2s})) ds, whose integrand is
@@ -133,8 +139,8 @@ def ray_head_segment(a, b, c, h, delta):
     and goes to Gauss-Legendre quadrature on [0, 48].
     """
     with mp.workdps(40):
-        a, b, c, h, delta = (mp.mpf(v) for v in (a, b, c, h, delta))
-        Z = h * mp.expj(delta)
+        a, b, c, h, alpha = (mp.mpf(v) for v in (a, b, c, h, alpha))
+        Z = h * mp.expj(alpha)
 
         def f(s):
             return mp.exp(-(1 + 1j * b) * s) * mp.expm1(

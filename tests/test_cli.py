@@ -197,6 +197,29 @@ class TestDistributionCommand:
         spread = max(by_method.values()) - min(by_method.values())
         assert spread < 1e-10 * max(by_method.values())
 
+    def test_numeric_far_in_the_tail_at_special_angle(self, capsys):
+        # at omega 30 the value is 4.8e-84; the numeric route once printed
+        # 2.1e-77 +- 5.9e-75 here
+        code, out, _ = run(capsys, [
+            "distribution", "--method", "all",
+            "--omega-min", "30", "--omega-max", "30", "--omega-steps", "1",
+            "--theta-min", "1.5707963267948966",
+            "--theta-max", "1.5707963267948966", "--theta-steps", "1"])
+        assert code == 0
+        _, rows = parse_csv(out)
+        by_method = {r["method"]: float(r["value"]) for r in rows}
+        fd = by_method["fermi-dirac"]
+        assert abs(by_method["numeric"] - fd) <= 1e-10 * fd
+
+    def test_numeric_refusal_exits_3(self, capsys):
+        # a numeric row whose bar exceeds 1e-3 of its value is refused
+        theta = repr(math.radians(150))
+        code, out, err = run(capsys, [
+            "distribution", "--method", "numeric",
+            "--omega-min", "48", "--omega-max", "48", "--omega-steps", "1",
+            "--theta-min", theta, "--theta-max", theta, "--theta-steps", "1"])
+        assert code == 3 and out == "" and "error bar" in err
+
     def test_rows_carry_error_column(self, capsys):
         _, out, _ = run(capsys, [
             "distribution", "--omega-min", "1", "--omega-max", "2",

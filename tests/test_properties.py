@@ -35,15 +35,17 @@ def test_exact_spectrum_matches_quadrature(kappa, y):
     assert rel(exact, numeric) < 10 * tol
 
 
-@given(kappa=KAPPA, zeta=st.floats(-0.9, 0.9), y=st.floats(0.1, 8.0))
+@given(kappa=KAPPA, zeta=st.floats(-0.9, 0.9), y=st.floats(0.1, 40.0))
 def test_numeric_matches_fermi_dirac_at_the_special_angle(kappa, zeta, y):
     # at cos(theta) = zeta the quadrature of the phase integral against the
-    # closed Fermi-Dirac form, within the sample's own error bar
+    # closed Fermi-Dirac form, within the sample's own error bar and to
+    # 1e-10 relative, out to omega/kappa 40
     params = TrajectoryParams(kappa, zeta)
     tol = 1e-9
     [num] = _samples(params, [y * kappa], [math.acos(zeta)], "numeric", tol)
     fd = fermi_dirac_distribution(params, y * kappa).value
     assert abs(num.value - fd) <= num.abs_error + tol * fd
+    assert rel(num.value, fd) <= 1e-10
 
 
 @settings(max_examples=4)

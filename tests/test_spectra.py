@@ -7,6 +7,7 @@ points where an independent reference exists.
 """
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -151,6 +152,51 @@ class TestDistribution:
                 if y <= 8.0:
                     assert num.abs_error <= 1e-8 * num.value
 
+    def test_numeric_matches_oracle_over_theta_at_zeta0(self):
+        # the saddle contour reaches the backward directions (cos theta < 0
+        # here) too: numeric against the 60-digit closed form at every theta.
+        # Both take sin^2(theta) from sin; 1 - cos^2 alone would cost 2e-13
+        # at 179 degrees.
+        params = TrajectoryParams(1.0, 0.0, 1.0)
+        thetas = [math.radians(d) for d in (10, 60, 90, 120, 150, 170, 179)]
+        for y in (0.02, 0.5, 2.0, 5.0, 8.0, 12.0):
+            for got in _samples(params, [y], thetas, "numeric", 1e-9):
+                want = float(exact_distribution(1.0, 1.0, y, got.theta))
+                assert rel(got.value, want) <= 1e-9
+
+    def test_numeric_refuses_a_bar_wider_than_its_limit(self):
+        # at omega/kappa 48 and 150 degrees the ray to the saddle cancels
+        # past what double precision can carry: the bar is 18 times the value
+        params = TrajectoryParams(1.0, 0.0, 1.0)
+        theta = math.radians(150)
+        with pytest.raises(ConvergenceError) as info:
+            _samples(params, [48.0], [theta], "numeric", 1e-9)
+        best = info.value.best
+        assert isinstance(best, SpectralSample)
+        assert (best.omega, best.theta, best.method) == (48.0, theta, "numeric")
+        assert best.abs_error > spectra._NUMERIC_REFUSAL * best.value
+        with pytest.raises(ConvergenceError):
+            distribution_numeric(params, 48.0, EmissionDirection(theta), 1e-9)
+
+    def test_numeric_rows_are_honest_or_refused(self):
+        # backward rows at large omega/kappa, where the contour cancels by up
+        # to e^{omega/kappa}: every row, refused or not, lies within its bar
+        # of the oracle, and a row whose bar exceeds the refusal limit raises.
+        # The oracle's own two terms cancel here, so it runs at 160 digits
+        # (at 60 it is off by 58x at omega/kappa 36, 170 deg).
+        params = TrajectoryParams(1.0, 0.0, 1.0)
+        for y in (24.0, 36.0, 48.0):
+            for deg in (120, 150, 170):
+                theta = math.radians(deg)
+                try:
+                    [got] = _samples(params, [y], [theta], "numeric", 1e-9)
+                except ConvergenceError as refusal:
+                    got = refusal.best
+                    assert got.abs_error > spectra._NUMERIC_REFUSAL * got.value
+                with mp.workdps(160):
+                    want = float(exact_distribution(1.0, 1.0, y, theta))
+                assert abs(got.value - want) <= got.abs_error
+
     def test_exact_batch_matches_single_points(self):
         # the CLI evaluates its whole omega x theta grid in one closed-form
         # call; each sample must be bit-identical to the one-point call
@@ -187,9 +233,9 @@ class TestDistribution:
         rows = []
         batched = spectra._oscillatory_rows
 
-        def counting(a, b, cs, tol, delta):
+        def counting(a, b, cs, tol):
             rows.append(len(cs))
-            return batched(a, b, cs, tol, delta)
+            return batched(a, b, cs, tol)
 
         monkeypatch.setattr(spectra, "_oscillatory_rows", counting)
         params = TrajectoryParams(1.0, 0.3, 1.0)
