@@ -7,6 +7,7 @@ code and no contour.
 import cmath
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -26,6 +27,7 @@ from oracles import damped_phase_integral, ray_head_segment
 # frozen by 60-digit quadrature of the rotated integrand
 J_HALF_4_M1 = 0.008701515102645193900047 + 0.02261928691557165995927j
 J_QUARTER_2_MHALF = 0.1675266879998185115067 + 0.2411238115320679098155j
+FRESNEL = 0.6266570686577501256039
 
 
 def rel(got, want):
@@ -132,6 +134,22 @@ class TestSemiInfinite:
 
 
 class TestOscillatory:
+    def test_fresnel(self):
+        # c = 0 is the generalized Fresnel integral, (1/2) Gamma(s/2)
+        # a^(-s/2) e^(i pi s/4) with s = 1 + ib; its b -> 0 limit is the
+        # pure Fresnel value, whose saddle has merged into the origin
+        res = integrate_oscillatory(OscillatoryPhaseSpec(1.0, 1e-12, 0.0),
+                                    tol=1e-10)
+        assert rel(res.value, FRESNEL * (1 + 1j)) < 1e-10
+        for a, b in ((1.0, 1e-6), (1.0, 0.5), (0.5, 2.0), (2.0, 6.0)):
+            s = 1 + 1j * b
+            want = complex(0.5 * mp.gamma(s / 2) * mp.power(a, -s / 2)
+                           * mp.exp(1j * mp.pi * s / 4))
+            res = integrate_oscillatory(OscillatoryPhaseSpec(a, b, 0.0),
+                                        tol=1e-10)
+            assert rel(res.value, want) < 1e-10
+            assert abs(res.value - want) <= res.abs_error
+
     def test_frozen_values(self):
         got = integrate_oscillatory(OscillatoryPhaseSpec(0.5, 4.0, -1.0),
                                     tol=1e-10)
