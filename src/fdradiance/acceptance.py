@@ -27,8 +27,8 @@ from .mirror import (
 from .specfun import kummer_1f1, ln_gamma
 from .spectra import (
     EmissionDirection,
-    _samples,
     distribution_exact_zeta0,
+    distribution_grid,
     fd_partial_energy,
     fd_partial_energy_quadrature,
     fd_particle_count,
@@ -96,8 +96,8 @@ def _c3_special_angle_reduction(scale):
 
 def _c4_numeric_vs_exact_grid(scale):
     params = TrajectoryParams(kappa=1.0, zeta=0.0, e_squared=1.0)
-    numeric = _samples(params, _GRID_OMEGAS, _GRID_THETAS, "numeric", 1e-9)
-    exact = _samples(params, _GRID_OMEGAS, _GRID_THETAS, "exact-zeta0", None)
+    numeric = distribution_grid(params, _GRID_OMEGAS, _GRID_THETAS, "numeric", 1e-9)
+    exact = distribution_grid(params, _GRID_OMEGAS, _GRID_THETAS, "exact-zeta0")
     worst = max(_rel(n.value, e.value) for n, e in zip(numeric, exact))
     return worst, 1e-6 * scale, "5x5 (omega, theta) grid"
 
@@ -132,7 +132,8 @@ def _c6_particle_count_duality(scale):
 def _c7_duality_round_trip(scale):
     params = TrajectoryParams(kappa=1.0, zeta=0.0, e_squared=1.0)
     worst = 0.0
-    for sample in _samples(params, _GRID_OMEGAS, _GRID_THETAS, "numeric", 1e-6):
+    samples = distribution_grid(params, _GRID_OMEGAS, _GRID_THETAS, "numeric", 1e-6)
+    for sample in samples:
         beta = beta_squared_from_distribution(sample, params.e_squared)
         back = (params.e_squared * sample.omega**2 * beta.beta_squared
                 / (4.0 * math.pi))

@@ -36,7 +36,7 @@ from .mirror import (
     mirror_particle_count,
 )
 from .spectra import (
-    _samples,
+    distribution_grid,
     energy_spectrum,
     fd_particle_count,
     fermi_dirac_distribution,
@@ -168,8 +168,6 @@ def run_distribution(ns):
     params = _params(ns)
     omegas, thetas = _grid(ns, "omega"), _grid(ns, "theta")
     method, zeta = ns.method, params.zeta
-    if method == "exact-zeta0" and zeta != 0.0:
-        raise DomainError("the exact closed form applies only at zeta = 0")
     methods = [method]
     if method == "all":
         methods = (["numeric"] + (["exact-zeta0"] if zeta == 0.0 else [])
@@ -180,7 +178,7 @@ def run_distribution(ns):
             # the special-angle value is a function of omega alone
             samples.extend(fermi_dirac_distribution(params, w) for w in omegas)
         else:
-            samples.extend(_samples(params, omegas, thetas, m, ns.tol))
+            samples.extend(distribution_grid(params, omegas, thetas, m, ns.tol))
     rows = [{"omega": s.omega, "omega_over_kappa": s.omega / params.kappa,
              "theta": s.theta, "method": s.method, "value": s.value,
              "abs_error": s.abs_error} for s in samples]
@@ -220,8 +218,8 @@ def run_mirror(ns):
     if ns.p is not None:
         betas = [beta_squared_fd(ModePair(ns.p, ns.q), kappa, zeta)]
     elif omegas is not None:
-        betas = [beta_squared_from_distribution(sample, e2)
-                 for sample in _samples(params, omegas, thetas, "numeric", ns.tol)]
+        samples = distribution_grid(params, omegas, thetas, "numeric", ns.tol)
+        betas = [beta_squared_from_distribution(sample, e2) for sample in samples]
     else:
         # pairs on the constraint line p/q = (1 + zeta)/(1 - zeta)
         betas = [beta_squared_fd(ModePair(u * (1.0 + zeta) / 2.0,

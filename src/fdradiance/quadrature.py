@@ -35,10 +35,6 @@ e^{b/2}, so the start of the contour cancels against the rest by up to
 that factor and the relative error grows like eps times it (b = 2
 omega/kappa). The adaptive rule's roundoff floor carries that
 cancellation into the error bar.
-
-Integrals that share a and b, such as every emission direction at one
-frequency, run as rows of one adaptive run, whose set-up (contours, head
-radii, initial panels, heads, tails) is built for all rows at once.
 """
 from __future__ import annotations
 
@@ -121,16 +117,16 @@ class OscillatoryPhaseSpec:
     lin_coeff: float
 
     def __post_init__(self):
-        _check_phase(self.quad_coeff, self.log_coeff, np.array([self.lin_coeff]))
+        _check_phase(self.quad_coeff, self.log_coeff, self.lin_coeff)
 
 
-def _check_phase(a, b, cs):
-    """The saddle contour's domain: a, b > 0 and c^2 < 8ab for every c in cs."""
-    if not (a > 0.0 and math.isfinite(a)):
+def _check_phase(a, b, c):
+    """The saddle contour's domain: a, b > 0 and c^2 < 8ab on every row."""
+    if not ((a > 0.0) & np.isfinite(a)).all():
         raise DomainError("quad_coeff must be positive and finite")
-    if not (b > 0.0 and math.isfinite(b)):
+    if not ((b > 0.0) & np.isfinite(b)).all():
         raise DomainError("log_coeff must be positive and finite")
-    if not (cs * cs < 8.0 * a * b).all():
+    if not np.less(c * c, 8.0 * a * b).all():
         raise DomainError("lin_coeff^2 must lie below 8 quad_coeff log_coeff "
                           "(a complex pair of saddles)")
 
@@ -358,7 +354,7 @@ def _exponent(a, b, c, x, y):
             a * (x - y) * (x + y) + b * np.log(np.hypot(x, y)) + c * x)
 
 
-def _saddle_setup(a, b, cs, tol):
+def _saddle_setup(a, b, c, tol):
     """Every row's saddle contour, initial panels and truncation tail.
 
     The saddles of the phase are rho e^{+-i alpha}, rho = sqrt(b/2a) and
@@ -369,10 +365,10 @@ def _saddle_setup(a, b, cs, tol):
     each row's integral past rho + T, lo/hi hold the panels of all rows,
     row after row and ascending within a row, and counts each row's number.
     """
-    rho = math.sqrt(b / (2.0 * a))
-    alpha = np.arccos(-cs / math.sqrt(8.0 * a * b))
+    rho = np.sqrt(b / (2.0 * a))
+    alpha = np.arccos(-c / np.sqrt(8.0 * a * b))
     # Head radius: |c| h + a h^2 = 3 bounds the series head's terms.
-    h = np.minimum(6.0 / (np.abs(cs) + np.sqrt(cs * cs + 12.0 * a)), 0.5 * rho)
+    h = np.minimum(6.0 / (np.abs(c) + np.sqrt(c * c + 12.0 * a)), 0.5 * rho)
     # On the descent leg the log-modulus of the integrand lies below its
     # value at S by at least a sin(alpha) t^2 + 2 a rho sin(alpha/2) t
     # - b alpha/2; T is where that reaches L.
@@ -384,81 +380,85 @@ def _saddle_setup(a, b, cs, tol):
     cos_h, sin_h = np.cos(0.5 * alpha), np.sin(0.5 * alpha)
     x = rho * np.cos(alpha) + T * cos_h
     y = rho * np.sin(alpha) + T * sin_h
-    rate = (2.0 * a * (x * sin_h + y * cos_h) + cs * sin_h
+    rate = (2.0 * a * (x * sin_h + y * cos_h) + c * sin_h
             + b * (x * sin_h - y * cos_h) / (x * x + y * y))
-    tails = np.exp(_exponent(a, b, cs, x, y)[0]) / np.abs(rate)
+    tails = np.exp(_exponent(a, b, c, x, y)[0]) / np.abs(rate)
     # Two geometric panels on the ray and three equal ones past the saddle.
-    edges = np.column_stack([h, np.sqrt(h * rho), np.full(cs.size, rho),
-                             rho + T[:, None] * (np.arange(1, 4) / 3.0)])
-    counts = np.full(cs.size, edges.shape[1] - 1)
+    edges = np.column_stack([h, np.sqrt(h * rho), rho,
+                             rho[:, None] + T[:, None] * (np.arange(1, 4) / 3.0)])
+    counts = np.full(c.size, edges.shape[1] - 1)
     return rho, alpha, h, tails, edges[:, :-1].ravel(), edges[:, 1:].ravel(), counts
 
 
-def _saddle_integrand(a, b, cs, rho, alpha):
+def _saddle_integrand(a, b, c, rho, alpha):
     cos_a, sin_a = np.cos(alpha), np.sin(alpha)
     cos_h, sin_h = np.cos(0.5 * alpha), np.sin(0.5 * alpha)
 
     def g(ss, rows):
-        r, t = np.minimum(ss, rho), np.maximum(ss - rho, 0.0)
-        x = r * cos_a[rows, None] + t * cos_h[rows, None]
-        y = r * sin_a[rows, None] + t * sin_h[rows, None]
-        decay, phase = _exponent(a, b, cs[rows, None], x, y)
+        rows = rows[:, None]
+        r, t = np.minimum(ss, rho[rows]), np.maximum(ss - rho[rows], 0.0)
+        x = r * cos_a[rows] + t * cos_h[rows]
+        y = r * sin_a[rows] + t * sin_h[rows]
+        decay, phase = _exponent(a[rows], b[rows], c[rows], x, y)
         # dz/ds is e^{i alpha} on the ray and e^{i alpha/2} past the saddle.
-        turn = np.where(ss < rho, 1.0, 0.5) * alpha[rows, None]
+        turn = np.where(ss < rho[rows], 1.0, 0.5) * alpha[rows]
         return np.exp(decay + 1j * (phase + turn))
 
     return g
 
 
-def _series_head(a, b, cs, alpha, h):
+def _series_head(a, b, c, alpha, h):
     """int_0^Z z^{ib} exp(i(c z + a z^2)) dz, Z = h e^{i alpha}, by its Taylor series.
 
     The integral is Z^{1+ib} sum_n t_n / (1+ib+n) with t_0 = 1 and
     n t_n = i c Z t_{n-1} + 2 i a Z^2 t_{n-2}. The term moduli sum to at
     most e^{|c| h + a h^2} <= e^3, and past _HEAD_TERMS their tail is below
     _HEAD_TAIL |Z|; the error bound is the roundoff on those moduli plus
-    that tail. Every row runs the same number of terms, and complex
-    products go through np.multiply, so a row's value does not depend on
-    the other rows. Returns per-row arrays (values, abs_errors).
+    that tail. Every row runs all the terms, with weights taken once per
+    distinct b and complex products through np.multiply, so its value
+    does not depend on the other rows. Returns (values, abs_errors).
     """
     Z = h * np.exp(1j * alpha)
-    x, y = np.multiply(1j * cs, Z), np.multiply(2j * a * Z, Z)
-    w = 1.0 / (1.0 + 1j * b + np.arange(_HEAD_TERMS))
+    x, y = np.multiply(1j * c, Z), np.multiply(2j * a * Z, Z)
+    bs, row_b = np.unique(b, return_inverse=True)
+    w = 1.0 / (1.0 + 1j * bs + np.arange(_HEAD_TERMS)[:, None])
     t0, t1 = np.ones_like(Z), x
-    total = w[0] + np.multiply(w[1], t1)
+    total = w[0][row_b] + np.multiply(w[1][row_b], t1)
     for n in range(2, _HEAD_TERMS):
         t0, t1 = t1, (np.multiply(x, t1) + np.multiply(y, t0)) / n
-        total += np.multiply(w[n], t1)
+        total += np.multiply(w[n][row_b], t1)
     # Z^{1+ib} = h e^{-b alpha} e^{i (alpha + b ln h)}
     scale = h * np.exp(-b * alpha)
     value = np.multiply(scale * np.exp(1j * (alpha + b * np.log(h))), total)
-    moduli = np.exp(np.abs(cs) * h + a * h * h) * abs(w[0])
+    moduli = np.exp(np.abs(c) * h + a * h * h) * np.abs(w[0][row_b])
     err = scale * (_HEAD_ROUNDOFF * _EPS * moduli + _HEAD_TAIL) + _EPS * np.abs(value)
     return value, err
 
 
-def _oscillatory_rows(a, b, cs, tol):
-    """int_0^inf exp(i(a z^2 + b ln z + c z)) dz for every c in cs at once.
+def _oscillatory_rows(a, b, c, tol):
+    """int_0^inf exp(i(a z^2 + b ln z + c z)) dz for every row at once.
 
-    The rows share a and b, so one adaptive run refines them all; each row
-    keeps its own saddle contour, panels, budget and truncation tail
-    (``_saddle_setup``) and series head. The two legs of the contour are one
-    adaptive row; the head [0, h e^{i alpha}] (where the log phase winds
-    without end) is the convergent series of ``_series_head``. Each row's
-    adaptive target is tol times its whole integral, legs plus head.
-    Returns per-row arrays (values, abs_errors, evaluations); if a row
-    stalls, the first one raises ``ConvergenceError`` with its leg result
-    as ``best``.
+    The rows, the elements of a, b and c broadcast together, share one
+    adaptive run; each row keeps its own phase, saddle contour, panels,
+    budget and truncation tail (``_saddle_setup``) and series head. The two
+    legs of the contour are one adaptive row; the head [0, h e^{i alpha}]
+    (where the log phase winds without end) is the convergent series of
+    ``_series_head``. Each row's adaptive target is tol times its whole
+    integral, legs plus head. Returns per-row 1-d arrays (values,
+    abs_errors, evaluations); if a row stalls, the first one raises
+    ``ConvergenceError`` with its leg result as ``best``.
     """
     if not (0.0 < tol <= 1e-2):
         raise DomainError("tol must lie in (0, 1e-2]")
-    cs = np.asarray(cs, dtype=float)
-    _check_phase(a, b, cs)
-    rho, alpha, h, tails, lo, hi, counts = _saddle_setup(a, b, cs, tol)
-    heads, head_errs = _series_head(a, b, cs, alpha, h)
+    abc = np.empty((3,) + np.broadcast(a, b, c).shape)
+    abc[0], abc[1], abc[2] = a, b, c
+    a, b, c = abc.reshape(3, -1)
+    _check_phase(a, b, c)
+    rho, alpha, h, tails, lo, hi, counts = _saddle_setup(a, b, c, tol)
+    heads, head_errs = _series_head(a, b, c, alpha, h)
     values, abs_errors, stalled, evals = _adaptive_rows(
-        _saddle_integrand(a, b, cs, rho, alpha), lo, hi, counts, tol,
-        np.full(cs.size, float(_MAX_EVALS)), _ABS_FLOOR, heads)
+        _saddle_integrand(a, b, c, rho, alpha), lo, hi, counts, tol,
+        np.full(c.size, float(_MAX_EVALS)), _ABS_FLOOR, heads)
     _raise_stalled(values, abs_errors, stalled, evals)
     values = values + heads
     abs_errors = abs_errors + head_errs + tails

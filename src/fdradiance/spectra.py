@@ -12,7 +12,7 @@ where J = int_0^inf dz exp(i phi(z)) with phase
 Routes, kept deliberately independent of each other:
 
 * ``distribution_numeric`` evaluates J by the saddle-contour
-  integrator for any (zeta, theta); the directions of one omega run as
+  integrator for any (zeta, theta); a whole (omega, theta) grid runs as
   one batched integration. Behind the special angle the contour cancels
   by up to e^{omega/kappa}, and a sample whose error bar exceeds
   _NUMERIC_REFUSAL of its value raises ConvergenceError instead.
@@ -29,16 +29,17 @@ energy and particle count carried by the special-angle form round out the
 module. Closed forms always come with an explicit quadrature companion so
 each claim is checkable against an independent code path.
 
-Each route takes a whole grid in one call: ``_samples`` gives the
-numeric or exact samples of an (omega, theta) grid, omega-major, and the
-two public distributions are its one-point calls. ``energy_spectrum``
-takes a float or a 1-d array of omegas, and runs each Gauss-Legendre
-order once over every omega not yet settled. At zeta = 0 that is one
-closed-form evaluation of the (omega, u) grid, with the two 1F1s taken on
-the nodes u > 0 alone (they depend on u^2), so the frequency integral of
-``total_energy_spectral`` costs one such evaluation per wave of omega
-nodes and angular order. Off zeta = 0 each omega keeps its own batched
-quadrature. A value does not depend on the grid it is batched with.
+Each route takes a whole grid in one call: ``distribution_grid`` gives
+the numeric or exact samples of an (omega, theta) grid, omega-major, and
+the two single-point distributions are its one-point calls.
+``energy_spectrum`` takes a float or a 1-d array of omegas, and runs each
+Gauss-Legendre order once over every omega not yet settled. At zeta = 0
+that is one closed-form evaluation of the (omega, u) grid, with the two
+1F1s taken on the nodes u > 0 alone (they depend on u^2), so the frequency
+integral of ``total_energy_spectral`` costs one such evaluation per wave
+of omega nodes and angular order; off zeta = 0 it is one batched
+quadrature with a row, and a phase, per (omega, u). A value does not
+depend on the grid it is batched with.
 """
 from __future__ import annotations
 
@@ -56,6 +57,7 @@ from .trajectory import TrajectoryParams
 __all__ = [
     "EmissionDirection",
     "SpectralSample",
+    "distribution_grid",
     "distribution_numeric",
     "distribution_exact_zeta0",
     "fermi_dirac_distribution",
@@ -77,10 +79,10 @@ _CLOSED_FORM_REL = 1e-13
 # cancellation grows like e^{omega/kappa}, and such a value has fewer than
 # three significant digits left.
 _NUMERIC_REFUSAL = 1e-3
-# Most elements one 1F1 call of the closed form takes, counting both of
-# its series at every (omega, u); bigger grids run in slices of whole omega
-# rows (one row at the least), which bounds the memory of the series' arrays.
-_EXACT_ELEMENTS = 1 << 12
+# Most elements one slice of an (omega, u) grid evaluates: the closed form's
+# two series, or the quadrature's one integral, per (omega, u). Bigger grids
+# run in slices of whole omega rows (one at the least), bounding their memory.
+_SLICE_ELEMENTS = 1 << 12
 _ROOT_I = complex(math.cos(math.pi / 4), math.sin(math.pi / 4))     # sqrt(i)
 # The closed form's two 1F1 series, M(1/2 - iy; 1/2; x) and
 # M(1 - iy; 3/2; x), stacked on a leading axis so that one call sums both.
@@ -130,26 +132,29 @@ class SpectralSample:
 def _numeric_values(params: TrajectoryParams, omegas, cos_t, sin2, tol: float):
     """dI/dOmega and its error by quadrature on the grid omegas x directions.
 
-    The directions are given by cos(theta) and sin^2(theta) arrays. At one
-    omega their emission integrals share the quadratic and log
-    coefficients; only the linear one varies with the direction, so they
-    run as rows of one batched integration, one omega after another. Dark
+    The directions are given by cos(theta) and sin^2(theta) arrays. Each
+    (omega, direction) emission integral is one row of a batched
+    integration with its own phase coefficients; grids with more than
+    _SLICE_ELEMENTS lit rows run in slices of whole omega rows. Dark
     directions (sin^2(theta) = 0) skip the integral. Returns (values,
     abs_errors), each of shape (omegas.size, cos_t.size).
     """
     values = np.zeros((omegas.size, sin2.size))
     abs_errors = np.zeros((omegas.size, sin2.size))
     lit = sin2 != 0.0
-    for i, omega in enumerate(omegas.tolist()):
-        if lit.any():
-            J, dJ, _ = _oscillatory_rows(0.25 * params.kappa * omega,
-                                         2.0 * omega / params.kappa,
-                                         omega * (params.zeta - cos_t[lit]), tol)
-            pref = params.e_squared * omega**2 * sin2[lit] / (16.0 * math.pi**3)
-            mod = np.abs(J)
-            values[i, lit] = pref * mod**2
-            # |J|^2 error from the |J| error: 2|J| dJ + dJ^2.
-            abs_errors[i, lit] = pref * (2.0 * mod * dJ + dJ**2)
+    if not lit.any():
+        return values, abs_errors
+    step = max(1, _SLICE_ELEMENTS // int(lit.sum()))
+    for s in range(0, omegas.size, step):
+        omega = omegas[s:s + step, None]
+        J, dJ, _ = (v.reshape(omega.size, -1) for v in _oscillatory_rows(
+            0.25 * params.kappa * omega, 2.0 * omega / params.kappa,
+            omega * (params.zeta - cos_t[lit]), tol))
+        pref = params.e_squared * omega**2 * sin2[lit] / (16.0 * math.pi**3)
+        mod = np.abs(J)
+        values[s:s + step, lit] = pref * mod**2
+        # |J|^2 error from the |J| error: 2|J| dJ + dJ^2.
+        abs_errors[s:s + step, lit] = pref * (2.0 * mod * dJ + dJ**2)
     return values, abs_errors
 
 
@@ -167,7 +172,7 @@ def _exact_zeta0_values(kappa, e_squared, omegas, us):
     second term: the same value, bit for bit, as evaluating at -u. Both
     1F1s run as one stacked call. Every element is computed on its own, so
     it does not depend on the rest of the grid; grids whose two series
-    hold more than _EXACT_ELEMENTS evaluations run in slices of whole
+    hold more than _SLICE_ELEMENTS evaluations run in slices of whole
     omega rows.
     """
     omegas = np.asarray(omegas, dtype=float)
@@ -176,7 +181,7 @@ def _exact_zeta0_values(kappa, e_squared, omegas, us):
     half = us[us.size // 2:] if mirror else us
     sin2 = 1.0 - us**2
     out = np.empty((omegas.size, us.size))
-    step = max(1, _EXACT_ELEMENTS // (2 * half.size))
+    step = max(1, _SLICE_ELEMENTS // (2 * half.size))
     for s in range(0, omegas.size, step):
         omega = omegas[s:s + step, None]
         y = omega / kappa
@@ -196,14 +201,21 @@ def _exact_zeta0_values(kappa, e_squared, omegas, us):
     return out
 
 
-def _samples(params: TrajectoryParams, omegas, thetas, method: str, tol) -> list:
-    """Samples on the grid omegas x thetas, omega-major, by one batched call.
+def distribution_grid(params: TrajectoryParams, omegas, thetas, method: str,
+                      tol: float = 1e-9) -> list:
+    """dI/dOmega samples on the grid omegas x thetas, omega-major, in one call.
 
     ``method`` is "numeric" (quadrature to tol, any zeta) or "exact-zeta0"
-    (the closed form, which reads neither zeta nor tol). A numeric sample
-    whose abs_error exceeds _NUMERIC_REFUSAL of its value raises
-    ``ConvergenceError`` with that sample as ``best``.
+    (the closed form, zeta = 0 only, which does not read tol); thetas lie
+    in [0, pi]. A numeric sample whose abs_error exceeds _NUMERIC_REFUSAL
+    of its value raises ``ConvergenceError`` with that sample as ``best``.
     """
+    if method not in ("numeric", "exact-zeta0"):
+        raise DomainError("the grid's method must be numeric or exact-zeta0")
+    if method == "exact-zeta0" and params.zeta != 0.0:
+        raise DomainError("the exact closed form applies only at zeta = 0")
+    if not all(0.0 <= theta <= math.pi for theta in thetas):
+        raise DomainError("theta must lie in [0, pi]")
     omega_arr = np.asarray(omegas, dtype=float)
     _check_omega(omega_arr)
     us = np.array([math.cos(theta) for theta in thetas])
@@ -230,14 +242,14 @@ def _samples(params: TrajectoryParams, omegas, thetas, method: str, tol) -> list
 def distribution_numeric(params: TrajectoryParams, omega: float,
                          dir: EmissionDirection, tol: float = 1e-9) -> SpectralSample:
     """dI/dOmega by direct quadrature of the emission integral."""
-    return _samples(params, [omega], [dir.theta], "numeric", tol)[0]
+    return distribution_grid(params, [omega], [dir.theta], "numeric", tol)[0]
 
 
 def distribution_exact_zeta0(kappa: float, e_squared: float, omega: float,
                              dir: EmissionDirection) -> SpectralSample:
     """dI/dOmega from the hypergeometric closed form (zeta = 0 only)."""
     params = TrajectoryParams(kappa, 0.0, e_squared)
-    return _samples(params, [omega], [dir.theta], "exact-zeta0", None)[0]
+    return distribution_grid(params, [omega], [dir.theta], "exact-zeta0")[0]
 
 
 def _occupancy(x):

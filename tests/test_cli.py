@@ -60,6 +60,13 @@ class TestUsageErrors:
                                     "--method", "exact-zeta0"])
         assert code == 2 and "zeta" in err
 
+    @pytest.mark.parametrize("command", ["distribution", "mirror"])
+    def test_theta_outside_zero_pi(self, capsys, command):
+        code, out, err = run(capsys, [command, "--omega-min", "1", "--omega-max", "1",
+                                      "--omega-steps", "1", "--theta-min", "0",
+                                      "--theta-max", "4", "--theta-steps", "2"])
+        assert code == 2 and out == "" and "theta" in err
+
     @pytest.mark.parametrize("name", ["exact", "fd"])
     def test_short_method_names_rejected(self, capsys, name):
         # --method takes the library's route names, as the rows print them

@@ -209,10 +209,15 @@ class TestOscillatory:
                 _oscillatory_rows(1.0, 2.0, [0.0, c], 1e-9)
         with pytest.raises(DomainError):
             _oscillatory_rows(1.0, 2.0, [math.nan], 1e-9)
+        # every row is checked against its own a and b
+        with pytest.raises(DomainError):
+            _oscillatory_rows([1.0, 1.0], [2.0, 0.0], [0.0, 0.0], 1e-9)
+        with pytest.raises(DomainError):
+            _oscillatory_rows([1.0, 0.5], [2.0, 2.0], [3.0, 3.0], 1e-9)
 
 
 class TestOscillatoryRows:
-    """Many emission integrals of one frequency refined in one adaptive run."""
+    """Many emission integrals, each with its own phase, in one adaptive run."""
 
     @staticmethod
     def angular_rows(rng, order):
@@ -237,14 +242,18 @@ class TestOscillatoryRows:
 
     def test_chunked_wave_matches_small_batches(self):
         # a row's result must not depend on the rows sharing its waves,
-        # nor on where the wave is cut into integrand calls
-        us, _ = np.polynomial.legendre.leggauss(512)
-        a, b, cs = 0.75, 6.0, 3.0 * (0.4 - us)     # kappa 1, zeta 0.4, omega 3
-        counts = quadrature._saddle_setup(a, b, cs, 1e-9)[-1]
+        # nor on where the wave is cut into integrand calls. The rows
+        # interleave three frequencies (kappa 1, zeta 0.4), so a and b
+        # change from row to row within every batch
+        us, _ = np.polynomial.legendre.leggauss(192)
+        omegas = np.array([0.5, 3.0, 7.0])
+        a, b, c = (np.broadcast_to(v, (us.size, omegas.size)).ravel()
+                   for v in (0.25 * omegas, 2.0 * omegas, omegas * (0.4 - us[:, None])))
+        counts = quadrature._saddle_setup(a, b, c, 1e-9)[-1]
         assert counts.sum() > 2 * quadrature._WAVE_PANELS
-        whole = _oscillatory_rows(a, b, cs, 1e-9)
-        parts = [_oscillatory_rows(a, b, cs[i:i + 5], 1e-9)
-                 for i in range(0, cs.size, 5)]
+        whole = _oscillatory_rows(a, b, c, 1e-9)
+        parts = [_oscillatory_rows(a[i:i + 5], b[i:i + 5], c[i:i + 5], 1e-9)
+                 for i in range(0, c.size, 5)]
         for got, want in zip(whole, zip(*parts)):
             assert np.array_equal(got, np.concatenate(want))
 
@@ -263,20 +272,24 @@ class TestOscillatoryRows:
 
     def test_series_head_against_oracle(self):
         # the head segment [0, h e^{i alpha}] against a 40-digit quadrature
-        # that never sums the series, at the angle and head radius the rows use
+        # that never sums the series, at the angle and head radius the rows
+        # use; the nine rows, three values of a and of b, are one call
         rng = np.random.default_rng(31)
+        rows = []
         for b in (0.5, 8.0, 40.0):
             a = math.exp(rng.uniform(math.log(0.05), math.log(10.0)))
             # c = 0, the special angle, leaves the slowest-decaying terms;
             # c > 0 puts the saddle behind the origin (alpha > pi/2)
             top = math.sqrt(8.0 * a * b)
             cs = top * np.array([rng.uniform(-0.99, -0.05), 0.0, rng.uniform(0.05, 0.99)])
-            _, alpha, h = quadrature._saddle_setup(a, b, cs, 1e-9)[:3]
-            values, errors = quadrature._series_head(a, b, cs, alpha, h)
-            for c, al, hc, value, error in zip(cs, alpha, h, values, errors):
-                want = ray_head_segment(a, b, c, hc, al)
-                assert abs(value - want) <= error
-                assert error <= 1e-11 * abs(want)
+            rows.extend((a, b, c) for c in cs.tolist())
+        a, b, c = np.array(rows).T
+        _, alpha, h = quadrature._saddle_setup(a, b, c, 1e-9)[:3]
+        values, errors = quadrature._series_head(a, b, c, alpha, h)
+        for row, al, hc, value, error in zip(rows, alpha, h, values, errors):
+            want = ray_head_segment(*row, hc, al)
+            assert abs(value - want) <= error
+            assert error <= 1e-11 * abs(want)
 
     def test_work_count(self):
         # 40 seeded batches of 16 rows at tol 1e-9, omega/kappa 0.1-12,

@@ -16,8 +16,8 @@ from fdradiance.errors import ConvergenceError, DomainError
 from fdradiance.spectra import (
     EmissionDirection,
     SpectralSample,
-    _samples,
     distribution_exact_zeta0,
+    distribution_grid,
     distribution_numeric,
     energy_spectrum,
     fd_partial_energy,
@@ -160,7 +160,7 @@ class TestDistribution:
         params = TrajectoryParams(1.0, 0.0, 1.0)
         thetas = [math.radians(d) for d in (10, 60, 90, 120, 150, 170, 179)]
         for y in (0.02, 0.5, 2.0, 5.0, 8.0, 12.0):
-            for got in _samples(params, [y], thetas, "numeric", 1e-9):
+            for got in distribution_grid(params, [y], thetas, "numeric", 1e-9):
                 want = float(exact_distribution(1.0, 1.0, y, got.theta))
                 assert rel(got.value, want) <= 1e-9
 
@@ -170,7 +170,7 @@ class TestDistribution:
         params = TrajectoryParams(1.0, 0.0, 1.0)
         theta = math.radians(150)
         with pytest.raises(ConvergenceError) as info:
-            _samples(params, [48.0], [theta], "numeric", 1e-9)
+            distribution_grid(params, [48.0], [theta], "numeric", 1e-9)
         best = info.value.best
         assert isinstance(best, SpectralSample)
         assert (best.omega, best.theta, best.method) == (48.0, theta, "numeric")
@@ -189,7 +189,7 @@ class TestDistribution:
             for deg in (120, 150, 170):
                 theta = math.radians(deg)
                 try:
-                    [got] = _samples(params, [y], [theta], "numeric", 1e-9)
+                    [got] = distribution_grid(params, [y], [theta], "numeric", 1e-9)
                 except ConvergenceError as refusal:
                     got = refusal.best
                     assert got.abs_error > spectra._NUMERIC_REFUSAL * got.value
@@ -206,7 +206,7 @@ class TestDistribution:
             params = TrajectoryParams(kappa, 0.0, rng.uniform(0.5, 2.0))
             omegas = (kappa * rng.uniform(0.1, 4.0, 3)).tolist()
             thetas = [0.0, math.pi, *rng.uniform(0.0, math.pi, 17)]
-            batch = _samples(params, omegas, thetas, "exact-zeta0", None)
+            batch = distribution_grid(params, omegas, thetas, "exact-zeta0")
             single = [distribution_exact_zeta0(
                           params.kappa, params.e_squared, omega,
                           EmissionDirection(th))
@@ -214,37 +214,52 @@ class TestDistribution:
             assert batch == single
 
     def test_numeric_batch_matches_single_points(self):
-        # the angular rule and the CLI evaluate every theta of one omega in
+        # the angular rule and the CLI evaluate a whole omega x theta grid in
         # one batched quadrature run; each sample must equal the one-point call
         rng = np.random.default_rng(6)
         for _ in range(6):
             kappa = rng.uniform(0.5, 2.0)
             params = TrajectoryParams(kappa, rng.uniform(-0.6, 0.6),
                                       rng.uniform(0.5, 2.0))
-            omega = kappa * rng.uniform(0.1, 8.0)
+            omegas = (kappa * rng.uniform(0.1, 8.0, 3)).tolist()
             thetas = [0.0, math.pi, *rng.uniform(0.0, math.pi, 9)]
-            batch = _samples(params, [omega], thetas, "numeric", 1e-8)
+            batch = distribution_grid(params, omegas, thetas, "numeric", 1e-8)
             single = [distribution_numeric(params, omega, EmissionDirection(th),
-                                           1e-8) for th in thetas]
+                                           1e-8) for omega in omegas for th in thetas]
             assert batch == single
 
     def test_numeric_dark_rows_skip_the_integral(self, monkeypatch):
-        # sin^2(theta) = 0 rows are exactly 0 and never reach the quadrature
+        # sin^2(theta) = 0 rows are exactly 0 and never reach the quadrature;
+        # the lit rows of both omegas are one call
         rows = []
         batched = spectra._oscillatory_rows
 
-        def counting(a, b, cs, tol):
-            rows.append(len(cs))
-            return batched(a, b, cs, tol)
+        def counting(a, b, c, tol):
+            rows.append(np.broadcast(a, b, c).size)
+            return batched(a, b, c, tol)
 
         monkeypatch.setattr(spectra, "_oscillatory_rows", counting)
         params = TrajectoryParams(1.0, 0.3, 1.0)
-        got = _samples(params, [1.5], [0.0, 1.0, 0.0, 2.0], "numeric", 1e-8)
-        assert rows == [2]
-        assert [(s.value, s.abs_error) for s in got[::2]] == [(0.0, 0.0)] * 2
+        got = distribution_grid(params, [1.5, 2.5], [0.0, 1.0, 0.0, 2.0], "numeric",
+                                1e-8)
+        assert rows == [4]
+        assert [(s.value, s.abs_error) for s in got[::2]] == [(0.0, 0.0)] * 4
         assert all(s.value > 0.0 for s in got[1::2])
-        assert _samples(params, [1.5], [0.0], "numeric", 1e-8)[0].value == 0.0
-        assert rows == [2]
+        assert distribution_grid(params, [1.5], [0.0], "numeric", 1e-8)[0].value == 0.0
+        assert rows == [4]
+
+    def test_grid_checks_its_inputs(self):
+        # a direction outside [0, pi], a route the grid does not run, and
+        # the zeta = 0 closed form off zeta = 0 are refused, not answered
+        params = TrajectoryParams(1.0, 0.3)
+        for theta in (4.0, -0.1, math.nan):
+            with pytest.raises(DomainError, match="theta"):
+                distribution_grid(params, [1.0], [1.0, theta], "numeric", 1e-8)
+        with pytest.raises(DomainError, match="zeta"):
+            distribution_grid(params, [1.0], [1.0], "exact-zeta0")
+        for method in ("fermi-dirac", "exact"):
+            with pytest.raises(DomainError, match="method"):
+                distribution_grid(params, [1.0], [1.0], method)
 
     def test_validation(self):
         params = TrajectoryParams(1, 0, 1)
@@ -311,7 +326,8 @@ class TestBatchedSpectra:
             assert np.concatenate(parts).tolist() == single
 
     def test_float_gives_float_and_array_gives_array(self):
-        # off zeta = 0 each omega of the array runs its own quadrature
+        # off zeta = 0 the omegas of the array are rows of one batched
+        # quadrature, each row with its own phase
         params = TrajectoryParams(1.2, 0.3, 0.8)
         omegas = np.array([0.4, 2.5, 1.1])
         batch = energy_spectrum(params, omegas)
@@ -339,7 +355,7 @@ class TestBatchedSpectra:
             assert np.array_equal(mirrored, full)
 
     def test_large_grid_matches_small_pieces(self):
-        # a grid several times _EXACT_ELEMENTS runs in slices; each element
+        # a grid several times _SLICE_ELEMENTS runs in slices; each element
         # must come out as it does in a small grid
         rng = np.random.default_rng(13)
         omegas = rng.uniform(0.1, 14.0, 300)
@@ -348,6 +364,37 @@ class TestBatchedSpectra:
         pieces = [spectra._exact_zeta0_values(1.0, 1.0, omegas[i:i + 7], us)
                   for i in range(0, omegas.size, 7)]
         assert np.array_equal(whole, np.concatenate(pieces))
+
+    def test_large_numeric_grid_matches_small_pieces(self):
+        # a grid of more than _SLICE_ELEMENTS lit rows runs in slices of
+        # whole omega rows; each element must come out as in a small grid
+        rng = np.random.default_rng(14)
+        params = TrajectoryParams(1.0, -0.4, 1.0)
+        omegas = rng.uniform(0.1, 6.0, 33)
+        us = spectra._gl_nodes(128)[0]
+        assert omegas.size * us.size > spectra._SLICE_ELEMENTS
+        whole = spectra._numeric_values(params, omegas, us, 1.0 - us * us, 1e-7)
+        pieces = [spectra._numeric_values(params, omegas[i:i + 5], us, 1.0 - us * us,
+                                          1e-7)
+                  for i in range(0, omegas.size, 5)]
+        for got, want in zip(whole, zip(*pieces)):
+            assert np.array_equal(got, np.concatenate(want))
+
+    def test_numeric_total_is_a_few_oscillatory_calls(self, monkeypatch):
+        # one batched quadrature per slice of a frequency wave and angular
+        # order; per-omega calls made 274 here
+        sizes = []
+        batched = spectra._oscillatory_rows
+
+        def counting(a, b, c, tol):
+            sizes.append(np.broadcast(a, b, c).size)
+            return batched(a, b, c, tol)
+
+        monkeypatch.setattr(spectra, "_oscillatory_rows", counting)
+        params = TrajectoryParams(1, -0.6)
+        total = total_energy_spectral(params, 1e-4)
+        assert len(sizes) <= 16 and max(sizes) <= spectra._SLICE_ELEMENTS
+        assert rel(total, total_energy_larmor(params)) < 1e-3
 
     def test_closed_form_total_is_a_few_1f1_calls(self, monkeypatch):
         # one stacked 1F1 call per frequency wave and angular order, and the
@@ -366,7 +413,7 @@ class TestBatchedSpectra:
         params = TrajectoryParams(1, 0)
         total = total_energy_spectral(params, 1e-4)
         assert len(sizes) <= 10 and sum(sizes) <= 24_000
-        assert max(sizes) <= spectra._EXACT_ELEMENTS
+        assert max(sizes) <= spectra._SLICE_ELEMENTS
         assert rel(total, total_energy_larmor(params)) < 1e-8
 
     def test_unsettled_row_raises_with_its_own_best(self, monkeypatch):
