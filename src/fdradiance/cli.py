@@ -128,8 +128,7 @@ def run_trajectory(ns):
             if ns.penrose:
                 row["U"], row["V"] = penrose_coordinates(params, z)
             rows.append(row)
-    columns = ["zeta", "t", "z"] + (["U", "V"] if ns.penrose else [])
-    return rows, columns, {}
+    return rows, {}
 
 
 def run_energy(ns):
@@ -156,12 +155,7 @@ def run_energy(ns):
             value = e_larmor if method == "larmor" else e_spectral
             rows.append({"zeta": params.zeta, "method": method, "E": value,
                          "E_over_e2kappa": value / scale})
-    if method == "both":
-        columns = ["zeta", "E_larmor", "E_spectral", "rel_diff",
-                   "E_larmor_over_e2kappa", "E_spectral_over_e2kappa"]
-    else:
-        columns = ["zeta", "method", "E", "E_over_e2kappa"]
-    return rows, columns, {}
+    return rows, {}
 
 
 def run_distribution(ns):
@@ -182,9 +176,7 @@ def run_distribution(ns):
     rows = [{"omega": s.omega, "omega_over_kappa": s.omega / params.kappa,
              "theta": s.theta, "method": s.method, "value": s.value,
              "abs_error": s.abs_error} for s in samples]
-    columns = ["omega", "omega_over_kappa", "theta", "method", "value",
-               "abs_error"]
-    return rows, columns, {}
+    return rows, {}
 
 
 def run_spectrum(ns):
@@ -201,8 +193,7 @@ def run_spectrum(ns):
         rows.extend({"omega": w, "omega_over_kappa": w / kappa,
                      "kind": "particle-spectrum", "value": v / w}
                     for w, v in zip(omegas, values))
-    columns = ["omega", "omega_over_kappa", "kind", "value"]
-    return rows, columns, {}
+    return rows, {}
 
 
 def run_mirror(ns):
@@ -239,7 +230,7 @@ def run_mirror(ns):
             abs(electron_over_e2 - summary["particle_count"])
             / summary["particle_count"]
         )
-    return rows, ["p", "q", "beta_squared"], summary
+    return rows, summary
 
 
 def run_check(ns):
@@ -255,11 +246,9 @@ def run_check(ns):
         "target": r.target, "passed": r.passed, "runtime": r.runtime,
         "detail": r.detail,
     } for r in results]
-    columns = ["criterion", "name", "measured", "target", "passed",
-               "runtime", "detail"]
     summary = {"all_passed": all(r.passed for r in results),
                "lines": [r.line() for r in results]}
-    return rows, columns, summary
+    return rows, summary
 
 
 def _format_cell(value):
@@ -270,20 +259,21 @@ def _format_cell(value):
     return str(value)
 
 
-def _write_csv(stream, rows, columns, summary):
-    stream.write(",".join(columns) + "\n")
+def _write_csv(stream, rows, summary):
+    """Header from the first row's keys, which every row shares in order."""
+    stream.write(",".join(rows[0]) + "\n")
     for row in rows:
-        stream.write(",".join(_format_cell(row[c]) for c in columns) + "\n")
+        stream.write(",".join(_format_cell(v) for v in row.values()) + "\n")
     for key in sorted(summary):
         if key == "lines":
             continue
         stream.write(f"# {key},{_format_cell(summary[key])}\n")
 
 
-def _write_json(stream, rows, columns, summary, config_echo):
+def _write_json(stream, rows, summary, config_echo):
     doc = {
         "config": config_echo,
-        "rows": [{c: r[c] for c in columns} for r in rows],
+        "rows": rows,
         "summary": {k: v for k, v in summary.items() if k != "lines"},
     }
     json.dump(doc, stream, indent=2, sort_keys=True)
@@ -399,7 +389,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        rows, columns, summary = _RUNNERS[ns.command](ns)
+        rows, summary = _RUNNERS[ns.command](ns)
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -409,9 +399,9 @@ def main(argv=None) -> int:
 
     def write(stream):
         if ns.format == "csv":
-            _write_csv(stream, rows, columns, summary)
+            _write_csv(stream, rows, summary)
         else:
-            _write_json(stream, rows, columns, summary, _config_echo(ns))
+            _write_json(stream, rows, summary, _config_echo(ns))
 
     if ns.output:
         try:

@@ -12,23 +12,25 @@ around the integrator. ``integrate_adaptive`` and
 ``integrate_semi_infinite`` are one-row runs.
 
 ``integrate_oscillatory`` evaluates the conditionally convergent phase
-integral int_0^inf exp(i(a z^2 + b ln z + c z)) dz on a contour through
-its saddle point. Its domain is a > 0, b > 0 and c^2 < 8ab, where the
-phase has a conjugate pair of saddles on the circle |z| = rho =
-sqrt(b/2a); the radiation problem always lies in it (c^2 / 8ab =
-(zeta - cos theta)^2 / 4 < 1). The contour runs from 0 along the ray at
-the upper saddle's angle alpha (cos alpha = -c/sqrt(8ab), alpha in
-(0, pi)) to the saddle S = rho e^{i alpha}, then from S along its
-steepest-descent direction e^{i alpha/2} until the integrand has fallen
-e^{-L} below its value at S. It stays in the upper half plane, so the
-principal ln z is continuous on it. Near the origin the log phase winds
-without end, so the ray starts at the head radius h (|c| h + a h^2 = 3,
-and at most rho/2): the head [0, h e^{i alpha}] is a convergent Taylor
-series, and the two legs go to the adaptive rule as one row, with each
-row's target relative to its whole integral, head included.
+integral F(b, d) = int_0^inf exp(i b (w^2/2 + ln w + d w)) dw on a contour
+through its saddle point. Its domain is b > 0 and d^2 < 4, where the phase
+has a conjugate pair of saddles on the unit circle, at w = e^{+-i alpha}
+with cos alpha = -d/2, alpha in (0, pi). Any phase a z^2 + b ln z + c z
+with a, b > 0 and c^2 < 8ab comes to this form by z = rho w, rho =
+sqrt(b/2a), d = c rho/b; the radiation problem's emission integral is
+F(2 omega/kappa, zeta - cos theta) in the units w = kappa z/2. The contour
+runs from 0 along the ray at the upper saddle's angle to the saddle S =
+e^{i alpha}, then from S along its steepest-descent direction e^{i alpha/2}
+until the integrand has fallen e^{-L} below its value at S. It stays in
+the upper half plane, so the principal ln w is continuous on it. Near the
+origin the log phase winds without end, so the ray starts at the head
+radius h (b |d| h + b h^2/2 = 3, and at most 1/2): the head [0, h e^{i
+alpha}] is a convergent Taylor series, and the two legs go to the adaptive
+rule as one row, with each row's target relative to its whole integral,
+head included.
 
 Limit: on the descent leg the integrand falls away from |f(S)|, and for
-c < 0 it grows along the ray up to S, so nothing cancels. For c > 0
+d < 0 it grows along the ray up to S, so nothing cancels. For d > 0
 (alpha > pi/2; in the radiation problem the directions with cos theta <
 zeta) it falls along the ray instead, by e^{b |sin alpha cos alpha|} <=
 e^{b/2}, so the start of the contour cancels against the rest by up to
@@ -84,8 +86,8 @@ _MAX_EVALS = 1_000_000
 _ABS_FLOOR = 1e-300
 _EPS = float(np.finfo(float).eps)
 # Series head: the terms summed, their dropped tail in units of |Z| (the
-# largest over all splits |c| h + a h^2 = 3), and the roundoff allowance in
-# units of eps times the bound on the summed term moduli.
+# largest over all splits b |d| h + b h^2/2 = 3), and the roundoff allowance
+# in units of eps times the bound on the summed term moduli.
 _HEAD_TERMS = 64
 _HEAD_TAIL = 1.2e-22
 _HEAD_ROUNDOFF = 16.0
@@ -110,25 +112,21 @@ class QuadratureResult:
 
 @dataclasses.dataclass(frozen=True)
 class OscillatoryPhaseSpec:
-    """Phase coefficients of exp(i(quad z^2 + log ln z + lin z))."""
+    """Phase log_coeff (w^2/2 + ln w + shift w) of exp(i phase)."""
 
-    quad_coeff: float
     log_coeff: float
-    lin_coeff: float
+    shift: float
 
     def __post_init__(self):
-        _check_phase(self.quad_coeff, self.log_coeff, self.lin_coeff)
+        _check_phase(self.log_coeff, self.shift)
 
 
-def _check_phase(a, b, c):
-    """The saddle contour's domain: a, b > 0 and c^2 < 8ab on every row."""
-    if not ((a > 0.0) & np.isfinite(a)).all():
-        raise DomainError("quad_coeff must be positive and finite")
+def _check_phase(b, d):
+    """The saddle contour's domain: b > 0 and finite, d^2 < 4, on every row."""
     if not ((b > 0.0) & np.isfinite(b)).all():
         raise DomainError("log_coeff must be positive and finite")
-    if not np.less(c * c, 8.0 * a * b).all():
-        raise DomainError("lin_coeff^2 must lie below 8 quad_coeff log_coeff "
-                          "(a complex pair of saddles)")
+    if not np.less(d * d, 4.0).all():
+        raise DomainError("shift^2 must lie below 4 (a complex pair of saddles)")
 
 
 def _evaluate(f, xs):
@@ -176,17 +174,17 @@ def _gk_panels(f, lo, hi, rows):
     return tuple(np.concatenate(p) for p in zip(*parts))
 
 
-def _adaptive_rows(f, lo, hi, counts, tol, budgets, abs_floor, offsets=None):
+def _adaptive_rows(f, lo, hi, counts, tol, abs_floor, offsets=None):
     """Wave-refined adaptive GK15 over many integrals ("rows") at once.
 
     ``lo``/``hi`` hold every row's initial panels, row after row and in
-    ascending order within a row; ``counts`` gives each row's panel count
-    and ``budgets`` its evaluation budget. ``f(xs, rows)`` maps the
-    (panels, 15) node array xs, whose panel k belongs to row ``rows[k]``,
-    to integrand values of the same shape. ``offsets``, if given, holds a
-    per-row value known apart from the integral (the oscillatory route's
-    series head): a row's relative target then applies to its integral
-    plus its offset.
+    ascending order within a row, and ``counts`` gives each row's panel
+    count; every row's budget is _MAX_EVALS evaluations. ``f(xs, rows)``
+    maps the (panels, 15) node array xs, whose panel k belongs to row
+    ``rows[k]``, to integrand values of the same shape. ``offsets``, if
+    given, holds a per-row value known apart from the integral (the
+    oscillatory route's series head): a row's relative target then applies
+    to its integral plus its offset.
 
     Every row keeps the rules of a lone integral: its own target, pick
     threshold and budget, and it finishes or stalls on its own. Its panels
@@ -198,7 +196,6 @@ def _adaptive_rows(f, lo, hi, counts, tol, budgets, abs_floor, offsets=None):
     stalled row carries its best value and its raw error sum.
     """
     counts = np.asarray(counts, dtype=np.intp)
-    budgets = np.asarray(budgets, dtype=float)
     active = np.arange(counts.size)
     vals, errs, l1s = _gk_panels(f, lo, hi, active.repeat(counts))
     evals = 15 * counts
@@ -226,7 +223,7 @@ def _adaptive_rows(f, lo, hi, counts, tol, budgets, abs_floor, offsets=None):
         k = k[splittable & (errs[k] > 50.0 * _EPS * l1s[k])]
         row_k = starts.searchsorted(k, side="right") - 1
         npick = np.bincount(row_k, minlength=counts.size)
-        leave = done | (npick == 0) | (evals[active] + 30 * npick > budgets[active])
+        leave = done | (npick == 0) | (evals[active] + 30 * npick > _MAX_EVALS)
         width = np.ones(lo.size, dtype=np.intp)
         if leave.any():
             settled.append((active[leave], total[leave],
@@ -292,7 +289,7 @@ def _integrate(f, bounds, tol, abs_floor):
     """One integral of the batch integrand f: a one-row _adaptive_rows call."""
     values, abs_errors, stalled, evals = _adaptive_rows(
         lambda xs, rows: _evaluate(f, xs.ravel()).reshape(xs.shape),
-        bounds[:-1], bounds[1:], [bounds.size - 1], tol, [_MAX_EVALS], abs_floor)
+        bounds[:-1], bounds[1:], [bounds.size - 1], tol, abs_floor)
     _raise_stalled(values, abs_errors, stalled, evals)
     return QuadratureResult(_pyval(values[0]), float(abs_errors[0]),
                             int(evals[0]))
@@ -348,78 +345,77 @@ def integrate_semi_infinite(f, scale=1.0, tol=1e-10):
     return _integrate(mapped, bounds, tol, _ABS_FLOOR)
 
 
-def _exponent(a, b, c, x, y):
-    """Real and imaginary parts of i(a z^2 + b ln z + c z) at z = x + iy, y > 0."""
-    return (-2.0 * a * x * y - b * np.arctan2(y, x) - c * y,
-            a * (x - y) * (x + y) + b * np.log(np.hypot(x, y)) + c * x)
+def _exponent(b, d, x, y):
+    """Real and imaginary parts of i b (w^2/2 + ln w + d w) at w = x + iy, y > 0."""
+    return (-b * (x * y + np.arctan2(y, x) + d * y),
+            b * (0.5 * (x - y) * (x + y) + np.log(np.hypot(x, y)) + d * x))
 
 
-def _saddle_setup(a, b, c, tol):
+def _saddle_setup(b, d, tol):
     """Every row's saddle contour, initial panels and truncation tail.
 
-    The saddles of the phase are rho e^{+-i alpha}, rho = sqrt(b/2a) and
-    cos alpha = -c/sqrt(8ab). The contour parameter s runs over [h, rho]
-    on the ray z = s e^{i alpha} and over [rho, rho + T] on the
-    steepest-descent leg z = S + (s - rho) e^{i alpha/2} from the upper
-    saddle S. Returns (rho, alpha, h, tails, lo, hi, counts): tails bounds
-    each row's integral past rho + T, lo/hi hold the panels of all rows,
-    row after row and ascending within a row, and counts each row's number.
+    The upper saddle of the phase is S = e^{i alpha}, cos alpha = -d/2. The
+    contour parameter s runs over [h, 1] on the ray w = s e^{i alpha} and
+    over [1, 1 + T] on the steepest-descent leg w = S + (s - 1) e^{i alpha/2}.
+    Returns (alpha, h, tails, lo, hi, counts): tails bounds each row's
+    integral past 1 + T, lo/hi hold the panels of all rows, row after row
+    and ascending within a row, and counts each row's number.
     """
-    rho = np.sqrt(b / (2.0 * a))
-    alpha = np.arccos(-c / np.sqrt(8.0 * a * b))
-    # Head radius: |c| h + a h^2 = 3 bounds the series head's terms.
-    h = np.minimum(6.0 / (np.abs(c) + np.sqrt(c * c + 12.0 * a)), 0.5 * rho)
+    alpha = np.arccos(-0.5 * d)
+    # Head radius: b |d| h + b h^2/2 = 3 bounds the series head's terms.
+    h = np.minimum(6.0 / (b * np.abs(d) + np.sqrt(b * b * d * d + 6.0 * b)), 0.5)
     # On the descent leg the log-modulus of the integrand lies below its
-    # value at S by at least a sin(alpha) t^2 + 2 a rho sin(alpha/2) t
+    # value at S by at least (b/2) sin(alpha) t^2 + b sin(alpha/2) t
     # - b alpha/2; T is where that reaches L.
     L = max(30.0, -math.log(tol) + 12.0) + 0.5 * b * alpha
-    p = 2.0 * a * rho * np.sin(0.5 * alpha)
-    T = 2.0 * L / (p + np.sqrt(p * p + 4.0 * a * np.sin(alpha) * L))
-    # Truncation tail bound: |f| at z = x + iy, the end of the descent leg,
-    # over its decay rate there, Im(phi'(z) e^{i alpha/2}).
+    p = b * np.sin(0.5 * alpha)
+    T = 2.0 * L / (p + np.sqrt(p * p + 2.0 * b * np.sin(alpha) * L))
+    # Truncation tail bound: |f| at w = x + iy, the end of the descent leg,
+    # over its decay rate there, Im(phi'(w) e^{i alpha/2}).
     cos_h, sin_h = np.cos(0.5 * alpha), np.sin(0.5 * alpha)
-    x = rho * np.cos(alpha) + T * cos_h
-    y = rho * np.sin(alpha) + T * sin_h
-    rate = (2.0 * a * (x * sin_h + y * cos_h) + c * sin_h
-            + b * (x * sin_h - y * cos_h) / (x * x + y * y))
-    tails = np.exp(_exponent(a, b, c, x, y)[0]) / np.abs(rate)
+    x = np.cos(alpha) + T * cos_h
+    y = np.sin(alpha) + T * sin_h
+    rate = b * (x * sin_h + y * cos_h + d * sin_h
+                + (x * sin_h - y * cos_h) / (x * x + y * y))
+    tails = np.exp(_exponent(b, d, x, y)[0]) / np.abs(rate)
     # Two geometric panels on the ray and three equal ones past the saddle.
-    edges = np.column_stack([h, np.sqrt(h * rho), rho,
-                             rho[:, None] + T[:, None] * (np.arange(1, 4) / 3.0)])
-    counts = np.full(c.size, edges.shape[1] - 1)
-    return rho, alpha, h, tails, edges[:, :-1].ravel(), edges[:, 1:].ravel(), counts
+    edges = np.column_stack([h, np.sqrt(h), np.ones_like(h),
+                             1.0 + T[:, None] * (np.arange(1, 4) / 3.0)])
+    counts = np.full(d.size, edges.shape[1] - 1)
+    return alpha, h, tails, edges[:, :-1].ravel(), edges[:, 1:].ravel(), counts
 
 
-def _saddle_integrand(a, b, c, rho, alpha):
+def _saddle_integrand(b, d, alpha):
     cos_a, sin_a = np.cos(alpha), np.sin(alpha)
     cos_h, sin_h = np.cos(0.5 * alpha), np.sin(0.5 * alpha)
 
     def g(ss, rows):
         rows = rows[:, None]
-        r, t = np.minimum(ss, rho[rows]), np.maximum(ss - rho[rows], 0.0)
+        r, t = np.minimum(ss, 1.0), np.maximum(ss - 1.0, 0.0)
         x = r * cos_a[rows] + t * cos_h[rows]
         y = r * sin_a[rows] + t * sin_h[rows]
-        decay, phase = _exponent(a[rows], b[rows], c[rows], x, y)
-        # dz/ds is e^{i alpha} on the ray and e^{i alpha/2} past the saddle.
-        turn = np.where(ss < rho[rows], 1.0, 0.5) * alpha[rows]
+        decay, phase = _exponent(b[rows], d[rows], x, y)
+        # dw/ds is e^{i alpha} on the ray and e^{i alpha/2} past the saddle.
+        turn = np.where(ss < 1.0, 1.0, 0.5) * alpha[rows]
         return np.exp(decay + 1j * (phase + turn))
 
     return g
 
 
-def _series_head(a, b, c, alpha, h):
-    """int_0^Z z^{ib} exp(i(c z + a z^2)) dz, Z = h e^{i alpha}, by its Taylor series.
+def _series_head(b, d, alpha, h):
+    """int_0^Z w^{ib} exp(i b (d w + w^2/2)) dw, Z = h e^{i alpha}, by its Taylor series.
 
     The integral is Z^{1+ib} sum_n t_n / (1+ib+n) with t_0 = 1 and
-    n t_n = i c Z t_{n-1} + 2 i a Z^2 t_{n-2}. The term moduli sum to at
-    most e^{|c| h + a h^2} <= e^3, and past _HEAD_TERMS their tail is below
-    _HEAD_TAIL |Z|; the error bound is the roundoff on those moduli plus
-    that tail. Every row runs all the terms, with weights taken once per
-    distinct b and complex products through np.multiply, so its value
+    n t_n = i b d Z t_{n-1} + i b Z^2 t_{n-2}. The term moduli sum to at
+    most e^{b |d| h + b h^2/2} <= e^3, and past _HEAD_TERMS their tail is
+    below _HEAD_TAIL |Z|; the error bound is the roundoff on those moduli,
+    that tail, and the rounding of the exponents of Z^{1+ib}, which moves
+    the value by up to eps b (alpha + |ln h|) each. Every row runs all the terms, with weights taken once
+    per distinct b and complex products through np.multiply, so its value
     does not depend on the other rows. Returns (values, abs_errors).
     """
     Z = h * np.exp(1j * alpha)
-    x, y = np.multiply(1j * c, Z), np.multiply(2j * a * Z, Z)
+    x, y = np.multiply(1j * b * d, Z), np.multiply(1j * b * Z, Z)
     bs, row_b = np.unique(b, return_inverse=True)
     w = 1.0 / (1.0 + 1j * bs + np.arange(_HEAD_TERMS)[:, None])
     t0, t1 = np.ones_like(Z), x
@@ -428,17 +424,19 @@ def _series_head(a, b, c, alpha, h):
         t0, t1 = t1, (np.multiply(x, t1) + np.multiply(y, t0)) / n
         total += np.multiply(w[n][row_b], t1)
     # Z^{1+ib} = h e^{-b alpha} e^{i (alpha + b ln h)}
+    log_h = np.log(h)
     scale = h * np.exp(-b * alpha)
-    value = np.multiply(scale * np.exp(1j * (alpha + b * np.log(h))), total)
-    moduli = np.exp(np.abs(c) * h + a * h * h) * np.abs(w[0][row_b])
-    err = scale * (_HEAD_ROUNDOFF * _EPS * moduli + _HEAD_TAIL) + _EPS * np.abs(value)
+    value = np.multiply(scale * np.exp(1j * (alpha + b * log_h)), total)
+    moduli = np.exp(b * (np.abs(d) * h + 0.5 * h * h)) * np.abs(w[0][row_b])
+    err = (scale * (_HEAD_ROUNDOFF * _EPS * moduli + _HEAD_TAIL)
+           + _EPS * (1.0 + 2.0 * b * (alpha + np.abs(log_h))) * np.abs(value))
     return value, err
 
 
-def _oscillatory_rows(a, b, c, tol):
-    """int_0^inf exp(i(a z^2 + b ln z + c z)) dz for every row at once.
+def _oscillatory_rows(b, d, tol):
+    """F(b, d) = int_0^inf exp(i b (w^2/2 + ln w + d w)) dw for every row at once.
 
-    The rows, the elements of a, b and c broadcast together, share one
+    The rows, the elements of b and d broadcast together, share one
     adaptive run; each row keeps its own phase, saddle contour, panels,
     budget and truncation tail (``_saddle_setup``) and series head. The two
     legs of the contour are one adaptive row; the head [0, h e^{i alpha}]
@@ -450,15 +448,14 @@ def _oscillatory_rows(a, b, c, tol):
     """
     if not (0.0 < tol <= 1e-2):
         raise DomainError("tol must lie in (0, 1e-2]")
-    abc = np.empty((3,) + np.broadcast(a, b, c).shape)
-    abc[0], abc[1], abc[2] = a, b, c
-    a, b, c = abc.reshape(3, -1)
-    _check_phase(a, b, c)
-    rho, alpha, h, tails, lo, hi, counts = _saddle_setup(a, b, c, tol)
-    heads, head_errs = _series_head(a, b, c, alpha, h)
+    bd = np.empty((2,) + np.broadcast(b, d).shape)
+    bd[0], bd[1] = b, d
+    b, d = bd.reshape(2, -1)
+    _check_phase(b, d)
+    alpha, h, tails, lo, hi, counts = _saddle_setup(b, d, tol)
+    heads, head_errs = _series_head(b, d, alpha, h)
     values, abs_errors, stalled, evals = _adaptive_rows(
-        _saddle_integrand(a, b, c, rho, alpha), lo, hi, counts, tol,
-        np.full(c.size, float(_MAX_EVALS)), _ABS_FLOOR, heads)
+        _saddle_integrand(b, d, alpha), lo, hi, counts, tol, _ABS_FLOOR, heads)
     _raise_stalled(values, abs_errors, stalled, evals)
     values = values + heads
     abs_errors = abs_errors + head_errs + tails
@@ -468,15 +465,17 @@ def _oscillatory_rows(a, b, c, tol):
 
 
 def integrate_oscillatory(spec: OscillatoryPhaseSpec, tol=1e-9):
-    """Evaluate int_0^inf exp(i(a z^2 + b ln z + c z)) dz on its saddle contour.
+    """Evaluate F(b, d) = int_0^inf exp(i b (w^2/2 + ln w + d w)) dw on its saddle contour.
 
     Parameters
     ----------
     spec : OscillatoryPhaseSpec
-        Phase coefficients (a, b, c) = (quad, log, lin), with a, b > 0 and
-        c^2 < 8ab: the phase then has a complex pair of saddles, and the
-        contour runs from 0 through the upper one and down its
-        steepest-descent direction (module docstring).
+        Phase coefficients (b, d) = (log_coeff, shift), with b > 0 and
+        d^2 < 4: the phase then has a complex pair of saddles on the unit
+        circle, and the contour runs from 0 through the upper one and down
+        its steepest-descent direction (module docstring). A phase
+        a z^2 + b ln z + c z with a, b > 0 and c^2 < 8ab maps onto it:
+        J(a, b, c) = rho e^{ib ln rho} F(b, c rho/b), rho = sqrt(b/2a).
     tol : float
         Relative tolerance target for the adaptive pass along the contour.
 
@@ -485,10 +484,9 @@ def integrate_oscillatory(spec: OscillatoryPhaseSpec, tol=1e-9):
     QuadratureResult
         Complex value with an absolute error estimate that includes the
         series head's bound and the truncation bound of the finite
-        contour. For c > 0 the ray to the saddle cancels by up to
+        contour. For d > 0 the ray to the saddle cancels by up to
         e^{b/2}, and relative accuracy degrades like eps times that.
     """
-    values, abs_errors, evals = _oscillatory_rows(
-        spec.quad_coeff, spec.log_coeff, [spec.lin_coeff], tol)
+    values, abs_errors, evals = _oscillatory_rows(spec.log_coeff, [spec.shift], tol)
     return QuadratureResult(complex(values[0]), float(abs_errors[0]),
                             int(evals[0]))

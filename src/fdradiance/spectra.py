@@ -132,9 +132,12 @@ class SpectralSample:
 def _numeric_values(params: TrajectoryParams, omegas, cos_t, sin2, tol: float):
     """dI/dOmega and its error by quadrature on the grid omegas x directions.
 
-    The directions are given by cos(theta) and sin^2(theta) arrays. Each
-    (omega, direction) emission integral is one row of a batched
-    integration with its own phase coefficients; grids with more than
+    The directions are given by cos(theta) and sin^2(theta) arrays. In
+    the units w = kappa z/2, where every saddle lies on the unit circle,
+    J = (2/kappa) e^{ib ln(2/kappa)} F(b, d) with b = 2 omega/kappa and
+    d = zeta - cos(theta) (``quadrature.integrate_oscillatory``), so
+    |J|^2 = (4/kappa^2) |F|^2. Each (omega, direction) integral F is one
+    row of a batched integration with its own (b, d); grids with more than
     _SLICE_ELEMENTS lit rows run in slices of whole omega rows. Dark
     directions (sin^2(theta) = 0) skip the integral. Returns (values,
     abs_errors), each of shape (omegas.size, cos_t.size).
@@ -147,21 +150,23 @@ def _numeric_values(params: TrajectoryParams, omegas, cos_t, sin2, tol: float):
     step = max(1, _SLICE_ELEMENTS // int(lit.sum()))
     for s in range(0, omegas.size, step):
         omega = omegas[s:s + step, None]
-        J, dJ, _ = (v.reshape(omega.size, -1) for v in _oscillatory_rows(
-            0.25 * params.kappa * omega, 2.0 * omega / params.kappa,
-            omega * (params.zeta - cos_t[lit]), tol))
-        pref = params.e_squared * omega**2 * sin2[lit] / (16.0 * math.pi**3)
-        mod = np.abs(J)
+        F, dF, _ = (v.reshape(omega.size, -1) for v in _oscillatory_rows(
+            2.0 * omega / params.kappa, params.zeta - cos_t[lit], tol))
+        pref = (params.e_squared * (omega / params.kappa)**2 * sin2[lit]
+                / (4.0 * math.pi**3))
+        mod = np.abs(F)
         values[s:s + step, lit] = pref * mod**2
-        # |J|^2 error from the |J| error: 2|J| dJ + dJ^2.
-        abs_errors[s:s + step, lit] = pref * (2.0 * mod * dJ + dJ**2)
+        # |F|^2 error from the |F| error: 2|F| dF + dF^2.
+        abs_errors[s:s + step, lit] = pref * (2.0 * mod * dF + dF**2)
     return values, abs_errors
 
 
-def _exact_zeta0_values(kappa, e_squared, omegas, us):
+def _exact_zeta0_values(kappa, e_squared, omegas, us, sin2):
     """Closed-form dI/dOmega at zeta = 0 on the grid omegas x us.
 
-    The (omegas.size, us.size) result follows from
+    ``us`` and ``sin2`` hold cos(theta) and sin^2(theta) of each direction;
+    sin^2 is not 1 - u^2, which cancels near the poles. The (omegas.size,
+    us.size) result follows from
 
         m(u) = Gamma(1/2 - iy) 1F1(1/2 - iy; 1/2; iyu^2)
                + 2u sqrt(iy) Gamma(1 - iy) 1F1(1 - iy; 3/2; iyu^2),
@@ -179,7 +184,6 @@ def _exact_zeta0_values(kappa, e_squared, omegas, us):
     us = np.asarray(us, dtype=float)
     mirror = us.size > 1 and np.array_equal(us, -us[::-1])
     half = us[us.size // 2:] if mirror else us
-    sin2 = 1.0 - us**2
     out = np.empty((omegas.size, us.size))
     step = max(1, _SLICE_ELEMENTS // (2 * half.size))
     for s in range(0, omegas.size, step):
@@ -219,12 +223,12 @@ def distribution_grid(params: TrajectoryParams, omegas, thetas, method: str,
     omega_arr = np.asarray(omegas, dtype=float)
     _check_omega(omega_arr)
     us = np.array([math.cos(theta) for theta in thetas])
+    sin2 = np.array([math.sin(theta) ** 2 for theta in thetas])
     if method == "numeric":
-        values, abs_errors = _numeric_values(
-            params, omega_arr, us,
-            np.array([math.sin(theta) ** 2 for theta in thetas]), tol)
+        values, abs_errors = _numeric_values(params, omega_arr, us, sin2, tol)
     else:
-        values = _exact_zeta0_values(params.kappa, params.e_squared, omega_arr, us)
+        values = _exact_zeta0_values(params.kappa, params.e_squared, omega_arr,
+                                     us, sin2)
         abs_errors = values * _CLOSED_FORM_REL
     samples = [SpectralSample(omega, theta, value, method, err)
                for omega, row, row_err in zip(omegas, values.tolist(), abs_errors.tolist())
@@ -304,11 +308,13 @@ def energy_spectrum(params: TrajectoryParams, omega, tol: float = 1e-6,
     todo = np.arange(omegas.size)
     for order in (64, 128, 256, 512):
         us, ws = _gl_nodes(order)
+        # the nodes keep off the poles, where 1 - u^2 would cancel
+        sin2 = 1.0 - us**2
         if exact:
-            vals = _exact_zeta0_values(params.kappa, params.e_squared, omegas[todo], us)
+            vals = _exact_zeta0_values(params.kappa, params.e_squared, omegas[todo],
+                                       us, sin2)
         else:
-            vals = _numeric_values(params, omegas[todo], us, 1.0 - us * us,
-                                   tol / 8.0)[0]
+            vals = _numeric_values(params, omegas[todo], us, sin2, tol / 8.0)[0]
         cur = 2.0 * math.pi * np.vecdot(vals, ws)
         if order == 64:
             done = np.abs(cur) <= abs_floor

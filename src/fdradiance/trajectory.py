@@ -127,6 +127,7 @@ def position_at_time(params: TrajectoryParams, t: float) -> float:
     Raises ``OverflowRangeError`` when z or kappa z lies below the smallest
     normal double, or when t(z) would overflow before reaching t.
     """
+    t = float(t)
     if not math.isfinite(t):
         raise DomainError("t must be finite")
     k = params.kappa

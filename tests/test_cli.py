@@ -461,3 +461,21 @@ class TestJsonRows:
                     assert got[key] == want[key]
                 else:
                     assert isinstance(got[key], float) and got[key] == float(want[key])
+
+
+class TestReadme:
+    def test_command_block_runs(self, capsys):
+        # every command of README.md's "## Command line" block, through
+        # main, exits 0: a stale example there fails here
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        with open(os.path.join(root, "README.md"), encoding="utf-8") as f:
+            text = f.read()
+        section = text.split("\n## Command line\n", 1)[1]
+        block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+        commands = [ln.split()[1:] for ln in block.splitlines()
+                    if ln.startswith("fdradiance ")]
+        assert len(commands) == 6
+        for argv in commands:
+            code, out, _ = run(capsys, argv)
+            assert code == 0, argv
+            assert out

@@ -3,13 +3,14 @@
 The inputs come from hypothesis; the profile registered in conftest.py
 draws the same examples on every run.
 """
+import cmath
 import math
 import sys
 
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from fdradiance.errors import OverflowRangeError
 from fdradiance.mirror import map_to_modes
@@ -20,6 +21,7 @@ from fdradiance.spectra import (
     fermi_dirac_distribution,
     total_energy_spectral,
 )
+from fdradiance.specfun import ln_gamma
 from fdradiance.trajectory import (
     TrajectoryParams,
     coordinate_time,
@@ -42,6 +44,19 @@ def test_exact_spectrum_matches_quadrature(kappa, y):
     exact = energy_spectrum(params, y * kappa, tol)
     numeric = energy_spectrum(params, y * kappa, tol, force_numeric=True)
     assert rel(exact, numeric) < 10 * tol
+
+
+@given(kappa=KAPPA, y=st.floats(0.05, 3.0), theta=st.floats(0.0, math.pi))
+def test_numeric_matches_exact_pointwise_at_zeta0(kappa, y, theta):
+    # the quadrature of the emission integral against the closed form at
+    # zeta = 0, direction by direction over all of [0, pi], poles included.
+    # Within 1e-9 relative; below the smallest normal double (theta under
+    # about 1e-150 from a pole) the values are subnormal and lose digits,
+    # so there the 1e-9 is taken of that smallest normal
+    params = TrajectoryParams(kappa, 0.0)
+    [num] = distribution_grid(params, [y * kappa], [theta], "numeric", 1e-10)
+    [exact] = distribution_grid(params, [y * kappa], [theta], "exact-zeta0")
+    assert abs(num.value - exact.value) <= 1e-9 * max(exact.value, sys.float_info.min)
 
 
 @given(kappa=KAPPA, zeta=st.floats(-0.9, 0.9), y=st.floats(0.1, 40.0))
@@ -92,3 +107,15 @@ def test_mode_pair_keeps_frequency_and_projection(omega, theta):
     bound = 4.0 * sys.float_info.epsilon * omega + 4.0 * math.ulp(0.0)
     assert abs(modes.p + modes.q - omega) <= bound
     assert abs(modes.p - modes.q - omega * math.cos(theta)) <= bound
+
+
+@settings(max_examples=200)
+@given(x=st.floats(-30.0, 30.0), y=st.floats(-20.0, 20.0))
+def test_ln_gamma_reflection_off_the_critical_line(x, y):
+    # Gamma(z) Gamma(1 - z) = pi / sin(pi z) over the strip, away from the
+    # poles; acceptance criterion 9 samples only Re z = 1/2
+    z = complex(x, y)
+    sin_pi_z = cmath.sin(math.pi * z)
+    assume(abs(sin_pi_z) >= 1e-3)
+    got = cmath.exp(ln_gamma(z) + ln_gamma(1.0 - z))
+    assert rel(got, math.pi / sin_pi_z) <= 1e-12

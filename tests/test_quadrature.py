@@ -44,15 +44,15 @@ class TestTypes:
             QuadratureResult(math.nan, 1e-3, 15)
 
     def test_spec_validation(self):
-        OscillatoryPhaseSpec(1.0, 2.0, -3.0)  # c^2 < 8ab: complex saddles
+        OscillatoryPhaseSpec(2.0, -1.5)  # d^2 < 4: complex saddles
         with pytest.raises(DomainError):
-            OscillatoryPhaseSpec(0.0, 1.0, 1.0)
+            OscillatoryPhaseSpec(0.0, 1.0)
         with pytest.raises(DomainError):
-            OscillatoryPhaseSpec(-1.0, 1.0, 1.0)
+            OscillatoryPhaseSpec(-1.0, 1.0)
         with pytest.raises(DomainError):
-            OscillatoryPhaseSpec(1.0, -1.0, 1.0)
+            OscillatoryPhaseSpec(math.inf, 1.0)
         with pytest.raises(DomainError):
-            OscillatoryPhaseSpec(1.0, 1.0, math.inf)
+            OscillatoryPhaseSpec(1.0, math.inf)
 
 
 class TestAdaptive:
@@ -133,87 +133,86 @@ class TestSemiInfinite:
             assert rel(res.value, 7.0) < 1e-10
 
 
+def unit_circle(a, b, c):
+    """(scale, d) with J(a, b, c) = scale F(b, d), by z = rho w, rho = sqrt(b/2a).
+
+    J(a, b, c) is int_0^inf exp(i(a z^2 + b ln z + c z)) dz, the form the
+    frozen values and the damped oracle are written in.
+    """
+    rho = math.sqrt(b / (2.0 * a))
+    return rho * cmath.exp(1j * b * math.log(rho)), c * rho / b
+
+
 class TestOscillatory:
     def test_fresnel(self):
-        # c = 0 is the generalized Fresnel integral, (1/2) Gamma(s/2)
-        # a^(-s/2) e^(i pi s/4) with s = 1 + ib; its b -> 0 limit is the
-        # pure Fresnel value, whose saddle has merged into the origin
-        res = integrate_oscillatory(OscillatoryPhaseSpec(1.0, 1e-12, 0.0),
-                                    tol=1e-10)
-        assert rel(res.value, FRESNEL * (1 + 1j)) < 1e-10
-        for a, b in ((1.0, 1e-6), (1.0, 0.5), (0.5, 2.0), (2.0, 6.0)):
+        # d = 0 is the generalized Fresnel integral: int exp(i(a z^2 +
+        # b ln z)) dz = (1/2) Gamma(s/2) a^(-s/2) e^(i pi s/4), s = 1 + ib,
+        # here at a = b/2. Its b -> 0 limit at a = 1, taken back to z, is
+        # the pure Fresnel value, whose saddle has merged into the origin
+        scale, d = unit_circle(1.0, 1e-12, 0.0)
+        res = integrate_oscillatory(OscillatoryPhaseSpec(1e-12, d), tol=1e-10)
+        assert rel(scale * res.value, FRESNEL * (1 + 1j)) < 1e-10
+        for b in (1e-6, 0.5, 2.0, 6.0):
             s = 1 + 1j * b
-            want = complex(0.5 * mp.gamma(s / 2) * mp.power(a, -s / 2)
+            want = complex(0.5 * mp.gamma(s / 2) * mp.power(b / 2, -s / 2)
                            * mp.exp(1j * mp.pi * s / 4))
-            res = integrate_oscillatory(OscillatoryPhaseSpec(a, b, 0.0),
-                                        tol=1e-10)
+            res = integrate_oscillatory(OscillatoryPhaseSpec(b, 0.0), tol=1e-10)
             assert rel(res.value, want) < 1e-10
             assert abs(res.value - want) <= res.abs_error
 
     def test_frozen_values(self):
-        got = integrate_oscillatory(OscillatoryPhaseSpec(0.5, 4.0, -1.0),
-                                    tol=1e-10)
-        assert rel(got.value, J_HALF_4_M1) < 1e-9
-        got = integrate_oscillatory(OscillatoryPhaseSpec(0.25, 2.0, -0.5),
-                                    tol=1e-10)
-        assert rel(got.value, J_QUARTER_2_MHALF) < 1e-9
+        for (a, b, c), frozen in (((0.5, 4.0, -1.0), J_HALF_4_M1),
+                                  ((0.25, 2.0, -0.5), J_QUARTER_2_MHALF)):
+            scale, d = unit_circle(a, b, c)
+            got = integrate_oscillatory(OscillatoryPhaseSpec(b, d), tol=1e-10)
+            assert rel(got.value, frozen / scale) < 1e-9
 
     def test_reported_error_honest(self):
-        res = integrate_oscillatory(OscillatoryPhaseSpec(0.5, 4.0, -1.0),
-                                    tol=1e-9)
-        assert abs(res.value - J_HALF_4_M1) <= res.abs_error \
-            + 1e-14 * abs(J_HALF_4_M1)
-
-    def test_rescaling_identity(self):
-        # substituting z -> s z maps (a, b, c) to (a s^2, b, c s) up to
-        # the factor s e^(i b ln s); checks the integrator against itself
-        # at genuinely different phase coefficients
-        a, b, c, s = 0.5, 4.0, -1.0, 2.0
-        base = integrate_oscillatory(OscillatoryPhaseSpec(a, b, c), tol=1e-10)
-        mapped = integrate_oscillatory(
-            OscillatoryPhaseSpec(a * s**2, b, c * s), tol=1e-10)
-        factor = s * cmath.exp(1j * b * math.log(s))
-        assert rel(base.value, factor * mapped.value) < 5e-9
+        scale, d = unit_circle(0.5, 4.0, -1.0)
+        want = J_HALF_4_M1 / scale
+        res = integrate_oscillatory(OscillatoryPhaseSpec(4.0, d), tol=1e-9)
+        assert abs(res.value - want) <= res.abs_error + 1e-14 * abs(want)
 
     def test_against_damped_oracle(self):
-        # the damping ladder is out of regime below quad_coeff ~ 0.1, so
-        # the smallest frequency starts at 0.5
+        # the damping ladder is out of regime below a ~ 0.1, so the
+        # smallest frequency starts at 0.5
         worst = 0.0
         for w in (0.5, 1.0, 2.0, 3.0, 4.0):
             for th in (math.pi / 6, math.pi / 3, math.pi / 2,
                        2 * math.pi / 3, 5 * math.pi / 6):
-                spec = OscillatoryPhaseSpec(w / 4.0, 2.0 * w,
-                                            -w * math.cos(th))
-                got = integrate_oscillatory(spec, tol=1e-9).value
-                want = damped_phase_integral(spec.quad_coeff, spec.log_coeff,
-                                             spec.lin_coeff)
+                a, b, c = w / 4.0, 2.0 * w, -w * math.cos(th)
+                scale, d = unit_circle(a, b, c)
+                got = integrate_oscillatory(OscillatoryPhaseSpec(b, d), tol=1e-9).value
+                want = damped_phase_integral(a, b, c) / scale
                 worst = max(worst, abs(got - want) / abs(want))
         assert worst < 1e-4
 
     def test_argument_validation(self):
-        spec = OscillatoryPhaseSpec(1.0, 1.0, 0.0)
+        spec = OscillatoryPhaseSpec(1.0, 0.0)
         with pytest.raises(DomainError):
             integrate_oscillatory(spec, tol=0.1)
         with pytest.raises(DomainError):
             integrate_oscillatory(spec, tol=0.0)
-        # the contour needs a complex pair of saddles: b > 0 and c^2 < 8ab.
+        # the contour needs a complex pair of saddles: b > 0 and d^2 < 4.
         # The pure-Fresnel limit b = 0 and real saddles are outside it.
         with pytest.raises(DomainError):
-            OscillatoryPhaseSpec(1.0, 0.0, 0.0)
+            OscillatoryPhaseSpec(0.0, 0.0)
         with pytest.raises(DomainError):
-            _oscillatory_rows(1.0, 0.0, [0.0], 1e-9)
-        for c in (4.0, -4.0, 5.0):      # c^2 >= 8ab = 16
+            _oscillatory_rows(0.0, [0.0], 1e-9)
+        for d in (2.0, -2.0, 2.5):
             with pytest.raises(DomainError):
-                OscillatoryPhaseSpec(1.0, 2.0, c)
+                OscillatoryPhaseSpec(1.0, d)
             with pytest.raises(DomainError):
-                _oscillatory_rows(1.0, 2.0, [0.0, c], 1e-9)
+                _oscillatory_rows(1.0, [0.0, d], 1e-9)
         with pytest.raises(DomainError):
-            _oscillatory_rows(1.0, 2.0, [math.nan], 1e-9)
-        # every row is checked against its own a and b
+            _oscillatory_rows(1.0, [math.nan], 1e-9)
         with pytest.raises(DomainError):
-            _oscillatory_rows([1.0, 1.0], [2.0, 0.0], [0.0, 0.0], 1e-9)
+            _oscillatory_rows([1.0, math.nan], 0.0, 1e-9)
+        # every row is checked against its own b and d
         with pytest.raises(DomainError):
-            _oscillatory_rows([1.0, 0.5], [2.0, 2.0], [3.0, 3.0], 1e-9)
+            _oscillatory_rows([2.0, 0.0], [0.0, 0.0], 1e-9)
+        with pytest.raises(DomainError):
+            _oscillatory_rows([2.0, 2.0], [1.0, -2.0], 1e-9)
 
 
 class TestOscillatoryRows:
@@ -226,16 +225,16 @@ class TestOscillatoryRows:
         zeta = rng.choice([-1.0, 1.0]) * rng.uniform(0.05, 0.6)
         omega = kappa * math.exp(rng.uniform(math.log(0.1), math.log(8.0)))
         us, _ = np.polynomial.legendre.leggauss(order)
-        return 0.25 * kappa * omega, 2.0 * omega / kappa, omega * (zeta - us)
+        return 2.0 * omega / kappa, zeta - us
 
     def test_rows_match_single_integrals(self):
         rng = np.random.default_rng(11)
         tol = 1e-6 / 8.0
         for order in (64, 128, 64, 128):
-            a, b, cs = self.angular_rows(rng, order)
-            values, errors, evals = _oscillatory_rows(a, b, cs, tol)
-            for c, value, error, n in zip(cs, values, errors, evals):
-                one = integrate_oscillatory(OscillatoryPhaseSpec(a, b, float(c)), tol)
+            b, ds = self.angular_rows(rng, order)
+            values, errors, evals = _oscillatory_rows(b, ds, tol)
+            for d, value, error, n in zip(ds, values, errors, evals):
+                one = integrate_oscillatory(OscillatoryPhaseSpec(b, float(d)), tol)
                 assert one.evaluations == n
                 assert abs(one.value - value) <= 1e-12 * abs(one.value) + one.abs_error
                 assert abs(one.abs_error - error) <= 1e-12 * one.abs_error
@@ -243,51 +242,51 @@ class TestOscillatoryRows:
     def test_chunked_wave_matches_small_batches(self):
         # a row's result must not depend on the rows sharing its waves,
         # nor on where the wave is cut into integrand calls. The rows
-        # interleave three frequencies (kappa 1, zeta 0.4), so a and b
-        # change from row to row within every batch
+        # interleave three frequencies (zeta 0.4), so b changes from row to
+        # row within every batch
         us, _ = np.polynomial.legendre.leggauss(192)
         omegas = np.array([0.5, 3.0, 7.0])
-        a, b, c = (np.broadcast_to(v, (us.size, omegas.size)).ravel()
-                   for v in (0.25 * omegas, 2.0 * omegas, omegas * (0.4 - us[:, None])))
-        counts = quadrature._saddle_setup(a, b, c, 1e-9)[-1]
+        b, d = (np.broadcast_to(v, (us.size, omegas.size)).ravel()
+                for v in (2.0 * omegas, 0.4 - us[:, None]))
+        counts = quadrature._saddle_setup(b, d, 1e-9)[-1]
         assert counts.sum() > 2 * quadrature._WAVE_PANELS
-        whole = _oscillatory_rows(a, b, c, 1e-9)
-        parts = [_oscillatory_rows(a[i:i + 5], b[i:i + 5], c[i:i + 5], 1e-9)
-                 for i in range(0, c.size, 5)]
+        whole = _oscillatory_rows(b, d, 1e-9)
+        parts = [_oscillatory_rows(b[i:i + 5], d[i:i + 5], 1e-9)
+                 for i in range(0, d.size, 5)]
         for got, want in zip(whole, zip(*parts)):
             assert np.array_equal(got, np.concatenate(want))
 
     def test_stalled_row_raises_with_its_best(self, monkeypatch):
-        # the rows need 255, 165 and 375 evaluations: only the c = -5 row
+        # the rows need 255, 165 and 375 evaluations: only the last one
         # runs out of a 300-evaluation budget
         monkeypatch.setattr(quadrature, "_MAX_EVALS", 300)
-        a, b = 0.5, 8.0
+        b = 8.0
+        ds = (np.array([3.0, -0.2, -5.0]) * math.sqrt(2.0) / 4.0).tolist()
         with pytest.raises(ConvergenceError) as batch:
-            _oscillatory_rows(a, b, [3.0, -0.2, -5.0], 1e-12)
+            _oscillatory_rows(b, ds, 1e-12)
         with pytest.raises(ConvergenceError) as single:
-            integrate_oscillatory(OscillatoryPhaseSpec(a, b, -5.0), tol=1e-12)
+            integrate_oscillatory(OscillatoryPhaseSpec(b, ds[2]), tol=1e-12)
         assert batch.value.best == single.value.best
         assert batch.value.best.evaluations <= 300
-        _oscillatory_rows(a, b, [3.0, -0.2], 1e-12)
+        _oscillatory_rows(b, ds[:2], 1e-12)
 
     def test_series_head_against_oracle(self):
         # the head segment [0, h e^{i alpha}] against a 40-digit quadrature
         # that never sums the series, at the angle and head radius the rows
-        # use; the nine rows, three values of a and of b, are one call
+        # use; the nine rows, three values of b, are one call. The oracle
+        # takes the z form, here at a = b/2, c = b d
         rng = np.random.default_rng(31)
         rows = []
         for b in (0.5, 8.0, 40.0):
-            a = math.exp(rng.uniform(math.log(0.05), math.log(10.0)))
-            # c = 0, the special angle, leaves the slowest-decaying terms;
-            # c > 0 puts the saddle behind the origin (alpha > pi/2)
-            top = math.sqrt(8.0 * a * b)
-            cs = top * np.array([rng.uniform(-0.99, -0.05), 0.0, rng.uniform(0.05, 0.99)])
-            rows.extend((a, b, c) for c in cs.tolist())
-        a, b, c = np.array(rows).T
-        _, alpha, h = quadrature._saddle_setup(a, b, c, 1e-9)[:3]
-        values, errors = quadrature._series_head(a, b, c, alpha, h)
-        for row, al, hc, value, error in zip(rows, alpha, h, values, errors):
-            want = ray_head_segment(*row, hc, al)
+            # d = 0, the special angle, leaves the slowest-decaying terms;
+            # d > 0 puts the saddle behind the origin (alpha > pi/2)
+            ds = 2.0 * np.array([rng.uniform(-0.99, -0.05), 0.0, rng.uniform(0.05, 0.99)])
+            rows.extend((b, d) for d in ds.tolist())
+        b, d = np.array(rows).T
+        alpha, h = quadrature._saddle_setup(b, d, 1e-9)[:2]
+        values, errors = quadrature._series_head(b, d, alpha, h)
+        for (bb, dd), al, hc, value, error in zip(rows, alpha, h, values, errors):
+            want = ray_head_segment(bb / 2, bb, bb * dd, hc, al)
             assert abs(value - want) <= error
             assert error <= 1e-11 * abs(want)
 
@@ -302,7 +301,6 @@ class TestOscillatoryRows:
             kappa = rng.uniform(0.5, 2.0)
             zeta = rng.choice([-1.0, 1.0]) * rng.uniform(0.05, 0.6)
             omega = kappa * math.exp(rng.uniform(math.log(0.1), math.log(12.0)))
-            cs = omega * (zeta - rng.uniform(-1.0, 1.0, 16))
-            total += int(_oscillatory_rows(0.25 * kappa * omega, 2.0 * omega / kappa,
-                                           cs, 1e-9)[2].sum())
+            ds = zeta - rng.uniform(-1.0, 1.0, 16)
+            total += int(_oscillatory_rows(2.0 * omega / kappa, ds, 1e-9)[2].sum())
         assert total <= 98_000

@@ -103,6 +103,14 @@ class TestWorldline:
                 with pytest.raises(OverflowRangeError):
                     position_at_time(params, sys.float_info.max)
 
+    def test_numpy_time_matches_float_time(self):
+        # a numpy float t must not overflow in the seed's t / kappa, which a
+        # Python float never does (it would be a RuntimeWarning, an error
+        # under the suite's filterwarnings)
+        params = TrajectoryParams(0.01, 0.3)
+        assert position_at_time(params, np.float64(1e308)) \
+            == position_at_time(params, 1e308)
+
     def test_position_monotone(self):
         params = TrajectoryParams(1.3, 0.4, 1.0)
         ts = np.linspace(-20, 20, 41)
