@@ -35,6 +35,7 @@ from .mirror import (
     mirror_fd_energy,
     mirror_particle_count,
 )
+from .quadrature import _check_tol
 from .spectra import (
     distribution_grid,
     energy_spectrum,
@@ -54,12 +55,21 @@ from .trajectory import (
 __all__ = ["main"]
 
 
+class _Given(argparse.Action):
+    """Store a grid option and add its grid's name to ``ns.given``."""
+
+    def __call__(self, parser, ns, value, option_string=None):
+        setattr(ns, self.dest, value)
+        ns.given = ns.given | {self.dest.rsplit("_", 1)[0]}
+
+
 def _add_grid(sub, name: str, default=(None, None, None), help=None):
     """Declare the --NAME-min/--NAME-max/--NAME-steps options ``_grid`` reads."""
     lo, hi, steps = default
-    sub.add_argument(f"--{name}-min", type=float, default=lo, help=help)
-    sub.add_argument(f"--{name}-max", type=float, default=hi)
-    sub.add_argument(f"--{name}-steps", type=int, default=steps)
+    sub.add_argument(f"--{name}-min", type=float, default=lo, help=help, action=_Given)
+    sub.add_argument(f"--{name}-max", type=float, default=hi, action=_Given)
+    sub.add_argument(f"--{name}-steps", type=int, default=steps, action=_Given)
+    sub.set_defaults(given=frozenset())
 
 
 def _grid(ns, name: str, default=None):
@@ -93,8 +103,7 @@ def _grid(ns, name: str, default=None):
 def _params(ns) -> TrajectoryParams:
     """The worldline from --kappa/--zeta/--e-squared, then the --tol range check."""
     params = TrajectoryParams(ns.kappa, ns.zeta, ns.e_squared)
-    if not (0.0 < ns.tol <= 1e-2):
-        raise DomainError("tol must lie in (0, 1e-2]")
+    _check_tol(ns.tol)
     return params
 
 
@@ -106,20 +115,12 @@ def _zeta_sweep(ns, base: TrajectoryParams) -> list:
 
 def run_trajectory(ns):
     worldlines = _zeta_sweep(ns, TrajectoryParams(ns.kappa, ns.zeta))
-    z_given = any(v is not None for v in (ns.z_min, ns.z_max, ns.z_steps))
-    t_given = any(v is not None for v in (ns.t_min, ns.t_max, ns.t_steps))
-    if sum([z_given, t_given, ns.t is not None]) > 1:
-        raise DomainError("give exactly one of --t, a --t-* grid, "
-                          "or a --z-* grid")
-    if z_given:
-        zs = _grid(ns, "z")
-    elif ns.t is not None:
-        ts = [ns.t]
-    else:
-        ts = _grid(ns, "t", default=(-5.0, 5.0, 101))
+    if {"t", "z"} <= ns.given:
+        raise DomainError("give a --t-* grid or a --z-* grid, not both")
+    zs, ts = _grid(ns, "z"), _grid(ns, "t", default=(-5.0, 5.0, 101))
     rows = []
     for params in worldlines:
-        if z_given:
+        if zs is not None:
             pairs = [(coordinate_time(params, z), z) for z in zs]
         else:
             pairs = [(t, position_at_time(params, t)) for t in ts]
@@ -199,20 +200,17 @@ def run_spectrum(ns):
 def run_mirror(ns):
     params = _params(ns)
     kappa, zeta, e2 = params.kappa, params.zeta, params.e_squared
-    if (ns.p is None) != (ns.q is None):
-        raise DomainError("give both --p and --q or neither")
     omegas = _grid(ns, "omega")
+    if ("theta" if omegas is None else "pq") in ns.given:
+        raise DomainError("a --theta-* grid goes with an --omega-* grid, "
+                          "and a --pq-* grid with neither")
     if omegas is not None:
         thetas = _grid(ns, "theta")
-    else:
-        pqs = _grid(ns, "pq")
-    if ns.p is not None:
-        betas = [beta_squared_fd(ModePair(ns.p, ns.q), kappa, zeta)]
-    elif omegas is not None:
         samples = distribution_grid(params, omegas, thetas, "numeric", ns.tol)
         betas = [beta_squared_from_distribution(sample, e2) for sample in samples]
     else:
         # pairs on the constraint line p/q = (1 + zeta)/(1 - zeta)
+        pqs = _grid(ns, "pq")
         betas = [beta_squared_fd(ModePair(u * (1.0 + zeta) / 2.0,
                                           u * (1.0 - zeta) / 2.0),
                                  kappa, zeta)
@@ -311,8 +309,6 @@ def _build_parser():
     t = subs.add_parser("trajectory", help="worldline samples z(t)")
     _add_common(t, radiation=False)
     _add_grid(t, "zeta")
-    t.add_argument("--t", type=float, default=None,
-                   help="single coordinate time")
     _add_grid(t, "t", help="t grid (default -5..5, 101 steps)")
     _add_grid(t, "z")
     t.add_argument("--penrose", action="store_true",
@@ -349,10 +345,6 @@ def _build_parser():
     _add_grid(m, "omega",
               help="with --omega-*/--theta-*: map an emission grid instead")
     _add_grid(m, "theta", (0.0, math.pi, 19))
-    m.add_argument("--p", type=float, default=None,
-                   help="single explicit right-mode frequency")
-    m.add_argument("--q", type=float, default=None,
-                   help="single explicit left-mode frequency")
     m.add_argument("--duality", action="store_true",
                    help="add the electron-side count comparison to the summary")
 
@@ -379,7 +371,8 @@ _RUNNERS = {
 
 
 def _config_echo(ns) -> dict:
-    return {key: value for key, value in vars(ns).items() if key != "command"}
+    return {key: value for key, value in vars(ns).items()
+            if key not in ("command", "given")}
 
 
 def main(argv=None) -> int:

@@ -50,7 +50,6 @@ from .errors import ConvergenceError, DomainError, NonFiniteError
 
 __all__ = [
     "QuadratureResult",
-    "OscillatoryPhaseSpec",
     "integrate_adaptive",
     "integrate_semi_infinite",
     "integrate_oscillatory",
@@ -110,15 +109,10 @@ class QuadratureResult:
             raise NonFiniteError("quadrature result is not finite")
 
 
-@dataclasses.dataclass(frozen=True)
-class OscillatoryPhaseSpec:
-    """Phase log_coeff (w^2/2 + ln w + shift w) of exp(i phase)."""
-
-    log_coeff: float
-    shift: float
-
-    def __post_init__(self):
-        _check_phase(self.log_coeff, self.shift)
+def _check_tol(tol):
+    """The relative tolerances that the oscillatory route, the spectra and the CLI take."""
+    if not (0.0 < tol <= 1e-2):
+        raise DomainError("tol must lie in (0, 1e-2]")
 
 
 def _check_phase(b, d):
@@ -446,8 +440,7 @@ def _oscillatory_rows(b, d, tol):
     abs_errors, evaluations); if a row stalls, the first one raises
     ``ConvergenceError`` with its leg result as ``best``.
     """
-    if not (0.0 < tol <= 1e-2):
-        raise DomainError("tol must lie in (0, 1e-2]")
+    _check_tol(tol)
     bd = np.empty((2,) + np.broadcast(b, d).shape)
     bd[0], bd[1] = b, d
     b, d = bd.reshape(2, -1)
@@ -464,16 +457,16 @@ def _oscillatory_rows(b, d, tol):
     return values, abs_errors, evals
 
 
-def integrate_oscillatory(spec: OscillatoryPhaseSpec, tol=1e-9):
+def integrate_oscillatory(log_coeff, shift, tol=1e-9):
     """Evaluate F(b, d) = int_0^inf exp(i b (w^2/2 + ln w + d w)) dw on its saddle contour.
 
     Parameters
     ----------
-    spec : OscillatoryPhaseSpec
-        Phase coefficients (b, d) = (log_coeff, shift), with b > 0 and
-        d^2 < 4: the phase then has a complex pair of saddles on the unit
-        circle, and the contour runs from 0 through the upper one and down
-        its steepest-descent direction (module docstring). A phase
+    log_coeff, shift : float
+        Phase coefficients b and d, each taken through ``float()``, with
+        b > 0 and d^2 < 4: the phase then has a complex pair of saddles on
+        the unit circle, and the contour runs from 0 through the upper one
+        and down its steepest-descent direction (module docstring). A phase
         a z^2 + b ln z + c z with a, b > 0 and c^2 < 8ab maps onto it:
         J(a, b, c) = rho e^{ib ln rho} F(b, c rho/b), rho = sqrt(b/2a).
     tol : float
@@ -487,6 +480,6 @@ def integrate_oscillatory(spec: OscillatoryPhaseSpec, tol=1e-9):
         contour. For d > 0 the ray to the saddle cancels by up to
         e^{b/2}, and relative accuracy degrades like eps times that.
     """
-    values, abs_errors, evals = _oscillatory_rows(spec.log_coeff, [spec.shift], tol)
+    values, abs_errors, evals = _oscillatory_rows(float(log_coeff), [float(shift)], tol)
     return QuadratureResult(complex(values[0]), float(abs_errors[0]),
                             int(evals[0]))

@@ -35,7 +35,7 @@ the two single-point distributions are its one-point calls.
 ``energy_spectrum`` takes a float or a 1-d array of omegas, and runs each
 Gauss-Legendre order once over every omega not yet settled. At zeta = 0
 that is one closed-form evaluation of the (omega, u) grid, with the two
-1F1s taken on the nodes u > 0 alone (they depend on u^2), so the frequency
+1F1s taken once per distinct |u| (they depend on u^2), so the frequency
 integral of ``total_energy_spectral`` costs one such evaluation per wave
 of omega nodes and angular order; off zeta = 0 it is one batched
 quadrature with a row, and a phase, per (omega, u). A value does not
@@ -50,7 +50,8 @@ import math
 import numpy as np
 
 from .errors import ConvergenceError, DomainError
-from .quadrature import _oscillatory_rows, integrate_adaptive, integrate_semi_infinite
+from .quadrature import (_check_tol, _oscillatory_rows, integrate_adaptive,
+                         integrate_semi_infinite)
 from .specfun import kummer_1f1, ln_gamma
 from .trajectory import TrajectoryParams
 
@@ -171,35 +172,29 @@ def _exact_zeta0_values(kappa, e_squared, omegas, us, sin2):
         m(u) = Gamma(1/2 - iy) 1F1(1/2 - iy; 1/2; iyu^2)
                + 2u sqrt(iy) Gamma(1 - iy) 1F1(1 - iy; 3/2; iyu^2),
 
-    y = omega/kappa. The 1F1s depend on u only through u^2, so on a
-    mirror-symmetric us (us == -us[::-1], as Gauss-Legendre nodes are)
-    they run on the half u >= 0 alone and m(-u) flips the sign of the
-    second term: the same value, bit for bit, as evaluating at -u. Both
-    1F1s run as one stacked call. Every element is computed on its own, so
-    it does not depend on the rest of the grid; grids whose two series
-    hold more than _SLICE_ELEMENTS evaluations run in slices of whole
-    omega rows.
+    y = omega/kappa. The 1F1s depend on u only through u^2, so they run
+    once per distinct |u| (both as one stacked call) and go back to every
+    u of that modulus; negating u negates the second term exactly, so a
+    value keeps its bits whatever other nodes share its |u|, and the
+    symmetric Gauss-Legendre nodes sum half as many series. Every element
+    is computed on its own, so it does not depend on the rest of the grid;
+    grids whose two series hold more than _SLICE_ELEMENTS evaluations run
+    in slices of whole omega rows.
     """
     omegas = np.asarray(omegas, dtype=float)
     us = np.asarray(us, dtype=float)
-    mirror = us.size > 1 and np.array_equal(us, -us[::-1])
-    half = us[us.size // 2:] if mirror else us
+    mods, at = np.unique(np.abs(us), return_inverse=True)
     out = np.empty((omegas.size, us.size))
-    step = max(1, _SLICE_ELEMENTS // (2 * half.size))
+    step = max(1, _SLICE_ELEMENTS // (2 * mods.size))
     for s in range(0, omegas.size, step):
         omega = omegas[s:s + step, None]
         y = omega / kappa
-        x = 1j * y * half**2
+        x = 1j * y * mods**2
         a = _EXACT_A - 1j * y
         g_half, g_one = np.exp(ln_gamma(a))
         root_iy = np.sqrt(y) * _ROOT_I
-        m_half, m_one = kummer_1f1(a, _EXACT_B, x)
-        even = g_half * m_half
-        odd = 2.0 * half * root_iy * g_one * m_one
-        m = even + odd
-        if mirror:
-            # u = -half[::-1] on the first us.size // 2 nodes
-            m = np.concatenate([(even - odd)[:, ::-1][:, :us.size // 2], m], axis=1)
+        m_half, m_one = kummer_1f1(a, _EXACT_B, x)[..., at]
+        m = g_half * m_half + 2.0 * us * root_iy * g_one * m_one
         pref = e_squared * omega * sin2 / (16.0 * math.pi**3 * kappa)
         out[s:s + step] = pref * np.exp(-math.pi * y) * np.abs(m) ** 2
     return out
@@ -294,8 +289,9 @@ def energy_spectrum(params: TrajectoryParams, omega, tol: float = 1e-6,
     integrand is the closed form at zeta = 0 and quadrature otherwise;
     ``force_numeric`` uses quadrature at zeta = 0 too. Each order runs once
     over the omegas not yet settled, and each row is summed on its own, so
-    a row's value is the same in any batch.
+    a row's value is the same in any batch. tol must lie in (0, 1e-2].
     """
+    _check_tol(tol)
     omegas = np.asarray(omega, dtype=float)
     scalar = omegas.ndim == 0
     omegas = np.atleast_1d(omegas)
@@ -369,8 +365,10 @@ def total_energy_spectral(params: TrajectoryParams, tol: float = 1e-4) -> float:
     otherwise. The frequency integral is one adaptive pass over [0, hi],
     where hi is the cutoff at which I(omega) is below 1e-12 of the peak
     (``_omega_cutoff``); nothing past hi is added. The pass hands each wave
-    of nodes to one batched ``energy_spectrum`` call.
+    of nodes to one batched ``energy_spectrum`` call. tol must lie in
+    (0, 1e-2].
     """
+    _check_tol(tol)
     kappa = params.kappa
     probe_tol = min(1e-4, tol)
     peak = float(np.max(energy_spectrum(

@@ -1,4 +1,5 @@
 """Command-line contract: formats, grids, exit codes, determinism."""
+import argparse
 import json
 import math
 import os
@@ -10,7 +11,7 @@ import pytest
 
 import fdradiance
 from fdradiance import spectra
-from fdradiance.cli import main
+from fdradiance.cli import _build_parser, main
 from fdradiance.spectra import energy_spectrum, fermi_dirac_distribution
 from fdradiance.trajectory import TrajectoryParams, coordinate_time, total_energy_larmor
 
@@ -19,6 +20,11 @@ def run(capsys, argv):
     code = main(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def at_time(t):
+    """A single coordinate time: the one-step --t-* grid."""
+    return ["--t-min", t, "--t-max", t, "--t-steps", "1"]
 
 
 def parse_csv(text):
@@ -74,10 +80,22 @@ class TestUsageErrors:
         assert code == 2 and out == "" and "invalid choice" in err
 
     def test_conflicting_trajectory_grids(self, capsys):
-        code, _, _ = run(capsys, ["trajectory", "--t", "1.0",
-                                  "--z-min", "1", "--z-max", "2",
-                                  "--z-steps", "2"])
+        code, _, _ = run(capsys, ["trajectory", *at_time("1.0"),
+                                  "--z-min", "1", "--z-max", "2", "--z-steps", "2"])
         assert code == 2
+
+    def test_theta_grid_without_omega_grid(self, capsys):
+        # without --omega-* mirror reads the --pq-* line, not a theta grid
+        code, out, err = run(capsys, ["mirror", "--theta-min", "0", "--theta-max", "1",
+                                      "--theta-steps", "3"])
+        assert code == 2 and out == "" and "--theta-*" in err
+
+    def test_pq_grid_with_emission_grid(self, capsys):
+        # with --omega-* mirror maps the emission grid, not a pq line
+        code, out, err = run(capsys, ["mirror", "--pq-min", "1", "--pq-max", "2",
+                                      "--pq-steps", "2", "--omega-min", "1",
+                                      "--omega-max", "2", "--omega-steps", "1"])
+        assert code == 2 and out == "" and "--pq-*" in err
 
     def test_partial_z_grid(self, capsys):
         code, _, _ = run(capsys, ["trajectory", "--z-min", "1.0"])
@@ -86,15 +104,43 @@ class TestUsageErrors:
     @pytest.mark.parametrize("argv", [
         ["check", "--criteria", "3", "--kappa", "2"],
         ["check", "--criteria", "3", "--tol", "1e-3"],
-        ["trajectory", "--t", "1.0", "--tol", "1e-3"]])
+        ["trajectory", *at_time("1.0"), "--tol", "1e-3"]])
     def test_option_the_command_does_not_read(self, capsys, argv):
         code, out, err = run(capsys, argv)
         assert code == 2 and out == "" and "unrecognized arguments" in err
 
 
+class TestOptionSets:
+    """Every subcommand's options, pinned as the package pins its names."""
+
+    OUTPUT = {"--format", "--output"}
+    WORLDLINE = {"--kappa", "--zeta"} | OUTPUT
+    RADIATION = WORLDLINE | {"--e-squared", "--tol"}
+
+    @staticmethod
+    def grid(*names):
+        return {f"--{name}-{end}" for name in names for end in ("min", "max", "steps")}
+
+    def test_each_command_takes_exactly_its_options(self):
+        # a new CLI knob, or a second way to ask for a grid, fails here
+        subs = next(a for a in _build_parser()._actions
+                    if isinstance(a, argparse._SubParsersAction))
+        got = {name: {opt for action in sub._actions for opt in action.option_strings}
+               - {"-h", "--help"} for name, sub in subs.choices.items()}
+        assert got == {
+            "trajectory": self.WORLDLINE | self.grid("zeta", "t", "z") | {"--penrose"},
+            "energy": self.RADIATION | self.grid("zeta") | {"--method"},
+            "distribution": self.RADIATION | self.grid("omega", "theta") | {"--method"},
+            "spectrum": self.RADIATION | self.grid("omega") | {"--kind"},
+            "mirror": self.RADIATION | self.grid("pq", "omega", "theta") | {"--duality"},
+            "check": self.OUTPUT | {"--tolerance-scale", "--criteria"},
+        }
+        assert [len(opts) for opts in got.values()] == [14, 10, 13, 10, 16, 4]
+
+
 class TestTrajectoryCommand:
     def test_single_time_row(self, capsys):
-        code, out, _ = run(capsys, ["trajectory", "--t", "1.0"])
+        code, out, _ = run(capsys, ["trajectory", *at_time("1.0")])
         assert code == 0
         header, rows = parse_csv(out)
         assert header == ["zeta", "t", "z"]
@@ -105,7 +151,7 @@ class TestTrajectoryCommand:
         assert z == position_at_time(params, 1.0)
 
     def test_penrose_columns(self, capsys):
-        code, out, _ = run(capsys, ["trajectory", "--t", "0.0", "--penrose"])
+        code, out, _ = run(capsys, ["trajectory", *at_time("0.0"), "--penrose"])
         assert code == 0
         header, rows = parse_csv(out)
         assert header == ["zeta", "t", "z", "U", "V"]
@@ -130,7 +176,7 @@ class TestTrajectoryCommand:
         assert len(rows) == 6
 
     def test_json_document(self, capsys):
-        code, out, _ = run(capsys, ["trajectory", "--t", "1.0",
+        code, out, _ = run(capsys, ["trajectory", *at_time("1.0"),
                                     "--format", "json", "--penrose"])
         assert code == 0
         doc = json.loads(out)
@@ -140,18 +186,18 @@ class TestTrajectoryCommand:
 
     def test_time_near_the_largest_double(self, capsys):
         # t(z) = 1.5e308 at z = 3.46e154 is a finite double for kappa 0.5
-        code, out, _ = run(capsys, ["trajectory", "--kappa", "0.5", "--t", "1.5e308"])
+        code, out, _ = run(capsys, ["trajectory", "--kappa", "0.5", *at_time("1.5e308")])
         assert code == 0
         z = float(parse_csv(out)[1][0]["z"])
         back = coordinate_time(TrajectoryParams(0.5, 0.0, 1.0), z)
         assert abs(back - 1.5e308) <= 1e-15 * 1.5e308
         # no finite z reaches the largest double itself
         code, out, err = run(capsys, ["trajectory", "--kappa", "0.5",
-                                      "--t", repr(sys.float_info.max)])
+                                      *at_time(repr(sys.float_info.max))])
         assert code == 3 and out == "" and err
 
     def test_json_round_trip_stable(self, capsys):
-        _, out, _ = run(capsys, ["trajectory", "--t", "2.0",
+        _, out, _ = run(capsys, ["trajectory", *at_time("2.0"),
                                  "--format", "json"])
         again = json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n"
         assert again == out
@@ -289,12 +335,15 @@ class TestMirrorCommand:
         assert doc["summary"]["duality_rel_diff"] < 1e-12
 
     def test_explicit_pair_violating_constraint(self, capsys):
-        code, _, err = run(capsys, ["mirror", "--p", "0.9", "--q", "0.1"])
-        assert code == 2 and ("constraint" in err or "violates" in err)
+        # mirror takes pairs on the constraint line only, as a --pq-* grid:
+        # there is no option left that names a pair off it
+        code, out, err = run(capsys, ["mirror", "--p", "0.9", "--q", "0.1"])
+        assert code == 2 and out == "" and "--p" in err
 
     def test_explicit_pair_on_constraint_line(self, capsys):
-        code, out, _ = run(capsys, ["mirror", "--zeta", "0.5",
-                                    "--p", "0.75", "--q", "0.25"])
+        # a single pair is the one-step grid at its total frequency p + q
+        code, out, _ = run(capsys, ["mirror", "--zeta", "0.5", "--pq-min", "1",
+                                    "--pq-max", "1", "--pq-steps", "1"])
         assert code == 0
         header, rows = parse_csv(out)
         assert header == ["p", "q", "beta_squared"]
@@ -366,7 +415,7 @@ class TestCheckCommand:
 class TestOutputFile:
     def test_linefeed_only(self, tmp_path, capsys):
         path = tmp_path / "rows.csv"
-        code, _, _ = run(capsys, ["trajectory", "--t", "1.0",
+        code, _, _ = run(capsys, ["trajectory", *at_time("1.0"),
                                   "--output", str(path)])
         assert code == 0
         raw = path.read_bytes()
@@ -403,7 +452,7 @@ class TestBrokenPipe:
 
     @pytest.mark.parametrize("argv", [
         ["trajectory", "--t-min", "-5", "--t-max", "5", "--t-steps", "1000"],
-        ["trajectory", "--t", "1.0"],
+        ["trajectory", *at_time("1.0")],
         ["check", "--criteria", "10"]], ids=["many-rows", "one-row", "check"])
     def test_closed_stdout_exits_141(self, capfd, monkeypatch, argv):
         # a real pipe whose read end is gone: every write fails with EPIPE,

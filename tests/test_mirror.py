@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from fdradiance.errors import ConstraintError, DomainError, RegimeError
 from fdradiance.mirror import (
@@ -92,16 +93,21 @@ class TestBetaSquared:
         back = 1.0 * omega**2 / (4.0 * math.pi) * beta.beta_squared
         assert rel(back, sample.value) < 1e-12
 
-    def test_matches_special_angle_emission(self):
+    @given(kappa=st.floats(0.01, 100.0), zeta=st.floats(-0.99, 0.99),
+           e_squared=st.floats(1e-3, 10.0), y=st.floats(1e-3, 50.0))
+    def test_matches_special_angle_emission(self, kappa, zeta, e_squared, y):
         # at the observation angle cos(theta0) = zeta the emission sample
-        # and the occupancy coefficient describe the same quantum
-        zeta = 0.25
-        params = TrajectoryParams(1, zeta, 1)
-        omega = 1.3
+        # and the occupancy coefficient describe the same quantum: emission
+        # -> |beta|^2 matches the closed form on the sample's modes, and
+        # |beta|^2 -> emission gives the sample back
+        params = TrajectoryParams(kappa, zeta, e_squared)
+        omega = y * kappa
         sample = fermi_dirac_distribution(params, omega)
-        via_sample = beta_squared_from_distribution(sample, 1.0)
-        direct = beta_squared_fd(via_sample.modes, 1.0, zeta)
-        assert rel(via_sample.beta_squared, direct.beta_squared) < 1e-10
+        via_sample = beta_squared_from_distribution(sample, e_squared)
+        direct = beta_squared_fd(via_sample.modes, kappa, zeta)
+        assert rel(via_sample.beta_squared, direct.beta_squared) < 1e-12
+        back = e_squared * omega**2 / (4.0 * math.pi) * via_sample.beta_squared
+        assert rel(back, sample.value) < 1e-13
 
 
 class TestNearMinusOneLimit:

@@ -14,7 +14,6 @@ import pytest
 from fdradiance import quadrature
 from fdradiance.errors import ConvergenceError, DomainError, NonFiniteError
 from fdradiance.quadrature import (
-    OscillatoryPhaseSpec,
     QuadratureResult,
     _oscillatory_rows,
     integrate_adaptive,
@@ -44,15 +43,15 @@ class TestTypes:
             QuadratureResult(math.nan, 1e-3, 15)
 
     def test_spec_validation(self):
-        OscillatoryPhaseSpec(2.0, -1.5)  # d^2 < 4: complex saddles
-        with pytest.raises(DomainError):
-            OscillatoryPhaseSpec(0.0, 1.0)
-        with pytest.raises(DomainError):
-            OscillatoryPhaseSpec(-1.0, 1.0)
-        with pytest.raises(DomainError):
-            OscillatoryPhaseSpec(math.inf, 1.0)
-        with pytest.raises(DomainError):
-            OscillatoryPhaseSpec(1.0, math.inf)
+        # the phase (b, d) = (log_coeff, shift) goes in as two floats
+        integrate_oscillatory(2.0, -1.5)  # d^2 < 4: complex saddles
+        for b, d in ((0.0, 1.0), (-1.0, 1.0), (math.inf, 1.0), (math.nan, 1.0),
+                     (1.0, math.inf), (1.0, math.nan)):
+            with pytest.raises(DomainError):
+                integrate_oscillatory(b, d)
+        # one integral per call: an array of phases is _oscillatory_rows' job
+        with pytest.raises(TypeError):
+            integrate_oscillatory(np.array([1.0, 2.0]), 0.0)
 
 
 class TestAdaptive:
@@ -150,13 +149,13 @@ class TestOscillatory:
         # here at a = b/2. Its b -> 0 limit at a = 1, taken back to z, is
         # the pure Fresnel value, whose saddle has merged into the origin
         scale, d = unit_circle(1.0, 1e-12, 0.0)
-        res = integrate_oscillatory(OscillatoryPhaseSpec(1e-12, d), tol=1e-10)
+        res = integrate_oscillatory(1e-12, d, tol=1e-10)
         assert rel(scale * res.value, FRESNEL * (1 + 1j)) < 1e-10
         for b in (1e-6, 0.5, 2.0, 6.0):
             s = 1 + 1j * b
             want = complex(0.5 * mp.gamma(s / 2) * mp.power(b / 2, -s / 2)
                            * mp.exp(1j * mp.pi * s / 4))
-            res = integrate_oscillatory(OscillatoryPhaseSpec(b, 0.0), tol=1e-10)
+            res = integrate_oscillatory(b, 0.0, tol=1e-10)
             assert rel(res.value, want) < 1e-10
             assert abs(res.value - want) <= res.abs_error
 
@@ -164,13 +163,13 @@ class TestOscillatory:
         for (a, b, c), frozen in (((0.5, 4.0, -1.0), J_HALF_4_M1),
                                   ((0.25, 2.0, -0.5), J_QUARTER_2_MHALF)):
             scale, d = unit_circle(a, b, c)
-            got = integrate_oscillatory(OscillatoryPhaseSpec(b, d), tol=1e-10)
+            got = integrate_oscillatory(b, d, tol=1e-10)
             assert rel(got.value, frozen / scale) < 1e-9
 
     def test_reported_error_honest(self):
         scale, d = unit_circle(0.5, 4.0, -1.0)
         want = J_HALF_4_M1 / scale
-        res = integrate_oscillatory(OscillatoryPhaseSpec(4.0, d), tol=1e-9)
+        res = integrate_oscillatory(4.0, d, tol=1e-9)
         assert abs(res.value - want) <= res.abs_error + 1e-14 * abs(want)
 
     def test_against_damped_oracle(self):
@@ -182,26 +181,25 @@ class TestOscillatory:
                        2 * math.pi / 3, 5 * math.pi / 6):
                 a, b, c = w / 4.0, 2.0 * w, -w * math.cos(th)
                 scale, d = unit_circle(a, b, c)
-                got = integrate_oscillatory(OscillatoryPhaseSpec(b, d), tol=1e-9).value
+                got = integrate_oscillatory(b, d, tol=1e-9).value
                 want = damped_phase_integral(a, b, c) / scale
                 worst = max(worst, abs(got - want) / abs(want))
         assert worst < 1e-4
 
     def test_argument_validation(self):
-        spec = OscillatoryPhaseSpec(1.0, 0.0)
         with pytest.raises(DomainError):
-            integrate_oscillatory(spec, tol=0.1)
+            integrate_oscillatory(1.0, 0.0, tol=0.1)
         with pytest.raises(DomainError):
-            integrate_oscillatory(spec, tol=0.0)
+            integrate_oscillatory(1.0, 0.0, tol=0.0)
         # the contour needs a complex pair of saddles: b > 0 and d^2 < 4.
         # The pure-Fresnel limit b = 0 and real saddles are outside it.
         with pytest.raises(DomainError):
-            OscillatoryPhaseSpec(0.0, 0.0)
+            integrate_oscillatory(0.0, 0.0)
         with pytest.raises(DomainError):
             _oscillatory_rows(0.0, [0.0], 1e-9)
         for d in (2.0, -2.0, 2.5):
             with pytest.raises(DomainError):
-                OscillatoryPhaseSpec(1.0, d)
+                integrate_oscillatory(1.0, d)
             with pytest.raises(DomainError):
                 _oscillatory_rows(1.0, [0.0, d], 1e-9)
         with pytest.raises(DomainError):
@@ -234,7 +232,7 @@ class TestOscillatoryRows:
             b, ds = self.angular_rows(rng, order)
             values, errors, evals = _oscillatory_rows(b, ds, tol)
             for d, value, error, n in zip(ds, values, errors, evals):
-                one = integrate_oscillatory(OscillatoryPhaseSpec(b, float(d)), tol)
+                one = integrate_oscillatory(b, float(d), tol)
                 assert one.evaluations == n
                 assert abs(one.value - value) <= 1e-12 * abs(one.value) + one.abs_error
                 assert abs(one.abs_error - error) <= 1e-12 * one.abs_error
@@ -265,7 +263,7 @@ class TestOscillatoryRows:
         with pytest.raises(ConvergenceError) as batch:
             _oscillatory_rows(b, ds, 1e-12)
         with pytest.raises(ConvergenceError) as single:
-            integrate_oscillatory(OscillatoryPhaseSpec(b, ds[2]), tol=1e-12)
+            integrate_oscillatory(b, ds[2], tol=1e-12)
         assert batch.value.best == single.value.best
         assert batch.value.best.evaluations <= 300
         _oscillatory_rows(b, ds[:2], 1e-12)

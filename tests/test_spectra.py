@@ -28,7 +28,7 @@ from fdradiance.spectra import (
     particle_spectrum,
     total_energy_spectral,
 )
-from fdradiance.specfun import kummer_1f1
+from fdradiance.specfun import kummer_1f1, ln_gamma
 from fdradiance.trajectory import TrajectoryParams, total_energy_larmor
 
 from oracles import exact_distribution
@@ -314,6 +314,18 @@ class TestIntegratedSpectrum:
         larmor = total_energy_larmor(params)
         assert rel(spectral, larmor) < 10.0 * tol
 
+    @pytest.mark.parametrize("zeta", [0.0, 0.3])
+    @pytest.mark.parametrize("tol", [-1.0, 0.0, math.nan, 0.5, 5.0])
+    def test_tolerance_outside_its_range(self, zeta, tol):
+        # both angular routes take tol in (0, 1e-2], as the CLI does
+        params = TrajectoryParams(1, zeta, 1)
+        for call in (lambda: energy_spectrum(params, 1.0, tol),
+                     lambda: energy_spectrum(params, np.array([0.5, 1.0]), tol),
+                     lambda: particle_spectrum(params, 1.0, tol),
+                     lambda: total_energy_spectral(params, tol)):
+            with pytest.raises(DomainError, match="tol"):
+                call()
+
 
 class TestBatchedSpectra:
     """energy_spectrum runs one batched angular integral over an omega array."""
@@ -350,18 +362,30 @@ class TestBatchedSpectra:
             energy_spectrum(params, np.array([1.0, -1.0]))
 
     def test_mirrored_half_matches_full_nodes(self):
-        # on symmetric nodes the 1F1s run on u >= 0 only; appending one node
-        # breaks the symmetry and makes every node evaluate on its own
+        # the 1F1s run once per distinct |u|; every value must keep the bits
+        # of the closed form evaluated at its own signed u, written out here.
+        # Gauss-Legendre nodes pair up exactly, the 19-angle theta grid in
+        # only 4 of its 9 pairs, and -0.0 shares its modulus with 0.0
+        def signed_u(kappa, e_squared, omegas, us, sin2):
+            y = omegas[:, None] / kappa
+            a = spectra._EXACT_A - 1j * y
+            g_half, g_one = np.exp(ln_gamma(a))
+            m_half, m_one = kummer_1f1(a, spectra._EXACT_B, 1j * y * us**2)
+            m = g_half * m_half + 2.0 * us * (np.sqrt(y) * spectra._ROOT_I) * g_one * m_one
+            pref = e_squared * omegas[:, None] * sin2 / (16.0 * math.pi**3 * kappa)
+            return pref * np.exp(-math.pi * y) * np.abs(m) ** 2
+
         rng = np.random.default_rng(12)
         omegas = rng.uniform(0.1, 8.0, 5)
-        grids = [spectra._gl_nodes(order)[0] for order in (64, 128, 256, 512)]
-        for us in grids + [np.array([-0.5, 0.0, 0.5])]:
-            assert np.array_equal(us, -us[::-1])
-            mirrored = spectra._exact_zeta0_values(1.3, 0.7, omegas, us, 1.0 - us**2)
-            full_us = np.append(us, 0.25)
-            full = spectra._exact_zeta0_values(1.3, 0.7, omegas, full_us,
-                                               1.0 - full_us**2)[:, :-1]
-            assert np.array_equal(mirrored, full)
+        thetas = np.linspace(0.0, math.pi, 19)
+        grids = [(us, 1.0 - us**2) for us in
+                 (spectra._gl_nodes(order)[0] for order in (64, 128, 256, 512))]
+        grids.append((np.cos(thetas), np.sin(thetas)**2))
+        grids.append((np.array([-0.5, -0.0, 0.0, 0.25, 0.5]),
+                      np.array([0.75, 1.0, 1.0, 0.9375, 0.75])))
+        for us, sin2 in grids:
+            got = spectra._exact_zeta0_values(1.3, 0.7, omegas, us, sin2)
+            assert np.array_equal(got, signed_u(1.3, 0.7, omegas, us, sin2))
 
     def test_large_grid_matches_small_pieces(self):
         # a grid several times _SLICE_ELEMENTS runs in slices; each element
