@@ -1,11 +1,14 @@
 """Self-contained acceptance suite: ten checks, each with a pinned tolerance.
 
 Every check compares an independently computed quantity against a closed
-form or against a second, structurally different evaluation route. The
-tolerances are part of the library's contract; ``tolerance_scale`` exists
-so a harness can demonstrate falsifiability (scale 0 must fail) or grant
-slack on exotic hardware, and deliberately does not touch check 8, whose
-assertion is a strict qualitative trend with no numeric tolerance.
+form or against a second, structurally different evaluation route, and
+returns a measured value and a target: a check passes when measured <
+target, strictly, and within its runtime limit. The tolerances are part
+of the library's contract; ``tolerance_scale`` multiplies every target
+but check 8's, so a harness can demonstrate falsifiability (scale 0 makes
+every other check fail) or grant slack on exotic hardware. Check 8 is a
+strict trend with no numeric tolerance: its largest ratio of successive
+energies must stay below 1.
 """
 from __future__ import annotations
 
@@ -145,13 +148,10 @@ def _c8_energy_zeta_trend(scale):
     # No numeric tolerance to scale here: the claim is strict monotonicity.
     zetas = (-0.9, -0.6, -0.3, 0.0, 0.3, 0.6, 0.9)
     energies = [total_energy_larmor(TrajectoryParams(1.0, z, 1.0)) for z in zetas]
-    finite_positive = all(math.isfinite(e) and e > 0.0 for e in energies)
     ratios = [energies[i + 1] / energies[i] for i in range(len(energies) - 1)]
-    measured = max(ratios)
-    passed_extra = finite_positive and measured < 1.0
+    finite_positive = all(math.isfinite(e) and e > 0.0 for e in energies)
     detail = "E(zeta) ratios " + ", ".join(f"{r:.3f}" for r in ratios)
-    # target 1.0 with strict inequality via the measured ratio
-    return measured, 1.0 if passed_extra else 0.0, detail
+    return max(ratios) if finite_positive else math.inf, 1.0, detail
 
 
 def _c9_special_function_identities(scale):
@@ -251,8 +251,8 @@ def run_all(tolerance_scale: float = 1.0, criteria=None) -> list[CriterionResult
     ----------
     tolerance_scale : float
         Multiplier on every numeric tolerance (criterion 8 is a strict
-        trend and is exempt). Zero makes every scalable criterion fail,
-        which is the documented falsifiability probe.
+        trend and is exempt). Zero makes every criterion but 8 fail, which
+        is the documented falsifiability probe.
     criteria : iterable of int, optional
         Subset of criterion indices to run; default all ten.
     """
@@ -269,8 +269,7 @@ def run_all(tolerance_scale: float = 1.0, criteria=None) -> list[CriterionResult
         start = time.perf_counter()
         measured, target, detail = func(tolerance_scale)
         elapsed = time.perf_counter() - start
-        passed = bool(measured <= target if index != 8 else measured < target)
-        passed = passed and elapsed < limit
+        passed = bool(measured < target) and elapsed < limit
         results.append(CriterionResult(
             index=index, name=name, measured=float(measured),
             target=float(target), passed=passed, runtime=elapsed,

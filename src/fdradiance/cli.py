@@ -18,6 +18,7 @@ keys in stable lexicographic order.
 from __future__ import annotations
 
 import argparse
+import csv
 import dataclasses
 import json
 import math
@@ -56,11 +57,16 @@ __all__ = ["main"]
 
 
 class _Given(argparse.Action):
-    """Store a grid option and add its grid's name to ``ns.given``."""
+    """Store an option and add its dest (``zeta``, ``zeta_min``) to ``ns.given``."""
 
     def __call__(self, parser, ns, value, option_string=None):
         setattr(ns, self.dest, value)
-        ns.given = ns.given | {self.dest.rsplit("_", 1)[0]}
+        ns.given = ns.given | {self.dest}
+
+
+def _gave_grid(ns, name: str) -> bool:
+    """Whether any of --NAME-min/--NAME-max/--NAME-steps was given."""
+    return not ns.given.isdisjoint({f"{name}_min", f"{name}_max", f"{name}_steps"})
 
 
 def _add_grid(sub, name: str, default=(None, None, None), help=None):
@@ -109,13 +115,15 @@ def _params(ns) -> TrajectoryParams:
 
 def _zeta_sweep(ns, base: TrajectoryParams) -> list:
     """One worldline per --zeta-* grid value; just ``base`` without a grid."""
+    if "zeta" in ns.given and _gave_grid(ns, "zeta"):
+        raise DomainError("give --zeta or a --zeta-* grid, not both")
     return [dataclasses.replace(base, zeta=zeta)
             for zeta in _grid(ns, "zeta", default=(base.zeta, base.zeta, 1))]
 
 
 def run_trajectory(ns):
     worldlines = _zeta_sweep(ns, TrajectoryParams(ns.kappa, ns.zeta))
-    if {"t", "z"} <= ns.given:
+    if _gave_grid(ns, "t") and _gave_grid(ns, "z"):
         raise DomainError("give a --t-* grid or a --z-* grid, not both")
     zs, ts = _grid(ns, "z"), _grid(ns, "t", default=(-5.0, 5.0, 101))
     rows = []
@@ -201,7 +209,7 @@ def run_mirror(ns):
     params = _params(ns)
     kappa, zeta, e2 = params.kappa, params.zeta, params.e_squared
     omegas = _grid(ns, "omega")
-    if ("theta" if omegas is None else "pq") in ns.given:
+    if _gave_grid(ns, "theta" if omegas is None else "pq"):
         raise DomainError("a --theta-* grid goes with an --omega-* grid, "
                           "and a --pq-* grid with neither")
     if omegas is not None:
@@ -258,14 +266,17 @@ def _format_cell(value):
 
 
 def _write_csv(stream, rows, summary):
-    """Header from the first row's keys, which every row shares in order."""
-    stream.write(",".join(rows[0]) + "\n")
-    for row in rows:
-        stream.write(",".join(_format_cell(v) for v in row.values()) + "\n")
+    """Header from the first row's keys, which every row shares in order.
+
+    Cells holding a comma or a quote are quoted; no other cell is.
+    """
+    writer = csv.writer(stream, lineterminator="\n")
+    writer.writerow(rows[0])
+    writer.writerows([_format_cell(v) for v in row.values()] for row in rows)
     for key in sorted(summary):
         if key == "lines":
             continue
-        stream.write(f"# {key},{_format_cell(summary[key])}\n")
+        writer.writerow([f"# {key}", _format_cell(summary[key])])
 
 
 def _write_json(stream, rows, summary, config_echo):
@@ -282,7 +293,7 @@ def _add_common(sub, *, radiation=True):
     """--kappa/--zeta, then --e-squared/--tol for radiation, then output options."""
     sub.add_argument("--kappa", type=float, default=1.0,
                      help="acceleration scale (default 1.0)")
-    sub.add_argument("--zeta", type=float, default=0.0,
+    sub.add_argument("--zeta", type=float, default=0.0, action=_Given,
                      help="shape parameter in (-1, 1) (default 0)")
     if radiation:
         sub.add_argument("--e-squared", type=float, default=E_SQUARED_DEFAULT,

@@ -14,11 +14,11 @@ Routes, kept deliberately independent of each other:
 * ``distribution_numeric`` evaluates J by the saddle-contour
   integrator for any (zeta, theta); a whole (omega, theta) grid runs as
   one batched integration. Behind the special angle the contour cancels
-  by up to e^{omega/kappa}, and a sample whose error bar exceeds
-  _NUMERIC_REFUSAL of its value raises ConvergenceError instead.
+  by up to e^{omega/kappa}, so its error bar can outgrow the value.
 * ``distribution_exact_zeta0`` uses the closed hypergeometric form that
   exists when zeta = 0, for any theta; a whole (omega, theta) grid is one
-  vectorized evaluation.
+  vectorized evaluation, with a fixed error bar of _CLOSED_FORM_REL of
+  the value.
 * ``fermi_dirac_distribution`` is the special observation angle
   cos(theta0) = zeta, where the linear phase term drops and the
   distribution collapses to (1 - zeta^2)(e^2/8 pi^2)(omega/kappa) times
@@ -29,17 +29,21 @@ energy and particle count carried by the special-angle form round out the
 module. Closed forms always come with an explicit quadrature companion so
 each claim is checkable against an independent code path.
 
-Each route takes a whole grid in one call: ``distribution_grid`` gives
-the numeric or exact samples of an (omega, theta) grid, omega-major, and
-the two single-point distributions are its one-point calls.
-``energy_spectrum`` takes a float or a 1-d array of omegas, and runs each
-Gauss-Legendre order once over every omega not yet settled. At zeta = 0
-that is one closed-form evaluation of the (omega, u) grid, with the two
-1F1s taken once per distinct |u| (they depend on u^2), so the frequency
-integral of ``total_energy_spectral`` costs one such evaluation per wave
-of omega nodes and angular order; off zeta = 0 it is one batched
-quadrature with a row, and a phase, per (omega, u). A value does not
-depend on the grid it is batched with.
+The two grid routes share one signature, (params, omegas, us, sin2, tol)
+-> (values, abs_errors) on the grid omegas x directions, so their callers
+pick a route once and call it without branching on it again.
+``distribution_grid`` gives the numeric or exact samples of an
+(omega, theta) grid, omega-major, and refuses on either route a sample
+whose error bar exceeds _REFUSAL of its value; the two single-point
+distributions are its one-point calls. ``energy_spectrum`` takes a float
+or a 1-d array of omegas, and runs each Gauss-Legendre order once over
+every omega not yet settled. At zeta = 0 that is one closed-form
+evaluation of the (omega, u) grid, with the two 1F1s taken once per
+distinct |u| (they depend on u^2), so the frequency integral of
+``total_energy_spectral`` costs one such evaluation per wave of omega
+nodes and angular order; off zeta = 0 it is one batched quadrature with a
+row, and a phase, per (omega, u). A value does not depend on the grid it
+is batched with.
 """
 from __future__ import annotations
 
@@ -75,11 +79,11 @@ _METHODS = ("numeric", "exact-zeta0", "fermi-dirac")
 # Relative error ascribed to closed-form evaluations: a conservative
 # roundoff envelope, not a quadrature estimate.
 _CLOSED_FORM_REL = 1e-13
-# A numeric sample whose error bar exceeds this fraction of its value is
-# refused rather than returned: behind the special angle the contour's
-# cancellation grows like e^{omega/kappa}, and such a value has fewer than
-# three significant digits left.
-_NUMERIC_REFUSAL = 1e-3
+# A sample whose error bar exceeds this fraction of its value is refused
+# rather than returned, on every route: behind the special angle the
+# contour's cancellation grows like e^{omega/kappa}, and such a value has
+# fewer than three significant digits left.
+_REFUSAL = 1e-3
 # Most elements one slice of an (omega, u) grid evaluates: the closed form's
 # two series, or the quadrature's one integral, per (omega, u). Bigger grids
 # run in slices of whole omega rows (one at the least), bounding their memory.
@@ -130,18 +134,18 @@ class SpectralSample:
             raise DomainError("abs_error must be non-negative")
 
 
-def _numeric_values(params: TrajectoryParams, omegas, cos_t, sin2, tol: float):
-    """dI/dOmega and its error by quadrature on the grid omegas x directions.
+def _numeric_values(params: TrajectoryParams, omegas, us, sin2, tol: float):
+    """dI/dOmega and its error by quadrature on the grid omegas x us.
 
-    The directions are given by cos(theta) and sin^2(theta) arrays. In
-    the units w = kappa z/2, where every saddle lies on the unit circle,
+    ``us`` and ``sin2`` hold cos(theta) and sin^2(theta) of each direction.
+    In the units w = kappa z/2, where every saddle lies on the unit circle,
     J = (2/kappa) e^{ib ln(2/kappa)} F(b, d) with b = 2 omega/kappa and
     d = zeta - cos(theta) (``quadrature.integrate_oscillatory``), so
     |J|^2 = (4/kappa^2) |F|^2. Each (omega, direction) integral F is one
     row of a batched integration with its own (b, d); grids with more than
     _SLICE_ELEMENTS lit rows run in slices of whole omega rows. Dark
     directions (sin^2(theta) = 0) skip the integral. Returns (values,
-    abs_errors), each of shape (omegas.size, cos_t.size).
+    abs_errors), each of shape (omegas.size, us.size).
     """
     values = np.zeros((omegas.size, sin2.size))
     abs_errors = np.zeros((omegas.size, sin2.size))
@@ -152,7 +156,7 @@ def _numeric_values(params: TrajectoryParams, omegas, cos_t, sin2, tol: float):
     for s in range(0, omegas.size, step):
         omega = omegas[s:s + step, None]
         F, dF, _ = (v.reshape(omega.size, -1) for v in _oscillatory_rows(
-            2.0 * omega / params.kappa, params.zeta - cos_t[lit], tol))
+            2.0 * omega / params.kappa, params.zeta - us[lit], tol))
         pref = (params.e_squared * (omega / params.kappa)**2 * sin2[lit]
                 / (4.0 * math.pi**3))
         mod = np.abs(F)
@@ -162,12 +166,13 @@ def _numeric_values(params: TrajectoryParams, omegas, cos_t, sin2, tol: float):
     return values, abs_errors
 
 
-def _exact_zeta0_values(kappa, e_squared, omegas, us, sin2):
-    """Closed-form dI/dOmega at zeta = 0 on the grid omegas x us.
+def _exact_zeta0_values(params: TrajectoryParams, omegas, us, sin2, tol: float):
+    """Closed-form dI/dOmega at zeta = 0 and its error on the grid omegas x us.
 
-    ``us`` and ``sin2`` hold cos(theta) and sin^2(theta) of each direction;
-    sin^2 is not 1 - u^2, which cancels near the poles. The (omegas.size,
-    us.size) result follows from
+    Arguments and result as for ``_numeric_values``; tol is not read, and
+    the error is a fixed _CLOSED_FORM_REL of each value, a roundoff
+    envelope rather than an estimate. sin^2 is not 1 - u^2, which cancels
+    near the poles. The values follow from
 
         m(u) = Gamma(1/2 - iy) 1F1(1/2 - iy; 1/2; iyu^2)
                + 2u sqrt(iy) Gamma(1 - iy) 1F1(1 - iy; 3/2; iyu^2),
@@ -181,8 +186,7 @@ def _exact_zeta0_values(kappa, e_squared, omegas, us, sin2):
     grids whose two series hold more than _SLICE_ELEMENTS evaluations run
     in slices of whole omega rows.
     """
-    omegas = np.asarray(omegas, dtype=float)
-    us = np.asarray(us, dtype=float)
+    kappa = params.kappa
     mods, at = np.unique(np.abs(us), return_inverse=True)
     out = np.empty((omegas.size, us.size))
     step = max(1, _SLICE_ELEMENTS // (2 * mods.size))
@@ -195,9 +199,9 @@ def _exact_zeta0_values(kappa, e_squared, omegas, us, sin2):
         root_iy = np.sqrt(y) * _ROOT_I
         m_half, m_one = kummer_1f1(a, _EXACT_B, x)[..., at]
         m = g_half * m_half + 2.0 * us * root_iy * g_one * m_one
-        pref = e_squared * omega * sin2 / (16.0 * math.pi**3 * kappa)
+        pref = params.e_squared * omega * sin2 / (16.0 * math.pi**3 * kappa)
         out[s:s + step] = pref * np.exp(-math.pi * y) * np.abs(m) ** 2
-    return out
+    return out, out * _CLOSED_FORM_REL
 
 
 def distribution_grid(params: TrajectoryParams, omegas, thetas, method: str,
@@ -206,7 +210,7 @@ def distribution_grid(params: TrajectoryParams, omegas, thetas, method: str,
 
     ``method`` is "numeric" (quadrature to tol, any zeta) or "exact-zeta0"
     (the closed form, zeta = 0 only, which does not read tol); thetas lie
-    in [0, pi]. A numeric sample whose abs_error exceeds _NUMERIC_REFUSAL
+    in [0, pi]. On either route, a sample whose abs_error exceeds _REFUSAL
     of its value raises ``ConvergenceError`` with that sample as ``best``.
     """
     if method not in ("numeric", "exact-zeta0"):
@@ -219,22 +223,17 @@ def distribution_grid(params: TrajectoryParams, omegas, thetas, method: str,
     _check_omega(omega_arr)
     us = np.array([math.cos(theta) for theta in thetas])
     sin2 = np.array([math.sin(theta) ** 2 for theta in thetas])
-    if method == "numeric":
-        values, abs_errors = _numeric_values(params, omega_arr, us, sin2, tol)
-    else:
-        values = _exact_zeta0_values(params.kappa, params.e_squared, omega_arr,
-                                     us, sin2)
-        abs_errors = values * _CLOSED_FORM_REL
+    route = _numeric_values if method == "numeric" else _exact_zeta0_values
+    values, abs_errors = route(params, omega_arr, us, sin2, tol)
     samples = [SpectralSample(omega, theta, value, method, err)
                for omega, row, row_err in zip(omegas, values.tolist(), abs_errors.tolist())
                for theta, value, err in zip(thetas, row, row_err)]
-    if method == "numeric":
-        for s in samples:
-            if s.abs_error > _NUMERIC_REFUSAL * s.value:
-                raise ConvergenceError(
-                    f"numeric dI/dOmega at omega={s.omega:.6g}, theta={s.theta:.6g} "
-                    f"is {s.value:.3e} +- {s.abs_error:.3e}, an error bar above "
-                    f"{_NUMERIC_REFUSAL:g} of the value", best=s)
+    for s in samples:
+        if s.abs_error > _REFUSAL * s.value:
+            raise ConvergenceError(
+                f"{method} dI/dOmega at omega={s.omega:.6g}, theta={s.theta:.6g} "
+                f"is {s.value:.3e} +- {s.abs_error:.3e}, an error bar above "
+                f"{_REFUSAL:g} of the value", best=s)
     return samples
 
 
@@ -283,13 +282,15 @@ def energy_spectrum(params: TrajectoryParams, omega, tol: float = 1e-6,
 
     omega is a float, which returns a float, or a 1-d array, which returns
     an array. Gauss-Legendre in u = cos(theta), order doubled from 64
-    until two successive orders agree to tol (or the value sits below
-    abs_floor, which deep exponential tails of a larger frequency integral
-    use to avoid chasing relative accuracy of negligible numbers). The
-    integrand is the closed form at zeta = 0 and quadrature otherwise;
-    ``force_numeric`` uses quadrature at zeta = 0 too. Each order runs once
-    over the omegas not yet settled, and each row is summed on its own, so
-    a row's value is the same in any batch. tol must lie in (0, 1e-2].
+    to 512. A row settles once its value moves from the last order's (zero
+    before the first) by at most max(tol |value|, abs_floor); abs_floor
+    lets deep exponential tails of a larger frequency integral stop without
+    chasing relative accuracy of negligible numbers. The integrand is the
+    closed form at zeta = 0 and quadrature otherwise; ``force_numeric``
+    uses quadrature at zeta = 0 too. The route is picked once, each order
+    runs once over the omegas not yet settled, and each row is summed on
+    its own, so a row's value is the same in any batch. tol must lie in
+    (0, 1e-2].
     """
     _check_tol(tol)
     omegas = np.asarray(omega, dtype=float)
@@ -298,32 +299,23 @@ def energy_spectrum(params: TrajectoryParams, omega, tol: float = 1e-6,
     if omegas.ndim != 1:
         raise DomainError("omega must be a float or a 1-d array")
     _check_omega(omegas)
-    exact = params.zeta == 0.0 and not force_numeric
-    out = np.empty(omegas.shape)
-    prev = np.empty(omegas.shape)
+    route = (_exact_zeta0_values if params.zeta == 0.0 and not force_numeric
+             else _numeric_values)
+    out = np.zeros(omegas.shape)
     todo = np.arange(omegas.size)
     for order in (64, 128, 256, 512):
         us, ws = _gl_nodes(order)
         # the nodes keep off the poles, where 1 - u^2 would cancel
-        sin2 = 1.0 - us**2
-        if exact:
-            vals = _exact_zeta0_values(params.kappa, params.e_squared, omegas[todo],
-                                       us, sin2)
-        else:
-            vals = _numeric_values(params, omegas[todo], us, sin2, tol / 8.0)[0]
+        vals = route(params, omegas[todo], us, 1.0 - us**2, tol / 8.0)[0]
         cur = 2.0 * math.pi * np.vecdot(vals, ws)
-        if order == 64:
-            done = np.abs(cur) <= abs_floor
-        else:
-            done = np.abs(cur - prev[todo]) <= np.maximum(tol * np.abs(cur), abs_floor)
-        out[todo[done]] = cur[done]
-        prev[todo] = cur
+        done = np.abs(cur - out[todo]) <= np.maximum(tol * np.abs(cur), abs_floor)
+        out[todo] = cur
         todo = todo[~done]
         if todo.size == 0:
             return float(out[0]) if scalar else out
     raise ConvergenceError(
         f"angular quadrature did not stabilize for omega={float(omegas[todo[0]])}",
-        best=float(prev[todo[0]]),
+        best=float(out[todo[0]]),
     )
 
 

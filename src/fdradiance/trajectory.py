@@ -74,19 +74,27 @@ class KinematicState:
 
 def _check_positions(z):
     zs = np.asarray(z, dtype=float)
-    if not np.all(np.isfinite(zs)) or not np.all(zs > 0.0):
+    if not ((zs > 0.0) & (zs < math.inf)).all():
         raise DomainError("position z must be positive and finite")
     return zs
 
 
 def coordinate_time(params: TrajectoryParams, z):
-    """t(z) along the worldline; z may be a scalar or ndarray, all > 0."""
+    """t(z) along the worldline; z may be a scalar or ndarray, all > 0.
+
+    Raises ``OverflowRangeError`` where t(z) is not a finite double: z so
+    large that t overflows, or kappa z so small that its log is -inf.
+    """
     zs = _check_positions(z)
     k = params.kappa
     # scale before squaring: z^2 alone overflows for z > 1.3e154, where
     # t(z) is still representable when kappa < 4
-    t = (0.25 * k * zs) * zs + (2.0 / k) * np.log(k * zs) + params.zeta * zs
-    return float(t) if np.isscalar(z) or np.ndim(z) == 0 else t
+    with np.errstate(over="ignore", divide="ignore"):
+        t = (0.25 * k * zs) * zs + (2.0 / k) * np.log(k * zs) + params.zeta * zs
+    if not (math.isfinite(t) if zs.ndim == 0 else np.isfinite(t).all()):
+        bad = zs[~np.isfinite(t)][0]
+        raise OverflowRangeError(f"t(z) at z={bad:.6g} is not a finite double")
+    return float(t) if zs.ndim == 0 else t
 
 
 def _inverse_speed(params: TrajectoryParams, zs):
@@ -101,7 +109,8 @@ def kinematic_state(params: TrajectoryParams, z: float) -> KinematicState:
     k = params.kappa
     w = _inverse_speed(params, zs)
     v = 1.0 / w
-    gamma = w / math.sqrt((w - 1.0) * (w + 1.0))
+    # in v, not w: (w - 1)(w + 1) overflows for w > 1.3e154
+    gamma = 1.0 / math.sqrt((1.0 - v) * (1.0 + v))
     dw_dz = 0.5 * k - 2.0 / (k * zs * zs)
     accel = -(v**3) * dw_dz
     return KinematicState(
@@ -138,8 +147,11 @@ def position_at_time(params: TrajectoryParams, t: float) -> float:
     u_floor = math.log(sys.float_info.min / min(1.0, k))
     u_ceil = min(0.5 * (math.log(4.0) + math.log(sys.float_info.max) - math.log(k)),
                  math.log(sys.float_info.max))
-    with np.errstate(over="ignore"):
-        while not math.isfinite(coordinate_time(params, math.exp(u_ceil))):
+    while True:
+        try:
+            coordinate_time(params, math.exp(u_ceil))
+            break
+        except OverflowRangeError:
             u_ceil = math.nextafter(u_ceil, -math.inf)
 
     def residual(u):

@@ -37,6 +37,15 @@ def test_bad_arguments(kwargs):
         run_all(**kwargs)
 
 
+def test_zero_scale_fails_every_scalable_criterion():
+    # every criterion passes on measured < target, strictly, so a zero
+    # target fails even a deviation of exactly 0; criterion 8 has no
+    # tolerance to scale
+    res = run_all(tolerance_scale=0.0)
+    assert [r.index for r in res if r.passed] == [8]
+    assert all(r.target == 0.0 for r in res if r.index != 8)
+
+
 def test_kummer_identities_see_a_series_error_off_the_imaginary_axis(monkeypatch):
     # an a-dependent error in every series summed at Re x != 0: there
     # Kummer's transform would compare one series with itself, so only the

@@ -1,5 +1,6 @@
 """Command-line contract: formats, grids, exit codes, determinism."""
 import argparse
+import csv
 import json
 import math
 import os
@@ -96,6 +97,23 @@ class TestUsageErrors:
                                       "--pq-steps", "2", "--omega-min", "1",
                                       "--omega-max", "2", "--omega-steps", "1"])
         assert code == 2 and out == "" and "--pq-*" in err
+
+    @pytest.mark.parametrize("command, rest", [
+        ("trajectory", at_time("1.0")), ("energy", ["--method", "larmor"])])
+    def test_zeta_with_zeta_grid(self, capsys, command, rest):
+        # the grid would silently win over --zeta
+        zeta = ["--zeta", "0.3"]
+        grid = ["--zeta-min", "-0.5", "--zeta-max", "0.5", "--zeta-steps", "2"]
+        code, out, err = run(capsys, [command, *zeta, *grid, *rest])
+        assert code == 2 and out == "" and "--zeta-*" in err
+        # either one alone still runs
+        assert main([command, *zeta, *rest]) == 0
+        assert main([command, *grid, *rest]) == 0
+
+    def test_descending_grid(self, capsys):
+        code, out, err = run(capsys, ["distribution", "--omega-min", "2",
+                                      "--omega-max", "1", "--omega-steps", "3"])
+        assert code == 2 and out == "" and "ascending" in err
 
     def test_partial_z_grid(self, capsys):
         code, _, _ = run(capsys, ["trajectory", "--z-min", "1.0"])
@@ -195,6 +213,15 @@ class TestTrajectoryCommand:
         code, out, err = run(capsys, ["trajectory", "--kappa", "0.5",
                                       *at_time(repr(sys.float_info.max))])
         assert code == 3 and out == "" and err
+
+    @pytest.mark.parametrize("argv", [
+        ["--z-min", "1e300", "--z-max", "1e301", "--z-steps", "2"],
+        ["--kappa", "1e-10", "--z-min", "1e-320", "--z-max", "1e-310", "--z-steps", "2"]],
+        ids=["large-z", "tiny-kappa-z"])
+    def test_time_overflow_exits_3(self, capsys, argv):
+        # t(z) = inf and -inf are refused, not printed
+        code, out, err = run(capsys, ["trajectory", *argv])
+        assert code == 3 and out == "" and "finite" in err
 
     def test_json_round_trip_stable(self, capsys):
         _, out, _ = run(capsys, ["trajectory", *at_time("2.0"),
@@ -374,6 +401,16 @@ class TestCheckCommand:
         code, out, _ = run(capsys, ["check", "--criteria", "1"])
         assert code == 0
         assert "[PASS] criterion  1" in out
+
+    def test_output_rows_parse_as_csv(self, tmp_path, capsys):
+        # criteria 8 and 9 put commas in their detail, which is quoted
+        path = tmp_path / "rows.csv"
+        code, _, _ = run(capsys, ["check", "--criteria", "6,8,9", "--output", str(path)])
+        assert code == 0
+        lines = [ln for ln in path.read_text().splitlines() if not ln.startswith("#")]
+        header, *rows = csv.reader(lines)
+        assert len(rows) == 3 and all(len(row) == len(header) for row in rows)
+        assert rows[1][-1].startswith("E(zeta) ratios 0.105, 0.370, ")
 
     def test_zero_tolerance_fails(self, capsys):
         code, out, _ = run(capsys, ["check", "--criteria", "1",

@@ -117,6 +117,11 @@ class TestNearMinusOneLimit:
         with pytest.raises(RegimeError):
             beta_squared_fd_limit(1.0, 1.0, 0.0)
 
+    @pytest.mark.parametrize("q", [0.0, -1.0, math.inf, math.nan])
+    def test_bad_frequency(self, q):
+        with pytest.raises(DomainError, match="q must"):
+            beta_squared_fd_limit(q, 1.0, -0.95)
+
     def test_limit_modes(self):
         zeta = -0.95
         got = beta_squared_fd_limit(2.0, 1.0, zeta)

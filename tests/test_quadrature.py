@@ -94,6 +94,14 @@ class TestAdaptive:
             integrate_adaptive(lambda x: np.sin(50 * x), 0.0, 10.0, tol=1e-13)
         assert info.value.best.evaluations <= 200
 
+    def test_out_of_waves_stalls(self, monkeypatch):
+        # a row still refining when the waves run out stalls with its sums
+        monkeypatch.setattr(quadrature, "_MAX_WAVES", 1)
+        with pytest.raises(ConvergenceError) as info:
+            integrate_adaptive(lambda x: np.sin(50 * x), 0.0, 10.0, tol=1e-13)
+        best = info.value.best
+        assert math.isfinite(best.value) and best.evaluations < quadrature._MAX_EVALS
+
     def test_scalar_integrand_rejected(self):
         # integrands are batch-only: a scalar answer to a node batch is an
         # error on both the finite and the mapped semi-infinite route
@@ -124,6 +132,11 @@ class TestSemiInfinite:
         f = lambda x: np.exp(-x) / (1.0 + np.exp(-x))
         res = integrate_semi_infinite(f, tol=1e-12)
         assert rel(res.value, math.log(2.0)) < 1e-11
+
+    @pytest.mark.parametrize("scale", [0.0, math.inf, math.nan])
+    def test_bad_scale_rejected(self, scale):
+        with pytest.raises(DomainError, match="scale"):
+            integrate_semi_infinite(lambda x: np.exp(-x), scale=scale)
 
     def test_scale_invariance(self):
         f = lambda x: np.exp(-x / 7.0)

@@ -182,9 +182,23 @@ class TestDistribution:
         best = info.value.best
         assert isinstance(best, SpectralSample)
         assert (best.omega, best.theta, best.method) == (48.0, theta, "numeric")
-        assert best.abs_error > spectra._NUMERIC_REFUSAL * best.value
+        assert best.abs_error > spectra._REFUSAL * best.value
         with pytest.raises(ConvergenceError):
             distribution_numeric(params, 48.0, EmissionDirection(theta), 1e-9)
+
+    def test_exact_route_refuses_a_wide_bar_too(self, monkeypatch):
+        # the refusal reads the bar each route returns, whatever the route
+        exact = spectra._exact_zeta0_values
+
+        def wide(*args):
+            values, _ = exact(*args)
+            return values, 0.01 * values
+
+        monkeypatch.setattr(spectra, "_exact_zeta0_values", wide)
+        with pytest.raises(ConvergenceError, match="exact-zeta0") as info:
+            distribution_grid(TrajectoryParams(1.0, 0.0, 1.0), [1.0], [1.0], "exact-zeta0")
+        best = info.value.best
+        assert best.method == "exact-zeta0" and best.abs_error == 0.01 * best.value
 
     def test_numeric_rows_are_honest_or_refused(self):
         # backward rows at large omega/kappa, where the contour cancels by up
@@ -200,7 +214,7 @@ class TestDistribution:
                     [got] = distribution_grid(params, [y], [theta], "numeric", 1e-9)
                 except ConvergenceError as refusal:
                     got = refusal.best
-                    assert got.abs_error > spectra._NUMERIC_REFUSAL * got.value
+                    assert got.abs_error > spectra._REFUSAL * got.value
                 with mp.workdps(160):
                     want = float(exact_distribution(1.0, 1.0, y, theta))
                 assert abs(got.value - want) <= got.abs_error
@@ -375,6 +389,7 @@ class TestBatchedSpectra:
             pref = e_squared * omegas[:, None] * sin2 / (16.0 * math.pi**3 * kappa)
             return pref * np.exp(-math.pi * y) * np.abs(m) ** 2
 
+        params = TrajectoryParams(1.3, 0.0, 0.7)
         rng = np.random.default_rng(12)
         omegas = rng.uniform(0.1, 8.0, 5)
         thetas = np.linspace(0.0, math.pi, 19)
@@ -384,8 +399,9 @@ class TestBatchedSpectra:
         grids.append((np.array([-0.5, -0.0, 0.0, 0.25, 0.5]),
                       np.array([0.75, 1.0, 1.0, 0.9375, 0.75])))
         for us, sin2 in grids:
-            got = spectra._exact_zeta0_values(1.3, 0.7, omegas, us, sin2)
+            got, err = spectra._exact_zeta0_values(params, omegas, us, sin2, 1e-6)
             assert np.array_equal(got, signed_u(1.3, 0.7, omegas, us, sin2))
+            assert np.array_equal(err, got * spectra._CLOSED_FORM_REL)
 
     def test_large_grid_matches_small_pieces(self):
         # a grid several times _SLICE_ELEMENTS runs in slices; each element
@@ -394,8 +410,9 @@ class TestBatchedSpectra:
         omegas = rng.uniform(0.1, 14.0, 300)
         us = spectra._gl_nodes(128)[0]
         sin2 = 1.0 - us**2
-        whole = spectra._exact_zeta0_values(1.0, 1.0, omegas, us, sin2)
-        pieces = [spectra._exact_zeta0_values(1.0, 1.0, omegas[i:i + 7], us, sin2)
+        params = TrajectoryParams(1.0, 0.0, 1.0)
+        whole = spectra._exact_zeta0_values(params, omegas, us, sin2, 1e-6)[0]
+        pieces = [spectra._exact_zeta0_values(params, omegas[i:i + 7], us, sin2, 1e-6)[0]
                   for i in range(0, omegas.size, 7)]
         assert np.array_equal(whole, np.concatenate(pieces))
 
@@ -452,9 +469,10 @@ class TestBatchedSpectra:
 
     def test_unsettled_row_raises_with_its_own_best(self, monkeypatch):
         # rows with omega >= 1 grow with the order and never settle
-        def fake(kappa, e_squared, omegas, us, sin2):
+        def fake(params, omegas, us, sin2, tol):
             grow = np.where(omegas >= 1.0, us.size, 1.0)
-            return np.outer(omegas * grow, np.ones(us.size))
+            values = np.outer(omegas * grow, np.ones(us.size))
+            return values, np.zeros_like(values)
 
         monkeypatch.setattr(spectra, "_exact_zeta0_values", fake)
         params = TrajectoryParams(1, 0)

@@ -103,6 +103,16 @@ class TestWorldline:
                 with pytest.raises(OverflowRangeError):
                     position_at_time(params, sys.float_info.max)
 
+    def test_time_overflow_refused(self):
+        # t(z) beyond the doubles raises, with no numpy warning (an error
+        # under the suite's filterwarnings)
+        for kappa, z in ((1.0, 1e300), (1.0, np.array([1.0, 1e300])),
+                         (1e-10, 1e-320)):
+            with pytest.raises(OverflowRangeError, match="finite"):
+                coordinate_time(TrajectoryParams(kappa, 0.0), z)
+        with pytest.raises(OverflowRangeError):
+            penrose_coordinates(TrajectoryParams(1.0, 0.0), 1e300)
+
     def test_numpy_time_matches_float_time(self):
         # a numpy float t must not overflow in the seed's t / kappa, which a
         # Python float never does (it would be a RuntimeWarning, an error
@@ -137,6 +147,12 @@ class TestWorldline:
             st = kinematic_state(params, z)
             assert rel(st.gamma, 1.0 / math.sqrt(1.0 - st.v**2)) < 1e-12
 
+    def test_gamma_far_out(self):
+        # at kappa 100 and z = 1e153, t = 2.5e307 is finite while
+        # (1/v - 1)(1/v + 1) is not; gamma is 1 to double precision
+        st = kinematic_state(TrajectoryParams(100.0, 0.0), 1e153)
+        assert st.t == 2.5e307 and st.gamma == 1.0
+
     def test_acceleration_sign_flip(self):
         params = TrajectoryParams(1.0, 0.0, 1.0)
         assert kinematic_state(params, 1.5).accel > 0
@@ -153,6 +169,13 @@ class TestWorldline:
         assert rel(U, math.atan(0.25 - 1.0)) < 1e-15
         assert rel(V, math.atan(0.25 + 1.0)) < 1e-15
         assert -math.pi / 2 < U < V < math.pi / 2
+
+    def test_penrose_array_matches_scalars(self):
+        params = TrajectoryParams(0.7, -0.3, 1.0)
+        zs = np.array([1e-3, 0.5, 2.0, 40.0])
+        U, V = penrose_coordinates(params, zs)
+        assert list(zip(U.tolist(), V.tolist())) == \
+            [penrose_coordinates(params, z) for z in zs.tolist()]
 
     def test_penrose_bounded_far_out(self):
         params = TrajectoryParams(1.0, 0.6, 1.0)
