@@ -123,7 +123,22 @@ def _taylor_1f1(a, b, x, dtype=complex):
     so each term is computed only for the elements still summing; an
     element's arithmetic does not depend on the others. If the budget runs
     out, ``best`` holds every element's sum, partial for the unconverged.
+    The first term or sum that overflows raises ``OverflowRangeError``.
     """
+    try:
+        with np.errstate(over="raise"):
+            total, peak = _taylor_sum(a, b, x, dtype)
+    except FloatingPointError:
+        total = None
+    if total is None or not np.all(np.isfinite(total.astype(complex))):
+        raise OverflowRangeError("1F1 series overflowed the floating range")
+    smag = np.abs(total).astype(np.float64)
+    cancel = np.where(smag > 0.0, peak / np.where(smag > 0, smag, 1.0), np.inf)
+    return total, cancel
+
+
+def _taylor_sum(a, b, x, dtype):
+    """The sums and largest term moduli of ``_taylor_1f1``'s series."""
     eps = np.finfo(np.float64 if dtype == complex else np.longdouble).eps
     tol = 0.1 * eps
     a = a.astype(dtype)
@@ -161,11 +176,7 @@ def _taylor_1f1(a, b, x, dtype=complex):
             f"1F1 series did not converge within {_SERIES_BUDGET} terms",
             best=total.astype(complex),
         )
-    if not np.all(np.isfinite(total.astype(complex))):
-        raise OverflowRangeError("1F1 series overflowed the floating range")
-    smag = np.abs(total).astype(np.float64)
-    cancel = np.where(smag > 0.0, peak / np.where(smag > 0, smag, 1.0), np.inf)
-    return total, cancel
+    return total, peak
 
 
 def kummer_1f1(a, b, x):

@@ -36,8 +36,9 @@ pick a route once and call it without branching on it again.
 (omega, theta) grid, omega-major, and refuses on either route a sample
 whose error bar exceeds _REFUSAL of its value; the two single-point
 distributions are its one-point calls. ``energy_spectrum`` takes a float
-or a 1-d array of omegas, and runs each Gauss-Legendre order once over
-every omega not yet settled. At zeta = 0 that is one closed-form
+or a 1-d array of omegas, and runs each order of a nested Clenshaw-Curtis
+rule in u = cos(theta) once over every omega not yet settled, on only the
+nodes that order adds to the last. At zeta = 0 that is one closed-form
 evaluation of the (omega, u) grid, with the two 1F1s taken once per
 distinct |u| (they depend on u^2), so the frequency integral of
 ``total_energy_spectral`` costs one such evaluation per wave of omega
@@ -181,10 +182,10 @@ def _exact_zeta0_values(params: TrajectoryParams, omegas, us, sin2, tol: float):
     once per distinct |u| (both as one stacked call) and go back to every
     u of that modulus; negating u negates the second term exactly, so a
     value keeps its bits whatever other nodes share its |u|, and the
-    symmetric Gauss-Legendre nodes sum half as many series. Every element
-    is computed on its own, so it does not depend on the rest of the grid;
-    grids whose two series hold more than _SLICE_ELEMENTS evaluations run
-    in slices of whole omega rows.
+    exactly odd nodes of ``_cc_rule`` sum half as many series. Every
+    element is computed on its own, so it does not depend on the rest of
+    the grid; grids whose two series hold more than _SLICE_ELEMENTS
+    evaluations run in slices of whole omega rows.
     """
     kappa = params.kappa
     mods, at = np.unique(np.abs(us), return_inverse=True)
@@ -272,8 +273,27 @@ def fermi_dirac_distribution(params: TrajectoryParams, omega: float) -> Spectral
 
 
 @functools.cache
-def _gl_nodes(n):
-    return np.polynomial.legendre.leggauss(n)
+def _cc_rule(n):
+    """Clenshaw-Curtis rule of order n in u = cos(theta): (us, sin2, ws).
+
+    The n + 1 nodes u_k = cos(k pi/n) run from 1 to -1 and are built as
+    sin(pi (n - 2k)/2n), so that u_{n-k} = -u_k exactly; sin^2(theta) is
+    cos(pi (n - 2k)/2n)^2, exactly 0 at the poles, and the weights follow
+    Waldvogel (BIT 46:195, 2006). The even-indexed nodes of order 2n are
+    the nodes of order n, bit for bit.
+    """
+    k = np.arange(n + 1)
+    angle = np.pi * (n - 2 * k) / (2 * n)
+    us = np.sin(angle)
+    sin2 = np.cos(angle) ** 2
+    sin2[[0, -1]] = 0.0
+    j = np.arange(1, n // 2 + 1)
+    b = np.where(j == n // 2, 1.0, 2.0) / (4.0 * j * j - 1.0)
+    # cos(2 j k pi/n), reduced exactly and taken at min(k, n - k) so that
+    # the weights are as symmetric as the nodes
+    jk = (2 * np.outer(np.minimum(k, n - k), j)) % (2 * n)
+    ws = np.where((k == 0) | (k == n), 1.0, 2.0) / n * (1.0 - np.cos(np.pi * jk / n) @ b)
+    return us, sin2, ws
 
 
 def energy_spectrum(params: TrajectoryParams, omega, tol: float = 1e-6,
@@ -281,8 +301,10 @@ def energy_spectrum(params: TrajectoryParams, omega, tol: float = 1e-6,
     """Solid-angle integral I(omega) = 2 pi int_{-1}^{1} du dI/dOmega.
 
     omega is a float, which returns a float, or a 1-d array, which returns
-    an array. Gauss-Legendre in u = cos(theta), order doubled from 64
-    to 512. A row settles once its value moves from the last order's (zero
+    an array. Clenshaw-Curtis in u = cos(theta) (``_cc_rule``), order
+    doubled from 64 to 512; each order's nodes hold the last one's, whose
+    values a row keeps, so the route runs only on the new odd-indexed
+    nodes. A row settles once its value moves from the last order's (zero
     before the first) by at most max(tol |value|, abs_floor); abs_floor
     lets deep exponential tails of a larger frequency integral stop without
     chasing relative accuracy of negligible numbers. The integrand is the
@@ -303,14 +325,21 @@ def energy_spectrum(params: TrajectoryParams, omega, tol: float = 1e-6,
              else _numeric_values)
     out = np.zeros(omegas.shape)
     todo = np.arange(omegas.size)
+    vals = None
     for order in (64, 128, 256, 512):
-        us, ws = _gl_nodes(order)
-        # the nodes keep off the poles, where 1 - u^2 would cancel
-        vals = route(params, omegas[todo], us, 1.0 - us**2, tol / 8.0)[0]
-        cur = 2.0 * math.pi * np.vecdot(vals, ws)
+        us, sin2, ws = _cc_rule(order)
+        # the first order runs on every node, a later one only on its
+        # odd-indexed nodes: the even-indexed ones are the last order's
+        grid = np.empty((todo.size, order + 1))
+        new = slice(None)
+        if vals is not None:
+            grid[:, ::2] = vals
+            new = slice(1, None, 2)
+        grid[:, new] = route(params, omegas[todo], us[new], sin2[new], tol / 8.0)[0]
+        cur = 2.0 * math.pi * np.vecdot(grid, ws)
         done = np.abs(cur - out[todo]) <= np.maximum(tol * np.abs(cur), abs_floor)
         out[todo] = cur
-        todo = todo[~done]
+        todo, vals = todo[~done], grid[~done]
         if todo.size == 0:
             return float(out[0]) if scalar else out
     raise ConvergenceError(

@@ -142,17 +142,28 @@ def position_at_time(params: TrajectoryParams, t: float) -> float:
     k = params.kappa
     # ln z range over which z and kappa z stay normal doubles and t(z)
     # stays finite. The ceiling starts where kappa z^2/4 alone reaches the
-    # largest double and backs off, an ulp of u at a time, until t(z) is
-    # finite: the log and linear terms are far below one ulp of t there.
+    # largest double, where t(z) is finite unless the log term is not far
+    # below it (tiny kappa). Then the ceiling is the largest u with a
+    # finite t(z), bisected down to adjacent doubles from u = -ln kappa,
+    # where the log term vanishes; t(z) increases from there, so its
+    # finiteness is monotone in u.
     u_floor = math.log(sys.float_info.min / min(1.0, k))
     u_ceil = min(0.5 * (math.log(4.0) + math.log(sys.float_info.max) - math.log(k)),
                  math.log(sys.float_info.max))
-    while True:
+
+    def finite(u):
         try:
-            coordinate_time(params, math.exp(u_ceil))
-            break
+            coordinate_time(params, math.exp(u))
+            return True
         except OverflowRangeError:
-            u_ceil = math.nextafter(u_ceil, -math.inf)
+            return False
+
+    if not finite(u_ceil):
+        lo, hi = min(max(-math.log(k), u_floor), u_ceil), u_ceil
+        coordinate_time(params, math.exp(lo))       # no finite t(z) at all: raise
+        while (mid := 0.5 * (lo + hi)) not in (lo, hi):
+            lo, hi = (mid, hi) if finite(mid) else (lo, mid)
+        u_ceil = lo
 
     def residual(u):
         z = math.exp(u)

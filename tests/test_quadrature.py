@@ -231,11 +231,12 @@ class TestOscillatoryRows:
 
     @staticmethod
     def angular_rows(rng, order):
-        # the rows energy_spectrum asks for: one per Gauss-Legendre node
+        # rows as energy_spectrum asks for them: one per Clenshaw-Curtis
+        # node cos(k pi/order) of an angular order, off the dark poles
         kappa = rng.uniform(0.5, 2.0)
         zeta = rng.choice([-1.0, 1.0]) * rng.uniform(0.05, 0.6)
         omega = kappa * math.exp(rng.uniform(math.log(0.1), math.log(8.0)))
-        us, _ = np.polynomial.legendre.leggauss(order)
+        us = np.cos(np.pi * np.arange(1, order) / order)
         return 2.0 * omega / kappa, zeta - us
 
     def test_rows_match_single_integrals(self):

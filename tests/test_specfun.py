@@ -3,11 +3,13 @@
 Frozen constants come from 60-digit mpmath (see oracles.py); none were
 copied from the implementation.
 """
+import warnings
+
 import numpy as np
 import pytest
 
 from fdradiance import specfun
-from fdradiance.errors import ConvergenceError, PoleError
+from fdradiance.errors import ConvergenceError, OverflowRangeError, PoleError
 from fdradiance.specfun import _taylor_1f1, kummer_1f1, ln_gamma
 
 from oracles import hyp1f1_series
@@ -212,6 +214,17 @@ class TestKummer:
         partial = best[~converged]
         assert np.all(partial != want[~converged])
         assert np.all(np.abs(partial - want[~converged]) < 1e-4 * np.abs(want[~converged]))
+
+    def test_overflowing_terms_refuse_at_once(self):
+        # the closed form's two series at omega/kappa = 1000 and u = 1 (the
+        # pole row of energy_spectrum at omega = 1000): their terms overflow
+        # after about a hundred, far before any stop rule. The first
+        # overflow refuses, with no numpy warning, rather than summing
+        # non-finite terms to the budget and refusing as unconverged
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(OverflowRangeError, match="overflowed"):
+                kummer_1f1(np.array([0.5 - 1000j, 1.0 - 1000j]), np.array([0.5, 1.5]), 1000j)
 
     def test_pole_raises(self):
         with pytest.raises(PoleError):

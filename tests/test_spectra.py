@@ -309,6 +309,34 @@ class TestIntegratedSpectrum:
         vals = [energy_spectrum(params, w, tol=1e-6) for w in (1.0, 3.0, 6.0)]
         assert vals[0] > vals[1] > vals[2] > 0.0
 
+    def test_angular_rule_nests_and_is_exact(self):
+        # each order keeps the last one's nodes bit for bit at its even
+        # indices, is exactly odd in u, dark at the poles, and integrates
+        # every polynomial of degree up to its order
+        for order in (64, 128, 256, 512):
+            us, sin2, ws = spectra._cc_rule(order)
+            assert np.array_equal(us, -us[::-1]) and np.array_equal(ws, ws[::-1])
+            assert sin2[0] == sin2[-1] == 0.0 and (sin2[1:-1] > 0.0).all()
+            assert np.allclose(sin2, 1.0 - us**2, rtol=0.0, atol=1e-15)
+            if order > 64:
+                assert np.array_equal(us[::2], spectra._cc_rule(order // 2)[0])
+                assert np.array_equal(sin2[::2], spectra._cc_rule(order // 2)[1])
+            for degree in range(0, order + 1, 2):
+                assert abs(np.vecdot(us**degree, ws) - 2.0 / (degree + 1)) < 1e-14
+
+    @pytest.mark.parametrize("zeta", [-0.6, 0.0, 0.3])
+    def test_against_a_fixed_gauss_legendre_rule(self, zeta):
+        # a 96-node Gauss-Legendre rule, none of energy_spectrum's orders,
+        # over the same angular integrand
+        params = TrajectoryParams(1, zeta, 1)
+        omegas = np.array([0.2, 1.0, 4.0, 8.0])
+        us, ws = np.polynomial.legendre.leggauss(96)
+        route = spectra._exact_zeta0_values if zeta == 0.0 else spectra._numeric_values
+        values = route(params, omegas, us, 1.0 - us**2, 1e-6 / 8.0)[0]
+        want = 2.0 * math.pi * np.vecdot(values, ws)
+        got = energy_spectrum(params, omegas, 1e-6)
+        assert (np.abs(got - want) <= 1e-6 * want).all()
+
     def test_numeric_angular_route_agrees(self):
         # same angular integral with the closed form switched off
         params = TrajectoryParams(1, 0, 1)
@@ -378,7 +406,7 @@ class TestBatchedSpectra:
     def test_mirrored_half_matches_full_nodes(self):
         # the 1F1s run once per distinct |u|; every value must keep the bits
         # of the closed form evaluated at its own signed u, written out here.
-        # Gauss-Legendre nodes pair up exactly, the 19-angle theta grid in
+        # Clenshaw-Curtis nodes pair up exactly, the 19-angle theta grid in
         # only 4 of its 9 pairs, and -0.0 shares its modulus with 0.0
         def signed_u(kappa, e_squared, omegas, us, sin2):
             y = omegas[:, None] / kappa
@@ -393,8 +421,7 @@ class TestBatchedSpectra:
         rng = np.random.default_rng(12)
         omegas = rng.uniform(0.1, 8.0, 5)
         thetas = np.linspace(0.0, math.pi, 19)
-        grids = [(us, 1.0 - us**2) for us in
-                 (spectra._gl_nodes(order)[0] for order in (64, 128, 256, 512))]
+        grids = [spectra._cc_rule(order)[:2] for order in (64, 128, 256, 512)]
         grids.append((np.cos(thetas), np.sin(thetas)**2))
         grids.append((np.array([-0.5, -0.0, 0.0, 0.25, 0.5]),
                       np.array([0.75, 1.0, 1.0, 0.9375, 0.75])))
@@ -408,8 +435,7 @@ class TestBatchedSpectra:
         # must come out as it does in a small grid
         rng = np.random.default_rng(13)
         omegas = rng.uniform(0.1, 14.0, 300)
-        us = spectra._gl_nodes(128)[0]
-        sin2 = 1.0 - us**2
+        us, sin2, _ = spectra._cc_rule(128)
         params = TrajectoryParams(1.0, 0.0, 1.0)
         whole = spectra._exact_zeta0_values(params, omegas, us, sin2, 1e-6)[0]
         pieces = [spectra._exact_zeta0_values(params, omegas[i:i + 7], us, sin2, 1e-6)[0]
@@ -422,18 +448,17 @@ class TestBatchedSpectra:
         rng = np.random.default_rng(14)
         params = TrajectoryParams(1.0, -0.4, 1.0)
         omegas = rng.uniform(0.1, 6.0, 33)
-        us = spectra._gl_nodes(128)[0]
-        assert omegas.size * us.size > spectra._SLICE_ELEMENTS
-        whole = spectra._numeric_values(params, omegas, us, 1.0 - us * us, 1e-7)
-        pieces = [spectra._numeric_values(params, omegas[i:i + 5], us, 1.0 - us * us,
-                                          1e-7)
+        us, sin2, _ = spectra._cc_rule(128)
+        assert omegas.size * np.count_nonzero(sin2) > spectra._SLICE_ELEMENTS
+        whole = spectra._numeric_values(params, omegas, us, sin2, 1e-7)
+        pieces = [spectra._numeric_values(params, omegas[i:i + 5], us, sin2, 1e-7)
                   for i in range(0, omegas.size, 5)]
         for got, want in zip(whole, zip(*pieces)):
             assert np.array_equal(got, np.concatenate(want))
 
     def test_numeric_total_is_a_few_oscillatory_calls(self, monkeypatch):
         # one batched quadrature per slice of a frequency wave and angular
-        # order; per-omega calls made 274 here
+        # order, on the nodes new at that order; per-omega calls made 274 here
         sizes = []
         batched = spectra._oscillatory_rows
 
@@ -445,6 +470,7 @@ class TestBatchedSpectra:
         params = TrajectoryParams(1, -0.6)
         total = total_energy_spectral(params, 1e-4)
         assert len(sizes) <= 16 and max(sizes) <= spectra._SLICE_ELEMENTS
+        assert sum(sizes) <= 18_000
         assert rel(total, total_energy_larmor(params)) < 1e-3
 
     def test_closed_form_total_is_a_few_1f1_calls(self, monkeypatch):
@@ -463,12 +489,14 @@ class TestBatchedSpectra:
         monkeypatch.setattr(spectra, "_oscillatory_rows", no_quadrature)
         params = TrajectoryParams(1, 0)
         total = total_energy_spectral(params, 1e-4)
-        assert len(sizes) <= 10 and sum(sizes) <= 24_000
+        assert len(sizes) <= 10 and sum(sizes) <= 16_000
         assert max(sizes) <= spectra._SLICE_ELEMENTS
         assert rel(total, total_energy_larmor(params)) < 1e-8
 
     def test_unsettled_row_raises_with_its_own_best(self, monkeypatch):
-        # rows with omega >= 1 grow with the order and never settle
+        # rows with omega >= 1 take the size of the route call that first
+        # evaluated a node, so they never settle; each node keeps the value
+        # of that call: 65 for every 8th node of order 512, then 64, 128, 256
         def fake(params, omegas, us, sin2, tol):
             grow = np.where(omegas >= 1.0, us.size, 1.0)
             values = np.outer(omegas * grow, np.ones(us.size))
@@ -478,11 +506,53 @@ class TestBatchedSpectra:
         params = TrajectoryParams(1, 0)
         with pytest.raises(ConvergenceError, match="omega=3.0") as err:
             energy_spectrum(params, np.array([0.5, 3.0, 2.0]), 1e-6)
-        ws = spectra._gl_nodes(512)[1]
-        assert err.value.best == 2.0 * math.pi * np.vecdot(np.full(512, 1536.0), ws)
-        ws = spectra._gl_nodes(128)[1]
+        k = np.arange(513)
+        first = np.select([k % 8 == 0, k % 4 == 0, k % 2 == 0], [65.0, 64.0, 128.0], 256.0)
+        ws = spectra._cc_rule(512)[2]
+        assert err.value.best == 2.0 * math.pi * np.vecdot(3.0 * first, ws)
+        ws = spectra._cc_rule(128)[2]
         assert energy_spectrum(params, 0.5) == \
-            2.0 * math.pi * np.vecdot(np.full(128, 0.5), ws)
+            2.0 * math.pi * np.vecdot(np.full(129, 0.5), ws)
+
+    def test_each_order_evaluates_only_its_new_nodes(self, monkeypatch):
+        # the orders nest: after the first, the route gets only the
+        # odd-indexed nodes, which are the ones the last order lacks
+        calls = []
+
+        def never_settles(params, omegas, us, sin2, tol):
+            calls.append((us, sin2))
+            values = np.outer(omegas, np.full(us.size, float(len(calls))))
+            return values, np.zeros_like(values)
+
+        monkeypatch.setattr(spectra, "_numeric_values", never_settles)
+        with pytest.raises(ConvergenceError):
+            energy_spectrum(TrajectoryParams(1, 0.3), 1.0, 1e-6)
+        assert [us.size for us, _ in calls] == [65, 64, 128, 256]
+        assert [np.count_nonzero(sin2) for _, sin2 in calls] == [63, 64, 128, 256]
+        for (us, sin2), order in zip(calls, (64, 128, 256, 512)):
+            new = slice(None) if order == 64 else slice(1, None, 2)
+            assert np.array_equal(us, spectra._cc_rule(order)[0][new])
+            assert np.array_equal(sin2, spectra._cc_rule(order)[1][new])
+        monkeypatch.undo()
+
+        # the real routes, which settle at order 128: the numeric one
+        # integrates the lit nodes, the exact one sums its series per |u|
+        rows, moduli = [], []
+        oscillatory, exact = spectra._oscillatory_rows, spectra._exact_zeta0_values
+
+        def counting_rows(b, d, tol):
+            rows.append(np.broadcast(b, d).size)
+            return oscillatory(b, d, tol)
+
+        def counting_moduli(params, omegas, us, sin2, tol):
+            moduli.append(np.unique(np.abs(us)).size)
+            return exact(params, omegas, us, sin2, tol)
+
+        monkeypatch.setattr(spectra, "_oscillatory_rows", counting_rows)
+        monkeypatch.setattr(spectra, "_exact_zeta0_values", counting_moduli)
+        energy_spectrum(TrajectoryParams(1, -0.6), 1.0, 1e-6)
+        energy_spectrum(TrajectoryParams(1, 0), 1.0, 1e-6)
+        assert rows == [63, 64] and moduli == [33, 32]
 
     def test_cutoff_refuses_a_spectrum_that_never_decays(self, monkeypatch):
         # six doublings from 30 kappa end at 1920 kappa, where 1/omega is

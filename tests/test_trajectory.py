@@ -5,6 +5,7 @@ quadrature of the same integrand written independently.
 """
 import math
 import sys
+import time
 import warnings
 
 import numpy as np
@@ -112,6 +113,19 @@ class TestWorldline:
                 coordinate_time(TrajectoryParams(kappa, 0.0), z)
         with pytest.raises(OverflowRangeError):
             penrose_coordinates(TrajectoryParams(1.0, 0.0), 1e300)
+
+    def test_tiny_kappa_ceiling_is_bisected(self):
+        # at kappa 1e-300 the log term (2/kappa) ln(kappa z) overflows far
+        # below where kappa z^2/4 does; the ceiling walk of one ulp of ln z
+        # per probe took 12 s to get there, the bisection a few dozen probes.
+        # The z is the one the walk returned
+        params = TrajectoryParams(1e-300, 0.0)
+        start = time.perf_counter()
+        assert position_at_time(params, 1.0) == 9.030799625774899e+299
+        assert time.perf_counter() - start < 1.0
+        # below 2/max, 2/kappa itself overflows and no z has a finite t(z)
+        with pytest.raises(OverflowRangeError):
+            position_at_time(TrajectoryParams(5e-324, 0.0), 1.0)
 
     def test_numpy_time_matches_float_time(self):
         # a numpy float t must not overflow in the seed's t / kappa, which a
