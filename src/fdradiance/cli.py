@@ -436,3 +436,7 @@ def main(argv=None) -> int:
             print(line, file=sys.stderr)
         return 0 if summary["all_passed"] else 1
     return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -342,7 +342,7 @@ def integrate_semi_infinite(f, scale=1.0, tol=1e-10):
 def _exponent(b, d, x, y):
     """Real and imaginary parts of i b (w^2/2 + ln w + d w) at w = x + iy, y > 0."""
     return (-b * (x * y + np.arctan2(y, x) + d * y),
-            b * (0.5 * (x - y) * (x + y) + np.log(np.hypot(x, y)) + d * x))
+            b * (0.5 * ((x - y) * (x + y) + np.log(x * x + y * y)) + d * x))
 
 
 def _saddle_setup(b, d, tol):
@@ -380,18 +380,34 @@ def _saddle_setup(b, d, tol):
 
 
 def _saddle_integrand(b, d, alpha):
+    # The initial panels meet at s = 1 and bisection never crosses it, so a
+    # panel lies wholly on the ray (s < 1) or wholly on the descent leg
+    # (s > 1), and its middle node tells which. Table row 2 row + piece
+    # holds (b, d, s0, x0, y0, dx, dy, turn) of that piece, with
+    # w = x0 + i y0 + (s - s0)(dx + i dy) and dw/ds = e^{i turn}: on the
+    # ray w = s e^{i alpha}, on the leg w = S + (s - 1) e^{i alpha/2}.
+    half = 0.5 * alpha
+    zero, one = np.zeros_like(alpha), np.ones_like(alpha)
     cos_a, sin_a = np.cos(alpha), np.sin(alpha)
-    cos_h, sin_h = np.cos(0.5 * alpha), np.sin(0.5 * alpha)
+    pieces = np.array([b, d, zero, zero, zero, cos_a, sin_a, alpha,
+                       b, d, one, cos_a, sin_a, np.cos(half), np.sin(half), half])
+    pieces = pieces.T.reshape(-1, 8)
 
     def g(ss, rows):
-        rows = rows[:, None]
-        r, t = np.minimum(ss, 1.0), np.maximum(ss - 1.0, 0.0)
-        x = r * cos_a[rows] + t * cos_h[rows]
-        y = r * sin_a[rows] + t * sin_h[rows]
-        decay, phase = _exponent(b[rows], d[rows], x, y)
-        # dw/ds is e^{i alpha} on the ray and e^{i alpha/2} past the saddle.
-        turn = np.where(ss < 1.0, 1.0, 0.5) * alpha[rows]
-        return np.exp(decay + 1j * (phase + turn))
+        at = 2 * rows + (ss[:, 7] > 1.0)
+        bb, dd, s0, x0, y0, dx, dy, turn = pieces[at].T[:, :, None]
+        t = ss - s0
+        x = x0 + t * dx
+        y = y0 + t * dy
+        decay, phase = _exponent(bb, dd, x, y)
+        phase += turn
+        # e^{decay + i phase} by its modulus and angle, written into the
+        # real and imaginary views of the result
+        mag = np.exp(decay)
+        out = np.empty(ss.shape, dtype=complex)
+        np.multiply(mag, np.cos(phase), out=out.real)
+        np.multiply(mag, np.sin(phase), out=out.imag)
+        return out
 
     return g
 
@@ -404,9 +420,12 @@ def _series_head(b, d, alpha, h):
     most e^{b |d| h + b h^2/2} <= e^3, and past _HEAD_TERMS their tail is
     below _HEAD_TAIL |Z|; the error bound is the roundoff on those moduli,
     that tail, and the rounding of the exponents of Z^{1+ib}, which moves
-    the value by up to eps b (alpha + |ln h|) each. Every row runs all the terms, with weights taken once
-    per distinct b and complex products through np.multiply, so its value
-    does not depend on the other rows. Returns (values, abs_errors).
+    the value by up to eps b (alpha + |ln h|) each. Every row runs all the
+    terms into its own running total, with weights taken once per distinct
+    b and complex products through np.multiply, so its value does not
+    depend on the other rows. Each term gathers its weights and takes 1/n
+    on its own: (terms, rows) tables of them run out of cache on a slice
+    of thousands of rows. Returns (values, abs_errors).
     """
     Z = h * np.exp(1j * alpha)
     x, y = np.multiply(1j * b * d, Z), np.multiply(1j * b * Z, Z)
@@ -415,7 +434,9 @@ def _series_head(b, d, alpha, h):
     t0, t1 = np.ones_like(Z), x
     total = w[0][row_b] + np.multiply(w[1][row_b], t1)
     for n in range(2, _HEAD_TERMS):
-        t0, t1 = t1, (np.multiply(x, t1) + np.multiply(y, t0)) / n
+        # times 1/n, which is how numpy divides a complex by a real n, at
+        # the cost of a product
+        t0, t1 = t1, (np.multiply(x, t1) + np.multiply(y, t0)) * (1.0 / n)
         total += np.multiply(w[n][row_b], t1)
     # Z^{1+ib} = h e^{-b alpha} e^{i (alpha + b ln h)}
     log_h = np.log(h)

@@ -38,9 +38,10 @@ whose error bar exceeds _REFUSAL of its value; the two single-point
 distributions are its one-point calls. ``energy_spectrum`` takes a float
 or a 1-d array of omegas, and runs each order of a nested Clenshaw-Curtis
 rule in u = cos(theta) once over every omega not yet settled, on only the
-nodes that order adds to the last. At zeta = 0 that is one closed-form
-evaluation of the (omega, u) grid, with the two 1F1s taken once per
-distinct |u| (they depend on u^2), so the frequency integral of
+nodes that order adds to the last; with no absolute floor, orders 64 and
+128 share one call on the nodes of order 128. At zeta = 0 a call is one
+closed-form evaluation of the (omega, u) grid, with the two 1F1s taken
+once per distinct |u| (they depend on u^2), so the frequency integral of
 ``total_energy_spectral`` costs one such evaluation per wave of omega
 nodes and angular order; off zeta = 0 it is one batched quadrature with a
 row, and a phase, per (omega, u). A value does not depend on the grid it
@@ -307,12 +308,16 @@ def energy_spectrum(params: TrajectoryParams, omega, tol: float = 1e-6,
     nodes. A row settles once its value moves from the last order's (zero
     before the first) by at most max(tol |value|, abs_floor); abs_floor
     lets deep exponential tails of a larger frequency integral stop without
-    chasing relative accuracy of negligible numbers. The integrand is the
-    closed form at zeta = 0 and quadrature otherwise; ``force_numeric``
-    uses quadrature at zeta = 0 too. The route is picked once, each order
-    runs once over the omegas not yet settled, and each row is summed on
-    its own, so a row's value is the same in any batch. tol must lie in
-    (0, 1e-2].
+    chasing relative accuracy of negligible numbers. With abs_floor = 0
+    only a zero row can settle at order 64, so the first route call runs
+    on all 129 nodes of order 128 and order 64 reads their even-indexed
+    ones: the calls take 129, 128 and 256 nodes per row, against 65, 64,
+    128 and 256 with a floor, and the values are the same. The integrand
+    is the closed form at zeta = 0 and quadrature otherwise;
+    ``force_numeric`` uses quadrature at zeta = 0 too. The route is picked
+    once, each order runs once over the omegas not yet settled, and each
+    row is summed on its own, so a row's value is the same in any batch.
+    tol must lie in (0, 1e-2].
     """
     _check_tol(tol)
     omegas = np.asarray(omega, dtype=float)
@@ -323,23 +328,29 @@ def energy_spectrum(params: TrajectoryParams, omega, tol: float = 1e-6,
     _check_omega(omegas)
     route = (_exact_zeta0_values if params.zeta == 0.0 and not force_numeric
              else _numeric_values)
+    # A row settles at order 64 only if its value is within abs_floor of
+    # the 0 it starts from, so with no floor only an all-zero row can: the
+    # first call then runs on every node of order 128, whose even-indexed
+    # nodes are order 64's; with a floor it runs on order 64 alone
+    n = 64 if abs_floor > 0.0 else 128
+    us, sin2, _ = _cc_rule(n)
+    # each unsettled row's values on the nodes of order n
+    vals = route(params, omegas, us, sin2, tol / 8.0)[0]
     out = np.zeros(omegas.shape)
     todo = np.arange(omegas.size)
-    vals = None
     for order in (64, 128, 256, 512):
-        us, sin2, ws = _cc_rule(order)
-        # the first order runs on every node, a later one only on its
-        # odd-indexed nodes: the even-indexed ones are the last order's
-        grid = np.empty((todo.size, order + 1))
-        new = slice(None)
-        if vals is not None:
+        if order > n:
+            # the even-indexed nodes are the last order's; the route runs
+            # only on the odd-indexed ones
+            us, sin2, _ = _cc_rule(order)
+            grid = np.empty((todo.size, order + 1))
             grid[:, ::2] = vals
-            new = slice(1, None, 2)
-        grid[:, new] = route(params, omegas[todo], us[new], sin2[new], tol / 8.0)[0]
-        cur = 2.0 * math.pi * np.vecdot(grid, ws)
+            grid[:, 1::2] = route(params, omegas[todo], us[1::2], sin2[1::2], tol / 8.0)[0]
+            vals, n = grid, order
+        cur = 2.0 * math.pi * np.vecdot(vals[:, ::n // order], _cc_rule(order)[2])
         done = np.abs(cur - out[todo]) <= np.maximum(tol * np.abs(cur), abs_floor)
         out[todo] = cur
-        todo, vals = todo[~done], grid[~done]
+        todo, vals = todo[~done], vals[~done]
         if todo.size == 0:
             return float(out[0]) if scalar else out
     raise ConvergenceError(

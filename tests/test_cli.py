@@ -522,6 +522,24 @@ class TestBrokenPipe:
         assert err == b""
 
 
+class TestModuleEntry:
+    """python -m fdradiance.cli and python -m fdradiance run the CLI."""
+
+    def test_module_runs_the_command(self, capsys):
+        src = os.path.dirname(os.path.dirname(fdradiance.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        refusal = subprocess.run(
+            [sys.executable, "-m", "fdradiance.cli", "spectrum", "--omega-min", "1000",
+             "--omega-max", "1000", "--omega-steps", "1"],
+            capture_output=True, env=env, timeout=120)
+        assert refusal.returncode == 3
+        energy = subprocess.run([sys.executable, "-m", "fdradiance", "energy"],
+                                capture_output=True, env=env, timeout=120)
+        code, out, err = run(capsys, ["energy"])
+        assert (energy.returncode, energy.stdout, energy.stderr) == \
+            (code, out.encode(), err.encode())
+
+
 class TestJsonRows:
     """Every JSON row holds the CSV row's values, as JSON numbers and strings."""
 

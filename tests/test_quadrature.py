@@ -302,6 +302,29 @@ class TestOscillatoryRows:
             assert abs(value - want) <= error
             assert error <= 1e-11 * abs(want)
 
+    def test_saddle_integrand_against_complex_exponential(self):
+        # each panel lies on the ray or on the descent leg and takes its
+        # start, direction and dw/ds from that piece; the values must match
+        # exp(i b (w^2/2 + ln w + d w)) dw/ds taken in complex arithmetic,
+        # on the initial panels and on bisected ones next to s = 1
+        b = np.array([0.5, 4.0, 4.0, 16.0, 40.0])
+        d = np.array([-1.5, -0.4, 0.6, 0.0, 1.2])
+        alpha, _, _, lo, hi, counts = quadrature._saddle_setup(b, d, 1e-9)
+        near = 2.0 ** -np.arange(1.0, 41.0, 3.0)
+        lo = np.concatenate([lo, 1.0 - near, np.ones_like(near)])
+        hi = np.concatenate([hi, np.ones_like(near), 1.0 + near])
+        rows = np.concatenate([np.arange(b.size).repeat(counts),
+                               np.arange(2 * near.size) % b.size])
+        s = 0.5 * (hi + lo)[:, None] + 0.5 * (hi - lo)[:, None] * quadrature._GK_NODES
+        assert (s < 1.0).any() and (s > 1.0).any() and not (s == 1.0).any()
+        got = quadrature._saddle_integrand(b, d, alpha)(s, rows)
+        bb, dd, al = b[rows, None], d[rows, None], alpha[rows, None]
+        dw = np.where(s > 1.0, np.exp(0.5j * al), np.exp(1j * al))
+        w = np.where(s > 1.0, np.exp(1j * al) + (s - 1.0) * dw, s * dw)
+        want = np.exp(1j * bb * (0.5 * w * w + np.log(w) + dd * w)) * dw
+        size = 1.0 + bb * (np.abs(w) ** 2 + np.abs(np.log(w)) + np.abs(dd * w))
+        assert (np.abs(got - want) <= 8.0 * quadrature._EPS * size * np.abs(want)).all()
+
     def test_work_count(self):
         # 40 seeded batches of 16 rows at tol 1e-9, omega/kappa 0.1-12,
         # take a deterministic 89,100 evaluations on the saddle contour; the

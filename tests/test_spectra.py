@@ -494,45 +494,58 @@ class TestBatchedSpectra:
         assert rel(total, total_energy_larmor(params)) < 1e-8
 
     def test_unsettled_row_raises_with_its_own_best(self, monkeypatch):
-        # rows with omega >= 1 take the size of the route call that first
-        # evaluated a node, so they never settle; each node keeps the value
-        # of that call: 65 for every 8th node of order 512, then 64, 128, 256
+        # rows with omega >= 1 vary over u and scale with the size of the
+        # route call that first evaluated a node, so they never settle; each
+        # node keeps the value of that call. With no floor the first call
+        # holds all 129 nodes of order 128, then come 128 and 256; with a
+        # floor 65 nodes of order 64, then 64, 128 and 256
         def fake(params, omegas, us, sin2, tol):
-            grow = np.where(omegas >= 1.0, us.size, 1.0)
-            values = np.outer(omegas * grow, np.ones(us.size))
+            values = np.where(omegas[:, None] >= 1.0,
+                              np.outer(omegas * us.size, 1.0 + np.abs(us)),
+                              omegas[:, None] * np.ones(us.size))
             return values, np.zeros_like(values)
 
         monkeypatch.setattr(spectra, "_exact_zeta0_values", fake)
         params = TrajectoryParams(1, 0)
-        with pytest.raises(ConvergenceError, match="omega=3.0") as err:
-            energy_spectrum(params, np.array([0.5, 3.0, 2.0]), 1e-6)
+        us, _, ws = spectra._cc_rule(512)
         k = np.arange(513)
-        first = np.select([k % 8 == 0, k % 4 == 0, k % 2 == 0], [65.0, 64.0, 128.0], 256.0)
-        ws = spectra._cc_rule(512)[2]
-        assert err.value.best == 2.0 * math.pi * np.vecdot(3.0 * first, ws)
-        ws = spectra._cc_rule(128)[2]
-        assert energy_spectrum(params, 0.5) == \
-            2.0 * math.pi * np.vecdot(np.full(129, 0.5), ws)
+        for abs_floor, first in (
+                (0.0, np.select([k % 4 == 0, k % 2 == 0], [129.0, 128.0], 256.0)),
+                (1e-300, np.select([k % 8 == 0, k % 4 == 0, k % 2 == 0],
+                                   [65.0, 64.0, 128.0], 256.0))):
+            with pytest.raises(ConvergenceError, match="omega=3.0") as err:
+                energy_spectrum(params, np.array([0.5, 3.0, 2.0]), 1e-6,
+                                abs_floor=abs_floor)
+            assert err.value.best == \
+                2.0 * math.pi * np.vecdot((3.0 * first) * (1.0 + np.abs(us)), ws)
+            assert energy_spectrum(params, 0.5, abs_floor=abs_floor) == \
+                2.0 * math.pi * np.vecdot(np.full(129, 0.5), spectra._cc_rule(128)[2])
 
     def test_each_order_evaluates_only_its_new_nodes(self, monkeypatch):
-        # the orders nest: after the first, the route gets only the
-        # odd-indexed nodes, which are the ones the last order lacks
+        # the orders nest: after the first call, the route gets only the
+        # odd-indexed nodes, which are the ones the last order lacks. With
+        # no floor order 64 can settle no nonzero row, so the first call
+        # runs on all of order 128; with a floor it runs on order 64
         calls = []
 
         def never_settles(params, omegas, us, sin2, tol):
             calls.append((us, sin2))
-            values = np.outer(omegas, np.full(us.size, float(len(calls))))
+            values = np.outer(omegas, len(calls) + np.abs(us))
             return values, np.zeros_like(values)
 
         monkeypatch.setattr(spectra, "_numeric_values", never_settles)
-        with pytest.raises(ConvergenceError):
-            energy_spectrum(TrajectoryParams(1, 0.3), 1.0, 1e-6)
-        assert [us.size for us, _ in calls] == [65, 64, 128, 256]
-        assert [np.count_nonzero(sin2) for _, sin2 in calls] == [63, 64, 128, 256]
-        for (us, sin2), order in zip(calls, (64, 128, 256, 512)):
-            new = slice(None) if order == 64 else slice(1, None, 2)
-            assert np.array_equal(us, spectra._cc_rule(order)[0][new])
-            assert np.array_equal(sin2, spectra._cc_rule(order)[1][new])
+        for abs_floor, sizes, lit, firsts in (
+                (0.0, [129, 128, 256], [127, 128, 256], (128, 256, 512)),
+                (1e-300, [65, 64, 128, 256], [63, 64, 128, 256], (64, 128, 256, 512))):
+            calls.clear()
+            with pytest.raises(ConvergenceError):
+                energy_spectrum(TrajectoryParams(1, 0.3), 1.0, 1e-6, abs_floor=abs_floor)
+            assert [us.size for us, _ in calls] == sizes
+            assert [np.count_nonzero(sin2) for _, sin2 in calls] == lit
+            for (us, sin2), order in zip(calls, firsts):
+                new = slice(None) if order == firsts[0] else slice(1, None, 2)
+                assert np.array_equal(us, spectra._cc_rule(order)[0][new])
+                assert np.array_equal(sin2, spectra._cc_rule(order)[1][new])
         monkeypatch.undo()
 
         # the real routes, which settle at order 128: the numeric one
@@ -552,7 +565,22 @@ class TestBatchedSpectra:
         monkeypatch.setattr(spectra, "_exact_zeta0_values", counting_moduli)
         energy_spectrum(TrajectoryParams(1, -0.6), 1.0, 1e-6)
         energy_spectrum(TrajectoryParams(1, 0), 1.0, 1e-6)
+        assert rows == [127] and moduli == [65]
+        rows.clear()
+        moduli.clear()
+        energy_spectrum(TrajectoryParams(1, -0.6), 1.0, 1e-6, abs_floor=1e-300)
+        energy_spectrum(TrajectoryParams(1, 0), 1.0, 1e-6, abs_floor=1e-300)
         assert rows == [63, 64] and moduli == [33, 32]
+
+    @pytest.mark.parametrize("zeta", [-0.6, 0.0, 0.3])
+    def test_both_schedules_give_the_same_bits(self, zeta):
+        # the first call on order 128 and the one on order 64 evaluate each
+        # node as the other does, and order 64 sums the same values, so a
+        # floor too small to settle any row leaves every value as it is
+        params = TrajectoryParams(0.8, zeta)
+        omegas = 0.8 * np.array([0.1, 0.7, 2.5, 6.0])
+        floored = energy_spectrum(params, omegas, 1e-6, abs_floor=1e-300)
+        assert energy_spectrum(params, omegas, 1e-6).tolist() == floored.tolist()
 
     def test_cutoff_refuses_a_spectrum_that_never_decays(self, monkeypatch):
         # six doublings from 30 kappa end at 1920 kappa, where 1/omega is
