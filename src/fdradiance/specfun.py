@@ -10,13 +10,15 @@ a few ulp relative to the scale of ln Gamma for |z| <= 100, far inside the
 
 ``kummer_1f1`` sums the Taylor series directly, applying the Kummer
 transform 1F1(a;b;x) = e^x 1F1(b-a;b;-x) when Re x < 0 so the summed series
-always has non-negative real argument. Each term is summed only over the
-elements that have not yet converged: an element leaves the batch at the
-term that meets its stop rule, with the same bits as in a call of its own.
-Term cancellation is tracked per element; when the cancellation-amplified
-roundoff endangers the 1e-10 contract, the affected elements are
-recomputed in extended precision, and a convergence error is raised if
-even that cannot certify the target.
+always has non-negative real argument. An element that meets its stop
+rule is frozen: its later terms are exactly 0, so its sum keeps the bits
+it would have in a call of its own. The working arrays are compacted to
+the elements still summing only once at least half of them are frozen,
+so a term costs little more than the live elements' arithmetic and the
+re-indexing stays rare. Term cancellation is tracked per element; when
+the cancellation-amplified roundoff endangers the 1e-10 contract, the
+affected elements are recomputed in extended precision, and a
+convergence error is raised if even that cannot certify the target.
 """
 from __future__ import annotations
 
@@ -119,10 +121,12 @@ def _taylor_1f1(a, b, x, dtype=complex):
     elementwise. All inputs must be broadcast to a common 1-d shape already.
     tol for the stop rule is tied to the dtype's epsilon; stopping requires
     three consecutive small terms so alternating near-zeros cannot fool it.
-    An element leaves the working arrays at the term that meets the rule,
-    so each term is computed only for the elements still summing; an
-    element's arithmetic does not depend on the others. If the budget runs
-    out, ``best`` holds every element's sum, partial for the unconverged.
+    An element that meets the rule is frozen: its term is set to exactly
+    0, so its sum and peak stay as they are and it keeps meeting the rule.
+    The working arrays drop the frozen elements once they are at least
+    half of them; an element's arithmetic does not depend on the others.
+    If the budget runs out, ``best`` holds every element's sum, partial for
+    the unconverged.
     The first term or sum that overflows raises ``OverflowRangeError``.
     """
     try:
@@ -139,8 +143,8 @@ def _taylor_1f1(a, b, x, dtype=complex):
 
 def _taylor_sum(a, b, x, dtype):
     """The sums and largest term moduli of ``_taylor_1f1``'s series."""
-    eps = np.finfo(np.float64 if dtype == complex else np.longdouble).eps
-    tol = 0.1 * eps
+    real = np.float64 if dtype == complex else np.longdouble
+    tol = 0.1 * np.finfo(real).eps
     a = a.astype(dtype)
     b = b.astype(dtype)
     x = x.astype(dtype)
@@ -151,23 +155,36 @@ def _taylor_sum(a, b, x, dtype):
     term = np.ones(x.shape, dtype=dtype)
     maxmag = np.ones(x.shape, dtype=np.float64)
     small_runs = np.zeros(x.shape, dtype=np.int64)
+    frozen = 0
     for n in range(_SERIES_BUDGET):
         # Named ufuncs fix each product's factor order: numpy may reuse an
         # operator's temporary in place on large arrays, which swaps the
-        # factors of a complex product and changes its last bits.
-        term = np.multiply(np.divide(np.multiply(term, a + n), b + n), x) / (n + 1)
+        # factors of a complex product and changes its last bits. numpy
+        # divides a complex by n + 1 as the product with the reciprocal
+        # 1/(n + 1) in the dtype's own precision, so that product is used.
+        term = np.multiply(np.divide(np.multiply(term, a + n), b + n), x)
+        term = np.multiply(term, real(1) / (n + 1))
         s = s + term
-        tmag = np.abs(term).astype(np.float64)
+        tmag = np.abs(term).astype(np.float64, copy=False)
         maxmag = np.maximum(maxmag, tmag)
-        small = tmag <= tol * np.abs(s).astype(np.float64)
+        small = tmag <= tol * np.abs(s).astype(np.float64, copy=False)
         small_runs = np.where(small, small_runs + 1, 0)
         done = small_runs >= 3
-        if done.any():
-            total[live[done]] = s[done]
-            peak[live[done]] = maxmag[done]
-            keep = ~done
-            live, a, b, x, s, term, maxmag, small_runs = (
-                v[keep] for v in (live, a, b, x, s, term, maxmag, small_runs))
+        count = np.count_nonzero(done)
+        if count == frozen:
+            continue
+        # A finished element is frozen: its terms are exactly 0 from now on,
+        # so its sum and peak stay as they are and it stays done.
+        term[done] = 0.0
+        frozen = count
+        if 2 * frozen < live.size:
+            continue
+        total[live[done]] = s[done]
+        peak[live[done]] = maxmag[done]
+        keep = ~done
+        live, a, b, x, s, term, maxmag, small_runs = (
+            v[keep] for v in (live, a, b, x, s, term, maxmag, small_runs))
+        frozen = 0
         if not live.size:
             break
     else:
@@ -222,12 +239,14 @@ def kummer_1f1(a, b, x):
         raise PoleError(f"1F1 undefined at non-positive integer b = {bad}")
 
     # Kummer transform for Re x < 0: the summed series then always has
-    # Re x >= 0, and |e^x| <= 1 so the prefactor cannot overflow.
+    # Re x >= 0, and |e^x| <= 1 so the prefactor cannot overflow. e^x is
+    # taken only where it is used: at large positive x it would overflow.
     flip = x_flat.real < 0.0
     as_, xs = a_flat.copy(), x_flat.copy()
     as_[flip] = b_flat[flip] - a_flat[flip]
     xs[flip] = -x_flat[flip]
-    prefac = np.where(flip, np.exp(x_flat), 1.0)
+    prefac = np.ones(x_flat.shape, dtype=complex)
+    prefac[flip] = np.exp(x_flat[flip])
 
     def result(s):
         out = (prefac * s).reshape(shape)

@@ -186,11 +186,16 @@ def _exact_zeta0_values(params: TrajectoryParams, omegas, us, sin2, tol: float):
     exactly odd nodes of ``_cc_rule`` sum half as many series. Every
     element is computed on its own, so it does not depend on the rest of
     the grid; grids whose two series hold more than _SLICE_ELEMENTS
-    evaluations run in slices of whole omega rows.
+    evaluations run in slices of whole omega rows. Dark directions
+    (sin^2(theta) = 0) skip the series, as in ``_numeric_values``.
     """
     kappa = params.kappa
+    out = np.zeros((omegas.size, us.size))
+    lit = sin2 != 0.0
+    if not lit.any():
+        return out, out * _CLOSED_FORM_REL
+    us, sin2 = us[lit], sin2[lit]
     mods, at = np.unique(np.abs(us), return_inverse=True)
-    out = np.empty((omegas.size, us.size))
     step = max(1, _SLICE_ELEMENTS // (2 * mods.size))
     for s in range(0, omegas.size, step):
         omega = omegas[s:s + step, None]
@@ -202,7 +207,7 @@ def _exact_zeta0_values(params: TrajectoryParams, omegas, us, sin2, tol: float):
         m_half, m_one = kummer_1f1(a, _EXACT_B, x)[..., at]
         m = g_half * m_half + 2.0 * us * root_iy * g_one * m_one
         pref = params.e_squared * omega * sin2 / (16.0 * math.pi**3 * kappa)
-        out[s:s + step] = pref * np.exp(-math.pi * y) * np.abs(m) ** 2
+        out[s:s + step, lit] = pref * np.exp(-math.pi * y) * np.abs(m) ** 2
     return out, out * _CLOSED_FORM_REL
 
 

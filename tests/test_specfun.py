@@ -215,6 +215,69 @@ class TestKummer:
         assert np.all(partial != want[~converged])
         assert np.all(np.abs(partial - want[~converged]) < 1e-4 * np.abs(want[~converged]))
 
+    def test_budget_exhaustion_with_frozen_elements_in_the_arrays(self, monkeypatch):
+        # three of ten elements converge within 12 terms, fewer than half,
+        # so they are still frozen in the working arrays when the budget
+        # runs out; their best entries (transformed ones included) must
+        # carry the bits of an unlimited call
+        a = np.array([0.5 - 1j, 1.0 - 3j, 0.5 - 2j, 1.3 + 0.2j, 0.7,
+                      2.0 - 1j, 0.5 - 4j, 1.0 - 0.5j, 0.5, 1.0 - 2j])
+        b = np.array([0.5, 1.5, 0.5, 2.5, 1.5, 0.5, 0.5, 1.5, 0.5, 1.5])
+        x = np.array([1e-4j, -2e-5 + 1e-5j, 3e-4, 2.5j, -3.0, 4j,
+                      3.0 + 1j, -2.0 - 2j, 5j, 2.0])
+        want = kummer_1f1(a, b, x)
+        monkeypatch.setattr(specfun, "_SERIES_BUDGET", 12)
+        with pytest.raises(ConvergenceError, match="12 terms") as info:
+            kummer_1f1(a, b, x)
+        converged = np.abs(x) < 1e-3
+        assert 0 < np.count_nonzero(converged) < x.size / 2
+        best = info.value.best
+        assert np.array_equal(best[converged], want[converged])
+        assert np.all(best[~converged] != want[~converged])
+
+    @pytest.mark.parametrize("dtype", [complex, np.clongdouble])
+    def test_frozen_elements_keep_their_bits(self, dtype, monkeypatch):
+        # a minority of small |x| (1e-3 to 1) meets the stop rule within 25
+        # terms while the rest (|x| 25 to 30) needs more than 80, so the
+        # early finishers stay frozen in the working arrays for more than
+        # 50 terms; each element must come out as in a one-element call.
+        # The last early finisher has a within 1e-25 of -3: its terms fall
+        # below the stop rule after the fourth and, summed on, would grow
+        # back to about e^25 1e-25, past the last bit of its sum
+        rng = np.random.default_rng(24)
+        mod = np.concatenate([np.geomspace(1e-3, 1.0, 12), rng.uniform(25.0, 30.0, 28)])
+        angle = rng.uniform(-np.pi / 2, np.pi / 2, mod.size)
+        x = mod * np.exp(1j * angle)
+        a = np.where(rng.random(mod.size) < 0.5, 0.5, 1.0) - 1j * rng.uniform(0.0, 8.0, mod.size)
+        b = np.where(a.real == 0.5, 0.5, 1.5) + 0j
+        a[11], b[11], x[11] = -3.0 + 1e-25j, 0.5, 25.0
+        order = rng.permutation(mod.size)
+        a, b, x, mod = a[order], b[order], x[order], mod[order]
+        got_sum, got_cancel = _taylor_1f1(a, b, x, dtype=dtype)
+        for i in range(x.size):
+            s, c = _taylor_1f1(a[i:i + 1], b[i:i + 1], x[i:i + 1], dtype=dtype)
+            assert got_sum[i] == s[0] and got_cancel[i] == c[0]
+        # the premise: the early ones finish within 25 terms, the rest not
+        # within 80
+        early = mod <= 1.0
+        monkeypatch.setattr(specfun, "_SERIES_BUDGET", 25)
+        _taylor_1f1(a[early], b[early], x[early], dtype=dtype)
+        monkeypatch.setattr(specfun, "_SERIES_BUDGET", 80)
+        for i in np.flatnonzero(~early):
+            with pytest.raises(ConvergenceError):
+                _taylor_1f1(a[i:i + 1], b[i:i + 1], x[i:i + 1], dtype=dtype)
+
+    def test_large_positive_argument_has_no_spurious_warning(self):
+        # Re x > 0 needs no transform, so e^x must not be taken: e^710
+        # overflows a double although 1F1(1/2; 3/2; 710) = 1.57e305 does
+        # not, and at 720 the series itself overflows and refuses
+        want = 1.57434601226154420561e305    # mpmath hyp1f1(0.5, 1.5, 710)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert rel(kummer_1f1(0.5, 1.5, 710.0), want) < 1e-10
+            with pytest.raises(OverflowRangeError, match="overflowed"):
+                kummer_1f1(0.5, 1.5, 720.0)
+
     def test_overflowing_terms_refuse_at_once(self):
         # the closed form's two series at omega/kappa = 1000 and u = 1 (the
         # pole row of energy_spectrum at omega = 1000): their terms overflow

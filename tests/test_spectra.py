@@ -270,6 +270,26 @@ class TestDistribution:
         assert distribution_grid(params, [1.5], [0.0], "numeric", 1e-8)[0].value == 0.0
         assert rows == [4]
 
+    def test_exact_dark_rows_skip_the_series(self, monkeypatch):
+        # as on the numeric route, sin^2(theta) = 0 rows are exactly 0 and
+        # sum no series; float pi is not exactly pi, so its row is lit
+        moduli = []
+        kummer = spectra.kummer_1f1
+
+        def counting(a, b, x):
+            moduli.append(np.abs(x[0]).tolist())
+            return kummer(a, b, x)
+
+        monkeypatch.setattr(spectra, "kummer_1f1", counting)
+        params = TrajectoryParams(1.0, 0.0, 1.0)
+        got = distribution_grid(params, [1.5, 2.5], [0.0, 1.0, 0.0, math.pi],
+                                "exact-zeta0")
+        assert moduli == [[1.5 * math.cos(1.0) ** 2, 1.5]]
+        assert [(s.value, s.abs_error) for s in got[::2]] == [(0.0, 0.0)] * 4
+        assert all(s.value > 0.0 for s in got[1::2])
+        assert distribution_grid(params, [1.5], [0.0], "exact-zeta0")[0].value == 0.0
+        assert len(moduli) == 1
+
     def test_grid_checks_its_inputs(self):
         # a direction outside [0, pi], a route the grid does not run, and
         # the zeta = 0 closed form off zeta = 0 are refused, not answered
