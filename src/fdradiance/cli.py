@@ -129,13 +129,17 @@ def run_trajectory(ns):
     rows = []
     for params in worldlines:
         if zs is not None:
-            pairs = [(coordinate_time(params, z), z) for z in zs]
+            z = np.array(zs)
+            t = coordinate_time(params, z)
         else:
-            pairs = [(t, position_at_time(params, t)) for t in ts]
-        for t, z in sorted(pairs, key=lambda tz: tz[0]):
-            row = {"zeta": params.zeta, "t": t, "z": z}
+            t = np.array(ts)
+            z = position_at_time(params, t)
+        if ns.penrose:
+            U, V = penrose_coordinates(params, z)
+        for i in np.argsort(t, kind="stable"):
+            row = {"zeta": params.zeta, "t": float(t[i]), "z": float(z[i])}
             if ns.penrose:
-                row["U"], row["V"] = penrose_coordinates(params, z)
+                row["U"], row["V"] = float(U[i]), float(V[i])
             rows.append(row)
     return rows, {}
 

@@ -168,7 +168,8 @@ def _taylor_sum(a, b, x, dtype):
         tmag = np.abs(term).astype(np.float64, copy=False)
         maxmag = np.maximum(maxmag, tmag)
         small = tmag <= tol * np.abs(s).astype(np.float64, copy=False)
-        small_runs = np.where(small, small_runs + 1, 0)
+        small_runs += 1
+        small_runs *= small
         done = small_runs >= 3
         count = np.count_nonzero(done)
         if count == frozen:

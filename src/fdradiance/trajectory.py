@@ -123,86 +123,104 @@ def kinematic_state(params: TrajectoryParams, z: float) -> KinematicState:
     )
 
 
-def position_at_time(params: TrajectoryParams, t: float) -> float:
-    """Unique z > 0 with coordinate_time(z) = t.
+# Products near the largest double overflow to inf, harmlessly: t / kappa in
+# the seed (the clamp takes it in), f * step keeps its sign, and an infinite
+# z / v makes the Newton step 0.
+@np.errstate(over="ignore")
+def position_at_time(params: TrajectoryParams, t):
+    """Unique z > 0 with coordinate_time(z) = t; t may be a scalar or ndarray.
 
     The map is strictly increasing (dt/dz = 1/v > 0) and onto the reals.
     The root is sought in u = ln z, where t(u) is nearly linear in the far
     past (z ~ e^{kappa t/2}/kappa) and nearly e^{2u} kappa/4 in the far
     future (z ~ 2 sqrt(t/kappa)): seeded from those asymptotic inverses,
     bracketed by doubling steps, and refined by Newton steps guarded with
-    bisection.
+    bisection. Each element runs its own iteration under a mask, so an
+    array of times gives the bits of one call per time. A scalar returns
+    a float, an array an array of its shape.
 
-    Raises ``OverflowRangeError`` when z or kappa z lies below the smallest
-    normal double, or when t(z) would overflow before reaching t.
+    Raises ``DomainError`` for a t that is not finite, and
+    ``OverflowRangeError`` for a t whose z or kappa z lies below the
+    smallest normal double, or whose t(z) would overflow before reaching
+    t; either error names the first such t.
     """
-    t = float(t)
-    if not math.isfinite(t):
-        raise DomainError("t must be finite")
+    ts = np.asarray(t, dtype=float)
+    bad = ~np.isfinite(ts)
+    if bad.any():
+        raise DomainError(f"t must be finite, got t={float(ts[bad][0])}")
+    tt = ts.ravel()
     k = params.kappa
     # ln z range over which z and kappa z stay normal doubles and t(z)
-    # stays finite. The ceiling starts where kappa z^2/4 alone reaches the
-    # largest double, where t(z) is finite unless the log term is not far
-    # below it (tiny kappa). Then the ceiling is the largest u with a
-    # finite t(z), bisected down to adjacent doubles from u = -ln kappa,
-    # where the log term vanishes; t(z) increases from there, so its
-    # finiteness is monotone in u.
+    # stays finite, worked out once per call. The ceiling starts where
+    # kappa z^2/4 alone reaches the largest double, where t(z) is finite
+    # unless the log term is not far below it (tiny kappa). Then the
+    # ceiling is the largest u with a finite t(z), bisected down to
+    # adjacent doubles from u = -ln kappa, where the log term vanishes;
+    # t(z) increases from there, so its finiteness is monotone in u.
     u_floor = math.log(sys.float_info.min / min(1.0, k))
     u_ceil = min(0.5 * (math.log(4.0) + math.log(sys.float_info.max) - math.log(k)),
                  math.log(sys.float_info.max))
 
     def finite(u):
         try:
-            coordinate_time(params, math.exp(u))
+            coordinate_time(params, np.exp(u))
             return True
         except OverflowRangeError:
             return False
 
     if not finite(u_ceil):
         lo, hi = min(max(-math.log(k), u_floor), u_ceil), u_ceil
-        coordinate_time(params, math.exp(lo))       # no finite t(z) at all: raise
+        coordinate_time(params, np.exp(lo))         # no finite t(z) at all: raise
         while (mid := 0.5 * (lo + hi)) not in (lo, hi):
             lo, hi = (mid, hi) if finite(mid) else (lo, mid)
         u_ceil = lo
 
     def residual(u):
-        z = math.exp(u)
-        return z, coordinate_time(params, z) - t
+        z = np.exp(u)
+        return z, coordinate_time(params, z) - tt
 
-    u = 0.5 * k * t - math.log(k) if k * t < 4.0 else math.log(2.0 * math.sqrt(t / k))
-    u = min(max(u, u_floor), u_ceil)
+    u = 0.5 * k * tt - math.log(k)
+    far = k * tt >= 4.0
+    u[far] = np.log(2.0 * np.sqrt(tt[far] / k))
+    u = np.minimum(np.maximum(u, u_floor), u_ceil)
     z, f = residual(u)
-    # Double the stride away from the seed until f changes sign.
+    # Double each stride away from its seed until f changes sign. Finished
+    # elements keep their u, so their z and f are recomputed to the same bits.
     lo = hi = u
-    step = 1.0 if f < 0.0 else -1.0
-    while f * step < 0.0:
-        if u == (u_ceil if step > 0.0 else u_floor):
-            raise OverflowRangeError(
-                f"t={t} lies outside the range where z and t(z) are normal doubles")
-        u = min(max(u + step, u_floor), u_ceil)
-        lo, hi = min(lo, u), max(hi, u)
+    step = np.where(f < 0.0, 1.0, -1.0)
+    refused = np.zeros(tt.shape, dtype=bool)
+    going = f * step < 0.0
+    while going.any():
+        refused |= going & (u == np.where(step > 0.0, u_ceil, u_floor))
+        going &= ~refused
+        u = np.where(going, np.minimum(np.maximum(u + step, u_floor), u_ceil), u)
+        lo, hi = np.minimum(lo, u), np.maximum(hi, u)
         z, f = residual(u)
-        step *= 2.0
+        step = np.where(going, 2.0 * step, step)
+        going &= f * step < 0.0
+    if refused.any():
+        raise OverflowRangeError(
+            f"t={float(tt[refused][0])} lies outside the range where z and t(z) "
+            "are normal doubles")
 
-    tol = 1e-13 * max(1.0, abs(t))
+    tol = 1e-13 * np.maximum(1.0, np.abs(tt))
+    going = np.ones(tt.shape, dtype=bool)
     for _ in range(100):
-        if abs(f) <= tol:
+        going &= np.abs(f) > tol
+        if not going.any():
             break
-        if f > 0.0:
-            hi = u
-        else:
-            lo = u
+        hi = np.where(going & (f > 0.0), u, hi)
+        lo = np.where(going & (f <= 0.0), u, lo)
         unew = u - f / (z * _inverse_speed(params, z))   # Newton: du = dt v / z
-        if not (lo < unew < hi):
-            unew = 0.5 * (lo + hi)
-        if unew in (lo, hi, u):
-            break
-        u = unew
+        unew = np.where((lo < unew) & (unew < hi), unew, 0.5 * (lo + hi))
+        going &= (unew != lo) & (unew != hi) & (unew != u)
+        u = np.where(going, unew, u)
         z, f = residual(u)
-    else:
+    if going.any():
         raise ConvergenceError("position_at_time exhausted its iteration budget")
     # A last Newton step in z itself resolves z below the spacing of ln z.
-    return z - f / _inverse_speed(params, z)
+    z = (z - f / _inverse_speed(params, z)).reshape(ts.shape)
+    return float(z) if ts.ndim == 0 else z
 
 
 def penrose_coordinates(params: TrajectoryParams, z):

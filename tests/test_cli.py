@@ -14,7 +14,13 @@ import fdradiance
 from fdradiance import spectra
 from fdradiance.cli import _build_parser, main
 from fdradiance.spectra import energy_spectrum, fermi_dirac_distribution
-from fdradiance.trajectory import TrajectoryParams, coordinate_time, total_energy_larmor
+from fdradiance.trajectory import (
+    TrajectoryParams,
+    coordinate_time,
+    penrose_coordinates,
+    position_at_time,
+    total_energy_larmor,
+)
 
 
 def run(capsys, argv):
@@ -228,6 +234,37 @@ class TestTrajectoryCommand:
                                  "--format", "json"])
         again = json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n"
         assert again == out
+
+    def test_readme_command_gives_the_scalar_rows(self, capsys):
+        # the README command inverts each worldline's 101 times in one call;
+        # every row is the one-time call, and its z maps back to its t
+        code, out, _ = run(capsys, ["trajectory", "--zeta-min", "-0.5",
+                                    "--zeta-max", "0.5", "--zeta-steps", "3",
+                                    "--penrose"])
+        assert code == 0
+        _, rows = parse_csv(out)
+        assert len(rows) == 303
+        for r in rows:
+            zeta, t, z = float(r["zeta"]), float(r["t"]), float(r["z"])
+            params = TrajectoryParams(1.0, zeta)
+            assert z == position_at_time(params, t)
+            assert (float(r["U"]), float(r["V"])) == penrose_coordinates(params, z)
+            assert abs(coordinate_time(params, z) - t) < 1e-11 * max(1.0, abs(t))
+
+    def test_z_grid_gives_the_scalar_times(self, capsys):
+        argv = ["trajectory", "--zeta-min", "-0.5", "--zeta-max", "0.5",
+                "--zeta-steps", "3", "--z-min", "0.01", "--z-max", "50",
+                "--z-steps", "77", "--penrose"]
+        code, out, _ = run(capsys, argv)
+        assert code == 0
+        lines = ["zeta,t,z,U,V"]
+        for zeta in (-0.5, 0.0, 0.5):
+            params = TrajectoryParams(1.0, zeta)
+            for z in np.linspace(0.01, 50.0, 77).tolist():
+                cells = (zeta, coordinate_time(params, z), z,
+                         *penrose_coordinates(params, z))
+                lines.append(",".join("%.17g" % c for c in cells))
+        assert out == "\n".join(lines) + "\n"
 
 
 class TestEnergyCommand:

@@ -136,6 +136,43 @@ class TestKummer:
         rows = [kummer_1f1(0.5 - 1j * y[i], 0.5, x[i]) for i in range(y.size)]
         assert np.array_equal(whole, np.array(rows))
 
+    def test_joint_calls_match_separate_calls(self):
+        # the acceptance suite sums each Kummer-identity point's series in
+        # one call: [a, b - a] against [x, -x], or [a - 1, a, a + 1] at one
+        # (b, x). The joint call gives each separate call's bits, and
+        # refuses exactly when one of them does; the first two points are
+        # the suite's redrawn ones, one refused on each side
+        rng = np.random.default_rng(24)
+        points = [((0.12734265431732794 - 8.990546811221927j),
+                   (-4.7182227592694215 + 4.723795506469164j), -14.456091498113222j),
+                  ((8.023846512754819 - 7.283874766844043j),
+                   (-4.976401582676493 + 5.4057058884884945j), -8.643274957154574j)]
+        for i in range(40):
+            a, b = (complex(*rng.uniform(-10, 10, 2)) for _ in range(2))
+            x = (complex(0.0, rng.uniform(-15, 15)) if i % 2 else
+                 complex(*rng.uniform(-8, 8, 2)))
+            points.append((a, b, x))
+        refused = []
+        for a, b, x in points:
+            if x.real == 0.0:
+                args = [(a, b, x), (b - a, b, -x)]
+            else:
+                args = [(a - 1.0, b, x), (a, b, x), (a + 1.0, b, x)]
+            separate = []
+            for arg in args:
+                try:
+                    separate.append(kummer_1f1(*arg))
+                except ConvergenceError:
+                    separate.append(None)
+            as_, bs, xs = zip(*args)
+            if None in separate:
+                refused.append(separate.index(None))
+                with pytest.raises(ConvergenceError):
+                    kummer_1f1(as_, bs, xs)
+            else:
+                assert kummer_1f1(as_, bs, xs).tolist() == separate
+        assert refused[:2] == [1, 0] and len(refused) < len(points) // 2
+
     def test_stop_terms_and_retry_do_not_change_bits(self):
         # y up to 16 spreads the elements' stopping terms over hundreds of
         # terms; x = -i|x| below |x| = 6 (cancelling, but still certifiable)

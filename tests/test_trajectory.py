@@ -206,6 +206,51 @@ class TestWorldline:
             position_at_time(params, math.nan)
 
 
+class TestArrayInversion:
+    """One array call to position_at_time equals its per-element calls."""
+
+    @pytest.mark.parametrize("kappa", [0.5, 1.0, 2.0])
+    @pytest.mark.parametrize("zeta", [-0.9, 0.0, 0.9])
+    def test_array_matches_elementwise_calls(self, kappa, zeta):
+        # from the far past, where z nears the smallest normal double, to
+        # t = 1.5e308 near the ceiling; each element's iterates must not
+        # depend on the other elements, so the bits are those of its own call
+        params = TrajectoryParams(kappa, zeta, 1.0)
+        t_min = coordinate_time(params, sys.float_info.min / min(1.0, kappa))
+        ts = np.concatenate([
+            -np.geomspace(-t_min, 1e-3, 40), np.linspace(-5.0, 5.0, 41),
+            np.geomspace(1e-3, 1e308, 60), [0.0, 2e307, 8e307, 1.5e308]])
+        ts = ts[ts >= t_min]
+        np.random.default_rng(7).shuffle(ts)
+        whole = position_at_time(params, ts)
+        single = [position_at_time(params, t) for t in ts.tolist()]
+        assert whole.shape == ts.shape
+        assert whole.tolist() == single
+        grid = position_at_time(params, ts[:100].reshape(4, 25))
+        assert grid.shape == (4, 25)
+        assert grid.ravel().tolist() == single[:100]
+
+    def test_refusal_names_the_first_offending_time(self):
+        params = TrajectoryParams(1.0, 0.0, 1.0)
+        with pytest.raises(OverflowRangeError, match=r"t=-10000\.0 "):
+            position_at_time(params, np.array([-1.0, 0.0, -1e4, 5.0]))
+        # of two refused times, the one first in the array is named
+        with pytest.raises(OverflowRangeError, match=r"t=1\.7976931348623157e\+308 "):
+            position_at_time(params, [1.0, sys.float_info.max, -1e4])
+
+    def test_nan_time_raises(self):
+        params = TrajectoryParams(1.0, 0.0, 1.0)
+        with pytest.raises(DomainError, match="t=nan"):
+            position_at_time(params, np.array([0.0, math.nan, 1.0]))
+
+    def test_scalar_gives_float(self):
+        params = TrajectoryParams(1.0, 0.3, 1.0)
+        for t in (1.0, np.float64(1.0), np.array(1.0)):
+            z = position_at_time(params, t)
+            assert type(z) is float
+            assert z == position_at_time(params, np.array([1.0]))[0]
+
+
 class TestRadiation:
     def test_power_frozen(self):
         assert rel(larmor_power(TrajectoryParams(1, 0, 1), 1.0),
