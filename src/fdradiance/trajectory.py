@@ -79,6 +79,18 @@ def _check_positions(z):
     return zs
 
 
+def _time(params: TrajectoryParams, zs):
+    """t(z) unchecked: inf or nan (never a warning) where it is no finite double.
+
+    nan comes from a subnormal kappa, where 2/kappa is inf, at kappa z = 1.
+    """
+    k = params.kappa
+    # scale before squaring: z^2 alone overflows for z > 1.3e154, where
+    # t(z) is still representable when kappa < 4
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        return (0.25 * k * zs) * zs + (2.0 / k) * np.log(k * zs) + params.zeta * zs
+
+
 def coordinate_time(params: TrajectoryParams, z):
     """t(z) along the worldline; z may be a scalar or ndarray, all > 0.
 
@@ -86,12 +98,8 @@ def coordinate_time(params: TrajectoryParams, z):
     large that t overflows, or kappa z so small that its log is -inf.
     """
     zs = _check_positions(z)
-    k = params.kappa
-    # scale before squaring: z^2 alone overflows for z > 1.3e154, where
-    # t(z) is still representable when kappa < 4
-    with np.errstate(over="ignore", divide="ignore"):
-        t = (0.25 * k * zs) * zs + (2.0 / k) * np.log(k * zs) + params.zeta * zs
-    if not (math.isfinite(t) if zs.ndim == 0 else np.isfinite(t).all()):
+    t = _time(params, zs)
+    if not np.isfinite(t).all():
         bad = zs[~np.isfinite(t)][0]
         raise OverflowRangeError(f"t(z) at z={bad:.6g} is not a finite double")
     return float(t) if zs.ndim == 0 else t
@@ -124,8 +132,9 @@ def kinematic_state(params: TrajectoryParams, z: float) -> KinematicState:
 
 
 # Products near the largest double overflow to inf, harmlessly: t / kappa in
-# the seed (the clamp takes it in), f * step keeps its sign, and an infinite
-# z / v makes the Newton step 0.
+# the seed (the clamp takes it in), a residual between far-apart t sends
+# its Newton step out of the bracket (bisection takes over), and an
+# infinite z / v makes the Newton step 0.
 @np.errstate(over="ignore")
 def position_at_time(params: TrajectoryParams, t):
     """Unique z > 0 with coordinate_time(z) = t; t may be a scalar or ndarray.
@@ -133,11 +142,12 @@ def position_at_time(params: TrajectoryParams, t):
     The map is strictly increasing (dt/dz = 1/v > 0) and onto the reals.
     The root is sought in u = ln z, where t(u) is nearly linear in the far
     past (z ~ e^{kappa t/2}/kappa) and nearly e^{2u} kappa/4 in the far
-    future (z ~ 2 sqrt(t/kappa)): seeded from those asymptotic inverses,
-    bracketed by doubling steps, and refined by Newton steps guarded with
-    bisection. Each element runs its own iteration under a mask, so an
-    array of times gives the bits of one call per time. A scalar returns
-    a float, an array an array of its shape.
+    future (z ~ 2 sqrt(t/kappa)): seeded from those asymptotic inverses
+    and refined by Newton steps guarded with bisection inside the range of
+    u where z, kappa z and t(z) are normal doubles, which brackets every
+    t it can represent. Each element runs its own iteration under a mask,
+    so an array of times gives the bits of one call per time. A scalar
+    returns a float, an array an array of its shape.
 
     Raises ``DomainError`` for a t that is not finite, and
     ``OverflowRangeError`` for a t whose z or kappa z lies below the
@@ -160,49 +170,25 @@ def position_at_time(params: TrajectoryParams, t):
     u_floor = math.log(sys.float_info.min / min(1.0, k))
     u_ceil = min(0.5 * (math.log(4.0) + math.log(sys.float_info.max) - math.log(k)),
                  math.log(sys.float_info.max))
-
-    def finite(u):
-        try:
-            coordinate_time(params, np.exp(u))
-            return True
-        except OverflowRangeError:
-            return False
-
-    if not finite(u_ceil):
+    if not np.isfinite(_time(params, np.exp(u_ceil))):
         lo, hi = min(max(-math.log(k), u_floor), u_ceil), u_ceil
         coordinate_time(params, np.exp(lo))         # no finite t(z) at all: raise
         while (mid := 0.5 * (lo + hi)) not in (lo, hi):
-            lo, hi = (mid, hi) if finite(mid) else (lo, mid)
+            lo, hi = (mid, hi) if np.isfinite(_time(params, np.exp(mid))) else (lo, mid)
         u_ceil = lo
-
-    def residual(u):
-        z = np.exp(u)
-        return z, coordinate_time(params, z) - tt
-
-    u = 0.5 * k * tt - math.log(k)
-    far = k * tt >= 4.0
-    u[far] = np.log(2.0 * np.sqrt(tt[far] / k))
-    u = np.minimum(np.maximum(u, u_floor), u_ceil)
-    z, f = residual(u)
-    # Double each stride away from its seed until f changes sign. Finished
-    # elements keep their u, so their z and f are recomputed to the same bits.
-    lo = hi = u
-    step = np.where(f < 0.0, 1.0, -1.0)
-    refused = np.zeros(tt.shape, dtype=bool)
-    going = f * step < 0.0
-    while going.any():
-        refused |= going & (u == np.where(step > 0.0, u_ceil, u_floor))
-        going &= ~refused
-        u = np.where(going, np.minimum(np.maximum(u + step, u_floor), u_ceil), u)
-        lo, hi = np.minimum(lo, u), np.maximum(hi, u)
-        z, f = residual(u)
-        step = np.where(going, 2.0 * step, step)
-        going &= f * step < 0.0
+    refused = (tt < _time(params, np.exp(u_floor))) | (tt > _time(params, np.exp(u_ceil)))
     if refused.any():
         raise OverflowRangeError(
             f"t={float(tt[refused][0])} lies outside the range where z and t(z) "
             "are normal doubles")
 
+    u = 0.5 * k * tt - math.log(k)
+    far = k * tt >= 4.0
+    u[far] = np.log(2.0 * np.sqrt(tt[far] / k))
+    u = np.minimum(np.maximum(u, u_floor), u_ceil)
+    z = np.exp(u)
+    f = _time(params, z) - tt
+    lo, hi = u_floor, u_ceil
     tol = 1e-13 * np.maximum(1.0, np.abs(tt))
     going = np.ones(tt.shape, dtype=bool)
     for _ in range(100):
@@ -215,7 +201,8 @@ def position_at_time(params: TrajectoryParams, t):
         unew = np.where((lo < unew) & (unew < hi), unew, 0.5 * (lo + hi))
         going &= (unew != lo) & (unew != hi) & (unew != u)
         u = np.where(going, unew, u)
-        z, f = residual(u)
+        z = np.exp(u)
+        f = _time(params, z) - tt
     if going.any():
         raise ConvergenceError("position_at_time exhausted its iteration budget")
     # A last Newton step in z itself resolves z below the spacing of ln z.

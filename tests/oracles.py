@@ -148,3 +148,21 @@ def ray_head_segment(a, b, c, h, alpha):
 
         rest = mp.quad(f, mp.linspace(0, 48, 25), method="gauss-legendre")
         return complex(Z ** (1 + 1j * b) * (rest + 1 / (1 + 1j * b)))
+
+
+def worldline_position(kappa, zeta, t, seed):
+    """Root z of t(z) = (kappa/4) z^2 + (2/kappa) ln(kappa z) + zeta z - t.
+
+    Newton steps in 60-digit mpmath from ``seed`` (the tests pass the
+    package's z; the root is unique, so the seed only sets how many steps
+    it takes). Raises if 50 steps do not settle z to 1e-50 relative.
+    """
+    k, zeta, t = mp.mpf(kappa), mp.mpf(zeta), mp.mpf(t)
+    z = mp.mpf(seed)
+    for _ in range(50):
+        f = k / 4 * z**2 + 2 / k * mp.log(k * z) + zeta * z - t
+        dz = f / (k / 2 * z + 2 / (k * z) + zeta)
+        z -= dz
+        if abs(dz) <= mp.mpf(10) ** -50 * z:
+            return z
+    raise RuntimeError("Newton did not settle")

@@ -4,12 +4,15 @@ Frozen energy and power values come from 30-to-60-digit mpmath
 quadrature of the same integrand written independently.
 """
 import math
+import re
 import sys
 import time
 import warnings
 
+import mpmath as mp
 import numpy as np
 import pytest
+from oracles import worldline_position
 
 from fdradiance.errors import DomainError, OverflowRangeError
 from fdradiance.trajectory import (
@@ -114,6 +117,14 @@ class TestWorldline:
         with pytest.raises(OverflowRangeError):
             penrose_coordinates(TrajectoryParams(1.0, 0.0), 1e300)
 
+    def test_subnormal_kappa_time_refused(self):
+        # below 2/max, 2/kappa is inf, and at kappa z = 1 its product with
+        # ln(kappa z) = 0 is nan: refused like an infinite t(z), with no
+        # numpy warning
+        kappa = 1.1e-308
+        with pytest.raises(OverflowRangeError, match="finite"):
+            coordinate_time(TrajectoryParams(kappa, 0.0), 1.0 / kappa)
+
     def test_tiny_kappa_ceiling_is_bisected(self):
         # at kappa 1e-300 the log term (2/kappa) ln(kappa z) overflows far
         # below where kappa z^2/4 does; the ceiling walk of one ulp of ln z
@@ -204,6 +215,43 @@ class TestWorldline:
             kinematic_state(params, -1.0)
         with pytest.raises(DomainError):
             position_at_time(params, math.nan)
+
+
+class TestInversionAccuracy:
+    """position_at_time against a 60-digit root of t(z) = t."""
+
+    @pytest.mark.parametrize("kappa", [0.01, 0.1, 1.0, 10.0, 100.0])
+    def test_against_oracle_root(self, kappa):
+        # the unit is one ulp of z plus the z-spread of one eps |t| in t,
+        # which dominates in the far past, where dt/dz = 2/(kappa z) is huge
+        eps = np.finfo(float).eps
+        for zeta in (-0.99, 0.0, 0.99):
+            params = TrajectoryParams(kappa, zeta, 1.0)
+            t_min = coordinate_time(params, sys.float_info.min / min(1.0, kappa))
+            ts = np.concatenate([
+                -np.geomspace(-t_min, 1e-6, 30), [-1e-300, 0.0, 1e-300, 1e-12],
+                np.geomspace(1e-6, 1e300, 40), np.linspace(-5.0, 5.0, 101)])
+            for t, z in zip(ts.tolist(), position_at_time(params, ts).tolist()):
+                root = worldline_position(kappa, zeta, t, z)
+                slope = kappa / 2 * root + 2 / (kappa * root) + zeta
+                unit = np.spacing(z) + eps * max(1.0, abs(t)) / float(slope)
+                assert float(abs(mp.mpf(z) - root)) <= 4 * unit, (zeta, t)
+
+    @pytest.mark.parametrize("kappa", [0.3, 0.5, 1.0, 2.0, 7.0])
+    def test_floor_edge(self, kappa):
+        # t at the smallest z whose kappa z is a normal double is the first
+        # time given a position; the double below it is refused
+        for zeta in (-0.9, 0.0, 0.9):
+            params = TrajectoryParams(kappa, zeta, 1.0)
+            floor = np.exp(math.log(sys.float_info.min / min(1.0, kappa)))
+            t = coordinate_time(params, floor)
+            below = float(np.nextafter(t, -math.inf))
+            assert position_at_time(params, t) > 0.0
+            assert (position_at_time(params, np.array([t, 1.0])) > 0.0).all()
+            with pytest.raises(OverflowRangeError, match=re.escape(f"t={below!r} ")):
+                position_at_time(params, below)
+            with pytest.raises(OverflowRangeError, match=re.escape(f"t={below!r} ")):
+                position_at_time(params, np.array([1.0, below]))
 
 
 class TestArrayInversion:
