@@ -168,7 +168,7 @@ def _gk_panels(f, lo, hi, rows):
     return tuple(np.concatenate(p) for p in zip(*parts))
 
 
-def _adaptive_rows(f, lo, hi, counts, tol, abs_floor, offsets=None):
+def _adaptive_rows(f, lo, hi, counts, tol, offsets=None):
     """Wave-refined adaptive GK15 over many integrals ("rows") at once.
 
     ``lo``/``hi`` hold every row's initial panels, row after row and in
@@ -203,7 +203,7 @@ def _adaptive_rows(f, lo, hi, counts, tol, abs_floor, offsets=None):
         # integrals legitimately bottom out there.
         machine_floor = (50.0 * _EPS) * np.add.reduceat(l1s, starts)
         whole = total if offsets is None else total + offsets[active]
-        target = np.maximum(np.maximum(tol * np.abs(whole), abs_floor),
+        target = np.maximum(np.maximum(tol * np.abs(whole), _ABS_FLOOR),
                             machine_floor)
         done = toterr <= target
         if done.all():
@@ -279,17 +279,17 @@ def _raise_stalled(values, abs_errors, stalled, evals):
         )
 
 
-def _integrate(f, bounds, tol, abs_floor):
+def _integrate(f, bounds, tol):
     """One integral of the batch integrand f: a one-row _adaptive_rows call."""
     values, abs_errors, stalled, evals = _adaptive_rows(
         lambda xs, rows: _evaluate(f, xs.ravel()).reshape(xs.shape),
-        bounds[:-1], bounds[1:], [bounds.size - 1], tol, abs_floor)
+        bounds[:-1], bounds[1:], [bounds.size - 1], tol)
     _raise_stalled(values, abs_errors, stalled, evals)
     return QuadratureResult(_pyval(values[0]), float(abs_errors[0]),
                             int(evals[0]))
 
 
-def integrate_adaptive(f, lo, hi, tol=1e-10, *, abs_floor=_ABS_FLOOR, points=None):
+def integrate_adaptive(f, lo, hi, tol=1e-10):
     """Adaptive Gauss-Kronrod integral of f over the finite interval [lo, hi].
 
     Parameters
@@ -302,12 +302,9 @@ def integrate_adaptive(f, lo, hi, tol=1e-10, *, abs_floor=_ABS_FLOOR, points=Non
         Finite bounds with lo < hi; integrals over [0, inf) go through
         ``integrate_semi_infinite``.
     tol : float
-        Relative tolerance; the absolute floor keeps zero-valued integrals
-        from looping forever. Past _MAX_EVALS integrand evaluations the
-        integral raises, with the best estimate attached to the exception.
-    points : sequence of float, optional
-        Interior breakpoints seeding the initial panel set, for integrands
-        whose interesting structure is known in advance.
+        Relative tolerance, above the absolute floor _ABS_FLOOR. The first
+        wave has eight equal panels; past _MAX_EVALS integrand evaluations
+        the integral raises, with the best estimate attached to the error.
 
     Returns
     -------
@@ -315,13 +312,7 @@ def integrate_adaptive(f, lo, hi, tol=1e-10, *, abs_floor=_ABS_FLOOR, points=Non
     """
     if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
         raise DomainError("integration bounds must be finite with lo < hi")
-    if points is None:
-        bounds = np.linspace(float(lo), float(hi), 9)
-    else:
-        pts = np.asarray(points, dtype=float)
-        pts = pts[(pts > lo) & (pts < hi)]
-        bounds = np.unique(np.concatenate([[float(lo)], pts, [float(hi)]]))
-    return _integrate(f, bounds, tol, abs_floor)
+    return _integrate(f, np.linspace(float(lo), float(hi), 9), tol)
 
 
 def integrate_semi_infinite(f, scale=1.0, tol=1e-10):
@@ -336,7 +327,7 @@ def integrate_semi_infinite(f, scale=1.0, tol=1e-10):
     # Denser initial panels toward r=1 where the map stretches fastest.
     bounds = np.array([0.0, 0.125, 0.25, 0.375, 0.5, 0.625, 0.75, 0.875,
                        0.9375, 0.96875, 1.0])
-    return _integrate(mapped, bounds, tol, _ABS_FLOOR)
+    return _integrate(mapped, bounds, tol)
 
 
 def _exponent(b, d, x, y):
@@ -469,7 +460,7 @@ def _oscillatory_rows(b, d, tol):
     alpha, h, tails, lo, hi, counts = _saddle_setup(b, d, tol)
     heads, head_errs = _series_head(b, d, alpha, h)
     values, abs_errors, stalled, evals = _adaptive_rows(
-        _saddle_integrand(b, d, alpha), lo, hi, counts, tol, _ABS_FLOOR, heads)
+        _saddle_integrand(b, d, alpha), lo, hi, counts, tol, heads)
     _raise_stalled(values, abs_errors, stalled, evals)
     values = values + heads
     abs_errors = abs_errors + head_errs + tails

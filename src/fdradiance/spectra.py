@@ -17,8 +17,9 @@ Routes, kept deliberately independent of each other:
   by up to e^{omega/kappa}, so its error bar can outgrow the value.
 * ``distribution_exact_zeta0`` uses the closed hypergeometric form that
   exists when zeta = 0, for any theta; a whole (omega, theta) grid is one
-  vectorized evaluation, with a fixed error bar of _CLOSED_FORM_REL of
-  the value.
+  vectorized evaluation. Its two terms cancel behind the special angle,
+  and its error bar, _CLOSED_FORM_REL of the value times that
+  cancellation factor, grows with it.
 * ``fermi_dirac_distribution`` is the special observation angle
   cos(theta0) = zeta, where the linear phase term drops and the
   distribution collapses to (1 - zeta^2)(e^2/8 pi^2)(omega/kappa) times
@@ -35,15 +36,13 @@ pick a route once and call it without branching on it again.
 ``distribution_grid`` gives the numeric or exact samples of an
 (omega, theta) grid, omega-major, and refuses on either route a sample
 whose error bar exceeds _REFUSAL of its value; the two single-point
-distributions are its one-point calls. ``energy_spectrum`` takes a float
-or a 1-d array of omegas, and runs each order of a nested Clenshaw-Curtis
-rule in u = cos(theta) once over every omega not yet settled, on only the
-nodes that order adds to the last; with no absolute floor, orders 64 and
-128 share one call on the nodes of order 128. At zeta = 0 a call is one
+distributions are its one-point calls. Both integrals of
+``total_energy_spectral``, over u = cos(theta) in ``energy_spectrum`` and
+over s = sqrt(omega), run on one nested Clenshaw-Curtis driver
+(``_nested_cc``), which calls its integrand once per order, on only the
+nodes that order adds to the last. At zeta = 0 an angular call is one
 closed-form evaluation of the (omega, u) grid, with the two 1F1s taken
-once per distinct |u| (they depend on u^2), so the frequency integral of
-``total_energy_spectral`` costs one such evaluation per wave of omega
-nodes and angular order; off zeta = 0 it is one batched quadrature with a
+once per distinct |u|; off zeta = 0 it is one batched quadrature with a
 row, and a phase, per (omega, u). A value does not depend on the grid it
 is batched with.
 """
@@ -56,8 +55,7 @@ import math
 import numpy as np
 
 from .errors import ConvergenceError, DomainError
-from .quadrature import (_check_tol, _oscillatory_rows, integrate_adaptive,
-                         integrate_semi_infinite)
+from .quadrature import _check_tol, _oscillatory_rows, integrate_semi_infinite
 from .specfun import kummer_1f1, ln_gamma
 from .trajectory import TrajectoryParams
 
@@ -171,29 +169,32 @@ def _numeric_values(params: TrajectoryParams, omegas, us, sin2, tol: float):
 def _exact_zeta0_values(params: TrajectoryParams, omegas, us, sin2, tol: float):
     """Closed-form dI/dOmega at zeta = 0 and its error on the grid omegas x us.
 
-    Arguments and result as for ``_numeric_values``; tol is not read, and
-    the error is a fixed _CLOSED_FORM_REL of each value, a roundoff
-    envelope rather than an estimate. sin^2 is not 1 - u^2, which cancels
-    near the poles. The values follow from
+    Arguments and result as for ``_numeric_values``; tol is not read.
+    sin^2 is not 1 - u^2, which cancels near the poles. The values follow
+    from
 
-        m(u) = Gamma(1/2 - iy) 1F1(1/2 - iy; 1/2; iyu^2)
-               + 2u sqrt(iy) Gamma(1 - iy) 1F1(1 - iy; 3/2; iyu^2),
+        m(u) = t1 + t2,  t1 = Gamma(1/2 - iy) 1F1(1/2 - iy; 1/2; iyu^2),
+                         t2 = 2u sqrt(iy) Gamma(1 - iy) 1F1(1 - iy; 3/2; iyu^2),
 
-    y = omega/kappa. The 1F1s depend on u only through u^2, so they run
-    once per distinct |u| (both as one stacked call) and go back to every
-    u of that modulus; negating u negates the second term exactly, so a
-    value keeps its bits whatever other nodes share its |u|, and the
-    exactly odd nodes of ``_cc_rule`` sum half as many series. Every
-    element is computed on its own, so it does not depend on the rest of
-    the grid; grids whose two series hold more than _SLICE_ELEMENTS
-    evaluations run in slices of whole omega rows. Dark directions
-    (sin^2(theta) = 0) skip the series, as in ``_numeric_values``.
+    y = omega/kappa. For u < 0 the two terms cancel by the factor K =
+    (|t1| + |t2|)/|t1 + t2|, which grows like e^{2y|u|}, and the relative
+    error grows with it: the bar is _CLOSED_FORM_REL K times the value, a
+    roundoff envelope rather than an estimate. The 1F1s depend on u only
+    through u^2, so they run once per distinct |u| (both as one stacked
+    call) and go back to every u of that modulus; negating u negates t2
+    exactly, so a value keeps its bits whatever other nodes share its |u|,
+    and the exactly odd nodes of ``_cc_rule`` sum half as many series.
+    Every element is computed on its own, so it does not depend on the
+    rest of the grid; grids whose two series hold more than
+    _SLICE_ELEMENTS evaluations run in slices of whole omega rows. Dark
+    directions (sin^2(theta) = 0) skip the series, as in
+    ``_numeric_values``.
     """
     kappa = params.kappa
-    out = np.zeros((omegas.size, us.size))
+    out, err = np.zeros((2, omegas.size, us.size))
     lit = sin2 != 0.0
     if not lit.any():
-        return out, out * _CLOSED_FORM_REL
+        return out, err
     us, sin2 = us[lit], sin2[lit]
     mods, at = np.unique(np.abs(us), return_inverse=True)
     step = max(1, _SLICE_ELEMENTS // (2 * mods.size))
@@ -205,10 +206,16 @@ def _exact_zeta0_values(params: TrajectoryParams, omegas, us, sin2, tol: float):
         g_half, g_one = np.exp(ln_gamma(a))
         root_iy = np.sqrt(y) * _ROOT_I
         m_half, m_one = kummer_1f1(a, _EXACT_B, x)[..., at]
-        m = g_half * m_half + 2.0 * us * root_iy * g_one * m_one
+        t1 = g_half * m_half
+        t2 = 2.0 * us * root_iy * g_one * m_one
+        m = t1 + t2
         pref = params.e_squared * omega * sin2 / (16.0 * math.pi**3 * kappa)
-        out[s:s + step, lit] = pref * np.exp(-math.pi * y) * np.abs(m) ** 2
-    return out, out * _CLOSED_FORM_REL
+        scale = pref * np.exp(-math.pi * y)
+        out[s:s + step, lit] = scale * np.abs(m) ** 2
+        # _CLOSED_FORM_REL K |value|, with K's division by |m| cancelled
+        err[s:s + step, lit] = (_CLOSED_FORM_REL * scale * np.abs(m)
+                                * (np.abs(t1) + np.abs(t2)))
+    return out, err
 
 
 def distribution_grid(params: TrajectoryParams, omegas, thetas, method: str,
@@ -302,27 +309,49 @@ def _cc_rule(n):
     return us, sin2, ws
 
 
+def _nested_cc(f, rows, orders, first, scale, tol, abs_floor):
+    """Integrals over u in [-1, 1] of ``rows`` integrands, by nested Clenshaw-Curtis.
+
+    ``f(todo, us, sin2)`` maps the unsettled rows' indices and nodes of
+    ``_cc_rule`` to a (todo.size, us.size) array. The first call takes all
+    nodes of order ``first`` (lower orders read its even-indexed ones), each
+    later order of ``orders`` only its odd-indexed new ones. A row's value,
+    scale times its own weighted sum, settles once it moves from the last
+    order's (0 at first) by at most max(tol |value|, abs_floor). Returns
+    (values, the index array of the rows unsettled at the last order).
+    """
+    n, todo, out = first, np.arange(rows), np.zeros(rows)
+    vals = f(todo, *_cc_rule(n)[:2])
+    for order in orders:
+        if order > n:
+            us, sin2, _ = _cc_rule(order)
+            grid = np.empty((todo.size, order + 1))
+            grid[:, ::2] = vals
+            grid[:, 1::2] = f(todo, us[1::2], sin2[1::2])
+            vals, n = grid, order
+        cur = scale * np.vecdot(vals[:, ::n // order], _cc_rule(order)[2])
+        done = np.abs(cur - out[todo]) <= np.maximum(tol * np.abs(cur), abs_floor)
+        out[todo] = cur
+        todo, vals = todo[~done], vals[~done]
+        if todo.size == 0:
+            break
+    return out, todo
+
+
 def energy_spectrum(params: TrajectoryParams, omega, tol: float = 1e-6,
                     *, force_numeric: bool = False, abs_floor: float = 0.0):
     """Solid-angle integral I(omega) = 2 pi int_{-1}^{1} du dI/dOmega.
 
     omega is a float, which returns a float, or a 1-d array, which returns
-    an array. Clenshaw-Curtis in u = cos(theta) (``_cc_rule``), order
-    doubled from 64 to 512; each order's nodes hold the last one's, whose
-    values a row keeps, so the route runs only on the new odd-indexed
-    nodes. A row settles once its value moves from the last order's (zero
-    before the first) by at most max(tol |value|, abs_floor); abs_floor
-    lets deep exponential tails of a larger frequency integral stop without
-    chasing relative accuracy of negligible numbers. With abs_floor = 0
-    only a zero row can settle at order 64, so the first route call runs
-    on all 129 nodes of order 128 and order 64 reads their even-indexed
-    ones: the calls take 129, 128 and 256 nodes per row, against 65, 64,
-    128 and 256 with a floor, and the values are the same. The integrand
-    is the closed form at zeta = 0 and quadrature otherwise;
-    ``force_numeric`` uses quadrature at zeta = 0 too. The route is picked
-    once, each order runs once over the omegas not yet settled, and each
-    row is summed on its own, so a row's value is the same in any batch.
-    tol must lie in (0, 1e-2].
+    an array. Each omega is a row of ``_nested_cc`` in u = cos(theta) over
+    the orders 64 to 512; abs_floor lets deep exponential tails of a larger
+    frequency integral stop without chasing relative accuracy of negligible
+    numbers. With abs_floor = 0 only a zero row can settle at order 64, so
+    the first call takes all 129 nodes of order 128, then 128 and 256 new
+    ones, against 65, 64, 128 and 256 with a floor, for the same values.
+    The integrand is the closed form at zeta = 0 and quadrature otherwise
+    (``force_numeric`` uses quadrature at zeta = 0 too). A row's value is
+    the same in any batch. tol must lie in (0, 1e-2].
     """
     _check_tol(tol)
     omegas = np.asarray(omega, dtype=float)
@@ -333,35 +362,15 @@ def energy_spectrum(params: TrajectoryParams, omega, tol: float = 1e-6,
     _check_omega(omegas)
     route = (_exact_zeta0_values if params.zeta == 0.0 and not force_numeric
              else _numeric_values)
-    # A row settles at order 64 only if its value is within abs_floor of
-    # the 0 it starts from, so with no floor only an all-zero row can: the
-    # first call then runs on every node of order 128, whose even-indexed
-    # nodes are order 64's; with a floor it runs on order 64 alone
-    n = 64 if abs_floor > 0.0 else 128
-    us, sin2, _ = _cc_rule(n)
-    # each unsettled row's values on the nodes of order n
-    vals = route(params, omegas, us, sin2, tol / 8.0)[0]
-    out = np.zeros(omegas.shape)
-    todo = np.arange(omegas.size)
-    for order in (64, 128, 256, 512):
-        if order > n:
-            # the even-indexed nodes are the last order's; the route runs
-            # only on the odd-indexed ones
-            us, sin2, _ = _cc_rule(order)
-            grid = np.empty((todo.size, order + 1))
-            grid[:, ::2] = vals
-            grid[:, 1::2] = route(params, omegas[todo], us[1::2], sin2[1::2], tol / 8.0)[0]
-            vals, n = grid, order
-        cur = 2.0 * math.pi * np.vecdot(vals[:, ::n // order], _cc_rule(order)[2])
-        done = np.abs(cur - out[todo]) <= np.maximum(tol * np.abs(cur), abs_floor)
-        out[todo] = cur
-        todo, vals = todo[~done], vals[~done]
-        if todo.size == 0:
-            return float(out[0]) if scalar else out
-    raise ConvergenceError(
-        f"angular quadrature did not stabilize for omega={float(omegas[todo[0]])}",
-        best=float(out[todo[0]]),
-    )
+    out, todo = _nested_cc(
+        lambda rows, us, sin2: route(params, omegas[rows], us, sin2, tol / 8.0)[0],
+        omegas.size, (64, 128, 256, 512), 64 if abs_floor > 0.0 else 128,
+        2.0 * math.pi, tol, abs_floor)
+    if todo.size:
+        raise ConvergenceError(
+            f"angular quadrature did not stabilize for omega={float(omegas[todo[0]])}",
+            best=float(out[todo[0]]))
+    return float(out[0]) if scalar else out
 
 
 def particle_spectrum(params: TrajectoryParams, omega, tol: float = 1e-6):
@@ -398,28 +407,38 @@ def _omega_cutoff(spectra, kappa, peak):
 def total_energy_spectral(params: TrajectoryParams, tol: float = 1e-4) -> float:
     """Total energy by the spectral route: E = int_0^inf I(omega) domega.
 
-    The angular integrand is the exact one at zeta = 0 and the numeric one
-    otherwise. The frequency integral is one adaptive pass over [0, hi],
-    where hi is the cutoff at which I(omega) is below 1e-12 of the peak
-    (``_omega_cutoff``); nothing past hi is added. The pass hands each wave
-    of nodes to one batched ``energy_spectrum`` call. tol must lie in
-    (0, 1e-2].
+    The integral ends at the cutoff hi where I(omega) is below 1e-12 of the
+    peak (``_omega_cutoff``). Off zeta = 0, I(omega) has a sqrt(omega) term
+    at 0, so it runs in s = sqrt(omega), where 2 s I(s^2) is smooth: one
+    row of ``_nested_cc`` at s = sqrt(hi) (1 + u)/2, orders 32 (read from
+    the first call's 64) to 512, until two agree within max(tol |E|/2, tol
+    peak kappa/4), or ``ConvergenceError`` with the last value as ``best``.
+    Each call is one ``energy_spectrum`` on the new nodes but s = 0, where
+    the integrand is 0. tol must lie in (0, 1e-2].
     """
     _check_tol(tol)
     kappa = params.kappa
     probe_tol = min(1e-4, tol)
     peak = float(np.max(energy_spectrum(
         params, kappa * np.array([0.1, 0.3, 1.0]), probe_tol)))
-    floor = 1e-9 * peak
 
     def I_batch(omegas):
-        return energy_spectrum(params, omegas, probe_tol, abs_floor=floor)
+        return energy_spectrum(params, omegas, probe_tol, abs_floor=1e-9 * peak)
 
-    hi = _omega_cutoff(I_batch, kappa, peak)
-    pts = kappa * np.array([0.125, 0.25, 0.5, 1.0, 2.0, 4.0, 8.0, 16.0])
-    res = integrate_adaptive(I_batch, 0.0, hi, tol=0.5 * tol, points=pts,
-                             abs_floor=0.25 * tol * peak * kappa)
-    return float(res.value)
+    root_hi = math.sqrt(_omega_cutoff(I_batch, kappa, peak))
+
+    def density(rows, us, sin2):
+        s = 0.5 * root_hi * (1.0 + us)
+        out = np.zeros((1, us.size))
+        out[0, s > 0.0] = 2.0 * s[s > 0.0] * I_batch(s[s > 0.0] ** 2)
+        return out
+
+    total, todo = _nested_cc(density, 1, (32, 64, 128, 256, 512), 64,
+                             0.5 * root_hi, 0.5 * tol, 0.25 * tol * peak * kappa)
+    if todo.size:
+        raise ConvergenceError("the frequency integral did not stabilize "
+                               "by order 512", best=float(total[0]))
+    return float(total[0])
 
 
 def fd_partial_energy(params: TrajectoryParams) -> float:

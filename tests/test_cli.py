@@ -337,6 +337,17 @@ class TestDistributionCommand:
             "--theta-min", theta, "--theta-max", theta, "--theta-steps", "1"])
         assert code == 3 and out == "" and "error bar" in err
 
+    @pytest.mark.parametrize("y, deg", [(8, 170), (12, 150), (12, 170)])
+    def test_exact_refusal_exits_3(self, capsys, y, deg):
+        # behind the special angle the closed form's two terms cancel, and
+        # its bar grows with the cancellation past the refusal limit
+        theta = repr(math.radians(deg))
+        code, out, err = run(capsys, [
+            "distribution", "--method", "exact-zeta0",
+            "--omega-min", str(y), "--omega-max", str(y), "--omega-steps", "1",
+            "--theta-min", theta, "--theta-max", theta, "--theta-steps", "1"])
+        assert code == 3 and out == "" and "error bar" in err
+
     def test_rows_carry_error_column(self, capsys):
         _, out, _ = run(capsys, [
             "distribution", "--omega-min", "1", "--omega-max", "2",

@@ -73,13 +73,13 @@ class TestAdaptive:
                  + integrate_adaptive(g, 0.0, 5.0, tol=1e-12).value)
         assert rel(both.value, parts) < 1e-11
 
-    def test_point_seeding_helps_at_kinks(self):
-        f = lambda x: np.abs(x - 1.0)
-        plain = integrate_adaptive(f, 0.0, 2.0, tol=1e-12)
-        seeded = integrate_adaptive(f, 0.0, 2.0, tol=1e-12, points=[1.0])
-        assert rel(plain.value, 1.0) < 1e-13
-        assert rel(seeded.value, 1.0) < 1e-14
-        assert seeded.evaluations < plain.evaluations
+    def test_kink_without_breakpoints(self):
+        # x = 1 is an edge of the eight equal first-wave panels, so the first
+        # wave integrates it exactly; x = 1/3 lies inside a panel and must be
+        # refined down to
+        for c in (1.0, 1.0 / 3.0):
+            res = integrate_adaptive(lambda x: np.abs(x - c), 0.0, 2.0, tol=1e-12)
+            assert rel(res.value, 0.5 * (c * c + (2.0 - c) ** 2)) < 1e-13
 
     def test_infinite_bound_rejected(self):
         # [0, inf) has its own entry, integrate_semi_infinite
