@@ -1,7 +1,8 @@
 """Radiation from a point charge on a Fermi-Dirac trajectory.
 
-The worldline approaches the speed of light along +z with a rapidity
-profile whose late-time acceleration spectrum carries a Fermi-Dirac
+The worldline is asymptotically static: it starts and ends at rest,
+moving along +z at a speed that never exceeds 1/(2 + zeta), and its
+emission at the special angle cos(theta) = zeta carries a Fermi-Dirac
 factor. This package computes the classical radiation it emits, checks
 the closed forms that the spectrum collapses to at special angles and
 parameter values, and maps the emission onto the pair-creation

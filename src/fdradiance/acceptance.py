@@ -25,8 +25,8 @@ from .mirror import (
     beta_squared_fd_limit,
     beta_squared_from_distribution,
     mirror_particle_count,
-    mirror_particle_count_quadrature,
 )
+from .quadrature import integrate_adaptive
 from .specfun import kummer_1f1, ln_gamma
 from .spectra import (
     distribution_grid,
@@ -111,34 +111,40 @@ def _c5_fd_partial_energy(scale):
     return worst, 1e-8 * scale, "quadrature vs closed form, 3 zeta values"
 
 
+def _special_angle_betas(zeta, omegas):
+    """|beta|^2 of the saddle-contour route at cos(theta) = zeta, kappa = e^2 = 1."""
+    params = TrajectoryParams(kappa=1.0, zeta=zeta, e_squared=1.0)
+    samples = distribution_grid(params, omegas, [math.acos(zeta)], "numeric", 1e-10)
+    return [beta_squared_from_distribution(s, 1.0) for s in samples]
+
+
 def _c6_particle_count_duality(scale):
     worst = 0.0
     for zeta in _ZETA_SET:
         params = TrajectoryParams(kappa=1.0, zeta=zeta, e_squared=1.0)
         n_closed = fd_particle_count(params)
-        n_quad = fd_particle_count_quadrature(params, tol=1e-12)
-        m_closed = mirror_particle_count(zeta)
-        m_quad = mirror_particle_count_quadrature(zeta, tol=1e-12)
-        e2 = params.e_squared
-        worst = max(
-            worst,
-            _rel(n_quad, n_closed),
-            _rel(e2 * m_closed, n_closed),
-            _rel(e2 * m_quad, n_quad),
-        )
-    return worst, 1e-8 * scale, "electron count vs e^2 x mirror count"
+        worst = max(worst,
+                    _rel(fd_particle_count_quadrature(params, tol=1e-12), n_closed),
+                    _rel(params.e_squared * mirror_particle_count(zeta), n_closed))
+
+    # the contour's pair density (u/2) |beta|^2 up to u = 6 kappa, past which
+    # the occupancy is below e^{-12 pi}; at d = 0 the contour is the same for
+    # every zeta, so one is enough
+    def density(u):
+        return 0.5 * u * np.array([b.beta_squared for b in _special_angle_betas(0.5, u)])
+
+    m_contour = integrate_adaptive(density, 0.0, 6.0, tol=1e-10).value
+    worst = max(worst, _rel(m_contour, mirror_particle_count(0.5)))
+    return worst, 1e-8 * scale, "electron, e^2 x mirror and contour pair counts"
 
 
-def _c7_duality_round_trip(scale):
-    params = TrajectoryParams(kappa=1.0, zeta=0.0, e_squared=1.0)
+def _c7_special_angle_beta(scale):
     worst = 0.0
-    samples = distribution_grid(params, _GRID_OMEGAS, _GRID_THETAS, "numeric", 1e-6)
-    for sample in samples:
-        beta = beta_squared_from_distribution(sample, params.e_squared)
-        back = (params.e_squared * sample.omega**2 * beta.beta_squared
-                / (4.0 * math.pi))
-        worst = max(worst, abs(back - sample.value) / sample.value)
-    return worst, 1e-12 * scale, "dI/dOmega -> |beta|^2 -> dI/dOmega"
+    for zeta in _ZETA_SET:
+        for beta in _special_angle_betas(zeta, (0.25, 0.5, 1.0, 2.0, 4.0, 16.0, 40.0)):
+            closed = beta_squared_fd(beta.modes, 1.0, zeta).beta_squared
+            worst = max(worst, _rel(beta.beta_squared, closed))
+    return worst, 1e-12 * scale, "contour vs Fermi-Dirac |beta|^2, 3 zeta x 7 omega"
 
 
 def _c8_energy_zeta_trend(scale):
@@ -234,7 +240,7 @@ _CRITERIA = (
     (4, "numeric-vs-exact-grid", 30.0, _c4_numeric_vs_exact_grid),
     (5, "fd-partial-energy", 5.0, _c5_fd_partial_energy),
     (6, "particle-count-duality", 5.0, _c6_particle_count_duality),
-    (7, "duality-round-trip", 1.0, _c7_duality_round_trip),
+    (7, "duality-round-trip", 1.0, _c7_special_angle_beta),
     (8, "energy-zeta-trend", 10.0, _c8_energy_zeta_trend),
     (9, "special-function-identities", 5.0, _c9_special_function_identities),
     (10, "near-minus-one-limit", 1.0, _c10_near_minus_one_limit),

@@ -20,18 +20,21 @@ alone applies. Energy and particle-count totals of the special-angle
 family follow by the variable change u = p+q, w = (p-q)/u, under which
 the constrained double integral collapses to a single integral in u with
 Jacobian u/2 (the constraint delta function is eliminated exactly, never
-sampled numerically). Functions taking kappa and zeta check them by
-constructing ``TrajectoryParams``, the one home of the worldline rules;
-a lone e^2 goes through the same rule in ``trajectory``.
+sampled numerically). With u = omega it is term for term the emission
+side's over e^2, so the quadrature companions are ``spectra``'s at e^2 = 1;
+the acceptance suite checks |beta|^2 and the pair count against the
+saddle-contour route at the special angle instead. Functions taking kappa
+and zeta check them by constructing ``TrajectoryParams``, the one home of
+the worldline rules; a lone e^2 goes through the same rule in ``trajectory``.
 """
 from __future__ import annotations
 
 import dataclasses
 import math
 
-from .errors import ConstraintError, DomainError, RegimeError
-from .quadrature import integrate_semi_infinite
-from .spectra import EmissionDirection, SpectralSample, _check_omega, _occupancy
+from .errors import ConstraintError, DomainError, OverflowRangeError, RegimeError
+from .spectra import (EmissionDirection, SpectralSample, _check_omega, _occupancy,
+                      fd_partial_energy_quadrature, fd_particle_count_quadrature)
 from .trajectory import TrajectoryParams, _check_e_squared
 
 __all__ = [
@@ -92,6 +95,15 @@ def beta_squared_from_distribution(sample: SpectralSample,
     return BetaCoefficient(modes=modes, beta_squared=beta2)
 
 
+def _occupied(pref, freq, kappa):
+    """|beta|^2 = pref / (e^{2 pi freq/kappa} + 1), refused if pref overflows."""
+    beta2 = pref * _occupancy(2.0 * math.pi * freq / kappa)
+    if not math.isfinite(beta2):
+        raise OverflowRangeError(f"|beta|^2 prefactor at frequency {freq:g}, "
+                                 f"kappa {kappa:g} overflows a double")
+    return beta2
+
+
 def beta_squared_fd(modes: ModePair, kappa: float, zeta: float) -> BetaCoefficient:
     """Closed Fermi-Dirac form of |beta|^2 on the constrained mode family.
 
@@ -108,8 +120,7 @@ def beta_squared_fd(modes: ModePair, kappa: float, zeta: float) -> BetaCoefficie
             f"p/q = (1+zeta)/(1-zeta) for zeta={zeta}"
         )
     u = modes.p + modes.q
-    beta2 = ((1.0 - zeta**2) / (2.0 * math.pi * u * kappa)
-             * _occupancy(2.0 * math.pi * u / kappa))
+    beta2 = _occupied((1.0 - zeta**2) / (2.0 * math.pi * u * kappa), u, kappa)
     return BetaCoefficient(modes=modes, beta_squared=beta2)
 
 
@@ -125,8 +136,7 @@ def beta_squared_fd_limit(q: float, kappa: float,
             f"leading-order form holds only near zeta = -1; got zeta={zeta}"
         )
     p = q * (1.0 + zeta) / (1.0 - zeta)
-    beta2 = ((1.0 + zeta) / (math.pi * q * kappa)
-             * _occupancy(2.0 * math.pi * q / kappa))
+    beta2 = _occupied((1.0 + zeta) / (math.pi * q * kappa), q, kappa)
     return BetaCoefficient(modes=ModePair(p=p, q=q), beta_squared=beta2)
 
 
@@ -138,20 +148,8 @@ def mirror_fd_energy(kappa: float, zeta: float) -> float:
 
 def mirror_fd_energy_quadrature(kappa: float, zeta: float,
                                 tol: float = 1e-10) -> float:
-    """Quadrature companion of mirror_fd_energy.
-
-    The reduced single integral int_0^inf du (u^2/2) |beta|^2(u), with u
-    the total pair frequency; evaluates the closed |beta|^2 profile, not
-    the closed energy formula.
-    """
-    TrajectoryParams(kappa, zeta)
-    pref = (1.0 - zeta**2) / (2.0 * math.pi * kappa)
-
-    def integrand(u):
-        return 0.5 * u * pref * _occupancy(2.0 * math.pi * u / kappa)
-
-    res = integrate_semi_infinite(integrand, scale=kappa, tol=tol)
-    return float(res.value)
+    """Quadrature companion of mirror_fd_energy: int du (u^2/2) |beta|^2, at e^2 = 1."""
+    return fd_partial_energy_quadrature(TrajectoryParams(kappa, zeta, 1.0), tol)
 
 
 def mirror_particle_count(zeta: float, kappa: float = 1.0) -> float:
@@ -166,12 +164,5 @@ def mirror_particle_count(zeta: float, kappa: float = 1.0) -> float:
 
 def mirror_particle_count_quadrature(zeta: float, kappa: float = 1.0,
                                      tol: float = 1e-10) -> float:
-    """Quadrature companion of mirror_particle_count: int du (u/2) |beta|^2."""
-    TrajectoryParams(kappa, zeta)
-    pref = (1.0 - zeta**2) / (2.0 * math.pi * kappa)
-
-    def integrand(u):
-        return 0.5 * pref * _occupancy(2.0 * math.pi * u / kappa)
-
-    res = integrate_semi_infinite(integrand, scale=kappa, tol=tol)
-    return float(res.value)
+    """Quadrature companion of mirror_particle_count: int du (u/2) |beta|^2, at e^2 = 1."""
+    return fd_particle_count_quadrature(TrajectoryParams(kappa, zeta, 1.0), tol)

@@ -281,6 +281,8 @@ def _raise_stalled(values, abs_errors, stalled, evals):
 
 def _integrate(f, bounds, tol):
     """One integral of the batch integrand f: a one-row _adaptive_rows call."""
+    if not (0.0 < tol < math.inf):
+        raise DomainError("tol must be positive and finite")
     values, abs_errors, stalled, evals = _adaptive_rows(
         lambda xs, rows: _evaluate(f, xs.ravel()).reshape(xs.shape),
         bounds[:-1], bounds[1:], [bounds.size - 1], tol)
@@ -302,9 +304,10 @@ def integrate_adaptive(f, lo, hi, tol=1e-10):
         Finite bounds with lo < hi; integrals over [0, inf) go through
         ``integrate_semi_infinite``.
     tol : float
-        Relative tolerance, above the absolute floor _ABS_FLOOR. The first
-        wave has eight equal panels; past _MAX_EVALS integrand evaluations
-        the integral raises, with the best estimate attached to the error.
+        Relative tolerance, positive and finite, above the absolute floor
+        _ABS_FLOOR. The first wave has eight equal panels; past _MAX_EVALS
+        integrand evaluations the integral raises, with the best estimate
+        attached to the error.
 
     Returns
     -------

@@ -446,23 +446,27 @@ def fd_partial_energy(params: TrajectoryParams) -> float:
     return params.e_squared * params.kappa * (1.0 - params.zeta**2) / (192.0 * math.pi)
 
 
-def fd_partial_energy_quadrature(params: TrajectoryParams,
-                                 tol: float = 1e-10) -> float:
-    """Quadrature companion of fd_partial_energy.
+def _fd_moment(params: TrajectoryParams, power: int, tol: float) -> float:
+    """2 pi int_0^inf domega omega^(power - 1) dI/dOmega(theta0), by quadrature.
 
-    Integrates the special-angle distribution over frequency and azimuth:
-    2 pi int_0^inf domega dI/dOmega(theta0). Kept as an independent code
-    path from the closed form it validates.
+    The special-angle distribution over frequency and azimuth: its energy
+    (power 1) or its photon count (power 0). Kept as an independent code
+    path from the closed forms it validates.
     """
-    zeta2 = params.zeta**2
     kappa = params.kappa
-    pref = (1.0 - zeta2) * params.e_squared / (8.0 * math.pi**2 * kappa)
+    pref = (1.0 - params.zeta**2) * params.e_squared / (8.0 * math.pi**2 * kappa)
 
     def integrand(w):
-        return pref * w * _occupancy(2.0 * math.pi * w / kappa)
+        return (pref * w if power == 1 else pref) * _occupancy(2.0 * math.pi * w / kappa)
 
     res = integrate_semi_infinite(integrand, scale=kappa, tol=tol)
     return 2.0 * math.pi * float(res.value)
+
+
+def fd_partial_energy_quadrature(params: TrajectoryParams,
+                                 tol: float = 1e-10) -> float:
+    """Quadrature companion of fd_partial_energy: 2 pi int domega dI/dOmega(theta0)."""
+    return _fd_moment(params, 1, tol)
 
 
 def fd_particle_count(params: TrajectoryParams) -> float:
@@ -473,12 +477,4 @@ def fd_particle_count(params: TrajectoryParams) -> float:
 def fd_particle_count_quadrature(params: TrajectoryParams,
                                  tol: float = 1e-10) -> float:
     """Quadrature companion of fd_particle_count (integrates dI/dOmega / omega)."""
-    zeta2 = params.zeta**2
-    kappa = params.kappa
-    pref = (1.0 - zeta2) * params.e_squared / (8.0 * math.pi**2 * kappa)
-
-    def integrand(w):
-        return pref * _occupancy(2.0 * math.pi * w / kappa)
-
-    res = integrate_semi_infinite(integrand, scale=kappa, tol=tol)
-    return 2.0 * math.pi * float(res.value)
+    return _fd_moment(params, 0, tol)

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import conftest
-from fdradiance import specfun
+from fdradiance import specfun, spectra
 from fdradiance.acceptance import CRITERION_NAMES, run_all
 from fdradiance.errors import DomainError
 
@@ -59,3 +59,36 @@ def test_kummer_identities_see_a_series_error_off_the_imaginary_axis(monkeypatch
     monkeypatch.setattr(specfun, "_taylor_1f1", faulty)
     [result] = run_all(criteria=[9])
     assert not result.passed, result.line()
+
+
+def test_duality_criteria_read_the_special_angle_contour(monkeypatch):
+    # a 1e-7 error in every contour row at d = zeta - cos(theta) = 0, where
+    # the emission is the Fermi-Dirac form: the criteria that compare the
+    # contour with |beta|^2 and the pair count must see it, and no other
+    rows = spectra._oscillatory_rows
+
+    def faulty(b, d, tol):
+        values, abs_errors, evals = rows(b, d, tol)
+        at_theta0 = np.abs(np.broadcast_to(d, np.broadcast(b, d).shape)).ravel() < 1e-12
+        return np.where(at_theta0, values * (1.0 + 1e-7), values), abs_errors, evals
+
+    monkeypatch.setattr(spectra, "_oscillatory_rows", faulty)
+    res = run_all()
+    assert [r.index for r in res if not r.passed] == [6, 7], [r.line() for r in res]
+
+
+@pytest.mark.parametrize("index, runs, rows", [(6, 2, 165), (7, 3, 24)])
+def test_duality_criteria_work(monkeypatch, index, runs, rows):
+    # check runs every criterion in each cli-readme benchmark cycle; pinned
+    # at the measured oscillatory runs and rows (2 on 150, 3 on 21) plus 10%
+    sizes = []
+    batched = spectra._oscillatory_rows
+
+    def counting(b, d, tol):
+        sizes.append(np.broadcast(b, d).size)
+        return batched(b, d, tol)
+
+    monkeypatch.setattr(spectra, "_oscillatory_rows", counting)
+    [result] = run_all(criteria=[index])
+    assert result.passed, result.line()
+    assert len(sizes) <= runs and sum(sizes) <= rows, sizes

@@ -430,6 +430,15 @@ class TestMirrorCommand:
         want = 4.0 * math.pi * emission / (params.e_squared * u**2)
         assert float(rows[0]["beta_squared"]) == pytest.approx(want, rel=1e-12)
 
+    @pytest.mark.parametrize("argv", [
+        ["--pq-min", "1e-320", "--pq-max", "1e-320", "--pq-steps", "1"],
+        ["--kappa", "1e-310", "--pq-steps", "2"]], ids=["tiny-pq", "tiny-kappa"])
+    def test_overflowing_beta_squared_exits_3(self, capsys, argv):
+        # the prefactor (1 - zeta^2)/(2 pi (p + q) kappa) is no finite double:
+        # a numerical failure, not a usage error
+        code, out, err = run(capsys, ["mirror", *argv])
+        assert code == 3 and out == "" and "overflows" in err
+
     def test_emission_grid_route(self, capsys):
         code, out, _ = run(capsys, [
             "mirror", "--e-squared", "1.0", "--omega-min", "1",

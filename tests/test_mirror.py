@@ -5,7 +5,12 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from fdradiance.errors import ConstraintError, DomainError, RegimeError
+from fdradiance.errors import (
+    ConstraintError,
+    DomainError,
+    OverflowRangeError,
+    RegimeError,
+)
 from fdradiance.mirror import (
     BetaCoefficient,
     ModePair,
@@ -75,6 +80,18 @@ class TestBetaSquared:
             beta_squared_fd(ModePair(0.9, 0.1), 1.0, 0.0)
         with pytest.raises(ConstraintError):
             beta_squared_fd(ModePair(0.5, 0.5), 1.0, 0.3)
+
+    def test_overflow_is_refused(self):
+        # a coefficient the caller builds keeps its DomainError; one the
+        # closed forms compute past the largest double is a range failure
+        with pytest.raises(DomainError):
+            BetaCoefficient(ModePair(0.5, 0.5), math.inf)
+        with pytest.raises(OverflowRangeError):
+            beta_squared_fd(ModePair(5e-321, 5e-321), 1.0, 0.0)
+        with pytest.raises(OverflowRangeError):
+            beta_squared_fd(ModePair(0.05, 0.05), 1e-310, 0.0)
+        with pytest.raises(OverflowRangeError):
+            beta_squared_fd_limit(1e-320, 1.0, -0.95)
 
     def test_constraint_accepts_matched_pair(self):
         zeta = 0.3

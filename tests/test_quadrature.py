@@ -55,6 +55,17 @@ class TestTypes:
 
 
 class TestAdaptive:
+    @pytest.mark.parametrize("tol", [math.nan, -1.0, 0.0, math.inf])
+    @pytest.mark.parametrize("entry", [
+        lambda tol: integrate_adaptive(np.exp, 0.0, 1.0, tol),
+        lambda tol: integrate_semi_infinite(lambda x: np.exp(-x), 1.0, tol)],
+        ids=["adaptive", "semi-infinite"])
+    def test_tol_must_be_positive_and_finite(self, entry, tol):
+        # nan fails every comparison of the stop rule, so the waves would
+        # run to a stall; 0 and -1 would leave only the absolute floors
+        with pytest.raises(DomainError, match="tol"):
+            entry(tol)
+
     def test_polynomial(self):
         res = integrate_adaptive(lambda x: x**2, 0.0, 1.0)
         assert rel(res.value, 1.0 / 3.0) < 1e-14

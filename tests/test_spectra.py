@@ -715,6 +715,12 @@ class TestPartialForms:
         quad = fd_particle_count_quadrature(params)
         assert rel(quad, closed) < 1e-10
 
+    @pytest.mark.parametrize("companion", [fd_partial_energy_quadrature,
+                                           fd_particle_count_quadrature])
+    def test_quadrature_refuses_a_nan_tol(self, companion):
+        with pytest.raises(DomainError, match="tol"):
+            companion(TrajectoryParams(1.0, 0.2, 1.0), tol=math.nan)
+
     def test_partial_below_total(self):
         for zeta in (-0.5, 0.0, 0.5):
             params = TrajectoryParams(1.0, zeta, 1.0)

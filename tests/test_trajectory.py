@@ -328,6 +328,11 @@ class TestRadiation:
         assert rel(total_energy_larmor(TrajectoryParams(1, 0.5, 1)),
                    0.0014141161545271872361) < 1e-9
 
+    @pytest.mark.parametrize("tol", [math.nan, -1.0, 0.0])
+    def test_energy_refuses_a_bad_tol(self, tol):
+        with pytest.raises(DomainError, match="tol"):
+            total_energy_larmor(TrajectoryParams(1.0, 0.0, 1.0), tol=tol)
+
     def test_energy_scales_with_kappa(self):
         e1 = total_energy_larmor(TrajectoryParams(1.0, 0.1, 1.0))
         e2 = total_energy_larmor(TrajectoryParams(2.0, 0.1, 1.0))
