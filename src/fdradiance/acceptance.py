@@ -157,6 +157,46 @@ def _c8_energy_zeta_trend(scale):
     return max(ratios) if finite_positive else math.inf, 1.0, detail
 
 
+def _kummer_point(rng, imaginary):
+    """One (a, b, x) of criterion 9's Kummer identities, x pure imaginary or not."""
+    a = complex(rng.uniform(-10, 10), rng.uniform(-10, 10))
+    while True:
+        b = complex(rng.uniform(-10, 10), rng.uniform(-10, 10))
+        # keep a unit margin from every series pole b = 0, -1, -2, ...
+        # (and from b-a poles of the flipped side, same lattice)
+        k = min(round(b.real), 0)
+        kk = min(round((b - a).real), 0)
+        if abs(b - k) >= 1.0 and abs((b - a) - kk) >= 1.0:
+            break
+    if imaginary:
+        # pure imaginary argument: neither side triggers the internal
+        # sign flip, so two genuinely different series are compared
+        return a, b, complex(0.0, rng.uniform(-15, 15))
+    return a, b, complex(rng.uniform(-8, 8), rng.uniform(-8, 8))
+
+
+def _kummer_series(a, b, x):
+    """The (a, b, x) of each series that one point's identity compares."""
+    if x.real == 0.0:
+        return [(a, b, x), (b - a, b, -x)]
+    # Kummer's transform would flip one side internally and sum the same
+    # series twice; the contiguous relation DLMF 13.3.1 sums three
+    # different ones
+    return [(a - 1.0, b, x), (a, b, x), (a + 1.0, b, x)]
+
+
+def _kummer_error(a, b, x, values):
+    """Relative defect of the point's identity, given its series' values."""
+    if x.real == 0.0:
+        lhs, flipped = values
+        return abs(lhs - np.exp(x) * flipped) / abs(lhs)
+    # (b-a)M(a-1) + (2a-b+x)M(a) - aM(a+1) = 0, measured against the
+    # largest term
+    m_down, m, m_up = values
+    terms = ((b - a) * m_down, (2.0 * a - b + x) * m, -a * m_up)
+    return abs(sum(terms)) / max(abs(t) for t in terms)
+
+
 def _c9_special_function_identities(scale):
     ys = np.arange(0.0, 10.0 + 1e-9, 0.1)
     worst_refl = 0.0
@@ -170,45 +210,35 @@ def _c9_special_function_identities(scale):
     accepted = 0
     rejected = 0
     while accepted < 40 and rejected < 200:
-        a = complex(rng.uniform(-10, 10), rng.uniform(-10, 10))
-        while True:
-            b = complex(rng.uniform(-10, 10), rng.uniform(-10, 10))
-            # keep a unit margin from every series pole b = 0, -1, -2, ...
-            # (and from b-a poles of the flipped side, same lattice)
-            k = min(round(b.real), 0)
-            kk = min(round((b - a).real), 0)
-            if abs(b - k) >= 1.0 and abs((b - a) - kk) >= 1.0:
-                break
-        if accepted % 8 < 5:
-            # pure imaginary argument: neither side triggers the internal
-            # sign flip, so two genuinely different series are compared
-            x = complex(0.0, rng.uniform(-15, 15))
-        else:
-            x = complex(rng.uniform(-8, 8), rng.uniform(-8, 8))
+        # Draw the remaining points as if each will be accepted, keeping the
+        # generator's state after each, and sum all their series in one
+        # call: every element keeps the bits of its own call, and the call
+        # marks exactly the elements whose own call would refuse.
+        points, states = [], []
+        for k in range(accepted, 40):
+            points.append(_kummer_point(rng, imaginary=k % 8 < 5))
+            states.append(rng.bit_generator.state)
+        series = [_kummer_series(*point) for point in points]
+        a, b, x = zip(*(s for group in series for s in group))
         try:
-            # Each point's series are summed in one kummer_1f1 call: every
-            # element keeps the bits of its own call, and the call refuses
-            # exactly when one of the separate calls would.
-            if x.real == 0.0:
-                lhs, flipped = kummer_1f1([a, b - a], b, [x, -x]).tolist()
-                rhs = np.exp(x) * flipped
-                err = abs(lhs - rhs) / abs(lhs)
-            else:
-                # Kummer's transform would flip one side internally and sum
-                # the same series twice; the contiguous relation DLMF 13.3.1,
-                # (b-a)M(a-1) + (2a-b+x)M(a) - aM(a+1) = 0, sums three
-                # different ones, measured against the largest term
-                m_down, m, m_up = kummer_1f1([a - 1.0, a, a + 1.0], b, x).tolist()
-                terms = ((b - a) * m_down, (2.0 * a - b + x) * m, -a * m_up)
-                err = abs(sum(terms)) / max(abs(t) for t in terms)
-        except ConvergenceError:
-            # near a zero of the function the series cancellation makes a
-            # certified 1e-10 value impossible; such points cannot witness
-            # the identity at that accuracy and are redrawn (counted below)
-            rejected += 1
-            continue
-        worst_kummer = max(worst_kummer, err)
-        accepted += 1
+            values = kummer_1f1(a, b, x).tolist()
+            failed = [False] * len(values)
+        except ConvergenceError as exc:
+            values, failed = exc.best.tolist(), exc.failed.tolist()
+        start = 0
+        for point, state, group in zip(points, states, series):
+            stop = start + len(group)
+            if any(failed[start:stop]):
+                # near a zero of the function the series cancellation makes
+                # a certified 1e-10 value impossible; such points cannot
+                # witness the identity at that accuracy and are redrawn
+                # (counted below), from right after this point's draws
+                rejected += 1
+                rng.bit_generator.state = state
+                break
+            worst_kummer = max(worst_kummer, _kummer_error(*point, values[start:stop]))
+            accepted += 1
+            start = stop
 
     # two sub-tolerances; report the fraction of budget used, worst case
     measured = max(worst_refl / 1e-12, worst_kummer / 1e-10)

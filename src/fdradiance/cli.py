@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import functools
 import json
 import math
 import os
@@ -313,7 +314,9 @@ def _add_output(sub):
                      help="write to PATH instead of standard output")
 
 
+@functools.cache
 def _build_parser():
+    """The one parser of the process: argparse keeps no state between parses."""
     parser = argparse.ArgumentParser(
         prog="fdradiance",
         description="Radiation spectrum of a charge on a Fermi-Dirac "

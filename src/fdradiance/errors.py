@@ -45,8 +45,13 @@ class ConvergenceError(FdradianceError, RuntimeError):
     """An iterative computation exhausted its budget before reaching tolerance.
 
     The best available estimate, when one exists, is attached as ``best``.
+    An elementwise computation may also attach ``failed``, a boolean mask
+    shaped like ``best`` that marks the elements it refused; the unmarked
+    elements of ``best`` are then as good as a successful call's. It is
+    None where the refusal is not per element.
     """
 
-    def __init__(self, message: str, best=None):
+    def __init__(self, message: str, best=None, failed=None):
         super().__init__(message)
         self.best = best
+        self.failed = failed

@@ -95,13 +95,30 @@ def beta_squared_from_distribution(sample: SpectralSample,
     return BetaCoefficient(modes=modes, beta_squared=beta2)
 
 
-def _occupied(pref, freq, kappa):
-    """|beta|^2 = pref / (e^{2 pi freq/kappa} + 1), refused if pref overflows."""
-    beta2 = pref * _occupancy(2.0 * math.pi * freq / kappa)
-    if not math.isfinite(beta2):
-        raise OverflowRangeError(f"|beta|^2 prefactor at frequency {freq:g}, "
-                                 f"kappa {kappa:g} overflows a double")
-    return beta2
+def _occupied(num, den, freq, kappa):
+    """|beta|^2 = num / (den freq kappa) / (e^{2 pi freq/kappa} + 1).
+
+    Where the prefactor num/(den freq kappa) leaves the double range the
+    product is taken in logs: a true |beta|^2 that underflows (at small
+    kappa the occupancy falls faster than the prefactor grows) is 0, and
+    only one past the largest double is refused.
+    """
+    x = 2.0 * math.pi * freq / kappa
+    occupancy = _occupancy(x)
+    scale = den * freq * kappa
+    if scale > 0.0:
+        beta2 = num / scale * occupancy
+        if math.isfinite(beta2):
+            return beta2
+    # ln occupancy is -x - ln(1 + e^{-x}), and -x alone where it underflows
+    log_occupancy = math.log(occupancy) if occupancy > 0.0 else -x
+    log_beta2 = (math.log(num) - math.log(den) - math.log(freq) - math.log(kappa)
+                 + log_occupancy)
+    try:
+        return math.exp(log_beta2)
+    except OverflowError:
+        raise OverflowRangeError(f"|beta|^2 at frequency {freq:g}, "
+                                 f"kappa {kappa:g} overflows a double") from None
 
 
 def beta_squared_fd(modes: ModePair, kappa: float, zeta: float) -> BetaCoefficient:
@@ -120,7 +137,7 @@ def beta_squared_fd(modes: ModePair, kappa: float, zeta: float) -> BetaCoefficie
             f"p/q = (1+zeta)/(1-zeta) for zeta={zeta}"
         )
     u = modes.p + modes.q
-    beta2 = _occupied((1.0 - zeta**2) / (2.0 * math.pi * u * kappa), u, kappa)
+    beta2 = _occupied(1.0 - zeta**2, 2.0 * math.pi, u, kappa)
     return BetaCoefficient(modes=modes, beta_squared=beta2)
 
 
@@ -136,7 +153,7 @@ def beta_squared_fd_limit(q: float, kappa: float,
             f"leading-order form holds only near zeta = -1; got zeta={zeta}"
         )
     p = q * (1.0 + zeta) / (1.0 - zeta)
-    beta2 = _occupied((1.0 + zeta) / (math.pi * q * kappa), q, kappa)
+    beta2 = _occupied(1.0 + zeta, math.pi, q, kappa)
     return BetaCoefficient(modes=ModePair(p=p, q=q), beta_squared=beta2)
 
 

@@ -18,7 +18,10 @@ so a term costs little more than the live elements' arithmetic and the
 re-indexing stays rare. Term cancellation is tracked per element; when
 the cancellation-amplified roundoff endangers the 1e-10 contract, the
 affected elements are recomputed in extended precision, and a
-convergence error is raised if even that cannot certify the target.
+convergence error is raised if even that cannot certify the target. The
+error names the elements it refused, and every other element of its best
+estimate is the value its own call returns, so one call can sum many
+independent series and drop only the refused ones.
 """
 from __future__ import annotations
 
@@ -125,8 +128,9 @@ def _taylor_1f1(a, b, x, dtype=complex):
     0, so its sum and peak stay as they are and it keeps meeting the rule.
     The working arrays drop the frozen elements once they are at least
     half of them; an element's arithmetic does not depend on the others.
-    If the budget runs out, ``best`` holds every element's sum, partial for
-    the unconverged.
+    If the budget runs out, ``ConvergenceError`` is raised: its ``best``
+    holds every element's sum, partial for the unconverged, and its
+    ``failed`` marks the unconverged.
     The first term or sum that overflows raises ``OverflowRangeError``.
     """
     try:
@@ -190,9 +194,11 @@ def _taylor_sum(a, b, x, dtype):
             break
     else:
         total[live] = s
+        failed = np.zeros(total.shape, dtype=bool)
+        failed[live] = small_runs < 3
         raise ConvergenceError(
             f"1F1 series did not converge within {_SERIES_BUDGET} terms",
-            best=total.astype(complex),
+            best=total.astype(complex), failed=failed,
         )
     return total, peak
 
@@ -218,8 +224,11 @@ def kummer_1f1(a, b, x):
         If b is a non-positive integer.
     ConvergenceError
         If the iteration budget is exhausted, or if cancellation exceeds
-        what extended precision can certify; the best estimate, shaped as
-        the result, is attached.
+        what extended precision can certify. The best estimate, shaped as
+        the result, is attached as ``best``, and ``failed``, shaped alike,
+        marks exactly the elements whose own one-element call would
+        refuse; every unmarked element of ``best`` is the value its own
+        call returns, bit for bit.
     OverflowRangeError
         If intermediate terms leave the representable range.
     """
@@ -253,25 +262,45 @@ def kummer_1f1(a, b, x):
         out = (prefac * s).reshape(shape)
         return complex(out.ravel()[0]) if scalar else out
 
-    try:
-        s, cancel = _taylor_1f1(as_, b_flat, xs)
-    except ConvergenceError as exc:
-        raise ConvergenceError(str(exc), best=result(exc.best)) from None
-    retry = cancel > _CANCEL_RETRY
+    s, cancel, unconverged = _summed(as_, b_flat, xs, complex)
+    failed = unconverged.copy()
+    retry = (cancel > _CANCEL_RETRY) & ~unconverged
     if np.any(retry):
-        try:
-            s_ld, cancel_ld = _taylor_1f1(
-                as_[retry], b_flat[retry], xs[retry], dtype=np.clongdouble
-            )
-        except ConvergenceError as exc:
-            s[retry] = exc.best
-            raise ConvergenceError(str(exc), best=result(s)) from None
-        if np.any(cancel_ld > _CANCEL_FAIL):
-            worst = float(np.max(cancel_ld))
-            raise ConvergenceError(
-                "1F1 cancellation too severe to certify 1e-10 relative "
-                f"accuracy (max term / |sum| = {worst:.2e})",
-                best=result(s),
-            )
-        s[retry] = s_ld.astype(complex)
+        s[retry], cancel[retry], unconverged[retry] = _summed(
+            as_[retry], b_flat[retry], xs[retry], np.clongdouble)
+        failed[retry] = cancel[retry] > _CANCEL_FAIL
+    if np.any(failed):
+        reasons = []
+        if np.any(unconverged):
+            reasons.append(f"series did not converge within {_SERIES_BUDGET} terms")
+        cancelled = failed & ~unconverged
+        if np.any(cancelled):
+            reasons.append("cancellation too severe to certify 1e-10 relative "
+                           f"accuracy (max term / |sum| = {np.max(cancel[cancelled]):.2e})")
+        raise ConvergenceError(
+            f"1F1 {'; '.join(reasons)}: {np.count_nonzero(failed)} of "
+            f"{failed.size} elements refused",
+            best=result(s),
+            failed=bool(failed[0]) if scalar else failed.reshape(shape))
     return result(s)
+
+
+def _summed(a, b, x, dtype):
+    """``_taylor_1f1``'s sums and cancellations, and which ran out of budget.
+
+    Where the budget runs out, the elements that converged are summed
+    again on their own to learn their cancellation, which the
+    long-double retry may still need; an element's bits do not depend on
+    the others, so their sums are unchanged. Unconverged elements keep
+    their partial sums and an infinite cancellation.
+    """
+    try:
+        s, cancel = _taylor_1f1(a, b, x, dtype)
+        return s, cancel, np.zeros(s.shape, dtype=bool)
+    except ConvergenceError as exc:
+        s, failed = exc.best, exc.failed
+    ok = ~failed
+    cancel = np.full(s.shape, np.inf)
+    if np.any(ok):
+        s[ok], cancel[ok] = _taylor_1f1(a[ok], b[ok], x[ok], dtype)
+    return s, cancel, failed

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import conftest
-from fdradiance import specfun, spectra
+from fdradiance import acceptance, specfun, spectra
 from fdradiance.acceptance import CRITERION_NAMES, run_all
 from fdradiance.errors import DomainError
 
@@ -92,3 +92,25 @@ def test_duality_criteria_work(monkeypatch, index, runs, rows):
     [result] = run_all(criteria=[index])
     assert result.passed, result.line()
     assert len(sizes) <= runs and sum(sizes) <= rows, sizes
+
+
+def test_kummer_identities_work(monkeypatch):
+    # check runs criterion 9 in each cli-readme benchmark cycle: its 40
+    # points go to kummer_1f1 in speculative batches, one call until the
+    # first refused point, pinned at the measured 3 calls on 260 elements
+    # plus 10%; the points, their bits and the two redrawn are the ones
+    # of one call per point
+    sizes = []
+    joint = acceptance.kummer_1f1
+
+    def counting(a, b, x):
+        sizes.append(np.broadcast(a, b, x).size)
+        return joint(a, b, x)
+
+    monkeypatch.setattr(acceptance, "kummer_1f1", counting)
+    [result] = run_all(criteria=[9])
+    assert result.passed, result.line()
+    assert len(sizes) <= 3 and sum(sizes) <= 290, sizes
+    assert result.measured == 0.10055766041140557
+    assert result.detail == ("reflection 1.17e-14 (tol 1e-12), kummer 1.01e-11 "
+                             "(tol 1e-10), 40 points (2 uncertifiable redrawn)")

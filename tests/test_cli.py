@@ -432,12 +432,22 @@ class TestMirrorCommand:
 
     @pytest.mark.parametrize("argv", [
         ["--pq-min", "1e-320", "--pq-max", "1e-320", "--pq-steps", "1"],
-        ["--kappa", "1e-310", "--pq-steps", "2"]], ids=["tiny-pq", "tiny-kappa"])
+        ["--pq-min", "1e-320", "--pq-steps", "2"],
+        ["--kappa", "1e-155", "--pq-min", "1e-160", "--pq-max", "1e-160",
+         "--pq-steps", "1"]], ids=["tiny-pq", "tiny-pq-grid", "tiny-kappa"])
     def test_overflowing_beta_squared_exits_3(self, capsys, argv):
-        # the prefactor (1 - zeta^2)/(2 pi (p + q) kappa) is no finite double:
-        # a numerical failure, not a usage error
+        # (1 - zeta^2)/(2 pi (p + q) kappa (e^{2 pi (p + q)/kappa} + 1)) is
+        # no finite double: a numerical failure, not a usage error
         code, out, err = run(capsys, ["mirror", *argv])
         assert code == 3 and out == "" and "overflows" in err
+
+    def test_underflowing_beta_squared_is_zero(self, capsys):
+        # at kappa 1e-310 the prefactor overflows, but the occupancy
+        # underflows faster: |beta|^2 is 0, not a refusal
+        code, out, _ = run(capsys, ["mirror", "--kappa", "1e-310", "--pq-steps", "2"])
+        assert code == 0
+        _, rows = parse_csv(out)
+        assert [float(r["beta_squared"]) for r in rows] == [0.0, 0.0]
 
     def test_emission_grid_route(self, capsys):
         code, out, _ = run(capsys, [
@@ -595,6 +605,29 @@ class TestModuleEntry:
         code, out, err = run(capsys, ["energy"])
         assert (energy.returncode, energy.stdout, energy.stderr) == \
             (code, out.encode(), err.encode())
+
+
+class TestOneProcess:
+    """main() called again in one process gives a fresh process's bytes."""
+
+    @pytest.mark.parametrize("calls", [
+        [["trajectory", "--zeta", "0.3", *at_time("1")],
+         ["trajectory", "--zeta-min", "0", "--zeta-max", "0.3", "--zeta-steps", "2",
+          *at_time("1")]],
+        [["energy", "--nope"], ["energy", "--format", "json"]],
+    ], ids=["zeta-then-zeta-grid", "usage-error-then-good"])
+    def test_calls_match_fresh_processes(self, capsys, monkeypatch, calls):
+        # the parser is built once per process; what one parse gave (the
+        # --zeta in ``given``, an error exit) must not reach the next
+        monkeypatch.setenv("COLUMNS", "80")
+        src = os.path.dirname(os.path.dirname(fdradiance.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        for argv in calls:
+            code, out, err = run(capsys, argv)
+            fresh = subprocess.run([sys.executable, "-m", "fdradiance", *argv],
+                                   capture_output=True, env=env, timeout=120)
+            assert (code, out.encode(), err.encode()) == \
+                (fresh.returncode, fresh.stdout, fresh.stderr)
 
 
 class TestJsonRows:

@@ -89,9 +89,21 @@ class TestBetaSquared:
         with pytest.raises(OverflowRangeError):
             beta_squared_fd(ModePair(5e-321, 5e-321), 1.0, 0.0)
         with pytest.raises(OverflowRangeError):
-            beta_squared_fd(ModePair(0.05, 0.05), 1e-310, 0.0)
+            beta_squared_fd(ModePair(5e-161, 5e-161), 1e-155, 0.0)
         with pytest.raises(OverflowRangeError):
             beta_squared_fd_limit(1e-320, 1.0, -0.95)
+
+    def test_underflow_is_zero(self):
+        # at kappa 1e-310 the prefactor overflows but the occupancy
+        # e^{-2 pi u/kappa} underflows faster: the true |beta|^2 is 0.
+        # Where it does not underflow, the log form keeps the scaling
+        # |beta|^2(u, kappa) = |beta|^2(u/kappa, 1)/kappa^2 to the log's
+        # roundoff
+        assert beta_squared_fd(ModePair(0.05, 0.05), 1e-310, 0.0).beta_squared == 0.0
+        assert beta_squared_fd_limit(0.1, 1e-310, -0.95).beta_squared == 0.0
+        tiny = beta_squared_fd(ModePair(5e-156, 5e-156), 1e-155, 0.0).beta_squared
+        unit = beta_squared_fd(ModePair(0.5, 0.5), 1.0, 0.0).beta_squared
+        assert tiny / 1e155 == pytest.approx(unit * 1e155, rel=1e-12)
 
     def test_constraint_accepts_matched_pair(self):
         zeta = 0.3

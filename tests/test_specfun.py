@@ -153,6 +153,7 @@ class TestKummer:
                  complex(*rng.uniform(-8, 8, 2)))
             points.append((a, b, x))
         refused = []
+        every_arg, every_separate = [], []
         for a, b, x in points:
             if x.real == 0.0:
                 args = [(a, b, x), (b - a, b, -x)]
@@ -164,6 +165,8 @@ class TestKummer:
                     separate.append(kummer_1f1(*arg))
                 except ConvergenceError:
                     separate.append(None)
+            every_arg += args
+            every_separate += separate
             as_, bs, xs = zip(*args)
             if None in separate:
                 refused.append(separate.index(None))
@@ -172,6 +175,14 @@ class TestKummer:
             else:
                 assert kummer_1f1(as_, bs, xs).tolist() == separate
         assert refused[:2] == [1, 0] and len(refused) < len(points) // 2
+        # one call over every point marks exactly the elements whose own
+        # call refuses, and the others carry their own call's bits
+        with pytest.raises(ConvergenceError) as info:
+            kummer_1f1(*zip(*every_arg))
+        failed = info.value.failed
+        assert failed.tolist() == [v is None for v in every_separate]
+        assert info.value.best[~failed].tolist() == \
+            [v for v in every_separate if v is not None]
 
     def test_stop_terms_and_retry_do_not_change_bits(self):
         # y up to 16 spreads the elements' stopping terms over hundreds of
@@ -247,6 +258,7 @@ class TestKummer:
         best = info.value.best
         assert best.shape == x.shape
         converged = np.abs(x) < 1e-3
+        assert np.array_equal(info.value.failed, ~converged)
         assert np.array_equal(best[converged], want[converged])
         partial = best[~converged]
         assert np.all(partial != want[~converged])
@@ -268,9 +280,31 @@ class TestKummer:
             kummer_1f1(a, b, x)
         converged = np.abs(x) < 1e-3
         assert 0 < np.count_nonzero(converged) < x.size / 2
+        assert np.array_equal(info.value.failed, ~converged)
         best = info.value.best
         assert np.array_equal(best[converged], want[converged])
         assert np.all(best[~converged] != want[~converged])
+
+    def test_budget_exhaustion_still_retries_the_converged(self, monkeypatch):
+        # 1F1(1/2 - 16i; 1/2; -6i) converges within 80 terms but cancels
+        # by 1e8, so its float sum is off in the eighth digit and only the
+        # long-double retry certifies it; 1F1(1; 3/2; 30i) needs more than
+        # 80 terms. The refusal must mark the second alone and carry the
+        # first as an unlimited call of its own gives it
+        want = kummer_1f1(0.5 - 16j, 0.5, -6j)
+        monkeypatch.setattr(specfun, "_SERIES_BUDGET", 80)
+        assert kummer_1f1(0.5 - 16j, 0.5, -6j) == want
+        float_sum, cancel = _taylor_1f1(np.array([0.5 - 16j]), np.array([0.5 + 0j]),
+                                        np.array([-6j]))
+        assert cancel[0] > specfun._CANCEL_RETRY and float_sum[0] != want
+        with pytest.raises(ConvergenceError, match="80 terms: 1 of 2") as info:
+            kummer_1f1([0.5 - 16j, 1.0], [0.5, 1.5], [-6j, 30j])
+        assert info.value.failed.tolist() == [False, True]
+        assert info.value.best[0] == want
+        # a scalar call's mask is a scalar too
+        with pytest.raises(ConvergenceError) as info:
+            kummer_1f1(1.0, 1.5, 30j)
+        assert info.value.failed is True
 
     @pytest.mark.parametrize("dtype", [complex, np.clongdouble])
     def test_frozen_elements_keep_their_bits(self, dtype, monkeypatch):
