@@ -39,8 +39,10 @@ whose error bar exceeds _REFUSAL of its value; the two single-point
 distributions are its one-point calls. Both integrals of
 ``total_energy_spectral``, over u = cos(theta) in ``energy_spectrum`` and
 over s = sqrt(omega), run on one nested Clenshaw-Curtis driver
-(``_nested_cc``), which calls its integrand once per order, on only the
-nodes that order adds to the last. At zeta = 0 an angular call is one
+(``_nested_cc``) with one schedule: its first call evaluates the 65 nodes
+of order 64, from which order 32 reads every other one, and each order
+from 128 to 512 then calls the integrand on only the nodes it adds to the
+last, for only the rows not yet settled. At zeta = 0 an angular call is one
 closed-form evaluation of the (omega, u) grid, with the two 1F1s taken
 once per distinct |u|; off zeta = 0 it is one batched quadrature with a
 row, and a phase, per (omega, u). A value does not depend on the grid it
@@ -309,20 +311,22 @@ def _cc_rule(n):
     return us, sin2, ws
 
 
-def _nested_cc(f, rows, orders, first, scale, tol, abs_floor):
+def _nested_cc(f, rows, scale, tol, abs_floor):
     """Integrals over u in [-1, 1] of ``rows`` integrands, by nested Clenshaw-Curtis.
 
     ``f(todo, us, sin2)`` maps the unsettled rows' indices and nodes of
-    ``_cc_rule`` to a (todo.size, us.size) array. The first call takes all
-    nodes of order ``first`` (lower orders read its even-indexed ones), each
-    later order of ``orders`` only its odd-indexed new ones. A row's value,
-    scale times its own weighted sum, settles once it moves from the last
-    order's (0 at first) by at most max(tol |value|, abs_floor). Returns
-    (values, the index array of the rows unsettled at the last order).
+    ``_cc_rule`` to a (todo.size, us.size) array. The first call takes the
+    65 nodes of order 64, which order 32 reads at its even indices; orders
+    128, 256 and 512 each call ``f`` on their odd-indexed new nodes only.
+    A row's value, scale times its own weighted sum, settles once it moves
+    from the last order's (0 at order 32) by at most max(tol |value|,
+    abs_floor). Both integrands are analytic in u, so the rules converge
+    geometrically and order 64 settles most rows. Returns (values, the
+    index array of the rows unsettled at order 512).
     """
-    n, todo, out = first, np.arange(rows), np.zeros(rows)
+    n, todo, out = 64, np.arange(rows), np.zeros(rows)
     vals = f(todo, *_cc_rule(n)[:2])
-    for order in orders:
+    for order in (32, 64, 128, 256, 512):
         if order > n:
             us, sin2, _ = _cc_rule(order)
             grid = np.empty((todo.size, order + 1))
@@ -343,15 +347,16 @@ def energy_spectrum(params: TrajectoryParams, omega, tol: float = 1e-6,
     """Solid-angle integral I(omega) = 2 pi int_{-1}^{1} du dI/dOmega.
 
     omega is a float, which returns a float, or a 1-d array, which returns
-    an array. Each omega is a row of ``_nested_cc`` in u = cos(theta) over
-    the orders 64 to 512; abs_floor lets deep exponential tails of a larger
-    frequency integral stop without chasing relative accuracy of negligible
-    numbers. With abs_floor = 0 only a zero row can settle at order 64, so
-    the first call takes all 129 nodes of order 128, then 128 and 256 new
-    ones, against 65, 64, 128 and 256 with a floor, for the same values.
-    The integrand is the closed form at zeta = 0 and quadrature otherwise
-    (``force_numeric`` uses quadrature at zeta = 0 too). A row's value is
-    the same in any batch. tol must lie in (0, 1e-2].
+    an array. Each omega is a row of ``_nested_cc`` in u = cos(theta): the
+    first call evaluates the 65 nodes of order 64, for orders 32 and 64,
+    and orders 128, 256 and 512 add 64, 128 and 256 new nodes for the rows
+    not yet settled. abs_floor lets deep exponential tails of a larger
+    frequency integral stop without chasing relative accuracy of
+    negligible numbers; it changes when a row settles, never which nodes
+    a call takes. The integrand is the closed form at zeta = 0 and
+    quadrature otherwise (``force_numeric`` uses quadrature at zeta = 0
+    too). A row's value is the same in any batch. tol must lie in
+    (0, 1e-2].
     """
     _check_tol(tol)
     omegas = np.asarray(omega, dtype=float)
@@ -364,8 +369,7 @@ def energy_spectrum(params: TrajectoryParams, omega, tol: float = 1e-6,
              else _numeric_values)
     out, todo = _nested_cc(
         lambda rows, us, sin2: route(params, omegas[rows], us, sin2, tol / 8.0)[0],
-        omegas.size, (64, 128, 256, 512), 64 if abs_floor > 0.0 else 128,
-        2.0 * math.pi, tol, abs_floor)
+        omegas.size, 2.0 * math.pi, tol, abs_floor)
     if todo.size:
         raise ConvergenceError(
             f"angular quadrature did not stabilize for omega={float(omegas[todo[0]])}",
@@ -433,8 +437,8 @@ def total_energy_spectral(params: TrajectoryParams, tol: float = 1e-4) -> float:
         out[0, s > 0.0] = 2.0 * s[s > 0.0] * I_batch(s[s > 0.0] ** 2)
         return out
 
-    total, todo = _nested_cc(density, 1, (32, 64, 128, 256, 512), 64,
-                             0.5 * root_hi, 0.5 * tol, 0.25 * tol * peak * kappa)
+    total, todo = _nested_cc(density, 1, 0.5 * root_hi, 0.5 * tol,
+                             0.25 * tol * peak * kappa)
     if todo.size:
         raise ConvergenceError("the frequency integral did not stabilize "
                                "by order 512", best=float(total[0]))

@@ -342,13 +342,14 @@ class TestIntegratedSpectrum:
     def test_angular_rule_nests_and_is_exact(self):
         # each order keeps the last one's nodes bit for bit at its even
         # indices, is exactly odd in u, dark at the poles, and integrates
-        # every polynomial of degree up to its order
-        for order in (64, 128, 256, 512):
+        # every polynomial of degree up to its order; order 32, read from
+        # order 64's even nodes, carries the first test of convergence
+        for order in (32, 64, 128, 256, 512):
             us, sin2, ws = spectra._cc_rule(order)
             assert np.array_equal(us, -us[::-1]) and np.array_equal(ws, ws[::-1])
             assert sin2[0] == sin2[-1] == 0.0 and (sin2[1:-1] > 0.0).all()
             assert np.allclose(sin2, 1.0 - us**2, rtol=0.0, atol=1e-15)
-            if order > 64:
+            if order > 32:
                 assert np.array_equal(us[::2], spectra._cc_rule(order // 2)[0])
                 assert np.array_equal(sin2[::2], spectra._cc_rule(order // 2)[1])
             for degree in range(0, order + 1, 2):
@@ -366,6 +367,21 @@ class TestIntegratedSpectrum:
         want = 2.0 * math.pi * np.vecdot(values, ws)
         got = energy_spectrum(params, omegas, 1e-6)
         assert (np.abs(got - want) <= 1e-6 * want).all()
+
+    @pytest.mark.parametrize("zeta", [-0.99, -0.9, 0.0, 0.5, 0.99])
+    def test_no_early_stop_against_a_fixed_order_512_rule(self, zeta):
+        # the first test of convergence compares orders 32 and 64; over
+        # four decades of frequency and every tol, the value it accepts
+        # must lie within tol of the whole order-512 sum of the same route
+        # at a per-node tol of min(tol, 1e-8)/8 (worst seen: 7.1e-4 tol)
+        params = TrajectoryParams(1, zeta)
+        omegas = np.geomspace(0.01, 60.0, 5)
+        us, sin2, ws = spectra._cc_rule(512)
+        route = spectra._exact_zeta0_values if zeta == 0.0 else spectra._numeric_values
+        want = 2.0 * math.pi * np.vecdot(route(params, omegas, us, sin2, 1e-8 / 8.0)[0], ws)
+        for tol in (1e-2, 1e-4, 1e-6, 1e-8):
+            got = energy_spectrum(params, omegas, tol)
+            assert (np.abs(got - want) <= tol * np.abs(want)).all()
 
     def test_numeric_angular_route_agrees(self):
         # same angular integral with the closed form switched off
@@ -520,8 +536,8 @@ class TestBatchedSpectra:
         monkeypatch.setattr(spectra, "_oscillatory_rows", counting)
         params = TrajectoryParams(1, -0.6)
         total = total_energy_spectral(params, 1e-4)
-        assert len(sizes) <= 6 and max(sizes) <= spectra._SLICE_ELEMENTS
-        assert sum(sizes) <= 8_100
+        assert len(sizes) <= 4 and max(sizes) <= spectra._SLICE_ELEMENTS
+        assert sum(sizes) <= 4_600
         assert rel(total, total_energy_larmor(params)) < 1e-3
 
     def test_closed_form_total_is_a_few_1f1_calls(self, monkeypatch):
@@ -540,16 +556,16 @@ class TestBatchedSpectra:
         monkeypatch.setattr(spectra, "_oscillatory_rows", no_quadrature)
         params = TrajectoryParams(1, 0)
         total = total_energy_spectral(params, 1e-4)
-        assert len(sizes) <= 5 and sum(sizes) <= 8_200
+        assert len(sizes) <= 3 and sum(sizes) <= 4_600
         assert max(sizes) <= spectra._SLICE_ELEMENTS
         assert rel(total, total_energy_larmor(params)) < 1e-8
 
     def test_unsettled_row_raises_with_its_own_best(self, monkeypatch):
         # rows with omega >= 1 vary over u and scale with the size of the
         # route call that first evaluated a node, so they never settle; each
-        # node keeps the value of that call. With no floor the first call
-        # holds all 129 nodes of order 128, then come 128 and 256; with a
-        # floor 65 nodes of order 64, then 64, 128 and 256
+        # node keeps the value of that call. With or without a floor the
+        # first call holds the 65 nodes of order 64, then come 64, 128 and
+        # 256; a constant row settles at order 64, against order 32
         def fake(params, omegas, us, sin2, tol):
             values = np.where(omegas[:, None] >= 1.0,
                               np.outer(omegas * us.size, 1.0 + np.abs(us)),
@@ -560,23 +576,21 @@ class TestBatchedSpectra:
         params = TrajectoryParams(1, 0)
         us, _, ws = spectra._cc_rule(512)
         k = np.arange(513)
-        for abs_floor, first in (
-                (0.0, np.select([k % 4 == 0, k % 2 == 0], [129.0, 128.0], 256.0)),
-                (1e-300, np.select([k % 8 == 0, k % 4 == 0, k % 2 == 0],
-                                   [65.0, 64.0, 128.0], 256.0))):
+        first = np.select([k % 8 == 0, k % 4 == 0, k % 2 == 0], [65.0, 64.0, 128.0], 256.0)
+        for abs_floor in (0.0, 1e-300):
             with pytest.raises(ConvergenceError, match="omega=3.0") as err:
                 energy_spectrum(params, np.array([0.5, 3.0, 2.0]), 1e-6,
                                 abs_floor=abs_floor)
             assert err.value.best == \
                 2.0 * math.pi * np.vecdot((3.0 * first) * (1.0 + np.abs(us)), ws)
             assert energy_spectrum(params, 0.5, abs_floor=abs_floor) == \
-                2.0 * math.pi * np.vecdot(np.full(129, 0.5), spectra._cc_rule(128)[2])
+                2.0 * math.pi * np.vecdot(np.full(65, 0.5), spectra._cc_rule(64)[2])
 
     def test_each_order_evaluates_only_its_new_nodes(self, monkeypatch):
         # the orders nest: after the first call, the route gets only the
         # odd-indexed nodes, which are the ones the last order lacks. With
-        # no floor order 64 can settle no nonzero row, so the first call
-        # runs on all of order 128; with a floor it runs on order 64
+        # or without a floor the first call runs on all of order 64, and
+        # order 32 reads every other node of it
         calls = []
 
         def never_settles(params, omegas, us, sin2, tol):
@@ -585,21 +599,20 @@ class TestBatchedSpectra:
             return values, np.zeros_like(values)
 
         monkeypatch.setattr(spectra, "_numeric_values", never_settles)
-        for abs_floor, sizes, lit, firsts in (
-                (0.0, [129, 128, 256], [127, 128, 256], (128, 256, 512)),
-                (1e-300, [65, 64, 128, 256], [63, 64, 128, 256], (64, 128, 256, 512))):
+        orders = (64, 128, 256, 512)
+        for abs_floor in (0.0, 1e-300):
             calls.clear()
             with pytest.raises(ConvergenceError):
                 energy_spectrum(TrajectoryParams(1, 0.3), 1.0, 1e-6, abs_floor=abs_floor)
-            assert [us.size for us, _ in calls] == sizes
-            assert [np.count_nonzero(sin2) for _, sin2 in calls] == lit
-            for (us, sin2), order in zip(calls, firsts):
-                new = slice(None) if order == firsts[0] else slice(1, None, 2)
+            assert [us.size for us, _ in calls] == [65, 64, 128, 256]
+            assert [np.count_nonzero(sin2) for _, sin2 in calls] == [63, 64, 128, 256]
+            for (us, sin2), order in zip(calls, orders):
+                new = slice(None) if order == 64 else slice(1, None, 2)
                 assert np.array_equal(us, spectra._cc_rule(order)[0][new])
                 assert np.array_equal(sin2, spectra._cc_rule(order)[1][new])
         monkeypatch.undo()
 
-        # the real routes, which settle at order 128: the numeric one
+        # the real routes, which settle at order 64: the numeric one
         # integrates the lit nodes, the exact one sums its series per |u|
         rows, moduli = [], []
         oscillatory, exact = spectra._oscillatory_rows, spectra._exact_zeta0_values
@@ -614,20 +627,18 @@ class TestBatchedSpectra:
 
         monkeypatch.setattr(spectra, "_oscillatory_rows", counting_rows)
         monkeypatch.setattr(spectra, "_exact_zeta0_values", counting_moduli)
-        energy_spectrum(TrajectoryParams(1, -0.6), 1.0, 1e-6)
-        energy_spectrum(TrajectoryParams(1, 0), 1.0, 1e-6)
-        assert rows == [127] and moduli == [65]
-        rows.clear()
-        moduli.clear()
-        energy_spectrum(TrajectoryParams(1, -0.6), 1.0, 1e-6, abs_floor=1e-300)
-        energy_spectrum(TrajectoryParams(1, 0), 1.0, 1e-6, abs_floor=1e-300)
-        assert rows == [63, 64] and moduli == [33, 32]
+        for abs_floor in (0.0, 1e-300):
+            rows.clear()
+            moduli.clear()
+            energy_spectrum(TrajectoryParams(1, -0.6), 1.0, 1e-6, abs_floor=abs_floor)
+            energy_spectrum(TrajectoryParams(1, 0), 1.0, 1e-6, abs_floor=abs_floor)
+            assert rows == [63] and moduli == [33]
 
     @pytest.mark.parametrize("zeta", [-0.6, 0.0, 0.3])
     def test_both_schedules_give_the_same_bits(self, zeta):
-        # the first call on order 128 and the one on order 64 evaluate each
-        # node as the other does, and order 64 sums the same values, so a
-        # floor too small to settle any row leaves every value as it is
+        # a floor changes when a row settles, never which nodes a call
+        # takes, so a floor too small to settle any row leaves every value
+        # as it is
         params = TrajectoryParams(0.8, zeta)
         omegas = 0.8 * np.array([0.1, 0.7, 2.5, 6.0])
         floored = energy_spectrum(params, omegas, 1e-6, abs_floor=1e-300)
