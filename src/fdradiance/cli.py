@@ -149,7 +149,8 @@ def run_energy(ns):
     base = _params(ns)
     worldlines = _zeta_sweep(ns, base)
     method = ns.method
-    scale = base.e_squared * base.kappa
+    # E/(e^2 kappa) by two divisions: e^2 kappa alone may leave the double range
+    e2, kappa = base.e_squared, base.kappa
     rows = []
     for params in worldlines:
         if method in ("larmor", "both"):
@@ -162,13 +163,13 @@ def run_energy(ns):
                 "E_larmor": e_larmor,
                 "E_spectral": e_spectral,
                 "rel_diff": abs(e_spectral - e_larmor) / abs(e_larmor),
-                "E_larmor_over_e2kappa": e_larmor / scale,
-                "E_spectral_over_e2kappa": e_spectral / scale,
+                "E_larmor_over_e2kappa": e_larmor / e2 / kappa,
+                "E_spectral_over_e2kappa": e_spectral / e2 / kappa,
             })
         else:
             value = e_larmor if method == "larmor" else e_spectral
             rows.append({"zeta": params.zeta, "method": method, "E": value,
-                         "E_over_e2kappa": value / scale})
+                         "E_over_e2kappa": value / e2 / kappa})
     return rows, {}
 
 

@@ -186,14 +186,17 @@ def _adaptive_rows(f, lo, hi, counts, tol, offsets=None):
     result does not depend on the rows it shares a wave with. A finished
     row's panels leave the working arrays.
 
-    Returns per-row arrays (values, abs_errors, stalled, evaluations); a
-    stalled row carries its best value and its raw error sum.
+    Returns per-row arrays (values, abs_errors, stalled, evaluations),
+    each row's entries written where the row leaves; a stalled row
+    carries its best value and its raw error sum.
     """
     counts = np.asarray(counts, dtype=np.intp)
     active = np.arange(counts.size)
     vals, errs, l1s = _gk_panels(f, lo, hi, active.repeat(counts))
     evals = 15 * counts
-    settled = []   # (rows, values, abs_errors, stalled) as rows leave
+    values = np.empty(counts.size, dtype=vals.dtype)
+    abs_errors = np.empty(counts.size)
+    stalled = np.zeros(counts.size, dtype=bool)
     for _ in range(_MAX_WAVES):
         starts = counts.cumsum() - counts
         total = np.add.reduceat(vals, starts)
@@ -207,7 +210,8 @@ def _adaptive_rows(f, lo, hi, counts, tol, offsets=None):
                             machine_floor)
         done = toterr <= target
         if done.all():
-            settled.append((active, total, np.maximum(toterr, machine_floor), ~done))
+            values[active] = total
+            abs_errors[active] = np.maximum(toterr, machine_floor)
             break
         # Bisect each row's panels whose error exceeds half its share of
         # the row's target, that are wider than roundoff and whose error is
@@ -218,17 +222,19 @@ def _adaptive_rows(f, lo, hi, counts, tol, offsets=None):
         row_k = starts.searchsorted(k, side="right") - 1
         npick = np.bincount(row_k, minlength=counts.size)
         leave = done | (npick == 0) | (evals[active] + 30 * npick > _MAX_EVALS)
-        width = np.ones(lo.size, dtype=np.intp)
         if leave.any():
-            settled.append((active[leave], total[leave],
-                            np.where(done, np.maximum(toterr, machine_floor),
-                                     toterr)[leave],
-                            ~done[leave]))
+            gone = active[leave]
+            values[gone] = total[leave]
+            abs_errors[gone] = np.where(done, np.maximum(toterr, machine_floor),
+                                        toterr)[leave]
+            stalled[gone] = ~done[leave]
             if leave.all():
                 break
             k = k[~leave[row_k]]
             width = (~leave).repeat(counts).astype(np.intp)
             active, counts, npick = active[~leave], counts[~leave], npick[~leave]
+        else:
+            width = np.ones(lo.size, dtype=np.intp)
         mid = 0.5 * (lo[k] + hi[k])
         clo = np.concatenate([lo[k], mid])
         chi = np.concatenate([mid, hi[k]])
@@ -251,14 +257,10 @@ def _adaptive_rows(f, lo, hi, counts, tol, offsets=None):
     else:
         # Out of waves: the rows still running stall with their last sums.
         starts = counts.cumsum() - counts
-        settled.append((active, np.add.reduceat(vals, starts),
-                        np.add.reduceat(errs, starts), np.ones(active.size, bool)))
-    if len(settled) == 1:
-        # Every row left at once, so the rows are already in order.
-        return settled[0][1:] + (evals,)
-    rows, values, abs_errors, stalled = (np.concatenate(x) for x in zip(*settled))
-    order = np.argsort(rows)
-    return values[order], abs_errors[order], stalled[order], evals
+        values[active] = np.add.reduceat(vals, starts)
+        abs_errors[active] = np.add.reduceat(errs, starts)
+        stalled[active] = True
+    return values, abs_errors, stalled, evals
 
 
 def _pyval(v):

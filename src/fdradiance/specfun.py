@@ -15,11 +15,15 @@ rule is frozen: its later terms are exactly 0, so its sum keeps the bits
 it would have in a call of its own. The working arrays are compacted to
 the elements still summing only once at least half of them are frozen,
 so a term costs little more than the live elements' arithmetic and the
-re-indexing stays rare. Term cancellation is tracked per element; when
-the cancellation-amplified roundoff endangers the 1e-10 contract, the
+re-indexing stays rare. Each element's sum is written by index where it
+settles, and a mask marks the elements that ran out of terms, so a call
+makes one series pass in double precision and at most one in long
+double. Term cancellation is tracked per element; when the
+cancellation-amplified roundoff endangers the 1e-10 contract, the
 affected elements are recomputed in extended precision, and a
-convergence error is raised if even that cannot certify the target. The
-error names the elements it refused, and every other element of its best
+convergence error is raised if even that cannot certify the target, or
+if the series ran out of terms. Only ``kummer_1f1`` raises it: the error
+names the elements it refused, and every other element of its best
 estimate is the value its own call returns, so one call can sum many
 independent series and drop only the refused ones.
 """
@@ -120,33 +124,20 @@ def ln_gamma(z):
 def _taylor_1f1(a, b, x, dtype=complex):
     """Direct Taylor sum of 1F1(a;b;x), no transform.
 
-    Returns (sum, cancellation) where cancellation = max |term| / |sum|
-    elementwise. All inputs must be broadcast to a common 1-d shape already.
-    tol for the stop rule is tied to the dtype's epsilon; stopping requires
-    three consecutive small terms so alternating near-zeros cannot fool it.
-    An element that meets the rule is frozen: its term is set to exactly
-    0, so its sum and peak stay as they are and it keeps meeting the rule.
-    The working arrays drop the frozen elements once they are at least
-    half of them; an element's arithmetic does not depend on the others.
-    If the budget runs out, ``ConvergenceError`` is raised: its ``best``
-    holds every element's sum, partial for the unconverged, and its
-    ``failed`` marks the unconverged.
+    Returns (sum, cancellation, unconverged), elementwise: cancellation =
+    max |term| / |sum|, and unconverged marks the elements still summing
+    when the _SERIES_BUDGET terms run out, whose sums are partial and
+    whose cancellation is inf. All inputs must be broadcast to a common
+    1-d shape already. tol for the stop rule is tied to the dtype's
+    epsilon; stopping requires three consecutive small terms so
+    alternating near-zeros cannot fool it. An element that meets the rule
+    is frozen: its term is set to exactly 0, so its sum and peak stay as
+    they are and it keeps meeting the rule. The working arrays drop the
+    frozen elements once they are at least half of them, and each
+    element's sum and peak are written where it settles; an element's
+    arithmetic does not depend on the others.
     The first term or sum that overflows raises ``OverflowRangeError``.
     """
-    try:
-        with np.errstate(over="raise"):
-            total, peak = _taylor_sum(a, b, x, dtype)
-    except FloatingPointError:
-        total = None
-    if total is None or not np.all(np.isfinite(total.astype(complex))):
-        raise OverflowRangeError("1F1 series overflowed the floating range")
-    smag = np.abs(total).astype(np.float64)
-    cancel = np.where(smag > 0.0, peak / np.where(smag > 0, smag, 1.0), np.inf)
-    return total, cancel
-
-
-def _taylor_sum(a, b, x, dtype):
-    """The sums and largest term moduli of ``_taylor_1f1``'s series."""
     real = np.float64 if dtype == complex else np.longdouble
     tol = 0.1 * np.finfo(real).eps
     a = a.astype(dtype)
@@ -160,47 +151,54 @@ def _taylor_sum(a, b, x, dtype):
     maxmag = np.ones(x.shape, dtype=np.float64)
     small_runs = np.zeros(x.shape, dtype=np.int64)
     frozen = 0
-    for n in range(_SERIES_BUDGET):
-        # Named ufuncs fix each product's factor order: numpy may reuse an
-        # operator's temporary in place on large arrays, which swaps the
-        # factors of a complex product and changes its last bits. numpy
-        # divides a complex by n + 1 as the product with the reciprocal
-        # 1/(n + 1) in the dtype's own precision, so that product is used.
-        term = np.multiply(np.divide(np.multiply(term, a + n), b + n), x)
-        term = np.multiply(term, real(1) / (n + 1))
-        s = s + term
-        tmag = np.abs(term).astype(np.float64, copy=False)
-        maxmag = np.maximum(maxmag, tmag)
-        small = tmag <= tol * np.abs(s).astype(np.float64, copy=False)
-        small_runs += 1
-        small_runs *= small
-        done = small_runs >= 3
-        count = np.count_nonzero(done)
-        if count == frozen:
-            continue
-        # A finished element is frozen: its terms are exactly 0 from now on,
-        # so its sum and peak stay as they are and it stays done.
-        term[done] = 0.0
-        frozen = count
-        if 2 * frozen < live.size:
-            continue
-        total[live[done]] = s[done]
-        peak[live[done]] = maxmag[done]
-        keep = ~done
-        live, a, b, x, s, term, maxmag, small_runs = (
-            v[keep] for v in (live, a, b, x, s, term, maxmag, small_runs))
-        frozen = 0
-        if not live.size:
-            break
-    else:
-        total[live] = s
-        failed = np.zeros(total.shape, dtype=bool)
-        failed[live] = small_runs < 3
-        raise ConvergenceError(
-            f"1F1 series did not converge within {_SERIES_BUDGET} terms",
-            best=total.astype(complex), failed=failed,
-        )
-    return total, peak
+    try:
+        with np.errstate(over="raise"):
+            for n in range(_SERIES_BUDGET):
+                # Named ufuncs fix each product's factor order: numpy may
+                # reuse an operator's temporary in place on large arrays,
+                # which swaps the factors of a complex product and changes
+                # its last bits. numpy divides a complex by n + 1 as the
+                # product with the reciprocal 1/(n + 1) in the dtype's own
+                # precision, so that product is used.
+                term = np.multiply(np.divide(np.multiply(term, a + n), b + n), x)
+                term = np.multiply(term, real(1) / (n + 1))
+                s = s + term
+                tmag = np.abs(term).astype(np.float64, copy=False)
+                maxmag = np.maximum(maxmag, tmag)
+                small = tmag <= tol * np.abs(s).astype(np.float64, copy=False)
+                small_runs += 1
+                small_runs *= small
+                done = small_runs >= 3
+                count = np.count_nonzero(done)
+                if count == frozen:
+                    continue
+                # A finished element is frozen: its terms are exactly 0 from
+                # now on, so its sum and peak stay as they are and it stays done.
+                term[done] = 0.0
+                frozen = count
+                if 2 * frozen < live.size:
+                    continue
+                total[live[done]] = s[done]
+                peak[live[done]] = maxmag[done]
+                keep = ~done
+                live, a, b, x, s, term, maxmag, small_runs = (
+                    v[keep] for v in (live, a, b, x, s, term, maxmag, small_runs))
+                frozen = 0
+                if not live.size:
+                    break
+    except FloatingPointError:
+        s = np.inf     # the overflowed elements settle as inf, refused below
+    # The elements still in the arrays, frozen or not, settle here.
+    total[live] = s
+    peak[live] = maxmag
+    if not np.all(np.isfinite(total.astype(complex))):
+        raise OverflowRangeError("1F1 series overflowed the floating range")
+    unconverged = np.zeros(total.shape, dtype=bool)
+    unconverged[live] = small_runs < 3
+    smag = np.abs(total).astype(np.float64)
+    cancel = np.where(smag > 0.0, peak / np.where(smag > 0, smag, 1.0), np.inf)
+    cancel[unconverged] = np.inf
+    return total, cancel, unconverged
 
 
 def kummer_1f1(a, b, x):
@@ -238,11 +236,8 @@ def kummer_1f1(a, b, x):
         np.asarray(x, dtype=complex),
     )
     scalar = a_arr.ndim == 0
-    a_arr = np.atleast_1d(a_arr).copy()
-    b_arr = np.atleast_1d(b_arr).copy()
-    x_arr = np.atleast_1d(x_arr).copy()
     shape = x_arr.shape
-    a_flat, b_flat, x_flat = a_arr.ravel(), b_arr.ravel(), x_arr.ravel()
+    a_flat, b_flat, x_flat = (np.ravel(v) for v in (a_arr, b_arr, x_arr))
 
     if np.any(_is_nonpositive_integer(b_flat)):
         bad = b_flat[_is_nonpositive_integer(b_flat)][0]
@@ -258,17 +253,17 @@ def kummer_1f1(a, b, x):
     prefac = np.ones(x_flat.shape, dtype=complex)
     prefac[flip] = np.exp(x_flat[flip])
 
-    def result(s):
-        out = (prefac * s).reshape(shape)
-        return complex(out.ravel()[0]) if scalar else out
-
-    s, cancel, unconverged = _summed(as_, b_flat, xs, complex)
-    failed = unconverged.copy()
+    # Double precision first; the elements that cancel too far for it are
+    # summed again in long double, and those that still cancel beyond
+    # _CANCEL_FAIL, or ran out of terms, are refused.
+    s, cancel, unconverged = _taylor_1f1(as_, b_flat, xs)
     retry = (cancel > _CANCEL_RETRY) & ~unconverged
     if np.any(retry):
-        s[retry], cancel[retry], unconverged[retry] = _summed(
+        s[retry], cancel[retry], unconverged[retry] = _taylor_1f1(
             as_[retry], b_flat[retry], xs[retry], np.clongdouble)
-        failed[retry] = cancel[retry] > _CANCEL_FAIL
+    failed = cancel > _CANCEL_FAIL
+    out = prefac * s
+    out = complex(out[0]) if scalar else out.reshape(shape)
     if np.any(failed):
         reasons = []
         if np.any(unconverged):
@@ -280,27 +275,5 @@ def kummer_1f1(a, b, x):
         raise ConvergenceError(
             f"1F1 {'; '.join(reasons)}: {np.count_nonzero(failed)} of "
             f"{failed.size} elements refused",
-            best=result(s),
-            failed=bool(failed[0]) if scalar else failed.reshape(shape))
-    return result(s)
-
-
-def _summed(a, b, x, dtype):
-    """``_taylor_1f1``'s sums and cancellations, and which ran out of budget.
-
-    Where the budget runs out, the elements that converged are summed
-    again on their own to learn their cancellation, which the
-    long-double retry may still need; an element's bits do not depend on
-    the others, so their sums are unchanged. Unconverged elements keep
-    their partial sums and an infinite cancellation.
-    """
-    try:
-        s, cancel = _taylor_1f1(a, b, x, dtype)
-        return s, cancel, np.zeros(s.shape, dtype=bool)
-    except ConvergenceError as exc:
-        s, failed = exc.best, exc.failed
-    ok = ~failed
-    cancel = np.full(s.shape, np.inf)
-    if np.any(ok):
-        s[ok], cancel[ok] = _taylor_1f1(a[ok], b[ok], x[ok], dtype)
-    return s, cancel, failed
+            best=out, failed=bool(failed[0]) if scalar else failed.reshape(shape))
+    return out

@@ -221,31 +221,48 @@ def penrose_coordinates(params: TrajectoryParams, z):
     return U, V
 
 
-def _larmor(params: TrajectoryParams, zs, power: int):
-    """e^2 gamma^6 (dw/dz)^2 / (6 pi w^power), with w = dt/dz = 1/v.
+def _larmor(params: TrajectoryParams, s, power: int):
+    """e^2 gamma^6 (dw/ds)^2 / (6 pi w^power) at s = kappa z, w = dt/dz = 1/v.
 
-    power 6 gives the power P (accel^2 = v^6 (dw/dz)^2) and power 5 the
-    energy per unit length P/v. Everything stays in powers of w to avoid
-    overflow at the deep-tail sample points of the semi-infinite map.
+    In s, w = s/2 + 2/s + zeta and dw/ds = 1/2 - 2/s^2 carry no kappa, and
+    dw/dz = kappa dw/ds: kappa^2 times power 6 is the power P (accel^2 =
+    v^6 (dw/dz)^2), and kappa^2 times power 5 is P/v, the energy per unit
+    length, so power 5 integrated over s is E/kappa. Everything stays in
+    powers of w to avoid overflow at the deep-tail sample points of the
+    semi-infinite map.
     """
-    w = _inverse_speed(params, zs)
+    w = 0.5 * s + 2.0 / s + params.zeta
     g2 = w * w / (w * w - 1.0)                     # gamma^2
-    dw_dz = 0.5 * params.kappa - 2.0 / (params.kappa * zs * zs)
-    return params.e_squared * g2**3 * dw_dz**2 / (6.0 * math.pi * w**power)
+    dw_ds = 0.5 - 2.0 / (s * s)
+    return params.e_squared * g2**3 * dw_ds**2 / (6.0 * math.pi * w**power)
 
 
 def larmor_power(params: TrajectoryParams, z):
-    """Instantaneous radiated power P = e^2 gamma^6 accel^2 / (6 pi)."""
-    P = _larmor(params, _check_positions(z), 6)
-    return float(P) if np.ndim(z) == 0 else P
+    """Instantaneous radiated power P = e^2 gamma^6 accel^2 / (6 pi).
+
+    P = kappa^2 times a function of kappa z alone. Raises
+    ``OverflowRangeError`` where P is not a finite double.
+    """
+    zs = _check_positions(z)
+    per_kappa2 = _larmor(params, params.kappa * zs, 6)
+    with np.errstate(over="ignore"):
+        P = params.kappa * (params.kappa * per_kappa2)
+    if not np.isfinite(P).all():
+        bad = zs[~np.isfinite(P)][0]
+        raise OverflowRangeError(f"P(z) at z={bad:.6g} is not a finite double")
+    return float(P) if zs.ndim == 0 else P
 
 
 def total_energy_larmor(params: TrajectoryParams, tol: float = 1e-9) -> float:
     """Total radiated energy E = int_0^inf P(z)/v(z) dz.
 
     The dt = dz/v measure re-parameterizes the time integral by position.
-    Emission grows without bound as zeta -> -1; close approaches get a
-    runtime warning because the integrand develops a long slow tail there.
+    In s = kappa z, E = kappa int_0^inf P/(kappa^2 v) ds, and that integral
+    depends on zeta (and e^2) alone, so E/kappa is the same for every
+    kappa in the double range; an E that overflows a double raises
+    ``OverflowRangeError``. Emission grows without bound as zeta -> -1;
+    close approaches get a runtime warning because the integrand develops
+    a long slow tail there.
     """
     if params.zeta <= -0.99:
         warnings.warn(
@@ -255,5 +272,8 @@ def total_energy_larmor(params: TrajectoryParams, tol: float = 1e-9) -> float:
             stacklevel=2,
         )
     res: QuadratureResult = integrate_semi_infinite(
-        lambda zs: _larmor(params, zs, 5), scale=1.0 / params.kappa, tol=tol)
-    return float(res.value)
+        lambda s: _larmor(params, s, 5), scale=1.0, tol=tol)
+    energy = params.kappa * float(res.value)
+    if not math.isfinite(energy):
+        raise OverflowRangeError(f"E = kappa x {float(res.value):.6g} overflows a double")
+    return energy

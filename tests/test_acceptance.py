@@ -53,8 +53,8 @@ def test_kummer_identities_see_a_series_error_off_the_imaginary_axis(monkeypatch
     taylor = specfun._taylor_1f1
 
     def faulty(a, b, x, dtype=complex):
-        s, cancel = taylor(a, b, x, dtype)
-        return np.where(x.real != 0.0, s * (1.0 + 1e-8 * a), s), cancel
+        s, cancel, unconverged = taylor(a, b, x, dtype)
+        return np.where(x.real != 0.0, s * (1.0 + 1e-8 * a), s), cancel, unconverged
 
     monkeypatch.setattr(specfun, "_taylor_1f1", faulty)
     [result] = run_all(criteria=[9])

@@ -291,6 +291,28 @@ class TestEnergyCommand:
         assert "rel_diff" in header and "E_spectral" in header
         assert float(rows[0]["rel_diff"]) < 1e-3
 
+    def test_both_methods_close_at_a_tiny_kappa(self, capsys):
+        code, out, _ = run(capsys, ["energy", "--method", "both",
+                                    "--kappa", "1e-160", "--tol", "1e-4"])
+        assert code == 0
+        _, rows = parse_csv(out)
+        assert float(rows[0]["rel_diff"]) < 1e-9
+
+    def test_huge_kappa_is_quiet(self, capsys):
+        code, out, err = run(capsys, ["energy", "--kappa", "1e200"])
+        assert code == 0 and err == ""
+        _, rows = parse_csv(out)
+        assert math.isfinite(float(rows[0]["E"]))
+
+    def test_ratio_column_where_e2_kappa_overflows(self, capsys):
+        # E = 3.1e306 is a double although e^2 kappa = 1e309 is not
+        _, out, _ = run(capsys, ["energy", "--e-squared", "1.0"])
+        want = float(parse_csv(out)[1][0]["E_over_e2kappa"])
+        code, out, _ = run(capsys, ["energy", "--kappa", "1e300", "--e-squared", "1e9"])
+        assert code == 0
+        got = float(parse_csv(out)[1][0]["E_over_e2kappa"])
+        assert abs(got - want) <= 4 * np.spacing(want)
+
     def test_spectrum_that_never_decays_exits_3(self, capsys, monkeypatch):
         # the frequency cutoff refuses instead of truncating the integral
         monkeypatch.setattr(spectra, "energy_spectrum",

@@ -104,8 +104,8 @@ class TestKummer:
         x = np.where(rng.random(n) < 0.5,
                      1j * rng.uniform(-20, 20, n),
                      rng.uniform(-8, 8, n) + 1j * rng.uniform(-8, 8, n))
-        lhs, cancel_l = _taylor_1f1(a, b, x, dtype=np.clongdouble)
-        rhs, cancel_r = _taylor_1f1(b - a, b, -x, dtype=np.clongdouble)
+        lhs, cancel_l, _ = _taylor_1f1(a, b, x, dtype=np.clongdouble)
+        rhs, cancel_r, _ = _taylor_1f1(b - a, b, -x, dtype=np.clongdouble)
         rhs = np.exp(np.complex128(x)) * np.complex128(rhs)
         err = np.abs(np.complex128(lhs) - rhs) / np.abs(rhs)
         # keep only draws whose roundoff the 80-bit series can certify;
@@ -237,7 +237,7 @@ class TestKummer:
         x = np.where(np.abs(x) < 6.0, -x, x)
         a = np.where(rng.random(400) < 0.5, 0.5, 1.0) - 1j * y
         b = np.where(a.real == 0.5, 0.5, 1.5)
-        got_sum, got_cancel = _taylor_1f1(a, b, x, dtype=dtype)
+        got_sum, got_cancel, _ = _taylor_1f1(a, b, x, dtype=dtype)
         want_sum, want_cancel = masked(a, b, x)
         assert got_sum.dtype == want_sum.dtype
         assert np.array_equal(got_sum, want_sum)
@@ -294,8 +294,8 @@ class TestKummer:
         want = kummer_1f1(0.5 - 16j, 0.5, -6j)
         monkeypatch.setattr(specfun, "_SERIES_BUDGET", 80)
         assert kummer_1f1(0.5 - 16j, 0.5, -6j) == want
-        float_sum, cancel = _taylor_1f1(np.array([0.5 - 16j]), np.array([0.5 + 0j]),
-                                        np.array([-6j]))
+        float_sum, cancel, _ = _taylor_1f1(np.array([0.5 - 16j]), np.array([0.5 + 0j]),
+                                           np.array([-6j]))
         assert cancel[0] > specfun._CANCEL_RETRY and float_sum[0] != want
         with pytest.raises(ConvergenceError, match="80 terms: 1 of 2") as info:
             kummer_1f1([0.5 - 16j, 1.0], [0.5, 1.5], [-6j, 30j])
@@ -305,6 +305,23 @@ class TestKummer:
         with pytest.raises(ConvergenceError) as info:
             kummer_1f1(1.0, 1.5, 30j)
         assert info.value.failed is True
+
+    def test_budget_exhaustion_makes_one_pass_per_precision(self, monkeypatch):
+        # the converged element's sum and cancellation come from the one
+        # double pass that ran out of budget on the other element; only it
+        # is summed again, once, in long double
+        monkeypatch.setattr(specfun, "_SERIES_BUDGET", 80)
+        taylor = specfun._taylor_1f1
+        passes = []
+
+        def counted(a, b, x, dtype=complex):
+            passes.append((dtype, a.size))
+            return taylor(a, b, x, dtype)
+
+        monkeypatch.setattr(specfun, "_taylor_1f1", counted)
+        with pytest.raises(ConvergenceError, match="80 terms: 1 of 2"):
+            kummer_1f1([0.5 - 16j, 1.0], [0.5, 1.5], [-6j, 30j])
+        assert passes == [(complex, 2), (np.clongdouble, 1)]
 
     @pytest.mark.parametrize("dtype", [complex, np.clongdouble])
     def test_frozen_elements_keep_their_bits(self, dtype, monkeypatch):
@@ -324,19 +341,18 @@ class TestKummer:
         a[11], b[11], x[11] = -3.0 + 1e-25j, 0.5, 25.0
         order = rng.permutation(mod.size)
         a, b, x, mod = a[order], b[order], x[order], mod[order]
-        got_sum, got_cancel = _taylor_1f1(a, b, x, dtype=dtype)
+        got_sum, got_cancel, _ = _taylor_1f1(a, b, x, dtype=dtype)
         for i in range(x.size):
-            s, c = _taylor_1f1(a[i:i + 1], b[i:i + 1], x[i:i + 1], dtype=dtype)
+            s, c, _ = _taylor_1f1(a[i:i + 1], b[i:i + 1], x[i:i + 1], dtype=dtype)
             assert got_sum[i] == s[0] and got_cancel[i] == c[0]
         # the premise: the early ones finish within 25 terms, the rest not
         # within 80
         early = mod <= 1.0
         monkeypatch.setattr(specfun, "_SERIES_BUDGET", 25)
-        _taylor_1f1(a[early], b[early], x[early], dtype=dtype)
+        assert not _taylor_1f1(a[early], b[early], x[early], dtype=dtype)[2].any()
         monkeypatch.setattr(specfun, "_SERIES_BUDGET", 80)
         for i in np.flatnonzero(~early):
-            with pytest.raises(ConvergenceError):
-                _taylor_1f1(a[i:i + 1], b[i:i + 1], x[i:i + 1], dtype=dtype)
+            assert _taylor_1f1(a[i:i + 1], b[i:i + 1], x[i:i + 1], dtype=dtype)[2][0]
 
     def test_large_positive_argument_has_no_spurious_warning(self):
         # Re x > 0 needs no transform, so e^x must not be taken: e^710

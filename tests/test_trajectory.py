@@ -338,6 +338,35 @@ class TestRadiation:
         e2 = total_energy_larmor(TrajectoryParams(2.0, 0.1, 1.0))
         assert rel(e2, 2.0 * e1) < 1e-8
 
+    @pytest.mark.parametrize("zeta", [-0.9, 0.0, 0.3])
+    def test_energy_over_kappa_is_the_same_at_every_scale(self, zeta):
+        # in s = kappa z the energy integral depends on zeta alone, so E/kappa
+        # keeps its kappa = 1 value across the double range
+        want = total_energy_larmor(TrajectoryParams(1.0, zeta))
+        for kappa in (1e-300, 1e-200, 1e-160, 1e-156, 1e150, 1e300):
+            got = total_energy_larmor(TrajectoryParams(kappa, zeta)) / kappa
+            assert abs(got - want) <= 4 * np.spacing(want), kappa
+
+    def test_power_is_kappa_squared_times_a_function_of_kappa_z(self):
+        s = np.geomspace(1e-3, 1e3, 13)
+        want = larmor_power(TrajectoryParams(1.0, 0.2), s)
+        got = larmor_power(TrajectoryParams(1e150, 0.2), s / 1e150) / 1e300
+        assert np.max(np.abs(got - want) / want) < 1e-14
+
+    def test_overflow_is_refused(self):
+        # at kappa 1e300, P = kappa^2 P(kappa z)|_{kappa=1} is 8e298 out at
+        # kappa z = 1e50 and overflows a double near kappa z = 1 (but for
+        # the turning point kappa z = 2, where the acceleration vanishes)
+        params = TrajectoryParams(1e300, 0.0)
+        assert 1e298 < larmor_power(params, 1e-250) < 1e299
+        with pytest.raises(OverflowRangeError, match="z=1e-300 is not a finite double"):
+            larmor_power(params, 1e-300)
+        with pytest.raises(OverflowRangeError, match="z=3e-300 "):
+            larmor_power(params, np.array([1e-250, 3e-300, 5e-300]))
+        # E/kappa = e^2 x 0.0031: finite, but not once multiplied by kappa
+        with pytest.raises(OverflowRangeError, match="E = kappa x 3.1"):
+            total_energy_larmor(TrajectoryParams(1e300, 0.0, 1e12))
+
     def test_energy_warns_near_divergence(self):
         with pytest.warns(RuntimeWarning):
             total_energy_larmor(TrajectoryParams(1.0, -0.99, 1.0))
