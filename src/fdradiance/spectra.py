@@ -382,59 +382,57 @@ def particle_spectrum(params: TrajectoryParams, omega, tol: float = 1e-6):
     return energy_spectrum(params, omega, tol) / omega
 
 
-def _omega_cutoff(spectra, kappa, peak):
-    """Walk the frequency cutoff to where I(omega) is below 1e-12 of the peak.
+def _tail_rate(zeta):
+    """c(zeta) of the tail law I(omega) ~ e^{-c omega/kappa}.
 
-    ``spectra`` maps an array of omegas to I(omega). Starts from 30*kappa
-    (guided by the e^{-pi omega/kappa} envelope), halves while still below
-    threshold, doubles if the start is not yet below it, and raises
-    ConvergenceError if six doublings never get there. The halving walk's
-    candidates 30, 15, 7.5 and 3.75 kappa run as one call; hi is the last
-    of the leading run below threshold, as the walk would have stopped.
+    The saddle exponent of the forward direction theta = 0, where the
+    spectrum decays slowest: c = 4 (a - sin a cos a) with cos a = (1 - zeta)/2.
+    c falls to 0 as zeta -> -1, where the total energy diverges.
     """
-    thresh = 1e-12 * peak
-    hi = 30.0 * kappa
-    walk = hi * np.array([1.0, 0.5, 0.25, 0.125])
-    run = int(np.logical_and.accumulate(spectra(walk) < thresh).sum())
-    if run:
-        return float(walk[run - 1])
-    for _ in range(6):
-        hi *= 2.0
-        value = float(spectra(np.array([hi]))[0])
-        if value < thresh:
-            return hi
-    raise ConvergenceError(
-        f"I(omega) = {value:.3e} at omega = {hi:.6g} is still above the "
-        f"cutoff threshold {thresh:.3e}", best=hi)
+    cos_a = 0.5 * (1.0 - zeta)
+    return 4.0 * (math.acos(cos_a) - math.sqrt(1.0 - cos_a * cos_a) * cos_a)
 
 
 def total_energy_spectral(params: TrajectoryParams, tol: float = 1e-4) -> float:
     """Total energy by the spectral route: E = int_0^inf I(omega) domega.
 
-    The integral ends at the cutoff hi where I(omega) is below 1e-12 of the
-    peak (``_omega_cutoff``). Off zeta = 0, I(omega) has a sqrt(omega) term
-    at 0, so it runs in s = sqrt(omega), where 2 s I(s^2) is smooth: one
-    row of ``_nested_cc`` at s = sqrt(hi) (1 + u)/2, orders 32 (read from
-    the first call's 64) to 512, until two agree within max(tol |E|/2, tol
-    peak kappa/4), or ``ConvergenceError`` with the last value as ``best``.
-    Each call is one ``energy_spectrum`` on the new nodes but s = 0, where
-    the integrand is 0. tol must lie in (0, 1e-2].
+    One probe ``energy_spectrum`` at kappa (0.1, 0.3, 1, 20/c), c the tail
+    rate (``_tail_rate``), gives the peak (its first three) and I0 at
+    omega0 = 20 kappa/c. The integral ends at hi = omega0 + (kappa/c)
+    ln(I0/(1e-12 peak)), or at omega0 if I0 is below that threshold: the
+    tail law without its omega^{-1} factor, so hi errs high. Off zeta = 0,
+    I(omega) has a sqrt(omega) term at 0, so the integral runs in s =
+    sqrt(omega), where 2 s I(s^2) is smooth: one row of ``_nested_cc`` at
+    s = sqrt(hi) (1 + u)/2, orders 32 (read from the first call's 64) to
+    512, until two agree within max(tol |E|/2, tol peak kappa/4), else
+    ``ConvergenceError`` with the last value as ``best``. Each call is one
+    ``energy_spectrum`` on the new nodes but s = 0, where the integrand is
+    0; the first holds u = 1, and an I(hi) there above 1e-11 of the peak,
+    like a threshold or hi that is no positive finite double, raises
+    ``ConvergenceError`` with hi as ``best``. tol must lie in (0, 1e-2].
     """
     _check_tol(tol)
-    kappa = params.kappa
+    kappa, c = params.kappa, _tail_rate(params.zeta)
     probe_tol = min(1e-4, tol)
-    peak = float(np.max(energy_spectrum(
-        params, kappa * np.array([0.1, 0.3, 1.0]), probe_tol)))
-
-    def I_batch(omegas):
-        return energy_spectrum(params, omegas, probe_tol, abs_floor=1e-9 * peak)
-
-    root_hi = math.sqrt(_omega_cutoff(I_batch, kappa, peak))
+    omegas = np.array([kappa * y for y in (0.1, 0.3, 1.0, 20.0 / c)])
+    *low, I0 = energy_spectrum(params, omegas, probe_tol).tolist()
+    peak, hi = max(low), float(omegas[3])
+    thresh = 1e-12 * peak
+    if 0.0 < thresh < I0:
+        hi += kappa / c * math.log(I0 / thresh)
+    if not (0.0 < thresh < math.inf and 0.0 < hi < math.inf):
+        raise ConvergenceError(f"the frequency cutoff {hi:.6g} or its threshold "
+                               f"{thresh:.3e} is no positive finite double", best=hi)
+    root_hi = math.sqrt(hi)
 
     def density(rows, us, sin2):
         s = 0.5 * root_hi * (1.0 + us)
         out = np.zeros((1, us.size))
-        out[0, s > 0.0] = 2.0 * s[s > 0.0] * I_batch(s[s > 0.0] ** 2)
+        I = energy_spectrum(params, s[s > 0.0] ** 2, probe_tol, abs_floor=1e-9 * peak)
+        if us[0] == 1.0 and I[0] > 1e-11 * peak:
+            raise ConvergenceError(f"I(omega) = {I[0]:.3e} at the cutoff omega = "
+                                   f"{hi:.6g} is above 1e-11 of the peak", best=hi)
+        out[0, s > 0.0] = 2.0 * s[s > 0.0] * I
         return out
 
     total, todo = _nested_cc(density, 1, 0.5 * root_hi, 0.5 * tol,

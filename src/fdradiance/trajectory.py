@@ -221,32 +221,33 @@ def penrose_coordinates(params: TrajectoryParams, z):
     return U, V
 
 
-def _larmor(params: TrajectoryParams, s, power: int):
-    """e^2 gamma^6 (dw/ds)^2 / (6 pi w^power) at s = kappa z, w = dt/dz = 1/v.
+def _larmor(zeta: float, s, power: int):
+    """gamma^6 (dw/ds)^2 / (6 pi w^power) at s = kappa z, w = dt/dz = 1/v.
 
     In s, w = s/2 + 2/s + zeta and dw/ds = 1/2 - 2/s^2 carry no kappa, and
-    dw/dz = kappa dw/ds: kappa^2 times power 6 is the power P (accel^2 =
-    v^6 (dw/dz)^2), and kappa^2 times power 5 is P/v, the energy per unit
-    length, so power 5 integrated over s is E/kappa. Everything stays in
-    powers of w to avoid overflow at the deep-tail sample points of the
-    semi-infinite map.
+    dw/dz = kappa dw/ds: e^2 kappa^2 times power 6 is the power P (accel^2
+    = v^6 (dw/dz)^2), and e^2 kappa^2 times power 5 is P/v, the energy per
+    unit length, so power 5 integrated over s is E/(e^2 kappa). It is taken
+    in v, as (v^2 dw/ds)^2 v^(power - 4) gamma^6 with v^2 dw/ds = v^2/2 -
+    2 (v/s)^2, where no factor overflows: far out on either side it
+    underflows to 0 with the power.
     """
-    w = 0.5 * s + 2.0 / s + params.zeta
-    g2 = w * w / (w * w - 1.0)                     # gamma^2
-    dw_ds = 0.5 - 2.0 / (s * s)
-    return params.e_squared * g2**3 * dw_ds**2 / (6.0 * math.pi * w**power)
+    v = 1.0 / (0.5 * s + 2.0 / s + zeta)
+    v2_dw_ds = 0.5 * v * v - 2.0 * (v / s) ** 2
+    return (v2_dw_ds**2 * v ** (power - 4)
+            / (6.0 * math.pi * ((1.0 - v) * (1.0 + v)) ** 3))
 
 
 def larmor_power(params: TrajectoryParams, z):
     """Instantaneous radiated power P = e^2 gamma^6 accel^2 / (6 pi).
 
-    P = kappa^2 times a function of kappa z alone. Raises
-    ``OverflowRangeError`` where P is not a finite double.
+    P = e^2 kappa^2 times a function of kappa z alone; a P that underflows
+    is 0. Raises ``OverflowRangeError`` where P is not a finite double.
     """
     zs = _check_positions(z)
-    per_kappa2 = _larmor(params, params.kappa * zs, 6)
+    unit = _larmor(params.zeta, params.kappa * zs, 6)
     with np.errstate(over="ignore"):
-        P = params.kappa * (params.kappa * per_kappa2)
+        P = params.kappa * (params.kappa * (params.e_squared * unit))
     if not np.isfinite(P).all():
         bad = zs[~np.isfinite(P)][0]
         raise OverflowRangeError(f"P(z) at z={bad:.6g} is not a finite double")
@@ -257,9 +258,9 @@ def total_energy_larmor(params: TrajectoryParams, tol: float = 1e-9) -> float:
     """Total radiated energy E = int_0^inf P(z)/v(z) dz.
 
     The dt = dz/v measure re-parameterizes the time integral by position.
-    In s = kappa z, E = kappa int_0^inf P/(kappa^2 v) ds, and that integral
-    depends on zeta (and e^2) alone, so E/kappa is the same for every
-    kappa in the double range; an E that overflows a double raises
+    In s = kappa z, E = e^2 kappa int_0^inf P/(e^2 kappa^2 v) ds, and that
+    integral depends on zeta alone, so E/kappa is the same for every kappa
+    in the double range; an E that overflows a double raises
     ``OverflowRangeError``. Emission grows without bound as zeta -> -1;
     close approaches get a runtime warning because the integrand develops
     a long slow tail there.
@@ -272,8 +273,9 @@ def total_energy_larmor(params: TrajectoryParams, tol: float = 1e-9) -> float:
             stacklevel=2,
         )
     res: QuadratureResult = integrate_semi_infinite(
-        lambda s: _larmor(params, s, 5), scale=1.0, tol=tol)
-    energy = params.kappa * float(res.value)
+        lambda s: _larmor(params.zeta, s, 5), scale=1.0, tol=tol)
+    per_kappa = params.e_squared * float(res.value)
+    energy = params.kappa * per_kappa
     if not math.isfinite(energy):
-        raise OverflowRangeError(f"E = kappa x {float(res.value):.6g} overflows a double")
+        raise OverflowRangeError(f"E = kappa x {per_kappa:.6g} overflows a double")
     return energy

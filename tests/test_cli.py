@@ -313,6 +313,32 @@ class TestEnergyCommand:
         got = float(parse_csv(out)[1][0]["E_over_e2kappa"])
         assert abs(got - want) <= 4 * np.spacing(want)
 
+    def test_huge_charge_is_quiet_on_both_routes(self, capsys):
+        # e^2 leaves the Larmor integrand, so E = e^2 x 0.0031 is a double
+        # however far e^2 alone reaches; it closes against the spectral route
+        code, out, err = run(capsys, ["energy", "--method", "both",
+                                      "--e-squared", "1e300", "--tol", "1e-4"])
+        assert code == 0 and err == ""
+        _, rows = parse_csv(out)
+        assert float(rows[0]["E_larmor"]) == pytest.approx(3.1353505e297, rel=1e-7)
+        assert float(rows[0]["rel_diff"]) < 1e-9
+
+    def test_spectral_total_near_the_divergent_end(self, capsys):
+        # at zeta -0.99 the tail rate c is 0.0027 and the spectrum ends near
+        # 9,200 kappa
+        code, out, _ = run(capsys, ["energy", "--method", "spectral",
+                                    "--zeta", "-0.99", "--tol", "1e-4"])
+        assert code == 0
+        _, rows = parse_csv(out)
+        assert float(rows[0]["E"]) == pytest.approx(0.4762636, rel=1e-4)
+
+    def test_subnormal_charge_exits_3(self, capsys):
+        # 1e-12 of the spectrum's subnormal peak is 0, which leaves the
+        # cutoff's logarithm without a value; the route refuses it
+        code, out, err = run(capsys, ["energy", "--method", "spectral",
+                                      "--e-squared", "1e-315", "--tol", "1e-4"])
+        assert code == 3 and out == "" and "cutoff" in err
+
     def test_spectrum_that_never_decays_exits_3(self, capsys, monkeypatch):
         # the frequency cutoff refuses instead of truncating the integral
         monkeypatch.setattr(spectra, "energy_spectrum",

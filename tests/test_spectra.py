@@ -5,6 +5,7 @@ closed hypergeometric form, the special-angle occupancy form); the tests
 pin each against frozen mpmath values and against one another only at
 points where an independent reference exists.
 """
+import contextlib
 import math
 
 import mpmath as mp
@@ -394,16 +395,41 @@ class TestIntegratedSpectrum:
         pytest.param(0.0, 1e-4, id="0.0"), pytest.param(-0.5, 1e-4, id="-0.5"),
         pytest.param(0.5, 1e-4, id="0.5"), pytest.param(0.0, 1e-6, id="0.0-tol1e-6"),
         pytest.param(0.5, 1e-6, id="0.5-tol1e-6"), pytest.param(-0.9, 1e-4, id="-0.9"),
-        pytest.param(0.9, 1e-4, id="0.9")])
+        pytest.param(0.9, 1e-4, id="0.9"), pytest.param(-0.99, 1e-4, id="-0.99"),
+        pytest.param(0.99, 1e-4, id="0.99")])
     def test_total_energy_closure(self, zeta, tol):
         # the angular integrand is the exact route at zeta = 0 and the
         # numeric route elsewhere; 1e-6 is the CLI's floor for this route.
-        # At zeta -0.9 the frequency rule runs to order 128, past the first
-        # pair of orders that could stop it early
+        # At zeta -0.9 the frequency rule runs past the first pair of
+        # orders that could stop it early. At zeta -0.99 the tail rate c is
+        # 0.0027 and the spectrum ends near 9,200 kappa; the Larmor route
+        # warns there that the energy diverges as zeta -> -1
         params = TrajectoryParams(1, zeta, 1)
         spectral = total_energy_spectral(params, tol=tol)
-        larmor = total_energy_larmor(params)
+        with pytest.warns(RuntimeWarning) if zeta <= -0.99 else contextlib.nullcontext():
+            larmor = total_energy_larmor(params)
         assert rel(spectral, larmor) < tol
+
+    def test_tail_follows_the_saddle_exponent(self):
+        # I(omega) ~ omega^{-1} e^{-c omega/kappa}, c = 4 (a - sin a cos a)
+        # with cos a = (1 - zeta)/2: the local slope of ln(I e^{c omega/kappa})
+        # against ln omega lies in (-1, -0.84) at omega/kappa 10-80 and
+        # tends to -1, 1 + slope roughly halving with each doubling of
+        # omega. So I e^{c omega/kappa} falls with omega, and the pure
+        # exponential that places the total's cutoff errs high. Measured at
+        # zeta 0: -0.946, -0.972, -0.986 on both routes; zeta 0.3: -0.962,
+        # -0.981, -0.990; zeta -0.6: -0.841, -0.909, -0.950
+        omegas = np.array([10.0, 20.0, 40.0, 80.0])
+        found = []
+        for zeta, numeric in ((0.0, False), (0.0, True), (0.3, True), (-0.6, True)):
+            I = energy_spectrum(TrajectoryParams(1.0, zeta), omegas, 1e-6,
+                                force_numeric=numeric)
+            slopes = np.diff(np.log(I) + spectra._tail_rate(zeta) * omegas) / math.log(2.0)
+            assert ((-1.0 < slopes) & (slopes < -0.84)).all(), (zeta, slopes)
+            shrink = (1.0 + slopes[1:]) / (1.0 + slopes[:-1])
+            assert ((0.45 <= shrink) & (shrink <= 0.6)).all(), (zeta, shrink)
+            found.append(slopes)
+        assert np.max(np.abs(found[0] - found[1])) < 1e-3
 
     @pytest.mark.parametrize("kappa", [0.01, 1.0, 100.0])
     def test_soft_photon_limit_at_zeta0(self, kappa):
@@ -526,19 +552,25 @@ class TestBatchedSpectra:
     def test_numeric_total_is_a_few_oscillatory_calls(self, monkeypatch):
         # one batched quadrature per slice of a frequency order and angular
         # order, on the nodes new at that order; per-omega calls made 274 here
-        sizes = []
+        sizes, evals = [], []
         batched = spectra._oscillatory_rows
 
         def counting(b, d, tol):
             sizes.append(np.broadcast(b, d).size)
-            return batched(b, d, tol)
+            out = batched(b, d, tol)
+            evals.append(int(np.sum(out[2])))
+            return out
 
         monkeypatch.setattr(spectra, "_oscillatory_rows", counting)
-        params = TrajectoryParams(1, -0.6)
-        total = total_energy_spectral(params, 1e-4)
-        assert len(sizes) <= 4 and max(sizes) <= spectra._SLICE_ELEMENTS
-        assert sum(sizes) <= 4_600
-        assert rel(total, total_energy_larmor(params)) < 1e-3
+        for zeta, runs, rows, work in ((-0.6, 2, 4_300, 900_000),
+                                       (-0.9, 4, 5_200, 2_200_000)):
+            sizes.clear()
+            evals.clear()
+            params = TrajectoryParams(1, zeta)
+            total = total_energy_spectral(params, 1e-4)
+            assert len(sizes) <= runs and max(sizes) <= spectra._SLICE_ELEMENTS
+            assert sum(sizes) <= rows and sum(evals) <= work
+            assert rel(total, total_energy_larmor(params)) < 1e-3
 
     def test_closed_form_total_is_a_few_1f1_calls(self, monkeypatch):
         # one stacked 1F1 call per frequency order and angular order, and the
@@ -556,7 +588,7 @@ class TestBatchedSpectra:
         monkeypatch.setattr(spectra, "_oscillatory_rows", no_quadrature)
         params = TrajectoryParams(1, 0)
         total = total_energy_spectral(params, 1e-4)
-        assert len(sizes) <= 3 and sum(sizes) <= 4_600
+        assert len(sizes) <= 2 and sum(sizes) <= 4_400
         assert max(sizes) <= spectra._SLICE_ELEMENTS
         assert rel(total, total_energy_larmor(params)) < 1e-8
 
@@ -645,72 +677,46 @@ class TestBatchedSpectra:
         assert energy_spectrum(params, omegas, 1e-6).tolist() == floored.tolist()
 
     def test_unsettled_total_raises_with_its_last_value(self, monkeypatch):
-        # a step in I(omega) at omega 20 keeps every pair of orders in
+        # a step in I(omega) at omega 5 keeps every pair of orders in
         # s = sqrt(omega) apart, and each node's value scales with the size
         # of the call that evaluated it: the first holds the 64 nonzero
         # nodes of order 64, then come 64, 128 and 256 new ones. The probe
-        # puts the peak at 3 and the cutoff walk hi at 30
+        # puts the peak at 4 and I0 = 0 at omega0 = 20/c, so hi is omega0,
+        # where I(hi) = 0 passes the endpoint check
         monkeypatch.setattr(spectra, "energy_spectrum",
                             lambda params, omegas, *args, **kw:
-                            omegas.size * np.where(omegas < 20.0, 1.0, 0.0))
+                            omegas.size * np.where(omegas < 5.0, 1.0, 0.0))
         with pytest.raises(ConvergenceError, match="did not stabilize") as err:
             total_energy_spectral(TrajectoryParams(1, 0))
         us, _, ws = spectra._cc_rule(512)
         k = np.arange(513)
         size = np.select([k % 4 == 0, k % 2 == 0], [64.0, 128.0], 256.0)
-        s = 0.5 * math.sqrt(30.0) * (1.0 + us)
-        want = 0.5 * math.sqrt(30.0) * np.vecdot(2.0 * s * size * (s**2 < 20.0), ws)
+        root_hi = math.sqrt(20.0 / spectra._tail_rate(0.0))
+        s = 0.5 * root_hi * (1.0 + us)
+        want = 0.5 * root_hi * np.vecdot(2.0 * s * size * (s**2 < 5.0), ws)
         assert err.value.best == pytest.approx(want, rel=1e-14, abs=0.0)
 
     def test_cutoff_refuses_a_spectrum_that_never_decays(self, monkeypatch):
-        # six doublings from 30 kappa end at 1920 kappa, where 1/omega is
-        # still far above 1e-12 of the peak
+        # the tail law puts hi at 20/c + ln(I0/1e-11)/c = 17.6 for a peak
+        # of 10 at omega 0.1 and I0 = c/20, but 1/hi is far above 1e-11 of
+        # the peak there
         monkeypatch.setattr(spectra, "energy_spectrum",
                             lambda params, omegas, *args, **kw: 1.0 / omegas)
-        with pytest.raises(ConvergenceError, match="omega = 1920") as err:
+        with pytest.raises(ConvergenceError, match="at the cutoff omega = 17.597") as err:
             total_energy_spectral(TrajectoryParams(1, 0))
-        assert err.value.best == 1920.0
+        c = spectra._tail_rate(0.0)
+        assert err.value.best == pytest.approx(20.0 / c + math.log(c / 20.0 / 1e-11) / c,
+                                               rel=1e-14, abs=0.0)
 
-    @pytest.mark.parametrize("kappa", [0.7, 1.0])
-    def test_cutoff_walk_matches_the_sequential_rule(self, kappa):
-        # the halving candidates run as one call; the chosen hi must be the
-        # one of the walk that probes one omega at a time
-        def sequential(spectra, kappa, peak):
-            def I_at(w):
-                return float(spectra(np.array([w]))[0])
-
-            thresh = 1e-12 * peak
-            hi = 30.0 * kappa
-            if I_at(hi) < thresh:
-                while hi > 4.0 * kappa and I_at(0.5 * hi) < thresh:
-                    hi *= 0.5
-                return hi
-            for _ in range(6):
-                hi *= 2.0
-                if I_at(hi) < thresh:
-                    return hi
-            raise ConvergenceError("no cutoff")
-
-        # e^{-omega/scale} crosses 1e-12 at 27.6 scale: below 3.75 kappa,
-        # between each pair of walk steps, and out in the doubling branch
-        crossings = kappa * np.array([1.0, 3.7, 3.8, 5.0, 7.4, 7.6, 11.0, 14.9,
-                                      15.1, 22.0, 29.9, 30.1, 45.0, 100.0, 1000.0])
-        calls = []
-        for crossing in crossings:
-            def fake(omegas, scale=crossing / math.log(1e12)):
-                calls.append(omegas.size)
-                return np.exp(-omegas / scale)
-
-            want = sequential(fake, kappa, 1.0)
-            calls.clear()
-            assert spectra._omega_cutoff(fake, kappa, 1.0) == want
-            assert calls[0] == 4 and all(size == 1 for size in calls[1:])
-        # a candidate above threshold ends the walk, whatever lies below it
-        def dip(omegas):
-            return np.where(omegas == 15.0 * kappa, 1.0, 0.0)
-
-        assert spectra._omega_cutoff(dip, kappa, 1.0) == sequential(dip, kappa, 1.0)
-        assert spectra._omega_cutoff(dip, kappa, 1.0) == 30.0 * kappa
+    def test_cutoff_refuses_a_threshold_that_is_no_double(self, monkeypatch):
+        # a subnormal peak puts 1e-12 of it at 0, where ln(I0/threshold)
+        # has no value; an infinite one leaves no finite threshold
+        for value in (1e-315, math.inf):
+            monkeypatch.setattr(spectra, "energy_spectrum",
+                                lambda params, omegas, *args, **kw:
+                                np.full(omegas.size, value))
+            with pytest.raises(ConvergenceError, match="cutoff .* no positive finite"):
+                total_energy_spectral(TrajectoryParams(1, 0))
 
 
 class TestPartialForms:

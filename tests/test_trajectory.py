@@ -353,6 +353,29 @@ class TestRadiation:
         got = larmor_power(TrajectoryParams(1e150, 0.2), s / 1e150) / 1e300
         assert np.max(np.abs(got - want) / want) < 1e-14
 
+    @pytest.mark.parametrize("kappa, zeta", [(1.0, 0.0), (1e50, 0.3), (1e-50, -0.6)])
+    def test_power_at_tiny_kappa_z(self, kappa, zeta):
+        # v = s/2 to first order in s = kappa z and v^2 dw/ds = -1/2, so P
+        # tends to e^2 s^2 kappa^2/(96 pi), a double although w^6 is not
+        s = 1e-60
+        params = TrajectoryParams(kappa, zeta)
+        want = params.e_squared * s * s * kappa * kappa / (96.0 * math.pi)
+        assert rel(larmor_power(params, s / kappa), want) < 1e-12
+
+    @pytest.mark.parametrize("zeta", [-0.99, 0.0, 0.9])
+    def test_power_is_quiet_over_the_double_range(self, zeta):
+        # no factor of the integrand overflows: P ~ s^2/(96 pi) below the
+        # turning point and 16/(6 pi s^6) above it underflow to 0 far out
+        # on either side, with no warning on the way
+        s = np.geomspace(1e-300, 1e300, 601)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            P = larmor_power(TrajectoryParams(1.0, zeta, 1.0), s)
+            assert larmor_power(TrajectoryParams(1.0, zeta, 1.0), 1e200) == 0.0
+        assert np.isfinite(P).all() and (P >= 0.0).all()
+        assert P[0] == 0.0 and P[-1] == 0.0
+        assert (P[(s > 1e-150) & (s < 1e50)] > 0.0).all()
+
     def test_overflow_is_refused(self):
         # at kappa 1e300, P = kappa^2 P(kappa z)|_{kappa=1} is 8e298 out at
         # kappa z = 1e50 and overflows a double near kappa z = 1 (but for
