@@ -20,10 +20,10 @@ import numpy as np
 
 from .errors import ConvergenceError, DomainError
 from .mirror import (
-    ModePair,
     beta_squared_fd,
     beta_squared_fd_limit,
     beta_squared_from_distribution,
+    map_to_modes,
     mirror_particle_count,
 )
 from .quadrature import integrate_adaptive
@@ -115,7 +115,7 @@ def _special_angle_betas(zeta, omegas):
     """|beta|^2 of the saddle-contour route at cos(theta) = zeta, kappa = e^2 = 1."""
     params = TrajectoryParams(kappa=1.0, zeta=zeta, e_squared=1.0)
     samples = distribution_grid(params, omegas, [math.acos(zeta)], "numeric", 1e-10)
-    return [beta_squared_from_distribution(s, 1.0) for s in samples]
+    return beta_squared_from_distribution(omegas, [s.value for s in samples], 1.0)
 
 
 def _c6_particle_count_duality(scale):
@@ -131,7 +131,7 @@ def _c6_particle_count_duality(scale):
     # the occupancy is below e^{-12 pi}; at d = 0 the contour is the same for
     # every zeta, so one is enough
     def density(u):
-        return 0.5 * u * np.array([b.beta_squared for b in _special_angle_betas(0.5, u)])
+        return 0.5 * u * _special_angle_betas(0.5, u)
 
     m_contour = integrate_adaptive(density, 0.0, 6.0, tol=1e-10).value
     worst = max(worst, _rel(m_contour, mirror_particle_count(0.5)))
@@ -139,11 +139,11 @@ def _c6_particle_count_duality(scale):
 
 
 def _c7_special_angle_beta(scale):
+    omegas = np.array((0.25, 0.5, 1.0, 2.0, 4.0, 16.0, 40.0))
     worst = 0.0
     for zeta in _ZETA_SET:
-        for beta in _special_angle_betas(zeta, (0.25, 0.5, 1.0, 2.0, 4.0, 16.0, 40.0)):
-            closed = beta_squared_fd(beta.modes, 1.0, zeta).beta_squared
-            worst = max(worst, _rel(beta.beta_squared, closed))
+        closed = beta_squared_fd(*map_to_modes(omegas, math.acos(zeta)), 1.0, zeta)
+        worst = max(worst, _rel(_special_angle_betas(zeta, omegas), closed).max())
     return worst, 1e-12 * scale, "contour vs Fermi-Dirac |beta|^2, 3 zeta x 7 omega"
 
 
@@ -253,13 +253,9 @@ def _c9_special_function_identities(scale):
 def _c10_near_minus_one_limit(scale):
     zeta = -0.99
     kappa = 1.0
-    worst = 0.0
-    for u in np.linspace(0.1, 5.0, 50):
-        full = beta_squared_fd(
-            ModePair(u * (1.0 + zeta) / 2.0, u * (1.0 - zeta) / 2.0), kappa, zeta
-        )
-        lim = beta_squared_fd_limit(u, kappa, zeta)
-        worst = max(worst, _rel(lim.beta_squared, full.beta_squared))
+    u = np.linspace(0.1, 5.0, 50)
+    full = beta_squared_fd(u * (1.0 + zeta) / 2.0, u * (1.0 - zeta) / 2.0, kappa, zeta)
+    worst = _rel(beta_squared_fd_limit(u, kappa, zeta), full).max()
     return worst, 2.0 * abs(1.0 + zeta) * scale, "zeta=-0.99, matched total frequency"
 
 

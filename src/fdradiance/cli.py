@@ -31,9 +31,9 @@ import numpy as np
 from .acceptance import run_all
 from .errors import DomainError, FdradianceError
 from .mirror import (
-    ModePair,
     beta_squared_fd,
     beta_squared_from_distribution,
+    map_to_modes,
     mirror_fd_energy,
     mirror_particle_count,
 )
@@ -219,18 +219,17 @@ def run_mirror(ns):
         raise DomainError("a --theta-* grid goes with an --omega-* grid, "
                           "and a --pq-* grid with neither")
     if omegas is not None:
-        thetas = _grid(ns, "theta")
-        samples = distribution_grid(params, omegas, thetas, "numeric", ns.tol)
-        betas = [beta_squared_from_distribution(sample, e2) for sample in samples]
+        samples = distribution_grid(params, omegas, _grid(ns, "theta"), "numeric", ns.tol)
+        omega, theta, value = np.array([(s.omega, s.theta, s.value) for s in samples]).T
+        p, q = map_to_modes(omega, theta)
+        beta2 = beta_squared_from_distribution(omega, value, e2)
     else:
         # pairs on the constraint line p/q = (1 + zeta)/(1 - zeta)
-        pqs = _grid(ns, "pq")
-        betas = [beta_squared_fd(ModePair(u * (1.0 + zeta) / 2.0,
-                                          u * (1.0 - zeta) / 2.0),
-                                 kappa, zeta)
-                 for u in pqs]
-    rows = [{"p": b.modes.p, "q": b.modes.q, "beta_squared": b.beta_squared}
-            for b in betas]
+        u = np.array(_grid(ns, "pq"))
+        p, q = u * (1.0 + zeta) / 2.0, u * (1.0 - zeta) / 2.0
+        beta2 = beta_squared_fd(p, q, kappa, zeta)
+    rows = [{"p": a, "q": b, "beta_squared": c}
+            for a, b, c in zip(p.tolist(), q.tolist(), beta2.tolist())]
     summary = {
         "fd_energy": mirror_fd_energy(kappa, zeta),
         "particle_count": mirror_particle_count(zeta),

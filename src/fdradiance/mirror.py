@@ -23,23 +23,29 @@ Jacobian u/2 (the constraint delta function is eliminated exactly, never
 sampled numerically). With u = omega it is term for term the emission
 side's over e^2, so the quadrature companions are ``spectra``'s at e^2 = 1;
 the acceptance suite checks |beta|^2 and the pair count against the
-saddle-contour route at the special angle instead. Functions taking kappa
-and zeta check them by constructing ``TrajectoryParams``, the one home of
-the worldline rules; a lone e^2 goes through the same rule in ``trajectory``.
+saddle-contour route at the special angle instead.
+
+The per-mode functions (``map_to_modes``, ``beta_squared_from_distribution``,
+``beta_squared_fd``, ``beta_squared_fd_limit``) are elementwise: they take
+floats or numpy arrays, broadcast them against each other, and return
+numbers, a numpy float64 for float inputs and an array otherwise, so a
+whole grid is one call and each element has the bits of its own
+one-element call. Functions taking kappa and zeta check them by
+constructing ``TrajectoryParams``, the one home of the worldline rules;
+a lone e^2 goes through the same rule in ``trajectory``.
 """
 from __future__ import annotations
 
-import dataclasses
 import math
 
+import numpy as np
+
 from .errors import ConstraintError, DomainError, OverflowRangeError, RegimeError
-from .spectra import (EmissionDirection, SpectralSample, _check_omega, _occupancy,
-                      fd_partial_energy_quadrature, fd_particle_count_quadrature)
+from .spectra import (_check_omega, _occupancy, fd_partial_energy_quadrature,
+                      fd_particle_count_quadrature)
 from .trajectory import TrajectoryParams, _check_e_squared
 
 __all__ = [
-    "ModePair",
-    "BetaCoefficient",
     "map_to_modes",
     "beta_squared_from_distribution",
     "beta_squared_fd",
@@ -51,65 +57,55 @@ __all__ = [
 ]
 
 
-@dataclasses.dataclass(frozen=True)
-class ModePair:
-    """Right- and left-mode frequencies of one created scalar pair."""
-
-    p: float
-    q: float
-
-    def __post_init__(self):
-        if not (self.p >= 0.0 and self.q >= 0.0
-                and math.isfinite(self.p) and math.isfinite(self.q)):
-            raise DomainError("mode frequencies must be non-negative and finite")
-        if not self.p + self.q > 0.0:
-            raise DomainError("mode pair must have p + q > 0")
-
-
-@dataclasses.dataclass(frozen=True)
-class BetaCoefficient:
-    modes: ModePair
-    beta_squared: float
-
-    def __post_init__(self):
-        if not (self.beta_squared >= 0.0 and math.isfinite(self.beta_squared)):
-            raise DomainError("beta_squared must be non-negative and finite")
-
-
-def map_to_modes(omega: float, dir: EmissionDirection) -> ModePair:
-    """Mode pair of the emission direction: p+q = omega, p-q = omega cos(theta)."""
+def map_to_modes(omega, theta):
+    """Mode pair (p, q) at (omega, theta): p+q = omega, p-q = omega cos(theta)."""
+    omega, theta = np.asarray(omega, dtype=float), np.asarray(theta, dtype=float)
     _check_omega(omega)
+    if not ((theta >= 0.0) & (theta <= math.pi)).all():
+        raise DomainError("theta must lie in [0, pi]")
     # half-angle forms stay exact at theta -> 0, pi where 1 -+ cos cancels
-    half = 0.5 * dir.theta
-    p = omega * math.cos(half) ** 2
-    q = omega * math.sin(half) ** 2
-    return ModePair(p=p, q=q)
+    half = 0.5 * theta
+    return omega * np.cos(half) ** 2, omega * np.sin(half) ** 2
 
 
-def beta_squared_from_distribution(sample: SpectralSample,
-                                   e_squared: float) -> BetaCoefficient:
-    """Invert dI/dOmega = (e^2 omega^2 / 4 pi) |beta|^2 for one sample."""
+def beta_squared_from_distribution(omega, value, e_squared: float):
+    """Invert dI/dOmega = (e^2 omega^2 / 4 pi) |beta|^2: 4 pi value/(e^2 omega^2)."""
     _check_e_squared(e_squared)
-    modes = map_to_modes(sample.omega, EmissionDirection(sample.theta))
-    beta2 = 4.0 * math.pi * sample.value / (e_squared * sample.omega**2)
-    return BetaCoefficient(modes=modes, beta_squared=beta2)
+    omega, value = np.asarray(omega, dtype=float), np.asarray(value, dtype=float)
+    _check_omega(omega)
+    if not ((value >= 0.0) & np.isfinite(value)).all():
+        raise DomainError("spectral value must be non-negative and finite")
+    with np.errstate(over="ignore", divide="ignore", under="ignore", invalid="ignore"):
+        # a dark direction's 0 stays 0 where omega^2 underflows to 0
+        beta2 = np.where(value > 0.0, 4.0 * math.pi * value / (e_squared * omega**2), 0.0)
+    over = ~np.isfinite(beta2)
+    if over.any():
+        first = np.broadcast_to(omega, over.shape)[over][0]
+        raise OverflowRangeError(f"|beta|^2 at frequency {first:g} overflows a double")
+    return beta2[()]
 
 
 def _occupied(num, den, freq, kappa):
-    """|beta|^2 = num / (den freq kappa) / (e^{2 pi freq/kappa} + 1).
+    """|beta|^2 = num / (den freq kappa) / (e^{2 pi freq/kappa} + 1), elementwise.
 
     Where the prefactor num/(den freq kappa) leaves the double range the
-    product is taken in logs: a true |beta|^2 that underflows (at small
-    kappa the occupancy falls faster than the prefactor grows) is 0, and
-    only one past the largest double is refused.
+    product is taken in logs (``_logged``): a true |beta|^2 that underflows
+    (at small kappa the occupancy falls faster than the prefactor grows)
+    is 0, and only one past the largest double is refused, naming the
+    first such frequency.
     """
+    with np.errstate(over="ignore", divide="ignore", under="ignore", invalid="ignore"):
+        beta2 = np.array(num / (den * freq * kappa)
+                         * _occupancy(2.0 * math.pi * freq / kappa))
+    off = np.flatnonzero(~np.isfinite(beta2))
+    beta2.flat[off] = [_logged(num, den, f, kappa) for f in freq.ravel()[off].tolist()]
+    return beta2[()]
+
+
+def _logged(num, den, freq, kappa):
+    """One element of ``_occupied`` in logs, or ``OverflowRangeError``."""
     x = 2.0 * math.pi * freq / kappa
     occupancy = _occupancy(x)
-    scale = den * freq * kappa
-    if scale > 0.0:
-        beta2 = num / scale * occupancy
-        if math.isfinite(beta2):
-            return beta2
     # ln occupancy is -x - ln(1 + e^{-x}), and -x alone where it underflows
     log_occupancy = math.log(occupancy) if occupancy > 0.0 else -x
     log_beta2 = (math.log(num) - math.log(den) - math.log(freq) - math.log(kappa)
@@ -121,40 +117,43 @@ def _occupied(num, den, freq, kappa):
                                  f"kappa {kappa:g} overflows a double") from None
 
 
-def beta_squared_fd(modes: ModePair, kappa: float, zeta: float) -> BetaCoefficient:
+def beta_squared_fd(p, q, kappa: float, zeta: float):
     """Closed Fermi-Dirac form of |beta|^2 on the constrained mode family.
 
-    Requires p/q = (1+zeta)/(1-zeta); since pairs normally come from
-    map_to_modes at the special angle, a violation beyond 1e-9 relative
-    indicates a caller bug rather than roundoff and is rejected.
+    Requires p, q >= 0 with p + q > 0 and p/q = (1+zeta)/(1-zeta); since
+    pairs normally come from map_to_modes at the special angle, a violation
+    beyond 1e-9 relative indicates a caller bug rather than roundoff and is
+    rejected, naming the first pair off the line.
     """
     TrajectoryParams(kappa, zeta)
+    p, q = np.broadcast_arrays(np.asarray(p, dtype=float), np.asarray(q, dtype=float))
+    if not ((p >= 0.0) & (q >= 0.0) & np.isfinite(p) & np.isfinite(q)).all():
+        raise DomainError("mode frequencies must be non-negative and finite")
+    u = p + q
+    if not (u > 0.0).all():
+        raise DomainError("mode pair must have p + q > 0")
     # symmetric residual form avoids dividing by q (which hits 0 at zeta=1)
-    residual = abs(modes.p * (1.0 - zeta) - modes.q * (1.0 + zeta))
-    if residual > 1e-9 * (modes.p + modes.q):
+    off = np.abs(p * (1.0 - zeta) - q * (1.0 + zeta)) > 1e-9 * u
+    if off.any():
         raise ConstraintError(
-            f"mode pair (p={modes.p}, q={modes.q}) violates "
+            f"mode pair (p={float(p[off][0])}, q={float(q[off][0])}) violates "
             f"p/q = (1+zeta)/(1-zeta) for zeta={zeta}"
         )
-    u = modes.p + modes.q
-    beta2 = _occupied(1.0 - zeta**2, 2.0 * math.pi, u, kappa)
-    return BetaCoefficient(modes=modes, beta_squared=beta2)
+    return _occupied(1.0 - zeta**2, 2.0 * math.pi, u, kappa)
 
 
-def beta_squared_fd_limit(q: float, kappa: float,
-                          zeta_near_minus_one: float) -> BetaCoefficient:
+def beta_squared_fd_limit(q, kappa: float, zeta_near_minus_one: float):
     """Leading-order |beta|^2 for zeta near -1, where p ~ 0 and q dominates."""
     TrajectoryParams(kappa, zeta_near_minus_one)
-    if not (q > 0.0 and math.isfinite(q)):
+    q = np.asarray(q, dtype=float)
+    if not ((q > 0.0) & np.isfinite(q)).all():
         raise DomainError("q must be positive and finite")
     zeta = zeta_near_minus_one
     if abs(1.0 + zeta) > 0.1:
         raise RegimeError(
             f"leading-order form holds only near zeta = -1; got zeta={zeta}"
         )
-    p = q * (1.0 + zeta) / (1.0 - zeta)
-    beta2 = _occupied(1.0 + zeta, math.pi, q, kappa)
-    return BetaCoefficient(modes=ModePair(p=p, q=q), beta_squared=beta2)
+    return _occupied(1.0 + zeta, math.pi, q, kappa)
 
 
 def mirror_fd_energy(kappa: float, zeta: float) -> float:

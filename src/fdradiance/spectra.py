@@ -28,7 +28,10 @@ Routes, kept deliberately independent of each other:
 Angle-integrated spectra I(omega), N(omega) = I/omega, and the partial
 energy and particle count carried by the special-angle form round out the
 module. Closed forms always come with an explicit quadrature companion so
-each claim is checkable against an independent code path.
+each claim is checkable against an independent code path. Every route
+reads kappa only through y = omega/kappa: a value at omega = kappa y is
+its kappa = 1 value at y, and a total or energy companion kappa times
+its own.
 
 The two grid routes share one signature, (params, omegas, us, sin2, tol)
 -> (values, abs_errors) on the grid omegas x directions, so their callers
@@ -211,7 +214,7 @@ def _exact_zeta0_values(params: TrajectoryParams, omegas, us, sin2, tol: float):
         t1 = g_half * m_half
         t2 = 2.0 * us * root_iy * g_one * m_one
         m = t1 + t2
-        pref = params.e_squared * omega * sin2 / (16.0 * math.pi**3 * kappa)
+        pref = params.e_squared * y * sin2 / (16.0 * math.pi**3)
         scale = pref * np.exp(-math.pi * y)
         out[s:s + step, lit] = scale * np.abs(m) ** 2
         # _CLOSED_FORM_REL K |value|, with K's division by |m| cancelled
@@ -280,8 +283,10 @@ def fermi_dirac_distribution(params: TrajectoryParams, omega: float) -> Spectral
     """dI/dOmega at the special angle cos(theta0) = zeta, in closed form."""
     _check_omega(omega)
     y = omega / params.kappa
+    occupancy = _occupancy(2.0 * math.pi * y)
+    # where y overflows a double, y * occupancy is inf * 0 for a true 0
     value = ((1.0 - params.zeta**2) * params.e_squared / (8.0 * math.pi**2)
-             * y * _occupancy(2.0 * math.pi * y))
+             * y * occupancy) if occupancy > 0.0 else 0.0
     theta0 = math.acos(params.zeta)
     return SpectralSample(omega, theta0, value, "fermi-dirac",
                           value * _CLOSED_FORM_REL)
@@ -398,7 +403,8 @@ def total_energy_spectral(params: TrajectoryParams, tol: float = 1e-4) -> float:
 
     One probe ``energy_spectrum`` at kappa (0.1, 0.3, 1, 20/c), c the tail
     rate (``_tail_rate``), gives the peak (its first three) and I0 at
-    omega0 = 20 kappa/c. The integral ends at hi = omega0 + (kappa/c)
+    omega0 = 20 kappa/c; an omega0 past the largest double raises
+    ``ConvergenceError``. The integral ends at hi = omega0 + (kappa/c)
     ln(I0/(1e-12 peak)), or at omega0 if I0 is below that threshold: the
     tail law without its omega^{-1} factor, so hi errs high. Off zeta = 0,
     I(omega) has a sqrt(omega) term at 0, so the integral runs in s =
@@ -415,6 +421,9 @@ def total_energy_spectral(params: TrajectoryParams, tol: float = 1e-4) -> float:
     kappa, c = params.kappa, _tail_rate(params.zeta)
     probe_tol = min(1e-4, tol)
     omegas = np.array([kappa * y for y in (0.1, 0.3, 1.0, 20.0 / c)])
+    if not math.isfinite(omegas[3]):
+        raise ConvergenceError(f"the probe frequency 20 kappa/c = {omegas[3]:.6g} "
+                               "is no finite double")
     *low, I0 = energy_spectrum(params, omegas, probe_tol).tolist()
     peak, hi = max(low), float(omegas[3])
     thresh = 1e-12 * peak
@@ -453,16 +462,17 @@ def _fd_moment(params: TrajectoryParams, power: int, tol: float) -> float:
 
     The special-angle distribution over frequency and azimuth: its energy
     (power 1) or its photon count (power 0). Kept as an independent code
-    path from the closed forms it validates.
+    path from the closed forms it validates. The integral runs in y =
+    omega/kappa at scale 1, times kappa^power once, so its evaluations are
+    the same at every kappa.
     """
-    kappa = params.kappa
-    pref = (1.0 - params.zeta**2) * params.e_squared / (8.0 * math.pi**2 * kappa)
+    pref = (1.0 - params.zeta**2) * params.e_squared / (8.0 * math.pi**2)
 
-    def integrand(w):
-        return (pref * w if power == 1 else pref) * _occupancy(2.0 * math.pi * w / kappa)
+    def integrand(y):
+        return (pref * y if power == 1 else pref) * _occupancy(2.0 * math.pi * y)
 
-    res = integrate_semi_infinite(integrand, scale=kappa, tol=tol)
-    return 2.0 * math.pi * float(res.value)
+    res = integrate_semi_infinite(integrand, scale=1.0, tol=tol)
+    return 2.0 * math.pi * float(res.value) * params.kappa**power
 
 
 def fd_partial_energy_quadrature(params: TrajectoryParams,

@@ -94,6 +94,24 @@ def test_duality_criteria_work(monkeypatch, index, runs, rows):
     assert len(sizes) <= runs and sum(sizes) <= rows, sizes
 
 
+@pytest.mark.parametrize("index, calls", [
+    (7, {"beta_squared_fd": 3}),
+    (10, {"beta_squared_fd": 1, "beta_squared_fd_limit": 1})],
+    ids=["criterion-7", "criterion-10"])
+def test_mirror_criteria_make_one_call_per_grid(monkeypatch, index, calls):
+    # the mirror functions are elementwise: criterion 7 maps its seven
+    # frequencies in one call per zeta, and criterion 10 its fifty in one
+    counted = dict.fromkeys(calls, 0)
+    for name in calls:
+        def counting(*args, _f=getattr(acceptance, name), _name=name):
+            counted[_name] += 1
+            return _f(*args)
+        monkeypatch.setattr(acceptance, name, counting)
+    [result] = run_all(criteria=[index])
+    assert result.passed, result.line()
+    assert counted == calls
+
+
 def test_kummer_identities_work(monkeypatch):
     # check runs criterion 9 in each cli-readme benchmark cycle: its 40
     # points go to kummer_1f1 in speculative batches, one call until the

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import fdradiance
-from fdradiance import spectra
+from fdradiance import cli, spectra
 from fdradiance.cli import _build_parser, main
 from fdradiance.spectra import energy_spectrum, fermi_dirac_distribution
 from fdradiance.trajectory import (
@@ -496,6 +496,18 @@ class TestMirrorCommand:
         assert code == 0
         _, rows = parse_csv(out)
         assert [float(r["beta_squared"]) for r in rows] == [0.0, 0.0]
+
+    def test_constrained_grid_is_one_call(self, capsys, monkeypatch):
+        calls = []
+        fd = cli.beta_squared_fd
+
+        def counting(p, q, kappa, zeta):
+            calls.append(np.size(p))
+            return fd(p, q, kappa, zeta)
+
+        monkeypatch.setattr(cli, "beta_squared_fd", counting)
+        code, _, _ = run(capsys, ["mirror", "--pq-steps", "25"])
+        assert code == 0 and calls == [25]
 
     def test_emission_grid_route(self, capsys):
         code, out, _ = run(capsys, [

@@ -12,8 +12,6 @@ from fdradiance.errors import (
     RegimeError,
 )
 from fdradiance.mirror import (
-    BetaCoefficient,
-    ModePair,
     beta_squared_fd,
     beta_squared_fd_limit,
     beta_squared_from_distribution,
@@ -42,56 +40,68 @@ def rel(got, want):
 
 class TestModes:
     def test_pair_validation(self):
-        ModePair(0.0, 1.0)
-        ModePair(1.0, 0.0)
-        with pytest.raises(DomainError):
-            ModePair(-0.1, 1.0)
-        with pytest.raises(DomainError):
-            ModePair(1.0, -0.1)
-        with pytest.raises(DomainError):
-            ModePair(0.0, 0.0)
+        # the pair rules come before the constraint: p, q >= 0 and finite,
+        # and p + q > 0; a zero p or q is a pair on the line near zeta -+1
+        assert beta_squared_fd(0.0, 1.0, 1.0, -1.0 + 1e-12) > 0.0
+        assert beta_squared_fd(1.0, 0.0, 1.0, 1.0 - 1e-12) > 0.0
+        for p, q in [(-0.1, 1.0), (1.0, -0.1), (math.inf, 1.0), (1.0, math.nan)]:
+            with pytest.raises(DomainError, match="non-negative and finite"):
+                beta_squared_fd(p, q, 1.0, 0.0)
+        with pytest.raises(DomainError, match=r"p \+ q > 0"):
+            beta_squared_fd([0.5, 0.0], [0.5, 0.0], 1.0, 0.0)
 
     def test_map_splits_frequency(self):
-        pair = map_to_modes(1.0, EmissionDirection(math.pi / 2))
-        assert pair.p == pytest.approx(0.5, rel=1e-15)
-        assert pair.q == pytest.approx(0.5, rel=1e-15)
-        pair = map_to_modes(2.0, EmissionDirection(0.0))
-        assert pair.p == 2.0 and pair.q == 0.0
-        pair = map_to_modes(2.0, EmissionDirection(math.pi))
-        assert pair.q == pytest.approx(2.0, rel=1e-15)
-        assert pair.p < 1e-31
+        p, q = map_to_modes(1.0, math.pi / 2)
+        assert p == pytest.approx(0.5, rel=1e-15)
+        assert q == pytest.approx(0.5, rel=1e-15)
+        p, q = map_to_modes(2.0, 0.0)
+        assert p == 2.0 and q == 0.0
+        p, q = map_to_modes(2.0, math.pi)
+        assert q == pytest.approx(2.0, rel=1e-15)
+        assert p < 1e-31
+        assert isinstance(p, np.float64)
+
+    def test_map_refuses_its_domain(self):
+        with pytest.raises(DomainError, match="omega"):
+            map_to_modes([1.0, 0.0], 1.0)
+        with pytest.raises(DomainError, match="theta"):
+            map_to_modes(1.0, [1.0, 3.2])
 
     def test_map_conserves_total(self):
         rng = np.random.default_rng(417)
-        for _ in range(50):
-            omega = float(rng.uniform(0.1, 10.0))
-            theta = float(rng.uniform(0.0, math.pi))
-            pair = map_to_modes(omega, EmissionDirection(theta))
-            assert rel(pair.p + pair.q, omega) < 1e-15
+        omega = rng.uniform(0.1, 10.0, 50)
+        theta = rng.uniform(0.0, math.pi, 50)
+        p, q = map_to_modes(omega, theta)
+        assert np.all(np.abs(p + q - omega) / omega < 1e-15)
 
 
 class TestBetaSquared:
     def test_frozen_value(self):
-        got = beta_squared_fd(ModePair(0.5, 0.5), 1.0, 0.0)
-        assert rel(got.beta_squared, BETA2_HALF) < 1e-13
+        got = beta_squared_fd(0.5, 0.5, 1.0, 0.0)
+        assert rel(got, BETA2_HALF) < 1e-13
 
     def test_constraint_enforced(self):
         with pytest.raises(ConstraintError):
-            beta_squared_fd(ModePair(0.9, 0.1), 1.0, 0.0)
+            beta_squared_fd(0.9, 0.1, 1.0, 0.0)
         with pytest.raises(ConstraintError):
-            beta_squared_fd(ModePair(0.5, 0.5), 1.0, 0.3)
+            beta_squared_fd(0.5, 0.5, 1.0, 0.3)
+        # a grid is refused at its first pair off the line
+        with pytest.raises(ConstraintError, match=r"p=0\.9, q=0\.1\)"):
+            beta_squared_fd([0.5, 0.9, 0.8], [0.5, 0.1, 0.2], 1.0, 0.0)
 
     def test_overflow_is_refused(self):
-        # a coefficient the caller builds keeps its DomainError; one the
-        # closed forms compute past the largest double is a range failure
-        with pytest.raises(DomainError):
-            BetaCoefficient(ModePair(0.5, 0.5), math.inf)
+        # a |beta|^2 past the largest double is a range failure, named at
+        # the first frequency that overflows
+        with pytest.raises(OverflowRangeError, match="frequency 9.99989e-321,"):
+            beta_squared_fd([0.5, 5e-321, 5e-322], [0.5, 5e-321, 5e-322], 1.0, 0.0)
         with pytest.raises(OverflowRangeError):
-            beta_squared_fd(ModePair(5e-321, 5e-321), 1.0, 0.0)
-        with pytest.raises(OverflowRangeError):
-            beta_squared_fd(ModePair(5e-161, 5e-161), 1e-155, 0.0)
+            beta_squared_fd(5e-161, 5e-161, 1e-155, 0.0)
         with pytest.raises(OverflowRangeError):
             beta_squared_fd_limit(1e-320, 1.0, -0.95)
+        # omega^2 underflows to 0 under a lit sample; a dark one's 0 stays 0
+        with pytest.raises(OverflowRangeError, match="frequency 1e-170 "):
+            beta_squared_from_distribution([1.0, 1e-170], 1e-4, 1.0)
+        assert beta_squared_from_distribution(1e-170, 0.0, 1.0) == 0.0
 
     def test_underflow_is_zero(self):
         # at kappa 1e-310 the prefactor overflows but the occupancy
@@ -99,18 +109,16 @@ class TestBetaSquared:
         # Where it does not underflow, the log form keeps the scaling
         # |beta|^2(u, kappa) = |beta|^2(u/kappa, 1)/kappa^2 to the log's
         # roundoff
-        assert beta_squared_fd(ModePair(0.05, 0.05), 1e-310, 0.0).beta_squared == 0.0
-        assert beta_squared_fd_limit(0.1, 1e-310, -0.95).beta_squared == 0.0
-        tiny = beta_squared_fd(ModePair(5e-156, 5e-156), 1e-155, 0.0).beta_squared
-        unit = beta_squared_fd(ModePair(0.5, 0.5), 1.0, 0.0).beta_squared
+        assert beta_squared_fd(0.05, 0.05, 1e-310, 0.0) == 0.0
+        assert beta_squared_fd_limit(0.1, 1e-310, -0.95) == 0.0
+        tiny = beta_squared_fd(5e-156, 5e-156, 1e-155, 0.0)
+        unit = beta_squared_fd(0.5, 0.5, 1.0, 0.0)
         assert tiny / 1e155 == pytest.approx(unit * 1e155, rel=1e-12)
 
     def test_constraint_accepts_matched_pair(self):
         zeta = 0.3
         u = 1.4
-        pair = ModePair(u * (1 + zeta) / 2, u * (1 - zeta) / 2)
-        got = beta_squared_fd(pair, 1.0, zeta)
-        assert got.beta_squared > 0.0
+        assert beta_squared_fd(u * (1 + zeta) / 2, u * (1 - zeta) / 2, 1.0, zeta) > 0.0
 
     def test_round_trip_through_distribution(self):
         # numeric emission sample -> coefficient -> emission again
@@ -118,8 +126,8 @@ class TestBetaSquared:
         omega, theta = 1.0, math.pi / 3
         sample = distribution_numeric(params, omega,
                                       EmissionDirection(theta), 1e-8)
-        beta = beta_squared_from_distribution(sample, 1.0)
-        back = 1.0 * omega**2 / (4.0 * math.pi) * beta.beta_squared
+        beta2 = beta_squared_from_distribution(sample.omega, sample.value, 1.0)
+        back = 1.0 * omega**2 / (4.0 * math.pi) * beta2
         assert rel(back, sample.value) < 1e-12
 
     @given(kappa=st.floats(0.01, 100.0), zeta=st.floats(-0.99, 0.99),
@@ -132,10 +140,10 @@ class TestBetaSquared:
         params = TrajectoryParams(kappa, zeta, e_squared)
         omega = y * kappa
         sample = fermi_dirac_distribution(params, omega)
-        via_sample = beta_squared_from_distribution(sample, e_squared)
-        direct = beta_squared_fd(via_sample.modes, kappa, zeta)
-        assert rel(via_sample.beta_squared, direct.beta_squared) < 1e-12
-        back = e_squared * omega**2 / (4.0 * math.pi) * via_sample.beta_squared
+        via_sample = beta_squared_from_distribution(omega, sample.value, e_squared)
+        direct = beta_squared_fd(*map_to_modes(omega, sample.theta), kappa, zeta)
+        assert rel(via_sample, direct) < 1e-12
+        back = e_squared * omega**2 / (4.0 * math.pi) * via_sample
         assert rel(back, sample.value) < 1e-13
 
 
@@ -151,20 +159,12 @@ class TestNearMinusOneLimit:
         with pytest.raises(DomainError, match="q must"):
             beta_squared_fd_limit(q, 1.0, -0.95)
 
-    def test_limit_modes(self):
-        zeta = -0.95
-        got = beta_squared_fd_limit(2.0, 1.0, zeta)
-        assert got.modes.q == 2.0
-        assert rel(got.modes.p, 2.0 * (1 + zeta) / (1 - zeta)) < 1e-13
-
     def test_limit_tracks_full_form(self):
         zeta = -0.99
-        for u in (0.5, 1.0, 3.0):
-            full = beta_squared_fd(
-                ModePair(u * (1 + zeta) / 2, u * (1 - zeta) / 2), 1.0, zeta)
-            lim = beta_squared_fd_limit(u, 1.0, zeta)
-            assert abs(lim.beta_squared / full.beta_squared - 1.0) \
-                <= 2.0 * abs(1.0 + zeta)
+        u = np.array([0.5, 1.0, 3.0])
+        full = beta_squared_fd(u * (1 + zeta) / 2, u * (1 - zeta) / 2, 1.0, zeta)
+        lim = beta_squared_fd_limit(u, 1.0, zeta)
+        assert np.all(np.abs(lim / full - 1.0) <= 2.0 * abs(1.0 + zeta))
 
 
 class TestSummaries:

@@ -1,4 +1,5 @@
-"""Property checks over drawn inputs, each against an independent route.
+"""Property checks over drawn inputs, each against an independent route,
+and the invariances of scale and batch that every value keeps.
 
 The inputs come from hypothesis; the profile registered in conftest.py
 draws the same examples on every run.
@@ -7,17 +8,25 @@ import cmath
 import math
 import sys
 
+import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
 from hypothesis import assume, given, settings, strategies as st
 
+from fdradiance.cli import main
 from fdradiance.errors import OverflowRangeError
-from fdradiance.mirror import map_to_modes
+from fdradiance.mirror import (
+    beta_squared_fd,
+    beta_squared_fd_limit,
+    beta_squared_from_distribution,
+    map_to_modes,
+)
 from fdradiance.spectra import (
-    EmissionDirection,
     distribution_grid,
     energy_spectrum,
+    fd_partial_energy_quadrature,
+    fd_particle_count_quadrature,
     fermi_dirac_distribution,
     total_energy_spectral,
 )
@@ -103,10 +112,10 @@ def test_position_at_time_inverts_coordinate_time(kappa, zeta, t):
 def test_mode_pair_keeps_frequency_and_projection(omega, theta):
     # p + q = omega and p - q = omega cos(theta) from the half-angle forms,
     # to a few roundings of omega (and of the smallest subnormal below it)
-    modes = map_to_modes(omega, EmissionDirection(theta))
+    p, q = map_to_modes(omega, theta)
     bound = 4.0 * sys.float_info.epsilon * omega + 4.0 * math.ulp(0.0)
-    assert abs(modes.p + modes.q - omega) <= bound
-    assert abs(modes.p - modes.q - omega * math.cos(theta)) <= bound
+    assert abs(p + q - omega) <= bound
+    assert abs(p - q - omega * math.cos(theta)) <= bound
 
 
 @settings(max_examples=200)
@@ -119,3 +128,68 @@ def test_ln_gamma_reflection_off_the_critical_line(x, y):
     assume(abs(sin_pi_z) >= 1e-3)
     got = cmath.exp(ln_gamma(z) + ln_gamma(1.0 - z))
     assert rel(got, math.pi / sin_pi_z) <= 1e-12
+
+
+def test_spectral_layer_reads_kappa_only_through_omega_over_kappa():
+    # every spectral quantity at omega = kappa y is its kappa = 1 value, and
+    # every total kappa times it, to 4 ulp across the double range; y is a
+    # power of two, so omega/kappa is y exactly
+    ys = np.array([0.125, 0.5, 1.0, 2.0, 4.0])
+
+    def quantities(kappa):
+        at_zeta0, at_zeta3 = TrajectoryParams(kappa, 0.0), TrajectoryParams(kappa, 0.3)
+        return {
+            "exact": energy_spectrum(at_zeta0, kappa * ys),
+            "numeric": energy_spectrum(at_zeta0, kappa * ys, force_numeric=True),
+            "numeric at zeta 0.3": energy_spectrum(at_zeta3, kappa * ys),
+            "fermi-dirac": [fermi_dirac_distribution(at_zeta3, kappa * y).value
+                            for y in ys],
+            "total": total_energy_spectral(at_zeta0) / kappa,
+            "energy companion": fd_partial_energy_quadrature(at_zeta3) / kappa,
+            "count companion": fd_particle_count_quadrature(at_zeta3),
+        }
+
+    want = quantities(1.0)
+    for kappa in (1e-300, 1e-200, 1e-155, 1e150, 1e300, 1e306):
+        for name, got in quantities(kappa).items():
+            assert np.all(np.abs(np.asarray(got) - want[name])
+                          <= 4 * np.spacing(want[name])), (name, kappa)
+
+
+def test_spectral_commands_at_the_ends_of_the_double_range(capsys):
+    # at kappa 1e-310, y = omega/kappa overflows and the Fermi-Dirac value
+    # underflows to 0; at kappa 1e308 the spectral total's frequencies are
+    # no doubles, a numerical failure
+    assert main(["distribution", "--method", "fermi-dirac", "--kappa", "1e-310",
+                 "--omega-min", "0.05", "--omega-max", "0.05",
+                 "--omega-steps", "1"]) == 0
+    assert capsys.readouterr().out.splitlines()[1].endswith(",fermi-dirac,0,0")
+    assert main(["energy", "--method", "spectral", "--kappa", "1e308"]) == 3
+    assert "numerical failure" in capsys.readouterr().err
+
+
+def test_mirror_functions_keep_each_elements_bits():
+    # an array call gives each element the bits of its own one-element call:
+    # on the direct product, in the log form (kappa 1e-155, u below about
+    # 2e-155), where |beta|^2 underflows (u 1e-150; kappa 1e-310), and for
+    # pairs up to 5e-10 off the constraint line
+    def elementwise(f, *arrays):
+        batch = np.asarray(f(*arrays))
+        for i in range(arrays[0].size):
+            single = np.asarray(f(*(np.asarray(a)[i] for a in arrays)))
+            assert np.array_equal(batch[..., i], single), (f.__name__, i)
+
+    rng = np.random.default_rng(28)
+    omega = np.concatenate([rng.uniform(0.1, 40.0, 6), [1e-300, 1e300]])
+    theta = np.array([0.0, 0.3, 1.0, math.pi / 2, 2.0, 3.0, math.pi, 1.2])
+    elementwise(map_to_modes, omega, theta)
+    elementwise(lambda w, v: beta_squared_from_distribution(w, v, 0.7),
+                omega[:6], rng.uniform(0.0, 1e-3, 6))
+    for kappa, zeta, u in [
+            (1.0, -0.6, np.geomspace(1e-3, 200.0, 9)),
+            (1e-155, 0.3, np.array([5e-156, 1e-155, 1.5e-155, 1e-154, 1e-150])),
+            (1e-310, 0.0, np.array([0.1, 1e-300, 5.0]))]:
+        off = 1.0 + 5e-10 * np.resize([0.0, 1.0, -1.0], u.size)
+        p, q = u * (1.0 + zeta) / 2.0 * off, u * (1.0 - zeta) / 2.0
+        elementwise(lambda p, q: beta_squared_fd(p, q, kappa, zeta), p, q)
+        elementwise(lambda q: beta_squared_fd_limit(q, kappa, -0.95), u)

@@ -505,7 +505,7 @@ class TestBatchedSpectra:
             t1 = g_half * m_half
             t2 = 2.0 * us * (np.sqrt(y) * spectra._ROOT_I) * g_one * m_one
             m = t1 + t2
-            pref = e_squared * omegas[:, None] * sin2 / (16.0 * math.pi**3 * kappa)
+            pref = e_squared * y * sin2 / (16.0 * math.pi**3)
             return (pref * np.exp(-math.pi * y) * np.abs(m) ** 2,
                     (np.abs(t1) + np.abs(t2)) / np.abs(m))
 
