@@ -140,10 +140,14 @@ def _c6_particle_count_duality(scale):
 
 def _c7_special_angle_beta(scale):
     omegas = np.array((0.25, 0.5, 1.0, 2.0, 4.0, 16.0, 40.0))
+    # at d = 0 the contour is the same for every zeta, so one run at zeta = 0,
+    # where sin^2(theta0) is exactly 1, times each zeta's sin^2(theta0)
+    contour = _special_angle_betas(0.0, omegas)
     worst = 0.0
     for zeta in _ZETA_SET:
-        closed = beta_squared_fd(*map_to_modes(omegas, math.acos(zeta)), 1.0, zeta)
-        worst = max(worst, _rel(_special_angle_betas(zeta, omegas), closed).max())
+        theta0 = math.acos(zeta)
+        closed = beta_squared_fd(*map_to_modes(omegas, theta0), 1.0, zeta)
+        worst = max(worst, _rel(contour * math.sin(theta0) ** 2, closed).max())
     return worst, 1e-12 * scale, "contour vs Fermi-Dirac |beta|^2, 3 zeta x 7 omega"
 
 

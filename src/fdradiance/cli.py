@@ -21,6 +21,7 @@ import argparse
 import csv
 import dataclasses
 import functools
+import io
 import json
 import math
 import os
@@ -39,7 +40,7 @@ from .mirror import (
 )
 from .quadrature import _check_tol
 from .spectra import (
-    distribution_grid,
+    _distribution_values,
     energy_spectrum,
     fd_particle_count,
     fermi_dirac_distribution,
@@ -127,7 +128,7 @@ def run_trajectory(ns):
     if _gave_grid(ns, "t") and _gave_grid(ns, "z"):
         raise DomainError("give a --t-* grid or a --z-* grid, not both")
     zs, ts = _grid(ns, "z"), _grid(ns, "t", default=(-5.0, 5.0, 101))
-    rows = []
+    curves = []
     for params in worldlines:
         if zs is not None:
             z = np.array(zs)
@@ -135,42 +136,43 @@ def run_trajectory(ns):
         else:
             t = np.array(ts)
             z = position_at_time(params, t)
-        if ns.penrose:
-            U, V = penrose_coordinates(params, z)
-        for i in np.argsort(t, kind="stable"):
-            row = {"zeta": params.zeta, "t": float(t[i]), "z": float(z[i])}
-            if ns.penrose:
-                row["U"], row["V"] = float(U[i]), float(V[i])
-            rows.append(row)
-    return rows, {}
+        curves.append((t, z, *(penrose_coordinates(params, z) if ns.penrose else ())))
+    # (worldline, column, sample) -> (column, worldline, sample), each
+    # worldline's samples in ascending t
+    curves = np.array(curves)
+    order = np.argsort(curves[:, 0], axis=1, kind="stable")
+    columns = np.take_along_axis(curves, order[:, None, :], axis=2).transpose(1, 0, 2)
+    table = {"zeta": np.repeat([p.zeta for p in worldlines], order.shape[1]).tolist()}
+    for name, column in zip(("t", "z", "U", "V"), columns):
+        table[name] = column.ravel().tolist()
+    return table, {}
 
 
 def run_energy(ns):
     base = _params(ns)
     worldlines = _zeta_sweep(ns, base)
     method = ns.method
-    # E/(e^2 kappa) by two divisions: e^2 kappa alone may leave the double range
-    e2, kappa = base.e_squared, base.kappa
-    rows = []
+    larmor, spectral = [], []
     for params in worldlines:
         if method in ("larmor", "both"):
-            e_larmor = total_energy_larmor(params, tol=min(ns.tol, 1e-9))
+            larmor.append(total_energy_larmor(params, tol=min(ns.tol, 1e-9)))
         if method in ("spectral", "both"):
-            e_spectral = total_energy_spectral(params, tol=max(ns.tol, 1e-6))
-        if method == "both":
-            rows.append({
-                "zeta": params.zeta,
-                "E_larmor": e_larmor,
-                "E_spectral": e_spectral,
-                "rel_diff": abs(e_spectral - e_larmor) / abs(e_larmor),
-                "E_larmor_over_e2kappa": e_larmor / e2 / kappa,
-                "E_spectral_over_e2kappa": e_spectral / e2 / kappa,
-            })
-        else:
-            value = e_larmor if method == "larmor" else e_spectral
-            rows.append({"zeta": params.zeta, "method": method, "E": value,
-                         "E_over_e2kappa": value / e2 / kappa})
-    return rows, {}
+            spectral.append(total_energy_spectral(params, tol=max(ns.tol, 1e-6)))
+    zetas = [params.zeta for params in worldlines]
+    # E/(e^2 kappa) by two divisions: e^2 kappa alone may leave the double range
+    e2, kappa = base.e_squared, base.kappa
+    if method == "both":
+        return {
+            "zeta": zetas,
+            "E_larmor": larmor,
+            "E_spectral": spectral,
+            "rel_diff": [abs(s - l) / abs(l) for l, s in zip(larmor, spectral)],
+            "E_larmor_over_e2kappa": [l / e2 / kappa for l in larmor],
+            "E_spectral_over_e2kappa": [s / e2 / kappa for s in spectral],
+        }, {}
+    values = larmor or spectral
+    return {"zeta": zetas, "method": [method] * len(zetas), "E": values,
+            "E_over_e2kappa": [v / e2 / kappa for v in values]}, {}
 
 
 def run_distribution(ns):
@@ -181,17 +183,26 @@ def run_distribution(ns):
     if method == "all":
         methods = (["numeric"] + (["exact-zeta0"] if zeta == 0.0 else [])
                    + ["fermi-dirac"])
-    samples = []
+    omega, theta, names, value, abs_error = [], [], [], [], []
     for m in methods:
         if m == "fermi-dirac":
             # the special-angle value is a function of omega alone
-            samples.extend(fermi_dirac_distribution(params, w) for w in omegas)
+            samples = [fermi_dirac_distribution(params, w) for w in omegas]
+            omega += omegas
+            theta += [s.theta for s in samples]
+            value += [s.value for s in samples]
+            abs_error += [s.abs_error for s in samples]
         else:
-            samples.extend(distribution_grid(params, omegas, thetas, m, ns.tol))
-    rows = [{"omega": s.omega, "omega_over_kappa": s.omega / params.kappa,
-             "theta": s.theta, "method": s.method, "value": s.value,
-             "abs_error": s.abs_error} for s in samples]
-    return rows, {}
+            values, abs_errors = _distribution_values(params, omegas, thetas, m, ns.tol)
+            omega += [w for w in omegas for _ in thetas]
+            theta += thetas * len(omegas)
+            value += values.ravel().tolist()
+            abs_error += abs_errors.ravel().tolist()
+        names += [m] * (len(omega) - len(names))
+    kappa = params.kappa
+    return {"omega": omega, "omega_over_kappa": [w / kappa for w in omega],
+            "theta": theta, "method": names, "value": value,
+            "abs_error": abs_error}, {}
 
 
 def run_spectrum(ns):
@@ -199,16 +210,17 @@ def run_spectrum(ns):
     omegas = _grid(ns, "omega")
     kappa = params.kappa
     values = energy_spectrum(params, np.array(omegas), ns.tol).tolist()
-    rows = []
+    curves = []
     if ns.kind in ("energy", "both"):
-        rows.extend({"omega": w, "omega_over_kappa": w / kappa,
-                     "kind": "energy-spectrum", "value": v}
-                    for w, v in zip(omegas, values))
+        curves.append(("energy-spectrum", values))
     if ns.kind in ("particle", "both"):
-        rows.extend({"omega": w, "omega_over_kappa": w / kappa,
-                     "kind": "particle-spectrum", "value": v / w}
-                    for w, v in zip(omegas, values))
-    return rows, {}
+        curves.append(("particle-spectrum", [v / w for w, v in zip(omegas, values)]))
+    return {
+        "omega": omegas * len(curves),
+        "omega_over_kappa": [w / kappa for w in omegas] * len(curves),
+        "kind": [kind for kind, _ in curves for _ in omegas],
+        "value": [v for _, curve in curves for v in curve],
+    }, {}
 
 
 def run_mirror(ns):
@@ -219,17 +231,17 @@ def run_mirror(ns):
         raise DomainError("a --theta-* grid goes with an --omega-* grid, "
                           "and a --pq-* grid with neither")
     if omegas is not None:
-        samples = distribution_grid(params, omegas, _grid(ns, "theta"), "numeric", ns.tol)
-        omega, theta, value = np.array([(s.omega, s.theta, s.value) for s in samples]).T
-        p, q = map_to_modes(omega, theta)
-        beta2 = beta_squared_from_distribution(omega, value, e2)
+        thetas = _grid(ns, "theta")
+        values, _ = _distribution_values(params, omegas, thetas, "numeric", ns.tol)
+        omega = np.repeat(omegas, len(thetas))
+        p, q = map_to_modes(omega, np.tile(thetas, len(omegas)))
+        beta2 = beta_squared_from_distribution(omega, values.ravel(), e2)
     else:
         # pairs on the constraint line p/q = (1 + zeta)/(1 - zeta)
         u = np.array(_grid(ns, "pq"))
         p, q = u * (1.0 + zeta) / 2.0, u * (1.0 - zeta) / 2.0
         beta2 = beta_squared_fd(p, q, kappa, zeta)
-    rows = [{"p": a, "q": b, "beta_squared": c}
-            for a, b, c in zip(p.tolist(), q.tolist(), beta2.tolist())]
+    table = {"p": p.tolist(), "q": q.tolist(), "beta_squared": beta2.tolist()}
     summary = {
         "fd_energy": mirror_fd_energy(kappa, zeta),
         "particle_count": mirror_particle_count(zeta),
@@ -241,7 +253,7 @@ def run_mirror(ns):
             abs(electron_over_e2 - summary["particle_count"])
             / summary["particle_count"]
         )
-    return rows, summary
+    return table, summary
 
 
 def run_check(ns):
@@ -252,42 +264,61 @@ def run_check(ns):
         except ValueError as exc:
             raise DomainError(f"bad --criteria value: {ns.criteria}") from exc
     results = run_all(tolerance_scale=ns.tolerance_scale, criteria=criteria)
-    rows = [{
-        "criterion": r.index, "name": r.name, "measured": r.measured,
-        "target": r.target, "passed": r.passed, "runtime": r.runtime,
-        "detail": r.detail,
-    } for r in results]
+    table = {
+        "criterion": [r.index for r in results],
+        "name": [r.name for r in results],
+        "measured": [r.measured for r in results],
+        "target": [r.target for r in results],
+        "passed": [r.passed for r in results],
+        "runtime": [r.runtime for r in results],
+        "detail": [r.detail for r in results],
+    }
     summary = {"all_passed": all(r.passed for r in results),
                "lines": [r.line() for r in results]}
-    return rows, summary
+    return table, summary
 
 
-def _format_cell(value):
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return "%.17g" % value
-    return str(value)
+def _csv_cell(text):
+    """``text`` as a cell beside others in a row, quoted as the csv module does."""
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerow([text, ""])
+    return buf.getvalue()[:-2]
 
 
-def _write_csv(stream, rows, summary):
-    """Header from the first row's keys, which every row shares in order.
+def _csv_column(column):
+    """A column's cells as CSV text, in one pass; a column holds one kind of value."""
+    if isinstance(column[0], bool):
+        return ["true" if v else "false" for v in column]
+    if isinstance(column[0], float):
+        return [format(v, ".17g") for v in column]
+    text = [str(v) for v in column]
+    cells = {s: _csv_cell(s) for s in set(text)}
+    return [cells[s] for s in text]
 
-    Cells holding a comma or a quote are quoted; no other cell is.
+
+def _write_csv(stream, table, summary):
+    """The table's keys as the header row, one row per index of its columns,
+    then the summary as trailing ``# name,value`` rows.
+
+    Floats are written as %.17g, booleans as true/false, and any other
+    cell with str; a cell holding a comma, a double quote or a line feed
+    is quoted, with inner quotes doubled.
     """
-    writer = csv.writer(stream, lineterminator="\n")
-    writer.writerow(rows[0])
-    writer.writerows([_format_cell(v) for v in row.values()] for row in rows)
-    for key in sorted(summary):
-        if key == "lines":
-            continue
-        writer.writerow([f"# {key}", _format_cell(summary[key])])
+    lines = [_csv_column(list(table)), *zip(*map(_csv_column, table.values()))]
+    lines += [(_csv_cell(f"# {key}"), *_csv_column([summary[key]]))
+              for key in sorted(summary) if key != "lines"]
+    text = "\n".join(map(",".join, lines)) + "\n"
+    # In pieces: on an unbuffered stdout each write is one system call, and
+    # a reader that closes mid-call cuts it short without an error, so only
+    # a later piece can raise BrokenPipeError.
+    for start in range(0, len(text), io.DEFAULT_BUFFER_SIZE):
+        stream.write(text[start:start + io.DEFAULT_BUFFER_SIZE])
 
 
-def _write_json(stream, rows, summary, config_echo):
+def _write_json(stream, table, summary, config_echo):
     doc = {
         "config": config_echo,
-        "rows": rows,
+        "rows": [dict(zip(table, row)) for row in zip(*table.values())],
         "summary": {k: v for k, v in summary.items() if k != "lines"},
     }
     json.dump(doc, stream, indent=2, sort_keys=True)
@@ -400,7 +431,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        rows, summary = _RUNNERS[ns.command](ns)
+        table, summary = _RUNNERS[ns.command](ns)
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -410,9 +441,9 @@ def main(argv=None) -> int:
 
     def write(stream):
         if ns.format == "csv":
-            _write_csv(stream, rows, summary)
+            _write_csv(stream, table, summary)
         else:
-            _write_json(stream, rows, summary, _config_echo(ns))
+            _write_json(stream, table, summary, _config_echo(ns))
 
     if ns.output:
         try:

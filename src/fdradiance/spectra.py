@@ -223,15 +223,10 @@ def _exact_zeta0_values(params: TrajectoryParams, omegas, us, sin2, tol: float):
     return out, err
 
 
-def distribution_grid(params: TrajectoryParams, omegas, thetas, method: str,
-                      tol: float = 1e-9) -> list:
-    """dI/dOmega samples on the grid omegas x thetas, omega-major, in one call.
-
-    ``method`` is "numeric" (quadrature to tol, any zeta) or "exact-zeta0"
-    (the closed form, zeta = 0 only, which does not read tol); thetas lie
-    in [0, pi]. On either route, a sample whose abs_error exceeds _REFUSAL
-    of its value raises ``ConvergenceError`` with that sample as ``best``.
-    """
+def _distribution_values(params: TrajectoryParams, omegas, thetas, method: str,
+                         tol: float):
+    """(values, abs_errors) of ``distribution_grid``'s samples, each of shape
+    (len(omegas), len(thetas)), after the same checks and refusal."""
     if method not in ("numeric", "exact-zeta0"):
         raise DomainError("the grid's method must be numeric or exact-zeta0")
     if method == "exact-zeta0" and params.zeta != 0.0:
@@ -244,16 +239,35 @@ def distribution_grid(params: TrajectoryParams, omegas, thetas, method: str,
     sin2 = np.array([math.sin(theta) ** 2 for theta in thetas])
     route = _numeric_values if method == "numeric" else _exact_zeta0_values
     values, abs_errors = route(params, omega_arr, us, sin2, tol)
-    samples = [SpectralSample(omega, theta, value, method, err)
-               for omega, row, row_err in zip(omegas, values.tolist(), abs_errors.tolist())
-               for theta, value, err in zip(thetas, row, row_err)]
-    for s in samples:
-        if s.abs_error > _REFUSAL * s.value:
-            raise ConvergenceError(
-                f"{method} dI/dOmega at omega={s.omega:.6g}, theta={s.theta:.6g} "
-                f"is {s.value:.3e} +- {s.abs_error:.3e}, an error bar above "
-                f"{_REFUSAL:g} of the value", best=s)
-    return samples
+    valid = (values >= 0.0) & np.isfinite(values) & (abs_errors >= 0.0)
+    refused = abs_errors > _REFUSAL * values
+    if not valid.all() or refused.any():
+        # the first invalid sample, whose SpectralSample raises DomainError,
+        # else the first refused one, omega-major
+        k = int(np.argmin(valid)) if not valid.all() else int(refused.argmax())
+        i, j = divmod(k, len(thetas))
+        s = SpectralSample(omegas[i], thetas[j], values.item(k), method,
+                           abs_errors.item(k))
+        raise ConvergenceError(
+            f"{method} dI/dOmega at omega={s.omega:.6g}, theta={s.theta:.6g} "
+            f"is {s.value:.3e} +- {s.abs_error:.3e}, an error bar above "
+            f"{_REFUSAL:g} of the value", best=s)
+    return values, abs_errors
+
+
+def distribution_grid(params: TrajectoryParams, omegas, thetas, method: str,
+                      tol: float = 1e-9) -> list:
+    """dI/dOmega samples on the grid omegas x thetas, omega-major, in one call.
+
+    ``method`` is "numeric" (quadrature to tol, any zeta) or "exact-zeta0"
+    (the closed form, zeta = 0 only, which does not read tol); thetas lie
+    in [0, pi]. On either route, a sample whose abs_error exceeds _REFUSAL
+    of its value raises ``ConvergenceError`` with that sample as ``best``.
+    """
+    values, abs_errors = _distribution_values(params, omegas, thetas, method, tol)
+    return [SpectralSample(omega, theta, value, method, err)
+            for omega, row, row_err in zip(omegas, values.tolist(), abs_errors.tolist())
+            for theta, value, err in zip(thetas, row, row_err)]
 
 
 def distribution_numeric(params: TrajectoryParams, omega: float,

@@ -77,10 +77,10 @@ def test_duality_criteria_read_the_special_angle_contour(monkeypatch):
     assert [r.index for r in res if not r.passed] == [6, 7], [r.line() for r in res]
 
 
-@pytest.mark.parametrize("index, runs, rows", [(6, 2, 165), (7, 3, 24)])
+@pytest.mark.parametrize("index, runs, rows", [(6, 2, 165), (7, 1, 8)])
 def test_duality_criteria_work(monkeypatch, index, runs, rows):
     # check runs every criterion in each cli-readme benchmark cycle; pinned
-    # at the measured oscillatory runs and rows (2 on 150, 3 on 21) plus 10%
+    # at the measured oscillatory runs and rows (2 on 150, 1 on 7) plus 10%
     sizes = []
     batched = spectra._oscillatory_rows
 

@@ -1,6 +1,8 @@
 """Command-line contract: formats, grids, exit codes, determinism."""
 import argparse
 import csv
+import io
+import itertools
 import json
 import math
 import os
@@ -11,9 +13,14 @@ import numpy as np
 import pytest
 
 import fdradiance
-from fdradiance import cli, spectra
+from fdradiance import acceptance, cli, spectra
 from fdradiance.cli import _build_parser, main
-from fdradiance.spectra import energy_spectrum, fermi_dirac_distribution
+from fdradiance.errors import ConvergenceError
+from fdradiance.spectra import (
+    distribution_grid,
+    energy_spectrum,
+    fermi_dirac_distribution,
+)
 from fdradiance.trajectory import (
     TrajectoryParams,
     coordinate_time,
@@ -32,6 +39,15 @@ def run(capsys, argv):
 def at_time(t):
     """A single coordinate time: the one-step --t-* grid."""
     return ["--t-min", t, "--t-max", t, "--t-steps", "1"]
+
+
+def csv_cell(value):
+    """A cell as the CSV writer's contract states it, one value at a time."""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, float):
+        return "%.17g" % value
+    return str(value)
 
 
 def parse_csv(text):
@@ -396,6 +412,27 @@ class TestDistributionCommand:
             "--theta-min", theta, "--theta-max", theta, "--theta-steps", "1"])
         assert code == 3 and out == "" and "error bar" in err
 
+    def test_first_refused_sample_of_a_grid(self, capsys):
+        # three of the four rows refuse on their own (see above), and so
+        # does (8, 150 deg): the message names the first, omega-major, as
+        # distribution_grid's best does
+        thetas = [math.radians(150), math.radians(170)]
+        code, out, err = run(capsys, [
+            "distribution", "--method", "exact-zeta0",
+            "--omega-min", "8", "--omega-max", "12", "--omega-steps", "2",
+            "--theta-min", repr(thetas[0]), "--theta-max", repr(thetas[1]),
+            "--theta-steps", "2"])
+        assert code == 3 and out == ""
+        assert err == ("numerical failure: exact-zeta0 dI/dOmega at omega=8, "
+                       "theta=2.61799 is 8.608e-37 +- 3.810e-38, an error bar "
+                       "above 0.001 of the value\n")
+        with pytest.raises(ConvergenceError) as info:
+            distribution_grid(TrajectoryParams(1.0, 0.0), [8.0, 12.0], thetas,
+                              "exact-zeta0")
+        best = info.value.best
+        assert (best.omega, best.theta, best.method) == (8.0, thetas[0], "exact-zeta0")
+        assert err == f"numerical failure: {info.value}\n"
+
     def test_rows_carry_error_column(self, capsys):
         _, out, _ = run(capsys, [
             "distribution", "--omega-min", "1", "--omega-max", "2",
@@ -576,6 +613,41 @@ class TestCheckCommand:
         assert code == 2 and "error:" in err
 
 
+class TestCsvWriter:
+    def test_bytes_are_the_csv_modules(self):
+        # each row mixes every kind of cell; 300 copies make the text span
+        # several 8 KiB writes, and the summary rows sort by name without "lines"
+        floats = [0.1 + 0.2, -0.0, math.inf, -math.inf, math.nan, 5e-324,
+                  1.7976931348623157e308, 2.0**-1074 * 3, 123456789.12345678]
+        texts = ["a,b", 'say "hi"', "cr\rhere", "lf\nhere", "", "plain",
+                 'both, "and"\n', " ", "-0"]
+        n = len(floats)
+        table = {
+            "x": floats * 300,
+            "y": [np.float64(v) for v in floats[::-1]] * 300,
+            "count": list(range(-4, n - 4)) * 300,
+            "flag": [i % 3 == 0 for i in range(n)] * 300,
+            "text": texts * 300,
+        }
+        summary = {"z_total": 2.5, "all_passed": False, "lines": ["not a row"],
+                   "note": "a, b"}
+        got = io.StringIO()
+        cli._write_csv(got, table, summary)
+        want = io.StringIO()
+        writer = csv.writer(want, lineterminator="\n")
+        writer.writerow(table)
+        writer.writerows([csv_cell(v) for v in row] for row in zip(*table.values()))
+        writer.writerows([f"# {key}", csv_cell(summary[key])]
+                         for key in ("all_passed", "note", "z_total"))
+        assert len(want.getvalue()) > 8 * io.DEFAULT_BUFFER_SIZE
+        # line by line, so that a failure names its first line
+        got_lines = got.getvalue().split("\n")
+        want_lines = want.getvalue().split("\n")
+        for i, (line, want_line) in enumerate(zip(got_lines, want_lines)):
+            assert (i, line) == (i, want_line)
+        assert len(got_lines) == len(want_lines)
+
+
 class TestOutputFile:
     def test_linefeed_only(self, tmp_path, capsys):
         path = tmp_path / "rows.csv"
@@ -698,23 +770,32 @@ class TestJsonRows:
          "--omega-max", "2", "--omega-steps", "2", "--theta-steps", "3"],
         ["spectrum", "--kind", "both", "--omega-min", "0.5",
          "--omega-max", "2", "--omega-steps", "3", "--tol", "1e-6"],
-        ["energy", "--method", "both", "--tol", "1e-4"]],
-        ids=["distribution", "spectrum", "energy"])
-    def test_json_matches_csv(self, capsys, argv):
+        ["energy", "--method", "both", "--tol", "1e-4"],
+        ["trajectory", "--zeta-min", "-0.5", "--zeta-max", "0.5",
+         "--zeta-steps", "3", "--penrose"],
+        ["mirror", "--zeta", "-0.5", "--duality"],
+        ["check", "--criteria", "6,8,9"]],
+        ids=["distribution", "spectrum", "energy", "trajectory", "mirror", "check"])
+    def test_json_matches_csv(self, capsys, monkeypatch, tmp_path, argv):
+        # check's runtimes come from a clock that ticks 0.25 s a reading,
+        # so that both runs print the same ones
+        ticks = itertools.count(step=0.25)
+        monkeypatch.setattr(acceptance.time, "perf_counter", lambda: next(ticks))
         code, out, _ = run(capsys, argv + ["--format", "json"])
         assert code == 0
         doc = json.loads(out)
         assert sorted(doc) == ["config", "rows", "summary"]
-        _, csv_out, _ = run(capsys, argv)
-        header, csv_rows = parse_csv(csv_out)
+        path = tmp_path / "rows.csv"
+        assert run(capsys, argv + ["--output", str(path)])[0] == 0
+        lines = list(csv.reader(io.StringIO(path.read_text(), newline="")))
+        header = lines[0]
+        csv_rows = [ln for ln in lines[1:] if not ln[0].startswith("# ")]
+        summary = {ln[0][2:]: ln[1] for ln in lines[1:] if ln[0].startswith("# ")}
         assert len(doc["rows"]) == len(csv_rows) > 0
         for got, want in zip(doc["rows"], csv_rows):
             assert sorted(got) == sorted(header)
-            for key in header:
-                if isinstance(got[key], str):
-                    assert got[key] == want[key]
-                else:
-                    assert isinstance(got[key], float) and got[key] == float(want[key])
+            assert [csv_cell(got[key]) for key in header] == want
+        assert {k: csv_cell(v) for k, v in doc["summary"].items()} == summary
 
 
 class TestReadme:
