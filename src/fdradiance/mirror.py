@@ -69,15 +69,16 @@ def map_to_modes(omega, theta):
 
 
 def beta_squared_from_distribution(omega, value, e_squared: float):
-    """Invert dI/dOmega = (e^2 omega^2 / 4 pi) |beta|^2: 4 pi value/(e^2 omega^2)."""
+    """Invert dI/dOmega = (e^2 omega^2 / 4 pi) |beta|^2: 4 pi (value/e^2)/omega^2."""
     _check_e_squared(e_squared)
     omega, value = np.asarray(omega, dtype=float), np.asarray(value, dtype=float)
     _check_omega(omega)
     if not ((value >= 0.0) & np.isfinite(value)).all():
         raise DomainError("spectral value must be non-negative and finite")
     with np.errstate(over="ignore", divide="ignore", under="ignore", invalid="ignore"):
-        # a dark direction's 0 stays 0 where omega^2 underflows to 0
-        beta2 = np.where(value > 0.0, 4.0 * math.pi * value / (e_squared * omega**2), 0.0)
+        # a dark direction's 0 stays 0 where omega^2 underflows to 0, and
+        # value/e^2 comes first: e^2 omega^2 may leave the double range
+        beta2 = np.where(value > 0.0, 4.0 * math.pi * (value / e_squared) / omega**2, 0.0)
     over = ~np.isfinite(beta2)
     if over.any():
         first = np.broadcast_to(omega, over.shape)[over][0]

@@ -35,7 +35,10 @@ its own.
 
 The two grid routes share one signature, (params, omegas, us, sin2, tol)
 -> (values, abs_errors) on the grid omegas x directions, so their callers
-pick a route once and call it without branching on it again.
+pick a route once and call it without branching on it again. Both work at
+unit charge, and their callers take e^2 as the last factor (``_charged``)
+of a distribution or a spectrum, so only a result that is itself past the
+largest double overflows.
 ``distribution_grid`` gives the numeric or exact samples of an
 (omega, theta) grid, omega-major, and refuses on either route a sample
 whose error bar exceeds _REFUSAL of its value; the two single-point
@@ -59,7 +62,7 @@ import math
 
 import numpy as np
 
-from .errors import ConvergenceError, DomainError
+from .errors import ConvergenceError, DomainError, OverflowRangeError
 from .quadrature import _check_tol, _oscillatory_rows, integrate_semi_infinite
 from .specfun import kummer_1f1, ln_gamma
 from .trajectory import TrajectoryParams
@@ -139,8 +142,24 @@ class SpectralSample:
             raise DomainError("abs_error must be non-negative")
 
 
+def _charged(params: TrajectoryParams, omegas, unit, name: str):
+    """e^2 times unit-charge values with a row (or an element) per omega.
+
+    e^2 is the last factor, so an e^2 near the largest double overflows
+    only a product that is itself past it; such a product raises
+    ``OverflowRangeError`` naming the quantity and its first omega.
+    """
+    with np.errstate(over="ignore"):
+        out = params.e_squared * unit
+    over = np.isinf(out).reshape(omegas.size, -1).any(axis=1)
+    if over.any():
+        raise OverflowRangeError(f"{name} at omega={float(omegas[over][0]):.6g} "
+                                 "overflows a double")
+    return out
+
+
 def _numeric_values(params: TrajectoryParams, omegas, us, sin2, tol: float):
-    """dI/dOmega and its error by quadrature on the grid omegas x us.
+    """dI/dOmega/e^2 and its error by quadrature on the grid omegas x us.
 
     ``us`` and ``sin2`` hold cos(theta) and sin^2(theta) of each direction.
     In the units w = kappa z/2, where every saddle lies on the unit circle,
@@ -162,17 +181,19 @@ def _numeric_values(params: TrajectoryParams, omegas, us, sin2, tol: float):
         omega = omegas[s:s + step, None]
         F, dF, _ = (v.reshape(omega.size, -1) for v in _oscillatory_rows(
             2.0 * omega / params.kappa, params.zeta - us[lit], tol))
-        pref = (params.e_squared * (omega / params.kappa)**2 * sin2[lit]
-                / (4.0 * math.pi**3))
-        mod = np.abs(F)
+        pref = sin2[lit] / (4.0 * math.pi**3)
+        # y|F| and y dF, y = omega/kappa, squared only as products: y^2
+        # alone underflows below y ~ 1e-154, where y|F| is still ~ sqrt(y)
+        y = omega / params.kappa
+        mod, err = y * np.abs(F), y * dF
         values[s:s + step, lit] = pref * mod**2
         # |F|^2 error from the |F| error: 2|F| dF + dF^2.
-        abs_errors[s:s + step, lit] = pref * (2.0 * mod * dF + dF**2)
+        abs_errors[s:s + step, lit] = pref * (2.0 * mod * err + err**2)
     return values, abs_errors
 
 
 def _exact_zeta0_values(params: TrajectoryParams, omegas, us, sin2, tol: float):
-    """Closed-form dI/dOmega at zeta = 0 and its error on the grid omegas x us.
+    """Closed-form dI/dOmega/e^2 at zeta = 0 and its error on the grid omegas x us.
 
     Arguments and result as for ``_numeric_values``; tol is not read.
     sin^2 is not 1 - u^2, which cancels near the poles. The values follow
@@ -214,8 +235,7 @@ def _exact_zeta0_values(params: TrajectoryParams, omegas, us, sin2, tol: float):
         t1 = g_half * m_half
         t2 = 2.0 * us * root_iy * g_one * m_one
         m = t1 + t2
-        pref = params.e_squared * y * sin2 / (16.0 * math.pi**3)
-        scale = pref * np.exp(-math.pi * y)
+        scale = y * sin2 / (16.0 * math.pi**3) * np.exp(-math.pi * y)
         out[s:s + step, lit] = scale * np.abs(m) ** 2
         # _CLOSED_FORM_REL K |value|, with K's division by |m| cancelled
         err[s:s + step, lit] = (_CLOSED_FORM_REL * scale * np.abs(m)
@@ -238,7 +258,9 @@ def _distribution_values(params: TrajectoryParams, omegas, thetas, method: str,
     us = np.array([math.cos(theta) for theta in thetas])
     sin2 = np.array([math.sin(theta) ** 2 for theta in thetas])
     route = _numeric_values if method == "numeric" else _exact_zeta0_values
-    values, abs_errors = route(params, omega_arr, us, sin2, tol)
+    unit, unit_errors = route(params, omega_arr, us, sin2, tol)
+    values = _charged(params, omega_arr, unit, "dI/dOmega")
+    abs_errors = _charged(params, omega_arr, unit_errors, "the error bar of dI/dOmega")
     valid = (values >= 0.0) & np.isfinite(values) & (abs_errors >= 0.0)
     refused = abs_errors > _REFUSAL * values
     if not valid.all() or refused.any():
@@ -352,7 +374,8 @@ def _nested_cc(f, rows, scale, tol, abs_floor):
             grid[:, ::2] = vals
             grid[:, 1::2] = f(todo, us[1::2], sin2[1::2])
             vals, n = grid, order
-        cur = scale * np.vecdot(vals[:, ::n // order], _cc_rule(order)[2])
+        with np.errstate(over="ignore"):     # an inf sum settles; callers refuse it
+            cur = scale * np.vecdot(vals[:, ::n // order], _cc_rule(order)[2])
         done = np.abs(cur - out[todo]) <= np.maximum(tol * np.abs(cur), abs_floor)
         out[todo] = cur
         todo, vals = todo[~done], vals[~done]
@@ -369,13 +392,14 @@ def energy_spectrum(params: TrajectoryParams, omega, tol: float = 1e-6,
     an array. Each omega is a row of ``_nested_cc`` in u = cos(theta): the
     first call evaluates the 65 nodes of order 64, for orders 32 and 64,
     and orders 128, 256 and 512 add 64, 128 and 256 new nodes for the rows
-    not yet settled. abs_floor lets deep exponential tails of a larger
-    frequency integral stop without chasing relative accuracy of
-    negligible numbers; it changes when a row settles, never which nodes
-    a call takes. The integrand is the closed form at zeta = 0 and
-    quadrature otherwise (``force_numeric`` uses quadrature at zeta = 0
-    too). A row's value is the same in any batch. tol must lie in
-    (0, 1e-2].
+    not yet settled. abs_floor, in the units of I, lets deep exponential
+    tails of a larger frequency integral stop without chasing relative
+    accuracy of negligible numbers; it changes when a row settles, never
+    which nodes a call takes. The rows run at unit charge, and e^2 is the
+    last factor of I (``_charged``). The integrand is the closed form at
+    zeta = 0 and quadrature otherwise (``force_numeric`` uses quadrature
+    at zeta = 0 too). A row's value is the same in any batch. tol must lie
+    in (0, 1e-2].
     """
     _check_tol(tol)
     omegas = np.asarray(omega, dtype=float)
@@ -388,11 +412,12 @@ def energy_spectrum(params: TrajectoryParams, omega, tol: float = 1e-6,
              else _numeric_values)
     out, todo = _nested_cc(
         lambda rows, us, sin2: route(params, omegas[rows], us, sin2, tol / 8.0)[0],
-        omegas.size, 2.0 * math.pi, tol, abs_floor)
+        omegas.size, 2.0 * math.pi, tol, abs_floor / params.e_squared)
     if todo.size:
         raise ConvergenceError(
             f"angular quadrature did not stabilize for omega={float(omegas[todo[0]])}",
-            best=float(out[todo[0]]))
+            best=params.e_squared * float(out[todo[0]]))
+    out = _charged(params, omegas, out, "I(omega)")
     return float(out[0]) if scalar else out
 
 
@@ -455,7 +480,8 @@ def total_energy_spectral(params: TrajectoryParams, tol: float = 1e-4) -> float:
         if us[0] == 1.0 and I[0] > 1e-11 * peak:
             raise ConvergenceError(f"I(omega) = {I[0]:.3e} at the cutoff omega = "
                                    f"{hi:.6g} is above 1e-11 of the peak", best=hi)
-        out[0, s > 0.0] = 2.0 * s[s > 0.0] * I
+        with np.errstate(over="ignore"):
+            out[0, s > 0.0] = 2.0 * s[s > 0.0] * I
         return out
 
     total, todo = _nested_cc(density, 1, 0.5 * root_hi, 0.5 * tol,
@@ -463,6 +489,8 @@ def total_energy_spectral(params: TrajectoryParams, tol: float = 1e-4) -> float:
     if todo.size:
         raise ConvergenceError("the frequency integral did not stabilize "
                                "by order 512", best=float(total[0]))
+    if math.isinf(total[0]):
+        raise OverflowRangeError("the total energy overflows a double")
     return float(total[0])
 
 
@@ -471,22 +499,32 @@ def fd_partial_energy(params: TrajectoryParams) -> float:
     return params.e_squared * params.kappa * (1.0 - params.zeta**2) / (192.0 * math.pi)
 
 
+@functools.cache
+def _fd_shape(power: int, tol: float) -> float:
+    """int_0^inf y^power/(e^{2 pi y} + 1) dy by quadrature, once per (power, tol).
+
+    The unit shape of the special-angle moments: 1/48 at power 1 and
+    ln 2/(2 pi) at power 0, but taken by GK15, never from those values. A
+    refused tol or a stalled run raises and leaves nothing in the cache.
+    """
+    res = integrate_semi_infinite(
+        lambda y: y**power * _occupancy(2.0 * math.pi * y), scale=1.0, tol=tol)
+    return float(res.value)
+
+
 def _fd_moment(params: TrajectoryParams, power: int, tol: float) -> float:
     """2 pi int_0^inf domega omega^(power - 1) dI/dOmega(theta0), by quadrature.
 
     The special-angle distribution over frequency and azimuth: its energy
     (power 1) or its photon count (power 0). Kept as an independent code
-    path from the closed forms it validates. The integral runs in y =
-    omega/kappa at scale 1, times kappa^power once, so its evaluations are
-    the same at every kappa.
+    path from the closed forms it validates. In y = omega/kappa the
+    integrand is 2 pi (1 - zeta^2) e^2 kappa^power/(8 pi^2) times the unit
+    shape y^power/(e^{2 pi y} + 1), whose integral (``_fd_shape``) runs
+    once per (power, tol) per process and is scaled by that prefactor, so
+    a sweep over zeta, kappa or e^2 costs no further quadrature.
     """
-    pref = (1.0 - params.zeta**2) * params.e_squared / (8.0 * math.pi**2)
-
-    def integrand(y):
-        return (pref * y if power == 1 else pref) * _occupancy(2.0 * math.pi * y)
-
-    res = integrate_semi_infinite(integrand, scale=1.0, tol=tol)
-    return 2.0 * math.pi * float(res.value) * params.kappa**power
+    return ((1.0 - params.zeta**2) / (4.0 * math.pi) * _fd_shape(power, tol)
+            * params.e_squared * params.kappa**power)
 
 
 def fd_partial_energy_quadrature(params: TrajectoryParams,

@@ -1,4 +1,21 @@
+import pytest
+
+from fdradiance import spectra
+
 ACCEPTANCE_LINES = []
+
+
+@pytest.fixture
+def fresh_fd_shape():
+    """An empty cache of companion shape integrals before and after the test.
+
+    A test that patches the quadrature takes it, so that no shape computed
+    by another test stands in for the patched run and none computed by the
+    patched run outlives it.
+    """
+    spectra._fd_shape.cache_clear()
+    yield
+    spectra._fd_shape.cache_clear()
 
 try:
     from hypothesis import settings

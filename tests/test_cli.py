@@ -22,6 +22,7 @@ from fdradiance.spectra import (
     fermi_dirac_distribution,
 )
 from fdradiance.trajectory import (
+    E_SQUARED_DEFAULT,
     TrajectoryParams,
     coordinate_time,
     penrose_coordinates,
@@ -339,6 +340,25 @@ class TestEnergyCommand:
         assert float(rows[0]["E_larmor"]) == pytest.approx(3.1353505e297, rel=1e-7)
         assert float(rows[0]["rel_diff"]) < 1e-9
 
+    def test_charge_near_the_largest_double(self, capsys):
+        # e^2 is the last factor of every spectral value, so the total is
+        # e^2 times its unit-charge value; it once met an inf cutoff here
+        code, out, err = run(capsys, ["energy", "--method", "both",
+                                      "--e-squared", "1e308", "--tol", "1e-4"])
+        assert code == 0 and err == ""
+        _, rows = parse_csv(out)
+        assert float(rows[0]["E_spectral"]) == pytest.approx(3.1353505e305, rel=1e-7)
+        assert float(rows[0]["rel_diff"]) < 1e-9
+
+    def test_overflowing_spectral_total_exits_3(self, capsys):
+        # at zeta -0.99 every I(omega) is a double but their integral,
+        # e^2 x 5.19, is not
+        code, out, err = run(capsys, ["energy", "--method", "spectral",
+                                      "--zeta", "-0.99", "--e-squared", "1.7e308",
+                                      "--tol", "1e-4"])
+        assert code == 3 and out == ""
+        assert err == "numerical failure: the total energy overflows a double\n"
+
     def test_spectral_total_near_the_divergent_end(self, capsys):
         # at zeta -0.99 the tail rate c is 0.0027 and the spectrum ends near
         # 9,200 kappa
@@ -433,6 +453,54 @@ class TestDistributionCommand:
         assert (best.omega, best.theta, best.method) == (8.0, thetas[0], "exact-zeta0")
         assert err == f"numerical failure: {info.value}\n"
 
+    def test_numeric_value_at_a_tiny_frequency(self, capsys):
+        # dI/dOmega/omega tends to a constant as omega -> 0; (omega/kappa)^2
+        # alone underflows below 1e-154, and the route once printed 0,0 here
+        def value(omega):
+            code, out, _ = run(capsys, [
+                "distribution", "--method", "numeric", "--zeta", "0.3",
+                "--omega-min", omega, "--omega-max", omega, "--omega-steps", "1",
+                "--theta-min", "1.5707963267948966",
+                "--theta-max", "1.5707963267948966", "--theta-steps", "1"])
+            assert code == 0
+            return float(parse_csv(out)[1][0]["value"]) / float(omega)
+
+        soft = value("1e-100")
+        assert soft > 0.0
+        assert abs(value("1e-200") - soft) <= 1e-8 * soft
+        assert abs(value("1e-300") - soft) <= 1e-8 * soft
+
+    @pytest.mark.parametrize("method", ["numeric", "exact-zeta0"])
+    def test_charge_near_the_largest_double(self, capsys, method):
+        grid = ["distribution", "--method", method, "--omega-min", "1",
+                "--omega-max", "5", "--omega-steps", "2", "--theta-steps", "3"]
+        _, out, _ = run(capsys, grid + ["--e-squared", "1.0"])
+        unit = [float(r["value"]) for r in parse_csv(out)[1]]
+        code, out, err = run(capsys, grid + ["--e-squared", "1e308"])
+        assert code == 0 and err == ""
+        got = [float(r["value"]) for r in parse_csv(out)[1]]
+        assert got == pytest.approx([1e308 * v for v in unit], rel=1e-14)
+
+    def test_overflowing_value_exits_3(self, capsys):
+        # near zeta = -1 the forward cone's dI/dOmega is 1.3 e^2 at omega 3000
+        code, out, err = run(capsys, [
+            "distribution", "--zeta", "-0.9999", "--e-squared", "1.7e308",
+            "--omega-min", "3000", "--omega-max", "3000", "--omega-steps", "1",
+            "--theta-min", "0.056", "--theta-max", "0.056", "--theta-steps", "1"])
+        assert code == 3 and out == ""
+        assert err == "numerical failure: dI/dOmega at omega=3000 overflows a double\n"
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_frequency_past_the_contour_exits_3_quietly(self, capsys):
+        # b = 2 omega/kappa would overflow the saddle set-up at omega 1e300;
+        # the refusal is its one line, with no numpy warning before it
+        code, out, err = run(capsys, [
+            "distribution", "--method", "numeric", "--omega-min", "1e300",
+            "--omega-max", "1e300", "--omega-steps", "1"])
+        assert code == 3 and out == ""
+        assert err == ("numerical failure: log_coeff 2e+300 is past 1e+150, where the "
+                       "contour's set-up overflows a double\n")
+
     def test_rows_carry_error_column(self, capsys):
         _, out, _ = run(capsys, [
             "distribution", "--omega-min", "1", "--omega-max", "2",
@@ -472,6 +540,42 @@ class TestSpectrumCommand:
         assert [float(r["value"]) for r in rows] == [
             energy_spectrum(params, w, 1e-8)
             for w in np.linspace(0.2, 6.0, 9).tolist()]
+
+
+    @pytest.mark.parametrize("zeta", ["0.3", "-0.6"])
+    @pytest.mark.parametrize("omega", ["1e-156", "1e-200", "1e-300"])
+    def test_tiny_frequency_keeps_the_soft_limit(self, capsys, zeta, omega):
+        # N(omega) -> e^2/(6 pi kappa) as omega -> 0 at every zeta; a value
+        # is that limit within tol or a refusal, never a printed 0
+        code, out, _ = run(capsys, [
+            "spectrum", "--zeta", zeta, "--kind", "particle",
+            "--omega-min", omega, "--omega-max", omega, "--omega-steps", "1"])
+        if code != 3:
+            assert code == 0
+            want = E_SQUARED_DEFAULT / (6.0 * math.pi)
+            assert float(parse_csv(out)[1][0]["value"]) == pytest.approx(want, rel=1e-8)
+
+    def test_spectrum_over_an_overflowing_direction(self, capsys):
+        # the cone whose dI/dOmega overflows (distribution, above) is narrow:
+        # I = 0.028 e^2 there, a double, since e^2 is the spectrum's last factor
+        grid = ["spectrum", "--zeta", "-0.9999", "--tol", "1e-4", "--omega-min",
+                "3000", "--omega-max", "3000", "--omega-steps", "1"]
+        _, out, _ = run(capsys, grid + ["--e-squared", "1.0"])
+        unit = float(parse_csv(out)[1][0]["value"])
+        code, out, err = run(capsys, grid + ["--e-squared", "1.7e308"])
+        assert code == 0 and err == ""
+        got = float(parse_csv(out)[1][0]["value"])
+        assert got == pytest.approx(1.7e308 * unit, rel=1e-14)
+
+    @pytest.mark.parametrize("zeta", ["0", "0.3"])
+    def test_charge_near_the_largest_double(self, capsys, zeta):
+        grid = ["spectrum", "--zeta", zeta, "--omega-steps", "2", "--tol", "1e-6"]
+        _, out, _ = run(capsys, grid + ["--e-squared", "1.0"])
+        unit = [float(r["value"]) for r in parse_csv(out)[1]]
+        code, out, err = run(capsys, grid + ["--e-squared", "1e308"])
+        assert code == 0 and err == ""
+        got = [float(r["value"]) for r in parse_csv(out)[1]]
+        assert got == pytest.approx([1e308 * v for v in unit], rel=1e-14)
 
 
 class TestMirrorCommand:
@@ -545,6 +649,17 @@ class TestMirrorCommand:
         monkeypatch.setattr(cli, "beta_squared_fd", counting)
         code, _, _ = run(capsys, ["mirror", "--pq-steps", "25"])
         assert code == 0 and calls == [25]
+
+    def test_emission_grid_at_a_charge_near_the_largest_double(self, capsys):
+        # |beta|^2 = 4 pi value/(e^2 omega^2) does not depend on e^2
+        grid = ["mirror", "--omega-min", "1", "--omega-max", "2",
+                "--omega-steps", "2", "--theta-steps", "3"]
+        _, out, _ = run(capsys, grid + ["--e-squared", "1.0"])
+        unit = [float(r["beta_squared"]) for r in parse_csv(out)[1]]
+        code, out, err = run(capsys, grid + ["--e-squared", "1e308"])
+        assert code == 0 and err == ""
+        got = [float(r["beta_squared"]) for r in parse_csv(out)[1]]
+        assert got == pytest.approx(unit, rel=1e-14)
 
     def test_emission_grid_route(self, capsys):
         code, out, _ = run(capsys, [

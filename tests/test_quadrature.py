@@ -12,7 +12,12 @@ import numpy as np
 import pytest
 
 from fdradiance import quadrature
-from fdradiance.errors import ConvergenceError, DomainError, NonFiniteError
+from fdradiance.errors import (
+    ConvergenceError,
+    DomainError,
+    NonFiniteError,
+    OverflowRangeError,
+)
 from fdradiance.quadrature import (
     QuadratureResult,
     _oscillatory_rows,
@@ -99,13 +104,13 @@ class TestAdaptive:
         with pytest.raises(DomainError):
             integrate_adaptive(lambda x: np.exp(-x * x), -math.inf, 0.0)
 
-    def test_budget_exhaustion(self, monkeypatch):
+    def test_budget_exhaustion(self, monkeypatch, fresh_fd_shape):
         monkeypatch.setattr(quadrature, "_MAX_EVALS", 200)
         with pytest.raises(ConvergenceError) as info:
             integrate_adaptive(lambda x: np.sin(50 * x), 0.0, 10.0, tol=1e-13)
         assert info.value.best.evaluations <= 200
 
-    def test_out_of_waves_stalls(self, monkeypatch):
+    def test_out_of_waves_stalls(self, monkeypatch, fresh_fd_shape):
         # a row still refining when the waves run out stalls with its sums
         monkeypatch.setattr(quadrature, "_MAX_WAVES", 1)
         with pytest.raises(ConvergenceError) as info:
@@ -279,7 +284,19 @@ class TestOscillatoryRows:
         for got, want in zip(whole, zip(*parts)):
             assert np.array_equal(got, np.concatenate(want))
 
-    def test_stalled_row_raises_with_its_best(self, monkeypatch):
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_b_past_the_set_up_range_is_refused_quietly(self):
+        # the set-up squares b, which overflows from b ~ 1e154; up to the
+        # bound every row runs without a numpy warning, past it the whole
+        # call refuses before any row runs
+        ds = np.linspace(-1.9, 1.9, 7)
+        values, _, _ = _oscillatory_rows(quadrature._B_MAX, ds, 1e-7)
+        assert np.isfinite(values).all()
+        for b in (np.nextafter(quadrature._B_MAX, math.inf), 1e154, 1e300):
+            with pytest.raises(OverflowRangeError, match="set-up overflows"):
+                _oscillatory_rows(np.array([1.0, b]), [0.3, -0.3], 1e-7)
+
+    def test_stalled_row_raises_with_its_best(self, monkeypatch, fresh_fd_shape):
         # the rows need 255, 165 and 375 evaluations: only the last one
         # runs out of a 300-evaluation budget
         monkeypatch.setattr(quadrature, "_MAX_EVALS", 300)

@@ -12,8 +12,8 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from fdradiance import spectra
-from fdradiance.errors import ConvergenceError, DomainError
+from fdradiance import mirror, quadrature, spectra
+from fdradiance.errors import ConvergenceError, DomainError, OverflowRangeError
 from fdradiance.spectra import (
     EmissionDirection,
     SpectralSample,
@@ -379,7 +379,9 @@ class TestIntegratedSpectrum:
         omegas = np.geomspace(0.01, 60.0, 5)
         us, sin2, ws = spectra._cc_rule(512)
         route = spectra._exact_zeta0_values if zeta == 0.0 else spectra._numeric_values
-        want = 2.0 * math.pi * np.vecdot(route(params, omegas, us, sin2, 1e-8 / 8.0)[0], ws)
+        # the routes work at unit charge; e^2 is the spectrum's last factor
+        want = params.e_squared * (
+            2.0 * math.pi * np.vecdot(route(params, omegas, us, sin2, 1e-8 / 8.0)[0], ws))
         for tol in (1e-2, 1e-4, 1e-6, 1e-8):
             got = energy_spectrum(params, omegas, tol)
             assert (np.abs(got - want) <= tol * np.abs(want)).all()
@@ -492,12 +494,12 @@ class TestBatchedSpectra:
 
     def test_mirrored_half_matches_full_nodes(self):
         # the 1F1s run once per distinct |u|; every value must keep the bits
-        # of the closed form evaluated at its own signed u, written out here,
-        # and its bar must be _CLOSED_FORM_REL times the value times the
-        # cancellation factor K of the two signed-u terms. Clenshaw-Curtis
-        # nodes pair up exactly, the 19-angle theta grid in only 4 of its 9
-        # pairs, and -0.0 shares its modulus with 0.0
-        def signed_u(kappa, e_squared, omegas, us, sin2):
+        # of the closed form evaluated at its own signed u at unit charge,
+        # written out here, and its bar must be _CLOSED_FORM_REL times the
+        # value times the cancellation factor K of the two signed-u terms.
+        # Clenshaw-Curtis nodes pair up exactly, the 19-angle theta grid in
+        # only 4 of its 9 pairs, and -0.0 shares its modulus with 0.0
+        def signed_u(kappa, omegas, us, sin2):
             y = omegas[:, None] / kappa
             a = spectra._EXACT_A - 1j * y
             g_half, g_one = np.exp(ln_gamma(a))
@@ -505,8 +507,8 @@ class TestBatchedSpectra:
             t1 = g_half * m_half
             t2 = 2.0 * us * (np.sqrt(y) * spectra._ROOT_I) * g_one * m_one
             m = t1 + t2
-            pref = e_squared * y * sin2 / (16.0 * math.pi**3)
-            return (pref * np.exp(-math.pi * y) * np.abs(m) ** 2,
+            scale = y * sin2 / (16.0 * math.pi**3) * np.exp(-math.pi * y)
+            return (scale * np.abs(m) ** 2,
                     (np.abs(t1) + np.abs(t2)) / np.abs(m))
 
         params = TrajectoryParams(1.3, 0.0, 0.7)
@@ -519,7 +521,7 @@ class TestBatchedSpectra:
                       np.array([0.75, 1.0, 1.0, 0.9375, 0.75])))
         for us, sin2 in grids:
             got, err = spectra._exact_zeta0_values(params, omegas, us, sin2, 1e-6)
-            want, K = signed_u(1.3, 0.7, omegas, us, sin2)
+            want, K = signed_u(1.3, omegas, us, sin2)
             assert np.array_equal(got, want)
             assert np.allclose(err, spectra._CLOSED_FORM_REL * K * got, rtol=1e-14, atol=0.0)
 
@@ -592,6 +594,17 @@ class TestBatchedSpectra:
         assert max(sizes) <= spectra._SLICE_ELEMENTS
         assert rel(total, total_energy_larmor(params)) < 1e-8
 
+    def test_overflowing_row_raises(self, monkeypatch):
+        # the unit-charge I(omega = 2) is 1.3e301, a double, but e^2 times
+        # it is not: the row is refused, with no warning
+        def huge(params, omegas, us, sin2, tol):
+            values = np.where(omegas[:, None] > 1.0, 1e300, 1.0) * np.ones(us.size)
+            return values, np.zeros_like(values)
+
+        monkeypatch.setattr(spectra, "_exact_zeta0_values", huge)
+        with pytest.raises(OverflowRangeError, match="omega=2 overflows"):
+            energy_spectrum(TrajectoryParams(1, 0, 1e10), np.array([0.5, 2.0]))
+
     def test_unsettled_row_raises_with_its_own_best(self, monkeypatch):
         # rows with omega >= 1 vary over u and scale with the size of the
         # route call that first evaluated a node, so they never settle; each
@@ -613,10 +626,12 @@ class TestBatchedSpectra:
             with pytest.raises(ConvergenceError, match="omega=3.0") as err:
                 energy_spectrum(params, np.array([0.5, 3.0, 2.0]), 1e-6,
                                 abs_floor=abs_floor)
-            assert err.value.best == \
-                2.0 * math.pi * np.vecdot((3.0 * first) * (1.0 + np.abs(us)), ws)
-            assert energy_spectrum(params, 0.5, abs_floor=abs_floor) == \
-                2.0 * math.pi * np.vecdot(np.full(65, 0.5), spectra._cc_rule(64)[2])
+            # the route's values are at unit charge, and e^2 comes last
+            e2 = params.e_squared
+            assert err.value.best == e2 * float(
+                2.0 * math.pi * np.vecdot((3.0 * first) * (1.0 + np.abs(us)), ws))
+            assert energy_spectrum(params, 0.5, abs_floor=abs_floor) == e2 * float(
+                2.0 * math.pi * np.vecdot(np.full(65, 0.5), spectra._cc_rule(64)[2]))
 
     def test_each_order_evaluates_only_its_new_nodes(self, monkeypatch):
         # the orders nest: after the first call, the route gets only the
@@ -737,6 +752,59 @@ class TestPartialForms:
     def test_quadrature_refuses_a_nan_tol(self, companion):
         with pytest.raises(DomainError, match="tol"):
             companion(TrajectoryParams(1.0, 0.2, 1.0), tol=math.nan)
+
+    def test_companion_task_is_two_quadratures(self, monkeypatch, fresh_fd_shape):
+        # four zetas of the four companions at the default tol: the energy
+        # and count shapes are each integrated once, then only scaled
+        calls = []
+        semi_infinite = spectra.integrate_semi_infinite
+
+        def counting(f, scale=1.0, tol=1e-10):
+            calls.append(tol)
+            return semi_infinite(f, scale, tol)
+
+        monkeypatch.setattr(spectra, "integrate_semi_infinite", counting)
+        for zeta in (-0.45, -0.1, 0.2, 0.55):
+            fd_partial_energy_quadrature(TrajectoryParams(1.3, zeta))
+            fd_particle_count_quadrature(TrajectoryParams(1.3, zeta))
+            mirror.mirror_fd_energy_quadrature(1.3, zeta)
+            mirror.mirror_particle_count_quadrature(zeta, 1.3)
+        assert calls == [1e-10, 1e-10]
+
+    def test_errors_stay_uncached(self, monkeypatch, fresh_fd_shape):
+        params = TrajectoryParams(1.0, 0.2, 1.0)
+        fd_partial_energy_quadrature(params)
+        fd_particle_count_quadrature(params)
+        assert spectra._fd_shape.cache_info().currsize == 2
+        for companion in (fd_partial_energy_quadrature, fd_particle_count_quadrature):
+            with pytest.raises(DomainError, match="tol"):
+                companion(params, tol=math.nan)
+            # a run out of waves stalls; the shape needs only its first wave,
+            # so no evaluation budget can stall it
+            monkeypatch.setattr(quadrature, "_MAX_WAVES", 0)
+            with pytest.raises(ConvergenceError, match="stalled"):
+                companion(params, tol=1e-11)
+            monkeypatch.undo()
+            assert spectra._fd_shape.cache_info().currsize == 2
+        misses = spectra._fd_shape.cache_info().misses
+        fd_partial_energy_quadrature(params, tol=1e-11)
+        assert spectra._fd_shape.cache_info().misses == misses + 1
+
+    @pytest.mark.parametrize("zeta", [-0.99, -0.5, 0.0, 0.5, 0.99])
+    def test_companions_match_closed_forms_across_scales(self, zeta):
+        scales = [10.0 ** k for k in range(-300, 301, 50)]
+        worlds = ([TrajectoryParams(kappa, zeta, 1.0) for kappa in scales]
+                  + [TrajectoryParams(1.0, zeta, e2) for e2 in scales])
+        for params in worlds:
+            assert rel(fd_partial_energy_quadrature(params),
+                       fd_partial_energy(params)) < 1e-12
+            assert rel(fd_particle_count_quadrature(params),
+                       fd_particle_count(params)) < 1e-12
+        for kappa in scales:
+            assert rel(mirror.mirror_fd_energy_quadrature(kappa, zeta),
+                       mirror.mirror_fd_energy(kappa, zeta)) < 1e-12
+            assert rel(mirror.mirror_particle_count_quadrature(zeta, kappa),
+                       mirror.mirror_particle_count(zeta, kappa)) < 1e-12
 
     def test_partial_below_total(self):
         for zeta in (-0.5, 0.0, 0.5):
