@@ -26,6 +26,18 @@ if the series ran out of terms. Only ``kummer_1f1`` raises it: the error
 names the elements it refused, and every other element of its best
 estimate is the value its own call returns, so one call can sum many
 independent series and drop only the refused ones.
+
+The private ``_kummer_grid`` sums 1F1(a_r; b_r; c_r z_k) on a grid of rows
+(a, b, c) and real columns z in [0, 1], as the closed form of ``spectra``
+needs it: two series per frequency, one column per distinct cos^2(theta).
+A row's coefficients D_n = (a)_n c^n/((b)_n n!) are shared by its columns,
+so each block of terms is one product accumulation per row and one dot
+product per cell against the powers z^n, where ``kummer_1f1`` takes a few
+array operations per term. A cell's term count depends on its row and its
+dyadic band of z alone, so it keeps its bits in any grid, and a cell
+past ``kummer_1f1``'s cancellation limit or stop rule is summed by
+``kummer_1f1`` itself, which keeps the long-double retry and the refusal
+in one place.
 """
 from __future__ import annotations
 
@@ -54,6 +66,8 @@ _SERIES_BUDGET = 10000  # hard cap on Taylor terms; exceeding it is an error
 # Cancellation thresholds: roundoff grows like cancellation * machine-eps.
 _CANCEL_RETRY = 2.0e5   # beyond this, float64 cannot certify 1e-10
 _CANCEL_FAIL = 3.0e8    # beyond this, even 80-bit floats cannot
+_BLOCK = 32             # terms per block of ``_kummer_grid``'s sums
+_LOG_MAX = float(np.log(np.finfo(np.float64).max))
 
 
 def _is_nonpositive_integer(z: np.ndarray) -> np.ndarray:
@@ -277,3 +291,124 @@ def kummer_1f1(a, b, x):
             f"{failed.size} elements refused",
             best=out, failed=bool(failed[0]) if scalar else failed.reshape(shape))
     return out
+
+
+
+
+
+
+
+def _log_terms(a, b, c, z, n):
+    """ln|D_j z^j| for j < n, one row per element of a, b, c and z (1-d).
+
+    D_j = (a)_j c^j/((b)_j j!) is taken as in ``_kummer_grid``, but as a sum
+    of logarithms, which neither overflows nor rounds to 0.
+    """
+    j = np.arange(n)
+    ratio = np.divide(np.multiply(a[:, None] + j[:-1], c[:, None]),
+                      np.multiply(b[:, None] + j[:-1], j[:-1] + 1))
+    log_d = np.concatenate((np.zeros((a.size, 1)), np.cumsum(np.log(np.abs(ratio)), axis=1)),
+                           axis=1)
+    return log_d + np.where(j == 0, 0.0, j * np.log(z[:, None]))
+
+
+def _kummer_grid(a, b, c, z):
+    """1F1(a_r; b_r; c_r z_k) on the grid rows x columns, each cell to its own bits.
+
+    a, b and c are 1-d arrays with one element per row, no Re c is
+    negative (so no cell takes the Kummer transform), and z is a float 1-d
+    array of columns in [0, 1]; the result, complex, has shape (a.size,
+    z.size). Its temporaries hold at most _BLOCK elements per cell. A
+    row's series is sum_n D_n z^n, with D_n = (a)_n c^n/((b)_n n!) shared
+    by all its columns, so each block of _BLOCK terms takes the live rows'
+    D_n by one product accumulation and every summing cell's part by one
+    dot product of length _BLOCK against its column's powers z^n; a cell
+    adds its parts in order, so its sum does not depend on how many terms
+    any other cell takes.
+
+    A cell's term count depends on its row and its column's dyadic band of
+    z alone, so its bits depend only on its row and its z. A band (2^(e-1),
+    2^e] is read at its top 2^e (z = 0 is a band of its own), whose terms
+    |D_n| 2^(en) bound those of every cell in it; a (row, band) pair sums
+    blocks until one ends with three terms at the top below 0.1
+    eps/_CANCEL_RETRY of the top's largest. The top's largest term and
+    the largest of its last three then bound the cell's own, and
+    ``kummer_1f1``'s limits are checked on these bounds and, for the few
+    cells they do not clear, on the cell's own terms: a cell whose largest
+    term is above _CANCEL_RETRY times its sum, whose last three terms are
+    not all within 0.1 eps of its sum, whose sum is not finite, or whose
+    pair's terms leave the double range or the _SERIES_BUDGET terms, is
+    handed to ``kummer_1f1`` with x = c_r z_k, which retries it in long
+    double or refuses it, and then carries that call's bits. Raises what
+    ``kummer_1f1`` raises.
+    """
+    if np.any(_is_nonpositive_integer(b)):
+        bad = b[_is_nonpositive_integer(b)][0]
+        raise PoleError(f"1F1 undefined at non-positive integer b = {bad}")
+    log_tol = np.log(0.1 * np.finfo(np.float64).eps)
+    log_retry = np.log(_CANCEL_RETRY)
+    frac, exp = np.frexp(z)
+    exp = np.where(z > 0.0, exp - (frac == 0.5), -1100)   # 2^-1100 rounds to 0
+    tops, band = np.unique(exp, return_inverse=True)
+    log_top = tops * np.log(2.0)
+    pairs = (tops.size, a.size)                         # (band, row)
+    summing, settled = np.ones(pairs, dtype=bool), np.zeros(pairs, dtype=bool)
+    blocks = np.zeros(pairs, dtype=int)
+    top_peak, top_last = np.full((2, *pairs), -np.inf)  # ln of the top's terms
+    total = np.zeros((a.size, z.size), dtype=complex)
+    coef = np.ones(a.size, dtype=complex)               # D_n of the next block
+    with np.errstate(over="ignore", under="ignore", invalid="ignore", divide="ignore"):
+        powers = z[:, None] ** np.arange(_BLOCK)
+        for start in range(0, _SERIES_BUDGET, _BLOCK):
+            live = np.flatnonzero(summing.any(axis=0))
+            if not live.size:
+                break
+            kl = np.flatnonzero(summing[:, live].any(axis=1))
+            sub = np.ix_(kl, live)
+            n = np.arange(start, start + _BLOCK)[:, None]
+            # named ufuncs: an operator may reuse a temporary in place with
+            # its factors swapped, which moves a complex product's last bits
+            ratio = np.divide(np.multiply(a[live] + n, c[live]),
+                              np.multiply(b[live] + n, n + 1))
+            d = np.multiply.accumulate(np.concatenate((coef[None, live], ratio)), axis=0)
+            coef[live], d = d[-1], d[:-1]
+            # the band tops' terms, (term, band, row), and the pairs' stop rule
+            f = np.log(np.abs(d))[:, None, :] + (n * log_top[kl])[..., None]
+            was = summing[sub]
+            peak, last = np.maximum(top_peak[sub], f.max(axis=0)), f[-3:].max(axis=0)
+            top_peak[sub] = np.where(was, peak, top_peak[sub])
+            top_last[sub] = np.where(was, last, top_last[sub])
+            stops = last <= peak + log_tol - log_retry
+            settled[sub] = settled[sub] | (was & stops)
+            blocks[sub] = blocks[sub] + was
+            summing[sub] = was & ~stops & (peak <= _LOG_MAX)
+            # the cells of the pairs that summed this block add its part
+            adds = np.zeros((tops.size, live.size), dtype=bool)
+            adds[kl] = was
+            ks = np.flatnonzero(adds.any(axis=1)[band])
+            scaled = powers[ks] * z[ks, None] ** start
+            part = np.vecdot(scaled.astype(complex), np.ascontiguousarray(d.T)[:, None])
+            ix = np.ix_(live, ks)
+            before = total[ix]
+            total[ix] = np.where(adds[band[ks]].T, np.add(before, part), before)
+        log_size = np.log(np.abs(total))
+        ok = settled[band].T & np.isfinite(total)
+        near = ok & ~((top_peak[band].T <= log_retry + log_size)
+                      & (top_last[band].T <= log_tol + log_size))
+        # the cells the bounds do not clear, on their own terms, a slice of
+        # at most _BLOCK terms per cell of the grid at a time
+        i, k = np.nonzero(near)
+        ends = blocks[band[k], i] * _BLOCK
+        step = max(1, _BLOCK * total.size // max(1, ends.max(initial=0)))
+        for s in range(0, i.size, step):
+            cut = slice(s, s + step)
+            own = _log_terms(a[i[cut]], b[i[cut]], c[i[cut]], z[k[cut]], ends[cut].max())
+            m, end = np.arange(own.shape[1]), ends[cut, None]
+            own[m >= end] = -np.inf
+            last = np.where(m >= end - 3, own, -np.inf).max(axis=1)
+            ok[i[cut], k[cut]] = ((own.max(axis=1) <= log_retry + log_size[i[cut], k[cut]])
+                                  & (last <= log_tol + log_size[i[cut], k[cut]]))
+    if not ok.all():
+        i, k = np.nonzero(~ok)
+        total[i, k] = kummer_1f1(a[i], b[i], c[i] * z[k])
+    return total

@@ -41,16 +41,18 @@ of a distribution or a spectrum, so only a result that is itself past the
 largest double overflows.
 ``distribution_grid`` gives the numeric or exact samples of an
 (omega, theta) grid, omega-major, and refuses on either route a sample
-whose error bar exceeds _REFUSAL of its value; the two single-point
-distributions are its one-point calls. Both integrals of
+whose error bar exceeds _REFUSAL of its value, or a lit sample (sin^2(theta)
+> 0) whose value underflows to 0; the two single-point distributions are
+its one-point calls. Both integrals of
 ``total_energy_spectral``, over u = cos(theta) in ``energy_spectrum`` and
 over s = sqrt(omega), run on one nested Clenshaw-Curtis driver
 (``_nested_cc``) with one schedule: its first call evaluates the 65 nodes
 of order 64, from which order 32 reads every other one, and each order
 from 128 to 512 then calls the integrand on only the nodes it adds to the
 last, for only the rows not yet settled. At zeta = 0 an angular call is one
-closed-form evaluation of the (omega, u) grid, with the two 1F1s taken
-once per distinct |u|; off zeta = 0 it is one batched quadrature with a
+closed-form evaluation of the (omega, u) grid, whose two 1F1 series are
+one ``specfun._kummer_grid`` call with a row per (series, omega) and a
+column per distinct u^2; off zeta = 0 it is one batched quadrature with a
 row, and a phase, per (omega, u). A value does not depend on the grid it
 is batched with.
 """
@@ -64,7 +66,7 @@ import numpy as np
 
 from .errors import ConvergenceError, DomainError, OverflowRangeError
 from .quadrature import _check_tol, _oscillatory_rows, integrate_semi_infinite
-from .specfun import kummer_1f1, ln_gamma
+from .specfun import _kummer_grid, ln_gamma
 from .trajectory import TrajectoryParams
 
 __all__ = [
@@ -97,10 +99,10 @@ _REFUSAL = 1e-3
 # run in slices of whole omega rows (one at the least), bounding their memory.
 _SLICE_ELEMENTS = 1 << 12
 _ROOT_I = complex(math.cos(math.pi / 4), math.sin(math.pi / 4))     # sqrt(i)
-# The closed form's two 1F1 series, M(1/2 - iy; 1/2; x) and
-# M(1 - iy; 3/2; x), stacked on a leading axis so that one call sums both.
-_EXACT_A = np.array([0.5, 1.0])[:, None, None]
-_EXACT_B = np.array([0.5, 1.5])[:, None, None]
+# The closed form's two 1F1 series, M(1/2 - iy; 1/2; iy u^2) and
+# M(1 - iy; 3/2; iy u^2), stacked on a leading axis so that one grid sums both.
+_EXACT_A = np.array([0.5, 1.0])[:, None]
+_EXACT_B = np.array([0.5, 1.5])[:, None]
 
 
 def _check_omega(omega):
@@ -206,15 +208,16 @@ def _exact_zeta0_values(params: TrajectoryParams, omegas, us, sin2, tol: float):
     (|t1| + |t2|)/|t1 + t2|, which grows like e^{2y|u|}, and the relative
     error grows with it: the bar is _CLOSED_FORM_REL K times the value, a
     roundoff envelope rather than an estimate. The 1F1s depend on u only
-    through u^2, so they run once per distinct |u| (both as one stacked
-    call) and go back to every u of that modulus; negating u negates t2
-    exactly, so a value keeps its bits whatever other nodes share its |u|,
-    and the exactly odd nodes of ``_cc_rule`` sum half as many series.
-    Every element is computed on its own, so it does not depend on the
-    rest of the grid; grids whose two series hold more than
-    _SLICE_ELEMENTS evaluations run in slices of whole omega rows. Dark
-    directions (sin^2(theta) = 0) skip the series, as in
-    ``_numeric_values``.
+    through u^2 and share a = 1/2 - iy or 1 - iy across it, so both series
+    are one ``_kummer_grid`` call with a row per (series, omega) and a
+    column per distinct u^2, whose values go back to every u of that
+    square; negating u negates t2 exactly, so a value keeps its bits
+    whatever other nodes share its u^2, and the exactly odd nodes of
+    ``_cc_rule`` sum half as many series. A cell of that grid keeps its
+    bits in any grid, so an element does not depend on the rest of the
+    grid; grids whose two series hold more than _SLICE_ELEMENTS cells run
+    in slices of whole omega rows. Dark directions (sin^2(theta) = 0) skip
+    the series, as in ``_numeric_values``.
     """
     kappa = params.kappa
     out, err = np.zeros((2, omegas.size, us.size))
@@ -222,16 +225,17 @@ def _exact_zeta0_values(params: TrajectoryParams, omegas, us, sin2, tol: float):
     if not lit.any():
         return out, err
     us, sin2 = us[lit], sin2[lit]
-    mods, at = np.unique(np.abs(us), return_inverse=True)
-    step = max(1, _SLICE_ELEMENTS // (2 * mods.size))
+    squares, at = np.unique(us**2, return_inverse=True)
+    step = max(1, _SLICE_ELEMENTS // (2 * squares.size))
     for s in range(0, omegas.size, step):
-        omega = omegas[s:s + step, None]
-        y = omega / kappa
-        x = 1j * y * mods**2
-        a = _EXACT_A - 1j * y
-        g_half, g_one = np.exp(ln_gamma(a))
+        y = omegas[s:s + step] / kappa
+        iy = np.broadcast_to(1j * y, (2, y.size))
+        a = _EXACT_A - iy
+        g_half, g_one = np.exp(ln_gamma(a))[..., None]
+        m_half, m_one = _kummer_grid(a.ravel(), np.broadcast_to(_EXACT_B, a.shape).ravel(),
+                                     iy.ravel(), squares).reshape(2, y.size, -1)[..., at]
+        y = y[:, None]
         root_iy = np.sqrt(y) * _ROOT_I
-        m_half, m_one = kummer_1f1(a, _EXACT_B, x)[..., at]
         t1 = g_half * m_half
         t2 = 2.0 * us * root_iy * g_one * m_one
         m = t1 + t2
@@ -262,7 +266,9 @@ def _distribution_values(params: TrajectoryParams, omegas, thetas, method: str,
     values = _charged(params, omega_arr, unit, "dI/dOmega")
     abs_errors = _charged(params, omega_arr, unit_errors, "the error bar of dI/dOmega")
     valid = (values >= 0.0) & np.isfinite(values) & (abs_errors >= 0.0)
-    refused = abs_errors > _REFUSAL * values
+    # a lit direction's value is positive: a 0 there has underflowed
+    underflow = (values == 0.0) & (sin2 != 0.0)
+    refused = (abs_errors > _REFUSAL * values) | underflow
     if not valid.all() or refused.any():
         # the first invalid sample, whose SpectralSample raises DomainError,
         # else the first refused one, omega-major
@@ -270,10 +276,11 @@ def _distribution_values(params: TrajectoryParams, omegas, thetas, method: str,
         i, j = divmod(k, len(thetas))
         s = SpectralSample(omegas[i], thetas[j], values.item(k), method,
                            abs_errors.item(k))
+        why = ("a positive value that underflows a double" if underflow.item(k)
+               else f"an error bar above {_REFUSAL:g} of the value")
         raise ConvergenceError(
             f"{method} dI/dOmega at omega={s.omega:.6g}, theta={s.theta:.6g} "
-            f"is {s.value:.3e} +- {s.abs_error:.3e}, an error bar above "
-            f"{_REFUSAL:g} of the value", best=s)
+            f"is {s.value:.3e} +- {s.abs_error:.3e}, {why}", best=s)
     return values, abs_errors
 
 
@@ -284,7 +291,8 @@ def distribution_grid(params: TrajectoryParams, omegas, thetas, method: str,
     ``method`` is "numeric" (quadrature to tol, any zeta) or "exact-zeta0"
     (the closed form, zeta = 0 only, which does not read tol); thetas lie
     in [0, pi]. On either route, a sample whose abs_error exceeds _REFUSAL
-    of its value raises ``ConvergenceError`` with that sample as ``best``.
+    of its value, or a lit one whose value underflows to 0, raises
+    ``ConvergenceError`` with that sample as ``best``.
     """
     values, abs_errors = _distribution_values(params, omegas, thetas, method, tol)
     return [SpectralSample(omega, theta, value, method, err)

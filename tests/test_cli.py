@@ -432,6 +432,20 @@ class TestDistributionCommand:
             "--theta-min", theta, "--theta-max", theta, "--theta-steps", "1"])
         assert code == 3 and out == "" and "error bar" in err
 
+    @pytest.mark.parametrize("method", ["numeric", "exact-zeta0"])
+    def test_underflowing_value_exits_3(self, capsys, method):
+        # at omega/kappa 200, theta pi/2 the value is about 5e-547, below the
+        # double range; both routes once printed 0,0 there with exit 0
+        code, out, err = run(capsys, [
+            "distribution", "--method", method,
+            "--omega-min", "200", "--omega-max", "200", "--omega-steps", "1",
+            "--theta-min", "1.5707963267948966",
+            "--theta-max", "1.5707963267948966", "--theta-steps", "1"])
+        assert code == 3 and out == ""
+        assert err == (f"numerical failure: {method} dI/dOmega at omega=200, "
+                       "theta=1.5708 is 0.000e+00 +- 0.000e+00, a positive value "
+                       "that underflows a double\n")
+
     def test_first_refused_sample_of_a_grid(self, capsys):
         # three of the four rows refuse on their own (see above), and so
         # does (8, 150 deg): the message names the first, omega-major, as
@@ -444,7 +458,7 @@ class TestDistributionCommand:
             "--theta-steps", "2"])
         assert code == 3 and out == ""
         assert err == ("numerical failure: exact-zeta0 dI/dOmega at omega=8, "
-                       "theta=2.61799 is 8.608e-37 +- 3.810e-38, an error bar "
+                       "theta=2.61799 is 8.609e-37 +- 3.810e-38, an error bar "
                        "above 0.001 of the value\n")
         with pytest.raises(ConvergenceError) as info:
             distribution_grid(TrajectoryParams(1.0, 0.0), [8.0, 12.0], thetas,

@@ -389,3 +389,94 @@ class TestKummer:
         assert info.value.best is not None
         # the attached estimate is still in the right neighborhood
         assert abs(info.value.best) == pytest.approx(1.0, abs=0.2)
+
+
+class TestKummerGrid:
+    """The closed form's two series on a rows x columns grid, against kummer_1f1."""
+
+    @staticmethod
+    def series_rows(ys):
+        # M(1/2 - iy; 1/2; iy z) and M(1 - iy; 3/2; iy z), a row per (series, y)
+        iy = 1j * np.concatenate([ys, ys])
+        return (np.concatenate([0.5 - 1j * ys, 1.0 - 1j * ys]),
+                np.repeat([0.5, 1.5], ys.size).astype(complex), iy)
+
+    def test_matches_kummer_1f1(self):
+        # y from 0.01 to 12 and z = u^2 over [0, 1], with u = 0 and the poles
+        # u = +-1; none of these cells cancels past _CANCEL_RETRY
+        rng = np.random.default_rng(31)
+        ys = np.geomspace(0.01, 12.0, 25)
+        z = np.concatenate([[0.0, 1e-300, 1e-20, 1.0], np.linspace(0.0, 1.0, 17),
+                            rng.uniform(0.0, 1.0, 12)])
+        a, b, c = self.series_rows(ys)
+        got = specfun._kummer_grid(a, b, c, z)
+        want = kummer_1f1(a[:, None], b[:, None], c[:, None] * z)
+        assert np.max(np.abs(got - want) / np.abs(want)) < 1e-13
+
+    def test_cancelling_cells_carry_kummer_1f1_bits(self, monkeypatch):
+        # at y = 60 the series cancel by 4.3e4 at z = 0.9 and by 4.4e5 at
+        # z = 1, past _CANCEL_RETRY. Both lie in the band (1/2, 1], whose
+        # top's terms do not clear them, so their own terms are checked:
+        # the z = 1 cells, and only those, go to kummer_1f1 at x = c z,
+        # which retries them in long double, and keep its bits
+        handed = []
+        kummer = specfun.kummer_1f1
+
+        def recording(a, b, x):
+            handed.append(x)
+            return kummer(a, b, x)
+
+        monkeypatch.setattr(specfun, "kummer_1f1", recording)
+        a, b, c = self.series_rows(np.array([60.0]))
+        z = np.array([0.5, 0.9, 1.0])
+        got = specfun._kummer_grid(a, b, c, z)
+        assert np.array_equal(np.concatenate(handed), c)
+        assert got[:, 2].tolist() == [kummer(a_, b_, c_ * 1.0)
+                                      for a_, b_, c_ in zip(a, b, c)]
+        # kummer_1f1's 1e-10 contract: at z = 0.9 both sum terms 4.3e4 times
+        # the value, and they differ by 4.9e-11
+        want = kummer_1f1(a[:, None], b[:, None], c[:, None] * z[:2])
+        assert np.max(np.abs(got[:, :2] / want - 1.0)) < 1e-10
+
+    def test_cells_keep_their_bits_in_any_grid(self):
+        # a cell's terms and their count depend on its row and its z alone
+        rng = np.random.default_rng(32)
+        ys = rng.uniform(0.05, 16.0, 12)
+        z = np.concatenate([[0.0, 1.0], rng.uniform(0.0, 1.0, 10)])
+        a, b, c = self.series_rows(ys)
+        whole = specfun._kummer_grid(a, b, c, z)
+        for _ in range(4):
+            rows = rng.choice(a.size, rng.integers(1, a.size), replace=False)
+            cols = rng.choice(z.size, rng.integers(1, z.size), replace=False)
+            part = specfun._kummer_grid(a[rows], b[rows], c[rows], z[cols])
+            assert np.array_equal(part, whole[np.ix_(rows, cols)])
+
+    def test_small_z_sums_one_block_at_any_y(self, monkeypatch):
+        # a cell's term count comes from its own band of z, never from the
+        # rows' z = 1 terms, which are e^{2y} in size and overflow from y ~ 355:
+        # u^2 up to 1e-6 takes one block of terms at y = 3 as at y = 300
+        calls = []
+        vecdot = np.vecdot
+
+        def counting(x1, x2):
+            calls.append(x1.shape[-1])
+            return vecdot(x1, x2)
+
+        def no_fallback(*args):
+            raise AssertionError("a small-z cell went to kummer_1f1")
+
+        monkeypatch.setattr(np, "vecdot", counting)
+        monkeypatch.setattr(specfun, "kummer_1f1", no_fallback)
+        z = np.array([0.0, 1e-12, 1e-9, 1e-7, 1e-6])
+        for y in (3.0, 300.0):
+            calls.clear()
+            a, b, c = self.series_rows(np.array([y]))
+            got = specfun._kummer_grid(a, b, c, z)
+            assert calls == [specfun._BLOCK]
+            assert np.max(np.abs(got - kummer_1f1(a[:, None], b[:, None], c[:, None] * z))
+                          / np.abs(got)) < 1e-13
+
+    def test_pole_raises(self):
+        with pytest.raises(PoleError):
+            specfun._kummer_grid(np.array([1.0 + 0j]), np.array([-2.0 + 0j]),
+                                 np.array([1j]), np.array([0.5]))

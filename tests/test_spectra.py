@@ -29,8 +29,8 @@ from fdradiance.spectra import (
     particle_spectrum,
     total_energy_spectral,
 )
-from fdradiance.specfun import kummer_1f1, ln_gamma
-from fdradiance.trajectory import TrajectoryParams, total_energy_larmor
+from fdradiance.specfun import ln_gamma
+from fdradiance.trajectory import E_SQUARED_DEFAULT, TrajectoryParams, total_energy_larmor
 
 from oracles import exact_distribution
 
@@ -230,6 +230,45 @@ class TestDistribution:
                 ("exact-zeta0", 12.0, 170)} <= set(refused)
         assert not [r for r in refused if r[:2] == ("exact-zeta0", 4.0)]
 
+    @pytest.mark.parametrize("y, deg, want", [
+        (100.0, 30, 1.710892954082617e-129),
+        (100.0, 90, 1.547799467230679e-274),
+        (300.0, 30, (ConvergenceError, "cancellation")),     # by 9.4e18
+        (300.0, 90, (ConvergenceError, "underflows a double")),
+        (400.0, 30, (OverflowRangeError, "overflowed")),
+        (400.0, 90, (ConvergenceError, "underflows a double")),
+    ])
+    def test_exact_at_large_frequency(self, y, deg, want):
+        # the closed form at omega/kappa 100-400, kappa 1: a value lies
+        # within its bar of the one frozen from summing each 1F1 as its own
+        # kummer_1f1 element, and a row that call refused is refused alike.
+        # At 90 deg the value (5e-547 at omega/kappa 200) underflows a
+        # double, and the 0 +- 0 it gives is refused
+        params = TrajectoryParams(1.0, 0.0)
+        theta = math.radians(deg)
+        if isinstance(want, float):
+            [got] = distribution_grid(params, [y], [theta], "exact-zeta0")
+            assert abs(got.value - want) <= got.abs_error
+            return
+        with pytest.raises(want[0], match=want[1]) as info:
+            distribution_grid(params, [y], [theta], "exact-zeta0")
+        if deg == 90:
+            assert (info.value.best.value, info.value.best.abs_error) == (0.0, 0.0)
+
+    @pytest.mark.parametrize("kappa, omega, theta", [
+        (1.6369169808136923, 6.488508494724727, 2.8026654875260975),
+        (0.9502251705326412, 3.7160465612936604, 2.6826464397282517),
+    ])
+    def test_exact_within_its_bar_where_the_bench_failed(self, kappa, omega, theta):
+        # two closed-form benchmark tasks (seed 59 task 46, seed 3504 task
+        # 171) whose exact value is off the oracle by 1.4e-9 of itself: the
+        # two terms cancel there, and the bar (1.7e-7 and 7.5e-8 of the
+        # value) covers the error
+        got = distribution_exact_zeta0(kappa, E_SQUARED_DEFAULT, omega,
+                                       EmissionDirection(theta))
+        want = float(exact_distribution(kappa, E_SQUARED_DEFAULT, omega, theta))
+        assert abs(got.value - want) <= got.abs_error < spectra._REFUSAL * got.value
+
     def test_exact_batch_matches_single_points(self):
         # the CLI evaluates its whole omega x theta grid in one closed-form
         # call; each sample must be bit-identical to the one-point call
@@ -285,13 +324,13 @@ class TestDistribution:
         # as on the numeric route, sin^2(theta) = 0 rows are exactly 0 and
         # sum no series; float pi is not exactly pi, so its row is lit
         moduli = []
-        kummer = spectra.kummer_1f1
+        grid = spectra._kummer_grid
 
-        def counting(a, b, x):
-            moduli.append(np.abs(x[0]).tolist())
-            return kummer(a, b, x)
+        def counting(a, b, c, z):
+            moduli.append(np.abs(c[0] * z).tolist())
+            return grid(a, b, c, z)
 
-        monkeypatch.setattr(spectra, "kummer_1f1", counting)
+        monkeypatch.setattr(spectra, "_kummer_grid", counting)
         params = TrajectoryParams(1.0, 0.0, 1.0)
         got = distribution_grid(params, [1.5, 2.5], [0.0, 1.0, 0.0, math.pi],
                                 "exact-zeta0")
@@ -500,10 +539,14 @@ class TestBatchedSpectra:
         # Clenshaw-Curtis nodes pair up exactly, the 19-angle theta grid in
         # only 4 of its 9 pairs, and -0.0 shares its modulus with 0.0
         def signed_u(kappa, omegas, us, sin2):
-            y = omegas[:, None] / kappa
-            a = spectra._EXACT_A - 1j * y
-            g_half, g_one = np.exp(ln_gamma(a))
-            m_half, m_one = kummer_1f1(a, spectra._EXACT_B, 1j * y * us**2)
+            y = omegas / kappa
+            iy = np.broadcast_to(1j * y, (2, y.size))
+            a = spectra._EXACT_A - iy
+            g_half, g_one = np.exp(ln_gamma(a))[..., None]
+            b = np.broadcast_to(spectra._EXACT_B, a.shape)
+            m_half, m_one = spectra._kummer_grid(a.ravel(), b.ravel(), iy.ravel(),
+                                                 us**2).reshape(2, y.size, -1)
+            y = y[:, None]
             t1 = g_half * m_half
             t2 = 2.0 * us * (np.sqrt(y) * spectra._ROOT_I) * g_one * m_one
             m = t1 + t2
@@ -575,18 +618,19 @@ class TestBatchedSpectra:
             assert rel(total, total_energy_larmor(params)) < 1e-3
 
     def test_closed_form_total_is_a_few_1f1_calls(self, monkeypatch):
-        # one stacked 1F1 call per frequency order and angular order, and the
-        # exact route never reaches the oscillatory integrator
+        # one 1F1 grid of both series per frequency order and angular order,
+        # and the exact route never reaches the oscillatory integrator
         sizes = []
+        grid = spectra._kummer_grid
 
-        def counting(a, b, x):
-            sizes.append(np.broadcast(a, b, x).size)
-            return kummer_1f1(a, b, x)
+        def counting(a, b, c, z):
+            sizes.append(a.size * z.size)
+            return grid(a, b, c, z)
 
         def no_quadrature(*args):
             raise AssertionError("the exact route ran the numeric one")
 
-        monkeypatch.setattr(spectra, "kummer_1f1", counting)
+        monkeypatch.setattr(spectra, "_kummer_grid", counting)
         monkeypatch.setattr(spectra, "_oscillatory_rows", no_quadrature)
         params = TrajectoryParams(1, 0)
         total = total_energy_spectral(params, 1e-4)
