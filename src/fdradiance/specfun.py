@@ -340,11 +340,9 @@ def _kummer_grid(a, b, c, z):
     pair's terms leave the double range or the _SERIES_BUDGET terms, is
     handed to ``kummer_1f1`` with x = c_r z_k, which retries it in long
     double or refuses it, and then carries that call's bits. Raises what
-    ``kummer_1f1`` raises.
+    ``kummer_1f1`` raises; a row whose b is a pole has no finite cell, and
+    ``kummer_1f1`` raises ``PoleError`` for it.
     """
-    if np.any(_is_nonpositive_integer(b)):
-        bad = b[_is_nonpositive_integer(b)][0]
-        raise PoleError(f"1F1 undefined at non-positive integer b = {bad}")
     log_tol = np.log(0.1 * np.finfo(np.float64).eps)
     log_retry = np.log(_CANCEL_RETRY)
     frac, exp = np.frexp(z)
