@@ -29,7 +29,7 @@ from .mirror import (
 from .quadrature import integrate_adaptive
 from .specfun import kummer_1f1, ln_gamma
 from .spectra import (
-    distribution_grid,
+    _distribution_values,
     fd_partial_energy,
     fd_partial_energy_quadrature,
     fd_particle_count,
@@ -88,17 +88,17 @@ def _c2_spectral_larmor_closure(scale):
 def _c3_special_angle_reduction(scale):
     params = TrajectoryParams(kappa=1.0, zeta=0.0, e_squared=1.0)
     ys = (0.1, 0.2, 0.5, 1.0, 2.0, 5.0, 10.0)
-    exact = distribution_grid(params, ys, [math.pi / 2], "exact-zeta0")
-    worst = max(_rel(e.value, fermi_dirac_distribution(params, y).value)
-                for e, y in zip(exact, ys))
+    exact = _distribution_values(params, ys, [math.pi / 2], "exact-zeta0", 1e-9)[0]
+    worst = max(_rel(e, fermi_dirac_distribution(params, y).value)
+                for e, y in zip(exact[:, 0].tolist(), ys))
     return worst, 1e-10 * scale, "theta=pi/2 vs closed form, 7 frequencies"
 
 
 def _c4_numeric_vs_exact_grid(scale):
     params = TrajectoryParams(kappa=1.0, zeta=0.0, e_squared=1.0)
-    numeric = distribution_grid(params, _GRID_OMEGAS, _GRID_THETAS, "numeric", 1e-9)
-    exact = distribution_grid(params, _GRID_OMEGAS, _GRID_THETAS, "exact-zeta0")
-    worst = max(_rel(n.value, e.value) for n, e in zip(numeric, exact))
+    numeric, exact = (_distribution_values(params, _GRID_OMEGAS, _GRID_THETAS, method, 1e-9)[0]
+                      for method in ("numeric", "exact-zeta0"))
+    worst = max(_rel(n, e) for n, e in zip(numeric.ravel().tolist(), exact.ravel().tolist()))
     return worst, 1e-6 * scale, "5x5 (omega, theta) grid"
 
 
@@ -114,8 +114,8 @@ def _c5_fd_partial_energy(scale):
 def _special_angle_betas(zeta, omegas):
     """|beta|^2 of the saddle-contour route at cos(theta) = zeta, kappa = e^2 = 1."""
     params = TrajectoryParams(kappa=1.0, zeta=zeta, e_squared=1.0)
-    samples = distribution_grid(params, omegas, [math.acos(zeta)], "numeric", 1e-10)
-    return beta_squared_from_distribution(omegas, [s.value for s in samples], 1.0)
+    values = _distribution_values(params, omegas, [math.acos(zeta)], "numeric", 1e-10)[0]
+    return beta_squared_from_distribution(omegas, values[:, 0], 1.0)
 
 
 def _c6_particle_count_duality(scale):
@@ -161,11 +161,26 @@ def _c8_energy_zeta_trend(scale):
     return max(ratios) if finite_positive else math.inf, 1.0, detail
 
 
-def _kummer_point(rng, imaginary):
-    """One (a, b, x) of criterion 9's Kummer identities, x pure imaginary or not."""
-    a = complex(rng.uniform(-10, 10), rng.uniform(-10, 10))
+def _kummer_point(rng, u, i, imaginary):
+    """One (a, b, x) of criterion 9's Kummer identities, x pure imaginary or
+    not, and the index after the doubles it read.
+
+    u lists the doubles in [0, 1) that rng has drawn, in order, and grows
+    by a chunk of rng's when the point reads past its end; the point reads
+    from index i on. A draw from [lo, hi) is lo + (hi - lo) u[i], as
+    ``Generator.uniform`` takes it, so the points are the ones that
+    uniform draws from rng would give.
+    """
+    def uniform(lo, hi):
+        nonlocal i
+        if i == len(u):
+            u.extend(rng.random(256).tolist())
+        i += 1
+        return lo + (hi - lo) * u[i - 1]
+
+    a = complex(uniform(-10, 10), uniform(-10, 10))
     while True:
-        b = complex(rng.uniform(-10, 10), rng.uniform(-10, 10))
+        b = complex(uniform(-10, 10), uniform(-10, 10))
         # keep a unit margin from every series pole b = 0, -1, -2, ...
         # (and from b-a poles of the flipped side, same lattice)
         k = min(round(b.real), 0)
@@ -175,8 +190,8 @@ def _kummer_point(rng, imaginary):
     if imaginary:
         # pure imaginary argument: neither side triggers the internal
         # sign flip, so two genuinely different series are compared
-        return a, b, complex(0.0, rng.uniform(-15, 15))
-    return a, b, complex(rng.uniform(-8, 8), rng.uniform(-8, 8))
+        return (a, b, complex(0.0, uniform(-15, 15))), i
+    return (a, b, complex(uniform(-8, 8), uniform(-8, 8))), i
 
 
 def _kummer_series(a, b, x):
@@ -210,18 +225,20 @@ def _c9_special_function_identities(scale):
         worst_refl = max(worst_refl, _rel(val, ref))
 
     rng = np.random.default_rng(20240817)
+    u, i = [], 0   # rng's doubles so far, and the index of the next point's first
     worst_kummer = 0.0
     accepted = 0
     rejected = 0
     while accepted < 40 and rejected < 200:
         # Draw the remaining points as if each will be accepted, keeping the
-        # generator's state after each, and sum all their series in one
-        # call: every element keeps the bits of its own call, and the call
-        # marks exactly the elements whose own call would refuse.
-        points, states = [], []
+        # stream index after each, and sum all their series in one call:
+        # every element keeps the bits of its own call, and the call marks
+        # exactly the elements whose own call would refuse.
+        points, ends = [], []
         for k in range(accepted, 40):
-            points.append(_kummer_point(rng, imaginary=k % 8 < 5))
-            states.append(rng.bit_generator.state)
+            point, i = _kummer_point(rng, u, i, imaginary=k % 8 < 5)
+            points.append(point)
+            ends.append(i)
         series = [_kummer_series(*point) for point in points]
         a, b, x = zip(*(s for group in series for s in group))
         try:
@@ -230,7 +247,7 @@ def _c9_special_function_identities(scale):
         except ConvergenceError as exc:
             values, failed = exc.best.tolist(), exc.failed.tolist()
         start = 0
-        for point, state, group in zip(points, states, series):
+        for point, end, group in zip(points, ends, series):
             stop = start + len(group)
             if any(failed[start:stop]):
                 # near a zero of the function the series cancellation makes
@@ -238,7 +255,7 @@ def _c9_special_function_identities(scale):
                 # witness the identity at that accuracy and are redrawn
                 # (counted below), from right after this point's draws
                 rejected += 1
-                rng.bit_generator.state = state
+                i = end
                 break
             worst_kummer = max(worst_kummer, _kummer_error(*point, values[start:stop]))
             accepted += 1

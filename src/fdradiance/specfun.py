@@ -10,15 +10,15 @@ a few ulp relative to the scale of ln Gamma for |z| <= 100, far inside the
 
 ``kummer_1f1`` sums the Taylor series directly, applying the Kummer
 transform 1F1(a;b;x) = e^x 1F1(b-a;b;-x) when Re x < 0 so the summed series
-always has non-negative real argument. An element that meets its stop
-rule is frozen: its later terms are exactly 0, so its sum keeps the bits
-it would have in a call of its own. The working arrays are compacted to
-the elements still summing only once at least half of them are frozen,
-so a term costs little more than the live elements' arithmetic and the
-re-indexing stays rare. Each element's sum is written by index where it
-settles, and a mask marks the elements that ran out of terms, so a call
-makes one series pass in double precision and at most one in long
-double. Term cancellation is tracked per element; when the
+always has non-negative real argument. It sums in blocks of 32 terms:
+in double precision one product accumulation of the ratios
+(a+n)x/((b+n)(n+1)) gives a block's terms, the step ``_kummer_grid``
+takes, and one cumulative sum, which adds each element's terms in order,
+its partial sums. The stop rule is read off the block per element, and
+each element settles at its own stop term, so it keeps the bits it would
+have in a call of its own, and a call makes one series pass in double
+precision and at most one in long double, whose terms keep the bits of
+a term-by-term loop. Term cancellation is tracked per element; when the
 cancellation-amplified roundoff endangers the 1e-10 contract, the
 affected elements are recomputed in extended precision, and a
 convergence error is raised if even that cannot certify the target, or
@@ -32,12 +32,11 @@ The private ``_kummer_grid`` sums 1F1(a_r; b_r; c_r z_k) on a grid of rows
 needs it: two series per frequency, one column per distinct cos^2(theta).
 A row's coefficients D_n = (a)_n c^n/((b)_n n!) are shared by its columns,
 so each block of terms is one product accumulation per row and one dot
-product per cell against the powers z^n, where ``kummer_1f1`` takes a few
-array operations per term. A cell's term count depends on its row and its
-dyadic band of z alone, so it keeps its bits in any grid, and a cell
-past ``kummer_1f1``'s cancellation limit or stop rule is summed by
-``kummer_1f1`` itself, which keeps the long-double retry and the refusal
-in one place.
+product per cell against the powers z^n. A cell's term count depends on
+its row and its dyadic band of z alone, so it keeps its bits in any
+grid, and a cell past ``kummer_1f1``'s cancellation limit or stop rule is
+summed by ``kummer_1f1`` itself, which keeps the long-double retry and
+the refusal in one place.
 """
 from __future__ import annotations
 
@@ -66,7 +65,7 @@ _SERIES_BUDGET = 10000  # hard cap on Taylor terms; exceeding it is an error
 # Cancellation thresholds: roundoff grows like cancellation * machine-eps.
 _CANCEL_RETRY = 2.0e5   # beyond this, float64 cannot certify 1e-10
 _CANCEL_FAIL = 3.0e8    # beyond this, even 80-bit floats cannot
-_BLOCK = 32             # terms per block of ``_kummer_grid``'s sums
+_BLOCK = 32             # terms per block of the series sums
 _LOG_MAX = float(np.log(np.finfo(np.float64).max))
 
 
@@ -135,6 +134,29 @@ def ln_gamma(z):
     return complex(out[0]) if scalar else out
 
 
+def _ratio_terms(first, a, b, x, n):
+    """``first`` and the next len(n) terms of each series sum_k (a)_k x^k/((b)_k k!).
+
+    n is a column of consecutive term indices; the term after index n is the
+    one at n times (a + n) x/((b + n)(n + 1)), so the rows are one product
+    accumulation of ``first`` and these ratios. Named ufuncs: an operator
+    may reuse a temporary in place with its factors swapped, which moves a
+    complex product's last bits."""
+    ratio = np.divide(np.multiply(a + n, x), np.multiply(b + n, n + 1))
+    return np.multiply.accumulate(np.concatenate((first[None], ratio)), axis=0)
+
+
+def _recurrence_terms(first, a, b, x, n):
+    """As ``_ratio_terms``, but each term is ((t (a + n))/(b + n)) x/(n + 1)
+    of the one before it, t, a row at a time, as a term-by-term loop forms
+    it. The long-double pass takes its terms so: its elements, among them
+    ``_kummer_grid``'s cancelling cells, keep that loop's bits."""
+    rows = [first]
+    for an, bn, inv in zip(a + n, b + n, a.real.dtype.type(1) / (n + 1)):
+        rows.append(np.multiply(np.multiply(np.divide(np.multiply(rows[-1], an), bn), x), inv))
+    return np.array(rows)
+
+
 def _taylor_1f1(a, b, x, dtype=complex):
     """Direct Taylor sum of 1F1(a;b;x), no transform.
 
@@ -144,71 +166,61 @@ def _taylor_1f1(a, b, x, dtype=complex):
     whose cancellation is inf. All inputs must be broadcast to a common
     1-d shape already. tol for the stop rule is tied to the dtype's
     epsilon; stopping requires three consecutive small terms so
-    alternating near-zeros cannot fool it. An element that meets the rule
-    is frozen: its term is set to exactly 0, so its sum and peak stay as
-    they are and it keeps meeting the rule. The working arrays drop the
-    frozen elements once they are at least half of them, and each
-    element's sum and peak are written where it settles; an element's
-    arithmetic does not depend on the others.
-    The first term or sum that overflows raises ``OverflowRangeError``.
+    alternating near-zeros cannot fool it.
+
+    The terms come in blocks of _BLOCK (the last one cut at the budget),
+    by ``_ratio_terms`` in double and ``_recurrence_terms`` in long double,
+    and the partial sums by one sequential cumulative sum, so an element
+    adds its own terms in order. The stop rule's runs of small terms carry
+    over from block to block; an element settles at its own stop term,
+    with the sum and peak of the terms up to it, and leaves the working
+    arrays, so its bits depend on it alone. A term or sum whose magnitude
+    leaves the double range at or before the element's stop raises
+    ``OverflowRangeError``; later ones, which a term loop would never
+    compute, are ignored.
     """
     real = np.float64 if dtype == complex else np.longdouble
     tol = 0.1 * np.finfo(real).eps
-    a = a.astype(dtype)
-    b = b.astype(dtype)
-    x = x.astype(dtype)
+    step = _ratio_terms if dtype == complex else _recurrence_terms
+    a, b, x = (v.astype(dtype) for v in (a, b, x))
     total = np.ones(x.shape, dtype=dtype)
-    peak = np.ones(x.shape, dtype=np.float64)
+    peak = np.ones(x.shape)
     live = np.arange(x.size)
-    s = np.ones(x.shape, dtype=dtype)
-    term = np.ones(x.shape, dtype=dtype)
-    maxmag = np.ones(x.shape, dtype=np.float64)
-    small_runs = np.zeros(x.shape, dtype=np.int64)
-    frozen = 0
-    try:
-        with np.errstate(over="raise"):
-            for n in range(_SERIES_BUDGET):
-                # Named ufuncs fix each product's factor order: numpy may
-                # reuse an operator's temporary in place on large arrays,
-                # which swaps the factors of a complex product and changes
-                # its last bits. numpy divides a complex by n + 1 as the
-                # product with the reciprocal 1/(n + 1) in the dtype's own
-                # precision, so that product is used.
-                term = np.multiply(np.divide(np.multiply(term, a + n), b + n), x)
-                term = np.multiply(term, real(1) / (n + 1))
-                s = s + term
-                tmag = np.abs(term).astype(np.float64, copy=False)
-                maxmag = np.maximum(maxmag, tmag)
-                small = tmag <= tol * np.abs(s).astype(np.float64, copy=False)
-                small_runs += 1
-                small_runs *= small
-                done = small_runs >= 3
-                count = np.count_nonzero(done)
-                if count == frozen:
-                    continue
-                # A finished element is frozen: its terms are exactly 0 from
-                # now on, so its sum and peak stay as they are and it stays done.
-                term[done] = 0.0
-                frozen = count
-                if 2 * frozen < live.size:
-                    continue
-                total[live[done]] = s[done]
-                peak[live[done]] = maxmag[done]
-                keep = ~done
-                live, a, b, x, s, term, maxmag, small_runs = (
-                    v[keep] for v in (live, a, b, x, s, term, maxmag, small_runs))
-                frozen = 0
-                if not live.size:
-                    break
-    except FloatingPointError:
-        s = np.inf     # the overflowed elements settle as inf, refused below
-    # The elements still in the arrays, frozen or not, settle here.
+    # each live element's last term, sum, peak term and closing small run
+    term, s, maxmag = total.copy(), total.copy(), peak.copy()
+    runs = np.zeros(x.shape, dtype=np.int64)
+    with np.errstate(all="ignore"):
+        for start in range(0, _SERIES_BUDGET, _BLOCK):
+            # a whole block, then cut at the budget: numpy forms a 2-row
+            # accumulation's complex products differently from a longer one's
+            n = np.arange(start, start + _BLOCK)[:, None]
+            rows = step(term, a, b, x, n)[:_SERIES_BUDGET - start + 1]
+            term, terms = rows[-1], rows[1:]
+            rows[0] = s
+            sums = np.cumsum(rows, axis=0)[1:]
+            tmag = np.abs(terms).astype(np.float64, copy=False)
+            smag = np.abs(sums).astype(np.float64, copy=False)
+            small = np.concatenate(((runs >= 2)[None], (runs >= 1)[None],
+                                    tmag <= tol * smag))
+            three = small[:-2] & small[1:-1] & small[2:]
+            done = three.any(axis=0)
+            end = np.where(done, three.argmax(axis=0), terms.shape[0] - 1)
+            counted = np.arange(terms.shape[0])[:, None] <= end
+            if not np.all(np.isfinite(tmag) & np.isfinite(smag) | ~counted):
+                raise OverflowRangeError("1F1 series overflowed the floating range")
+            s = sums[end, np.arange(live.size)]
+            maxmag = np.maximum(maxmag, np.where(counted, tmag, 0.0).max(axis=0))
+            runs = small[-1] * (1 + small[-2])
+            total[live[done]] = s[done]
+            peak[live[done]] = maxmag[done]
+            live, a, b, x, term, s, maxmag, runs = (
+                v[~done] for v in (live, a, b, x, term, s, maxmag, runs))
+            if not live.size:
+                break
+    # the elements still summing ran out of terms
     total[live] = s
-    peak[live] = maxmag
-    if not np.all(np.isfinite(total.astype(complex))):
-        raise OverflowRangeError("1F1 series overflowed the floating range")
     unconverged = np.zeros(total.shape, dtype=bool)
-    unconverged[live] = small_runs < 3
+    unconverged[live] = True
     smag = np.abs(total).astype(np.float64)
     cancel = np.where(smag > 0.0, peak / np.where(smag > 0, smag, 1.0), np.inf)
     cancel[unconverged] = np.inf
@@ -244,11 +256,8 @@ def kummer_1f1(a, b, x):
     OverflowRangeError
         If intermediate terms leave the representable range.
     """
-    a_arr, b_arr, x_arr = np.broadcast_arrays(
-        np.asarray(a, dtype=complex),
-        np.asarray(b, dtype=complex),
-        np.asarray(x, dtype=complex),
-    )
+    a_arr, b_arr, x_arr = np.broadcast_arrays(*(np.asarray(v, dtype=complex)
+                                                 for v in (a, b, x)))
     scalar = a_arr.ndim == 0
     shape = x_arr.shape
     a_flat, b_flat, x_flat = (np.ravel(v) for v in (a_arr, b_arr, x_arr))
@@ -291,11 +300,6 @@ def kummer_1f1(a, b, x):
             f"{failed.size} elements refused",
             best=out, failed=bool(failed[0]) if scalar else failed.reshape(shape))
     return out
-
-
-
-
-
 
 
 def _log_terms(a, b, c, z, n):
@@ -364,11 +368,7 @@ def _kummer_grid(a, b, c, z):
             kl = np.flatnonzero(summing[:, live].any(axis=1))
             sub = np.ix_(kl, live)
             n = np.arange(start, start + _BLOCK)[:, None]
-            # named ufuncs: an operator may reuse a temporary in place with
-            # its factors swapped, which moves a complex product's last bits
-            ratio = np.divide(np.multiply(a[live] + n, c[live]),
-                              np.multiply(b[live] + n, n + 1))
-            d = np.multiply.accumulate(np.concatenate((coef[None, live], ratio)), axis=0)
+            d = _ratio_terms(coef[live], a[live], b[live], c[live], n)
             coef[live], d = d[-1], d[:-1]
             # the band tops' terms, (term, band, row), and the pairs' stop rule
             f = np.log(np.abs(d))[:, None, :] + (n * log_top[kl])[..., None]

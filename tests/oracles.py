@@ -27,14 +27,21 @@ def hyp1f1_series(a, b, x, nmax=200000):
     (1e-55 at the default 60 digits), so a caller that raises the
     precision with ``mp.workdps`` gets a correspondingly finer sum.
     """
+    return hyp1f1_series_peak(a, b, x, nmax)[0]
+
+
+def hyp1f1_series_peak(a, b, x, nmax=200000):
+    """``hyp1f1_series``'s sum and the largest |term| of that series."""
     a, b, x = mp.mpc(a), mp.mpc(b), mp.mpc(x)
     s = mp.mpc(1)
     term = mp.mpc(1)
+    peak = mp.mpf(1)
     small = 0
     stop = mp.mpf(10) ** (5 - mp.mp.dps)
     for n in range(nmax):
         term *= (a + n) / (b + n) * x / (n + 1)
         s += term
+        peak = max(peak, abs(term))
         if abs(term) < stop * abs(s):
             small += 1
             if small >= 5:
@@ -43,7 +50,7 @@ def hyp1f1_series(a, b, x, nmax=200000):
             small = 0
     else:
         raise RuntimeError("series did not converge")
-    return s
+    return s, peak
 
 
 def exact_distribution(kappa, e_squared, omega, theta):

@@ -12,11 +12,61 @@ from fdradiance import specfun
 from fdradiance.errors import ConvergenceError, OverflowRangeError, PoleError
 from fdradiance.specfun import _taylor_1f1, kummer_1f1, ln_gamma
 
-from oracles import hyp1f1_series
+from oracles import hyp1f1_series, hyp1f1_series_peak
 
 
 def rel(got, want):
     return abs(got - want) / abs(want)
+
+
+def spread_series(seed):
+    """The closed form's two series at 400 seeded (y, u^2), y up to 16, with
+    x = -i|x| below |x| = 6: stop terms from a few to hundreds."""
+    rng = np.random.default_rng(seed)
+    y = rng.uniform(0.01, 16.0, 400)
+    x = 1j * y * rng.uniform(-1.0, 1.0, 400) ** 2
+    x = np.where(np.abs(x) < 6.0, -x, x)
+    a = np.where(rng.random(400) < 0.5, 0.5, 1.0) - 1j * y
+    b = np.where(a.real == 0.5, 0.5, 1.5) + 0j
+    return a, b, x
+
+
+def term_loop(a, b, x, dtype):
+    """(sum, cancellation, terms summed) of each series, term by term.
+
+    Every element advances until the slowest has met the stop rule, the
+    finished ones masked: in double by the ratio (a + n) x/((b + n)(n + 1)),
+    in long double as ((t (a + n))/(b + n)) x/(n + 1) of the last term t.
+    """
+    tol = 0.1 * np.finfo(np.float64 if dtype == complex else np.longdouble).eps
+    a, b, x = a.astype(dtype), b.astype(dtype), x.astype(dtype)
+    s = np.ones(x.shape, dtype=dtype)
+    term = np.ones(x.shape, dtype=dtype)
+    maxmag = np.ones(x.shape)
+    runs = np.zeros(x.shape, dtype=np.int64)
+    stops = np.zeros(x.shape, dtype=np.int64)
+    active = np.ones(x.shape, dtype=bool)
+    for n in range(specfun._SERIES_BUDGET):
+        if dtype == complex:
+            ratio = np.divide(np.multiply(a + n, x), np.multiply(b + n, n + 1))
+            # np.multiply.accumulate forms (p + iq)(r + is) as
+            # (pr - qs) + i(ps + qr), with no fused multiply-add
+            step = np.empty_like(term)
+            step.real = term.real * ratio.real - term.imag * ratio.imag
+            step.imag = term.real * ratio.imag + term.imag * ratio.real
+        else:
+            step = np.multiply(np.divide(np.multiply(term, a + n), b + n), x) / (n + 1)
+        term = np.where(active, step, term)
+        s = np.where(active, s + term, s)
+        stops += active
+        tmag = np.abs(term).astype(np.float64)
+        maxmag = np.where(active, np.maximum(maxmag, tmag), maxmag)
+        small = tmag <= tol * np.abs(s).astype(np.float64)
+        runs = np.where(active & small, runs + 1, 0)
+        active = active & (runs < 3)
+        if not active.any():
+            return s, maxmag / np.abs(s).astype(np.float64), stops
+    raise AssertionError("reference did not converge")
 
 
 class TestLnGamma:
@@ -207,41 +257,32 @@ class TestKummer:
 
     @pytest.mark.parametrize("dtype", [complex, np.clongdouble])
     def test_series_matches_the_whole_batch_loop(self, dtype):
-        # the reference advances every element until the slowest has met
-        # the stop rule, masking the finished ones; dropping an element at
-        # its own stopping term must leave its sum and peak term unchanged
-        def masked(a, b, x):
-            tol = 0.1 * np.finfo(np.float64 if dtype == complex else np.longdouble).eps
-            a, b, x = a.astype(dtype), b.astype(dtype), x.astype(dtype)
-            s = np.ones(x.shape, dtype=dtype)
-            term = np.ones(x.shape, dtype=dtype)
-            maxmag = np.ones(x.shape)
-            runs = np.zeros(x.shape, dtype=np.int64)
-            active = np.ones(x.shape, dtype=bool)
-            for n in range(specfun._SERIES_BUDGET):
-                step = np.multiply(np.divide(np.multiply(term, a + n), b + n), x) / (n + 1)
-                term = np.where(active, step, term)
-                s = np.where(active, s + term, s)
-                tmag = np.abs(term).astype(np.float64)
-                maxmag = np.where(active, np.maximum(maxmag, tmag), maxmag)
-                small = tmag <= tol * np.abs(s).astype(np.float64)
-                runs = np.where(active & small, runs + 1, 0)
-                active = active & (runs < 3)
-                if not active.any():
-                    return s, maxmag / np.abs(s).astype(np.float64)
-            raise AssertionError("reference did not converge")
-
-        rng = np.random.default_rng(23)
-        y = rng.uniform(0.01, 16.0, 400)
-        x = 1j * y * rng.uniform(-1.0, 1.0, 400) ** 2
-        x = np.where(np.abs(x) < 6.0, -x, x)
-        a = np.where(rng.random(400) < 0.5, 0.5, 1.0) - 1j * y
-        b = np.where(a.real == 0.5, 0.5, 1.5)
+        # dropping an element at its own stopping term must leave its sum
+        # and peak term as the whole-batch term loop has them
+        a, b, x = spread_series(23)
         got_sum, got_cancel, _ = _taylor_1f1(a, b, x, dtype=dtype)
-        want_sum, want_cancel = masked(a, b, x)
+        want_sum, want_cancel, _ = term_loop(a, b, x, dtype)
         assert got_sum.dtype == want_sum.dtype
         assert np.array_equal(got_sum, want_sum)
         assert np.array_equal(got_cancel, want_cancel)
+
+    @pytest.mark.parametrize("dtype", [complex, np.clongdouble])
+    @pytest.mark.parametrize("budget", [33, 34, 45])
+    def test_budget_inside_the_second_block(self, budget, dtype, monkeypatch):
+        # a budget of 33 to 45 terms cuts the second block of 32: the
+        # elements the term loop leaves unconverged after that many terms,
+        # and only they, are unconverged, and the others keep an unlimited
+        # call's bits. Some stop within the cut block, at 33 or 34 terms on
+        # a run of small terms that began in the first block
+        a, b, x = spread_series(25)
+        want_sum, want_cancel, stops = term_loop(a, b, x, dtype)
+        assert np.any((32 < stops) & (stops <= budget))
+        assert np.any((budget < stops) & (stops <= 64))
+        monkeypatch.setattr(specfun, "_SERIES_BUDGET", budget)
+        got_sum, got_cancel, unconverged = _taylor_1f1(a, b, x, dtype=dtype)
+        assert np.array_equal(unconverged, stops > budget)
+        assert np.array_equal(got_sum[~unconverged], want_sum[~unconverged])
+        assert np.array_equal(got_cancel[~unconverged], want_cancel[~unconverged])
 
     def test_budget_exhaustion_keeps_every_element(self, monkeypatch):
         # tiny |x| converges within a dozen terms, |x| >= 1.5 does not; the
@@ -375,6 +416,73 @@ class TestKummer:
             warnings.simplefilter("error")
             with pytest.raises(OverflowRangeError, match="overflowed"):
                 kummer_1f1(np.array([0.5 - 1000j, 1.0 - 1000j]), np.array([0.5, 1.5]), 1000j)
+
+    def test_overflow_past_the_stop_term_is_not_summed(self):
+        # a within 1e-300 of -3: the terms fall below the stop rule after
+        # the fourth and then grow by about x/n each, past the double range
+        # within the first block of 32. A term loop stops before them, so
+        # the call returns the polynomial's value, with no numpy warning
+        a, b, x = np.array([-3 + 1e-300j]), np.array([0.5 + 0j]), np.array([1e21 + 0j])
+        with pytest.raises(FloatingPointError), np.errstate(over="raise"):
+            specfun._ratio_terms(np.ones(1, dtype=complex), a, b, x,
+                                 np.arange(specfun._BLOCK)[:, None])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = kummer_1f1(-3 + 1e-300j, 0.5, 1e21)
+        assert rel(got, -16e62 / 3) < 1e-15
+
+    def test_overflow_past_the_budget_is_not_summed(self, monkeypatch):
+        # the terms of 1F1(1/2; 3/2; 6e7) pass the double range from the
+        # 48th: unlimited, the call refuses the overflow, but with a budget
+        # of 45 terms it refuses the unconverged sum, as a term loop would,
+        # though the cut block's terms 46 to 64 are formed
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(OverflowRangeError, match="overflowed"):
+                kummer_1f1(0.5, 1.5, 6e7)
+            monkeypatch.setattr(specfun, "_SERIES_BUDGET", 45)
+            with pytest.raises(ConvergenceError, match="45 terms") as info:
+                kummer_1f1(0.5, 1.5, 6e7)
+        assert 1e290 < abs(info.value.best) < 1e300
+
+    def test_matches_the_oracle_over_the_identity_box(self, monkeypatch):
+        # acceptance criterion 9's box: a and b in [-10, 10]^2, b a unit
+        # off the poles, x pure imaginary up to 15 or in [-8, 8]^2, whose
+        # Re x < 0 half takes the Kummer transform. Each returned element
+        # is within 1e-10 of the 60-digit oracle, some after the long-double
+        # retry, and each refused one cancels past _CANCEL_RETRY in the
+        # oracle's own terms of the series summed
+        rng = np.random.default_rng(3201)
+        n = 150
+        a = rng.uniform(-10, 10, n) + 1j * rng.uniform(-10, 10, n)
+        b = rng.uniform(-10, 10, n) + 1j * rng.uniform(-10, 10, n)
+        lattice = np.minimum(np.round(b.real), 0.0)
+        b = np.where(np.abs(b - lattice) < 1.0, b + 2j * np.sign(b.imag + 0.5), b)
+        x = np.where(np.arange(n) % 3 == 0, 1j * rng.uniform(-15, 15, n),
+                     rng.uniform(-8, 8, n) + 1j * rng.uniform(-8, 8, n))
+        taylor = specfun._taylor_1f1
+        retried = []
+
+        def recording(a, b, x, dtype=complex):
+            if dtype != complex:
+                retried.append(a.size)
+            return taylor(a, b, x, dtype)
+
+        monkeypatch.setattr(specfun, "_taylor_1f1", recording)
+        try:
+            got, failed = kummer_1f1(a, b, x), np.zeros(n, dtype=bool)
+        except ConvergenceError as exc:
+            got, failed = exc.best, exc.failed
+        assert sum(retried) > 0 and np.count_nonzero(failed) < n // 4
+        assert np.count_nonzero(x.real < 0.0) > n // 4
+        for i in range(n):
+            if failed[i]:
+                flip = x[i].real < 0.0
+                summed = (b[i] - a[i], b[i], -x[i]) if flip else (a[i], b[i], x[i])
+                total, peak = hyp1f1_series_peak(*(complex(v) for v in summed))
+                assert peak / abs(total) > specfun._CANCEL_RETRY
+            else:
+                assert rel(got[i], complex(hyp1f1_series(a[i], b[i], x[i]))) < 1e-10
 
     def test_pole_raises(self):
         with pytest.raises(PoleError):
