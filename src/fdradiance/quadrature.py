@@ -80,16 +80,20 @@ _G_WEIGHTS[1::2] = np.concatenate([_WG_HALF[:-1], _WG_HALF[::-1]])
 _MAX_WAVES = 200
 # Panels per integrand call within one wave.
 _WAVE_PANELS = 1024
-# Evaluation budget of one integral and absolute error floor.
+# Evaluation budget of one integral, and the contour rows' absolute error
+# floor: a row whose integral is subnormal (b 300-400, d 0.5-1.5) would
+# otherwise refine its roundoff for up to 1,695 evaluations instead of 75.
 _MAX_EVALS = 1_000_000
 _ABS_FLOOR = 1e-300
 _EPS = float(np.finfo(float).eps)
 # Series head: the terms summed, their dropped tail in units of |Z| (the
 # largest over all splits b |d| h + b h^2/2 = 3), and the roundoff allowance
 # in units of eps times the bound on the summed term moduli.
-_HEAD_TERMS = 64
-_HEAD_TAIL = 1.2e-22
+_HEAD_TERMS = 56
+_HEAD_TAIL = 1.5e-18
 _HEAD_ROUNDOFF = 16.0
+# Rows per (terms, rows) table of series terms.
+_HEAD_BLOCK = 512
 # Largest b the contour takes. The set-up squares b (b^2 d^2, p^2, b L), which
 # leaves the double range from b ~ 1e154; refusing past this bound keeps it,
 # and the head and legs, free of inf and nan without a numpy error state
@@ -173,7 +177,7 @@ def _gk_panels(f, lo, hi, rows):
     return tuple(np.concatenate(p) for p in zip(*parts))
 
 
-def _adaptive_rows(f, lo, hi, counts, tol, offsets=None):
+def _adaptive_rows(f, lo, hi, counts, tol, offsets=None, floor=0.0):
     """Wave-refined adaptive GK15 over many integrals ("rows") at once.
 
     ``lo``/``hi`` hold every row's initial panels, row after row and in
@@ -183,7 +187,8 @@ def _adaptive_rows(f, lo, hi, counts, tol, offsets=None):
     ``rows[k]``, to integrand values of the same shape. ``offsets``, if
     given, holds a per-row value known apart from the integral (the
     oscillatory route's series head): a row's relative target then applies
-    to its integral plus its offset.
+    to its integral plus its offset. ``floor`` is an absolute target below
+    which no row refines.
 
     Every row keeps the rules of a lone integral: its own target, pick
     threshold and budget, and it finishes or stalls on its own. Its panels
@@ -211,7 +216,7 @@ def _adaptive_rows(f, lo, hi, counts, tol, offsets=None):
         # integrals legitimately bottom out there.
         machine_floor = (50.0 * _EPS) * np.add.reduceat(l1s, starts)
         whole = total if offsets is None else total + offsets[active]
-        target = np.maximum(np.maximum(tol * np.abs(whole), _ABS_FLOOR),
+        target = np.maximum(np.maximum(tol * np.abs(whole), floor),
                             machine_floor)
         done = toterr <= target
         if done.all():
@@ -311,10 +316,11 @@ def integrate_adaptive(f, lo, hi, tol=1e-10):
         Finite bounds with lo < hi; integrals over [0, inf) go through
         ``integrate_semi_infinite``.
     tol : float
-        Relative tolerance, positive and finite, above the absolute floor
-        _ABS_FLOOR. The first wave has eight equal panels; past _MAX_EVALS
-        integrand evaluations the integral raises, with the best estimate
-        attached to the error.
+        Relative tolerance, positive and finite. No absolute floor applies,
+        so the run is the same for f and c f at any scale c, down to the
+        roundoff floor of eps times the integral of |f|. The first wave has
+        eight equal panels; past _MAX_EVALS integrand evaluations the
+        integral raises, with the best estimate attached to the error.
 
     Returns
     -------
@@ -403,11 +409,27 @@ def _saddle_integrand(b, d, alpha):
         decay, phase = _exponent(bb, dd, x, y)
         phase += turn
         # e^{decay + i phase} by its modulus and angle, written into the
-        # real and imaginary views of the result
+        # real and imaginary views of the result. The angle goes in as
+        # e^{i phase} = ((1 - u^2) + 2 i u)/(1 + u^2), u = tan(phase/2):
+        # numpy's float64 tan is vectorized where its cos and sin run
+        # through scalar libm (numpy 2.4 on AVX-512: 10 us against 70 us
+        # each on 4,725 nodes), so one tangent costs a fraction of the
+        # pair. Each part is within about eps of the exact one at any
+        # finite phase (no double lies within 4e-19 of an odd multiple of
+        # pi/2, so |u| < 3e18 and u^2 stays finite), and the modulus
+        # multiplies last, so a subnormal modulus is not divided into
+        # deeper underflow.
+        u = np.tan(0.5 * phase)
+        u2 = u * u
+        den = 1.0 + u2
+        u += u
+        u /= den
+        np.subtract(1.0, u2, out=u2)
+        u2 /= den
         mag = np.exp(decay)
         out = np.empty(ss.shape, dtype=complex)
-        np.multiply(mag, np.cos(phase), out=out.real)
-        np.multiply(mag, np.sin(phase), out=out.imag)
+        np.multiply(mag, u2, out=out.real)
+        np.multiply(mag, u, out=out.imag)
         return out
 
     return g
@@ -417,28 +439,41 @@ def _series_head(b, d, alpha, h):
     """int_0^Z w^{ib} exp(i b (d w + w^2/2)) dw, Z = h e^{i alpha}, by its Taylor series.
 
     The integral is Z^{1+ib} sum_n t_n / (1+ib+n) with t_0 = 1 and
-    n t_n = i b d Z t_{n-1} + i b Z^2 t_{n-2}. The term moduli sum to at
-    most e^{b |d| h + b h^2/2} <= e^3, and past _HEAD_TERMS their tail is
-    below _HEAD_TAIL |Z|; the error bound is the roundoff on those moduli,
-    that tail, and the rounding of the exponents of Z^{1+ib}, which moves
-    the value by up to eps b (alpha + |ln h|) each. Every row runs all the
-    terms into its own running total, with weights taken once per distinct
-    b and complex products through np.multiply, so its value does not
-    depend on the other rows. Each term gathers its weights and takes 1/n
-    on its own: (terms, rows) tables of them run out of cache on a slice
-    of thousands of rows. Returns (values, abs_errors).
+    n t_n = i b d Z t_{n-1} + i b Z^2 t_{n-2}. With A = b |d| h and
+    B = b h^2, |t_n| is at most the coefficient m_n of e^{A u + B u^2/2},
+    so the term moduli sum to at most e^{A + B/2} <= e^3. The dropped tail
+    sum_{n >= N} m_n/(n+1), largest over the splits A + B/2 = 3 at A = 0,
+    is 1.46e-18 at N = _HEAD_TERMS = 56, below _HEAD_TAIL |Z| and four
+    orders under the roundoff the bound already carries. The error bound is the roundoff on the moduli, that tail, and
+    the rounding of the exponents of Z^{1+ib}, which moves the value by up
+    to eps b (alpha + |ln h|) each. The terms of _HEAD_BLOCK rows at a time
+    form a (terms, rows) table by the recurrence (a block, not the whole
+    call, so that a 4,096-row slice does not hold tables of megabytes), and
+    each row's weighted terms go into one cumulative sum down its column,
+    which adds them in term order, one at a time, as a running total would.
+    Weights are taken once per distinct b, and complex products go through
+    np.multiply, weight first, whose bits do not depend on where an element
+    sits, so a row's value does not depend on the other rows or on its
+    block. Returns (values, abs_errors).
     """
     Z = h * np.exp(1j * alpha)
     x, y = np.multiply(1j * b * d, Z), np.multiply(1j * b * Z, Z)
     bs, row_b = np.unique(b, return_inverse=True)
     w = 1.0 / (1.0 + 1j * bs + np.arange(_HEAD_TERMS)[:, None])
-    t0, t1 = np.ones_like(Z), x
-    total = w[0][row_b] + np.multiply(w[1][row_b], t1)
-    for n in range(2, _HEAD_TERMS):
-        # times 1/n, which is how numpy divides a complex by a real n, at
-        # the cost of a product
-        t0, t1 = t1, (np.multiply(x, t1) + np.multiply(y, t0)) * (1.0 / n)
-        total += np.multiply(w[n][row_b], t1)
+    total = np.empty_like(Z)
+    for r in range(0, Z.size, _HEAD_BLOCK):
+        rb = slice(r, r + _HEAD_BLOCK)
+        xb, yb = x[rb], y[rb]
+        terms = np.empty((_HEAD_TERMS, xb.size), dtype=complex)
+        terms[0], terms[1] = 1.0, xb
+        for n in range(2, _HEAD_TERMS):
+            # times 1/n, which is how numpy divides a complex by a real n, at
+            # the cost of a product
+            t = np.multiply(xb, terms[n - 1], out=terms[n])
+            t += np.multiply(yb, terms[n - 2])
+            t *= 1.0 / n
+        np.multiply(w[:, row_b[rb]], terms, out=terms)
+        total[rb] = np.cumsum(terms, axis=0)[-1]
     # Z^{1+ib} = h e^{-b alpha} e^{i (alpha + b ln h)}
     log_h = np.log(h)
     scale = h * np.exp(-b * alpha)
@@ -474,7 +509,7 @@ def _oscillatory_rows(b, d, tol):
     alpha, h, tails, lo, hi, counts = _saddle_setup(b, d, tol)
     heads, head_errs = _series_head(b, d, alpha, h)
     values, abs_errors, stalled, evals = _adaptive_rows(
-        _saddle_integrand(b, d, alpha), lo, hi, counts, tol, heads)
+        _saddle_integrand(b, d, alpha), lo, hi, counts, tol, heads, _ABS_FLOOR)
     _raise_stalled(values, abs_errors, stalled, evals)
     values = values + heads
     abs_errors = abs_errors + head_errs + tails

@@ -157,6 +157,24 @@ def ray_head_segment(a, b, c, h, alpha):
         return complex(Z ** (1 + 1j * b) * (rest + 1 / (1 + 1j * b)))
 
 
+def head_majorant_tail(terms, split, cut=400):
+    """Dropped tail of the series head's majorant, to 50 digits.
+
+    The head's terms t_n are bounded by the coefficients m_n of
+    e^{A u + B u^2/2}, with A = b |d| h and B = b h^2 on the split
+    A + B/2 = 3 (A = ``split``), so n m_n = A m_{n-1} + B m_{n-2}. Returns
+    sum_{terms <= n < cut} m_n/(n+1), the bound on the weighted terms
+    past ``terms``; past the cut they are far below the 50th digit.
+    """
+    with mp.workdps(50):
+        A = mp.mpf(split)
+        B = 2 * (3 - A)
+        m = [mp.mpf(1), A]
+        for n in range(2, cut):
+            m.append((A * m[-1] + B * m[-2]) / n)
+        return mp.fsum(m[n] / (n + 1) for n in range(terms, cut))
+
+
 def worldline_position(kappa, zeta, t, seed):
     """Root z of t(z) = (kappa/4) z^2 + (2/kappa) ln(kappa z) + zeta z - t.
 

@@ -7,12 +7,13 @@ draws the same examples on every run.
 import cmath
 import math
 import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from fdradiance.cli import main
 from fdradiance.errors import OverflowRangeError
@@ -109,13 +110,18 @@ def test_position_at_time_inverts_coordinate_time(kappa, zeta, t):
 @settings(max_examples=300)
 @given(omega=st.floats(0.0, sys.float_info.max, exclude_min=True),
        theta=st.floats(0.0, math.pi))
+# near the top of the range p + q overflows a double though the pair is exact
+@example(omega=1.7976931348623155e308, theta=1.25)
 def test_mode_pair_keeps_frequency_and_projection(omega, theta):
     # p + q = omega and p - q = omega cos(theta) from the half-angle forms,
-    # to a few roundings of omega (and of the smallest subnormal below it)
-    p, q = map_to_modes(omega, theta)
-    bound = 4.0 * sys.float_info.epsilon * omega + 4.0 * math.ulp(0.0)
+    # to a few roundings of omega (and of the smallest subnormal below it).
+    # Both sides are taken exactly, as fractions, so no sum of the test's
+    # own rounds or overflows
+    p, q = (Fraction(float(v)) for v in map_to_modes(omega, theta))
+    omega = Fraction(omega)
+    bound = 4 * Fraction(sys.float_info.epsilon) * omega + 4 * Fraction(math.ulp(0.0))
     assert abs(p + q - omega) <= bound
-    assert abs(p - q - omega * math.cos(theta)) <= bound
+    assert abs(p - q - omega * Fraction(math.cos(theta))) <= bound
 
 
 @settings(max_examples=200)

@@ -6,6 +6,7 @@ code and no contour.
 """
 import cmath
 import math
+import sys
 
 import mpmath as mp
 import numpy as np
@@ -26,7 +27,7 @@ from fdradiance.quadrature import (
     integrate_semi_infinite,
 )
 
-from oracles import damped_phase_integral, ray_head_segment
+from oracles import damped_phase_integral, head_majorant_tail, ray_head_segment
 
 # frozen by 60-digit quadrature of the rotated integrand
 J_HALF_4_M1 = 0.008701515102645193900047 + 0.02261928691557165995927j
@@ -96,6 +97,18 @@ class TestAdaptive:
         for c in (1.0, 1.0 / 3.0):
             res = integrate_adaptive(lambda x: np.abs(x - c), 0.0, 2.0, tol=1e-12)
             assert rel(res.value, 0.5 * (c * c + (2.0 - c) ** 2)) < 1e-13
+
+    @pytest.mark.parametrize("c", [10.0 ** k for k in range(-300, 301, 50)])
+    def test_scale_invariance(self, c):
+        # no absolute floor sets the target: c sqrt(x) takes the same run at
+        # every scale c and lands within tol of its value, as does c e^{-x}
+        # on [0, inf)
+        tol = 1e-12
+        res = integrate_adaptive(lambda x: c * np.sqrt(x), 0.0, 1.0, tol=tol)
+        assert abs(res.value - 2.0 * c / 3.0) <= tol * 2.0 * c / 3.0
+        assert res.evaluations == integrate_adaptive(np.sqrt, 0.0, 1.0, tol=tol).evaluations
+        res = integrate_semi_infinite(lambda x: c * np.exp(-x), tol=tol)
+        assert abs(res.value - c) <= tol * c
 
     def test_infinite_bound_rejected(self):
         # [0, inf) has its own entry, integrate_semi_infinite
@@ -329,6 +342,105 @@ class TestOscillatoryRows:
             want = ray_head_segment(bb / 2, bb, bb * dd, hc, al)
             assert abs(value - want) <= error
             assert error <= 1e-11 * abs(want)
+
+    def test_series_head_tail_is_inside_its_bar(self):
+        # the weighted majorant terms past _HEAD_TERMS, over the splits
+        # b |d| h + b h^2/2 = 3 of the head radius (the largest at d = 0),
+        # stay below the _HEAD_TAIL that every head's bar carries
+        worst = max(head_majorant_tail(quadrature._HEAD_TERMS, k / 10) for k in range(31))
+        assert worst == head_majorant_tail(quadrature._HEAD_TERMS, 0)
+        assert worst <= quadrature._HEAD_TAIL
+
+    @staticmethod
+    def head_rows(size, seed):
+        # rows of mixed b and d at the angle and head radius the contour uses
+        rng = np.random.default_rng(seed)
+        b = rng.choice([0.3, 2.0, 9.0, 40.0, 300.0], size) * rng.choice([1.0, 1.5], size)
+        d = rng.uniform(-1.95, 1.95, size)
+        alpha, h = quadrature._saddle_setup(b, d, 1e-9)[:2]
+        return b, d, alpha, h
+
+    def test_series_head_rows_do_not_see_their_block(self):
+        # a row's head value and bar are the same bits alone, inside a
+        # 4,096-row call, and on either side of a row-block boundary,
+        # wherever the call's blocks start
+        rows = self.head_rows(4096, 7)
+        block = quadrature._HEAD_BLOCK
+        assert rows[0].size > 4 * block
+        values, errors = quadrature._series_head(*rows)
+        for i in (0, block - 1, block, 3 * block + 7, rows[0].size - 1):
+            value, error = quadrature._series_head(*(v[i:i + 1] for v in rows))
+            assert np.array_equal(value, values[i:i + 1])
+            assert np.array_equal(error, errors[i:i + 1])
+        value, error = quadrature._series_head(*(v[block - 3:] for v in rows))
+        assert np.array_equal(value, values[block - 3:])
+        assert np.array_equal(error, errors[block - 3:])
+
+    @pytest.mark.parametrize("size", [1, 300])
+    def test_series_head_sums_in_term_order(self, size):
+        # the term tables give the bits of a running total that adds one
+        # term at a time, the per-term loop they replace
+        b, d, alpha, h = self.head_rows(size, size)
+        Z = h * np.exp(1j * alpha)
+        x, y = np.multiply(1j * b * d, Z), np.multiply(1j * b * Z, Z)
+        w = 1.0 / (1.0 + 1j * b + np.arange(quadrature._HEAD_TERMS)[:, None])
+        t0, t1 = np.ones_like(Z), x
+        total = w[0] + np.multiply(w[1], t1)
+        for n in range(2, quadrature._HEAD_TERMS):
+            t0, t1 = t1, (np.multiply(x, t1) + np.multiply(y, t0)) * (1.0 / n)
+            total += np.multiply(w[n], t1)
+        scale = h * np.exp(-b * alpha) * np.exp(1j * (alpha + b * np.log(h)))
+        value, _ = quadrature._series_head(b, d, alpha, h)
+        assert np.array_equal(value, np.multiply(scale, total))
+
+    def test_saddle_integrand_phasor(self, monkeypatch):
+        # e^{decay + i phase} from one tangent per node, against 40-digit
+        # mpmath at the decay and phase the integrand formed, at phases out
+        # to 1e6 and where |tan(phase/2)| > 1e3: each part within 2 eps of
+        # |f| wherever |f| is a normal double. The rounding of the phase
+        # itself is the business of the complex-exponential test below
+        b = np.array([0.5, 30.0, 3e3, 1e6])
+        d = np.array([-1.5, 0.4, -1.9, -1.999])
+        alpha, _, _, lo, hi, counts = quadrature._saddle_setup(b, d, 1e-9)
+        formed, exponent = [], quadrature._exponent
+
+        def spy(*args):
+            decay, phase = exponent(*args)
+            formed.append((decay.copy(), phase.copy()))
+            return decay, phase
+
+        monkeypatch.setattr(quadrature, "_exponent", spy)
+        # each initial panel cut into 64
+        cuts = np.arange(65) / 64.0
+        edges = lo[:, None] + (hi - lo)[:, None] * cuts
+        lo, hi = edges[:, :-1].ravel(), edges[:, 1:].ravel()
+        rows = np.arange(b.size).repeat(counts * 64)
+        s = 0.5 * (hi + lo)[:, None] + 0.5 * (hi - lo)[:, None] * quadrature._GK_NODES
+        got = quadrature._saddle_integrand(b, d, alpha)(s, rows)
+        [(decay, phase)] = formed
+        phase += np.where(s > 1.0, 0.5 * alpha[rows, None], alpha[rows, None])
+        # nodes whose |f| is a normal double
+        normal = decay > math.log(sys.float_info.min)
+        assert np.abs(phase[normal]).max() > 1e6
+        steep = normal & (np.abs(np.tan(0.5 * phase)) > 1e3)
+        assert steep.sum() >= 10
+        rng = np.random.default_rng(5)
+        pick = np.concatenate([steep.ravel().nonzero()[0],
+                               rng.choice(normal.ravel().nonzero()[0], 600, replace=False)])
+        with mp.workdps(40):
+            for k in pick:
+                f = mp.exp(float(decay.flat[k])) * mp.expj(float(phase.flat[k]))
+                bound = 2.0 * quadrature._EPS * abs(f)
+                assert abs(got.flat[k].real - f.real) <= bound
+                assert abs(got.flat[k].imag - f.imag) <= bound
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_rows_from_small_b_to_the_bound_run_quietly(self):
+        # the phasor's tangent and the head's tables meet no overflow,
+        # invalid value or division by zero anywhere in the contour's range
+        b = np.append(np.logspace(-3, 149, 20), quadrature._B_MAX)
+        values, errors, _ = _oscillatory_rows(b[:, None], np.linspace(-1.9, 1.9, 5), 1e-7)
+        assert np.isfinite(values).all() and np.isfinite(errors).all()
 
     def test_saddle_integrand_against_complex_exponential(self):
         # each panel lies on the ray or on the descent leg and takes its
