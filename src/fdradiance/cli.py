@@ -41,9 +41,9 @@ from .mirror import (
 from .quadrature import _check_tol
 from .spectra import (
     _distribution_values,
+    _route_thetas,
     energy_spectrum,
     fd_particle_count,
-    fermi_dirac_distribution,
     total_energy_spectral,
 )
 from .trajectory import (
@@ -185,19 +185,12 @@ def run_distribution(ns):
                    + ["fermi-dirac"])
     omega, theta, names, value, abs_error = [], [], [], [], []
     for m in methods:
-        if m == "fermi-dirac":
-            # the special-angle value is a function of omega alone
-            samples = [fermi_dirac_distribution(params, w) for w in omegas]
-            omega += omegas
-            theta += [s.theta for s in samples]
-            value += [s.value for s in samples]
-            abs_error += [s.abs_error for s in samples]
-        else:
-            values, abs_errors = _distribution_values(params, omegas, thetas, m, ns.tol)
-            omega += [w for w in omegas for _ in thetas]
-            theta += thetas * len(omegas)
-            value += values.ravel().tolist()
-            abs_error += abs_errors.ravel().tolist()
+        route_thetas = _route_thetas(params, thetas, m)
+        values, abs_errors = _distribution_values(params, omegas, route_thetas, m, ns.tol)
+        omega += [w for w in omegas for _ in route_thetas]
+        theta += route_thetas * len(omegas)
+        value += values.ravel().tolist()
+        abs_error += abs_errors.ravel().tolist()
         names += [m] * (len(omega) - len(names))
     kappa = params.kappa
     return {"omega": omega, "omega_over_kappa": [w / kappa for w in omega],

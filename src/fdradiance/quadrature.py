@@ -449,8 +449,9 @@ def _series_head(b, d, alpha, h):
     to eps b (alpha + |ln h|) each. The terms of _HEAD_BLOCK rows at a time
     form a (terms, rows) table by the recurrence (a block, not the whole
     call, so that a 4,096-row slice does not hold tables of megabytes), and
-    each row's weighted terms go into one cumulative sum down its column,
-    which adds them in term order, one at a time, as a running total would.
+    each row's weighted terms are summed down its column by one reduction
+    of the table's real view, which adds them in term order, one at a time,
+    as a running total would.
     Weights are taken once per distinct b, and complex products go through
     np.multiply, weight first, whose bits do not depend on where an element
     sits, so a row's value does not depend on the other rows or on its
@@ -473,7 +474,9 @@ def _series_head(b, d, alpha, h):
             t += np.multiply(yb, terms[n - 2])
             t *= 1.0 / n
         np.multiply(w[:, row_b[rb]], terms, out=terms)
-        total[rb] = np.cumsum(terms, axis=0)[-1]
+        # down axis 0 the reduction adds whole rows in order, the bits of a
+        # running total, without a table of partial sums
+        total[rb] = np.add.reduce(terms.view(float), axis=0).view(complex)
     # Z^{1+ib} = h e^{-b alpha} e^{i (alpha + b ln h)}
     log_h = np.log(h)
     scale = h * np.exp(-b * alpha)

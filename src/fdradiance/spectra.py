@@ -33,18 +33,22 @@ reads kappa only through y = omega/kappa: a value at omega = kappa y is
 its kappa = 1 value at y, and a total or energy companion kappa times
 its own.
 
-The two grid routes share one signature, (params, omegas, us, sin2, tol)
+The three routes share one signature, (params, omegas, us, sin2, tol)
 -> (values, abs_errors) on the grid omegas x directions, so their callers
-pick a route once and call it without branching on it again. Both work at
-unit charge, and their callers take e^2 as the last factor (``_charged``)
-of a distribution or a spectrum, so only a result that is itself past the
-largest double overflows.
-``distribution_grid`` gives the numeric or exact samples of an
-(omega, theta) grid, omega-major, and refuses on either route a sample
-whose error bar exceeds _REFUSAL of its value, or a lit sample (sin^2(theta)
-> 0) whose value underflows to 0; the two single-point distributions are
-its one-point calls. Both integrals of
-``total_energy_spectral``, over u = cos(theta) in ``energy_spectrum`` and
+pick a route once and call it without branching on it again; the
+Fermi-Dirac route's only direction is the special angle. The numeric and
+exact routes work at unit charge, and their callers take e^2 as the last
+factor (``_charged``) of a distribution or a spectrum, so only a result
+that is itself past the largest double overflows; the Fermi-Dirac form
+keeps e^2 in its prefactor, where it cannot overflow.
+``_distribution_values`` runs any route on an (omega, theta) grid,
+omega-major, and refuses on every route a sample whose error bar exceeds
+_REFUSAL of its value, or a lit sample (sin^2(theta) > 0) whose value
+underflows to 0. ``distribution_grid`` gives the numeric or exact samples
+of a grid, and the three single-point distributions are one-point calls.
+The total is e^2 kappa times its kappa = 1, unit-charge value, which
+``_unit_total`` integrates once per (zeta, tol) per process. Both
+integrals of the total, over u = cos(theta) in ``energy_spectrum`` and
 over s = sqrt(omega), run on one nested Clenshaw-Curtis driver
 (``_nested_cc``) with one schedule: its first call evaluates the 65 nodes
 of order 64, from which order 32 reads every other one, and each order
@@ -247,24 +251,64 @@ def _exact_zeta0_values(params: TrajectoryParams, omegas, us, sin2, tol: float):
     return out, err
 
 
+def _fermi_dirac_values(params: TrajectoryParams, omegas, us, sin2, tol: float):
+    """dI/dOmega at the special angle cos(theta0) = zeta and its error on omegas x [theta0].
+
+    Arguments as for ``_numeric_values``, but theta0 is the route's only
+    direction, so us, sin2 and tol are not read. The value is P/(e^{2 pi y}
+    + 1) with P = (1 - zeta^2)(e^2/8 pi^2) y and y = omega/kappa: e^2 sits
+    inside the closed form's prefactor, and the value is already charged.
+    Where y overflows a double the occupancy, and so the value, is 0. The
+    bar is _CLOSED_FORM_REL of the value, plus, where the occupancy or the
+    value is subnormal, (P + 1) times two of the smallest subnormal: the
+    occupancy's rounding times P and the value's own. Returns (values,
+    abs_errors), each of shape (omegas.size, 1).
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        y = omegas / params.kappa
+        occupancy = _occupancy(2.0 * math.pi * y)
+        pref = (1.0 - params.zeta**2) * params.e_squared / (8.0 * math.pi**2) * y
+        # where y overflows, pref * occupancy is inf * 0 for a true 0
+        values = np.where(occupancy > 0.0, pref * occupancy, 0.0)
+    tiny = np.finfo(float).tiny
+    subnormal = (occupancy > 0.0) & ((occupancy < tiny) | (values < tiny))
+    rounding = np.where(subnormal, (pref + 1.0) * (2.0 * math.ulp(0.0)), 0.0)
+    return values[:, None], (values * _CLOSED_FORM_REL + rounding)[:, None]
+
+
+def _route_thetas(params: TrajectoryParams, thetas, method: str) -> list:
+    """The polar angles a route samples: ``thetas``, or theta0 alone on "fermi-dirac"."""
+    return [math.acos(params.zeta)] if method == "fermi-dirac" else list(thetas)
+
+
 def _distribution_values(params: TrajectoryParams, omegas, thetas, method: str,
                          tol: float):
-    """(values, abs_errors) of ``distribution_grid``'s samples, each of shape
-    (len(omegas), len(thetas)), after the same checks and refusal."""
-    if method not in ("numeric", "exact-zeta0"):
-        raise DomainError("the grid's method must be numeric or exact-zeta0")
+    """dI/dOmega samples of any of the three routes on omegas x thetas, as
+    (values, abs_errors), each of shape (len(omegas), len(thetas)).
+
+    The "fermi-dirac" route samples theta0 alone (``_route_thetas``), one
+    column; the other two work at unit charge, and e^2 is their last
+    factor. On every route, a sample whose abs_error exceeds _REFUSAL of its
+    value, or a lit one whose value underflows to 0, raises
+    ``ConvergenceError`` with that sample as ``best``.
+    """
+    routes = {"numeric": _numeric_values, "exact-zeta0": _exact_zeta0_values,
+              "fermi-dirac": _fermi_dirac_values}
+    if method not in routes:
+        raise DomainError(f"method must be one of {_METHODS}")
     if method == "exact-zeta0" and params.zeta != 0.0:
         raise DomainError("the exact closed form applies only at zeta = 0")
+    thetas = _route_thetas(params, thetas, method)
     if not all(0.0 <= theta <= math.pi for theta in thetas):
         raise DomainError("theta must lie in [0, pi]")
     omega_arr = np.asarray(omegas, dtype=float)
     _check_omega(omega_arr)
     us = np.array([math.cos(theta) for theta in thetas])
     sin2 = np.array([math.sin(theta) ** 2 for theta in thetas])
-    route = _numeric_values if method == "numeric" else _exact_zeta0_values
-    unit, unit_errors = route(params, omega_arr, us, sin2, tol)
-    values = _charged(params, omega_arr, unit, "dI/dOmega")
-    abs_errors = _charged(params, omega_arr, unit_errors, "the error bar of dI/dOmega")
+    values, abs_errors = routes[method](params, omega_arr, us, sin2, tol)
+    if method != "fermi-dirac":
+        values = _charged(params, omega_arr, values, "dI/dOmega")
+        abs_errors = _charged(params, omega_arr, abs_errors, "the error bar of dI/dOmega")
     valid = (values >= 0.0) & np.isfinite(values) & (abs_errors >= 0.0)
     # a lit direction's value is positive: a 0 there has underflowed
     underflow = (values == 0.0) & (sin2 != 0.0)
@@ -294,6 +338,8 @@ def distribution_grid(params: TrajectoryParams, omegas, thetas, method: str,
     of its value, or a lit one whose value underflows to 0, raises
     ``ConvergenceError`` with that sample as ``best``.
     """
+    if method not in ("numeric", "exact-zeta0"):
+        raise DomainError("the grid's method must be numeric or exact-zeta0")
     values, abs_errors = _distribution_values(params, omegas, thetas, method, tol)
     return [SpectralSample(omega, theta, value, method, err)
             for omega, row, row_err in zip(omegas, values.tolist(), abs_errors.tolist())
@@ -324,16 +370,13 @@ def _occupancy(x):
 
 
 def fermi_dirac_distribution(params: TrajectoryParams, omega: float) -> SpectralSample:
-    """dI/dOmega at the special angle cos(theta0) = zeta, in closed form."""
-    _check_omega(omega)
-    y = omega / params.kappa
-    occupancy = _occupancy(2.0 * math.pi * y)
-    # where y overflows a double, y * occupancy is inf * 0 for a true 0
-    value = ((1.0 - params.zeta**2) * params.e_squared / (8.0 * math.pi**2)
-             * y * occupancy) if occupancy > 0.0 else 0.0
-    theta0 = math.acos(params.zeta)
-    return SpectralSample(omega, theta0, value, "fermi-dirac",
-                          value * _CLOSED_FORM_REL)
+    """dI/dOmega at the special angle cos(theta0) = zeta, in closed form.
+
+    A value that underflows to 0 is refused as on the grid
+    (``_distribution_values``).
+    """
+    [[value]], [[abs_error]] = _distribution_values(params, [omega], [], "fermi-dirac", 0.0)
+    return SpectralSample(omega, math.acos(params.zeta), value, "fermi-dirac", abs_error)
 
 
 @functools.cache
@@ -448,34 +491,64 @@ def _tail_rate(zeta):
 def total_energy_spectral(params: TrajectoryParams, tol: float = 1e-4) -> float:
     """Total energy by the spectral route: E = int_0^inf I(omega) domega.
 
-    One probe ``energy_spectrum`` at kappa (0.1, 0.3, 1, 20/c), c the tail
-    rate (``_tail_rate``), gives the peak (its first three) and I0 at
-    omega0 = 20 kappa/c; an omega0 past the largest double raises
-    ``ConvergenceError``. The integral ends at hi = omega0 + (kappa/c)
-    ln(I0/(1e-12 peak)), or at omega0 if I0 is below that threshold: the
-    tail law without its omega^{-1} factor, so hi errs high. Off zeta = 0,
-    I(omega) has a sqrt(omega) term at 0, so the integral runs in s =
-    sqrt(omega), where 2 s I(s^2) is smooth: one row of ``_nested_cc`` at
-    s = sqrt(hi) (1 + u)/2, orders 32 (read from the first call's 64) to
-    512, until two agree within max(tol |E|/2, tol peak kappa/4), else
-    ``ConvergenceError`` with the last value as ``best``. Each call is one
-    ``energy_spectrum`` on the new nodes but s = 0, where the integrand is
-    0; the first holds u = 1, and an I(hi) there above 1e-11 of the peak,
-    like a threshold or hi that is no positive finite double, raises
-    ``ConvergenceError`` with hi as ``best``. tol must lie in (0, 1e-2].
+    I(omega) reads kappa only through omega/kappa, and e^2 is its last
+    factor, so E is e^2 kappa times the total at kappa = 1 and unit charge
+    (``_unit_total``), which runs once per (zeta, tol) per process; a sweep
+    over kappa or e^2 costs no further quadrature. The product is formed on
+    the mantissas and exponents of the three factors, so it overflows only
+    where E itself is past the largest double (``OverflowRangeError``) and
+    it is within two roundings of e^2 kappa times the unit total wherever
+    it is a normal double. A product that underflows to 0, or to a
+    subnormal whose rounding step exceeds tol of it, raises
+    ``ConvergenceError``. tol must lie in (0, 1e-2]; the unit run's own
+    refusals raise on every call and report its kappa = 1, unit-charge
+    numbers.
     """
     _check_tol(tol)
-    kappa, c = params.kappa, _tail_rate(params.zeta)
+    (m_e, x_e), (m_k, x_k), (m_u, x_u) = (
+        math.frexp(v) for v in (params.e_squared, params.kappa,
+                                _unit_total(params.zeta, tol)))
+    try:
+        total = math.ldexp(m_e * m_k * m_u, x_e + x_k + x_u)
+    except OverflowError:
+        total = math.inf
+    if math.isinf(total):
+        raise OverflowRangeError("the total energy overflows a double")
+    if math.ulp(0.0) > tol * total:
+        # 0, or a subnormal whose rounding step is more than tol of it
+        raise ConvergenceError("the total energy underflows a double", best=total)
+    return total
+
+
+@functools.cache
+def _unit_total(zeta: float, tol: float) -> float:
+    """E/(e^2 kappa) by the spectral route, once per (zeta, tol).
+
+    The integral of I(omega) at kappa = 1 and unit charge. One probe
+    ``energy_spectrum`` at omega (0.1, 0.3, 1, 20/c), c the tail rate
+    (``_tail_rate``), gives the peak (its first three) and I0 at omega0 =
+    20/c. The integral ends at hi = omega0 + (1/c) ln(I0/(1e-12 peak)), or at
+    omega0 if I0 is below that threshold: the tail law without its
+    omega^{-1} factor, so hi errs high. Off zeta = 0, I(omega) has a
+    sqrt(omega) term at 0, so the integral runs in s = sqrt(omega), where
+    2 s I(s^2) is smooth: one row of ``_nested_cc`` at s = sqrt(hi) (1 +
+    u)/2, orders 32 (read from the first call's 64) to 512, until two agree
+    within max(tol |E|/2, tol peak/4), else ``ConvergenceError`` with the
+    last value as ``best``. Each call is one ``energy_spectrum`` on the new
+    nodes but s = 0, where the integrand is 0; the first holds u = 1, and
+    an I(hi) there above 1e-11 of the peak, like a threshold or hi that is
+    no positive finite double, raises ``ConvergenceError`` with hi as
+    ``best``. A refused run leaves nothing in the cache.
+    """
+    params = TrajectoryParams(1.0, zeta, 1.0)
+    c = _tail_rate(zeta)
     probe_tol = min(1e-4, tol)
-    omegas = np.array([kappa * y for y in (0.1, 0.3, 1.0, 20.0 / c)])
-    if not math.isfinite(omegas[3]):
-        raise ConvergenceError(f"the probe frequency 20 kappa/c = {omegas[3]:.6g} "
-                               "is no finite double")
+    omegas = np.array([0.1, 0.3, 1.0, 20.0 / c])
     *low, I0 = energy_spectrum(params, omegas, probe_tol).tolist()
     peak, hi = max(low), float(omegas[3])
     thresh = 1e-12 * peak
     if 0.0 < thresh < I0:
-        hi += kappa / c * math.log(I0 / thresh)
+        hi += 1.0 / c * math.log(I0 / thresh)
     if not (0.0 < thresh < math.inf and 0.0 < hi < math.inf):
         raise ConvergenceError(f"the frequency cutoff {hi:.6g} or its threshold "
                                f"{thresh:.3e} is no positive finite double", best=hi)
@@ -492,13 +565,10 @@ def total_energy_spectral(params: TrajectoryParams, tol: float = 1e-4) -> float:
             out[0, s > 0.0] = 2.0 * s[s > 0.0] * I
         return out
 
-    total, todo = _nested_cc(density, 1, 0.5 * root_hi, 0.5 * tol,
-                             0.25 * tol * peak * kappa)
+    total, todo = _nested_cc(density, 1, 0.5 * root_hi, 0.5 * tol, 0.25 * tol * peak)
     if todo.size:
         raise ConvergenceError("the frequency integral did not stabilize "
                                "by order 512", best=float(total[0]))
-    if math.isinf(total[0]):
-        raise OverflowRangeError("the total energy overflows a double")
     return float(total[0])
 
 

@@ -6,16 +6,18 @@ ACCEPTANCE_LINES = []
 
 
 @pytest.fixture
-def fresh_fd_shape():
-    """An empty cache of companion shape integrals before and after the test.
+def fresh_caches():
+    """Empty caches of spectral totals and companion shapes around the test.
 
-    A test that patches the quadrature takes it, so that no shape computed
-    by another test stands in for the patched run and none computed by the
-    patched run outlives it.
+    A test that patches the quadrature or a total's internals takes it, so
+    that no value computed by another test stands in for the patched run
+    and none computed by the patched run outlives it.
     """
-    spectra._fd_shape.cache_clear()
+    for cached in (spectra._unit_total, spectra._fd_shape):
+        cached.cache_clear()
     yield
-    spectra._fd_shape.cache_clear()
+    for cached in (spectra._unit_total, spectra._fd_shape):
+        cached.cache_clear()
 
 try:
     from hypothesis import settings

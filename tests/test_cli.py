@@ -8,6 +8,7 @@ import math
 import os
 import subprocess
 import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from fdradiance.spectra import (
     distribution_grid,
     energy_spectrum,
     fermi_dirac_distribution,
+    total_energy_spectral,
 )
 from fdradiance.trajectory import (
     E_SQUARED_DEFAULT,
@@ -368,14 +370,27 @@ class TestEnergyCommand:
         _, rows = parse_csv(out)
         assert float(rows[0]["E"]) == pytest.approx(0.4762636, rel=1e-4)
 
-    def test_subnormal_charge_exits_3(self, capsys):
-        # 1e-12 of the spectrum's subnormal peak is 0, which leaves the
-        # cutoff's logarithm without a value; the route refuses it
+    def test_subnormal_charge_scales_the_unit_total(self, capsys):
+        # E = e^2 x 0.0031 is a subnormal double whose step is 1.6e-6 of it,
+        # inside tol: e^2 times the unit total, rounded once more
         code, out, err = run(capsys, ["energy", "--method", "spectral",
                                       "--e-squared", "1e-315", "--tol", "1e-4"])
-        assert code == 3 and out == "" and "cutoff" in err
+        assert code == 0 and err == ""
+        _, rows = parse_csv(out)
+        got = float(rows[0]["E"])
+        unit = total_energy_spectral(TrajectoryParams(1.0, 0.0, 1.0), 1e-4)
+        want = Fraction(1e-315) * Fraction(unit)
+        assert abs(Fraction(got) - want) <= Fraction(math.ulp(0.0))
+        assert float(rows[0]["E_over_e2kappa"]) == pytest.approx(unit, rel=2e-6)
 
-    def test_spectrum_that_never_decays_exits_3(self, capsys, monkeypatch):
+    def test_total_that_underflows_exits_3(self, capsys):
+        # at e^2 1e-320 the total, 3e-323, is six subnormal steps
+        code, out, err = run(capsys, ["energy", "--method", "spectral",
+                                      "--e-squared", "1e-320", "--tol", "1e-4"])
+        assert code == 3 and out == ""
+        assert err == "numerical failure: the total energy underflows a double\n"
+
+    def test_spectrum_that_never_decays_exits_3(self, capsys, monkeypatch, fresh_caches):
         # the frequency cutoff refuses instead of truncating the integral
         monkeypatch.setattr(spectra, "energy_spectrum",
                             lambda params, omegas, *args, **kw: 1.0 / omegas)
@@ -420,6 +435,17 @@ class TestDistributionCommand:
             "--omega-min", "48", "--omega-max", "48", "--omega-steps", "1",
             "--theta-min", theta, "--theta-max", theta, "--theta-steps", "1"])
         assert code == 3 and out == "" and "error bar" in err
+
+    def test_fermi_dirac_underflow_exits_3(self, capsys):
+        # the special-angle route meets the other two routes' refusal: at
+        # omega/kappa 120 the value, 4.5e-329, underflows to 0
+        code, out, err = run(capsys, [
+            "distribution", "--method", "fermi-dirac", "--zeta", "0.3",
+            "--omega-min", "110", "--omega-max", "125", "--omega-steps", "4"])
+        assert code == 3 and out == ""
+        assert err == ("numerical failure: fermi-dirac dI/dOmega at omega=120, "
+                       "theta=1.2661 is 0.000e+00 +- 0.000e+00, a positive value "
+                       "that underflows a double\n")
 
     @pytest.mark.parametrize("y, deg", [(8, 170), (12, 150), (12, 170)])
     def test_exact_refusal_exits_3(self, capsys, y, deg):

@@ -33,6 +33,7 @@ from fdradiance.spectra import (
 )
 from fdradiance.specfun import ln_gamma
 from fdradiance.trajectory import (
+    E_SQUARED_DEFAULT,
     TrajectoryParams,
     coordinate_time,
     position_at_time,
@@ -164,14 +165,18 @@ def test_spectral_layer_reads_kappa_only_through_omega_over_kappa():
 
 def test_spectral_commands_at_the_ends_of_the_double_range(capsys):
     # at kappa 1e-310, y = omega/kappa overflows and the Fermi-Dirac value
-    # underflows to 0; at kappa 1e308 the spectral total's frequencies are
-    # no doubles, a numerical failure
+    # underflows to 0, a numerical failure; at kappa 1e308 the spectral
+    # total is kappa e^2 times its unit total, within two roundings
     assert main(["distribution", "--method", "fermi-dirac", "--kappa", "1e-310",
                  "--omega-min", "0.05", "--omega-max", "0.05",
-                 "--omega-steps", "1"]) == 0
-    assert capsys.readouterr().out.splitlines()[1].endswith(",fermi-dirac,0,0")
-    assert main(["energy", "--method", "spectral", "--kappa", "1e308"]) == 3
-    assert "numerical failure" in capsys.readouterr().err
+                 "--omega-steps", "1"]) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and "underflows a double" in err
+    assert main(["energy", "--method", "spectral", "--kappa", "1e308"]) == 0
+    got = float(capsys.readouterr().out.splitlines()[1].split(",")[2])
+    unit = total_energy_spectral(TrajectoryParams(1.0, 0.0, 1.0), 1e-6)
+    want = Fraction(1e308) * Fraction(E_SQUARED_DEFAULT) * Fraction(unit)
+    assert abs(Fraction(got) - want) <= 2 * Fraction(math.ulp(got))
 
 
 def test_mirror_functions_keep_each_elements_bits():

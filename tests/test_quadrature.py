@@ -117,13 +117,13 @@ class TestAdaptive:
         with pytest.raises(DomainError):
             integrate_adaptive(lambda x: np.exp(-x * x), -math.inf, 0.0)
 
-    def test_budget_exhaustion(self, monkeypatch, fresh_fd_shape):
+    def test_budget_exhaustion(self, monkeypatch, fresh_caches):
         monkeypatch.setattr(quadrature, "_MAX_EVALS", 200)
         with pytest.raises(ConvergenceError) as info:
             integrate_adaptive(lambda x: np.sin(50 * x), 0.0, 10.0, tol=1e-13)
         assert info.value.best.evaluations <= 200
 
-    def test_out_of_waves_stalls(self, monkeypatch, fresh_fd_shape):
+    def test_out_of_waves_stalls(self, monkeypatch, fresh_caches):
         # a row still refining when the waves run out stalls with its sums
         monkeypatch.setattr(quadrature, "_MAX_WAVES", 1)
         with pytest.raises(ConvergenceError) as info:
@@ -309,7 +309,7 @@ class TestOscillatoryRows:
             with pytest.raises(OverflowRangeError, match="set-up overflows"):
                 _oscillatory_rows(np.array([1.0, b]), [0.3, -0.3], 1e-7)
 
-    def test_stalled_row_raises_with_its_best(self, monkeypatch, fresh_fd_shape):
+    def test_stalled_row_raises_with_its_best(self, monkeypatch, fresh_caches):
         # the rows need 255, 165 and 375 evaluations: only the last one
         # runs out of a 300-evaluation budget
         monkeypatch.setattr(quadrature, "_MAX_EVALS", 300)

@@ -6,7 +6,10 @@ pin each against frozen mpmath values and against one another only at
 points where an independent reference exists.
 """
 import contextlib
+import itertools
 import math
+import sys
+from fractions import Fraction
 
 import mpmath as mp
 import numpy as np
@@ -95,6 +98,23 @@ class TestDistribution:
         assert got.method == "fermi-dirac"
         assert got.theta == math.pi / 2
         assert rel(got.value, FD_UNIT) < 1e-13
+
+    def test_fd_bar_covers_a_subnormal_value(self):
+        # at omega/kappa 115, zeta 0.3 the value 1.9e-315 is subnormal, and
+        # its bar covers the 60-digit value; a normal value's bar stays
+        # _CLOSED_FORM_REL of it, bit for bit
+        params = TrajectoryParams(1.0, 0.3)
+        omegas = np.array([0.5, 1.0, 10.0, 100.0, 115.0])
+        values, errors = spectra._distribution_values(params, omegas, [], "fermi-dirac",
+                                                      1e-9)
+        assert np.array_equal(errors[:4], values[:4] * spectra._CLOSED_FORM_REL)
+        value, error = values.item(4), errors.item(4)
+        assert 0.0 < value < sys.float_info.min and 0.0 < error <= 1e-8 * value
+        with mp.workdps(60):
+            y = mp.mpf(115)
+            exact = ((1 - mp.mpf(0.3) ** 2) * mp.mpf(params.e_squared) / (8 * mp.pi**2)
+                     * y / (mp.exp(2 * mp.pi * y) + 1))
+            assert abs(mp.mpf(value) - exact) <= error
 
     def test_fd_observation_angle_tracks_zeta(self):
         got = fermi_dirac_distribution(TrajectoryParams(1, 0.5, 1), 1.0)
@@ -594,7 +614,7 @@ class TestBatchedSpectra:
         for got, want in zip(whole, zip(*pieces)):
             assert np.array_equal(got, np.concatenate(want))
 
-    def test_numeric_total_is_a_few_oscillatory_calls(self, monkeypatch):
+    def test_numeric_total_is_a_few_oscillatory_calls(self, monkeypatch, fresh_caches):
         # one batched quadrature per slice of a frequency order and angular
         # order, on the nodes new at that order; per-omega calls made 274 here
         sizes, evals = [], []
@@ -617,7 +637,7 @@ class TestBatchedSpectra:
             assert sum(sizes) <= rows and sum(evals) <= work
             assert rel(total, total_energy_larmor(params)) < 1e-3
 
-    def test_closed_form_total_is_a_few_1f1_calls(self, monkeypatch):
+    def test_closed_form_total_is_a_few_1f1_calls(self, monkeypatch, fresh_caches):
         # one 1F1 grid of both series per frequency order and angular order,
         # and the exact route never reaches the oscillatory integrator
         sizes = []
@@ -735,7 +755,7 @@ class TestBatchedSpectra:
         floored = energy_spectrum(params, omegas, 1e-6, abs_floor=1e-300)
         assert energy_spectrum(params, omegas, 1e-6).tolist() == floored.tolist()
 
-    def test_unsettled_total_raises_with_its_last_value(self, monkeypatch):
+    def test_unsettled_total_raises_with_its_last_value(self, monkeypatch, fresh_caches):
         # a step in I(omega) at omega 5 keeps every pair of orders in
         # s = sqrt(omega) apart, and each node's value scales with the size
         # of the call that evaluated it: the first holds the 64 nonzero
@@ -755,7 +775,7 @@ class TestBatchedSpectra:
         want = 0.5 * root_hi * np.vecdot(2.0 * s * size * (s**2 < 5.0), ws)
         assert err.value.best == pytest.approx(want, rel=1e-14, abs=0.0)
 
-    def test_cutoff_refuses_a_spectrum_that_never_decays(self, monkeypatch):
+    def test_cutoff_refuses_a_spectrum_that_never_decays(self, monkeypatch, fresh_caches):
         # the tail law puts hi at 20/c + ln(I0/1e-11)/c = 17.6 for a peak
         # of 10 at omega 0.1 and I0 = c/20, but 1/hi is far above 1e-11 of
         # the peak there
@@ -767,7 +787,7 @@ class TestBatchedSpectra:
         assert err.value.best == pytest.approx(20.0 / c + math.log(c / 20.0 / 1e-11) / c,
                                                rel=1e-14, abs=0.0)
 
-    def test_cutoff_refuses_a_threshold_that_is_no_double(self, monkeypatch):
+    def test_cutoff_refuses_a_threshold_that_is_no_double(self, monkeypatch, fresh_caches):
         # a subnormal peak puts 1e-12 of it at 0, where ln(I0/threshold)
         # has no value; an infinite one leaves no finite threshold
         for value in (1e-315, math.inf):
@@ -776,6 +796,95 @@ class TestBatchedSpectra:
                                 np.full(omegas.size, value))
             with pytest.raises(ConvergenceError, match="cutoff .* no positive finite"):
                 total_energy_spectral(TrajectoryParams(1, 0))
+
+
+class TestUnitTotal:
+    # E = e^2 kappa E_1, where the unit total E_1 at kappa = e^2 = 1 runs
+    # once per (zeta, tol) per process
+
+    def test_sweep_over_kappa_and_charge_is_one_total(self, monkeypatch, fresh_caches):
+        # twelve worlds at one (zeta, tol): only the first total integrates,
+        # and it does so at kappa = e^2 = 1
+        worlds = []
+        spectrum = spectra.energy_spectrum
+
+        def counting(params, omegas, *args, **kw):
+            worlds.append((params.kappa, params.e_squared))
+            return spectrum(params, omegas, *args, **kw)
+
+        monkeypatch.setattr(spectra, "energy_spectrum", counting)
+        for i, (kappa, e2) in enumerate(itertools.product((0.5, 1.0, 3.0, 1e5),
+                                                          (0.2, 1.0, 7.0))):
+            total_energy_spectral(TrajectoryParams(kappa, 0.0, e2), 1e-4)
+            if i == 0:
+                first = len(worlds)
+            assert len(worlds) == first
+        assert first > 0 and set(worlds) == {(1.0, 1.0)}
+        info = spectra._unit_total.cache_info()
+        assert (info.misses, info.hits, info.currsize) == (1, 11, 1)
+
+    def test_refused_unit_runs_stay_uncached(self, monkeypatch, fresh_caches):
+        # a refused tol, a cutoff refused and a frequency rule that never
+        # settles each raise on every call and leave nothing in the cache
+        params = TrajectoryParams(2.0, 0.0, 3.0)
+        spectra_that_fail = {
+            "cutoff": lambda params, omegas, *args, **kw: 1.0 / omegas,
+            "did not stabilize": lambda params, omegas, *args, **kw:
+                omegas.size * np.where(omegas < 5.0, 1.0, 0.0)}
+        for _ in range(2):
+            with pytest.raises(DomainError, match="tol"):
+                total_energy_spectral(params, math.nan)
+            for match, spectrum in spectra_that_fail.items():
+                monkeypatch.setattr(spectra, "energy_spectrum", spectrum)
+                with pytest.raises(ConvergenceError, match=match):
+                    total_energy_spectral(params)
+                monkeypatch.undo()
+        assert spectra._unit_total.cache_info().currsize == 0
+        misses = spectra._unit_total.cache_info().misses
+        unit = total_energy_spectral(TrajectoryParams(1.0, 0.0, 1.0))
+        assert total_energy_spectral(params) == 6.0 * unit
+        # a product past the double range is refused after the unit run,
+        # which stays cached
+        with pytest.raises(ConvergenceError, match="underflows a double"):
+            total_energy_spectral(TrajectoryParams(1e-300, 0.0, 1e-300))
+        info = spectra._unit_total.cache_info()
+        assert (info.misses, info.currsize) == (misses + 1, 1)
+
+    def test_total_is_charge_and_kappa_times_the_unit_total(self):
+        # E/(e^2 kappa), taken exactly, is within 2 ulp of the unit total
+        # wherever E is a normal double, and E within one subnormal step of
+        # e^2 kappa E_1 where it is subnormal; a product past the largest
+        # double, or one whose subnormal step exceeds tol of it, is refused,
+        # and none overflows on its way
+        unit = total_energy_spectral(TrajectoryParams(1.0, 0.0, 1.0), 1e-4)
+        kappas = [1e-300, 1e-200, 1e-100, 1e-10, 0.7, 1.0, 3.0, 1e10, 1e100, 1e200,
+                  1e300, 1e308]
+        for kappa, e2 in itertools.product(kappas, (1e-315, 1.0, 1e308)):
+            params = TrajectoryParams(kappa, 0.0, e2)
+            exact = Fraction(e2) * Fraction(kappa) * Fraction(unit)
+            if exact > sys.float_info.max:
+                with pytest.raises(OverflowRangeError,
+                                   match="the total energy overflows a double"):
+                    total_energy_spectral(params, 1e-4)
+            elif math.ulp(0.0) > 1e-4 * exact:
+                with pytest.raises(ConvergenceError, match="underflows a double"):
+                    total_energy_spectral(params, 1e-4)
+            elif exact >= sys.float_info.min:
+                got = Fraction(total_energy_spectral(params, 1e-4))
+                assert abs(got / (Fraction(e2) * Fraction(kappa)) - Fraction(unit)) \
+                    <= 2 * Fraction(math.ulp(unit)), (kappa, e2)
+            else:
+                got = Fraction(total_energy_spectral(params, 1e-4))
+                assert abs(got - exact) <= Fraction(math.ulp(0.0)), (kappa, e2)
+
+    @pytest.mark.parametrize("zeta, bits", [(0.0, "0x1.9af4e7c309cf8p-9"),
+                                            (0.3, "0x1.ed04b97c7198ep-10"),
+                                            (-0.3, "0x1.9156461d61c7cp-8")])
+    def test_unit_total_keeps_its_bits(self, zeta, bits):
+        # at kappa = e^2 = 1 the total is the unit run itself, with the bits
+        # it had when every total integrated its own spectrum
+        assert total_energy_spectral(TrajectoryParams(1.0, zeta, 1.0), 1e-4) \
+            == float.fromhex(bits)
 
 
 class TestPartialForms:
@@ -797,7 +906,7 @@ class TestPartialForms:
         with pytest.raises(DomainError, match="tol"):
             companion(TrajectoryParams(1.0, 0.2, 1.0), tol=math.nan)
 
-    def test_companion_task_is_two_quadratures(self, monkeypatch, fresh_fd_shape):
+    def test_companion_task_is_two_quadratures(self, monkeypatch, fresh_caches):
         # four zetas of the four companions at the default tol: the energy
         # and count shapes are each integrated once, then only scaled
         calls = []
@@ -815,7 +924,7 @@ class TestPartialForms:
             mirror.mirror_particle_count_quadrature(zeta, 1.3)
         assert calls == [1e-10, 1e-10]
 
-    def test_errors_stay_uncached(self, monkeypatch, fresh_fd_shape):
+    def test_errors_stay_uncached(self, monkeypatch, fresh_caches):
         params = TrajectoryParams(1.0, 0.2, 1.0)
         fd_partial_energy_quadrature(params)
         fd_particle_count_quadrature(params)
