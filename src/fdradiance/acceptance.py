@@ -34,7 +34,6 @@ from .spectra import (
     fd_partial_energy_quadrature,
     fd_particle_count,
     fd_particle_count_quadrature,
-    fermi_dirac_distribution,
     total_energy_spectral,
 )
 from .trajectory import TrajectoryParams, total_energy_larmor
@@ -88,9 +87,9 @@ def _c2_spectral_larmor_closure(scale):
 def _c3_special_angle_reduction(scale):
     params = TrajectoryParams(kappa=1.0, zeta=0.0, e_squared=1.0)
     ys = (0.1, 0.2, 0.5, 1.0, 2.0, 5.0, 10.0)
-    exact = _distribution_values(params, ys, [math.pi / 2], "exact-zeta0", 1e-9)[0]
-    worst = max(_rel(e, fermi_dirac_distribution(params, y).value)
-                for e, y in zip(exact[:, 0].tolist(), ys))
+    exact, fd = (_distribution_values(params, ys, [math.pi / 2], method, 1e-9)[0][:, 0].tolist()
+                 for method in ("exact-zeta0", "fermi-dirac"))
+    worst = max(_rel(e, f) for e, f in zip(exact, fd))
     return worst, 1e-10 * scale, "theta=pi/2 vs closed form, 7 frequencies"
 
 

@@ -6,7 +6,8 @@ pure, so they are safe under any amount of concurrency.
 ``ln_gamma`` is a 15-term Lanczos approximation (Godfrey coefficient set,
 g = 607/128) with reflection into the left half-plane; measured accuracy is
 a few ulp relative to the scale of ln Gamma for |z| <= 100, far inside the
-1e-12 contract.
+1e-12 contract. Its sum is one table of terms, added row after row by one
+reduction.
 
 ``kummer_1f1`` sums the Taylor series directly, applying the Kummer
 transform 1F1(a;b;x) = e^x 1F1(b-a;b;-x) when Re x < 0 so the summed series
@@ -32,11 +33,13 @@ The private ``_kummer_grid`` sums 1F1(a_r; b_r; c_r z_k) on a grid of rows
 needs it: two series per frequency, one column per distinct cos^2(theta).
 A row's coefficients D_n = (a)_n c^n/((b)_n n!) are shared by its columns,
 so each block of terms is one product accumulation per row and one dot
-product per cell against the powers z^n. A cell's term count depends on
-its row and its dyadic band of z alone, so it keeps its bits in any
-grid, and a cell past ``kummer_1f1``'s cancellation limit or stop rule is
-summed by ``kummer_1f1`` itself, which keeps the long-double retry and
-the refusal in one place.
+product per cell against the powers z^n. Each (band of z, row) pair's
+stop rule is kept in whole arrays that every block updates by masks, and
+a cell adds a block's part only where its pair summed that block. A
+cell's term count depends on its row and its dyadic band of z alone, so
+it keeps its bits in any grid, and a cell past ``kummer_1f1``'s
+cancellation limit or stop rule is summed by ``kummer_1f1`` itself,
+which keeps the long-double retry and the refusal in one place.
 """
 from __future__ import annotations
 
@@ -58,6 +61,7 @@ _LANCZOS_C = np.array([
     0.84418223983852743293e-4, -0.26190838401581408670e-4,
     0.36899182659531622704e-5,
 ])
+_LANCZOS_K = np.arange(1, _LANCZOS_C.size)[:, None]   # the k of C_k/(z - 1 + k)
 _LN_SQRT_2PI = 0.9189385332046727417803297  # ln(2*pi)/2
 _LN_2PI = 1.8378770664093454835606594
 
@@ -67,6 +71,11 @@ _CANCEL_RETRY = 2.0e5   # beyond this, float64 cannot certify 1e-10
 _CANCEL_FAIL = 3.0e8    # beyond this, even 80-bit floats cannot
 _BLOCK = 32             # terms per block of the series sums
 _LOG_MAX = float(np.log(np.finfo(np.float64).max))
+# ``_kummer_grid``'s logarithms of its stop tolerance, 0.1 eps, of
+# _CANCEL_RETRY and of 2, whose powers are its bands' tops
+_LOG_GRID_TOL = np.log(0.1 * np.finfo(np.float64).eps)
+_LOG_RETRY = np.log(_CANCEL_RETRY)
+_LOG_2 = np.log(2.0)
 
 
 def _is_nonpositive_integer(z: np.ndarray) -> np.ndarray:
@@ -74,12 +83,18 @@ def _is_nonpositive_integer(z: np.ndarray) -> np.ndarray:
 
 
 def _ln_gamma_right(z: np.ndarray) -> np.ndarray:
-    # Valid for Re z >= 0.5.
+    """ln Gamma on a 1-d array with Re z >= 0.5.
+
+    The Lanczos sum C_0 + sum_k C_k/(z - 1 + k) is a table with a row per
+    term, summed by one reduction down the rows of its float view: that
+    adds whole rows in order, C_0 first, as a term-by-term loop does.
+    """
     zz = z - 1.0
     t = zz + _LANCZOS_G + 0.5
-    s = np.full(z.shape, _LANCZOS_C[0], dtype=complex)
-    for k in range(1, len(_LANCZOS_C)):
-        s = s + _LANCZOS_C[k] / (zz + k)
+    terms = np.empty((_LANCZOS_C.size, z.size), dtype=complex)
+    terms[0] = _LANCZOS_C[0]
+    np.divide(_LANCZOS_C[1:, None], zz + _LANCZOS_K, out=terms[1:])
+    s = np.add.reduce(terms.view(float), axis=0).view(complex)
     return _LN_SQRT_2PI + (zz + 0.5) * np.log(t) - t + np.log(s)
 
 
@@ -107,16 +122,15 @@ def ln_gamma(z):
     scalar = arr.ndim == 0
     arr = np.atleast_1d(arr)
 
-    if np.any(_is_nonpositive_integer(arr)):
-        bad = arr[_is_nonpositive_integer(arr)][0]
-        raise PoleError(f"ln_gamma pole at z = {bad}")
+    pole = _is_nonpositive_integer(arr)
+    if pole.any():
+        raise PoleError(f"ln_gamma pole at z = {arr[pole][0]}")
 
     out = np.empty(arr.shape, dtype=complex)
     right = arr.real >= 0.5
-    if np.any(right):
-        out[right] = _ln_gamma_right(arr[right])
+    out[right] = _ln_gamma_right(arr[right])
     left = ~right
-    if np.any(left):
+    if left.any():
         w = arr[left]
         # Reflection, kept continuous on the principal branch: for Im w >= 0,
         #   ln Gamma(w) = ln(2*pi) - ln Gamma(1-w) - i*pi/2 + i*pi*w
@@ -324,11 +338,16 @@ def _kummer_grid(a, b, c, z):
     array of columns in [0, 1]; the result, complex, has shape (a.size,
     z.size). Its temporaries hold at most _BLOCK elements per cell. A
     row's series is sum_n D_n z^n, with D_n = (a)_n c^n/((b)_n n!) shared
-    by all its columns, so each block of _BLOCK terms takes the live rows'
-    D_n by one product accumulation and every summing cell's part by one
-    dot product of length _BLOCK against its column's powers z^n; a cell
-    adds its parts in order, so its sum does not depend on how many terms
-    any other cell takes.
+    by all its columns, so each block of _BLOCK terms takes every row's
+    D_n by one product accumulation and every cell's part by one dot
+    product of length _BLOCK against its column's powers z^n. The state
+    of each (band, row) pair -- whether it sums, whether it settled, its
+    block count and the ln of its top's largest and last three terms -- is
+    a whole (band, row) array that each block updates by masks
+    (``np.where``), with no gathers of the pairs still summing, and a
+    cell adds the block's part only where its pair summed the block. A
+    cell thus adds its own parts in order, and its sum does not depend on
+    how many terms any other cell takes. The blocks end when no pair sums.
 
     A cell's term count depends on its row and its column's dyadic band of
     z alone, so its bits depend only on its row and its z. A band (2^(e-1),
@@ -347,52 +366,42 @@ def _kummer_grid(a, b, c, z):
     ``kummer_1f1`` raises; a row whose b is a pole has no finite cell, and
     ``kummer_1f1`` raises ``PoleError`` for it.
     """
-    log_tol = np.log(0.1 * np.finfo(np.float64).eps)
-    log_retry = np.log(_CANCEL_RETRY)
     frac, exp = np.frexp(z)
     exp = np.where(z > 0.0, exp - (frac == 0.5), -1100)   # 2^-1100 rounds to 0
     tops, band = np.unique(exp, return_inverse=True)
-    log_top = tops * np.log(2.0)
+    log_top = tops * _LOG_2
     pairs = (tops.size, a.size)                         # (band, row)
     summing, settled = np.ones(pairs, dtype=bool), np.zeros(pairs, dtype=bool)
     blocks = np.zeros(pairs, dtype=int)
     top_peak, top_last = np.full((2, *pairs), -np.inf)  # ln of the top's terms
     total = np.zeros((a.size, z.size), dtype=complex)
     coef = np.ones(a.size, dtype=complex)               # D_n of the next block
+    j = np.arange(_BLOCK)[:, None]
     with np.errstate(over="ignore", under="ignore", invalid="ignore", divide="ignore"):
-        powers = z[:, None] ** np.arange(_BLOCK)
+        powers = z[:, None] ** j.T
         for start in range(0, _SERIES_BUDGET, _BLOCK):
-            live = np.flatnonzero(summing.any(axis=0))
-            if not live.size:
-                break
-            kl = np.flatnonzero(summing[:, live].any(axis=1))
-            sub = np.ix_(kl, live)
-            n = np.arange(start, start + _BLOCK)[:, None]
-            d = _ratio_terms(coef[live], a[live], b[live], c[live], n)
-            coef[live], d = d[-1], d[:-1]
+            n = start + j
+            d = _ratio_terms(coef, a, b, c, n)
+            coef, d = d[-1], d[:-1]
             # the band tops' terms, (term, band, row), and the pairs' stop rule
-            f = np.log(np.abs(d))[:, None, :] + (n * log_top[kl])[..., None]
-            was = summing[sub]
-            peak, last = np.maximum(top_peak[sub], f.max(axis=0)), f[-3:].max(axis=0)
-            top_peak[sub] = np.where(was, peak, top_peak[sub])
-            top_last[sub] = np.where(was, last, top_last[sub])
-            stops = last <= peak + log_tol - log_retry
-            settled[sub] = settled[sub] | (was & stops)
-            blocks[sub] = blocks[sub] + was
-            summing[sub] = was & ~stops & (peak <= _LOG_MAX)
-            # the cells of the pairs that summed this block add its part
-            adds = np.zeros((tops.size, live.size), dtype=bool)
-            adds[kl] = was
-            ks = np.flatnonzero(adds.any(axis=1)[band])
-            scaled = powers[ks] * z[ks, None] ** start
-            part = np.vecdot(scaled.astype(complex), np.ascontiguousarray(d.T)[:, None])
-            ix = np.ix_(live, ks)
-            before = total[ix]
-            total[ix] = np.where(adds[band[ks]].T, np.add(before, part), before)
+            f = np.log(np.abs(d))[:, None, :] + (n * log_top)[..., None]
+            peak, last = np.maximum(top_peak, f.max(axis=0)), f[-3:].max(axis=0)
+            top_peak = np.where(summing, peak, top_peak)
+            top_last = np.where(summing, last, top_last)
+            stops = last <= peak + _LOG_GRID_TOL - _LOG_RETRY
+            settled |= summing & stops
+            blocks += summing
+            # every cell's part; the cells of the pairs that summed add it
+            part = np.vecdot((powers * z[:, None] ** start).astype(complex),
+                             np.ascontiguousarray(d.T)[:, None])
+            total = np.where(summing[band].T, np.add(total, part), total)
+            summing &= ~stops & (peak <= _LOG_MAX)
+            if not summing.any():
+                break
         log_size = np.log(np.abs(total))
         ok = settled[band].T & np.isfinite(total)
-        near = ok & ~((top_peak[band].T <= log_retry + log_size)
-                      & (top_last[band].T <= log_tol + log_size))
+        near = ok & ~((top_peak[band].T <= _LOG_RETRY + log_size)
+                      & (top_last[band].T <= _LOG_GRID_TOL + log_size))
         # the cells the bounds do not clear, on their own terms, a slice of
         # at most _BLOCK terms per cell of the grid at a time
         i, k = np.nonzero(near)
@@ -404,8 +413,8 @@ def _kummer_grid(a, b, c, z):
             m, end = np.arange(own.shape[1]), ends[cut, None]
             own[m >= end] = -np.inf
             last = np.where(m >= end - 3, own, -np.inf).max(axis=1)
-            ok[i[cut], k[cut]] = ((own.max(axis=1) <= log_retry + log_size[i[cut], k[cut]])
-                                  & (last <= log_tol + log_size[i[cut], k[cut]]))
+            ok[i[cut], k[cut]] = ((own.max(axis=1) <= _LOG_RETRY + log_size[i[cut], k[cut]])
+                                  & (last <= _LOG_GRID_TOL + log_size[i[cut], k[cut]]))
     if not ok.all():
         i, k = np.nonzero(~ok)
         total[i, k] = kummer_1f1(a[i], b[i], c[i] * z[k])

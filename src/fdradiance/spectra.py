@@ -157,9 +157,10 @@ def _charged(params: TrajectoryParams, omegas, unit, name: str):
     """
     with np.errstate(over="ignore"):
         out = params.e_squared * unit
-    over = np.isinf(out).reshape(omegas.size, -1).any(axis=1)
+    over = np.isinf(out)
     if over.any():
-        raise OverflowRangeError(f"{name} at omega={float(omegas[over][0]):.6g} "
+        first = over.reshape(omegas.size, -1).any(axis=1).argmax()
+        raise OverflowRangeError(f"{name} at omega={float(omegas[first]):.6g} "
                                  "overflows a double")
     return out
 
@@ -233,21 +234,20 @@ def _exact_zeta0_values(params: TrajectoryParams, omegas, us, sin2, tol: float):
     step = max(1, _SLICE_ELEMENTS // (2 * squares.size))
     for s in range(0, omegas.size, step):
         y = omegas[s:s + step] / kappa
-        iy = np.broadcast_to(1j * y, (2, y.size))
-        a = _EXACT_A - iy
-        g_half, g_one = np.exp(ln_gamma(a))[..., None]
-        m_half, m_one = _kummer_grid(a.ravel(), np.broadcast_to(_EXACT_B, a.shape).ravel(),
-                                     iy.ravel(), squares).reshape(2, y.size, -1)[..., at]
+        iy = 1j * y
+        a = (_EXACT_A - iy).ravel()
+        g_half, g_one = np.exp(ln_gamma(a)).reshape(2, -1, 1)
+        m_half, m_one = _kummer_grid(a, _EXACT_B.repeat(y.size), np.concatenate((iy, iy)),
+                                     squares).reshape(2, y.size, -1)[..., at]
         y = y[:, None]
         root_iy = np.sqrt(y) * _ROOT_I
         t1 = g_half * m_half
         t2 = 2.0 * us * root_iy * g_one * m_one
-        m = t1 + t2
+        mod = np.abs(t1 + t2)
         scale = y * sin2 / (16.0 * math.pi**3) * np.exp(-math.pi * y)
-        out[s:s + step, lit] = scale * np.abs(m) ** 2
+        out[s:s + step, lit] = scale * mod**2
         # _CLOSED_FORM_REL K |value|, with K's division by |m| cancelled
-        err[s:s + step, lit] = (_CLOSED_FORM_REL * scale * np.abs(m)
-                                * (np.abs(t1) + np.abs(t2)))
+        err[s:s + step, lit] = _CLOSED_FORM_REL * scale * mod * (np.abs(t1) + np.abs(t2))
     return out, err
 
 
@@ -501,13 +501,18 @@ def total_energy_spectral(params: TrajectoryParams, tol: float = 1e-4) -> float:
     it is a normal double. A product that underflows to 0, or to a
     subnormal whose rounding step exceeds tol of it, raises
     ``ConvergenceError``. tol must lie in (0, 1e-2]; the unit run's own
-    refusals raise on every call and report its kappa = 1, unit-charge
-    numbers.
+    refusals raise on every call, with their cutoff, threshold and
+    ``best`` in the caller's units (``_unit_refusal``).
     """
     _check_tol(tol)
+    try:
+        unit = _unit_total(params.zeta, tol)
+    except ConvergenceError as err:
+        if not hasattr(err, "restate"):
+            raise
+        raise err.restate(params.kappa, params.e_squared) from None
     (m_e, x_e), (m_k, x_k), (m_u, x_u) = (
-        math.frexp(v) for v in (params.e_squared, params.kappa,
-                                _unit_total(params.zeta, tol)))
+        math.frexp(v) for v in (params.e_squared, params.kappa, unit))
     try:
         total = math.ldexp(m_e * m_k * m_u, x_e + x_k + x_u)
     except OverflowError:
@@ -518,6 +523,18 @@ def total_energy_spectral(params: TrajectoryParams, tol: float = 1e-4) -> float:
         # 0, or a subnormal whose rounding step is more than tol of it
         raise ConvergenceError("the total energy underflows a double", best=total)
     return total
+
+
+def _unit_refusal(restate):
+    """The unit run's refusal restate(1, 1), which carries ``restate``.
+
+    restate(kappa, e2) is the refusal in the units of a caller at kappa
+    and e^2, where a frequency is kappa, I(omega) e^2 and the total e^2
+    kappa times its unit value; ``total_energy_spectral`` raises that one.
+    """
+    err = restate(1.0, 1.0)
+    err.restate = restate
+    return err
 
 
 @functools.cache
@@ -538,7 +555,9 @@ def _unit_total(zeta: float, tol: float) -> float:
     nodes but s = 0, where the integrand is 0; the first holds u = 1, and
     an I(hi) there above 1e-11 of the peak, like a threshold or hi that is
     no positive finite double, raises ``ConvergenceError`` with hi as
-    ``best``. A refused run leaves nothing in the cache.
+    ``best``. These refusals state kappa = 1, unit-charge numbers and
+    carry their restatement in a caller's units (``_unit_refusal``). A
+    refused run leaves nothing in the cache.
     """
     params = TrajectoryParams(1.0, zeta, 1.0)
     c = _tail_rate(zeta)
@@ -550,8 +569,9 @@ def _unit_total(zeta: float, tol: float) -> float:
     if 0.0 < thresh < I0:
         hi += 1.0 / c * math.log(I0 / thresh)
     if not (0.0 < thresh < math.inf and 0.0 < hi < math.inf):
-        raise ConvergenceError(f"the frequency cutoff {hi:.6g} or its threshold "
-                               f"{thresh:.3e} is no positive finite double", best=hi)
+        raise _unit_refusal(lambda kappa, e2: ConvergenceError(
+            f"the frequency cutoff {kappa * hi:.6g} or its threshold {e2 * thresh:.3e} "
+            "is no positive finite double", best=kappa * hi))
     root_hi = math.sqrt(hi)
 
     def density(rows, us, sin2):
@@ -559,16 +579,18 @@ def _unit_total(zeta: float, tol: float) -> float:
         out = np.zeros((1, us.size))
         I = energy_spectrum(params, s[s > 0.0] ** 2, probe_tol, abs_floor=1e-9 * peak)
         if us[0] == 1.0 and I[0] > 1e-11 * peak:
-            raise ConvergenceError(f"I(omega) = {I[0]:.3e} at the cutoff omega = "
-                                   f"{hi:.6g} is above 1e-11 of the peak", best=hi)
+            raise _unit_refusal(lambda kappa, e2: ConvergenceError(
+                f"I(omega) = {e2 * I[0]:.3e} at the cutoff omega = {kappa * hi:.6g} "
+                "is above 1e-11 of the peak", best=kappa * hi))
         with np.errstate(over="ignore"):
             out[0, s > 0.0] = 2.0 * s[s > 0.0] * I
         return out
 
     total, todo = _nested_cc(density, 1, 0.5 * root_hi, 0.5 * tol, 0.25 * tol * peak)
     if todo.size:
-        raise ConvergenceError("the frequency integral did not stabilize "
-                               "by order 512", best=float(total[0]))
+        raise _unit_refusal(lambda kappa, e2: ConvergenceError(
+            "the frequency integral did not stabilize by order 512",
+            best=e2 * kappa * float(total[0])))
     return float(total[0])
 
 

@@ -13,6 +13,7 @@ for every valid zeta and grows without bound as zeta -> -1.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 import sys
 import warnings
@@ -259,11 +260,12 @@ def total_energy_larmor(params: TrajectoryParams, tol: float = 1e-9) -> float:
 
     The dt = dz/v measure re-parameterizes the time integral by position.
     In s = kappa z, E = e^2 kappa int_0^inf P/(e^2 kappa^2 v) ds, and that
-    integral depends on zeta alone, so E/kappa is the same for every kappa
-    in the double range; an E that overflows a double raises
+    integral depends on zeta alone (``_unit_larmor``), so E/kappa is the
+    same for every kappa in the double range, and a sweep over kappa or e^2
+    costs no further quadrature; an E that overflows a double raises
     ``OverflowRangeError``. Emission grows without bound as zeta -> -1;
-    close approaches get a runtime warning because the integrand develops
-    a long slow tail there.
+    close approaches get a runtime warning on every call because the
+    integrand develops a long slow tail there.
     """
     if params.zeta <= -0.99:
         warnings.warn(
@@ -272,10 +274,20 @@ def total_energy_larmor(params: TrajectoryParams, tol: float = 1e-9) -> float:
             RuntimeWarning,
             stacklevel=2,
         )
-    res: QuadratureResult = integrate_semi_infinite(
-        lambda s: _larmor(params.zeta, s, 5), scale=1.0, tol=tol)
-    per_kappa = params.e_squared * float(res.value)
+    if not (0.0 < tol < math.inf):
+        raise DomainError("tol must be positive and finite")
+    per_kappa = params.e_squared * _unit_larmor(params.zeta, tol)
     energy = params.kappa * per_kappa
     if not math.isfinite(energy):
         raise OverflowRangeError(f"E = kappa x {per_kappa:.6g} overflows a double")
     return energy
+
+
+@functools.cache
+def _unit_larmor(zeta: float, tol: float) -> float:
+    """E/(e^2 kappa) by the Larmor route, int_0^inf P/(e^2 kappa^2 v) ds, once
+    per (zeta, tol) per process. A stalled integral raises and leaves
+    nothing in the cache."""
+    res: QuadratureResult = integrate_semi_infinite(
+        lambda s: _larmor(zeta, s, 5), scale=1.0, tol=tol)
+    return float(res.value)

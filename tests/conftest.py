@@ -1,22 +1,23 @@
 import pytest
 
-from fdradiance import spectra
+from fdradiance import spectra, trajectory
 
 ACCEPTANCE_LINES = []
 
 
 @pytest.fixture
 def fresh_caches():
-    """Empty caches of spectral totals and companion shapes around the test.
+    """Empty caches of the unit totals and companion shapes around the test.
 
     A test that patches the quadrature or a total's internals takes it, so
     that no value computed by another test stands in for the patched run
     and none computed by the patched run outlives it.
     """
-    for cached in (spectra._unit_total, spectra._fd_shape):
+    caches = (spectra._unit_total, spectra._fd_shape, trajectory._unit_larmor)
+    for cached in caches:
         cached.cache_clear()
     yield
-    for cached in (spectra._unit_total, spectra._fd_shape):
+    for cached in caches:
         cached.cache_clear()
 
 try:

@@ -112,6 +112,26 @@ def test_mirror_criteria_make_one_call_per_grid(monkeypatch, index, calls):
     assert counted == calls
 
 
+def test_special_angle_criterion_makes_one_call_per_route(monkeypatch):
+    # criterion 3 takes its seven frequencies in one exact and one
+    # Fermi-Dirac call, whose values are those of one call per frequency
+    calls = []
+    values = acceptance._distribution_values
+
+    def counting(params, omegas, thetas, method, tol):
+        out = values(params, omegas, thetas, method, tol)
+        calls.append((method, len(omegas), out[0][:, 0].tolist()))
+        return out
+
+    monkeypatch.setattr(acceptance, "_distribution_values", counting)
+    [result] = run_all(criteria=[3])
+    assert result.passed, result.line()
+    assert [call[:2] for call in calls] == [("exact-zeta0", 7), ("fermi-dirac", 7)]
+    params = spectra.TrajectoryParams(1.0, 0.0, 1.0)
+    assert calls[1][2] == [spectra.fermi_dirac_distribution(params, y).value
+                           for y in (0.1, 0.2, 0.5, 1.0, 2.0, 5.0, 10.0)]
+
+
 def test_kummer_identities_work(monkeypatch):
     # check runs criterion 9 in each cli-readme benchmark cycle: its 40
     # points go to kummer_1f1 in speculative batches, one call until the

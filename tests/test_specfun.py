@@ -69,7 +69,109 @@ def term_loop(a, b, x, dtype):
     raise AssertionError("reference did not converge")
 
 
+def lanczos_loop(z):
+    """ln Gamma for Re z >= 0.5, its Lanczos sum added one term at a time."""
+    zz = z - 1.0
+    t = zz + specfun._LANCZOS_G + 0.5
+    s = np.full(z.shape, specfun._LANCZOS_C[0], dtype=complex)
+    for k in range(1, len(specfun._LANCZOS_C)):
+        s = s + specfun._LANCZOS_C[k] / (zz + k)
+    return specfun._LN_SQRT_2PI + (zz + 0.5) * np.log(t) - t + np.log(s)
+
+
+def compacting_grid(a, b, c, z):
+    """``_kummer_grid`` with its (band, row) state compacted to the live
+    rows and summing bands every block, by index gathers and scatters, and
+    the parts added only to the cells of the bands that summed."""
+    log_tol = np.log(0.1 * np.finfo(np.float64).eps)
+    log_retry = np.log(specfun._CANCEL_RETRY)
+    frac, exp = np.frexp(z)
+    exp = np.where(z > 0.0, exp - (frac == 0.5), -1100)
+    tops, band = np.unique(exp, return_inverse=True)
+    log_top = tops * np.log(2.0)
+    pairs = (tops.size, a.size)
+    summing, settled = np.ones(pairs, dtype=bool), np.zeros(pairs, dtype=bool)
+    blocks = np.zeros(pairs, dtype=int)
+    top_peak, top_last = np.full((2, *pairs), -np.inf)
+    total = np.zeros((a.size, z.size), dtype=complex)
+    coef = np.ones(a.size, dtype=complex)
+    with np.errstate(over="ignore", under="ignore", invalid="ignore", divide="ignore"):
+        powers = z[:, None] ** np.arange(specfun._BLOCK)
+        for start in range(0, specfun._SERIES_BUDGET, specfun._BLOCK):
+            live = np.flatnonzero(summing.any(axis=0))
+            if not live.size:
+                break
+            kl = np.flatnonzero(summing[:, live].any(axis=1))
+            sub = np.ix_(kl, live)
+            n = np.arange(start, start + specfun._BLOCK)[:, None]
+            d = specfun._ratio_terms(coef[live], a[live], b[live], c[live], n)
+            coef[live], d = d[-1], d[:-1]
+            f = np.log(np.abs(d))[:, None, :] + (n * log_top[kl])[..., None]
+            was = summing[sub]
+            peak, last = np.maximum(top_peak[sub], f.max(axis=0)), f[-3:].max(axis=0)
+            top_peak[sub] = np.where(was, peak, top_peak[sub])
+            top_last[sub] = np.where(was, last, top_last[sub])
+            stops = last <= peak + log_tol - log_retry
+            settled[sub] = settled[sub] | (was & stops)
+            blocks[sub] = blocks[sub] + was
+            summing[sub] = was & ~stops & (peak <= specfun._LOG_MAX)
+            adds = np.zeros((tops.size, live.size), dtype=bool)
+            adds[kl] = was
+            ks = np.flatnonzero(adds.any(axis=1)[band])
+            scaled = powers[ks] * z[ks, None] ** start
+            part = np.vecdot(scaled.astype(complex), np.ascontiguousarray(d.T)[:, None])
+            ix = np.ix_(live, ks)
+            before = total[ix]
+            total[ix] = np.where(adds[band[ks]].T, np.add(before, part), before)
+        log_size = np.log(np.abs(total))
+        ok = settled[band].T & np.isfinite(total)
+        near = ok & ~((top_peak[band].T <= log_retry + log_size)
+                      & (top_last[band].T <= log_tol + log_size))
+        i, k = np.nonzero(near)
+        ends = blocks[band[k], i] * specfun._BLOCK
+        step = max(1, specfun._BLOCK * total.size // max(1, ends.max(initial=0)))
+        for s in range(0, i.size, step):
+            cut = slice(s, s + step)
+            own = specfun._log_terms(a[i[cut]], b[i[cut]], c[i[cut]], z[k[cut]],
+                                     ends[cut].max())
+            m, end = np.arange(own.shape[1]), ends[cut, None]
+            own[m >= end] = -np.inf
+            last = np.where(m >= end - 3, own, -np.inf).max(axis=1)
+            ok[i[cut], k[cut]] = ((own.max(axis=1) <= log_retry + log_size[i[cut], k[cut]])
+                                  & (last <= log_tol + log_size[i[cut], k[cut]]))
+    if not ok.all():
+        i, k = np.nonzero(~ok)
+        total[i, k] = kummer_1f1(a[i], b[i], c[i] * z[k])
+    return total
+
+
+def closed_form_rows(ys):
+    """The closed form's two series, M(1/2 - iy; 1/2; iy z) and M(1 - iy;
+    3/2; iy z), a row per (series, y), with b real as the closed form takes it."""
+    iy = 1j * np.concatenate([ys, ys])
+    return (np.concatenate([0.5 - 1j * ys, 1.0 - 1j * ys]),
+            np.repeat([0.5, 1.5], ys.size), iy)
+
+
+def cc_squares(order):
+    """The distinct u^2 of the Clenshaw-Curtis nodes of ``order``, as the
+    closed form's grid columns take them."""
+    return np.unique(np.sin(np.pi * (order - 2 * np.arange(order + 1)) / (2 * order)) ** 2)
+
+
 class TestLnGamma:
+    @pytest.mark.parametrize("size", [*range(1, 34), 63, 64, 65, 255, 256, 257, 511, 1000])
+    def test_lanczos_sum_adds_its_terms_in_order(self, size, monkeypatch):
+        # the one-reduction Lanczos sum gives the bits of the term-by-term
+        # loop on both half-planes, the left one reflected into the right
+        # (a one-element call on the left, longer ones on alternate sides)
+        rng = np.random.default_rng(size)
+        sign = np.where(np.arange(size) % 2, 1.0, -1.0)
+        z = sign * rng.uniform(0.5, 40.0, size) + 1j * rng.uniform(-60.0, 60.0, size)
+        got = ln_gamma(z)
+        monkeypatch.setattr(specfun, "_ln_gamma_right", lanczos_loop)
+        assert np.array_equal(got.view(float), ln_gamma(z).view(float))
+
     def test_frozen_values(self):
         assert rel(ln_gamma(5.5), 3.957813967618716293877) < 1e-14
         assert rel(ln_gamma(0.5 + 3j),
@@ -583,6 +685,46 @@ class TestKummerGrid:
             assert calls == [specfun._BLOCK]
             assert np.max(np.abs(got - kummer_1f1(a[:, None], b[:, None], c[:, None] * z))
                           / np.abs(got)) < 1e-13
+
+    @pytest.mark.parametrize("ys, z", [
+        (np.array([1.3]), np.array([0.4])),
+        (np.array([2.7]), cc_squares(64)),
+        (np.geomspace(0.01, 20.0, 25), cc_squares(64)),
+        (np.geomspace(0.01, 15.0, 8), cc_squares(512)),
+        (np.array([0.3, 4.0, 11.0]), np.array([0.0, 0.25, 0.0, 1.0])),
+        (np.array([60.0, 2.0]), np.array([0.5, 0.9, 1.0])),
+    ], ids=["1x1", "2x33", "50x33", "16x257", "z=0", "fallback"])
+    def test_masked_state_keeps_the_compacting_loops_bits(self, ys, z, monkeypatch):
+        # the (band, row) state updated by masks gives every cell the bits
+        # of the loop that gathered the live rows and bands each block; at
+        # y = 60 the two z = 1 cells, and only those, go to kummer_1f1,
+        # which retries them in long double
+        handed = []
+        kummer = specfun.kummer_1f1
+
+        def recording(a, b, x):
+            handed.append(np.asarray(x).size)
+            return kummer(a, b, x)
+
+        monkeypatch.setattr(specfun, "kummer_1f1", recording)
+        a, b, c = closed_form_rows(ys)
+        got = specfun._kummer_grid(a, b, c, z)
+        assert got.shape == (a.size, z.size)
+        assert np.array_equal(got.view(float), compacting_grid(a, b, c, z).view(float))
+        assert handed == ([2] if ys[0] == 60.0 else [])
+
+    def test_refused_grid_raises_as_the_compacting_loop(self):
+        # at y = 90 the z = 1 cells cancel past what long double certifies
+        a, b, c = closed_form_rows(np.array([90.0, 1.0]))
+        z = np.array([0.5, 1.0])
+        with pytest.raises(ConvergenceError) as got:
+            specfun._kummer_grid(a, b, c, z)
+        with pytest.raises(ConvergenceError) as want:
+            compacting_grid(a, b, c, z)
+        assert str(got.value) == str(want.value)
+        assert "cancellation too severe" in str(got.value)
+        assert np.array_equal(got.value.best, want.value.best)
+        assert np.array_equal(got.value.failed, want.value.failed)
 
     def test_pole_raises(self):
         with pytest.raises(PoleError):

@@ -761,7 +761,8 @@ class TestBatchedSpectra:
         # of the call that evaluated it: the first holds the 64 nonzero
         # nodes of order 64, then come 64, 128 and 256 new ones. The probe
         # puts the peak at 4 and I0 = 0 at omega0 = 20/c, so hi is omega0,
-        # where I(hi) = 0 passes the endpoint check
+        # where I(hi) = 0 passes the endpoint check. The last value is the
+        # caller's E, e^2 kappa times the unit run's
         monkeypatch.setattr(spectra, "energy_spectrum",
                             lambda params, omegas, *args, **kw:
                             omegas.size * np.where(omegas < 5.0, 1.0, 0.0))
@@ -773,7 +774,7 @@ class TestBatchedSpectra:
         root_hi = math.sqrt(20.0 / spectra._tail_rate(0.0))
         s = 0.5 * root_hi * (1.0 + us)
         want = 0.5 * root_hi * np.vecdot(2.0 * s * size * (s**2 < 5.0), ws)
-        assert err.value.best == pytest.approx(want, rel=1e-14, abs=0.0)
+        assert err.value.best == pytest.approx(E_SQUARED_DEFAULT * want, rel=1e-14, abs=0.0)
 
     def test_cutoff_refuses_a_spectrum_that_never_decays(self, monkeypatch, fresh_caches):
         # the tail law puts hi at 20/c + ln(I0/1e-11)/c = 17.6 for a peak
@@ -849,6 +850,34 @@ class TestUnitTotal:
             total_energy_spectral(TrajectoryParams(1e-300, 0.0, 1e-300))
         info = spectra._unit_total.cache_info()
         assert (info.misses, info.currsize) == (misses + 1, 1)
+
+    def test_refusals_state_the_callers_units(self, monkeypatch, fresh_caches):
+        # the unit run's refusals restated at kappa 2 and e^2 3: a frequency
+        # is kappa times the unit run's, I(omega) e^2 times and E e^2 kappa
+        # times, and kappa = e^2 = 1 reads the unit run's own numbers
+        c = spectra._tail_rate(0.0)
+        hi = 20.0 / c + math.log(c / 20.0 / 1e-11) / c
+        monkeypatch.setattr(spectra, "energy_spectrum",
+                            lambda params, omegas, *args, **kw: 1.0 / omegas)
+        for kappa, e2, text in ((2.0, 3.0, "1.705e-01 at the cutoff omega = 35.1942"),
+                                (1.0, 1.0, "5.683e-02 at the cutoff omega = 17.5971")):
+            with pytest.raises(ConvergenceError, match=f"I\\(omega\\) = {text} ") as err:
+                total_energy_spectral(TrajectoryParams(kappa, 0.0, e2))
+            assert err.value.best == pytest.approx(kappa * hi, rel=1e-14, abs=0.0)
+        monkeypatch.setattr(spectra, "energy_spectrum",
+                            lambda params, omegas, *args, **kw: np.full(omegas.size, math.inf))
+        with pytest.raises(ConvergenceError, match="cutoff 16.2817 or its threshold inf ") as err:
+            total_energy_spectral(TrajectoryParams(2.0, 0.0, 3.0))
+        assert err.value.best == 2.0 * (20.0 / c)
+        monkeypatch.setattr(spectra, "energy_spectrum",
+                            lambda params, omegas, *args, **kw:
+                            omegas.size * np.where(omegas < 5.0, 1.0, 0.0))
+        bests = []
+        for kappa, e2 in ((1.0, 1.0), (2.0, 3.0)):
+            with pytest.raises(ConvergenceError, match="did not stabilize") as err:
+                total_energy_spectral(TrajectoryParams(kappa, 0.0, e2))
+            bests.append(err.value.best)
+        assert bests[1] == 6.0 * bests[0]
 
     def test_total_is_charge_and_kappa_times_the_unit_total(self):
         # E/(e^2 kappa), taken exactly, is within 2 ulp of the unit total

@@ -3,6 +3,7 @@
 Frozen energy and power values come from 30-to-60-digit mpmath
 quadrature of the same integrand written independently.
 """
+import itertools
 import math
 import re
 import sys
@@ -14,7 +15,8 @@ import numpy as np
 import pytest
 from oracles import worldline_position
 
-from fdradiance.errors import DomainError, OverflowRangeError
+from fdradiance import quadrature, trajectory
+from fdradiance.errors import ConvergenceError, DomainError, OverflowRangeError
 from fdradiance.trajectory import (
     E_SQUARED_DEFAULT,
     TrajectoryParams,
@@ -396,3 +398,63 @@ class TestRadiation:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             total_energy_larmor(TrajectoryParams(1.0, -0.9, 1.0))
+
+
+class TestUnitLarmor:
+    # E = kappa (e^2 E_1), where the unit integral E_1 runs once per
+    # (zeta, tol) per process
+
+    @staticmethod
+    def counting(monkeypatch):
+        calls = []
+        semi_infinite = trajectory.integrate_semi_infinite
+
+        def counting(f, scale=1.0, tol=1e-10):
+            calls.append(tol)
+            return semi_infinite(f, scale, tol)
+
+        monkeypatch.setattr(trajectory, "integrate_semi_infinite", counting)
+        return calls
+
+    def test_sweep_over_kappa_and_charge_is_one_integral(self, monkeypatch, fresh_caches):
+        # twelve worlds at one (zeta, tol) integrate once, and each E keeps
+        # the bits of its own integral times e^2, then kappa
+        calls = self.counting(monkeypatch)
+        for kappa, e2 in itertools.product((0.5, 1.0, 3.0, 1e5), (0.2, 1.0, 7.0)):
+            params = TrajectoryParams(kappa, 0.3, e2)
+            unit = float(quadrature.integrate_semi_infinite(
+                lambda s: trajectory._larmor(0.3, s, 5), 1.0, 1e-9).value)
+            assert total_energy_larmor(params) == kappa * (e2 * unit)
+        assert calls == [1e-9]
+        info = trajectory._unit_larmor.cache_info()
+        assert (info.misses, info.hits, info.currsize) == (1, 11, 1)
+        # another zeta or tol is another integral
+        total_energy_larmor(TrajectoryParams(2.0, 0.3), 1e-10)
+        total_energy_larmor(TrajectoryParams(2.0, -0.3))
+        assert calls == [1e-9, 1e-10, 1e-9]
+
+    def test_warning_and_refusals_come_on_every_call(self, monkeypatch, fresh_caches):
+        # the zeta -> -1 warning comes from a cached integral too; a bad tol
+        # is refused before the cache, a stalled integral raises on every
+        # call, and neither leaves anything in it
+        calls = self.counting(monkeypatch)
+        for _ in range(2):
+            with pytest.warns(RuntimeWarning, match="divergent endpoint"):
+                total_energy_larmor(TrajectoryParams(1.0, -0.995, 1.0))
+        assert len(calls) == 1
+        trajectory._unit_larmor.cache_clear()
+        calls.clear()
+        monkeypatch.setattr(quadrature, "_MAX_EVALS", 100)
+        for _ in range(2):
+            with pytest.raises(DomainError, match="tol"):
+                total_energy_larmor(TrajectoryParams(1.0, 0.0), math.nan)
+            with pytest.raises(ConvergenceError):
+                total_energy_larmor(TrajectoryParams(1.0, 0.0), 1e-13)
+        assert calls == [1e-13, 1e-13]
+        assert trajectory._unit_larmor.cache_info().currsize == 0
+        # a product past the double range is refused after the unit run,
+        # which stays cached
+        monkeypatch.undo()
+        with pytest.raises(OverflowRangeError, match="E = kappa x 3.1"):
+            total_energy_larmor(TrajectoryParams(1e300, 0.0, 1e12))
+        assert trajectory._unit_larmor.cache_info().currsize == 1
