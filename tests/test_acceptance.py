@@ -12,6 +12,7 @@ import conftest
 from fdradiance import acceptance, specfun, spectra
 from fdradiance.acceptance import CRITERION_NAMES, run_all
 from fdradiance.errors import DomainError
+from fdradiance.trajectory import TrajectoryParams
 
 
 @pytest.fixture(scope="session")
@@ -127,7 +128,7 @@ def test_special_angle_criterion_makes_one_call_per_route(monkeypatch):
     [result] = run_all(criteria=[3])
     assert result.passed, result.line()
     assert [call[:2] for call in calls] == [("exact-zeta0", 7), ("fermi-dirac", 7)]
-    params = spectra.TrajectoryParams(1.0, 0.0, 1.0)
+    params = TrajectoryParams(1.0, 0.0, 1.0)
     assert calls[1][2] == [spectra.fermi_dirac_distribution(params, y).value
                            for y in (0.1, 0.2, 0.5, 1.0, 2.0, 5.0, 10.0)]
 
