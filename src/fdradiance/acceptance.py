@@ -29,7 +29,7 @@ from .mirror import (
 from .quadrature import integrate_adaptive
 from .specfun import kummer_1f1, ln_gamma
 from .spectra import (
-    _distribution_values,
+    distribution_grid,
     fd_partial_energy,
     fd_partial_energy_quadrature,
     fd_particle_count,
@@ -87,7 +87,7 @@ def _c2_spectral_larmor_closure(scale):
 def _c3_special_angle_reduction(scale):
     params = TrajectoryParams(kappa=1.0, zeta=0.0, e_squared=1.0)
     ys = (0.1, 0.2, 0.5, 1.0, 2.0, 5.0, 10.0)
-    exact, fd = (_distribution_values(params, ys, [math.pi / 2], method, 1e-9)[0][:, 0].tolist()
+    exact, fd = (distribution_grid(params, ys, [math.pi / 2], method, 1e-9)[0][:, 0].tolist()
                  for method in ("exact-zeta0", "fermi-dirac"))
     worst = max(_rel(e, f) for e, f in zip(exact, fd))
     return worst, 1e-10 * scale, "theta=pi/2 vs closed form, 7 frequencies"
@@ -95,7 +95,7 @@ def _c3_special_angle_reduction(scale):
 
 def _c4_numeric_vs_exact_grid(scale):
     params = TrajectoryParams(kappa=1.0, zeta=0.0, e_squared=1.0)
-    numeric, exact = (_distribution_values(params, _GRID_OMEGAS, _GRID_THETAS, method, 1e-9)[0]
+    numeric, exact = (distribution_grid(params, _GRID_OMEGAS, _GRID_THETAS, method, 1e-9)[0]
                       for method in ("numeric", "exact-zeta0"))
     worst = max(_rel(n, e) for n, e in zip(numeric.ravel().tolist(), exact.ravel().tolist()))
     return worst, 1e-6 * scale, "5x5 (omega, theta) grid"
@@ -113,7 +113,7 @@ def _c5_fd_partial_energy(scale):
 def _special_angle_betas(zeta, omegas):
     """|beta|^2 of the saddle-contour route at cos(theta) = zeta, kappa = e^2 = 1."""
     params = TrajectoryParams(kappa=1.0, zeta=zeta, e_squared=1.0)
-    values = _distribution_values(params, omegas, [math.acos(zeta)], "numeric", 1e-10)[0]
+    values = distribution_grid(params, omegas, [math.acos(zeta)], "numeric", 1e-10)[0]
     return beta_squared_from_distribution(omegas, values[:, 0], 1.0)
 
 

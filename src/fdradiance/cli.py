@@ -40,8 +40,7 @@ from .mirror import (
 )
 from .quadrature import _check_tol
 from .spectra import (
-    _distribution_values,
-    _route_thetas,
+    distribution_grid,
     energy_spectrum,
     fd_particle_count,
     total_energy_spectral,
@@ -185,8 +184,8 @@ def run_distribution(ns):
                    + ["fermi-dirac"])
     omega, theta, names, value, abs_error = [], [], [], [], []
     for m in methods:
-        route_thetas = _route_thetas(params, thetas, m)
-        values, abs_errors = _distribution_values(params, omegas, route_thetas, m, ns.tol)
+        route_thetas = [math.acos(zeta)] if m == "fermi-dirac" else thetas
+        values, abs_errors = distribution_grid(params, omegas, route_thetas, m, ns.tol)
         omega += [w for w in omegas for _ in route_thetas]
         theta += route_thetas * len(omegas)
         value += values.ravel().tolist()
@@ -225,7 +224,7 @@ def run_mirror(ns):
                           "and a --pq-* grid with neither")
     if omegas is not None:
         thetas = _grid(ns, "theta")
-        values, _ = _distribution_values(params, omegas, thetas, "numeric", ns.tol)
+        values, _ = distribution_grid(params, omegas, thetas, "numeric", ns.tol)
         omega = np.repeat(omegas, len(thetas))
         p, q = map_to_modes(omega, np.tile(thetas, len(omegas)))
         beta2 = beta_squared_from_distribution(omega, values.ravel(), e2)

@@ -41,11 +41,12 @@ exact routes work at unit charge, and their callers take e^2 as the last
 factor (``_charged``) of a distribution or a spectrum, so only a result
 that is itself past the largest double overflows; the Fermi-Dirac form
 keeps e^2 in its prefactor, where it cannot overflow.
-``_distribution_values`` runs any route on an (omega, theta) grid,
-omega-major, and refuses on every route a sample whose error bar exceeds
-_REFUSAL of its value, or a lit sample (sin^2(theta) > 0) whose value
-underflows to 0. ``distribution_grid`` gives the numeric or exact samples
-of a grid, and the three single-point distributions are one-point calls.
+``distribution_grid`` runs any route on an (omega, theta) grid,
+omega-major, as (values, abs_errors) arrays, the Fermi-Dirac route on the
+special angle alone, and refuses on every route a sample whose error bar
+exceeds _REFUSAL of its value, or a lit sample (sin^2(theta) > 0) whose
+value underflows to 0. The three single-point distributions are its
+one-point calls.
 The total is e^2 kappa times its kappa = 1, unit-charge value, which
 ``_unit_total`` integrates once per (zeta, tol) per process. Both
 integrals of the total, over u = cos(theta) in ``energy_spectrum`` and
@@ -276,21 +277,18 @@ def _fermi_dirac_values(params: TrajectoryParams, omegas, us, sin2, tol: float):
     return values[:, None], (values * _CLOSED_FORM_REL + rounding)[:, None]
 
 
-def _route_thetas(params: TrajectoryParams, thetas, method: str) -> list:
-    """The polar angles a route samples: ``thetas``, or theta0 alone on "fermi-dirac"."""
-    return [math.acos(params.zeta)] if method == "fermi-dirac" else list(thetas)
+def distribution_grid(params: TrajectoryParams, omegas, thetas, method: str,
+                      tol: float = 1e-9):
+    """dI/dOmega on the grid omegas x thetas, omega-major, in one call.
 
-
-def _distribution_values(params: TrajectoryParams, omegas, thetas, method: str,
-                         tol: float):
-    """dI/dOmega samples of any of the three routes on omegas x thetas, as
-    (values, abs_errors), each of shape (len(omegas), len(thetas)).
-
-    The "fermi-dirac" route samples theta0 alone (``_route_thetas``), one
-    column; the other two work at unit charge, and e^2 is their last
-    factor. On every route, a sample whose abs_error exceeds _REFUSAL of its
-    value, or a lit one whose value underflows to 0, raises
-    ``ConvergenceError`` with that sample as ``best``.
+    Returns (values, abs_errors), each of shape (len(omegas), len(thetas)).
+    ``method`` is "numeric" (quadrature to tol, any zeta), "exact-zeta0"
+    (the closed form, zeta = 0 only) or "fermi-dirac" (the special angle
+    alone: thetas must be [acos(zeta)]); the closed forms do not read tol.
+    Thetas lie in [0, pi]. The first two routes work at unit charge, and
+    e^2 is their last factor. On every route, a sample whose abs_error
+    exceeds _REFUSAL of its value, or a lit one whose value underflows to
+    0, raises ``ConvergenceError`` with that sample as ``best``.
     """
     routes = {"numeric": _numeric_values, "exact-zeta0": _exact_zeta0_values,
               "fermi-dirac": _fermi_dirac_values}
@@ -298,7 +296,9 @@ def _distribution_values(params: TrajectoryParams, omegas, thetas, method: str,
         raise DomainError(f"method must be one of {_METHODS}")
     if method == "exact-zeta0" and params.zeta != 0.0:
         raise DomainError("the exact closed form applies only at zeta = 0")
-    thetas = _route_thetas(params, thetas, method)
+    thetas = list(thetas)
+    if method == "fermi-dirac" and thetas != [math.acos(params.zeta)]:
+        raise DomainError("the Fermi-Dirac form applies only at theta = acos(zeta)")
     if not all(0.0 <= theta <= math.pi for theta in thetas):
         raise DomainError("theta must lie in [0, pi]")
     omega_arr = np.asarray(omegas, dtype=float)
@@ -328,35 +328,24 @@ def _distribution_values(params: TrajectoryParams, omegas, thetas, method: str,
     return values, abs_errors
 
 
-def distribution_grid(params: TrajectoryParams, omegas, thetas, method: str,
-                      tol: float = 1e-9) -> list:
-    """dI/dOmega samples on the grid omegas x thetas, omega-major, in one call.
-
-    ``method`` is "numeric" (quadrature to tol, any zeta) or "exact-zeta0"
-    (the closed form, zeta = 0 only, which does not read tol); thetas lie
-    in [0, pi]. On either route, a sample whose abs_error exceeds _REFUSAL
-    of its value, or a lit one whose value underflows to 0, raises
-    ``ConvergenceError`` with that sample as ``best``.
-    """
-    if method not in ("numeric", "exact-zeta0"):
-        raise DomainError("the grid's method must be numeric or exact-zeta0")
-    values, abs_errors = _distribution_values(params, omegas, thetas, method, tol)
-    return [SpectralSample(omega, theta, value, method, err)
-            for omega, row, row_err in zip(omegas, values.tolist(), abs_errors.tolist())
-            for theta, value, err in zip(thetas, row, row_err)]
+def _one_point(params: TrajectoryParams, omega: float, theta: float, method: str,
+               tol: float = 1e-9) -> SpectralSample:
+    """The one-point ``distribution_grid`` call at (omega, theta), as a sample."""
+    values, abs_errors = distribution_grid(params, [omega], [theta], method, tol)
+    return SpectralSample(omega, theta, values.item(), method, abs_errors.item())
 
 
 def distribution_numeric(params: TrajectoryParams, omega: float,
                          dir: EmissionDirection, tol: float = 1e-9) -> SpectralSample:
     """dI/dOmega by direct quadrature of the emission integral."""
-    return distribution_grid(params, [omega], [dir.theta], "numeric", tol)[0]
+    return _one_point(params, omega, dir.theta, "numeric", tol)
 
 
 def distribution_exact_zeta0(kappa: float, e_squared: float, omega: float,
                              dir: EmissionDirection) -> SpectralSample:
     """dI/dOmega from the hypergeometric closed form (zeta = 0 only)."""
-    params = TrajectoryParams(kappa, 0.0, e_squared)
-    return distribution_grid(params, [omega], [dir.theta], "exact-zeta0")[0]
+    return _one_point(TrajectoryParams(kappa, 0.0, e_squared), omega, dir.theta,
+                      "exact-zeta0")
 
 
 def _occupancy(x):
@@ -372,11 +361,9 @@ def _occupancy(x):
 def fermi_dirac_distribution(params: TrajectoryParams, omega: float) -> SpectralSample:
     """dI/dOmega at the special angle cos(theta0) = zeta, in closed form.
 
-    A value that underflows to 0 is refused as on the grid
-    (``_distribution_values``).
+    A value that underflows to 0 is refused as on the grid.
     """
-    [[value]], [[abs_error]] = _distribution_values(params, [omega], [], "fermi-dirac", 0.0)
-    return SpectralSample(omega, math.acos(params.zeta), value, "fermi-dirac", abs_error)
+    return _one_point(params, omega, math.acos(params.zeta), "fermi-dirac")
 
 
 @functools.cache
@@ -450,7 +437,8 @@ def energy_spectrum(params: TrajectoryParams, omega, tol: float = 1e-6,
     last factor of I (``_charged``). The integrand is the closed form at
     zeta = 0 and quadrature otherwise (``force_numeric`` uses quadrature
     at zeta = 0 too). A row's value is the same in any batch. tol must lie
-    in (0, 1e-2].
+    in (0, 1e-2]. A row unsettled at order 512 raises ``ConvergenceError``
+    with its last value as ``best`` (``_unit_refusal``).
     """
     _check_tol(tol)
     omegas = np.asarray(omega, dtype=float)
@@ -465,9 +453,9 @@ def energy_spectrum(params: TrajectoryParams, omega, tol: float = 1e-6,
         lambda rows, us, sin2: route(params, omegas[rows], us, sin2, tol / 8.0)[0],
         omegas.size, 2.0 * math.pi, tol, abs_floor / params.e_squared)
     if todo.size:
-        raise ConvergenceError(
-            f"angular quadrature did not stabilize for omega={float(omegas[todo[0]])}",
-            best=params.e_squared * float(out[todo[0]]))
+        w, best = float(omegas[todo[0]]), params.e_squared * float(out[todo[0]])
+        raise _unit_refusal(lambda kappa, e2: ConvergenceError(
+            f"angular quadrature did not stabilize for omega={kappa * w}", best=e2 * best))
     out = _charged(params, omegas, out, "I(omega)")
     return float(out[0]) if scalar else out
 
@@ -500,9 +488,10 @@ def total_energy_spectral(params: TrajectoryParams, tol: float = 1e-4) -> float:
     it is within two roundings of e^2 kappa times the unit total wherever
     it is a normal double. A product that underflows to 0, or to a
     subnormal whose rounding step exceeds tol of it, raises
-    ``ConvergenceError``. tol must lie in (0, 1e-2]; the unit run's own
-    refusals raise on every call, with their cutoff, threshold and
-    ``best`` in the caller's units (``_unit_refusal``).
+    ``ConvergenceError``. tol must lie in (0, 1e-2]; the unit run's
+    refusals, its own and its spectra's, raise on every call, with their
+    frequency, threshold and ``best`` in the caller's units
+    (``_unit_refusal``).
     """
     _check_tol(tol)
     try:
@@ -526,11 +515,13 @@ def total_energy_spectral(params: TrajectoryParams, tol: float = 1e-4) -> float:
 
 
 def _unit_refusal(restate):
-    """The unit run's refusal restate(1, 1), which carries ``restate``.
+    """The refusal restate(1, 1), which carries ``restate``.
 
-    restate(kappa, e2) is the refusal in the units of a caller at kappa
-    and e^2, where a frequency is kappa, I(omega) e^2 and the total e^2
-    kappa times its unit value; ``total_energy_spectral`` raises that one.
+    restate(kappa, e2) is the refusal in the units of a caller whose kappa
+    and e^2 are kappa and e2 times the refusing call's, where a frequency
+    is kappa, I(omega) e^2 and the total e^2 kappa times its own. The unit
+    run's calls have kappa = e^2 = 1, so ``total_energy_spectral`` raises
+    restate(kappa, e^2) of a refusal from its unit run.
     """
     err = restate(1.0, 1.0)
     err.restate = restate
@@ -555,8 +546,8 @@ def _unit_total(zeta: float, tol: float) -> float:
     nodes but s = 0, where the integrand is 0; the first holds u = 1, and
     an I(hi) there above 1e-11 of the peak, like a threshold or hi that is
     no positive finite double, raises ``ConvergenceError`` with hi as
-    ``best``. These refusals state kappa = 1, unit-charge numbers and
-    carry their restatement in a caller's units (``_unit_refusal``). A
+    ``best``. These refusals, like those of its ``energy_spectrum`` calls,
+    state kappa = 1, unit-charge numbers and carry their restatement in a caller's units (``_unit_refusal``). A
     refused run leaves nothing in the cache.
     """
     params = TrajectoryParams(1.0, zeta, 1.0)

@@ -117,14 +117,14 @@ def test_special_angle_criterion_makes_one_call_per_route(monkeypatch):
     # criterion 3 takes its seven frequencies in one exact and one
     # Fermi-Dirac call, whose values are those of one call per frequency
     calls = []
-    values = acceptance._distribution_values
+    values = acceptance.distribution_grid
 
     def counting(params, omegas, thetas, method, tol):
         out = values(params, omegas, thetas, method, tol)
         calls.append((method, len(omegas), out[0][:, 0].tolist()))
         return out
 
-    monkeypatch.setattr(acceptance, "_distribution_values", counting)
+    monkeypatch.setattr(acceptance, "distribution_grid", counting)
     [result] = run_all(criteria=[3])
     assert result.passed, result.line()
     assert [call[:2] for call in calls] == [("exact-zeta0", 7), ("fermi-dirac", 7)]

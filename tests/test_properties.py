@@ -65,9 +65,9 @@ def test_numeric_matches_exact_pointwise_at_zeta0(kappa, y, theta):
     # about 1e-150 from a pole) the values are subnormal and lose digits,
     # so there the 1e-9 is taken of that smallest normal
     params = TrajectoryParams(kappa, 0.0)
-    [num] = distribution_grid(params, [y * kappa], [theta], "numeric", 1e-10)
-    [exact] = distribution_grid(params, [y * kappa], [theta], "exact-zeta0")
-    assert abs(num.value - exact.value) <= 1e-9 * max(exact.value, sys.float_info.min)
+    [[num]], _ = distribution_grid(params, [y * kappa], [theta], "numeric", 1e-10)
+    [[exact]], _ = distribution_grid(params, [y * kappa], [theta], "exact-zeta0")
+    assert abs(num - exact) <= 1e-9 * max(exact, sys.float_info.min)
 
 
 @given(kappa=KAPPA, zeta=st.floats(-0.9, 0.9), y=st.floats(0.1, 40.0))
@@ -77,10 +77,11 @@ def test_numeric_matches_fermi_dirac_at_the_special_angle(kappa, zeta, y):
     # 1e-10 relative, out to omega/kappa 40
     params = TrajectoryParams(kappa, zeta)
     tol = 1e-9
-    [num] = distribution_grid(params, [y * kappa], [math.acos(zeta)], "numeric", tol)
+    [[num]], [[num_error]] = distribution_grid(params, [y * kappa], [math.acos(zeta)],
+                                               "numeric", tol)
     fd = fermi_dirac_distribution(params, y * kappa).value
-    assert abs(num.value - fd) <= num.abs_error + tol * fd
-    assert rel(num.value, fd) <= 1e-10
+    assert abs(num - fd) <= num_error + tol * fd
+    assert rel(num, fd) <= 1e-10
 
 
 @settings(max_examples=4)

@@ -105,8 +105,7 @@ class TestDistribution:
         # _CLOSED_FORM_REL of it, bit for bit
         params = TrajectoryParams(1.0, 0.3)
         omegas = np.array([0.5, 1.0, 10.0, 100.0, 115.0])
-        values, errors = spectra._distribution_values(params, omegas, [], "fermi-dirac",
-                                                      1e-9)
+        values, errors = distribution_grid(params, omegas, [math.acos(0.3)], "fermi-dirac")
         assert np.array_equal(errors[:4], values[:4] * spectra._CLOSED_FORM_REL)
         value, error = values.item(4), errors.item(4)
         assert 0.0 < value < sys.float_info.min and 0.0 < error <= 1e-8 * value
@@ -189,9 +188,10 @@ class TestDistribution:
         params = TrajectoryParams(1.0, 0.0, 1.0)
         thetas = [math.radians(d) for d in (10, 60, 90, 120, 150, 170, 179)]
         for y in (0.02, 0.5, 2.0, 5.0, 8.0, 12.0):
-            for got in distribution_grid(params, [y], thetas, "numeric", 1e-9):
-                want = float(exact_distribution(1.0, 1.0, y, got.theta))
-                assert rel(got.value, want) <= 1e-9
+            [values], _ = distribution_grid(params, [y], thetas, "numeric", 1e-9)
+            for theta, got in zip(thetas, values.tolist()):
+                want = float(exact_distribution(1.0, 1.0, y, theta))
+                assert rel(got, want) <= 1e-9
 
     def test_numeric_refuses_a_bar_wider_than_its_limit(self):
         # at omega/kappa 48 and 150 degrees the ray to the saddle cancels
@@ -238,14 +238,15 @@ class TestDistribution:
                 for deg in degs:
                     theta = math.radians(deg)
                     try:
-                        [got] = distribution_grid(params, [y], [theta], method, 1e-9)
+                        [[value]], [[bar]] = distribution_grid(params, [y], [theta], method,
+                                                               1e-9)
                     except ConvergenceError as refusal:
-                        got = refusal.best
-                        assert got.abs_error > spectra._REFUSAL * got.value
+                        value, bar = refusal.best.value, refusal.best.abs_error
+                        assert bar > spectra._REFUSAL * value
                         refused.append((method, y, deg))
                     with mp.workdps(160):
                         want = float(exact_distribution(1.0, 1.0, y, theta))
-                    assert abs(got.value - want) <= got.abs_error
+                    assert abs(value - want) <= bar
         assert {("exact-zeta0", 8.0, 170), ("exact-zeta0", 12.0, 150),
                 ("exact-zeta0", 12.0, 170)} <= set(refused)
         assert not [r for r in refused if r[:2] == ("exact-zeta0", 4.0)]
@@ -267,8 +268,8 @@ class TestDistribution:
         params = TrajectoryParams(1.0, 0.0)
         theta = math.radians(deg)
         if isinstance(want, float):
-            [got] = distribution_grid(params, [y], [theta], "exact-zeta0")
-            assert abs(got.value - want) <= got.abs_error
+            [[value]], [[bar]] = distribution_grid(params, [y], [theta], "exact-zeta0")
+            assert abs(value - want) <= bar
             return
         with pytest.raises(want[0], match=want[1]) as info:
             distribution_grid(params, [y], [theta], "exact-zeta0")
@@ -298,12 +299,13 @@ class TestDistribution:
             params = TrajectoryParams(kappa, 0.0, rng.uniform(0.5, 2.0))
             omegas = (kappa * rng.uniform(0.1, 4.0, 3)).tolist()
             thetas = [0.0, math.pi, *rng.uniform(0.0, math.pi, 17)]
-            batch = distribution_grid(params, omegas, thetas, "exact-zeta0")
+            values, errors = distribution_grid(params, omegas, thetas, "exact-zeta0")
             single = [distribution_exact_zeta0(
                           params.kappa, params.e_squared, omega,
                           EmissionDirection(th))
                       for omega in omegas for th in thetas]
-            assert batch == single
+            assert [(s.value, s.abs_error) for s in single] == \
+                list(zip(values.ravel().tolist(), errors.ravel().tolist()))
 
     def test_numeric_batch_matches_single_points(self):
         # the angular rule and the CLI evaluate a whole omega x theta grid in
@@ -315,10 +317,11 @@ class TestDistribution:
                                       rng.uniform(0.5, 2.0))
             omegas = (kappa * rng.uniform(0.1, 8.0, 3)).tolist()
             thetas = [0.0, math.pi, *rng.uniform(0.0, math.pi, 9)]
-            batch = distribution_grid(params, omegas, thetas, "numeric", 1e-8)
+            values, errors = distribution_grid(params, omegas, thetas, "numeric", 1e-8)
             single = [distribution_numeric(params, omega, EmissionDirection(th),
                                            1e-8) for omega in omegas for th in thetas]
-            assert batch == single
+            assert [(s.value, s.abs_error) for s in single] == \
+                list(zip(values.ravel().tolist(), errors.ravel().tolist()))
 
     def test_numeric_dark_rows_skip_the_integral(self, monkeypatch):
         # sin^2(theta) = 0 rows are exactly 0 and never reach the quadrature;
@@ -332,12 +335,12 @@ class TestDistribution:
 
         monkeypatch.setattr(spectra, "_oscillatory_rows", counting)
         params = TrajectoryParams(1.0, 0.3, 1.0)
-        got = distribution_grid(params, [1.5, 2.5], [0.0, 1.0, 0.0, 2.0], "numeric",
-                                1e-8)
+        values, errors = distribution_grid(params, [1.5, 2.5], [0.0, 1.0, 0.0, 2.0],
+                                           "numeric", 1e-8)
         assert rows == [4]
-        assert [(s.value, s.abs_error) for s in got[::2]] == [(0.0, 0.0)] * 4
-        assert all(s.value > 0.0 for s in got[1::2])
-        assert distribution_grid(params, [1.5], [0.0], "numeric", 1e-8)[0].value == 0.0
+        assert not values[:, ::2].any() and not errors[:, ::2].any()
+        assert (values[:, 1::2] > 0.0).all()
+        assert distribution_grid(params, [1.5], [0.0], "numeric", 1e-8)[0].item() == 0.0
         assert rows == [4]
 
     def test_exact_dark_rows_skip_the_series(self, monkeypatch):
@@ -352,26 +355,74 @@ class TestDistribution:
 
         monkeypatch.setattr(spectra, "_kummer_grid", counting)
         params = TrajectoryParams(1.0, 0.0, 1.0)
-        got = distribution_grid(params, [1.5, 2.5], [0.0, 1.0, 0.0, math.pi],
-                                "exact-zeta0")
+        values, errors = distribution_grid(params, [1.5, 2.5], [0.0, 1.0, 0.0, math.pi],
+                                           "exact-zeta0")
         assert moduli == [[1.5 * math.cos(1.0) ** 2, 1.5]]
-        assert [(s.value, s.abs_error) for s in got[::2]] == [(0.0, 0.0)] * 4
-        assert all(s.value > 0.0 for s in got[1::2])
-        assert distribution_grid(params, [1.5], [0.0], "exact-zeta0")[0].value == 0.0
+        assert not values[:, ::2].any() and not errors[:, ::2].any()
+        assert (values[:, 1::2] > 0.0).all()
+        assert distribution_grid(params, [1.5], [0.0], "exact-zeta0")[0].item() == 0.0
         assert len(moduli) == 1
 
     def test_grid_checks_its_inputs(self):
-        # a direction outside [0, pi], a route the grid does not run, and
-        # the zeta = 0 closed form off zeta = 0 are refused, not answered
+        # a direction outside [0, pi], an unknown route, the zeta = 0 closed
+        # form off zeta = 0 and the Fermi-Dirac form off the special angle
+        # are refused, not answered
         params = TrajectoryParams(1.0, 0.3)
         for theta in (4.0, -0.1, math.nan):
             with pytest.raises(DomainError, match="theta"):
                 distribution_grid(params, [1.0], [1.0, theta], "numeric", 1e-8)
         with pytest.raises(DomainError, match="zeta"):
             distribution_grid(params, [1.0], [1.0], "exact-zeta0")
-        for method in ("fermi-dirac", "exact"):
-            with pytest.raises(DomainError, match="method"):
-                distribution_grid(params, [1.0], [1.0], method)
+        with pytest.raises(DomainError, match="acos"):
+            distribution_grid(params, [1.0], [1.0], "fermi-dirac")
+        with pytest.raises(DomainError, match="method"):
+            distribution_grid(params, [1.0], [1.0], "exact")
+
+    @pytest.mark.parametrize("zeta", [0.0, 0.3, -0.6])
+    def test_fermi_dirac_grid_matches_one_point_calls(self, zeta):
+        # the special angle's grid column is, bit for bit, the one-point
+        # calls, over 1 to 64 frequencies
+        params = TrajectoryParams(1.3, zeta, 0.7)
+        theta0 = math.acos(zeta)
+        rng = np.random.default_rng(39)
+        for n in (1, 2, 3, 7, 16, 33, 64):
+            omegas = rng.uniform(0.01, 60.0, n).tolist()
+            values, errors = distribution_grid(params, omegas, [theta0], "fermi-dirac")
+            assert values.shape == errors.shape == (n, 1)
+            single = [fermi_dirac_distribution(params, omega) for omega in omegas]
+            assert [(s.omega, s.theta, s.value, s.abs_error) for s in single] == \
+                [(omega, theta0, v, e) for omega, v, e
+                 in zip(omegas, values[:, 0].tolist(), errors[:, 0].tolist())]
+
+    def test_fermi_dirac_grid_takes_the_special_angle_alone(self):
+        # as the closed form refuses zeta != 0, the Fermi-Dirac form refuses
+        # any angle list but [acos(zeta)]: a neighbouring double, pi/2 off
+        # zeta = 0, the special angle twice, or no angle at all
+        params = TrajectoryParams(1.0, 0.3)
+        theta0 = math.acos(0.3)
+        for thetas in ([math.nextafter(theta0, 0.0)], [math.nextafter(theta0, 4.0)],
+                       [math.pi / 2], [theta0, theta0], [theta0, 1.0], [], [math.nan]):
+            with pytest.raises(DomainError, match="acos"):
+                distribution_grid(params, [1.0], thetas, "fermi-dirac")
+        assert distribution_grid(params, [1.0], np.array([theta0]), "fermi-dirac")[0].size == 1
+        # at zeta = 0 the special angle is pi/2, bit for bit
+        assert math.acos(0.0) == math.pi / 2
+        distribution_grid(TrajectoryParams(1.0, 0.0), [1.0], [math.pi / 2], "fermi-dirac")
+
+    def test_fermi_dirac_grid_refuses_an_underflowing_value(self):
+        # at zeta 0.3 the value at omega/kappa 120 underflows to 0: the grid
+        # refuses it with the message and best the one-point call gives
+        params = TrajectoryParams(2.0, 0.3)
+        theta0 = math.acos(0.3)
+        want = ("fermi-dirac dI/dOmega at omega=240, theta=1.2661 is 0.000e+00 "
+                "+- 0.000e+00, a positive value that underflows a double")
+        with pytest.raises(ConvergenceError) as grid:
+            distribution_grid(params, [220.0, 230.0, 240.0, 250.0], [theta0], "fermi-dirac")
+        with pytest.raises(ConvergenceError) as one:
+            fermi_dirac_distribution(params, 240.0)
+        for info in (grid, one):
+            assert str(info.value) == want
+            assert info.value.best == SpectralSample(240.0, theta0, 0.0, "fermi-dirac", 0.0)
 
     def test_validation(self):
         params = TrajectoryParams(1, 0, 1)
@@ -878,6 +929,23 @@ class TestUnitTotal:
                 total_energy_spectral(TrajectoryParams(kappa, 0.0, e2))
             bests.append(err.value.best)
         assert bests[1] == 6.0 * bests[0]
+
+    def test_angular_refusal_states_the_callers_units(self, fresh_caches):
+        # at zeta -0.995 an angular rule of the unit run's spectra does not
+        # settle; energy_spectrum's refusal reaches a caller at kappa 2 and
+        # e^2 3 with omega kappa times and best e^2 times the unit run's,
+        # and kappa = e^2 = 1 reads the unit run's own numbers
+        refusals = []
+        for kappa, e2 in ((1.0, 1.0), (2.0, 3.0)):
+            with pytest.raises(ConvergenceError) as err:
+                total_energy_spectral(TrajectoryParams(kappa, -0.995, e2))
+            refusals.append(err.value)
+        unit, scaled = refusals
+        y = 21221.16314897473
+        assert str(unit) == f"angular quadrature did not stabilize for omega={y}"
+        assert str(scaled) == f"angular quadrature did not stabilize for omega={2.0 * y}"
+        assert unit.best > 0.0 and scaled.best == 3.0 * unit.best
+        assert spectra._unit_total.cache_info().currsize == 0
 
     def test_total_is_charge_and_kappa_times_the_unit_total(self):
         # E/(e^2 kappa), taken exactly, is within 2 ulp of the unit total
