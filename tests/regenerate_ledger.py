@@ -7,12 +7,18 @@ exactly, so a change that should keep every number can show that it does.
 Regenerate only when an output is meant to change, and say why:
 
     PYTHONPATH=src python tests/regenerate_ledger.py
+
+A case whose output differs from the file it replaces is reported on
+stderr, each changed numeric cell with its line, old text, new text and
+distance in ulp; unchanged cases print nothing.
 """
 import contextlib
 import io
 import itertools
 import json
 import os
+import re
+import struct
 import sys
 import time
 from unittest import mock
@@ -24,7 +30,8 @@ from fdradiance import cli
 LEDGER = os.path.join(os.path.dirname(os.path.abspath(__file__)), "ledger")
 
 # (name, argv): the six README commands, then the grids and refusals the
-# distribution routes meet on the command line
+# distribution routes meet on the command line, and a spectral total on
+# each side of zeta = 0
 CASES = [
     ("readme-trajectory", "trajectory --zeta-min -0.5 --zeta-max 0.5 --zeta-steps 3 --penrose"),
     ("readme-energy", "energy --method both --tol 1e-4"),
@@ -41,6 +48,11 @@ CASES = [
      "--omega-steps 4"),
     ("exact-off-zeta0", "distribution --method exact-zeta0 --zeta 0.3"),
     ("mirror-emission-grid", "mirror --omega-min 1 --omega-max 2 --omega-steps 2"),
+    ("exact-large-omega",
+     "distribution --method exact-zeta0 --omega-min 20 --omega-max 60 --omega-steps 5 "
+     "--theta-min 0 --theta-max 1.5707963267948966 --theta-steps 7"),
+    ("spectral-total-zeta-neg-0.9", "energy --method spectral --zeta -0.9 --tol 1e-4"),
+    ("spectral-total-zeta-0.3", "energy --method spectral --zeta 0.3 --tol 1e-4"),
 ]
 
 
@@ -58,6 +70,58 @@ def run_case(argv):
     return code, out.getvalue(), err.getvalue()
 
 
+# a decimal number, split out of the text around it
+NUMBER = re.compile(r"([-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?)")
+
+
+def ulps(old, new):
+    """The number of doubles from float(old) to float(new), or None if
+    either is not finite."""
+    def ordered(text):
+        bits = struct.unpack("<q", struct.pack("<d", float(text)))[0]
+        return bits if bits >= 0 else -(bits & 0x7FFFFFFFFFFFFFFF)
+    if not all(map(np.isfinite, (float(old), float(new)))):
+        return None
+    return abs(ordered(old) - ordered(new))
+
+
+def moved_cells(old, new):
+    """(line, old text, new text, ulps) for each numeric cell that differs
+    between two outputs whose text outside the numbers is the same, or
+    None if that text differs too."""
+    old_parts, new_parts = NUMBER.split(old), NUMBER.split(new)
+    if old_parts[::2] != new_parts[::2]:
+        return None
+    moved, line = [], 1
+    for i, (was, now) in enumerate(zip(old_parts, new_parts)):
+        if i % 2 and was != now:
+            moved.append((line, was, now, ulps(was, now)))
+        line += was.count("\n")
+    return moved
+
+
+def report(name, old, case):
+    """Print how ``case`` differs from ``old``, the case it replaces (None
+    if new), to stderr; print nothing if it does not."""
+    if old == case:
+        return
+    if old is None:
+        print(f"{name}: new case, exit {case['exit_code']}", file=sys.stderr)
+        return
+    print(f"{name}: changed", file=sys.stderr)
+    for key in ("exit_code", "numpy"):
+        if old[key] != case[key]:
+            print(f"  {key}: {old[key]} -> {case[key]}", file=sys.stderr)
+    for stream in ("stdout", "stderr"):
+        moved = moved_cells(old[stream], case[stream])
+        if moved is None:
+            print(f"  {stream}: text outside the numeric cells changed", file=sys.stderr)
+            continue
+        for line, was, now, distance in moved:
+            print(f"  {stream} line {line}: {was} -> {now} ({distance} ulp)",
+                  file=sys.stderr)
+
+
 def main():
     os.makedirs(LEDGER, exist_ok=True)
     for name, command in CASES:
@@ -65,12 +129,15 @@ def main():
         code, out, err = run_case(argv)
         case = {"argv": argv, "exit_code": code, "stdout": out, "stderr": err,
                 "numpy": np.__version__}
-        with open(os.path.join(LEDGER, f"{name}.json"), "w", encoding="utf-8",
-                  newline="\n") as f:
+        path = os.path.join(LEDGER, f"{name}.json")
+        old = None
+        if os.path.exists(path):
+            with open(path, encoding="utf-8") as f:
+                old = json.load(f)
+        report(name, old, case)
+        with open(path, "w", encoding="utf-8", newline="\n") as f:
             json.dump(case, f, indent=1)
             f.write("\n")
-        print(f"{name}: exit {code}, {len(out)} bytes out, {len(err)} bytes err",
-              file=sys.stderr)
 
 
 if __name__ == "__main__":
