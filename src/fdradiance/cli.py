@@ -18,6 +18,7 @@ keys in stable lexicographic order.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import dataclasses
 import functools
@@ -26,6 +27,7 @@ import json
 import math
 import os
 import sys
+import warnings
 
 import numpy as np
 
@@ -416,6 +418,19 @@ def _config_echo(ns) -> dict:
             if key not in ("command", "given")}
 
 
+@contextlib.contextmanager
+def _warnings_to_stderr():
+    """Print each distinct warning raised inside as one ``warning:`` line
+    on stderr on the way out, before any error line."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            yield
+        finally:
+            for message in dict.fromkeys(str(w.message) for w in caught):
+                print(f"warning: {message}", file=sys.stderr)
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
@@ -423,7 +438,8 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        table, summary = _RUNNERS[ns.command](ns)
+        with _warnings_to_stderr():
+            table, summary = _RUNNERS[ns.command](ns)
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

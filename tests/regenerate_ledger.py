@@ -31,7 +31,7 @@ LEDGER = os.path.join(os.path.dirname(os.path.abspath(__file__)), "ledger")
 
 # (name, argv): the six README commands, then the grids and refusals the
 # distribution routes meet on the command line, and a spectral total on
-# each side of zeta = 0
+# each side of zeta = 0, and the Larmor total's warning near zeta = -1
 CASES = [
     ("readme-trajectory", "trajectory --zeta-min -0.5 --zeta-max 0.5 --zeta-steps 3 --penrose"),
     ("readme-energy", "energy --method both --tol 1e-4"),
@@ -53,6 +53,7 @@ CASES = [
      "--theta-min 0 --theta-max 1.5707963267948966 --theta-steps 7"),
     ("spectral-total-zeta-neg-0.9", "energy --method spectral --zeta -0.9 --tol 1e-4"),
     ("spectral-total-zeta-0.3", "energy --method spectral --zeta 0.3 --tol 1e-4"),
+    ("larmor-total-warning", "energy --zeta -0.995"),
 ]
 
 

@@ -8,6 +8,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -16,7 +17,7 @@ import pytest
 import fdradiance
 from fdradiance import acceptance, cli, spectra
 from fdradiance.cli import _build_parser, main
-from fdradiance.errors import ConvergenceError
+from fdradiance.errors import ConvergenceError, DomainError
 from fdradiance.spectra import (
     distribution_grid,
     energy_spectrum,
@@ -369,6 +370,26 @@ class TestEnergyCommand:
         assert code == 0
         _, rows = parse_csv(out)
         assert float(rows[0]["E"]) == pytest.approx(0.4762636, rel=1e-4)
+
+    def test_warning_is_one_line_with_the_exit_code_kept(self, capsys):
+        # the Larmor total warns near zeta = -1: one line, as errors print,
+        # and no source path or source line
+        code, out, err = run(capsys, ["energy", "--zeta", "-0.995"])
+        assert code == 0 and out.startswith("zeta,method,E")
+        assert err == ("warning: total energy grows without bound as zeta -> -1; "
+                       "zeta=-0.995 is close to the divergent endpoint\n")
+
+    def test_warnings_print_before_the_refusal(self, capsys, monkeypatch):
+        def refusing(params, tol):
+            warnings.warn("first", RuntimeWarning)
+            warnings.warn("first", RuntimeWarning)
+            warnings.warn("second", UserWarning)
+            raise DomainError("refused")
+
+        monkeypatch.setattr(cli, "total_energy_larmor", refusing)
+        code, out, err = run(capsys, ["energy", "--zeta", "-0.5"])
+        assert code == 2 and out == ""
+        assert err == "warning: first\nwarning: second\nerror: refused\n"
 
     def test_subnormal_charge_scales_the_unit_total(self, capsys):
         # E = e^2 x 0.0031 is a subnormal double whose step is 1.6e-6 of it,
