@@ -37,9 +37,10 @@ product per cell against the powers z^n. Each (band of z, row) pair's
 stop rule is kept in whole arrays that every block updates by masks, and
 a cell adds a block's part only where its pair summed that block. A
 cell's term count depends on its row and its dyadic band of z alone, so
-it keeps its bits in any grid, and a cell past ``kummer_1f1``'s
-cancellation limit or stop rule is summed by ``kummer_1f1`` itself,
-which keeps the long-double retry and the refusal in one place.
+it keeps its bits in any grid. Each cell is trusted by one rule: its
+band top's terms bound its own within ``kummer_1f1``'s cancellation
+limit and stop rule, or it is summed by ``kummer_1f1`` itself, which
+keeps the long-double retry and the refusal in one place.
 """
 from __future__ import annotations
 
@@ -316,20 +317,6 @@ def kummer_1f1(a, b, x):
     return out
 
 
-def _log_terms(a, b, c, z, n):
-    """ln|D_j z^j| for j < n, one row per element of a, b, c and z (1-d).
-
-    D_j = (a)_j c^j/((b)_j j!) is taken as in ``_kummer_grid``, but as a sum
-    of logarithms, which neither overflows nor rounds to 0.
-    """
-    j = np.arange(n)
-    ratio = np.divide(np.multiply(a[:, None] + j[:-1], c[:, None]),
-                      np.multiply(b[:, None] + j[:-1], j[:-1] + 1))
-    log_d = np.concatenate((np.zeros((a.size, 1)), np.cumsum(np.log(np.abs(ratio)), axis=1)),
-                           axis=1)
-    return log_d + np.where(j == 0, 0.0, j * np.log(z[:, None]))
-
-
 def _kummer_grid(a, b, c, z):
     """1F1(a_r; b_r; c_r z_k) on the grid rows x columns, each cell to its own bits.
 
@@ -341,11 +328,11 @@ def _kummer_grid(a, b, c, z):
     by all its columns, so each block of _BLOCK terms takes every row's
     D_n by one product accumulation and every cell's part by one dot
     product of length _BLOCK against its column's powers z^n. The state
-    of each (band, row) pair -- whether it sums, whether it settled, its
-    block count and the ln of its top's largest and last three terms -- is
-    a whole (band, row) array that each block updates by masks
-    (``np.where``), with no gathers of the pairs still summing, and a
-    cell adds the block's part only where its pair summed the block. A
+    of each (band, row) pair -- whether it sums, whether it settled and
+    the ln of its top's largest and last three terms -- is a whole (band,
+    row) array that each block updates by masks (``np.where``), with no
+    gathers of the pairs still summing, and a cell adds the block's part
+    only where its pair summed the block. A
     cell thus adds its own parts in order, and its sum does not depend on
     how many terms any other cell takes. The blocks end when no pair sums.
 
@@ -356,13 +343,13 @@ def _kummer_grid(a, b, c, z):
     blocks until one ends with three terms at the top below 0.1
     eps/_CANCEL_RETRY of the top's largest. The top's largest term and
     the largest of its last three then bound the cell's own, and
-    ``kummer_1f1``'s limits are checked on these bounds and, for the few
-    cells they do not clear, on the cell's own terms: a cell whose largest
-    term is above _CANCEL_RETRY times its sum, whose last three terms are
-    not all within 0.1 eps of its sum, whose sum is not finite, or whose
-    pair's terms leave the double range or the _SERIES_BUDGET terms, is
-    handed to ``kummer_1f1`` with x = c_r z_k, which retries it in long
-    double or refuses it, and then carries that call's bits. Raises what
+    ``kummer_1f1``'s limits are checked on these bounds alone: a cell
+    whose pair did not settle (its terms left the double range or the
+    _SERIES_BUDGET terms), whose sum is not finite, whose top's largest
+    term is above _CANCEL_RETRY times its sum, or whose top's last three
+    terms are not all within 0.1 eps of its sum, is handed to
+    ``kummer_1f1`` with x = c_r z_k, which retries it in long double or
+    refuses it, and then carries that call's bits. Raises what
     ``kummer_1f1`` raises; a row whose b is a pole has no finite cell, and
     ``kummer_1f1`` raises ``PoleError`` for it.
     """
@@ -372,7 +359,6 @@ def _kummer_grid(a, b, c, z):
     log_top = tops * _LOG_2
     pairs = (tops.size, a.size)                         # (band, row)
     summing, settled = np.ones(pairs, dtype=bool), np.zeros(pairs, dtype=bool)
-    blocks = np.zeros(pairs, dtype=int)
     top_peak, top_last = np.full((2, *pairs), -np.inf)  # ln of the top's terms
     total = np.zeros((a.size, z.size), dtype=complex)
     coef = np.ones(a.size, dtype=complex)               # D_n of the next block
@@ -390,7 +376,6 @@ def _kummer_grid(a, b, c, z):
             top_last = np.where(summing, last, top_last)
             stops = last <= peak + _LOG_GRID_TOL - _LOG_RETRY
             settled |= summing & stops
-            blocks += summing
             # every cell's part; the cells of the pairs that summed add it
             part = np.vecdot((powers * z[:, None] ** start).astype(complex),
                              np.ascontiguousarray(d.T)[:, None])
@@ -399,22 +384,9 @@ def _kummer_grid(a, b, c, z):
             if not summing.any():
                 break
         log_size = np.log(np.abs(total))
-        ok = settled[band].T & np.isfinite(total)
-        near = ok & ~((top_peak[band].T <= _LOG_RETRY + log_size)
-                      & (top_last[band].T <= _LOG_GRID_TOL + log_size))
-        # the cells the bounds do not clear, on their own terms, a slice of
-        # at most _BLOCK terms per cell of the grid at a time
-        i, k = np.nonzero(near)
-        ends = blocks[band[k], i] * _BLOCK
-        step = max(1, _BLOCK * total.size // max(1, ends.max(initial=0)))
-        for s in range(0, i.size, step):
-            cut = slice(s, s + step)
-            own = _log_terms(a[i[cut]], b[i[cut]], c[i[cut]], z[k[cut]], ends[cut].max())
-            m, end = np.arange(own.shape[1]), ends[cut, None]
-            own[m >= end] = -np.inf
-            last = np.where(m >= end - 3, own, -np.inf).max(axis=1)
-            ok[i[cut], k[cut]] = ((own.max(axis=1) <= _LOG_RETRY + log_size[i[cut], k[cut]])
-                                  & (last <= _LOG_GRID_TOL + log_size[i[cut], k[cut]]))
+        ok = (settled[band].T & np.isfinite(total)
+              & (top_peak[band].T <= _LOG_RETRY + log_size)
+              & (top_last[band].T <= _LOG_GRID_TOL + log_size))
     if not ok.all():
         i, k = np.nonzero(~ok)
         total[i, k] = kummer_1f1(a[i], b[i], c[i] * z[k])

@@ -91,7 +91,6 @@ def compacting_grid(a, b, c, z):
     log_top = tops * np.log(2.0)
     pairs = (tops.size, a.size)
     summing, settled = np.ones(pairs, dtype=bool), np.zeros(pairs, dtype=bool)
-    blocks = np.zeros(pairs, dtype=int)
     top_peak, top_last = np.full((2, *pairs), -np.inf)
     total = np.zeros((a.size, z.size), dtype=complex)
     coef = np.ones(a.size, dtype=complex)
@@ -113,7 +112,6 @@ def compacting_grid(a, b, c, z):
             top_last[sub] = np.where(was, last, top_last[sub])
             stops = last <= peak + log_tol - log_retry
             settled[sub] = settled[sub] | (was & stops)
-            blocks[sub] = blocks[sub] + was
             summing[sub] = was & ~stops & (peak <= specfun._LOG_MAX)
             adds = np.zeros((tops.size, live.size), dtype=bool)
             adds[kl] = was
@@ -124,21 +122,9 @@ def compacting_grid(a, b, c, z):
             before = total[ix]
             total[ix] = np.where(adds[band[ks]].T, np.add(before, part), before)
         log_size = np.log(np.abs(total))
-        ok = settled[band].T & np.isfinite(total)
-        near = ok & ~((top_peak[band].T <= log_retry + log_size)
-                      & (top_last[band].T <= log_tol + log_size))
-        i, k = np.nonzero(near)
-        ends = blocks[band[k], i] * specfun._BLOCK
-        step = max(1, specfun._BLOCK * total.size // max(1, ends.max(initial=0)))
-        for s in range(0, i.size, step):
-            cut = slice(s, s + step)
-            own = specfun._log_terms(a[i[cut]], b[i[cut]], c[i[cut]], z[k[cut]],
-                                     ends[cut].max())
-            m, end = np.arange(own.shape[1]), ends[cut, None]
-            own[m >= end] = -np.inf
-            last = np.where(m >= end - 3, own, -np.inf).max(axis=1)
-            ok[i[cut], k[cut]] = ((own.max(axis=1) <= log_retry + log_size[i[cut], k[cut]])
-                                  & (last <= log_tol + log_size[i[cut], k[cut]]))
+        ok = (settled[band].T & np.isfinite(total)
+              & (top_peak[band].T <= log_retry + log_size)
+              & (top_last[band].T <= log_tol + log_size))
     if not ok.all():
         i, k = np.nonzero(~ok)
         total[i, k] = kummer_1f1(a[i], b[i], c[i] * z[k])
@@ -625,10 +611,11 @@ class TestKummerGrid:
 
     def test_cancelling_cells_carry_kummer_1f1_bits(self, monkeypatch):
         # at y = 60 the series cancel by 4.3e4 at z = 0.9 and by 4.4e5 at
-        # z = 1, past _CANCEL_RETRY. Both lie in the band (1/2, 1], whose
-        # top's terms do not clear them, so their own terms are checked:
-        # the z = 1 cells, and only those, go to kummer_1f1 at x = c z,
-        # which retries them in long double, and keep its bits
+        # z = 1. Both lie in the band (1/2, 1], whose top's terms do not
+        # clear them, so all four cells go to kummer_1f1 at x = c z, which
+        # sums the z = 0.9 cells in double and retries the z = 1 cells in
+        # long double, and keep its bits; the z = 0.5 cells, which cancel
+        # by 18, are cleared by their band's top and summed by the grid
         handed = []
         kummer = specfun.kummer_1f1
 
@@ -640,13 +627,11 @@ class TestKummerGrid:
         a, b, c = self.series_rows(np.array([60.0]))
         z = np.array([0.5, 0.9, 1.0])
         got = specfun._kummer_grid(a, b, c, z)
-        assert np.array_equal(np.concatenate(handed), c)
-        assert got[:, 2].tolist() == [kummer(a_, b_, c_ * 1.0)
-                                      for a_, b_, c_ in zip(a, b, c)]
-        # kummer_1f1's 1e-10 contract: at z = 0.9 both sum terms 4.3e4 times
-        # the value, and they differ by 4.9e-11
-        want = kummer_1f1(a[:, None], b[:, None], c[:, None] * z[:2])
-        assert np.max(np.abs(got[:, :2] / want - 1.0)) < 1e-10
+        assert np.array_equal(np.concatenate(handed), (c[:, None] * z[1:]).ravel())
+        assert got[:, 1:].tolist() == [[kummer(a_, b_, c_ * z_) for z_ in z[1:]]
+                                       for a_, b_, c_ in zip(a, b, c)]
+        want = kummer_1f1(a, b, c * z[0])
+        assert np.max(np.abs(got[:, 0] / want - 1.0)) < 1e-13
 
     def test_cells_keep_their_bits_in_any_grid(self):
         # a cell's terms and their count depend on its row and its z alone
@@ -686,19 +671,22 @@ class TestKummerGrid:
             assert np.max(np.abs(got - kummer_1f1(a[:, None], b[:, None], c[:, None] * z))
                           / np.abs(got)) < 1e-13
 
-    @pytest.mark.parametrize("ys, z", [
-        (np.array([1.3]), np.array([0.4])),
-        (np.array([2.7]), cc_squares(64)),
-        (np.geomspace(0.01, 20.0, 25), cc_squares(64)),
-        (np.geomspace(0.01, 15.0, 8), cc_squares(512)),
-        (np.array([0.3, 4.0, 11.0]), np.array([0.0, 0.25, 0.0, 1.0])),
-        (np.array([60.0, 2.0]), np.array([0.5, 0.9, 1.0])),
+    @pytest.mark.parametrize("ys, z, cells", [
+        (np.array([1.3]), np.array([0.4]), []),
+        (np.array([2.7]), cc_squares(64), []),
+        (np.geomspace(0.01, 20.0, 25), cc_squares(64), [1]),
+        (np.geomspace(0.01, 15.0, 8), cc_squares(512), []),
+        (np.array([0.3, 4.0, 11.0]), np.array([0.0, 0.25, 0.0, 1.0]), []),
+        (np.array([60.0, 2.0]), np.array([0.5, 0.9, 1.0]), [4]),
     ], ids=["1x1", "2x33", "50x33", "16x257", "z=0", "fallback"])
-    def test_masked_state_keeps_the_compacting_loops_bits(self, ys, z, monkeypatch):
+    def test_masked_state_keeps_the_compacting_loops_bits(self, ys, z, cells,
+                                                           monkeypatch):
         # the (band, row) state updated by masks gives every cell the bits
-        # of the loop that gathered the live rows and bands each block; at
-        # y = 60 the two z = 1 cells, and only those, go to kummer_1f1,
-        # which retries them in long double
+        # of the loop that gathered the live rows and bands each block. The
+        # cells their band's top does not clear go to kummer_1f1 in one
+        # call: at y = 60 the z = 0.9 and z = 1 cells, the latter retried in
+        # long double; at y = 20 the one cell at z = 0.549, whose top z = 1
+        # has terms far above its own
         handed = []
         kummer = specfun.kummer_1f1
 
@@ -711,7 +699,7 @@ class TestKummerGrid:
         got = specfun._kummer_grid(a, b, c, z)
         assert got.shape == (a.size, z.size)
         assert np.array_equal(got.view(float), compacting_grid(a, b, c, z).view(float))
-        assert handed == ([2] if ys[0] == 60.0 else [])
+        assert handed == cells
 
     def test_refused_grid_raises_as_the_compacting_loop(self):
         # at y = 90 the z = 1 cells cancel past what long double certifies

@@ -276,6 +276,34 @@ class TestDistribution:
         if deg == 90:
             assert (info.value.best.value, info.value.best.abs_error) == (0.0, 0.0)
 
+    @pytest.mark.parametrize("y, want", [
+        (20.0, [0.0, 7.561735155090255e-26, 2.2554495644466305e-28,
+                3.6629550853900176e-33, 7.391598845667462e-40,
+                5.3884918117599226e-48, 6.179613356679596e-57]),
+        (30.0, [0.0, 7.414817882846631e-37, 6.340979477538006e-41,
+                2.987921367571641e-48, 2.2489226161908955e-58,
+                1.26957389566902e-70, 4.781074217836251e-84]),
+        (40.0, [0.0, 6.460206849066317e-48, 1.5840965709052114e-53,
+                2.1659631905608566e-63, 6.081270455846071e-77,
+                2.6586802428772057e-93, 3.288040400959949e-111]),
+        (50.0, [0.0, 5.2758279065808445e-59, 3.709535576926858e-66,
+                1.471847150310091e-78, 1.5415576372133822e-95,
+                5.219554529255844e-116, 2.1199229737193437e-138]),
+        (60.0, [0.0, 4.135893228356429e-70, 8.338715553514023e-79,
+                9.601182607569983e-94, 3.7513155609361045e-114,
+                9.837074502908691e-139, 1.312122100647964e-165]),
+    ])
+    def test_exact_matches_the_oracle_to_omega_over_kappa_60(self, y, want):
+        # the ledger's exact grid at kappa 1, theta 0-90 deg in steps of 15:
+        # every cell within kummer_1f1's 1e-10 contract of dI/dOmega frozen
+        # from oracles.exact_distribution at 60 + 3.2 omega/kappa digits (80
+        # digits more change none of them); at theta 0 both are exactly 0
+        thetas = np.linspace(0.0, math.pi / 2, 7).tolist()
+        [values], _ = distribution_grid(TrajectoryParams(1.0, 0.0), [y], thetas,
+                                        "exact-zeta0")
+        assert values[0] == want[0] == 0.0
+        assert np.max(np.abs(values[1:] / want[1:] - 1.0)) < 1e-10
+
     @pytest.mark.parametrize("kappa, omega, theta", [
         (1.6369169808136923, 6.488508494724727, 2.8026654875260975),
         (0.9502251705326412, 3.7160465612936604, 2.6826464397282517),
