@@ -332,9 +332,9 @@ def _kummer_grid(a, b, c, z):
     the ln of its top's largest and last three terms -- is a whole (band,
     row) array that each block updates by masks (``np.where``), with no
     gathers of the pairs still summing, and a cell adds the block's part
-    only where its pair summed the block. A
-    cell thus adds its own parts in order, and its sum does not depend on
-    how many terms any other cell takes. The blocks end when no pair sums.
+    only where its pair summed the block. A cell thus adds its own parts
+    in order, and its sum does not depend on how many terms any other
+    cell takes. The blocks end when no pair sums.
 
     A cell's term count depends on its row and its column's dyadic band of
     z alone, so its bits depend only on its row and its z. A band (2^(e-1),

@@ -16,6 +16,7 @@ import contextlib
 import io
 import itertools
 import json
+import math
 import os
 import re
 import struct
@@ -30,8 +31,8 @@ from fdradiance import cli
 LEDGER = os.path.join(os.path.dirname(os.path.abspath(__file__)), "ledger")
 
 # (name, argv): the six README commands, then the grids and refusals the
-# distribution routes meet on the command line, and a spectral total on
-# each side of zeta = 0, and the Larmor total's warning near zeta = -1
+# distribution routes meet on the command line, a spectral total on each
+# side of zeta = 0 and the Larmor total's warning near zeta = -1
 CASES = [
     ("readme-trajectory", "trajectory --zeta-min -0.5 --zeta-max 0.5 --zeta-steps 3 --penrose"),
     ("readme-energy", "energy --method both --tol 1e-4"),
@@ -78,10 +79,11 @@ NUMBER = re.compile(r"([-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?)")
 def ulps(old, new):
     """The number of doubles from float(old) to float(new), or None if
     either is not finite."""
-    def ordered(text):
-        bits = struct.unpack("<q", struct.pack("<d", float(text)))[0]
+    def ordered(value):
+        bits = struct.unpack("<q", struct.pack("<d", value))[0]
         return bits if bits >= 0 else -(bits & 0x7FFFFFFFFFFFFFFF)
-    if not all(map(np.isfinite, (float(old), float(new)))):
+    old, new = float(old), float(new)
+    if not (math.isfinite(old) and math.isfinite(new)):
         return None
     return abs(ordered(old) - ordered(new))
 
