@@ -421,9 +421,12 @@ def _config_echo(ns) -> dict:
 @contextlib.contextmanager
 def _warnings_to_stderr():
     """Print each distinct warning raised inside as one ``warning:`` line
-    on stderr on the way out, before any error line."""
+    on stderr on the way out, before any error line.
+
+    The caller's filters still decide which warnings are shown, ignored or
+    raised (``python -W error`` stops the run); entering the block resets
+    the once-per-location registry, so each run shows its own warnings."""
     with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
         try:
             yield
         finally:

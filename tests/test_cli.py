@@ -371,14 +371,28 @@ class TestEnergyCommand:
         _, rows = parse_csv(out)
         assert float(rows[0]["E"]) == pytest.approx(0.4762636, rel=1e-4)
 
+    # a RuntimeWarning shows, as on the command line, in place of the
+    # suite's error::RuntimeWarning
+    @pytest.mark.filterwarnings("default::RuntimeWarning")
     def test_warning_is_one_line_with_the_exit_code_kept(self, capsys):
         # the Larmor total warns near zeta = -1: one line, as errors print,
-        # and no source path or source line
-        code, out, err = run(capsys, ["energy", "--zeta", "-0.995"])
-        assert code == 0 and out.startswith("zeta,method,E")
-        assert err == ("warning: total energy grows without bound as zeta -> -1; "
-                       "zeta=-0.995 is close to the divergent endpoint\n")
+        # and no source path or source line; a second run in the same
+        # process prints it again
+        for _ in range(2):
+            code, out, err = run(capsys, ["energy", "--zeta", "-0.995"])
+            assert code == 0 and out.startswith("zeta,method,E")
+            assert err == ("warning: total energy grows without bound as zeta -> -1; "
+                           "zeta=-0.995 is close to the divergent endpoint\n")
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_error_filter_still_raises_the_warning(self, capsys):
+        # the run keeps its caller's filters: under error::RuntimeWarning,
+        # as under python -W error, it stops at the warning
+        with pytest.raises(RuntimeWarning, match="divergent endpoint"):
+            main(["energy", "--zeta", "-0.995"])
+        assert capsys.readouterr().err == ""
+
+    @pytest.mark.filterwarnings("default::RuntimeWarning")
     def test_warnings_print_before_the_refusal(self, capsys, monkeypatch):
         def refusing(params, tol):
             warnings.warn("first", RuntimeWarning)
