@@ -86,6 +86,10 @@ _WAVE_PANELS = 1024
 _MAX_EVALS = 1_000_000
 _ABS_FLOOR = 1e-300
 _EPS = float(np.finfo(float).eps)
+# A panel is split only if it is wider than _MIN_WIDTH max(1, |lo|) and its
+# error is above _L1_FLOOR times its L1 norm, the roundoff floor.
+_MIN_WIDTH = 16 * _EPS
+_L1_FLOOR = 50.0 * _EPS
 # Series head: the terms summed, their dropped tail in units of |Z| (the
 # largest over all splits b |d| h + b h^2/2 = 3), and the roundoff allowance
 # in units of eps times the bound on the summed term moduli.
@@ -143,19 +147,26 @@ def _evaluate(f, xs):
 def _gk_chunk(f, lo, hi, rows):
     h = 0.5 * (hi - lo)     # positive: panels are ascending
     mid = 0.5 * (hi + lo)
-    xs = mid[:, None] + h[:, None] * _GK_NODES[None, :]
-    fv = f(xs, rows)
+    # The nodes are built node-major, (15, panels), so that each node's row
+    # takes the panels' h and mid in one long inner loop; f gets the
+    # (panels, 15) transpose.
+    xs = np.multiply(_GK_NODES[:, None], h)
+    xs += mid
+    fv = f(xs.T, rows)
     if not np.isfinite(fv).all():
         raise NonFiniteError("integrand returned a non-finite value")
     # Weighted node sums by vecdot: a BLAS matrix-vector product rounds a
     # panel differently depending on where it sits in fv, vecdot does not,
     # so a panel's result is the same in whatever wave or batch it is in.
+    # The node moduli, and then the moduli of the deviations from the
+    # panel mean, share one buffer.
     resk = h * np.vecdot(_GK_WEIGHTS, fv)
     resg = h * np.vecdot(_G_WEIGHTS, fv)
-    resabs = h * np.vecdot(_GK_WEIGHTS, np.abs(fv))
+    moduli = np.abs(fv)
+    resabs = h * np.vecdot(_GK_WEIGHTS, moduli)
     # QUADPACK error sharpening via the mean-deviation integral resasc.
     mean = resk[:, None] / (2.0 * h[:, None])
-    resasc = h * np.vecdot(_GK_WEIGHTS, np.abs(fv - mean))
+    resasc = h * np.vecdot(_GK_WEIGHTS, np.abs(fv - mean, out=moduli))
     raw = np.abs(resk - resg)
     with np.errstate(divide="ignore", invalid="ignore"):
         scaled = resasc * np.minimum(1.0, (200.0 * raw / resasc) ** 1.5)
@@ -204,6 +215,8 @@ def _adaptive_rows(f, lo, hi, counts, tol, offsets=None, floor=0.0):
     active = np.arange(counts.size)
     vals, errs, l1s = _gk_panels(f, lo, hi, active.repeat(counts))
     evals = 15 * counts
+    # the active rows' evaluations, and offsets, filtered as rows leave
+    spent = evals.copy()
     values = np.empty(counts.size, dtype=vals.dtype)
     abs_errors = np.empty(counts.size)
     stalled = np.zeros(counts.size, dtype=bool)
@@ -214,35 +227,45 @@ def _adaptive_rows(f, lo, hi, counts, tol, offsets=None, floor=0.0):
         # Below the machine floor (eps times the L1 norm of the integrand)
         # error estimates are roundoff fiction; cancellation-dominated
         # integrals legitimately bottom out there.
-        machine_floor = (50.0 * _EPS) * np.add.reduceat(l1s, starts)
-        whole = total if offsets is None else total + offsets[active]
-        target = np.maximum(np.maximum(tol * np.abs(whole), floor),
-                            machine_floor)
+        machine_floor = np.add.reduceat(l1s, starts)
+        machine_floor *= _L1_FLOOR
+        target = np.abs(total if offsets is None else total + offsets)
+        target *= tol
+        np.maximum(target, floor, out=target)
+        np.maximum(target, machine_floor, out=target)
         done = toterr <= target
         if done.all():
             values[active] = total
             abs_errors[active] = np.maximum(toterr, machine_floor)
+            evals[active] = spent
             break
         # Bisect each row's panels whose error exceeds half its share of
         # the row's target, that are wider than roundoff and whose error is
         # above the roundoff floor.
-        k = (errs > (0.5 * target / counts).repeat(counts)).nonzero()[0]
-        splittable = hi[k] - lo[k] > 16 * _EPS * np.maximum(1.0, np.abs(lo[k]))
-        k = k[splittable & (errs[k] > 50.0 * _EPS * l1s[k])]
+        target *= 0.5
+        target /= counts
+        k = (errs > target.repeat(counts)).nonzero()[0]
+        lo_k = lo[k]
+        splittable = hi[k] - lo_k > _MIN_WIDTH * np.maximum(1.0, np.abs(lo_k))
+        k = k[splittable & (errs[k] > _L1_FLOOR * l1s[k])]
         row_k = starts.searchsorted(k, side="right") - 1
         npick = np.bincount(row_k, minlength=counts.size)
-        leave = done | (npick == 0) | (evals[active] + 30 * npick > _MAX_EVALS)
+        leave = done | (npick == 0) | (spent + 30 * npick > _MAX_EVALS)
         if leave.any():
             gone = active[leave]
             values[gone] = total[leave]
             abs_errors[gone] = np.where(done, np.maximum(toterr, machine_floor),
                                         toterr)[leave]
             stalled[gone] = ~done[leave]
+            evals[gone] = spent[leave]
             if leave.all():
                 break
-            k = k[~leave[row_k]]
-            width = (~leave).repeat(counts).astype(np.intp)
-            active, counts, npick = active[~leave], counts[~leave], npick[~leave]
+            stay = ~leave
+            k = k[stay[row_k]]
+            width = stay.repeat(counts).astype(np.intp)
+            active, counts, npick, spent = active[stay], counts[stay], npick[stay], spent[stay]
+            if offsets is not None:
+                offsets = offsets[stay]
         else:
             width = np.ones(lo.size, dtype=np.intp)
         mid = 0.5 * (lo[k] + hi[k])
@@ -250,7 +273,7 @@ def _adaptive_rows(f, lo, hi, counts, tol, offsets=None, floor=0.0):
         chi = np.concatenate([mid, hi[k]])
         crows = active.repeat(npick)
         cvals, cerrs, cl1s = _gk_panels(f, clo, chi, np.concatenate([crows, crows]))
-        evals[active] += 30 * npick
+        spent += 30 * npick
         counts = counts + npick
         # Gather index: the panels of finished rows drop out, and each
         # bisected panel's two children take its place in position order.
@@ -270,6 +293,7 @@ def _adaptive_rows(f, lo, hi, counts, tol, offsets=None, floor=0.0):
         values[active] = np.add.reduceat(vals, starts)
         abs_errors[active] = np.add.reduceat(errs, starts)
         stalled[active] = True
+        evals[active] = spent
     return values, abs_errors, stalled, evals
 
 
@@ -346,10 +370,9 @@ def integrate_semi_infinite(f, scale=1.0, tol=1e-10):
     return _integrate(mapped, bounds, tol)
 
 
-def _exponent(b, d, x, y):
-    """Real and imaginary parts of i b (w^2/2 + ln w + d w) at w = x + iy, y > 0."""
-    return (-b * (x * y + np.arctan2(y, x) + d * y),
-            b * (0.5 * ((x - y) * (x + y) + np.log(x * x + y * y)) + d * x))
+def _decay(b, d, x, y):
+    """Re[i b (w^2/2 + ln w + d w)] at w = x + iy, y > 0: the integrand's log-modulus."""
+    return -b * (x * y + np.arctan2(y, x) + d * y)
 
 
 def _saddle_setup(b, d, tol):
@@ -358,56 +381,89 @@ def _saddle_setup(b, d, tol):
     The upper saddle of the phase is S = e^{i alpha}, cos alpha = -d/2. The
     contour parameter s runs over [h, 1] on the ray w = s e^{i alpha} and
     over [1, 1 + T] on the steepest-descent leg w = S + (s - 1) e^{i alpha/2}.
-    Returns (alpha, h, tails, lo, hi, counts): tails bounds each row's
+    Returns (alpha, h, tails, lo, hi, counts, trig): tails bounds each row's
     integral past 1 + T, lo/hi hold the panels of all rows, row after row
-    and ascending within a row, and counts each row's number.
+    and ascending within a row, counts each row's number, and trig the
+    cosines and sines (cos alpha, sin alpha, cos alpha/2, sin alpha/2),
+    each taken once, which the integrand reuses.
     """
     alpha = np.arccos(-0.5 * d)
+    half = 0.5 * alpha
+    trig = cos_a, sin_a, cos_h, sin_h = np.cos(alpha), np.sin(alpha), np.cos(half), np.sin(half)
     # Head radius: b |d| h + b h^2/2 = 3 bounds the series head's terms.
     h = np.minimum(6.0 / (b * np.abs(d) + np.sqrt(b * b * d * d + 6.0 * b)), 0.5)
     # On the descent leg the log-modulus of the integrand lies below its
     # value at S by at least (b/2) sin(alpha) t^2 + b sin(alpha/2) t
     # - b alpha/2; T is where that reaches L.
     L = max(30.0, -math.log(tol) + 12.0) + 0.5 * b * alpha
-    p = b * np.sin(0.5 * alpha)
-    T = 2.0 * L / (p + np.sqrt(p * p + 2.0 * b * np.sin(alpha) * L))
+    p = b * sin_h
+    T = 2.0 * L / (p + np.sqrt(p * p + 2.0 * b * sin_a * L))
     # Truncation tail bound: |f| at w = x + iy, the end of the descent leg,
     # over its decay rate there, Im(phi'(w) e^{i alpha/2}).
-    cos_h, sin_h = np.cos(0.5 * alpha), np.sin(0.5 * alpha)
-    x = np.cos(alpha) + T * cos_h
-    y = np.sin(alpha) + T * sin_h
+    x = cos_a + T * cos_h
+    y = sin_a + T * sin_h
     rate = b * (x * sin_h + y * cos_h + d * sin_h
                 + (x * sin_h - y * cos_h) / (x * x + y * y))
-    tails = np.exp(_exponent(b, d, x, y)[0]) / np.abs(rate)
+    tails = np.exp(_decay(b, d, x, y)) / np.abs(rate)
     # Two geometric panels on the ray and three equal ones past the saddle.
     edges = np.column_stack([h, np.sqrt(h), np.ones_like(h),
                              1.0 + T[:, None] * (np.arange(1, 4) / 3.0)])
     counts = np.full(d.size, edges.shape[1] - 1)
-    return alpha, h, tails, edges[:, :-1].ravel(), edges[:, 1:].ravel(), counts
+    return alpha, h, tails, edges[:, :-1].ravel(), edges[:, 1:].ravel(), counts, trig
 
 
-def _saddle_integrand(b, d, alpha):
+def _saddle_integrand(b, d, alpha, trig):
+    """The contour's batch integrand g(ss, rows) for ``_adaptive_rows``.
+
+    ``trig`` is ``_saddle_setup``'s (cos alpha, sin alpha, cos alpha/2,
+    sin alpha/2). The value at s is exp(i b (w^2/2 + ln w + d w)) dw/ds,
+    formed node by node as e^{decay + i phase} with decay the ``_decay``
+    expression and phase = b (((x - y)(x + y) + ln(x^2 + y^2))/2 + d x)
+    plus the turn of dw/ds, in the same operations and order. They run in
+    place in six node-shaped buffers that every call of g reuses, grown to
+    the largest batch it has met, so a call allocates only its result.
+    """
     # The initial panels meet at s = 1 and bisection never crosses it, so a
     # panel lies wholly on the ray (s < 1) or wholly on the descent leg
     # (s > 1), and its middle node tells which. Table row 2 row + piece
-    # holds (b, d, s0, x0, y0, dx, dy, turn) of that piece, with
+    # holds (b, -b, d, s0, x0, y0, dx, dy, turn) of that piece, with
     # w = x0 + i y0 + (s - s0)(dx + i dy) and dw/ds = e^{i turn}: on the
     # ray w = s e^{i alpha}, on the leg w = S + (s - 1) e^{i alpha/2}.
-    half = 0.5 * alpha
+    cos_a, sin_a, cos_h, sin_h = trig
     zero, one = np.zeros_like(alpha), np.ones_like(alpha)
-    cos_a, sin_a = np.cos(alpha), np.sin(alpha)
-    pieces = np.array([b, d, zero, zero, zero, cos_a, sin_a, alpha,
-                       b, d, one, cos_a, sin_a, np.cos(half), np.sin(half), half])
-    pieces = pieces.T.reshape(-1, 8)
+    pieces = np.array([b, -b, d, zero, zero, zero, cos_a, sin_a, alpha,
+                       b, -b, d, one, cos_a, sin_a, cos_h, sin_h, 0.5 * alpha])
+    pieces = pieces.reshape(2, 9, -1).transpose(1, 2, 0).reshape(9, -1)
+    space = [np.empty((6, 0))]
 
     def g(ss, rows):
-        at = 2 * rows + (ss[:, 7] > 1.0)
-        bb, dd, s0, x0, y0, dx, dy, turn = pieces[at].T[:, :, None]
-        t = ss - s0
-        x = x0 + t * dx
-        y = y0 + t * dy
-        decay, phase = _exponent(bb, dd, x, y)
-        phase += turn
+        # node-major, (15, panels): each piece's column broadcasts along a row
+        ss = ss.T
+        at = 2 * rows + (ss[7] > 1.0)
+        bb, nb, dd, s0, x0, y0, dx, dy, turn = pieces.take(at, axis=1)
+        if space[0].shape[1] < ss.size:
+            space[0] = np.empty((6, ss.size))
+        t, x, y, p, q, r = space[0][:, :ss.size].reshape((6,) + ss.shape)
+        np.subtract(ss, s0, out=t)
+        np.multiply(t, dx, out=x)
+        x += x0
+        np.multiply(t, dy, out=y)
+        y += y0
+        # decay, in t
+        np.multiply(x, y, out=t)
+        t += np.arctan2(y, x, out=p)
+        t += np.multiply(dd, y, out=p)
+        t *= nb
+        # phase, in p
+        np.subtract(x, y, out=p)
+        p *= np.add(x, y, out=q)
+        np.multiply(x, x, out=q)
+        q += np.multiply(y, y, out=r)
+        p += np.log(q, out=q)
+        p *= 0.5
+        p += np.multiply(dd, x, out=q)
+        p *= bb
+        p += turn
         # e^{decay + i phase} by its modulus and angle, written into the
         # real and imaginary views of the result. The angle goes in as
         # e^{i phase} = ((1 - u^2) + 2 i u)/(1 + u^2), u = tan(phase/2):
@@ -419,20 +475,27 @@ def _saddle_integrand(b, d, alpha):
         # pi/2, so |u| < 3e18 and u^2 stays finite), and the modulus
         # multiplies last, so a subnormal modulus is not divided into
         # deeper underflow.
-        u = np.tan(0.5 * phase)
-        u2 = u * u
-        den = 1.0 + u2
+        p *= 0.5
+        u = np.tan(p, out=p)
+        u2 = np.multiply(u, u, out=q)
+        den = np.add(u2, 1.0, out=r)
         u += u
         u /= den
         np.subtract(1.0, u2, out=u2)
         u2 /= den
-        mag = np.exp(decay)
-        out = np.empty(ss.shape, dtype=complex)
-        np.multiply(mag, u2, out=out.real)
-        np.multiply(mag, u, out=out.imag)
+        mag = np.exp(t, out=t)
+        out = np.empty(ss.shape[::-1], dtype=complex)
+        np.multiply(mag, u2, out=out.real.T)
+        np.multiply(mag, u, out=out.imag.T)
         return out
 
     return g
+
+
+# 1/n for n = 2, ..., _HEAD_TERMS - 1 as complex 0-d arrays. numpy multiplies
+# a complex array by a real scalar as by that scalar plus 0j, so these give
+# the bits of `terms *= 1.0 / n` without converting a Python float each step.
+_HEAD_INV = tuple(np.array(1.0 / n, dtype=complex) for n in range(2, _HEAD_TERMS))
 
 
 def _series_head(b, d, alpha, h):
@@ -448,10 +511,11 @@ def _series_head(b, d, alpha, h):
     the rounding of the exponents of Z^{1+ib}, which moves the value by up
     to eps b (alpha + |ln h|) each. The terms of _HEAD_BLOCK rows at a time
     form a (terms, rows) table by the recurrence (a block, not the whole
-    call, so that a 4,096-row slice does not hold tables of megabytes), and
-    each row's weighted terms are summed down its column by one reduction
-    of the table's real view, which adds them in term order, one at a time,
-    as a running total would.
+    call, so that a 4,096-row slice does not hold tables of megabytes),
+    written step by step into the table's rows with one scratch row and
+    the prepared reciprocals _HEAD_INV, and each row's weighted terms are
+    summed down its column by one reduction of the table's real view,
+    which adds them in term order, one at a time, as a running total would.
     Weights are taken once per distinct b, and complex products go through
     np.multiply, weight first, whose bits do not depend on where an element
     sits, so a row's value does not depend on the other rows or on its
@@ -459,29 +523,34 @@ def _series_head(b, d, alpha, h):
     """
     Z = h * np.exp(1j * alpha)
     x, y = np.multiply(1j * b * d, Z), np.multiply(1j * b * Z, Z)
-    bs, row_b = np.unique(b, return_inverse=True)
+    # one weight column per distinct b; the rows of an energy_spectrum
+    # slice share one b, whose column broadcasts without a gather
+    bs, row_b = (b[:1], None) if (b == b[0]).all() else np.unique(b, return_inverse=True)
     w = 1.0 / (1.0 + 1j * bs + np.arange(_HEAD_TERMS)[:, None])
     total = np.empty_like(Z)
     for r in range(0, Z.size, _HEAD_BLOCK):
         rb = slice(r, r + _HEAD_BLOCK)
         xb, yb = x[rb], y[rb]
+        if xb.size == 1:
+            # numpy takes a slower path for one-element arrays, in all 54
+            # steps; a copy of the row costs less and has the same bits
+            xb, yb = xb.repeat(2), yb.repeat(2)
         terms = np.empty((_HEAD_TERMS, xb.size), dtype=complex)
         terms[0], terms[1] = 1.0, xb
-        for n in range(2, _HEAD_TERMS):
-            # times 1/n, which is how numpy divides a complex by a real n, at
-            # the cost of a product
-            t = np.multiply(xb, terms[n - 1], out=terms[n])
-            t += np.multiply(yb, terms[n - 2])
-            t *= 1.0 / n
-        np.multiply(w[:, row_b[rb]], terms, out=terms)
+        rows, scratch = list(terms), np.empty_like(xb)
+        for t0, t1, t, inv in zip(rows, rows[1:], rows[2:], _HEAD_INV):
+            np.multiply(xb, t1, out=t)
+            t += np.multiply(yb, t0, out=scratch)
+            t *= inv
+        np.multiply(w if row_b is None else w[:, row_b[rb]], terms, out=terms)
         # down axis 0 the reduction adds whole rows in order, the bits of a
         # running total, without a table of partial sums
-        total[rb] = np.add.reduce(terms.view(float), axis=0).view(complex)
+        total[rb] = np.add.reduce(terms.view(float), axis=0).view(complex)[:total[rb].size]
     # Z^{1+ib} = h e^{-b alpha} e^{i (alpha + b ln h)}
     log_h = np.log(h)
     scale = h * np.exp(-b * alpha)
     value = np.multiply(scale * np.exp(1j * (alpha + b * log_h)), total)
-    moduli = np.exp(b * (np.abs(d) * h + 0.5 * h * h)) * np.abs(w[0][row_b])
+    moduli = np.exp(b * (np.abs(d) * h + 0.5 * h * h)) * np.abs(w[0] if row_b is None else w[0][row_b])
     err = (scale * (_HEAD_ROUNDOFF * _EPS * moduli + _HEAD_TAIL)
            + _EPS * (1.0 + 2.0 * b * (alpha + np.abs(log_h))) * np.abs(value))
     return value, err
@@ -509,13 +578,14 @@ def _oscillatory_rows(b, d, tol):
     if not (b <= _B_MAX).all():
         raise OverflowRangeError(f"log_coeff {b[b > _B_MAX][0]:.6g} is past {_B_MAX:g}, "
                                  "where the contour's set-up overflows a double")
-    alpha, h, tails, lo, hi, counts = _saddle_setup(b, d, tol)
+    alpha, h, tails, lo, hi, counts, trig = _saddle_setup(b, d, tol)
     heads, head_errs = _series_head(b, d, alpha, h)
     values, abs_errors, stalled, evals = _adaptive_rows(
-        _saddle_integrand(b, d, alpha), lo, hi, counts, tol, heads, _ABS_FLOOR)
+        _saddle_integrand(b, d, alpha, trig), lo, hi, counts, tol, heads, _ABS_FLOOR)
     _raise_stalled(values, abs_errors, stalled, evals)
-    values = values + heads
-    abs_errors = abs_errors + head_errs + tails
+    values += heads
+    abs_errors += head_errs
+    abs_errors += tails
     if not (np.isfinite(values).all() and np.isfinite(abs_errors).all()):
         raise NonFiniteError("quadrature result is not finite")
     return values, abs_errors, evals

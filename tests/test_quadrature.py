@@ -39,6 +39,47 @@ def rel(got, want):
     return abs(got - want) / abs(want)
 
 
+def plain_exponent(b, d, x, y):
+    """(Re, Im) of i b (w^2/2 + ln w + d w) at w = x + iy, each a plain expression."""
+    return (-b * (x * y + np.arctan2(y, x) + d * y),
+            b * (0.5 * ((x - y) * (x + y) + np.log(x * x + y * y)) + d * x))
+
+
+def plain_parts(b, d, alpha, ss, rows):
+    """The decay and the phase, before the turn of dw/ds, of the contour
+    integrand at the (panels, 15) nodes ss, formed out of place."""
+    half = 0.5 * alpha
+    zero, one = np.zeros_like(alpha), np.ones_like(alpha)
+    cos_a, sin_a = np.cos(alpha), np.sin(alpha)
+    pieces = np.array([b, d, zero, zero, zero, cos_a, sin_a, alpha,
+                       b, d, one, cos_a, sin_a, np.cos(half), np.sin(half), half])
+    pieces = pieces.T.reshape(-1, 8)
+    at = 2 * rows + (ss[:, 7] > 1.0)
+    bb, dd, s0, x0, y0, dx, dy, turn = pieces[at].T[:, :, None]
+    t = ss - s0
+    decay, phase = plain_exponent(bb, dd, x0 + t * dx, y0 + t * dy)
+    return decay, phase, turn
+
+
+def plain_integrand(b, d, alpha, ss, rows):
+    """The contour integrand at the nodes ss, every step a new array: the
+    reference whose bits the in-place ``_saddle_integrand`` keeps."""
+    decay, phase, turn = plain_parts(b, d, alpha, ss, rows)
+    phase += turn
+    u = np.tan(0.5 * phase)
+    u2 = u * u
+    den = 1.0 + u2
+    u += u
+    u /= den
+    np.subtract(1.0, u2, out=u2)
+    u2 /= den
+    mag = np.exp(decay)
+    out = np.empty(ss.shape, dtype=complex)
+    np.multiply(mag, u2, out=out.real)
+    np.multiply(mag, u, out=out.imag)
+    return out
+
+
 class TestTypes:
     def test_result_validation(self):
         with pytest.raises(DomainError):
@@ -289,7 +330,7 @@ class TestOscillatoryRows:
         omegas = np.array([0.5, 3.0, 7.0])
         b, d = (np.broadcast_to(v, (us.size, omegas.size)).ravel()
                 for v in (2.0 * omegas, 0.4 - us[:, None]))
-        counts = quadrature._saddle_setup(b, d, 1e-9)[-1]
+        counts = quadrature._saddle_setup(b, d, 1e-9)[5]
         assert counts.sum() > 2 * quadrature._WAVE_PANELS
         whole = _oscillatory_rows(b, d, 1e-9)
         parts = [_oscillatory_rows(b[i:i + 5], d[i:i + 5], 1e-9)
@@ -393,31 +434,24 @@ class TestOscillatoryRows:
         value, _ = quadrature._series_head(b, d, alpha, h)
         assert np.array_equal(value, np.multiply(scale, total))
 
-    def test_saddle_integrand_phasor(self, monkeypatch):
+    def test_saddle_integrand_phasor(self):
         # e^{decay + i phase} from one tangent per node, against 40-digit
-        # mpmath at the decay and phase the integrand formed, at phases out
-        # to 1e6 and where |tan(phase/2)| > 1e3: each part within 2 eps of
-        # |f| wherever |f| is a normal double. The rounding of the phase
-        # itself is the business of the complex-exponential test below
+        # mpmath at the decay and phase the integrand forms (those of
+        # ``plain_parts``, whose bits the next test pins), at phases out to
+        # 1e6 and where |tan(phase/2)| > 1e3: each part within 2 eps of |f|
+        # wherever |f| is a normal double. The rounding of the phase itself
+        # is the business of the complex-exponential test below
         b = np.array([0.5, 30.0, 3e3, 1e6])
         d = np.array([-1.5, 0.4, -1.9, -1.999])
-        alpha, _, _, lo, hi, counts = quadrature._saddle_setup(b, d, 1e-9)
-        formed, exponent = [], quadrature._exponent
-
-        def spy(*args):
-            decay, phase = exponent(*args)
-            formed.append((decay.copy(), phase.copy()))
-            return decay, phase
-
-        monkeypatch.setattr(quadrature, "_exponent", spy)
+        alpha, _, _, lo, hi, counts, trig = quadrature._saddle_setup(b, d, 1e-9)
         # each initial panel cut into 64
         cuts = np.arange(65) / 64.0
         edges = lo[:, None] + (hi - lo)[:, None] * cuts
         lo, hi = edges[:, :-1].ravel(), edges[:, 1:].ravel()
         rows = np.arange(b.size).repeat(counts * 64)
         s = 0.5 * (hi + lo)[:, None] + 0.5 * (hi - lo)[:, None] * quadrature._GK_NODES
-        got = quadrature._saddle_integrand(b, d, alpha)(s, rows)
-        [(decay, phase)] = formed
+        got = quadrature._saddle_integrand(b, d, alpha, trig)(s, rows)
+        decay, phase, _ = plain_parts(b, d, alpha, s, rows)
         phase += np.where(s > 1.0, 0.5 * alpha[rows, None], alpha[rows, None])
         # nodes whose |f| is a normal double
         normal = decay > math.log(sys.float_info.min)
@@ -434,6 +468,40 @@ class TestOscillatoryRows:
                 assert abs(got.flat[k].real - f.real) <= bound
                 assert abs(got.flat[k].imag - f.imag) <= bound
 
+    def test_saddle_integrand_keeps_the_plain_bits(self):
+        # the in-place integrand, in its reused buffers, gives the bits of
+        # ``plain_integrand`` on ray and leg panels, where |f| is subnormal
+        # or 0, on node arrays in either memory order, and in every
+        # integrand call of a wave cut at _WAVE_PANELS, whose buffers serve
+        # a smaller batch after a larger one and then grow
+        rng = np.random.default_rng(41)
+        b = np.concatenate([rng.uniform(0.01, 40.0, 150), rng.uniform(200.0, 1000.0, 150)])
+        d = rng.uniform(-1.95, 1.95, b.size)
+        alpha, _, _, lo, hi, counts, trig = quadrature._saddle_setup(b, d, 1e-9)
+        rows = np.arange(b.size).repeat(counts)
+        assert lo.size > quadrature._WAVE_PANELS
+        g = quadrature._saddle_integrand(b, d, alpha, trig)
+        calls = []
+
+        def spy(ss, at):
+            calls.append((ss.copy(), at, g(ss, at)))
+            return calls[-1][2]
+
+        quadrature._gk_panels(spy, lo, hi, rows)
+        assert [c[0].shape[0] for c in calls] == [quadrature._WAVE_PANELS,
+                                                   lo.size - quadrature._WAVE_PANELS]
+        s = 0.5 * (hi + lo)[:, None] + 0.5 * (hi - lo)[:, None] * quadrature._GK_NODES
+        calls.append((s, rows, g(s, rows)))
+        calls.append((s[:7], rows[:7], g(s[:7], rows[:7])))
+        for ss, at, got in calls:
+            want = plain_integrand(b, d, alpha, np.ascontiguousarray(ss), at)
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+        got = calls[2][2]
+        assert (s < 1.0).any() and (s > 1.0).any()
+        modulus = np.abs(got)
+        assert ((modulus > 0.0) & (modulus < sys.float_info.min)).any()
+        assert (modulus == 0.0).any()
+
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_rows_from_small_b_to_the_bound_run_quietly(self):
         # the phasor's tangent and the head's tables meet no overflow,
@@ -449,7 +517,7 @@ class TestOscillatoryRows:
         # on the initial panels and on bisected ones next to s = 1
         b = np.array([0.5, 4.0, 4.0, 16.0, 40.0])
         d = np.array([-1.5, -0.4, 0.6, 0.0, 1.2])
-        alpha, _, _, lo, hi, counts = quadrature._saddle_setup(b, d, 1e-9)
+        alpha, _, _, lo, hi, counts, trig = quadrature._saddle_setup(b, d, 1e-9)
         near = 2.0 ** -np.arange(1.0, 41.0, 3.0)
         lo = np.concatenate([lo, 1.0 - near, np.ones_like(near)])
         hi = np.concatenate([hi, np.ones_like(near), 1.0 + near])
@@ -457,7 +525,7 @@ class TestOscillatoryRows:
                                np.arange(2 * near.size) % b.size])
         s = 0.5 * (hi + lo)[:, None] + 0.5 * (hi - lo)[:, None] * quadrature._GK_NODES
         assert (s < 1.0).any() and (s > 1.0).any() and not (s == 1.0).any()
-        got = quadrature._saddle_integrand(b, d, alpha)(s, rows)
+        got = quadrature._saddle_integrand(b, d, alpha, trig)(s, rows)
         bb, dd, al = b[rows, None], d[rows, None], alpha[rows, None]
         dw = np.where(s > 1.0, np.exp(0.5j * al), np.exp(1j * al))
         w = np.where(s > 1.0, np.exp(1j * al) + (s - 1.0) * dw, s * dw)
