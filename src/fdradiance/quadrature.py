@@ -103,6 +103,8 @@ _HEAD_BLOCK = 512
 # and the head and legs, free of inf and nan without a numpy error state
 # around the run, which would slow every array operation in it by 2-4%.
 _B_MAX = 1e150
+# Where the descent leg's three initial panels end, in units of its length T.
+_LEG_THIRDS = np.arange(1, 4) / 3.0
 
 
 @dataclasses.dataclass(frozen=True)
@@ -406,9 +408,13 @@ def _saddle_setup(b, d, tol):
                 + (x * sin_h - y * cos_h) / (x * x + y * y))
     tails = np.exp(_decay(b, d, x, y)) / np.abs(rate)
     # Two geometric panels on the ray and three equal ones past the saddle.
-    edges = np.column_stack([h, np.sqrt(h), np.ones_like(h),
-                             1.0 + T[:, None] * (np.arange(1, 4) / 3.0)])
-    counts = np.full(d.size, edges.shape[1] - 1)
+    edges = np.empty((d.size, 6))
+    edges[:, 0] = h
+    np.sqrt(h, out=edges[:, 1])
+    edges[:, 2] = 1.0
+    np.multiply(T[:, None], _LEG_THIRDS, out=edges[:, 3:])
+    edges[:, 3:] += 1.0
+    counts = np.full(d.size, 5)
     return alpha, h, tails, edges[:, :-1].ravel(), edges[:, 1:].ravel(), counts, trig
 
 

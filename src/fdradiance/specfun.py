@@ -69,7 +69,23 @@ _LN_2PI = 1.8378770664093454835606594
 _SERIES_BUDGET = 10000  # hard cap on Taylor terms; exceeding it is an error
 # Cancellation thresholds: roundoff grows like cancellation * machine-eps.
 _CANCEL_RETRY = 2.0e5   # beyond this, float64 cannot certify 1e-10
-_CANCEL_FAIL = 3.0e8    # beyond this, even 80-bit floats cannot
+# The roundoff, cancellation times eps, that the long-double retry may
+# carry: 3e8 times x87's eps 2^-63, 3.3e-11.
+_RETRY_ROUNDOFF = 3.0e8 * 2.0**-63
+
+
+def _cancel_fail(eps):
+    """The cancellation beyond which a retry whose precision is eps refuses.
+
+    It is 3e8 where long double is x87's 80-bit format (eps 2^-63). Where
+    long double is plain double, it falls below _CANCEL_RETRY, so every
+    element the retry would sum again refuses instead; where it is IEEE
+    quad (eps 2^-112) it is 1.7e23.
+    """
+    return _RETRY_ROUNDOFF / float(eps)
+
+
+_CANCEL_FAIL = _cancel_fail(np.finfo(np.longdouble).eps)
 _BLOCK = 32             # terms per block of the series sums
 _LOG_MAX = float(np.log(np.finfo(np.float64).max))
 # ``_kummer_grid``'s logarithms of its stop tolerance, 0.1 eps, of

@@ -94,6 +94,9 @@ _METHODS = ("numeric", "exact-zeta0", "fermi-dirac")
 # Relative error ascribed to closed-form evaluations: a conservative
 # roundoff envelope, not a quadrature estimate.
 _CLOSED_FORM_REL = 1e-13
+# The smallest normal double: the closed forms' values below it carry an
+# absolute rounding that their relative bars underflow below.
+_TINY = float(np.finfo(float).tiny)
 # A sample whose error bar exceeds this fraction of its value is refused
 # rather than returned, on every route: behind the special angle the
 # contour's cancellation grows like e^{omega/kappa}, and such a value has
@@ -184,19 +187,23 @@ def _numeric_values(params: TrajectoryParams, omegas, us, sin2, tol: float):
     lit = sin2 != 0.0
     if not lit.any():
         return values, abs_errors
-    step = max(1, _SLICE_ELEMENTS // int(lit.sum()))
+    # the lit directions' shifts and prefactors, once for every slice
+    shifts = params.zeta - us[lit]
+    pref = sin2[lit] / (4.0 * math.pi**3)
+    step = max(1, _SLICE_ELEMENTS // shifts.size)
     for s in range(0, omegas.size, step):
         omega = omegas[s:s + step, None]
-        F, dF, _ = (v.reshape(omega.size, -1) for v in _oscillatory_rows(
-            2.0 * omega / params.kappa, params.zeta - us[lit], tol))
-        pref = sin2[lit] / (4.0 * math.pi**3)
+        F, dF, _ = _oscillatory_rows(2.0 * omega / params.kappa, shifts, tol)
         # y|F| and y dF, y = omega/kappa, squared only as products: y^2
         # alone underflows below y ~ 1e-154, where y|F| is still ~ sqrt(y)
         y = omega / params.kappa
-        mod, err = y * np.abs(F), y * dF
-        values[s:s + step, lit] = pref * mod**2
+        mod = np.abs(F.reshape(omega.size, -1))
+        mod *= y
+        err = dF.reshape(omega.size, -1)
+        err *= y
         # |F|^2 error from the |F| error: 2|F| dF + dF^2.
         abs_errors[s:s + step, lit] = pref * (2.0 * mod * err + err**2)
+        values[s:s + step, lit] = pref * mod**2
     return values, abs_errors
 
 
@@ -213,7 +220,12 @@ def _exact_zeta0_values(params: TrajectoryParams, omegas, us, sin2, tol: float):
     y = omega/kappa. For u < 0 the two terms cancel by the factor K =
     (|t1| + |t2|)/|t1 + t2|, which grows like e^{2y|u|}, and the relative
     error grows with it: the bar is _CLOSED_FORM_REL K times the value, a
-    roundoff envelope rather than an estimate. The 1F1s depend on u only
+    roundoff envelope rather than an estimate. Where the value, or its
+    product with e^2 (``_charged``), is subnormal, each carries a rounding
+    of up to half the smallest subnormal, which the relative bar underflows
+    below: the bar then adds (1 + 1/e^2) times two of the smallest
+    subnormal, as ``_fermi_dirac_values`` does, so no such value has a
+    zero bar. The 1F1s depend on u only
     through u^2 and share a = 1/2 - iy or 1 - iy across it, so both series
     are one ``_kummer_grid`` call with a row per (series, omega) and a
     column per distinct u^2, whose values go back to every u of that
@@ -227,6 +239,9 @@ def _exact_zeta0_values(params: TrajectoryParams, omegas, us, sin2, tol: float):
     """
     kappa = params.kappa
     out, err = np.zeros((2, omegas.size, us.size))
+    # below this a value, or its product with e^2, is subnormal
+    smallest_normal = max(_TINY, _TINY / params.e_squared)
+    rounding = 2.0 * math.ulp(0.0) + 2.0 * math.ulp(0.0) / params.e_squared
     lit = sin2 != 0.0
     if not lit.any():
         return out, err
@@ -246,9 +261,12 @@ def _exact_zeta0_values(params: TrajectoryParams, omegas, us, sin2, tol: float):
         t2 = 2.0 * us * root_iy * g_one * m_one
         mod = np.abs(t1 + t2)
         scale = y * sin2 / (16.0 * math.pi**3) * np.exp(-math.pi * y)
-        out[s:s + step, lit] = scale * mod**2
+        value = scale * mod**2
+        out[s:s + step, lit] = value
         # _CLOSED_FORM_REL K |value|, with K's division by |m| cancelled
-        err[s:s + step, lit] = _CLOSED_FORM_REL * scale * mod * (np.abs(t1) + np.abs(t2))
+        bar = _CLOSED_FORM_REL * scale * mod * (np.abs(t1) + np.abs(t2))
+        bar += np.where((value > 0.0) & (value < smallest_normal), rounding, 0.0)
+        err[s:s + step, lit] = bar
     return out, err
 
 
@@ -271,8 +289,7 @@ def _fermi_dirac_values(params: TrajectoryParams, omegas, us, sin2, tol: float):
         pref = (1.0 - params.zeta**2) * params.e_squared / (8.0 * math.pi**2) * y
         # where y overflows, pref * occupancy is inf * 0 for a true 0
         values = np.where(occupancy > 0.0, pref * occupancy, 0.0)
-    tiny = np.finfo(float).tiny
-    subnormal = (occupancy > 0.0) & ((occupancy < tiny) | (values < tiny))
+    subnormal = (occupancy > 0.0) & ((occupancy < _TINY) | (values < _TINY))
     rounding = np.where(subnormal, (pref + 1.0) * (2.0 * math.ulp(0.0)), 0.0)
     return values[:, None], (values * _CLOSED_FORM_REL + rounding)[:, None]
 
@@ -416,9 +433,11 @@ def _nested_cc(f, rows, scale, tol, abs_floor):
             cur = scale * np.vecdot(vals[:, ::n // order], _cc_rule(order)[2])
         done = np.abs(cur - out[todo]) <= np.maximum(tol * np.abs(cur), abs_floor)
         out[todo] = cur
-        todo, vals = todo[~done], vals[~done]
-        if todo.size == 0:
-            break
+        if done.any():
+            keep = ~done
+            todo, vals = todo[keep], vals[keep]
+            if todo.size == 0:
+                break
     return out, todo
 
 

@@ -1,9 +1,11 @@
 """Writes the CLI output ledger under tests/ledger/, one JSON file per case.
 
 Each case holds the argv, exit code, stdout and stderr of one
-``fdradiance.cli.main`` call in this process, and the numpy version it ran
-under. ``tests/test_ledger.py`` replays every case and compares the bytes
-exactly, so a change that should keep every number can show that it does.
+``fdradiance.cli.main`` call in this process, and the platform it ran
+under: the numpy version and the mantissa bits of long double, the
+precision ``specfun.kummer_1f1`` retries in. ``tests/test_ledger.py``
+replays every case and compares the bytes exactly, so a change that should
+keep every number can show that it does.
 Regenerate only when an output is meant to change, and say why:
 
     PYTHONPATH=src python tests/regenerate_ledger.py
@@ -62,6 +64,12 @@ CASES = [
 ]
 
 
+def platform():
+    """The numpy version and long double's mantissa bits (63 for x87's
+    80-bit format, 52 where it is plain double, 112 for IEEE quad)."""
+    return {"numpy": np.__version__, "longdouble_bits": int(np.finfo(np.longdouble).nmant)}
+
+
 def run_case(argv):
     """(exit code, stdout, stderr) of ``cli.main(argv)`` in this process.
 
@@ -116,9 +124,9 @@ def report(name, old, case):
         print(f"{name}: new case, exit {case['exit_code']}", file=sys.stderr)
         return
     print(f"{name}: changed", file=sys.stderr)
-    for key in ("exit_code", "numpy"):
-        if old[key] != case[key]:
-            print(f"  {key}: {old[key]} -> {case[key]}", file=sys.stderr)
+    for key in ("exit_code", "numpy", "longdouble_bits"):
+        if old.get(key) != case[key]:
+            print(f"  {key}: {old.get(key)} -> {case[key]}", file=sys.stderr)
     for stream in ("stdout", "stderr"):
         moved = moved_cells(old[stream], case[stream])
         if moved is None:
@@ -135,7 +143,7 @@ def main():
         argv = command.split()
         code, out, err = run_case(argv)
         case = {"argv": argv, "exit_code": code, "stdout": out, "stderr": err,
-                "numpy": np.__version__}
+                **platform()}
         path = os.path.join(LEDGER, f"{name}.json")
         old = None
         if os.path.exists(path):

@@ -2,16 +2,16 @@
 
 Each case is one ``cli.main`` call, written by ``regenerate_ledger.py``;
 its exit code, stdout and stderr must come back exactly. The bits of a
-value can depend on numpy's kernels, so a case recorded under another
-numpy version is skipped rather than compared.
+value can depend on numpy's kernels and on the precision of long double,
+so a case recorded under another numpy version or another long double is
+skipped rather than compared.
 """
 import json
 import os
 
-import numpy as np
 import pytest
 
-from regenerate_ledger import CASES, LEDGER, run_case
+from regenerate_ledger import CASES, LEDGER, platform, run_case
 
 
 def load(name):
@@ -31,8 +31,9 @@ def test_ledger_holds_exactly_the_cases():
 @pytest.mark.filterwarnings("default::RuntimeWarning")
 def test_case_replays_exactly(name):
     case = load(name)
-    if case["numpy"] != np.__version__:
-        pytest.skip(f"recorded under numpy {case['numpy']}, running {np.__version__}")
+    recorded = {key: case[key] for key in platform()}
+    if recorded != platform():
+        pytest.skip(f"recorded under {recorded}, running under {platform()}")
     code, out, err = run_case(case["argv"])
     assert code == case["exit_code"]
     assert out == case["stdout"]

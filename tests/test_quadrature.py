@@ -5,6 +5,7 @@ never leaves the real axis (oracles.py), so the two routes share no
 code and no contour.
 """
 import cmath
+import json
 import math
 import sys
 
@@ -27,7 +28,11 @@ from fdradiance.quadrature import (
     integrate_semi_infinite,
 )
 
-from oracles import damped_phase_integral, head_majorant_tail, ray_head_segment
+from oracles import head_majorant_tail
+from regenerate_oracle_values import PATH, damped_phases, head_rows, unpair
+
+with open(PATH, encoding="utf-8") as _f:
+    FROZEN = json.load(_f)
 
 # frozen by 60-digit quadrature of the rotated integrand
 J_HALF_4_M1 = 0.008701515102645193900047 + 0.02261928691557165995927j
@@ -256,17 +261,17 @@ class TestOscillatory:
         assert abs(res.value - want) <= res.abs_error + 1e-14 * abs(want)
 
     def test_against_damped_oracle(self):
-        # the damping ladder is out of regime below a ~ 0.1, so the
-        # smallest frequency starts at 0.5
+        # the damped oracle's values at the 25 phases, frozen by
+        # regenerate_oracle_values.py, which holds the grid of (w, theta)
         worst = 0.0
-        for w in (0.5, 1.0, 2.0, 3.0, 4.0):
-            for th in (math.pi / 6, math.pi / 3, math.pi / 2,
-                       2 * math.pi / 3, 5 * math.pi / 6):
-                a, b, c = w / 4.0, 2.0 * w, -w * math.cos(th)
-                scale, d = unit_circle(a, b, c)
-                got = integrate_oscillatory(b, d, tol=1e-9).value
-                want = damped_phase_integral(a, b, c) / scale
-                worst = max(worst, abs(got - want) / abs(want))
+        phases = damped_phases()
+        assert len(phases) == len(FROZEN["damped"]) == 25
+        for (a, b, c), frozen in zip(phases, FROZEN["damped"]):
+            assert [a.hex(), b.hex(), c.hex()] == [frozen[k] for k in "abc"]
+            scale, d = unit_circle(a, b, c)
+            got = integrate_oscillatory(b, d, tol=1e-9).value
+            want = unpair(frozen["value"]) / scale
+            worst = max(worst, abs(got - want) / abs(want))
         assert worst < 1e-4
 
     def test_argument_validation(self):
@@ -366,21 +371,20 @@ class TestOscillatoryRows:
 
     def test_series_head_against_oracle(self):
         # the head segment [0, h e^{i alpha}] against a 40-digit quadrature
-        # that never sums the series, at the angle and head radius the rows
-        # use; the nine rows, three values of b, are one call. The oracle
-        # takes the z form, here at a = b/2, c = b d
-        rng = np.random.default_rng(31)
-        rows = []
-        for b in (0.5, 8.0, 40.0):
-            # d = 0, the special angle, leaves the slowest-decaying terms;
-            # d > 0 puts the saddle behind the origin (alpha > pi/2)
-            ds = 2.0 * np.array([rng.uniform(-0.99, -0.05), 0.0, rng.uniform(0.05, 0.99)])
-            rows.extend((b, d) for d in ds.tolist())
+        # that never sums the series (oracles.ray_head_segment, its values
+        # frozen by regenerate_oracle_values.py), at the angle and head
+        # radius the rows use, which must be the frozen ones bit for bit;
+        # the nine rows, three values of b, are one call
+        rows = head_rows()
+        assert len(rows) == len(FROZEN["series_head"]) == 9
         b, d = np.array(rows).T
         alpha, h = quadrature._saddle_setup(b, d, 1e-9)[:2]
         values, errors = quadrature._series_head(b, d, alpha, h)
-        for (bb, dd), al, hc, value, error in zip(rows, alpha, h, values, errors):
-            want = ray_head_segment(bb / 2, bb, bb * dd, hc, al)
+        for frozen, bb, dd, al, hc, value, error in zip(
+                FROZEN["series_head"], b, d, alpha, h, values, errors):
+            assert [bb.hex(), dd.hex(), al.hex(), hc.hex()] == [
+                frozen[k] for k in ("b", "d", "alpha", "h")]
+            want = unpair(frozen["value"])
             assert abs(value - want) <= error
             assert error <= 1e-11 * abs(want)
 

@@ -586,6 +586,27 @@ class TestKummer:
         # the attached estimate is still in the right neighborhood
         assert abs(info.value.best) == pytest.approx(1.0, abs=0.2)
 
+    def test_fail_threshold_follows_the_retry_precision(self):
+        # 3e8 under x87's long double; where long double is plain double it
+        # falls below the retry threshold, so nothing the retry sums again
+        # can pass; under IEEE quad it rises with the precision. The
+        # module's threshold is the one of this platform's long double
+        assert specfun._cancel_fail(2.0**-63) == 3.0e8
+        assert specfun._cancel_fail(2.0**-52) < specfun._CANCEL_RETRY
+        assert specfun._cancel_fail(2.0**-112) == 3.0e8 * 2.0**49
+        assert specfun._CANCEL_FAIL == specfun._cancel_fail(np.finfo(np.longdouble).eps)
+
+    def test_double_only_retry_refuses(self, monkeypatch):
+        # 1F1(1/2 - 16i; 1/2; -6i) cancels by 1e8, between the two
+        # thresholds: the retry certifies it under x87's long double, and
+        # with a plain double's threshold the same element refuses
+        want = kummer_1f1(0.5 - 16j, 0.5, -6j)
+        monkeypatch.setattr(specfun, "_CANCEL_FAIL", specfun._cancel_fail(2.0**-52))
+        with pytest.raises(ConvergenceError, match="cancel") as info:
+            kummer_1f1([0.5 - 16j, 1.0], [0.5, 1.5], [-6j, 0.5j])
+        assert info.value.failed.tolist() == [True, False]
+        assert info.value.best[0] == want
+
 
 class TestKummerGrid:
     """The closed form's two series on a rows x columns grid, against kummer_1f1."""
