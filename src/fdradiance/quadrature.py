@@ -270,9 +270,10 @@ def _adaptive_rows(f, lo, hi, counts, tol, offsets=None, floor=0.0):
                 offsets = offsets[stay]
         else:
             width = np.ones(lo.size, dtype=np.intp)
-        mid = 0.5 * (lo[k] + hi[k])
-        clo = np.concatenate([lo[k], mid])
-        chi = np.concatenate([mid, hi[k]])
+        lo_k, hi_k = lo[k], hi[k]
+        mid = 0.5 * (lo_k + hi_k)
+        clo = np.concatenate([lo_k, mid])
+        chi = np.concatenate([mid, hi_k])
         crows = active.repeat(npick)
         cvals, cerrs, cl1s = _gk_panels(f, clo, chi, np.concatenate([crows, crows]))
         spent += 30 * npick
@@ -281,9 +282,10 @@ def _adaptive_rows(f, lo, hi, counts, tol, offsets=None, floor=0.0):
         # bisected panel's two children take its place in position order.
         width[k] = 2
         src = np.arange(lo.size).repeat(width)
-        at = (width.cumsum() - width)[k]
-        src[at] = lo.size + np.arange(k.size)
-        src[at + 1] = lo.size + k.size + np.arange(k.size)
+        at = width.cumsum()[k] - 2
+        children = np.arange(lo.size, lo.size + 2 * k.size)
+        src[at] = children[:k.size]
+        src[at + 1] = children[k.size:]
         lo = np.concatenate([lo, clo])[src]
         hi = np.concatenate([hi, chi])[src]
         vals = np.concatenate([vals, cvals])[src]
@@ -545,9 +547,9 @@ def _series_head(b, d, alpha, h):
         terms[0], terms[1] = 1.0, xb
         rows, scratch = list(terms), np.empty_like(xb)
         for t0, t1, t, inv in zip(rows, rows[1:], rows[2:], _HEAD_INV):
-            np.multiply(xb, t1, out=t)
-            t += np.multiply(yb, t0, out=scratch)
-            t *= inv
+            np.multiply(xb, t1, t)
+            np.add(t, np.multiply(yb, t0, scratch), t)
+            np.multiply(t, inv, t)
         np.multiply(w if row_b is None else w[:, row_b[rb]], terms, out=terms)
         # down axis 0 the reduction adds whole rows in order, the bits of a
         # running total, without a table of partial sums

@@ -265,7 +265,9 @@ def _exact_zeta0_values(params: TrajectoryParams, omegas, us, sin2, tol: float):
         out[s:s + step, lit] = value
         # _CLOSED_FORM_REL K |value|, with K's division by |m| cancelled
         bar = _CLOSED_FORM_REL * scale * mod * (np.abs(t1) + np.abs(t2))
-        bar += np.where((value > 0.0) & (value < smallest_normal), rounding, 0.0)
+        low = value < smallest_normal
+        if low.any():
+            bar[low & (value > 0.0)] += rounding
         err[s:s + step, lit] = bar
     return out, err
 
