@@ -217,8 +217,6 @@ def _adaptive_rows(f, lo, hi, counts, tol, offsets=None, floor=0.0):
     active = np.arange(counts.size)
     vals, errs, l1s = _gk_panels(f, lo, hi, active.repeat(counts))
     evals = 15 * counts
-    # the active rows' evaluations, and offsets, filtered as rows leave
-    spent = evals.copy()
     values = np.empty(counts.size, dtype=vals.dtype)
     abs_errors = np.empty(counts.size)
     stalled = np.zeros(counts.size, dtype=bool)
@@ -239,7 +237,6 @@ def _adaptive_rows(f, lo, hi, counts, tol, offsets=None, floor=0.0):
         if done.all():
             values[active] = total
             abs_errors[active] = np.maximum(toterr, machine_floor)
-            evals[active] = spent
             break
         # Bisect each row's panels whose error exceeds half its share of
         # the row's target, that are wider than roundoff and whose error is
@@ -252,20 +249,20 @@ def _adaptive_rows(f, lo, hi, counts, tol, offsets=None, floor=0.0):
         k = k[splittable & (errs[k] > _L1_FLOOR * l1s[k])]
         row_k = starts.searchsorted(k, side="right") - 1
         npick = np.bincount(row_k, minlength=counts.size)
-        leave = done | (npick == 0) | (spent + 30 * npick > _MAX_EVALS)
+        leave = done | (npick == 0) | (evals[active] + 30 * npick > _MAX_EVALS)
         if leave.any():
             gone = active[leave]
             values[gone] = total[leave]
             abs_errors[gone] = np.where(done, np.maximum(toterr, machine_floor),
                                         toterr)[leave]
             stalled[gone] = ~done[leave]
-            evals[gone] = spent[leave]
             if leave.all():
                 break
             stay = ~leave
             k = k[stay[row_k]]
             width = stay.repeat(counts).astype(np.intp)
-            active, counts, npick, spent = active[stay], counts[stay], npick[stay], spent[stay]
+            active, counts, npick = active[stay], counts[stay], npick[stay]
+            # the offsets follow the active rows, as counts do
             if offsets is not None:
                 offsets = offsets[stay]
         else:
@@ -276,7 +273,7 @@ def _adaptive_rows(f, lo, hi, counts, tol, offsets=None, floor=0.0):
         chi = np.concatenate([mid, hi_k])
         crows = active.repeat(npick)
         cvals, cerrs, cl1s = _gk_panels(f, clo, chi, np.concatenate([crows, crows]))
-        spent += 30 * npick
+        evals[active] += 30 * npick
         counts = counts + npick
         # Gather index: the panels of finished rows drop out, and each
         # bisected panel's two children take its place in position order.
@@ -297,7 +294,6 @@ def _adaptive_rows(f, lo, hi, counts, tol, offsets=None, floor=0.0):
         values[active] = np.add.reduceat(vals, starts)
         abs_errors[active] = np.add.reduceat(errs, starts)
         stalled[active] = True
-        evals[active] = spent
     return values, abs_errors, stalled, evals
 
 
