@@ -86,10 +86,6 @@ _WAVE_PANELS = 1024
 _MAX_EVALS = 1_000_000
 _ABS_FLOOR = 1e-300
 _EPS = float(np.finfo(float).eps)
-# A panel is split only if it is wider than _MIN_WIDTH max(1, |lo|) and its
-# error is above _L1_FLOOR times its L1 norm, the roundoff floor.
-_MIN_WIDTH = 16 * _EPS
-_L1_FLOOR = 50.0 * _EPS
 # Series head: the terms summed, their dropped tail in units of |Z| (the
 # largest over all splits b |d| h + b h^2/2 = 3), and the roundoff allowance
 # in units of eps times the bound on the summed term moduli.
@@ -228,7 +224,7 @@ def _adaptive_rows(f, lo, hi, counts, tol, offsets=None, floor=0.0):
         # error estimates are roundoff fiction; cancellation-dominated
         # integrals legitimately bottom out there.
         machine_floor = np.add.reduceat(l1s, starts)
-        machine_floor *= _L1_FLOOR
+        machine_floor *= 50.0 * _EPS
         target = np.abs(total if offsets is None else total + offsets)
         target *= tol
         np.maximum(target, floor, out=target)
@@ -245,8 +241,8 @@ def _adaptive_rows(f, lo, hi, counts, tol, offsets=None, floor=0.0):
         target /= counts
         k = (errs > target.repeat(counts)).nonzero()[0]
         lo_k = lo[k]
-        splittable = hi[k] - lo_k > _MIN_WIDTH * np.maximum(1.0, np.abs(lo_k))
-        k = k[splittable & (errs[k] > _L1_FLOOR * l1s[k])]
+        splittable = hi[k] - lo_k > 16 * _EPS * np.maximum(1.0, np.abs(lo_k))
+        k = k[splittable & (errs[k] > 50.0 * _EPS * l1s[k])]
         row_k = starts.searchsorted(k, side="right") - 1
         npick = np.bincount(row_k, minlength=counts.size)
         leave = done | (npick == 0) | (evals[active] + 30 * npick > _MAX_EVALS)

@@ -201,9 +201,9 @@ def _numeric_values(params: TrajectoryParams, omegas, us, sin2, tol: float):
         mod *= y
         err = dF.reshape(omega.size, -1)
         err *= y
+        values[s:s + step, lit] = pref * mod**2
         # |F|^2 error from the |F| error: 2|F| dF + dF^2.
         abs_errors[s:s + step, lit] = pref * (2.0 * mod * err + err**2)
-        values[s:s + step, lit] = pref * mod**2
     return values, abs_errors
 
 
