@@ -419,9 +419,9 @@ def _saddle_integrand(b, d, alpha, trig):
     sin alpha/2). The value at s is exp(i b (w^2/2 + ln w + d w)) dw/ds,
     formed node by node as e^{decay + i phase} with decay the ``_decay``
     expression and phase = b (((x - y)(x + y) + ln(x^2 + y^2))/2 + d x)
-    plus the turn of dw/ds, in the same operations and order. They run in
-    place in six node-shaped buffers that every call of g reuses, grown to
-    the largest batch it has met, so a call allocates only its result.
+    plus the turn of dw/ds, in the same operations and order, run in place
+    in six node-shaped buffers, so a call makes seven node arrays (the
+    six and its result) where the expressions made about thirty.
     """
     # The initial panels meet at s = 1 and bisection never crosses it, so a
     # panel lies wholly on the ray (s < 1) or wholly on the descent leg
@@ -434,16 +434,13 @@ def _saddle_integrand(b, d, alpha, trig):
     pieces = np.array([b, -b, d, zero, zero, zero, cos_a, sin_a, alpha,
                        b, -b, d, one, cos_a, sin_a, cos_h, sin_h, 0.5 * alpha])
     pieces = pieces.reshape(2, 9, -1).transpose(1, 2, 0).reshape(9, -1)
-    space = [np.empty((6, 0))]
 
     def g(ss, rows):
         # node-major, (15, panels): each piece's column broadcasts along a row
         ss = ss.T
         at = 2 * rows + (ss[7] > 1.0)
         bb, nb, dd, s0, x0, y0, dx, dy, turn = pieces.take(at, axis=1)
-        if space[0].shape[1] < ss.size:
-            space[0] = np.empty((6, ss.size))
-        t, x, y, p, q, r = space[0][:, :ss.size].reshape((6,) + ss.shape)
+        t, x, y, p, q, r = (np.empty(ss.shape) for _ in range(6))
         np.subtract(ss, s0, out=t)
         np.multiply(t, dx, out=x)
         x += x0

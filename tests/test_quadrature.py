@@ -473,11 +473,10 @@ class TestOscillatoryRows:
                 assert abs(got.flat[k].imag - f.imag) <= bound
 
     def test_saddle_integrand_keeps_the_plain_bits(self):
-        # the in-place integrand, in its reused buffers, gives the bits of
-        # ``plain_integrand`` on ray and leg panels, where |f| is subnormal
-        # or 0, on node arrays in either memory order, and in every
-        # integrand call of a wave cut at _WAVE_PANELS, whose buffers serve
-        # a smaller batch after a larger one and then grow
+        # the in-place integrand gives the bits of ``plain_integrand`` on
+        # ray and leg panels, where |f| is subnormal or 0, on node arrays
+        # in either memory order, and in every integrand call of a wave cut
+        # at _WAVE_PANELS, one integrand serving batches of every size
         rng = np.random.default_rng(41)
         b = np.concatenate([rng.uniform(0.01, 40.0, 150), rng.uniform(200.0, 1000.0, 150)])
         d = rng.uniform(-1.95, 1.95, b.size)
