@@ -528,9 +528,10 @@ def _series_head(b, d, alpha, h):
     for r in range(0, Z.size, _HEAD_BLOCK):
         rb = slice(r, r + _HEAD_BLOCK)
         xb, yb = x[rb], y[rb]
-        if xb.size == 1:
-            # numpy takes a slower path for one-element arrays, in all 54
-            # steps; a copy of the row costs less and has the same bits
+        n = xb.size
+        if n == 1:
+            # numpy takes a slower path for a one-element complex array, in
+            # all 54 steps; a copy of the row costs less and keeps the bits
             xb, yb = xb.repeat(2), yb.repeat(2)
         terms = np.empty((_HEAD_TERMS, xb.size), dtype=complex)
         terms[0], terms[1] = 1.0, xb
@@ -542,12 +543,13 @@ def _series_head(b, d, alpha, h):
         np.multiply(w if row_b is None else w[:, row_b[rb]], terms, out=terms)
         # down axis 0 the reduction adds whole rows in order, the bits of a
         # running total, without a table of partial sums
-        total[rb] = np.add.reduce(terms.view(float), axis=0).view(complex)[:total[rb].size]
+        total[rb] = np.add.reduce(terms.view(float), axis=0).view(complex)[:n]
     # Z^{1+ib} = h e^{-b alpha} e^{i (alpha + b ln h)}
     log_h = np.log(h)
     scale = h * np.exp(-b * alpha)
     value = np.multiply(scale * np.exp(1j * (alpha + b * log_h)), total)
-    moduli = np.exp(b * (np.abs(d) * h + 0.5 * h * h)) * np.abs(w[0] if row_b is None else w[0][row_b])
+    first = w[0] if row_b is None else w[0][row_b]      # 1/(1 + ib) of each row
+    moduli = np.exp(b * (np.abs(d) * h + 0.5 * h * h)) * np.abs(first)
     err = (scale * (_HEAD_ROUNDOFF * _EPS * moduli + _HEAD_TAIL)
            + _EPS * (1.0 + 2.0 * b * (alpha + np.abs(log_h))) * np.abs(value))
     return value, err
