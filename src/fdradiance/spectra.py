@@ -241,7 +241,6 @@ def _exact_zeta0_values(params: TrajectoryParams, omegas, us, sin2, tol: float):
     out, err = np.zeros((2, omegas.size, us.size))
     # below this a value, or its product with e^2, is subnormal
     smallest_normal = max(_TINY, _TINY / params.e_squared)
-    rounding = 2.0 * math.ulp(0.0) + 2.0 * math.ulp(0.0) / params.e_squared
     lit = sin2 != 0.0
     if not lit.any():
         return out, err
@@ -265,9 +264,9 @@ def _exact_zeta0_values(params: TrajectoryParams, omegas, us, sin2, tol: float):
         out[s:s + step, lit] = value
         # _CLOSED_FORM_REL K |value|, with K's division by |m| cancelled
         bar = _CLOSED_FORM_REL * scale * mod * (np.abs(t1) + np.abs(t2))
-        low = value < smallest_normal
-        if low.any():
-            bar[low & (value > 0.0)] += rounding
+        if value.min() < smallest_normal:
+            low = (value > 0.0) & (value < smallest_normal)
+            bar[low] += 2.0 * math.ulp(0.0) + 2.0 * math.ulp(0.0) / params.e_squared
         err[s:s + step, lit] = bar
     return out, err
 
