@@ -366,11 +366,6 @@ def integrate_semi_infinite(f, scale=1.0, tol=1e-10):
     return _integrate(mapped, bounds, tol)
 
 
-def _decay(b, d, x, y):
-    """Re[i b (w^2/2 + ln w + d w)] at w = x + iy, y > 0: the integrand's log-modulus."""
-    return -b * (x * y + np.arctan2(y, x) + d * y)
-
-
 def _saddle_setup(b, d, tol):
     """Every row's saddle contour, initial panels and truncation tail.
 
@@ -395,12 +390,13 @@ def _saddle_setup(b, d, tol):
     p = b * sin_h
     T = 2.0 * L / (p + np.sqrt(p * p + 2.0 * b * sin_a * L))
     # Truncation tail bound: |f| at w = x + iy, the end of the descent leg,
-    # over its decay rate there, Im(phi'(w) e^{i alpha/2}).
+    # over its decay rate there, Im(phi'(w) e^{i alpha/2}). ln|f| is the
+    # real part of i b (w^2/2 + ln w + d w), -b (x y + arg w + d y).
     x = cos_a + T * cos_h
     y = sin_a + T * sin_h
     rate = b * (x * sin_h + y * cos_h + d * sin_h
                 + (x * sin_h - y * cos_h) / (x * x + y * y))
-    tails = np.exp(_decay(b, d, x, y)) / np.abs(rate)
+    tails = np.exp(-b * (x * y + np.arctan2(y, x) + d * y)) / np.abs(rate)
     # Two geometric panels on the ray and three equal ones past the saddle.
     edges = np.empty((d.size, 6))
     edges[:, 0] = h
@@ -417,9 +413,9 @@ def _saddle_integrand(b, d, alpha, trig):
 
     ``trig`` is ``_saddle_setup``'s (cos alpha, sin alpha, cos alpha/2,
     sin alpha/2). The value at s is exp(i b (w^2/2 + ln w + d w)) dw/ds,
-    formed node by node as e^{decay + i phase} with decay the ``_decay``
-    expression and phase = b (((x - y)(x + y) + ln(x^2 + y^2))/2 + d x)
-    plus the turn of dw/ds, in the same operations and order, run in place
+    formed node by node as e^{decay + i phase} at w = x + iy, with decay =
+    -b ((x y + arg w) + d y) and phase = b (((x - y)(x + y) + ln(x^2 +
+    y^2))/2 + d x) plus the turn of dw/ds, in that order, run in place
     in six node-shaped buffers, so a call makes seven node arrays (the
     six and its result) where the expressions made about thirty.
     """
