@@ -308,14 +308,16 @@ def kummer_1f1(a, b, x):
     prefac[flip] = np.exp(x_flat[flip])
 
     # Double precision first; the elements that cancel too far for it are
-    # summed again in long double, and those that still cancel beyond
-    # _CANCEL_FAIL, or ran out of terms, are refused.
+    # summed again in long double, and those of them that still cancel
+    # beyond _CANCEL_FAIL, or any element that ran out of terms, are
+    # refused. An element the retry did not sum again is certified by
+    # _CANCEL_RETRY alone, also where _CANCEL_FAIL lies below it.
     s, cancel, unconverged = _taylor_1f1(as_, b_flat, xs)
     retry = (cancel > _CANCEL_RETRY) & ~unconverged
     if np.any(retry):
         s[retry], cancel[retry], unconverged[retry] = _taylor_1f1(
             as_[retry], b_flat[retry], xs[retry], np.clongdouble)
-    failed = cancel > _CANCEL_FAIL
+    failed = unconverged | (retry & (cancel > _CANCEL_FAIL))
     out = prefac * s
     out = complex(out[0]) if scalar else out.reshape(shape)
     if np.any(failed):

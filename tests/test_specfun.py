@@ -607,6 +607,17 @@ class TestKummer:
         assert info.value.failed.tolist() == [True, False]
         assert info.value.best[0] == want
 
+    def test_double_only_threshold_spares_unretried_elements(self, monkeypatch):
+        # 1F1(1/2 - 18.25i; 1/2; -2.5i) cancels by 1.7e5: above a plain
+        # double's fail threshold but below the retry threshold, so the
+        # double sum certifies it and it returns on either platform
+        want = kummer_1f1(0.5 - 18.25j, 0.5, -2.5j)
+        cancel = _taylor_1f1(np.array([0.5 - 18.25j]), np.array([0.5 + 0j]),
+                             np.array([-2.5j]))[1][0]
+        assert specfun._cancel_fail(2.0**-52) < cancel <= specfun._CANCEL_RETRY
+        monkeypatch.setattr(specfun, "_CANCEL_FAIL", specfun._cancel_fail(2.0**-52))
+        assert kummer_1f1(0.5 - 18.25j, 0.5, -2.5j) == want
+
 
 class TestKummerGrid:
     """The closed form's two series on a rows x columns grid, against kummer_1f1."""
