@@ -99,8 +99,6 @@ _HEAD_BLOCK = 512
 # and the head and legs, free of inf and nan without a numpy error state
 # around the run, which would slow every array operation in it by 2-4%.
 _B_MAX = 1e150
-# Where the descent leg's three initial panels end, in units of its length T.
-_LEG_THIRDS = np.arange(1, 4) / 3.0
 
 
 @dataclasses.dataclass(frozen=True)
@@ -223,12 +221,10 @@ def _adaptive_rows(f, lo, hi, counts, tol, offsets=None, floor=0.0):
         # Below the machine floor (eps times the L1 norm of the integrand)
         # error estimates are roundoff fiction; cancellation-dominated
         # integrals legitimately bottom out there.
-        machine_floor = np.add.reduceat(l1s, starts)
-        machine_floor *= 50.0 * _EPS
-        target = np.abs(total if offsets is None else total + offsets)
-        target *= tol
-        np.maximum(target, floor, out=target)
-        np.maximum(target, machine_floor, out=target)
+        machine_floor = (50.0 * _EPS) * np.add.reduceat(l1s, starts)
+        whole = total if offsets is None else total + offsets
+        target = np.maximum(np.maximum(tol * np.abs(whole), floor),
+                            machine_floor)
         done = toterr <= target
         if done.all():
             values[active] = total
@@ -237,9 +233,7 @@ def _adaptive_rows(f, lo, hi, counts, tol, offsets=None, floor=0.0):
         # Bisect each row's panels whose error exceeds half its share of
         # the row's target, that are wider than roundoff and whose error is
         # above the roundoff floor.
-        target *= 0.5
-        target /= counts
-        k = (errs > target.repeat(counts)).nonzero()[0]
+        k = (errs > (0.5 * target / counts).repeat(counts)).nonzero()[0]
         lo_k = lo[k]
         splittable = hi[k] - lo_k > 16 * _EPS * np.maximum(1.0, np.abs(lo_k))
         k = k[splittable & (errs[k] > 50.0 * _EPS * l1s[k])]
@@ -398,13 +392,9 @@ def _saddle_setup(b, d, tol):
                 + (x * sin_h - y * cos_h) / (x * x + y * y))
     tails = np.exp(-b * (x * y + np.arctan2(y, x) + d * y)) / np.abs(rate)
     # Two geometric panels on the ray and three equal ones past the saddle.
-    edges = np.empty((d.size, 6))
-    edges[:, 0] = h
-    np.sqrt(h, out=edges[:, 1])
-    edges[:, 2] = 1.0
-    np.multiply(T[:, None], _LEG_THIRDS, out=edges[:, 3:])
-    edges[:, 3:] += 1.0
-    counts = np.full(d.size, 5)
+    edges = np.column_stack([h, np.sqrt(h), np.ones_like(h),
+                             1.0 + T[:, None] * (np.arange(1, 4) / 3.0)])
+    counts = np.full(d.size, edges.shape[1] - 1)
     return alpha, h, tails, edges[:, :-1].ravel(), edges[:, 1:].ravel(), counts, trig
 
 
@@ -516,19 +506,12 @@ def _series_head(b, d, alpha, h):
     """
     Z = h * np.exp(1j * alpha)
     x, y = np.multiply(1j * b * d, Z), np.multiply(1j * b * Z, Z)
-    # one weight column per distinct b; the rows of an energy_spectrum
-    # slice share one b, whose column broadcasts without a gather
-    bs, row_b = (b[:1], None) if (b == b[0]).all() else np.unique(b, return_inverse=True)
+    bs, row_b = np.unique(b, return_inverse=True)
     w = 1.0 / (1.0 + 1j * bs + np.arange(_HEAD_TERMS)[:, None])
     total = np.empty_like(Z)
     for r in range(0, Z.size, _HEAD_BLOCK):
         rb = slice(r, r + _HEAD_BLOCK)
         xb, yb = x[rb], y[rb]
-        n = xb.size
-        if n == 1:
-            # numpy takes a slower path for a one-element complex array, in
-            # all 54 steps; a copy of the row costs less and keeps the bits
-            xb, yb = xb.repeat(2), yb.repeat(2)
         terms = np.empty((_HEAD_TERMS, xb.size), dtype=complex)
         terms[0], terms[1] = 1.0, xb
         rows, scratch = list(terms), np.empty_like(xb)
@@ -536,16 +519,15 @@ def _series_head(b, d, alpha, h):
             np.multiply(xb, t1, t)
             np.add(t, np.multiply(yb, t0, scratch), t)
             np.multiply(t, inv, t)
-        np.multiply(w if row_b is None else w[:, row_b[rb]], terms, out=terms)
+        np.multiply(w[:, row_b[rb]], terms, out=terms)
         # down axis 0 the reduction adds whole rows in order, the bits of a
         # running total, without a table of partial sums
-        total[rb] = np.add.reduce(terms.view(float), axis=0).view(complex)[:n]
+        total[rb] = np.add.reduce(terms.view(float), axis=0).view(complex)
     # Z^{1+ib} = h e^{-b alpha} e^{i (alpha + b ln h)}
     log_h = np.log(h)
     scale = h * np.exp(-b * alpha)
     value = np.multiply(scale * np.exp(1j * (alpha + b * log_h)), total)
-    first = w[0] if row_b is None else w[0][row_b]      # 1/(1 + ib) of each row
-    moduli = np.exp(b * (np.abs(d) * h + 0.5 * h * h)) * np.abs(first)
+    moduli = np.exp(b * (np.abs(d) * h + 0.5 * h * h)) * np.abs(w[0][row_b])
     err = (scale * (_HEAD_ROUNDOFF * _EPS * moduli + _HEAD_TAIL)
            + _EPS * (1.0 + 2.0 * b * (alpha + np.abs(log_h))) * np.abs(value))
     return value, err
