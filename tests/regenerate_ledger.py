@@ -54,6 +54,9 @@ CASES = [
     ("exact-large-omega",
      "distribution --method exact-zeta0 --omega-min 20 --omega-max 60 --omega-steps 5 "
      "--theta-min 0 --theta-max 1.5707963267948966 --theta-steps 7"),
+    ("exact-long-double-retry",
+     "distribution --method exact-zeta0 --omega-min 60 --omega-max 80 --omega-steps 3 "
+     "--theta-min 0 --theta-max 0.4363323129985824 --theta-steps 6"),
     ("spectral-total-zeta-neg-0.9", "energy --method spectral --zeta -0.9 --tol 1e-4"),
     ("spectral-total-zeta-0.3", "energy --method spectral --zeta 0.3 --tol 1e-4"),
     ("larmor-total-warning", "energy --zeta -0.995"),
