@@ -10,23 +10,22 @@ a few ulp relative to the scale of ln Gamma for |z| <= 100, far inside the
 reduction.
 
 ``kummer_1f1`` sums the Taylor series directly, applying the Kummer
-transform 1F1(a;b;x) = e^x 1F1(b-a;b;-x) when Re x < 0 so the summed series
-always has non-negative real argument. It sums in blocks of 32 terms:
-in double precision one product accumulation of the ratios
-(a+n)x/((b+n)(n+1)) gives a block's terms, the step ``_kummer_grid``
-takes, and one cumulative sum, which adds each element's terms in order,
-its partial sums. The stop rule is read off the block per element, and
-each element settles at its own stop term, so it keeps the bits it would
-have in a call of its own, and a call makes one series pass in double
-precision and at most one in long double, whose terms keep the bits of
-a term-by-term loop. Term cancellation is tracked per element; when the
-cancellation-amplified roundoff endangers the 1e-10 contract, the
-affected elements are recomputed in extended precision, and a
-convergence error is raised if even that cannot certify the target, or
-if the series ran out of terms. Only ``kummer_1f1`` raises it: the error
-names the elements it refused, and every other element of its best
-estimate is the value its own call returns, so one call can sum many
-independent series and drop only the refused ones.
+transform 1F1(a;b;x) = e^x 1F1(b-a;b;-x) when Re x < 0 so the summed
+series always has non-negative real argument. It sums in blocks of 32
+terms: one product accumulation of the ratios (a+n)x/((b+n)(n+1)) gives a
+block's terms, in double and in long double alike and by the step
+``_kummer_grid`` takes, and one cumulative sum, which adds each element's
+terms in order, its partial sums. The stop rule is read off the block per
+element, and each element settles at its own stop term, so it keeps the
+bits it would have in a call of its own; a call makes one series pass in
+double precision and at most one in long double. Term cancellation is
+tracked per element; when the cancellation-amplified roundoff endangers
+the 1e-10 contract, the affected elements are recomputed in extended
+precision, and a convergence error is raised if even that cannot certify
+the target, or if the series ran out of terms. Only ``kummer_1f1`` raises
+it: the error names the elements it refused, and every other element of
+its best estimate is the value its own call returns, so one call can sum
+many independent series and drop only the refused ones.
 
 The private ``_kummer_grid`` sums 1F1(a_r; b_r; c_r z_k) on a grid of rows
 (a, b, c) and real columns z in [0, 1], as the closed form of ``spectra``
@@ -177,17 +176,6 @@ def _ratio_terms(first, a, b, x, n):
     return np.multiply.accumulate(np.concatenate((first[None], ratio)), axis=0)
 
 
-def _recurrence_terms(first, a, b, x, n):
-    """As ``_ratio_terms``, but each term is ((t (a + n))/(b + n)) x/(n + 1)
-    of the one before it, t, a row at a time, as a term-by-term loop forms
-    it. The long-double pass takes its terms so: its elements, among them
-    ``_kummer_grid``'s cancelling cells, keep that loop's bits."""
-    rows = [first]
-    for an, bn, inv in zip(a + n, b + n, a.real.dtype.type(1) / (n + 1)):
-        rows.append(np.multiply(np.multiply(np.divide(np.multiply(rows[-1], an), bn), x), inv))
-    return np.array(rows)
-
-
 def _taylor_1f1(a, b, x, dtype=complex):
     """Direct Taylor sum of 1F1(a;b;x), no transform.
 
@@ -195,24 +183,21 @@ def _taylor_1f1(a, b, x, dtype=complex):
     max |term| / |sum|, and unconverged marks the elements still summing
     when the _SERIES_BUDGET terms run out, whose sums are partial and
     whose cancellation is inf. All inputs must be broadcast to a common
-    1-d shape already. tol for the stop rule is tied to the dtype's
+    1-d shape already. tol for the stop rule is 0.1 of the dtype's
     epsilon; stopping requires three consecutive small terms so
     alternating near-zeros cannot fool it.
 
-    The terms come in blocks of _BLOCK (the last one cut at the budget),
-    by ``_ratio_terms`` in double and ``_recurrence_terms`` in long double,
-    and the partial sums by one sequential cumulative sum, so an element
-    adds its own terms in order. The stop rule's runs of small terms carry
-    over from block to block; an element settles at its own stop term,
-    with the sum and peak of the terms up to it, and leaves the working
-    arrays, so its bits depend on it alone. A term or sum whose magnitude
-    leaves the double range at or before the element's stop raises
-    ``OverflowRangeError``; later ones, which a term loop would never
-    compute, are ignored.
+    The terms come in blocks of _BLOCK (the last one cut at the budget), by
+    ``_ratio_terms`` in either dtype, and the partial sums by one sequential
+    cumulative sum, so an element adds its own terms in order. The stop rule's
+    runs of small terms carry over from block to block; an element settles at
+    its own stop term, with the sum and peak of the terms up to it, and leaves
+    the working arrays, so its bits depend on it alone. A term or sum whose
+    magnitude leaves the double range at or before the element's stop raises
+    ``OverflowRangeError``; later ones, which a term loop would never compute,
+    are ignored.
     """
-    real = np.float64 if dtype == complex else np.longdouble
-    tol = 0.1 * np.finfo(real).eps
-    step = _ratio_terms if dtype == complex else _recurrence_terms
+    tol = 0.1 * np.finfo(dtype).eps
     a, b, x = (v.astype(dtype) for v in (a, b, x))
     total = np.ones(x.shape, dtype=dtype)
     peak = np.ones(x.shape)
@@ -225,7 +210,7 @@ def _taylor_1f1(a, b, x, dtype=complex):
             # a whole block, then cut at the budget: numpy forms a 2-row
             # accumulation's complex products differently from a longer one's
             n = np.arange(start, start + _BLOCK)[:, None]
-            rows = step(term, a, b, x, n)[:_SERIES_BUDGET - start + 1]
+            rows = _ratio_terms(term, a, b, x, n)[:_SERIES_BUDGET - start + 1]
             term, terms = rows[-1], rows[1:]
             rows[0] = s
             sums = np.cumsum(rows, axis=0)[1:]

@@ -34,11 +34,10 @@ def spread_series(seed):
 def term_loop(a, b, x, dtype):
     """(sum, cancellation, terms summed) of each series, term by term.
 
-    Every element advances until the slowest has met the stop rule, the
-    finished ones masked: in double by the ratio (a + n) x/((b + n)(n + 1)),
-    in long double as ((t (a + n))/(b + n)) x/(n + 1) of the last term t.
+    Every element advances by the ratio (a + n) x/((b + n)(n + 1)) until
+    the slowest has met the stop rule, the finished ones masked.
     """
-    tol = 0.1 * np.finfo(np.float64 if dtype == complex else np.longdouble).eps
+    tol = 0.1 * np.finfo(dtype).eps
     a, b, x = a.astype(dtype), b.astype(dtype), x.astype(dtype)
     s = np.ones(x.shape, dtype=dtype)
     term = np.ones(x.shape, dtype=dtype)
@@ -47,15 +46,12 @@ def term_loop(a, b, x, dtype):
     stops = np.zeros(x.shape, dtype=np.int64)
     active = np.ones(x.shape, dtype=bool)
     for n in range(specfun._SERIES_BUDGET):
-        if dtype == complex:
-            ratio = np.divide(np.multiply(a + n, x), np.multiply(b + n, n + 1))
-            # np.multiply.accumulate forms (p + iq)(r + is) as
-            # (pr - qs) + i(ps + qr), with no fused multiply-add
-            step = np.empty_like(term)
-            step.real = term.real * ratio.real - term.imag * ratio.imag
-            step.imag = term.real * ratio.imag + term.imag * ratio.real
-        else:
-            step = np.multiply(np.divide(np.multiply(term, a + n), b + n), x) / (n + 1)
+        ratio = np.divide(np.multiply(a + n, x), np.multiply(b + n, n + 1))
+        # np.multiply.accumulate forms (p + iq)(r + is) as
+        # (pr - qs) + i(ps + qr), with no fused multiply-add
+        step = np.empty_like(term)
+        step.real = term.real * ratio.real - term.imag * ratio.imag
+        step.imag = term.real * ratio.imag + term.imag * ratio.real
         term = np.where(active, step, term)
         s = np.where(active, s + term, s)
         stops += active
