@@ -94,8 +94,8 @@ _METHODS = ("numeric", "exact-zeta0", "fermi-dirac")
 # Relative error ascribed to closed-form evaluations: a conservative
 # roundoff envelope, not a quadrature estimate.
 _CLOSED_FORM_REL = 1e-13
-# The smallest normal double: the closed forms' values below it carry an
-# absolute rounding that their relative bars underflow below.
+# The smallest normal double: a value below it carries an absolute
+# rounding that a relative bar underflows below.
 _TINY = float(np.finfo(float).tiny)
 # A sample whose error bar exceeds this fraction of its value is refused
 # rather than returned, on every route: behind the special angle the
@@ -220,12 +220,7 @@ def _exact_zeta0_values(params: TrajectoryParams, omegas, us, sin2, tol: float):
     y = omega/kappa. For u < 0 the two terms cancel by the factor K =
     (|t1| + |t2|)/|t1 + t2|, which grows like e^{2y|u|}, and the relative
     error grows with it: the bar is _CLOSED_FORM_REL K times the value, a
-    roundoff envelope rather than an estimate. Where the value, or its
-    product with e^2 (``_charged``), is subnormal, each carries a rounding
-    of up to half the smallest subnormal, which the relative bar underflows
-    below: the bar then adds (1 + 1/e^2) times two of the smallest
-    subnormal, as ``_fermi_dirac_values`` does, so no such value has a
-    zero bar. The 1F1s depend on u only
+    roundoff envelope rather than an estimate. The 1F1s depend on u only
     through u^2 and share a = 1/2 - iy or 1 - iy across it, so both series
     are one ``_kummer_grid`` call with a row per (series, omega) and a
     column per distinct u^2, whose values go back to every u of that
@@ -239,8 +234,6 @@ def _exact_zeta0_values(params: TrajectoryParams, omegas, us, sin2, tol: float):
     """
     kappa = params.kappa
     out, err = np.zeros((2, omegas.size, us.size))
-    # below this a value, or its product with e^2, is subnormal
-    smallest_normal = max(_TINY, _TINY / params.e_squared)
     lit = sin2 != 0.0
     if not lit.any():
         return out, err
@@ -263,11 +256,7 @@ def _exact_zeta0_values(params: TrajectoryParams, omegas, us, sin2, tol: float):
         value = scale * mod**2
         out[s:s + step, lit] = value
         # _CLOSED_FORM_REL K |value|, with K's division by |m| cancelled
-        bar = _CLOSED_FORM_REL * scale * mod * (np.abs(t1) + np.abs(t2))
-        if value.min() < smallest_normal:
-            low = (value > 0.0) & (value < smallest_normal)
-            bar[low] += 2.0 * math.ulp(0.0) + 2.0 * math.ulp(0.0) / params.e_squared
-        err[s:s + step, lit] = bar
+        err[s:s + step, lit] = _CLOSED_FORM_REL * scale * mod * (np.abs(t1) + np.abs(t2))
     return out, err
 
 
@@ -303,10 +292,15 @@ def distribution_grid(params: TrajectoryParams, omegas, thetas, method: str,
     ``method`` is "numeric" (quadrature to tol, any zeta), "exact-zeta0"
     (the closed form, zeta = 0 only) or "fermi-dirac" (the special angle
     alone: thetas must be [acos(zeta)]); the closed forms do not read tol.
-    Thetas lie in [0, pi]. The first two routes work at unit charge, and
-    e^2 is their last factor. On every route, a sample whose abs_error
-    exceeds _REFUSAL of its value, or a lit one whose value underflows to
-    0, raises ``ConvergenceError`` with that sample as ``best``.
+    Thetas lie in [0, pi]. The first two routes work at unit charge, and e^2
+    is their last factor. Where a unit value, or its product with e^2, is
+    positive and below the smallest normal double, each carries a rounding of
+    up to half the smallest subnormal, which a relative bar underflows below:
+    its bar adds (1 + 1/e^2) times two of the smallest subnormal, as
+    ``_fermi_dirac_values`` does, so no such value has a zero bar. On every
+    route, a sample whose abs_error exceeds _REFUSAL of its value, or a lit
+    one whose value underflows to 0, raises ``ConvergenceError`` with that
+    sample as ``best``.
     """
     routes = {"numeric": _numeric_values, "exact-zeta0": _exact_zeta0_values,
               "fermi-dirac": _fermi_dirac_values}
@@ -325,6 +319,11 @@ def distribution_grid(params: TrajectoryParams, omegas, thetas, method: str,
     sin2 = np.array([math.sin(theta) ** 2 for theta in thetas])
     values, abs_errors = routes[method](params, omega_arr, us, sin2, tol)
     if method != "fermi-dirac":
+        # below this a unit value, or its product with e^2, is subnormal
+        smallest_normal = max(_TINY, _TINY / params.e_squared)
+        if values.min() < smallest_normal:
+            low = (values > 0.0) & (values < smallest_normal)
+            abs_errors[low] += 2.0 * math.ulp(0.0) + 2.0 * math.ulp(0.0) / params.e_squared
         values = _charged(params, omega_arr, values, "dI/dOmega")
         abs_errors = _charged(params, omega_arr, abs_errors, "the error bar of dI/dOmega")
     valid = (values >= 0.0) & np.isfinite(values) & (abs_errors >= 0.0)

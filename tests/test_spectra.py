@@ -276,22 +276,24 @@ class TestDistribution:
         if deg == 90:
             assert (info.value.best.value, info.value.best.abs_error) == (0.0, 0.0)
 
+    @pytest.mark.parametrize("method", ["exact-zeta0", "numeric"])
     @pytest.mark.parametrize("y, deg, frozen, want", [
         (125.0, 85, "0x0.0000000000002p-1022", "9.6501937217461066192e-324"),
         (150.0, 70, "0x0.000000000004bp-1022", "3.6873604906722917193e-322"),
     ])
-    def test_subnormal_exact_value_has_a_rounding_bar(self, y, deg, frozen, want):
-        # at kappa 1, e^2 4 pi alpha, these values are subnormal and their
-        # relative bar underflows to 0; each keeps its bits, and its bar,
-        # the rounding of the value and of its product with e^2, covers
-        # dI/dOmega frozen from oracles.exact_distribution at 60 + 3.2
-        # omega/kappa digits (80 more change neither), a difference that
-        # only shows in more than double precision. The bar is more than
-        # _REFUSAL of such a value, so the grid refuses the cell
+    def test_subnormal_exact_value_has_a_rounding_bar(self, y, deg, frozen, want, method):
+        # at kappa 1, e^2 4 pi alpha, these values are subnormal on both
+        # unit-charge routes and their relative bar underflows to 0; each
+        # keeps its bits, and its bar, the rounding of the value and of its
+        # product with e^2, covers dI/dOmega frozen from
+        # oracles.exact_distribution at 60 + 3.2 omega/kappa digits (80
+        # more change neither), a difference that only shows in more than
+        # double precision. The bar is more than _REFUSAL of such a value,
+        # so the grid refuses the cell
         params = TrajectoryParams(1.0, 0.0)
         theta = math.radians(deg)
         with pytest.raises(ConvergenceError, match="error bar above") as info:
-            distribution_grid(params, [y], [theta], "exact-zeta0")
+            distribution_grid(params, [y], [theta], method)
         value, bar = info.value.best.value, info.value.best.abs_error
         assert value == float.fromhex(frozen)
         assert 0.0 < abs(mp.mpf(value) - mp.mpf(want)) <= bar
