@@ -72,7 +72,7 @@ import numpy as np
 from .errors import ConvergenceError, DomainError, OverflowRangeError
 from .quadrature import _check_tol, _oscillatory_rows, integrate_semi_infinite
 from .specfun import _kummer_grid, ln_gamma
-from .trajectory import TrajectoryParams
+from .trajectory import TrajectoryParams, _scaled_total
 
 __all__ = [
     "EmissionDirection",
@@ -498,18 +498,14 @@ def _tail_rate(zeta):
 def total_energy_spectral(params: TrajectoryParams, tol: float = 1e-4) -> float:
     """Total energy by the spectral route: E = int_0^inf I(omega) domega.
 
-    I(omega) reads kappa only through omega/kappa, and e^2 is its last
-    factor, so E is e^2 kappa times the total at kappa = 1 and unit charge
+    I(omega) reads kappa only through omega/kappa, and e^2 is its last factor,
+    so E is e^2 kappa times the total at kappa = 1 and unit charge
     (``_unit_total``), which runs once per (zeta, tol) per process; a sweep
-    over kappa or e^2 costs no further quadrature. The product is formed on
-    the mantissas and exponents of the three factors, so it overflows only
-    where E itself is past the largest double (``OverflowRangeError``) and
-    it is within two roundings of e^2 kappa times the unit total wherever
-    it is a normal double. A product that underflows to 0, or to a
-    subnormal whose rounding step exceeds tol of it, raises
-    ``ConvergenceError``. tol must lie in (0, 1e-2]; the unit run's
-    refusals, its own and its spectra's, raise on every call, with their
-    frequency, threshold and ``best`` in the caller's units
+    over kappa or e^2 costs no further quadrature. The product is
+    ``trajectory._scaled_total``, which refuses an E past the double range or
+    underflowing it, as the Larmor total does. tol must lie in (0, 1e-2]; the
+    unit run's refusals, its own and its spectra's, raise on every call, with
+    their frequency, threshold and ``best`` in the caller's units
     (``_unit_refusal``).
     """
     _check_tol(tol)
@@ -519,18 +515,7 @@ def total_energy_spectral(params: TrajectoryParams, tol: float = 1e-4) -> float:
         if not hasattr(err, "restate"):
             raise
         raise err.restate(params.kappa, params.e_squared) from None
-    (m_e, x_e), (m_k, x_k), (m_u, x_u) = (
-        math.frexp(v) for v in (params.e_squared, params.kappa, unit))
-    try:
-        total = math.ldexp(m_e * m_k * m_u, x_e + x_k + x_u)
-    except OverflowError:
-        total = math.inf
-    if math.isinf(total):
-        raise OverflowRangeError("the total energy overflows a double")
-    if math.ulp(0.0) > tol * total:
-        # 0, or a subnormal whose rounding step is more than tol of it
-        raise ConvergenceError("the total energy underflows a double", best=total)
-    return total
+    return _scaled_total(params, unit, tol)
 
 
 def _unit_refusal(restate):

@@ -262,8 +262,9 @@ def total_energy_larmor(params: TrajectoryParams, tol: float = 1e-9) -> float:
     In s = kappa z, E = e^2 kappa int_0^inf P/(e^2 kappa^2 v) ds, and that
     integral depends on zeta alone (``_unit_larmor``), so E/kappa is the
     same for every kappa in the double range, and a sweep over kappa or e^2
-    costs no further quadrature; an E that overflows a double raises
-    ``OverflowRangeError``. Emission grows without bound as zeta -> -1;
+    costs no further quadrature. E is that integral scaled by
+    ``_scaled_total``, which refuses an E past the double range or
+    underflowing it. Emission grows without bound as zeta -> -1;
     close approaches get a runtime warning on every call because the
     integrand develops a long slow tail there.
     """
@@ -276,11 +277,31 @@ def total_energy_larmor(params: TrajectoryParams, tol: float = 1e-9) -> float:
         )
     if not (0.0 < tol < math.inf):
         raise DomainError("tol must be positive and finite")
-    per_kappa = params.e_squared * _unit_larmor(params.zeta, tol)
-    energy = params.kappa * per_kappa
-    if not math.isfinite(energy):
-        raise OverflowRangeError(f"E = kappa x {per_kappa:.6g} overflows a double")
-    return energy
+    return _scaled_total(params, _unit_larmor(params.zeta, tol), tol)
+
+
+def _scaled_total(params: TrajectoryParams, unit: float, tol: float) -> float:
+    """e^2 kappa times ``unit``, a total energy at kappa = 1 and unit charge.
+
+    The product is formed on the mantissas and exponents of the three
+    factors, so it overflows only where E itself is past the largest double
+    (``OverflowRangeError``) and it is within two roundings of e^2 kappa
+    times unit wherever it is a normal double. A product that underflows to
+    0, or to a subnormal whose rounding step exceeds tol of it, raises
+    ``ConvergenceError``.
+    """
+    (m_e, x_e), (m_k, x_k), (m_u, x_u) = (
+        math.frexp(v) for v in (params.e_squared, params.kappa, unit))
+    try:
+        total = math.ldexp(m_e * m_k * m_u, x_e + x_k + x_u)
+    except OverflowError:
+        total = math.inf
+    if math.isinf(total):
+        raise OverflowRangeError("the total energy overflows a double")
+    if math.ulp(0.0) > tol * total:
+        # 0, or a subnormal whose rounding step is more than tol of it
+        raise ConvergenceError("the total energy underflows a double", best=total)
+    return total
 
 
 @functools.cache
