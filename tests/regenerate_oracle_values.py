@@ -1,7 +1,7 @@
-"""Writes tests/oracle_values.json: oracle values the quadrature tests compare with, frozen.
+"""Writes tests/oracle_values.json: oracle values the quadrature and 1F1 tests compare with, frozen.
 
-Two tests of ``test_quadrature.py`` read it instead of running their
-oracles on every run:
+Two tests of ``test_quadrature.py`` and one of ``test_specfun.py`` read it
+instead of running their oracles on every run:
 
 * ``series_head``: the nine rows (b, d) of
   ``test_series_head_against_oracle``, three values of b with a d below,
@@ -12,6 +12,14 @@ oracles on every run:
   always belongs to the segment the package sums.
 * ``damped``: the 25 phases (a, b, c) = (w/4, 2w, -w cos theta) of
   ``test_against_damped_oracle`` and ``oracles.damped_phase_integral`` there.
+* ``retried_1f1``: 40 series of ``test_retried_elements_carry_long_double_roundoff``
+  whose sums cancel by RETRIED_CANCEL, so that ``specfun.kummer_1f1``
+  sums each again in long double and returns it: the first 20 seeded
+  draws of each of two kinds that qualify, the exact route's series at
+  omega/kappa 60-150 and points of ``check`` criterion 9's box. Each holds
+  ``oracles.hyp1f1_series_peak`` of the series ``kummer_1f1`` sums (after
+  its Kummer transform where Re x < 0), its largest term over its sum as
+  ``cancellation``, and 1F1(a; b; x) rounded to a complex double.
 
 Every double is stored as ``float.hex``, so it reads back bit for bit.
 Regenerate only when the oracles, the rows or the set-up's alpha and h are
@@ -27,17 +35,22 @@ import math
 import os
 import sys
 
+import mpmath as mp
 import numpy as np
 
 from fdradiance import quadrature
 
-from oracles import damped_phase_integral, ray_head_segment
+from oracles import damped_phase_integral, hyp1f1_series_peak, ray_head_segment
 
 PATH = os.path.join(os.path.dirname(os.path.abspath(__file__)), "oracle_values.json")
 
 # the damped oracle is out of regime below a ~ 0.1, so w starts at 0.5
 DAMPED_OMEGAS = (0.5, 1.0, 2.0, 3.0, 4.0)
 DAMPED_THETAS = (math.pi / 6, math.pi / 3, math.pi / 2, 2 * math.pi / 3, 5 * math.pi / 6)
+# the cancellation of the retried series: inside (2e5, 3e8), between
+# specfun's retry and fail thresholds, by a margin that the double sum's
+# own cancellation, off by its roundoff, cannot cross
+RETRIED_CANCEL = (2.2e5, 2.9e8)
 
 
 def head_rows():
@@ -57,6 +70,47 @@ def damped_phases():
     return [(w / 4.0, 2.0 * w, -w * math.cos(th)) for w in DAMPED_OMEGAS for th in DAMPED_THETAS]
 
 
+def retried_candidates(kind):
+    """Seeded (a, b, x) draws of one kind, without end: "exact", the exact
+    route's two series at y = omega/kappa in [60, 150] and x = iy u^2 with
+    u in [0, 1], or "box", criterion 9's a and b in [-10, 10]^2 and x pure
+    imaginary in [-15i, 15i] (5 draws in 8) or in [-8, 8]^2, b a unit
+    from every pole."""
+    rng = np.random.default_rng({"exact": 60, "box": 9}[kind])
+    while True:
+        if kind == "exact":
+            y, u = rng.uniform(60.0, 150.0), rng.uniform(0.0, 1.0)
+            half = rng.random() < 0.5
+            yield (0.5 if half else 1.0) - 1j * y, 0.5 if half else 1.5, 1j * y * u * u
+            continue
+        a, b = (complex(rng.uniform(-10, 10), rng.uniform(-10, 10)) for _ in range(2))
+        if abs(b - min(round(b.real), 0)) < 1.0:
+            continue   # criterion 9's unit margin from the poles b = 0, -1, ...
+        if rng.random() < 5 / 8:
+            x = 1j * rng.uniform(-15, 15)
+        else:
+            x = complex(rng.uniform(-8, 8), rng.uniform(-8, 8))
+        yield a, b, x
+
+
+def retried_series():
+    """(a, b, x, cancellation, 1F1) of the first 20 draws of each kind whose
+    summed series cancels by RETRIED_CANCEL."""
+    rows = []
+    for kind in ("exact", "box"):
+        found = 0
+        for a, b, x in retried_candidates(kind):
+            flip = x.real < 0.0
+            s, peak = hyp1f1_series_peak(b - a if flip else a, b, -x if flip else x)
+            cancel = float(peak / abs(s))
+            if RETRIED_CANCEL[0] < cancel < RETRIED_CANCEL[1]:
+                rows.append((a, b, x, cancel, complex(s * mp.exp(x) if flip else s)))
+                found += 1
+                if found == 20:
+                    break
+    return rows
+
+
 def pair(z):
     return [float(z.real).hex(), float(z.imag).hex()]
 
@@ -74,12 +128,15 @@ def build():
     damped = [{"a": a.hex(), "b": bb.hex(), "c": c.hex(),
                "value": pair(damped_phase_integral(a, bb, c))}
               for a, bb, c in damped_phases()]
-    return {"series_head": head, "damped": damped}
+    retried = [{"a": pair(a), "b": pair(b), "x": pair(x), "cancellation": cancel.hex(),
+                "value": pair(value)}
+               for a, b, x, cancel, value in retried_series()]
+    return {"series_head": head, "damped": damped, "retried_1f1": retried}
 
 
 def report(old, new):
     """Print to stderr each entry of ``new`` that differs from ``old``."""
-    for key in ("series_head", "damped"):
+    for key in ("series_head", "damped", "retried_1f1"):
         olds = (old or {}).get(key, [])
         for i, entry in enumerate(new[key]):
             was = olds[i] if i < len(olds) else None

@@ -3,6 +3,7 @@
 Frozen constants come from 60-digit mpmath (see oracles.py); none were
 copied from the implementation.
 """
+import json
 import warnings
 
 import numpy as np
@@ -13,6 +14,7 @@ from fdradiance.errors import ConvergenceError, OverflowRangeError, PoleError
 from fdradiance.specfun import _taylor_1f1, kummer_1f1, ln_gamma
 
 from oracles import hyp1f1_series, hyp1f1_series_peak
+from regenerate_oracle_values import PATH, unpair
 
 
 def rel(got, want):
@@ -581,6 +583,26 @@ class TestKummer:
         assert info.value.best is not None
         # the attached estimate is still in the right neighborhood
         assert abs(info.value.best) == pytest.approx(1.0, abs=0.2)
+
+    def test_retried_elements_carry_long_double_roundoff(self):
+        # 40 series, 20 of the exact route at omega/kappa 60-150 and 20 of
+        # check criterion 9's box, whose sums cancel by 2.2e5 to 2.9e8, so
+        # that the double pass hands each to the long-double retry: each
+        # comes back within 10 cancellation eps(long double) of its
+        # 60-digit value, frozen by regenerate_oracle_values.py. A sum in
+        # double carries 2^10 times that roundoff
+        if specfun._CANCEL_FAIL <= specfun._CANCEL_RETRY:
+            pytest.skip("long double is plain double here: the retry refuses these")
+        with open(PATH, encoding="utf-8") as f:
+            rows = json.load(f)["retried_1f1"]
+        a, b, x, want = (np.array([unpair(row[key]) for row in rows])
+                         for key in ("a", "b", "x", "value"))
+        cancel = np.array([float.fromhex(row["cancellation"]) for row in rows])
+        flip = x.real < 0.0
+        double = _taylor_1f1(np.where(flip, b - a, a), b, np.where(flip, -x, x))[1]
+        assert np.all(double > specfun._CANCEL_RETRY)
+        err = np.abs(kummer_1f1(a, b, x) - want) / np.abs(want)
+        assert np.all(err <= 10.0 * cancel * float(np.finfo(np.longdouble).eps))
 
     def test_fail_threshold_follows_the_retry_precision(self):
         # 3e8 under x87's long double; where long double is plain double it
