@@ -490,9 +490,10 @@ def _series_head(b, d, alpha, h):
     so the term moduli sum to at most e^{A + B/2} <= e^3. The dropped tail
     sum_{n >= N} m_n/(n+1), largest over the splits A + B/2 = 3 at A = 0,
     is 1.46e-18 at N = _HEAD_TERMS = 56, below _HEAD_TAIL |Z| and four
-    orders under the roundoff the bound already carries. The error bound is the roundoff on the moduli, that tail, and
-    the rounding of the exponents of Z^{1+ib}, which moves the value by up
-    to eps b (alpha + |ln h|) each. The terms of _HEAD_BLOCK rows at a time
+    orders under the roundoff the bound already carries. The error bound is
+    the roundoff on the moduli, that tail, and the rounding of the
+    exponents of Z^{1+ib}, which moves the value by up to eps b (alpha +
+    |ln h|) each. The terms of _HEAD_BLOCK rows at a time
     form a (terms, rows) table by the recurrence (a block, not the whole
     call, so that a 4,096-row slice does not hold tables of megabytes),
     written step by step into the table's rows with one scratch row and

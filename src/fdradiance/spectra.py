@@ -551,8 +551,9 @@ def _unit_total(zeta: float, tol: float) -> float:
     an I(hi) there above 1e-11 of the peak, like a threshold or hi that is
     no positive finite double, raises ``ConvergenceError`` with hi as
     ``best``. These refusals, like those of its ``energy_spectrum`` calls,
-    state kappa = 1, unit-charge numbers and carry their restatement in a caller's units (``_unit_refusal``). A
-    refused run leaves nothing in the cache.
+    state kappa = 1, unit-charge numbers and carry their restatement in a
+    caller's units (``_unit_refusal``). A refused run leaves nothing in the
+    cache.
     """
     params = TrajectoryParams(1.0, zeta, 1.0)
     c = _tail_rate(zeta)
