@@ -1004,30 +1004,32 @@ class TestUnitTotal:
 
     def test_total_is_charge_and_kappa_times_the_unit_total(self):
         # E/(e^2 kappa), taken exactly, is within 2 ulp of the unit total
-        # wherever E is a normal double, and E within one subnormal step of
-        # e^2 kappa E_1 where it is subnormal; a product past the largest
-        # double, or one whose subnormal step exceeds tol of it, is refused,
-        # and none overflows on its way
-        unit = total_energy_spectral(TrajectoryParams(1.0, 0.0, 1.0), 1e-4)
+        # wherever E is a normal double, also where e^2 alone is subnormal,
+        # and E within one subnormal step of e^2 kappa E_1 where it is
+        # subnormal; a product past the largest double, or one whose
+        # subnormal step exceeds tol of it, is refused, and none overflows
+        # on its way. The Larmor total, at its own tol, is scaled alike
         kappas = [1e-300, 1e-200, 1e-100, 1e-10, 0.7, 1.0, 3.0, 1e10, 1e100, 1e200,
                   1e300, 1e308]
-        for kappa, e2 in itertools.product(kappas, (1e-315, 1.0, 1e308)):
-            params = TrajectoryParams(kappa, 0.0, e2)
-            exact = Fraction(e2) * Fraction(kappa) * Fraction(unit)
-            if exact > sys.float_info.max:
-                with pytest.raises(OverflowRangeError,
-                                   match="the total energy overflows a double"):
-                    total_energy_spectral(params, 1e-4)
-            elif math.ulp(0.0) > 1e-4 * exact:
-                with pytest.raises(ConvergenceError, match="underflows a double"):
-                    total_energy_spectral(params, 1e-4)
-            elif exact >= sys.float_info.min:
-                got = Fraction(total_energy_spectral(params, 1e-4))
-                assert abs(got / (Fraction(e2) * Fraction(kappa)) - Fraction(unit)) \
-                    <= 2 * Fraction(math.ulp(unit)), (kappa, e2)
-            else:
-                got = Fraction(total_energy_spectral(params, 1e-4))
-                assert abs(got - exact) <= Fraction(math.ulp(0.0)), (kappa, e2)
+        for total, tol in ((total_energy_spectral, 1e-4), (total_energy_larmor, 1e-9)):
+            unit = total(TrajectoryParams(1.0, 0.0, 1.0), tol)
+            for kappa, e2 in itertools.product(kappas, (1e-320, 1e-315, 1e-300, 1.0, 1e308)):
+                params = TrajectoryParams(kappa, 0.0, e2)
+                exact = Fraction(e2) * Fraction(kappa) * Fraction(unit)
+                if exact > sys.float_info.max:
+                    with pytest.raises(OverflowRangeError,
+                                       match="the total energy overflows a double"):
+                        total(params, tol)
+                elif math.ulp(0.0) > tol * exact:
+                    with pytest.raises(ConvergenceError, match="underflows a double"):
+                        total(params, tol)
+                elif exact >= sys.float_info.min:
+                    got = Fraction(total(params, tol))
+                    assert abs(got / (Fraction(e2) * Fraction(kappa)) - Fraction(unit)) \
+                        <= 2 * Fraction(math.ulp(unit)), (total, kappa, e2)
+                else:
+                    got = Fraction(total(params, tol))
+                    assert abs(got - exact) <= Fraction(math.ulp(0.0)), (total, kappa, e2)
 
     @pytest.mark.parametrize("zeta, bits", [(0.0, "0x1.9af4e7c309cf8p-9"),
                                             (0.3, "0x1.ed04b97c7198ep-10"),
