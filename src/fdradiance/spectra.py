@@ -319,11 +319,9 @@ def distribution_grid(params: TrajectoryParams, omegas, thetas, method: str,
     sin2 = np.array([math.sin(theta) ** 2 for theta in thetas])
     values, abs_errors = routes[method](params, omega_arr, us, sin2, tol)
     if method != "fermi-dirac":
-        # below this a unit value, or its product with e^2, is subnormal
-        smallest_normal = max(_TINY, _TINY / params.e_squared)
-        if values.min() < smallest_normal:
-            low = (values > 0.0) & (values < smallest_normal)
-            abs_errors[low] += 2.0 * math.ulp(0.0) + 2.0 * math.ulp(0.0) / params.e_squared
+        # a unit value, or its product with e^2, below the smallest normal
+        low = (values > 0.0) & (values < max(_TINY, _TINY / params.e_squared))
+        abs_errors[low] += 2.0 * math.ulp(0.0) + 2.0 * math.ulp(0.0) / params.e_squared
         values = _charged(params, omega_arr, values, "dI/dOmega")
         abs_errors = _charged(params, omega_arr, abs_errors, "the error bar of dI/dOmega")
     valid = (values >= 0.0) & np.isfinite(values) & (abs_errors >= 0.0)

@@ -432,6 +432,12 @@ class TestDistribution:
             distribution_grid(params, [1.0], [1.0], "fermi-dirac")
         with pytest.raises(DomainError, match="method"):
             distribution_grid(params, [1.0], [1.0], "exact")
+        # a grid with no omega or no direction is answered with empty arrays
+        for method, omegas, thetas in itertools.product(("numeric", "exact-zeta0"),
+                                                        ([], [1.0]), ([], [1.0])):
+            values, errors = distribution_grid(TrajectoryParams(1.0, 0.0), omegas, thetas,
+                                               method)
+            assert values.shape == errors.shape == (len(omegas), len(thetas))
 
     @pytest.mark.parametrize("zeta", [0.0, 0.3, -0.6])
     def test_fermi_dirac_grid_matches_one_point_calls(self, zeta):
