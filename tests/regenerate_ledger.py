@@ -64,6 +64,15 @@ CASES = [
      "spectrum --zeta 0.3 --tol 1e-6 --omega-min 0.1 --omega-max 8 --omega-steps 9"),
     ("numeric-both-sides-zeta-neg-0.6",
      "distribution --zeta -0.6 --omega-min 0.05 --omega-max 20 --omega-steps 4"),
+    ("fermi-dirac-kappa-1.3",
+     "distribution --method fermi-dirac --kappa 1.3 --omega-min 110 --omega-max 118 "
+     "--omega-steps 5"),
+    ("fermi-dirac-zeta-near-1",
+     "distribution --method fermi-dirac --zeta 0.999999 --omega-min 0.5 --omega-max 2 "
+     "--omega-steps 4"),
+    ("exact-subnormal-140-75deg",
+     "distribution --method exact-zeta0 --omega-min 140 --omega-max 140 --omega-steps 1 "
+     "--theta-min 1.3089969389957472 --theta-max 1.3089969389957472 --theta-steps 1"),
 ]
 
 
