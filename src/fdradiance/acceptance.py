@@ -160,22 +160,12 @@ def _c8_energy_zeta_trend(scale):
     return max(ratios) if finite_positive else math.inf, 1.0, detail
 
 
-def _kummer_point(rng, u, i, imaginary):
+def _kummer_point(rng, imaginary):
     """One (a, b, x) of criterion 9's Kummer identities, x pure imaginary or
-    not, and the index after the doubles it read.
-
-    u lists the doubles in [0, 1) that rng has drawn, in order, and grows
-    by a chunk of rng's when the point reads past its end; the point reads
-    from index i on. A draw from [lo, hi) is lo + (hi - lo) u[i], as
-    ``Generator.uniform`` takes it, so the points are the ones that
-    uniform draws from rng would give.
-    """
+    not, drawn from rng as ``Generator.uniform`` draws, bit for bit: a part
+    in [lo, hi) is lo + (hi - lo) rng.random()."""
     def uniform(lo, hi):
-        nonlocal i
-        if i == len(u):
-            u.extend(rng.random(256).tolist())
-        i += 1
-        return lo + (hi - lo) * u[i - 1]
+        return lo + (hi - lo) * rng.random()
 
     a = complex(uniform(-10, 10), uniform(-10, 10))
     while True:
@@ -189,8 +179,8 @@ def _kummer_point(rng, u, i, imaginary):
     if imaginary:
         # pure imaginary argument: neither side triggers the internal
         # sign flip, so two genuinely different series are compared
-        return (a, b, complex(0.0, uniform(-15, 15))), i
-    return (a, b, complex(uniform(-8, 8), uniform(-8, 8))), i
+        return a, b, complex(0.0, uniform(-15, 15))
+    return a, b, complex(uniform(-8, 8), uniform(-8, 8))
 
 
 def _kummer_series(a, b, x):
@@ -224,20 +214,18 @@ def _c9_special_function_identities(scale):
         worst_refl = max(worst_refl, _rel(val, ref))
 
     rng = np.random.default_rng(20240817)
-    u, i = [], 0   # rng's doubles so far, and the index of the next point's first
     worst_kummer = 0.0
     accepted = 0
     rejected = 0
     while accepted < 40 and rejected < 200:
-        # Draw the remaining points as if each will be accepted, keeping the
-        # stream index after each, and sum all their series in one call:
+        # Draw the remaining points as if each will be accepted, saving the
+        # generator's state after each, and sum all their series in one call:
         # every element keeps the bits of its own call, and the call marks
         # exactly the elements whose own call would refuse.
-        points, ends = [], []
+        points, states = [], []
         for k in range(accepted, 40):
-            point, i = _kummer_point(rng, u, i, imaginary=k % 8 < 5)
-            points.append(point)
-            ends.append(i)
+            points.append(_kummer_point(rng, imaginary=k % 8 < 5))
+            states.append(rng.bit_generator.state)
         series = [_kummer_series(*point) for point in points]
         a, b, x = zip(*(s for group in series for s in group))
         try:
@@ -246,7 +234,7 @@ def _c9_special_function_identities(scale):
         except ConvergenceError as exc:
             values, failed = exc.best.tolist(), exc.failed.tolist()
         start = 0
-        for point, end, group in zip(points, ends, series):
+        for point, state, group in zip(points, states, series):
             stop = start + len(group)
             if any(failed[start:stop]):
                 # near a zero of the function the series cancellation makes
@@ -254,7 +242,7 @@ def _c9_special_function_identities(scale):
                 # witness the identity at that accuracy and are redrawn
                 # (counted below), from right after this point's draws
                 rejected += 1
-                i = end
+                rng.bit_generator.state = state
                 break
             worst_kummer = max(worst_kummer, _kummer_error(*point, values[start:stop]))
             accepted += 1

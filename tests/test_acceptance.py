@@ -156,10 +156,9 @@ def test_kummer_identities_work(monkeypatch):
 
 
 def test_kummer_points_are_the_generator_uniform_draws():
-    # criterion 9 reads the generator's doubles as a list, x in [lo, hi)
-    # as lo + (hi - lo) u, and resumes a redraw at an index of that list;
-    # its points are those of Generator.uniform draws, bit for bit, also
-    # when they read past a chunk of the list
+    # criterion 9 draws x in [lo, hi) as lo + (hi - lo) rng.random(), and
+    # resumes a redraw from the generator's state saved after a point; its
+    # points are those of Generator.uniform draws, bit for bit
     def drawn(rng, imaginary):
         a = complex(rng.uniform(-10, 10), rng.uniform(-10, 10))
         while True:
@@ -173,12 +172,12 @@ def test_kummer_points_are_the_generator_uniform_draws():
 
     reference = np.random.default_rng(7)
     rng = np.random.default_rng(7)
-    u, i, drawn_points = [], 0, []
+    drawn_points, states = [], []
     for k in range(120):
-        point, i = acceptance._kummer_point(rng, u, i, imaginary=k % 3 == 0)
+        point = acceptance._kummer_point(rng, imaginary=k % 3 == 0)
         assert point == drawn(reference, imaginary=k % 3 == 0)
-        drawn_points.append((point, i))
-    assert len(u) > 256
-    # resuming at the index after point 50 gives point 51 again
-    after_50 = drawn_points[49][1]
-    assert acceptance._kummer_point(rng, u, after_50, imaginary=False) == drawn_points[50]
+        drawn_points.append(point)
+        states.append(rng.bit_generator.state)
+    # restoring the state saved after point 50 gives point 51 again
+    rng.bit_generator.state = states[49]
+    assert acceptance._kummer_point(rng, imaginary=False) == drawn_points[50]
