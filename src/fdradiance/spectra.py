@@ -265,23 +265,39 @@ def _fermi_dirac_values(params: TrajectoryParams, omegas, us, sin2, tol: float):
 
     Arguments as for ``_numeric_values``, but theta0 is the route's only
     direction, so us, sin2 and tol are not read. The value is P/(e^{2 pi y}
-    + 1) with P = (1 - zeta^2)(e^2/8 pi^2) y and y = omega/kappa: e^2 sits
-    inside the closed form's prefactor, and the value is already charged.
-    Where y overflows a double the occupancy, and so the value, is 0. The
-    bar is _CLOSED_FORM_REL of the value, plus, where the occupancy or the
-    value is subnormal, (P + 1) times two of the smallest subnormal: the
-    occupancy's rounding times P and the value's own. Returns (values,
-    abs_errors), each of shape (omegas.size, 1).
+    + 1) with P = (1 - zeta)(1 + zeta)(e^2/8 pi^2) y and y = omega/kappa:
+    e^2 sits inside the closed form's prefactor, and the value is already
+    charged. 1 - zeta^2 is formed as a product, which does not cancel as
+    |zeta| -> 1. Where y overflows a double the occupancy, and so the
+    value, is 0.
+
+    The bar is _CLOSED_FORM_REL of the value plus 2 eps (1 + 2 pi y) of it,
+    eps the double's epsilon, for two roundings whose effect grows with y.
+    y = omega/kappa rounds by up to eps/2, and d ln(value)/d ln(y) = 1 -
+    2 pi y (1 - occupancy) lies in [1 - 2 pi y, 1], so the value moves by
+    up to (1 + 2 pi y) eps/2 of itself. 2 pi y carries the roundings of pi
+    and of its product with y, eps in all, and d ln(occupancy)/d ln(2 pi y)
+    is at most 2 pi y, so the value moves by up to 2 pi y eps more. Their sum
+    is below 1.5 eps (1 + 2 pi y); c = 2 leaves eps/2 of (1 + 2 pi y) for
+    ``exp`` and the prefactor's roundings, whose few eps _CLOSED_FORM_REL
+    covers on its own. Where the occupancy or the value is subnormal, the bar
+    adds (P + 1) times two of the smallest subnormal: the occupancy's
+    rounding times P and the value's own. Returns (values, abs_errors), each
+    of shape (omegas.size, 1).
     """
+    zeta = params.zeta
     with np.errstate(over="ignore", invalid="ignore"):
         y = omegas / params.kappa
-        occupancy = _occupancy(2.0 * math.pi * y)
-        pref = (1.0 - params.zeta**2) * params.e_squared / (8.0 * math.pi**2) * y
-        # where y overflows, pref * occupancy is inf * 0 for a true 0
-        values = np.where(occupancy > 0.0, pref * occupancy, 0.0)
-    subnormal = (occupancy > 0.0) & ((occupancy < _TINY) | (values < _TINY))
+        x = 2.0 * math.pi * y
+        occupancy = _occupancy(x)
+        pref = (1.0 - zeta) * (1.0 + zeta) * params.e_squared / (8.0 * math.pi**2) * y
+        lit = occupancy > 0.0
+        # where y overflows, pref * occupancy and the bar are inf * 0 for a true 0
+        values = np.where(lit, pref * occupancy, 0.0)
+        bars = np.where(lit, values * (_CLOSED_FORM_REL + 2.0 * math.ulp(1.0) * (1.0 + x)), 0.0)
+    subnormal = lit & ((occupancy < _TINY) | (values < _TINY))
     rounding = np.where(subnormal, (pref + 1.0) * (2.0 * math.ulp(0.0)), 0.0)
-    return values[:, None], (values * _CLOSED_FORM_REL + rounding)[:, None]
+    return values[:, None], (bars + rounding)[:, None]
 
 
 def distribution_grid(params: TrajectoryParams, omegas, thetas, method: str,

@@ -99,21 +99,35 @@ class TestDistribution:
         assert got.theta == math.pi / 2
         assert rel(got.value, FD_UNIT) < 1e-13
 
-    def test_fd_bar_covers_a_subnormal_value(self):
-        # at omega/kappa 115, zeta 0.3 the value 1.9e-315 is subnormal, and
-        # its bar covers the 60-digit value; a normal value's bar stays
-        # _CLOSED_FORM_REL of it, bit for bit
-        params = TrajectoryParams(1.0, 0.3)
-        omegas = np.array([0.5, 1.0, 10.0, 100.0, 115.0])
-        values, errors = distribution_grid(params, omegas, [math.acos(0.3)], "fermi-dirac")
-        assert np.array_equal(errors[:4], values[:4] * spectra._CLOSED_FORM_REL)
-        value, error = values.item(4), errors.item(4)
-        assert 0.0 < value < sys.float_info.min and 0.0 < error <= 1e-8 * value
+    @pytest.mark.parametrize("kappa, zeta, omegas", [
+        (1.0, 0.3, [0.5, 1.0, 10.0, 100.0, 115.0]),
+        (1.3, 0.0, [118.0]),
+        (1.0, 0.999999, [0.5, 1.0, 1.5, 2.0]),
+        (1.0, 1.0 - 2.0**-30, [0.5, 1.0, 1.5, 2.0]),
+    ], ids=["zeta-0.3-subnormal", "kappa-1.3", "zeta-0.999999", "zeta-1-2^-30"])
+    def test_fd_bar_covers_a_subnormal_value(self, kappa, zeta, omegas):
+        # every bar covers the 60-digit value at the exact omega/kappa: at
+        # omega/kappa 115, zeta 0.3 the value 1.9e-315 is subnormal; at kappa
+        # 1.3, omega 118 the rounding of y = 90.77 moves the value by more
+        # than 1e-13 of it; near |zeta| = 1, 1 - zeta^2 formed by subtraction
+        # was off by up to 4.7e-10. A normal value's bar is _CLOSED_FORM_REL
+        # plus 2 eps (1 + 2 pi y) of it, bit for bit
+        params = TrajectoryParams(kappa, zeta)
+        omegas = np.array(omegas)
+        values, errors = distribution_grid(params, omegas, [math.acos(zeta)], "fermi-dirac")
+        values, errors = values[:, 0], errors[:, 0]
+        normal = values >= sys.float_info.min
+        bars = values * (spectra._CLOSED_FORM_REL
+                         + 2.0 * math.ulp(1.0) * (1.0 + 2.0 * math.pi * (omegas / kappa)))
+        assert np.array_equal(errors[normal], bars[normal])
+        assert all(0.0 < error <= 1e-8 * value
+                   for value, error in zip(values[~normal], errors[~normal]))
         with mp.workdps(60):
-            y = mp.mpf(115)
-            exact = ((1 - mp.mpf(0.3) ** 2) * mp.mpf(params.e_squared) / (8 * mp.pi**2)
-                     * y / (mp.exp(2 * mp.pi * y) + 1))
-            assert abs(mp.mpf(value) - exact) <= error
+            for omega, value, error in zip(omegas.tolist(), values.tolist(), errors.tolist()):
+                y = mp.mpf(omega) / mp.mpf(kappa)
+                exact = ((1 - mp.mpf(zeta) ** 2) * mp.mpf(params.e_squared) / (8 * mp.pi**2)
+                         * y / (mp.exp(2 * mp.pi * y) + 1))
+                assert abs(mp.mpf(value) - exact) <= error
 
     def test_fd_observation_angle_tracks_zeta(self):
         got = fermi_dirac_distribution(TrajectoryParams(1, 0.5, 1), 1.0)
