@@ -316,7 +316,8 @@ def distribution_grid(params: TrajectoryParams, omegas, thetas, method: str,
     ``_fermi_dirac_values`` does, so no such value has a zero bar. On every
     route, a sample whose abs_error exceeds _REFUSAL of its value, or a lit
     one whose value underflows to 0, raises ``ConvergenceError`` with that
-    sample as ``best``.
+    sample as ``best``; the bar is divided by _REFUSAL rather than the value
+    multiplied, which would round a subnormal value's side of the test.
     """
     routes = {"numeric": _numeric_values, "exact-zeta0": _exact_zeta0_values,
               "fermi-dirac": _fermi_dirac_values}
@@ -343,7 +344,7 @@ def distribution_grid(params: TrajectoryParams, omegas, thetas, method: str,
     valid = (values >= 0.0) & np.isfinite(values) & (abs_errors >= 0.0)
     # a lit direction's value is positive: a 0 there has underflowed
     underflow = (values == 0.0) & (sin2 != 0.0)
-    refused = (abs_errors > _REFUSAL * values) | underflow
+    refused = (abs_errors / _REFUSAL > values) | underflow
     if not valid.all() or refused.any():
         # the first invalid sample, whose SpectralSample raises DomainError,
         # else the first refused one, omega-major

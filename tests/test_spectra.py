@@ -294,6 +294,7 @@ class TestDistribution:
     @pytest.mark.parametrize("y, deg, frozen, want", [
         (125.0, 85, "0x0.0000000000002p-1022", "9.6501937217461066192e-324"),
         (150.0, 70, "0x0.000000000004bp-1022", "3.6873604906722917193e-322"),
+        (140.0, 75, "0x0.00000000006b7p-1022", "8.4955346587972762937e-321"),
     ])
     def test_subnormal_exact_value_has_a_rounding_bar(self, y, deg, frozen, want, method):
         # at kappa 1, e^2 4 pi alpha, these values are subnormal on both
@@ -303,7 +304,8 @@ class TestDistribution:
         # oracles.exact_distribution at 60 + 3.2 omega/kappa digits (80
         # more change neither), a difference that only shows in more than
         # double precision. The bar is more than _REFUSAL of such a value,
-        # so the grid refuses the cell
+        # so the grid refuses the cell, also at (140, 75 deg), whose bar is
+        # 1.16e-3 of it: _REFUSAL times that value rounds up to the bar
         params = TrajectoryParams(1.0, 0.0)
         theta = math.radians(deg)
         with pytest.raises(ConvergenceError, match="error bar above") as info:
