@@ -278,8 +278,8 @@ def _fermi_dirac_values(params: TrajectoryParams, omegas, us, sin2, tol: float):
     up to (1 + 2 pi y) eps/2 of itself. 2 pi y carries the roundings of pi
     and of its product with y, eps in all, and d ln(occupancy)/d ln(2 pi y)
     is at most 2 pi y, so the value moves by up to 2 pi y eps more. Their sum
-    is below 1.5 eps (1 + 2 pi y); c = 2 leaves eps/2 of (1 + 2 pi y) for
-    ``exp`` and the prefactor's roundings, whose few eps _CLOSED_FORM_REL
+    is below 1.5 eps (1 + 2 pi y); the factor 2 leaves eps/2 of (1 + 2 pi y)
+    for ``exp`` and the prefactor's roundings, whose few eps _CLOSED_FORM_REL
     covers on its own. Where the occupancy or the value is subnormal, the bar
     adds (P + 1) times two of the smallest subnormal: the occupancy's
     rounding times P and the value's own. Returns (values, abs_errors), each
