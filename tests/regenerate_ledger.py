@@ -73,6 +73,8 @@ CASES = [
     ("exact-subnormal-140-75deg",
      "distribution --method exact-zeta0 --omega-min 140 --omega-max 140 --omega-steps 1 "
      "--theta-min 1.3089969389957472 --theta-max 1.3089969389957472 --theta-steps 1"),
+    ("mirror-zeta-near-1", "mirror --zeta 0.999999 --duality"),
+    ("mirror-kappa-subnormal", "mirror --kappa 1e-310 --duality --pq-steps 2"),
 ]
 
 
