@@ -21,9 +21,9 @@ family follow by the variable change u = p+q, w = (p-q)/u, under which
 the constrained double integral collapses to a single integral in u with
 Jacobian u/2 (the constraint delta function is eliminated exactly, never
 sampled numerically). With u = omega it is term for term the emission
-side's over e^2, so the quadrature companions are ``spectra``'s at e^2 = 1;
-the acceptance suite checks |beta|^2 and the pair count against the
-saddle-contour route at the special angle instead.
+side's over e^2, so the closed totals and their quadrature companions are
+``spectra``'s at e^2 = 1; the acceptance suite checks |beta|^2 and the
+pair count against the saddle-contour route at the special angle instead.
 
 The per-mode functions (``map_to_modes``, ``beta_squared_from_distribution``,
 ``beta_squared_fd``, ``beta_squared_fd_limit``) are elementwise: they take
@@ -41,7 +41,8 @@ import math
 import numpy as np
 
 from .errors import ConstraintError, DomainError, OverflowRangeError, RegimeError
-from .spectra import (_check_omega, _occupancy, fd_partial_energy_quadrature,
+from .spectra import (_check_omega, _occupancy, fd_partial_energy,
+                      fd_partial_energy_quadrature, fd_particle_count,
                       fd_particle_count_quadrature)
 from .trajectory import TrajectoryParams, _check_e_squared
 
@@ -90,32 +91,27 @@ def _occupied(num, den, freq, kappa):
     """|beta|^2 = num / (den freq kappa) / (e^{2 pi freq/kappa} + 1), elementwise.
 
     Where the prefactor num/(den freq kappa) leaves the double range the
-    product is taken in logs (``_logged``): a true |beta|^2 that underflows
-    (at small kappa the occupancy falls faster than the prefactor grows)
-    is 0, and only one past the largest double is refused, naming the
-    first such frequency.
+    product is taken in logs: a true |beta|^2 that underflows (at small
+    kappa the occupancy falls faster than the prefactor grows) is 0, and
+    only one past the largest double is refused, naming the first such
+    frequency.
     """
     with np.errstate(over="ignore", divide="ignore", under="ignore", invalid="ignore"):
-        beta2 = np.array(num / (den * freq * kappa)
-                         * _occupancy(2.0 * math.pi * freq / kappa))
-    off = np.flatnonzero(~np.isfinite(beta2))
-    beta2.flat[off] = [_logged(num, den, f, kappa) for f in freq.ravel()[off].tolist()]
+        x = 2.0 * math.pi * freq / kappa
+        beta2 = np.array(num / (den * freq * kappa) * _occupancy(x))
+        off = ~np.isfinite(beta2)
+        if off.any():
+            freq, x = freq[off], x[off]
+            occupancy = _occupancy(x)
+            # ln occupancy is -x - ln(1 + e^{-x}), and -x alone where it underflows
+            log_occupancy = np.where(occupancy > 0.0, np.log(occupancy), -x)
+            beta2[off] = np.exp(math.log(num) - math.log(den) - np.log(freq)
+                                - math.log(kappa) + log_occupancy)
+            over = np.isinf(beta2[off])
+            if over.any():
+                raise OverflowRangeError(f"|beta|^2 at frequency {freq[over][0]:g}, "
+                                         f"kappa {kappa:g} overflows a double")
     return beta2[()]
-
-
-def _logged(num, den, freq, kappa):
-    """One element of ``_occupied`` in logs, or ``OverflowRangeError``."""
-    x = 2.0 * math.pi * freq / kappa
-    occupancy = _occupancy(x)
-    # ln occupancy is -x - ln(1 + e^{-x}), and -x alone where it underflows
-    log_occupancy = math.log(occupancy) if occupancy > 0.0 else -x
-    log_beta2 = (math.log(num) - math.log(den) - math.log(freq) - math.log(kappa)
-                 + log_occupancy)
-    try:
-        return math.exp(log_beta2)
-    except OverflowError:
-        raise OverflowRangeError(f"|beta|^2 at frequency {freq:g}, "
-                                 f"kappa {kappa:g} overflows a double") from None
 
 
 def beta_squared_fd(p, q, kappa: float, zeta: float):
@@ -158,9 +154,8 @@ def beta_squared_fd_limit(q, kappa: float, zeta_near_minus_one: float):
 
 
 def mirror_fd_energy(kappa: float, zeta: float) -> float:
-    """Energy of the constrained pair family: kappa (1 - zeta^2)/(192 pi)."""
-    TrajectoryParams(kappa, zeta)
-    return kappa * (1.0 - zeta**2) / (192.0 * math.pi)
+    """Energy of the constrained pair family, ``fd_partial_energy`` at e^2 = 1."""
+    return fd_partial_energy(TrajectoryParams(kappa, zeta, 1.0))
 
 
 def mirror_fd_energy_quadrature(kappa: float, zeta: float,
@@ -170,13 +165,12 @@ def mirror_fd_energy_quadrature(kappa: float, zeta: float,
 
 
 def mirror_particle_count(zeta: float, kappa: float = 1.0) -> float:
-    """Total created pairs of the constrained family: (1-zeta^2) ln 2/(8 pi^2).
+    """Total created pairs of the constrained family, ``fd_particle_count`` at e^2 = 1.
 
     Independent of kappa; the parameter is accepted for symmetry with the
     quadrature companion, where it sets the integration scale.
     """
-    TrajectoryParams(kappa, zeta)
-    return (1.0 - zeta**2) * math.log(2.0) / (8.0 * math.pi**2)
+    return fd_particle_count(TrajectoryParams(kappa, zeta, 1.0))
 
 
 def mirror_particle_count_quadrature(zeta: float, kappa: float = 1.0,

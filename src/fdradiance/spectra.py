@@ -386,8 +386,7 @@ def _occupancy(x):
     e = np.exp(-np.abs(x))
     pos = e / (1.0 + e)          # x >= 0
     neg = 1.0 / (1.0 + e)        # x < 0
-    out = np.where(x >= 0.0, pos, neg)
-    return float(out) if out.ndim == 0 else out
+    return np.where(x >= 0.0, pos, neg)
 
 
 def fermi_dirac_distribution(params: TrajectoryParams, omega: float) -> SpectralSample:
