@@ -136,7 +136,7 @@ def beta_squared_fd(p, q, kappa: float, zeta: float):
             f"mode pair (p={float(p[off][0])}, q={float(q[off][0])}) violates "
             f"p/q = (1+zeta)/(1-zeta) for zeta={zeta}"
         )
-    return _occupied(1.0 - zeta**2, 2.0 * math.pi, u, kappa)
+    return _occupied((1.0 - zeta) * (1.0 + zeta), 2.0 * math.pi, u, kappa)
 
 
 def beta_squared_fd_limit(q, kappa: float, zeta_near_minus_one: float):

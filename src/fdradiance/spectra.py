@@ -31,7 +31,9 @@ module. Closed forms always come with an explicit quadrature companion so
 each claim is checkable against an independent code path. Every route
 reads kappa only through y = omega/kappa: a value at omega = kappa y is
 its kappa = 1 value at y, and a total or energy companion kappa times
-its own.
+its own. The special-angle totals and their companions form 1 - zeta^2
+as (1 - zeta)(1 + zeta), which does not cancel as |zeta| -> 1, and take
+e^2 as their last factor, as ``_charged`` does.
 
 The three routes share one signature, (params, omegas, us, sin2, tol)
 -> (values, abs_errors) on the grid omegas x directions, so their callers
@@ -606,7 +608,8 @@ def _unit_total(zeta: float, tol: float) -> float:
 
 def fd_partial_energy(params: TrajectoryParams) -> float:
     """Energy carried by the special-angle form: e^2 kappa (1-zeta^2)/(192 pi)."""
-    return params.e_squared * params.kappa * (1.0 - params.zeta**2) / (192.0 * math.pi)
+    zeta = params.zeta
+    return (1.0 - zeta) * (1.0 + zeta) / (192.0 * math.pi) * params.kappa * params.e_squared
 
 
 @functools.cache
@@ -633,8 +636,9 @@ def _fd_moment(params: TrajectoryParams, power: int, tol: float) -> float:
     once per (power, tol) per process and is scaled by that prefactor, so
     a sweep over zeta, kappa or e^2 costs no further quadrature.
     """
-    return ((1.0 - params.zeta**2) / (4.0 * math.pi) * _fd_shape(power, tol)
-            * params.e_squared * params.kappa**power)
+    zeta = params.zeta
+    return ((1.0 - zeta) * (1.0 + zeta) / (4.0 * math.pi) * _fd_shape(power, tol)
+            * params.kappa**power * params.e_squared)
 
 
 def fd_partial_energy_quadrature(params: TrajectoryParams,
@@ -645,7 +649,8 @@ def fd_partial_energy_quadrature(params: TrajectoryParams,
 
 def fd_particle_count(params: TrajectoryParams) -> float:
     """Photon count of the special-angle form: e^2 (1-zeta^2) ln 2/(8 pi^2)."""
-    return params.e_squared * (1.0 - params.zeta**2) * math.log(2.0) / (8.0 * math.pi**2)
+    zeta = params.zeta
+    return (1.0 - zeta) * (1.0 + zeta) * math.log(2.0) / (8.0 * math.pi**2) * params.e_squared
 
 
 def fd_particle_count_quadrature(params: TrajectoryParams,

@@ -1,6 +1,7 @@
 """Mode mapping, pair-creation coefficients, and the two-sided duality."""
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -25,7 +26,9 @@ from fdradiance.spectra import (
     EmissionDirection,
     distribution_numeric,
     fd_partial_energy,
+    fd_partial_energy_quadrature,
     fd_particle_count,
+    fd_particle_count_quadrature,
     fermi_dirac_distribution,
 )
 from fdradiance.trajectory import TrajectoryParams
@@ -114,6 +117,13 @@ class TestBetaSquared:
         tiny = beta_squared_fd(5e-156, 5e-156, 1e-155, 0.0)
         unit = beta_squared_fd(0.5, 0.5, 1.0, 0.0)
         assert tiny / 1e155 == pytest.approx(unit * 1e155, rel=1e-12)
+        # the occupancy e^{-754} underflows, but the true |beta|^2 does not:
+        # the log form takes ln occupancy as -x
+        u, kappa = 0.6e-168 + 0.6e-168, 1e-170
+        with mp.workdps(60):
+            x = 2 * mp.pi * mp.mpf(u) / mp.mpf(kappa)
+            want = 1 / (2 * mp.pi * mp.mpf(u) * mp.mpf(kappa)) / (mp.exp(x) + 1)
+        assert rel(beta_squared_fd(0.6e-168, 0.6e-168, kappa, 0.0), want) < 1e-12
 
     def test_constraint_accepts_matched_pair(self):
         zeta = 0.3
@@ -186,10 +196,32 @@ class TestSummaries:
         for zeta in (-0.5, 0.0, 0.5):
             params = TrajectoryParams(1.3, zeta, 0.7)
             e2 = params.e_squared
-            assert rel(fd_partial_energy(params),
-                       e2 * mirror_fd_energy(1.3, zeta)) < 1e-14
-            assert rel(fd_particle_count(params),
-                       e2 * mirror_particle_count(zeta)) < 1e-14
+            # e^2 is the last factor on the emission side
+            assert fd_partial_energy(params) == e2 * mirror_fd_energy(1.3, zeta)
+            assert fd_particle_count(params) == e2 * mirror_particle_count(zeta)
+
+    @pytest.mark.parametrize("zeta", [1 - 2**-30, -(1 - 2**-30), 0.999999])
+    def test_totals_near_zeta_one_against_oracle(self, zeta):
+        # 1 - zeta^2 formed by subtraction would cancel to about 1e-10 here
+        kappa, e2 = 1.3, 0.7
+        params = TrajectoryParams(kappa, zeta, e2)
+        p, q = 0.7 * (1 + zeta) / 2, 0.7 * (1 - zeta) / 2
+        with mp.workdps(60):
+            unit = 1 - mp.mpf(zeta) ** 2
+            energy = unit * mp.mpf(kappa) / (192 * mp.pi)
+            count = unit * mp.log(2) / (8 * mp.pi**2)
+            u = mp.mpf(p + q)
+            beta2 = unit / (2 * mp.pi * u * kappa) / (mp.exp(2 * mp.pi * u / kappa) + 1)
+        for got, want in [(fd_partial_energy(params), e2 * energy),
+                          (fd_partial_energy_quadrature(params), e2 * energy),
+                          (fd_particle_count(params), e2 * count),
+                          (fd_particle_count_quadrature(params), e2 * count),
+                          (mirror_fd_energy(kappa, zeta), energy),
+                          (mirror_fd_energy_quadrature(kappa, zeta), energy),
+                          (mirror_particle_count(zeta), count),
+                          (mirror_particle_count_quadrature(zeta, kappa), count),
+                          (beta_squared_fd(p, q, kappa, zeta), beta2)]:
+            assert rel(got, want) < 1e-14
 
     def test_argument_validation(self):
         with pytest.raises(DomainError):

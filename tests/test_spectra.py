@@ -1134,6 +1134,20 @@ class TestPartialForms:
                        mirror.mirror_fd_energy(kappa, zeta)) < 1e-12
             assert rel(mirror.mirror_particle_count_quadrature(zeta, kappa),
                        mirror.mirror_particle_count(zeta, kappa)) < 1e-12
+        # kappa and e^2 both near the double range's ends: e^2 kappa is
+        # near 1 but neither e^2 kappa nor kappa e^2 rounds only once. A
+        # count that is itself subnormal is held to its rounding there
+        with mp.workdps(60):
+            for kappa, e2 in [(10.0, 1e308), (1e300, 1e-320), (1e-300, 1e300)]:
+                params = TrajectoryParams(kappa, zeta, e2)
+                unit = (1 - mp.mpf(zeta) ** 2) * mp.mpf(e2)
+                energy = unit * mp.mpf(kappa) / (192 * mp.pi)
+                count = unit * mp.log(2) / (8 * mp.pi**2)
+                for got, want in [(fd_partial_energy(params), energy),
+                                  (fd_partial_energy_quadrature(params), energy),
+                                  (fd_particle_count(params), count),
+                                  (fd_particle_count_quadrature(params), count)]:
+                    assert abs(got - want) <= 1e-12 * want + math.ulp(0.0)
 
     def test_partial_below_total(self):
         for zeta in (-0.5, 0.0, 0.5):
