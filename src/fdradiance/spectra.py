@@ -31,9 +31,7 @@ module. Closed forms always come with an explicit quadrature companion so
 each claim is checkable against an independent code path. Every route
 reads kappa only through y = omega/kappa: a value at omega = kappa y is
 its kappa = 1 value at y, and a total or energy companion kappa times
-its own. The special-angle totals and their companions form 1 - zeta^2
-as (1 - zeta)(1 + zeta), which does not cancel as |zeta| -> 1, and take
-e^2 as their last factor, as ``_charged`` does.
+its own.
 
 The three routes share one signature, (params, omegas, us, sin2, tol)
 -> (values, abs_errors) on the grid omegas x directions, so their callers
@@ -608,8 +606,10 @@ def _unit_total(zeta: float, tol: float) -> float:
 
 def fd_partial_energy(params: TrajectoryParams) -> float:
     """Energy carried by the special-angle form: e^2 kappa (1-zeta^2)/(192 pi)."""
-    zeta = params.zeta
-    return (1.0 - zeta) * (1.0 + zeta) / (192.0 * math.pi) * params.kappa * params.e_squared
+    zeta, kappa, e2 = params.zeta, params.kappa, params.e_squared
+    unit = (1.0 - zeta) * (1.0 + zeta) / (192.0 * math.pi)
+    # the larger factor first: unit < 1 keeps it finite, normal unless E is not
+    return unit * kappa * e2 if kappa >= e2 else unit * e2 * kappa
 
 
 @functools.cache
@@ -636,9 +636,10 @@ def _fd_moment(params: TrajectoryParams, power: int, tol: float) -> float:
     once per (power, tol) per process and is scaled by that prefactor, so
     a sweep over zeta, kappa or e^2 costs no further quadrature.
     """
-    zeta = params.zeta
-    return ((1.0 - zeta) * (1.0 + zeta) / (4.0 * math.pi) * _fd_shape(power, tol)
-            * params.kappa**power * params.e_squared)
+    zeta, scale, e2 = params.zeta, params.kappa**power, params.e_squared
+    unit = (1.0 - zeta) * (1.0 + zeta) / (4.0 * math.pi) * _fd_shape(power, tol)
+    # the larger of kappa^power and e^2 first, as in fd_partial_energy
+    return unit * scale * e2 if scale >= e2 else unit * e2 * scale
 
 
 def fd_partial_energy_quadrature(params: TrajectoryParams,

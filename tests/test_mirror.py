@@ -196,7 +196,7 @@ class TestSummaries:
         for zeta in (-0.5, 0.0, 0.5):
             params = TrajectoryParams(1.3, zeta, 0.7)
             e2 = params.e_squared
-            # e^2 is the last factor on the emission side
+            # at kappa >= e^2 the emission side takes kappa before e^2
             assert fd_partial_energy(params) == e2 * mirror_fd_energy(1.3, zeta)
             assert fd_particle_count(params) == e2 * mirror_particle_count(zeta)
 

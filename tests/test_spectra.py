@@ -1134,11 +1134,15 @@ class TestPartialForms:
                        mirror.mirror_fd_energy(kappa, zeta)) < 1e-12
             assert rel(mirror.mirror_particle_count_quadrature(zeta, kappa),
                        mirror.mirror_particle_count(zeta, kappa)) < 1e-12
-        # kappa and e^2 both near the double range's ends: e^2 kappa is
-        # near 1 but neither e^2 kappa nor kappa e^2 rounds only once. A
-        # count that is itself subnormal is held to its rounding there
+        # kappa and e^2 near opposite ends of the double range. At (10,
+        # 1e308) e^2 kappa overflows; at (1e300, 1e-320) the unit times e^2,
+        # and at (1e-320, 1e300) and (1e-310, 1e300) the unit times kappa,
+        # is subnormal and rounds off up to 11% of the total; (1e-300,
+        # 1e300) keeps every order in range. A count that is itself
+        # subnormal is held to its rounding
         with mp.workdps(60):
-            for kappa, e2 in [(10.0, 1e308), (1e300, 1e-320), (1e-300, 1e300)]:
+            for kappa, e2 in [(10.0, 1e308), (1e300, 1e-320), (1e-300, 1e300),
+                              (1e-320, 1e300), (1e-310, 1e300)]:
                 params = TrajectoryParams(kappa, zeta, e2)
                 unit = (1 - mp.mpf(zeta) ** 2) * mp.mpf(e2)
                 energy = unit * mp.mpf(kappa) / (192 * mp.pi)
