@@ -160,7 +160,7 @@ def run_energy(ns):
         if method in ("spectral", "both"):
             spectral.append(total_energy_spectral(params, tol=max(ns.tol, 1e-6)))
     zetas = [params.zeta for params in worldlines]
-    # E/(e^2 kappa) by two divisions: e^2 kappa alone may leave the double range
+    # E/(e^2 kappa) by two divisions, which fix the ratio columns' bits
     e2, kappa = base.e_squared, base.kappa
     if method == "both":
         return {
@@ -322,12 +322,12 @@ def _write_json(stream, table, summary, config_echo):
 def _add_common(sub, *, radiation=True):
     """--kappa/--zeta, then --e-squared/--tol for radiation, then output options."""
     sub.add_argument("--kappa", type=float, default=1.0,
-                     help="acceleration scale (default 1.0)")
+                     help="acceleration scale in [2^-256, 2^256] (default 1.0)")
     sub.add_argument("--zeta", type=float, default=0.0, action=_Given,
                      help="shape parameter in (-1, 1) (default 0)")
     if radiation:
         sub.add_argument("--e-squared", type=float, default=E_SQUARED_DEFAULT,
-                         help="squared charge (default 4*pi*alpha)")
+                         help="squared charge in [2^-256, 2^256] (default 4*pi*alpha)")
         sub.add_argument("--tol", type=float, default=1e-8,
                          help="relative tolerance (default 1e-8)")
     _add_output(sub)

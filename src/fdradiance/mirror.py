@@ -41,7 +41,7 @@ import math
 import numpy as np
 
 from .errors import ConstraintError, DomainError, OverflowRangeError, RegimeError
-from .spectra import (_check_omega, _occupancy, fd_partial_energy,
+from .spectra import (_TINY, _check_omega, _occupancy, fd_partial_energy,
                       fd_partial_energy_quadrature, fd_particle_count,
                       fd_particle_count_quadrature)
 from .trajectory import TrajectoryParams, _check_e_squared
@@ -90,21 +90,21 @@ def beta_squared_from_distribution(omega, value, e_squared: float):
 def _occupied(num, den, freq, kappa):
     """|beta|^2 = num / (den freq kappa) / (e^{2 pi freq/kappa} + 1), elementwise.
 
-    Where the prefactor num/(den freq kappa) leaves the double range the
-    product is taken in logs: a true |beta|^2 that underflows (at small
-    kappa the occupancy falls faster than the prefactor grows) is 0, and
+    Where the prefactor num/(den freq kappa) leaves the double range, or
+    the occupancy lies below the smallest normal double and has lost bits,
+    the product is taken in logs: a true |beta|^2 that underflows is 0, and
     only one past the largest double is refused, naming the first such
     frequency.
     """
     with np.errstate(over="ignore", divide="ignore", under="ignore", invalid="ignore"):
         x = 2.0 * math.pi * freq / kappa
-        beta2 = np.array(num / (den * freq * kappa) * _occupancy(x))
-        off = ~np.isfinite(beta2)
+        occupancy = _occupancy(x)
+        beta2 = np.array(num / (den * freq * kappa) * occupancy)
+        off = ~np.isfinite(beta2) | (occupancy < _TINY)
         if off.any():
             freq, x = freq[off], x[off]
-            occupancy = _occupancy(x)
-            # ln occupancy is -x - ln(1 + e^{-x}), and -x alone where it underflows
-            log_occupancy = np.where(occupancy > 0.0, np.log(occupancy), -x)
+            # ln occupancy, never the log of a subnormal; x >= 0
+            log_occupancy = -x - np.log1p(np.exp(-x))
             beta2[off] = np.exp(math.log(num) - math.log(den) - np.log(freq)
                                 - math.log(kappa) + log_occupancy)
             over = np.isinf(beta2[off])

@@ -37,10 +37,9 @@ The three routes share one signature, (params, omegas, us, sin2, tol)
 -> (values, abs_errors) on the grid omegas x directions, so their callers
 pick a route once and call it without branching on it again; the
 Fermi-Dirac route's only direction is the special angle. The numeric and
-exact routes work at unit charge, and their callers take e^2 as the last
-factor (``_charged``) of a distribution or a spectrum, so only a result
-that is itself past the largest double overflows; the Fermi-Dirac form
-keeps e^2 in its prefactor, where it cannot overflow.
+exact routes work at unit charge, and their callers multiply a
+distribution or a spectrum by e^2; the Fermi-Dirac form keeps e^2 in its
+prefactor.
 ``distribution_grid`` runs any route on an (omega, theta) grid,
 omega-major, as (values, abs_errors) arrays, the Fermi-Dirac route on the
 special angle alone, and refuses on every route a sample whose error bar
@@ -69,10 +68,10 @@ import math
 
 import numpy as np
 
-from .errors import ConvergenceError, DomainError, OverflowRangeError
+from .errors import ConvergenceError, DomainError
 from .quadrature import _check_tol, _oscillatory_rows, integrate_semi_infinite
 from .specfun import _kummer_grid, ln_gamma
-from .trajectory import TrajectoryParams, _scaled_total
+from .trajectory import TrajectoryParams
 
 __all__ = [
     "EmissionDirection",
@@ -150,23 +149,6 @@ class SpectralSample:
             raise DomainError(f"method must be one of {_METHODS}")
         if not (self.abs_error >= 0.0):
             raise DomainError("abs_error must be non-negative")
-
-
-def _charged(params: TrajectoryParams, omegas, unit, name: str):
-    """e^2 times unit-charge values with a row (or an element) per omega.
-
-    e^2 is the last factor, so an e^2 near the largest double overflows
-    only a product that is itself past it; such a product raises
-    ``OverflowRangeError`` naming the quantity and its first omega.
-    """
-    with np.errstate(over="ignore"):
-        out = params.e_squared * unit
-    over = np.isinf(out)
-    if over.any():
-        first = over.reshape(omegas.size, -1).any(axis=1).argmax()
-        raise OverflowRangeError(f"{name} at omega={float(omegas[first]):.6g} "
-                                 "overflows a double")
-    return out
 
 
 def _numeric_values(params: TrajectoryParams, omegas, us, sin2, tol: float):
@@ -309,7 +291,7 @@ def distribution_grid(params: TrajectoryParams, omegas, thetas, method: str,
     (the closed form, zeta = 0 only) or "fermi-dirac" (the special angle
     alone: thetas must be [acos(zeta)]); the closed forms do not read tol.
     Thetas lie in [0, pi]. The first two routes work at unit charge, and e^2
-    is their last factor. Where a unit value, or its product with e^2, is
+    multiplies their values. Where a unit value, or its product with e^2, is
     positive and below the smallest normal double, each carries a rounding of
     up to half the smallest subnormal, which a relative bar underflows below:
     its bar adds (1 + 1/e^2) times two of the smallest subnormal, as
@@ -339,8 +321,8 @@ def distribution_grid(params: TrajectoryParams, omegas, thetas, method: str,
         # a unit value, or its product with e^2, below the smallest normal
         low = (values > 0.0) & (values < max(_TINY, _TINY / params.e_squared))
         abs_errors[low] += 2.0 * math.ulp(0.0) + 2.0 * math.ulp(0.0) / params.e_squared
-        values = _charged(params, omega_arr, values, "dI/dOmega")
-        abs_errors = _charged(params, omega_arr, abs_errors, "the error bar of dI/dOmega")
+        values = params.e_squared * values
+        abs_errors = params.e_squared * abs_errors
     valid = (values >= 0.0) & np.isfinite(values) & (abs_errors >= 0.0)
     # a lit direction's value is positive: a 0 there has underflowed
     underflow = (values == 0.0) & (sin2 != 0.0)
@@ -443,8 +425,7 @@ def _nested_cc(f, rows, scale, tol, abs_floor):
             grid[:, ::2] = vals
             grid[:, 1::2] = f(todo, us[1::2], sin2[1::2])
             vals, n = grid, order
-        with np.errstate(over="ignore"):     # an inf sum settles; callers refuse it
-            cur = scale * np.vecdot(vals[:, ::n // order], _cc_rule(order)[2])
+        cur = scale * np.vecdot(vals[:, ::n // order], _cc_rule(order)[2])
         done = np.abs(cur - out[todo]) <= np.maximum(tol * np.abs(cur), abs_floor)
         out[todo] = cur
         if done.any():
@@ -466,10 +447,10 @@ def energy_spectrum(params: TrajectoryParams, omega, tol: float = 1e-6,
     not yet settled. abs_floor, in the units of I, lets deep exponential
     tails of a larger frequency integral stop without chasing relative
     accuracy of negligible numbers; it changes when a row settles, never
-    which nodes a call takes. The rows run at unit charge, and e^2 is the
-    last factor of I (``_charged``). The integrand is the closed form at
-    zeta = 0 and quadrature otherwise (``force_numeric`` uses quadrature
-    at zeta = 0 too). A row's value is the same in any batch. tol must lie
+    which nodes a call takes. The rows run at unit charge, and e^2
+    multiplies I. The integrand is the closed form at zeta = 0 and
+    quadrature otherwise (``force_numeric`` uses quadrature at zeta = 0
+    too). A row's value is the same in any batch. tol must lie
     in (0, 1e-2]. A row unsettled at order 512 raises ``ConvergenceError``
     with its last value as ``best`` (``_unit_refusal``).
     """
@@ -489,7 +470,7 @@ def energy_spectrum(params: TrajectoryParams, omega, tol: float = 1e-6,
         w, best = float(omegas[todo[0]]), params.e_squared * float(out[todo[0]])
         raise _unit_refusal(lambda kappa, e2: ConvergenceError(
             f"angular quadrature did not stabilize for omega={kappa * w}", best=e2 * best))
-    out = _charged(params, omegas, out, "I(omega)")
+    out = params.e_squared * out
     return float(out[0]) if scalar else out
 
 
@@ -512,15 +493,13 @@ def _tail_rate(zeta):
 def total_energy_spectral(params: TrajectoryParams, tol: float = 1e-4) -> float:
     """Total energy by the spectral route: E = int_0^inf I(omega) domega.
 
-    I(omega) reads kappa only through omega/kappa, and e^2 is its last factor,
-    so E is e^2 kappa times the total at kappa = 1 and unit charge
-    (``_unit_total``), which runs once per (zeta, tol) per process; a sweep
-    over kappa or e^2 costs no further quadrature. The product is
-    ``trajectory._scaled_total``, which refuses an E past the double range or
-    underflowing it, as the Larmor total does. tol must lie in (0, 1e-2]; the
-    unit run's refusals, its own and its spectra's, raise on every call, with
-    their frequency, threshold and ``best`` in the caller's units
-    (``_unit_refusal``).
+    I(omega) reads kappa only through omega/kappa and is e^2 times its
+    unit-charge value, so E is e^2 kappa times the total at kappa = 1 and
+    unit charge (``_unit_total``), which runs once per (zeta, tol) per
+    process; a sweep over kappa or e^2 costs no further quadrature. tol
+    must lie in (0, 1e-2]; the unit run's refusals, its own and its
+    spectra's, raise on every call, with their frequency, threshold and
+    ``best`` in the caller's units (``_unit_refusal``).
     """
     _check_tol(tol)
     try:
@@ -529,7 +508,7 @@ def total_energy_spectral(params: TrajectoryParams, tol: float = 1e-4) -> float:
         if not hasattr(err, "restate"):
             raise
         raise err.restate(params.kappa, params.e_squared) from None
-    return _scaled_total(params, unit, tol)
+    return params.e_squared * params.kappa * unit
 
 
 def _unit_refusal(restate):
@@ -566,8 +545,8 @@ def _unit_total(zeta: float, tol: float) -> float:
     no positive finite double, raises ``ConvergenceError`` with hi as
     ``best``. These refusals, like those of its ``energy_spectrum`` calls,
     state kappa = 1, unit-charge numbers and carry their restatement in a
-    caller's units (``_unit_refusal``). A refused run leaves nothing in the
-    cache.
+    caller's units (``_unit_refusal``). A total of 0 raises
+    ``ConvergenceError`` too. A refused run leaves nothing in the cache.
     """
     params = TrajectoryParams(1.0, zeta, 1.0)
     c = _tail_rate(zeta)
@@ -592,8 +571,7 @@ def _unit_total(zeta: float, tol: float) -> float:
             raise _unit_refusal(lambda kappa, e2: ConvergenceError(
                 f"I(omega) = {e2 * I[0]:.3e} at the cutoff omega = {kappa * hi:.6g} "
                 "is above 1e-11 of the peak", best=kappa * hi))
-        with np.errstate(over="ignore"):
-            out[0, s > 0.0] = 2.0 * s[s > 0.0] * I
+        out[0, s > 0.0] = 2.0 * s[s > 0.0] * I
         return out
 
     total, todo = _nested_cc(density, 1, 0.5 * root_hi, 0.5 * tol, 0.25 * tol * peak)
@@ -601,15 +579,16 @@ def _unit_total(zeta: float, tol: float) -> float:
         raise _unit_refusal(lambda kappa, e2: ConvergenceError(
             "the frequency integral did not stabilize by order 512",
             best=e2 * kappa * float(total[0])))
+    if total[0] == 0.0:     # near zeta = -1 every node can lie past the spectrum
+        raise ConvergenceError("the frequency integral is 0", best=0.0)
     return float(total[0])
 
 
 def fd_partial_energy(params: TrajectoryParams) -> float:
     """Energy carried by the special-angle form: e^2 kappa (1-zeta^2)/(192 pi)."""
-    zeta, kappa, e2 = params.zeta, params.kappa, params.e_squared
+    zeta = params.zeta
     unit = (1.0 - zeta) * (1.0 + zeta) / (192.0 * math.pi)
-    # the larger factor first: unit < 1 keeps it finite, normal unless E is not
-    return unit * kappa * e2 if kappa >= e2 else unit * e2 * kappa
+    return unit * params.kappa * params.e_squared
 
 
 @functools.cache
@@ -636,10 +615,9 @@ def _fd_moment(params: TrajectoryParams, power: int, tol: float) -> float:
     once per (power, tol) per process and is scaled by that prefactor, so
     a sweep over zeta, kappa or e^2 costs no further quadrature.
     """
-    zeta, scale, e2 = params.zeta, params.kappa**power, params.e_squared
+    zeta = params.zeta
     unit = (1.0 - zeta) * (1.0 + zeta) / (4.0 * math.pi) * _fd_shape(power, tol)
-    # the larger of kappa^power and e^2 first, as in fd_partial_energy
-    return unit * scale * e2 if scale >= e2 else unit * e2 * scale
+    return unit * params.kappa**power * params.e_squared
 
 
 def fd_partial_energy_quadrature(params: TrajectoryParams,

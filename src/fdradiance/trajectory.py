@@ -37,19 +37,26 @@ __all__ = [
 
 # 4 pi alpha with CODATA alpha; natural Heaviside-Lorentz units.
 E_SQUARED_DEFAULT = 4.0 * math.pi * 7.2973525693e-3
+# kappa and e^2 lie in [2^-256, 2^256]; every output is kappa^p e^2 times
+# its value at kappa = e^2 = 1. The unit totals (p = 1) lie between 3.7e-19
+# (the special-angle energy at zeta = 1 - 2^-53) and about 1e22 (the Larmor
+# total: 5.2e6 at zeta -0.999999, growing like (1 + zeta)^(-3/2)), so every
+# factor and partial product of e^2 kappa unit is a normal double. The unit
+# Larmor power (p = 2) peaks near 1/(1 + zeta)^2 < 1e32, so P < 2^768 1e32
+# ~ 1.6e263. A bound 2^k fits up to k ~ 305; 256 leaves a margin.
+_SCALE_BOUND = 2.0**256
 
 
 @dataclasses.dataclass(frozen=True)
 class TrajectoryParams:
-    """One worldline: acceleration scale, shape parameter, squared charge."""
+    """One worldline: kappa and e^2 in [2^-256, 2^256], zeta in (-1, 1)."""
 
     kappa: float
     zeta: float
     e_squared: float = E_SQUARED_DEFAULT
 
     def __post_init__(self):
-        if not (math.isfinite(self.kappa) and self.kappa > 0.0):
-            raise DomainError("kappa must be positive and finite")
+        _check_scale("kappa", self.kappa)
         # Endpoints are excluded: at zeta = -1 the energy integral diverges
         # and at zeta = +1 the special angle degenerates to the axis.
         if not (-1.0 < self.zeta < 1.0):
@@ -57,10 +64,15 @@ class TrajectoryParams:
         _check_e_squared(self.e_squared)
 
 
+def _check_scale(name: str, value: float):
+    """kappa or e^2 must lie in [2^-256, 2^256] (``_SCALE_BOUND``)."""
+    if not (1.0 / _SCALE_BOUND <= value <= _SCALE_BOUND):
+        raise DomainError(f"{name} must lie in [2^-256, 2^256], got {value!r}")
+
+
 def _check_e_squared(e_squared):
     """The squared-charge rule, shared with callers that take e^2 alone."""
-    if not (math.isfinite(e_squared) and e_squared > 0.0):
-        raise DomainError("e_squared must be positive and finite")
+    _check_scale("e_squared", e_squared)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -81,14 +93,11 @@ def _check_positions(z):
 
 
 def _time(params: TrajectoryParams, zs):
-    """t(z) unchecked: inf or nan (never a warning) where it is no finite double.
-
-    nan comes from a subnormal kappa, where 2/kappa is inf, at kappa z = 1.
-    """
+    """t(z) unchecked: inf or -inf (never a warning) where it is no finite double."""
     k = params.kappa
     # scale before squaring: z^2 alone overflows for z > 1.3e154, where
     # t(z) is still representable when kappa < 4
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", divide="ignore"):
         return (0.25 * k * zs) * zs + (2.0 / k) * np.log(k * zs) + params.zeta * zs
 
 
@@ -164,8 +173,8 @@ def position_at_time(params: TrajectoryParams, t):
     # ln z range over which z and kappa z stay normal doubles and t(z)
     # stays finite, worked out once per call. The ceiling starts where
     # kappa z^2/4 alone reaches the largest double, where t(z) is finite
-    # unless the log term is not far below it (tiny kappa). Then the
-    # ceiling is the largest u with a finite t(z), bisected down to
+    # unless the log term, or the rounding of the sum, carries it past.
+    # Then the ceiling is the largest u with a finite t(z), bisected down to
     # adjacent doubles from u = -ln kappa, where the log term vanishes;
     # t(z) increases from there, so its finiteness is monotone in u.
     u_floor = math.log(sys.float_info.min / min(1.0, k))
@@ -173,7 +182,6 @@ def position_at_time(params: TrajectoryParams, t):
                  math.log(sys.float_info.max))
     if not np.isfinite(_time(params, np.exp(u_ceil))):
         lo, hi = min(max(-math.log(k), u_floor), u_ceil), u_ceil
-        coordinate_time(params, np.exp(lo))         # no finite t(z) at all: raise
         while (mid := 0.5 * (lo + hi)) not in (lo, hi):
             lo, hi = (mid, hi) if np.isfinite(_time(params, np.exp(mid))) else (lo, mid)
         u_ceil = lo
@@ -243,15 +251,11 @@ def larmor_power(params: TrajectoryParams, z):
     """Instantaneous radiated power P = e^2 gamma^6 accel^2 / (6 pi).
 
     P = e^2 kappa^2 times a function of kappa z alone; a P that underflows
-    is 0. Raises ``OverflowRangeError`` where P is not a finite double.
+    is 0.
     """
     zs = _check_positions(z)
     unit = _larmor(params.zeta, params.kappa * zs, 6)
-    with np.errstate(over="ignore"):
-        P = params.kappa * (params.kappa * (params.e_squared * unit))
-    if not np.isfinite(P).all():
-        bad = zs[~np.isfinite(P)][0]
-        raise OverflowRangeError(f"P(z) at z={bad:.6g} is not a finite double")
+    P = params.kappa * (params.kappa * (params.e_squared * unit))
     return float(P) if zs.ndim == 0 else P
 
 
@@ -261,10 +265,8 @@ def total_energy_larmor(params: TrajectoryParams, tol: float = 1e-9) -> float:
     The dt = dz/v measure re-parameterizes the time integral by position.
     In s = kappa z, E = e^2 kappa int_0^inf P/(e^2 kappa^2 v) ds, and that
     integral depends on zeta alone (``_unit_larmor``), so E/kappa is the
-    same for every kappa in the double range, and a sweep over kappa or e^2
-    costs no further quadrature. E is that integral scaled by
-    ``_scaled_total``, which refuses an E past the double range or
-    underflowing it. Emission grows without bound as zeta -> -1;
+    same for every kappa, and a sweep over kappa or e^2 costs no further
+    quadrature. Emission grows without bound as zeta -> -1;
     close approaches get a runtime warning on every call because the
     integrand develops a long slow tail there.
     """
@@ -277,31 +279,7 @@ def total_energy_larmor(params: TrajectoryParams, tol: float = 1e-9) -> float:
         )
     if not (0.0 < tol < math.inf):
         raise DomainError("tol must be positive and finite")
-    return _scaled_total(params, _unit_larmor(params.zeta, tol), tol)
-
-
-def _scaled_total(params: TrajectoryParams, unit: float, tol: float) -> float:
-    """e^2 kappa times ``unit``, a total energy at kappa = 1 and unit charge.
-
-    The product is formed on the mantissas and exponents of the three
-    factors, so it overflows only where E itself is past the largest double
-    (``OverflowRangeError``) and it is within two roundings of e^2 kappa
-    times unit wherever it is a normal double. A product that underflows to
-    0, or to a subnormal whose rounding step exceeds tol of it, raises
-    ``ConvergenceError``.
-    """
-    (m_e, x_e), (m_k, x_k), (m_u, x_u) = (
-        math.frexp(v) for v in (params.e_squared, params.kappa, unit))
-    try:
-        total = math.ldexp(m_e * m_k * m_u, x_e + x_k + x_u)
-    except OverflowError:
-        total = math.inf
-    if math.isinf(total):
-        raise OverflowRangeError("the total energy overflows a double")
-    if math.ulp(0.0) > tol * total:
-        # 0, or a subnormal whose rounding step is more than tol of it
-        raise ConvergenceError("the total energy underflows a double", best=total)
-    return total
+    return params.e_squared * params.kappa * _unit_larmor(params.zeta, tol)
 
 
 @functools.cache

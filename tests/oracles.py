@@ -191,3 +191,16 @@ def worldline_position(kappa, zeta, t, seed):
         if abs(dz) <= mp.mpf(10) ** -50 * z:
             return z
     raise RuntimeError("Newton did not settle")
+
+
+def scaled_product(unit, kappa, e_squared, power=1):
+    """kappa^power e^2 unit in 60-digit arithmetic: a value at kappa and
+    e^2 from its value ``unit`` at kappa = e^2 = 1."""
+    return mp.mpf(kappa) ** power * mp.mpf(e_squared) * mp.mpf(unit)
+
+
+def fd_closed_forms(kappa, zeta, e_squared):
+    """The special-angle energy e^2 kappa (1 - zeta^2)/(192 pi) and photon
+    count e^2 (1 - zeta^2) ln 2/(8 pi^2), in 60-digit arithmetic."""
+    unit = (1 - mp.mpf(zeta) ** 2) * mp.mpf(e_squared)
+    return unit * mp.mpf(kappa) / (192 * mp.pi), unit * mp.log(2) / (8 * mp.pi**2)

@@ -34,7 +34,8 @@ LEDGER = os.path.join(os.path.dirname(os.path.abspath(__file__)), "ledger")
 
 # (name, argv): the six README commands, then the grids and refusals the
 # distribution routes meet on the command line, a spectral total on each
-# side of zeta = 0 and the Larmor total's warning near zeta = -1
+# side of zeta = 0, the Larmor total's warning near zeta = -1, and kappa
+# and e^2 at and past their bound
 CASES = [
     ("readme-trajectory", "trajectory --zeta-min -0.5 --zeta-max 0.5 --zeta-steps 3 --penrose"),
     ("readme-energy", "energy --method both --tol 1e-4"),
@@ -75,6 +76,10 @@ CASES = [
      "--theta-min 1.3089969389957472 --theta-max 1.3089969389957472 --theta-steps 1"),
     ("mirror-zeta-near-1", "mirror --zeta 0.999999 --duality"),
     ("mirror-kappa-subnormal", "mirror --kappa 1e-310 --duality --pq-steps 2"),
+    ("mirror-kappa-lower-bound",
+     "mirror --kappa 8.636168555094445e-78 --duality --pq-steps 2"),
+    ("energy-kappa-below-bound", "energy --kappa 1e-300"),
+    ("distribution-charge-above-bound", "distribution --e-squared 1e308"),
 ]
 
 

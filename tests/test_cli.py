@@ -9,7 +9,6 @@ import os
 import subprocess
 import sys
 import warnings
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -34,10 +33,23 @@ from fdradiance.trajectory import (
 )
 
 
+# the ends of the bound on kappa and e^2, 2^-256 and 2^256, as the
+# command line takes them
+LOW, HIGH = repr(2.0**-256), repr(2.0**256)
+
+
 def run(capsys, argv):
     code = main(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def assert_outside_the_bound(capsys, argv, name, value):
+    """``argv`` with --name value is a usage error naming the bound."""
+    code, out, err = run(capsys, argv + [f"--{name}", value])
+    option = name.replace("-", "_")
+    assert (code, out) == (2, "")
+    assert err == f"error: {option} must lie in [2^-256, 2^256], got {float(value)!r}\n"
 
 
 def at_time(t):
@@ -87,6 +99,22 @@ class TestUsageErrors:
     def test_bad_zeta(self, capsys):
         code, _, _ = run(capsys, ["energy", "--zeta", "1.5"])
         assert code == 2
+
+    @pytest.mark.parametrize("command", ["trajectory", "energy", "distribution",
+                                         "spectrum", "mirror"])
+    def test_kappa_or_charge_outside_the_bound_exits_2(self, capsys, command):
+        # one ulp outside [2^-256, 2^256] is refused by every command that
+        # takes the option; the ends themselves are no usage error (at kappa
+        # 2^256 the default t grid's z lies below the normal doubles)
+        outside = (repr(math.nextafter(2.0**-256, 0.0)),
+                   repr(math.nextafter(2.0**256, math.inf)), "1e-320", "1e308")
+        names = ["kappa"] + (["e-squared"] if command != "trajectory" else [])
+        for name, value in itertools.product(names, outside):
+            assert_outside_the_bound(capsys, [command], name, value)
+        if command in ("trajectory", "mirror"):
+            for name, value in itertools.product(names, (LOW, HIGH)):
+                code, _, err = run(capsys, [command, f"--{name}", value])
+                assert code != 2 and "must lie in" not in err
 
     def test_exact_needs_symmetric_worldline(self, capsys):
         code, _, err = run(capsys, ["distribution", "--zeta", "0.3",
@@ -313,54 +341,53 @@ class TestEnergyCommand:
 
     def test_both_methods_close_at_a_tiny_kappa(self, capsys):
         code, out, _ = run(capsys, ["energy", "--method", "both",
-                                    "--kappa", "1e-160", "--tol", "1e-4"])
+                                    "--kappa", LOW, "--tol", "1e-4"])
         assert code == 0
         _, rows = parse_csv(out)
         assert float(rows[0]["rel_diff"]) < 1e-9
 
     def test_huge_kappa_is_quiet(self, capsys):
-        code, out, err = run(capsys, ["energy", "--kappa", "1e200"])
+        code, out, err = run(capsys, ["energy", "--kappa", HIGH])
         assert code == 0 and err == ""
         _, rows = parse_csv(out)
         assert math.isfinite(float(rows[0]["E"]))
 
     def test_ratio_column_where_e2_kappa_overflows(self, capsys):
-        # E = 3.1e306 is a double although e^2 kappa = 1e309 is not
+        # kappa 1e300 lies outside the bound, where e^2 kappa = 1e309 would
+        # overflow; at the corners e^2 kappa = 2^+-512 scales E exactly, and
+        # the ratio column reads the unit total
+        assert_outside_the_bound(capsys, ["energy", "--e-squared", "1e9"], "kappa", "1e300")
         _, out, _ = run(capsys, ["energy", "--e-squared", "1.0"])
         want = float(parse_csv(out)[1][0]["E_over_e2kappa"])
-        code, out, _ = run(capsys, ["energy", "--kappa", "1e300", "--e-squared", "1e9"])
-        assert code == 0
-        got = float(parse_csv(out)[1][0]["E_over_e2kappa"])
-        assert abs(got - want) <= 4 * np.spacing(want)
+        for value in (LOW, HIGH):
+            code, out, _ = run(capsys, ["energy", "--kappa", value, "--e-squared", value])
+            assert code == 0
+            assert float(parse_csv(out)[1][0]["E_over_e2kappa"]) == want
 
     def test_huge_charge_is_quiet_on_both_routes(self, capsys):
         # e^2 leaves the Larmor integrand, so E = e^2 x 0.0031 is a double
-        # however far e^2 alone reaches; it closes against the spectral route
+        # up to the top of the bound; it closes against the spectral route
         code, out, err = run(capsys, ["energy", "--method", "both",
-                                      "--e-squared", "1e300", "--tol", "1e-4"])
+                                      "--e-squared", HIGH, "--tol", "1e-4"])
         assert code == 0 and err == ""
         _, rows = parse_csv(out)
-        assert float(rows[0]["E_larmor"]) == pytest.approx(3.1353505e297, rel=1e-7)
+        assert float(rows[0]["E_larmor"]) == pytest.approx(3.1353505e-3 * 2.0**256, rel=1e-7)
         assert float(rows[0]["rel_diff"]) < 1e-9
 
     def test_charge_near_the_largest_double(self, capsys):
-        # e^2 is the last factor of every spectral value, so the total is
-        # e^2 times its unit-charge value; it once met an inf cutoff here
-        code, out, err = run(capsys, ["energy", "--method", "both",
-                                      "--e-squared", "1e308", "--tol", "1e-4"])
-        assert code == 0 and err == ""
-        _, rows = parse_csv(out)
-        assert float(rows[0]["E_spectral"]) == pytest.approx(3.1353505e305, rel=1e-7)
-        assert float(rows[0]["rel_diff"]) < 1e-9
+        # e^2 1e308 lies outside the bound: a usage error
+        assert_outside_the_bound(capsys, ["energy", "--method", "both", "--tol", "1e-4"],
+                                 "e-squared", "1e308")
 
     def test_overflowing_spectral_total_exits_3(self, capsys):
-        # at zeta -0.99 every I(omega) is a double but their integral,
-        # e^2 x 5.19, is not
-        code, out, err = run(capsys, ["energy", "--method", "spectral",
-                                      "--zeta", "-0.99", "--e-squared", "1.7e308",
-                                      "--tol", "1e-4"])
-        assert code == 3 and out == ""
-        assert err == "numerical failure: the total energy overflows a double\n"
+        # at zeta -0.99 every I(omega) is a double but their integral, e^2 x
+        # 5.19, would not be at e^2 1.7e308: that charge is a usage error,
+        # and at the top of the bound the total is a double
+        argv = ["energy", "--method", "spectral", "--zeta", "-0.99", "--tol", "1e-4"]
+        assert_outside_the_bound(capsys, argv, "e-squared", "1.7e308")
+        code, out, _ = run(capsys, argv + ["--e-squared", HIGH])
+        assert code == 0
+        assert float(parse_csv(out)[1][0]["E"]) == pytest.approx(5.193645 * 2.0**256, rel=1e-6)
 
     def test_spectral_total_near_the_divergent_end(self, capsys):
         # at zeta -0.99 the tail rate c is 0.0027 and the spectrum ends near
@@ -406,24 +433,22 @@ class TestEnergyCommand:
         assert err == "warning: first\nwarning: second\nerror: refused\n"
 
     def test_subnormal_charge_scales_the_unit_total(self, capsys):
-        # E = e^2 x 0.0031 is a subnormal double whose step is 1.6e-6 of it,
-        # inside tol: e^2 times the unit total, rounded once more
-        code, out, err = run(capsys, ["energy", "--method", "spectral",
-                                      "--e-squared", "1e-315", "--tol", "1e-4"])
+        # a subnormal e^2 lies below the bound, a usage error; at its bottom,
+        # 2^-256, E = e^2 x 0.0031 is the unit total scaled exactly
+        argv = ["energy", "--method", "spectral", "--tol", "1e-4"]
+        assert_outside_the_bound(capsys, argv, "e-squared", "1e-315")
+        code, out, err = run(capsys, argv + ["--e-squared", LOW])
         assert code == 0 and err == ""
         _, rows = parse_csv(out)
-        got = float(rows[0]["E"])
         unit = total_energy_spectral(TrajectoryParams(1.0, 0.0, 1.0), 1e-4)
-        want = Fraction(1e-315) * Fraction(unit)
-        assert abs(Fraction(got) - want) <= Fraction(math.ulp(0.0))
-        assert float(rows[0]["E_over_e2kappa"]) == pytest.approx(unit, rel=2e-6)
+        assert float(rows[0]["E"]) == 2.0**-256 * unit
+        assert float(rows[0]["E_over_e2kappa"]) == unit
 
     def test_total_that_underflows_exits_3(self, capsys):
-        # at e^2 1e-320 the total, 3e-323, is six subnormal steps
-        code, out, err = run(capsys, ["energy", "--method", "spectral",
-                                      "--e-squared", "1e-320", "--tol", "1e-4"])
-        assert code == 3 and out == ""
-        assert err == "numerical failure: the total energy underflows a double\n"
+        # at e^2 1e-320 the total, 3e-323, would be six subnormal steps:
+        # that charge lies below the bound, a usage error
+        assert_outside_the_bound(capsys, ["energy", "--method", "spectral", "--tol", "1e-4"],
+                                 "e-squared", "1e-320")
 
     def test_spectrum_that_never_decays_exits_3(self, capsys, monkeypatch, fresh_caches):
         # the frequency cutoff refuses instead of truncating the integral
@@ -547,23 +572,29 @@ class TestDistributionCommand:
 
     @pytest.mark.parametrize("method", ["numeric", "exact-zeta0"])
     def test_charge_near_the_largest_double(self, capsys, method):
+        # e^2 1e308 lies outside the bound; at its top, 2^256, every value
+        # is e^2 times its unit-charge value, exactly
         grid = ["distribution", "--method", method, "--omega-min", "1",
                 "--omega-max", "5", "--omega-steps", "2", "--theta-steps", "3"]
+        assert_outside_the_bound(capsys, grid, "e-squared", "1e308")
         _, out, _ = run(capsys, grid + ["--e-squared", "1.0"])
         unit = [float(r["value"]) for r in parse_csv(out)[1]]
-        code, out, err = run(capsys, grid + ["--e-squared", "1e308"])
+        code, out, err = run(capsys, grid + ["--e-squared", HIGH])
         assert code == 0 and err == ""
         got = [float(r["value"]) for r in parse_csv(out)[1]]
-        assert got == pytest.approx([1e308 * v for v in unit], rel=1e-14)
+        assert got == [2.0**256 * v for v in unit]
 
     def test_overflowing_value_exits_3(self, capsys):
-        # near zeta = -1 the forward cone's dI/dOmega is 1.3 e^2 at omega 3000
-        code, out, err = run(capsys, [
-            "distribution", "--zeta", "-0.9999", "--e-squared", "1.7e308",
-            "--omega-min", "3000", "--omega-max", "3000", "--omega-steps", "1",
-            "--theta-min", "0.056", "--theta-max", "0.056", "--theta-steps", "1"])
-        assert code == 3 and out == ""
-        assert err == "numerical failure: dI/dOmega at omega=3000 overflows a double\n"
+        # near zeta = -1 the forward cone's dI/dOmega is 1.3 e^2 at omega
+        # 3000, past the largest double at e^2 1.7e308: that charge is a
+        # usage error, and at the top of the bound the value is a double
+        argv = ["distribution", "--zeta", "-0.9999",
+                "--omega-min", "3000", "--omega-max", "3000", "--omega-steps", "1",
+                "--theta-min", "0.056", "--theta-max", "0.056", "--theta-steps", "1"]
+        assert_outside_the_bound(capsys, argv, "e-squared", "1.7e308")
+        code, out, _ = run(capsys, argv + ["--e-squared", HIGH])
+        assert code == 0
+        assert float(parse_csv(out)[1][0]["value"]) == pytest.approx(1.3 * 2.0**256, rel=0.05)
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_frequency_past_the_contour_exits_3_quietly(self, capsys):
@@ -631,26 +662,31 @@ class TestSpectrumCommand:
             assert float(parse_csv(out)[1][0]["value"]) == pytest.approx(want, rel=1e-8)
 
     def test_spectrum_over_an_overflowing_direction(self, capsys):
-        # the cone whose dI/dOmega overflows (distribution, above) is narrow:
-        # I = 0.028 e^2 there, a double, since e^2 is the spectrum's last factor
+        # the cone whose dI/dOmega would overflow at e^2 1.7e308
+        # (distribution, above) is narrow: I = 0.028 e^2 there. That charge
+        # is a usage error; at the top of the bound I is e^2 times its
+        # unit-charge value, exactly
         grid = ["spectrum", "--zeta", "-0.9999", "--tol", "1e-4", "--omega-min",
                 "3000", "--omega-max", "3000", "--omega-steps", "1"]
+        assert_outside_the_bound(capsys, grid, "e-squared", "1.7e308")
         _, out, _ = run(capsys, grid + ["--e-squared", "1.0"])
         unit = float(parse_csv(out)[1][0]["value"])
-        code, out, err = run(capsys, grid + ["--e-squared", "1.7e308"])
+        code, out, err = run(capsys, grid + ["--e-squared", HIGH])
         assert code == 0 and err == ""
-        got = float(parse_csv(out)[1][0]["value"])
-        assert got == pytest.approx(1.7e308 * unit, rel=1e-14)
+        assert float(parse_csv(out)[1][0]["value"]) == 2.0**256 * unit
 
     @pytest.mark.parametrize("zeta", ["0", "0.3"])
     def test_charge_near_the_largest_double(self, capsys, zeta):
+        # e^2 1e308 lies outside the bound; at its top, 2^256, every value
+        # is e^2 times its unit-charge value, exactly
         grid = ["spectrum", "--zeta", zeta, "--omega-steps", "2", "--tol", "1e-6"]
+        assert_outside_the_bound(capsys, grid, "e-squared", "1e308")
         _, out, _ = run(capsys, grid + ["--e-squared", "1.0"])
         unit = [float(r["value"]) for r in parse_csv(out)[1]]
-        code, out, err = run(capsys, grid + ["--e-squared", "1e308"])
+        code, out, err = run(capsys, grid + ["--e-squared", HIGH])
         assert code == 0 and err == ""
         got = [float(r["value"]) for r in parse_csv(out)[1]]
-        assert got == pytest.approx([1e308 * v for v in unit], rel=1e-14)
+        assert got == [2.0**256 * v for v in unit]
 
 
 class TestMirrorCommand:
@@ -697,7 +733,7 @@ class TestMirrorCommand:
     @pytest.mark.parametrize("argv", [
         ["--pq-min", "1e-320", "--pq-max", "1e-320", "--pq-steps", "1"],
         ["--pq-min", "1e-320", "--pq-steps", "2"],
-        ["--kappa", "1e-155", "--pq-min", "1e-160", "--pq-max", "1e-160",
+        ["--kappa", LOW, "--pq-min", "1e-240", "--pq-max", "1e-240",
          "--pq-steps", "1"]], ids=["tiny-pq", "tiny-pq-grid", "tiny-kappa"])
     def test_overflowing_beta_squared_exits_3(self, capsys, argv):
         # (1 - zeta^2)/(2 pi (p + q) kappa (e^{2 pi (p + q)/kappa} + 1)) is
@@ -706,9 +742,9 @@ class TestMirrorCommand:
         assert code == 3 and out == "" and "overflows" in err
 
     def test_underflowing_beta_squared_is_zero(self, capsys):
-        # at kappa 1e-310 the prefactor overflows, but the occupancy
-        # underflows faster: |beta|^2 is 0, not a refusal
-        code, out, _ = run(capsys, ["mirror", "--kappa", "1e-310", "--pq-steps", "2"])
+        # at kappa 2^-256 the occupancy e^{-2 pi (p + q)/kappa} underflows:
+        # |beta|^2 is 0, not a refusal
+        code, out, _ = run(capsys, ["mirror", "--kappa", LOW, "--pq-steps", "2"])
         assert code == 0
         _, rows = parse_csv(out)
         assert [float(r["beta_squared"]) for r in rows] == [0.0, 0.0]
@@ -726,15 +762,28 @@ class TestMirrorCommand:
         assert code == 0 and calls == [25]
 
     def test_emission_grid_at_a_charge_near_the_largest_double(self, capsys):
-        # |beta|^2 = 4 pi value/(e^2 omega^2) does not depend on e^2
+        # |beta|^2 = 4 pi value/(e^2 omega^2) does not depend on e^2, up to
+        # the top of the bound; e^2 1e308 lies past it, a usage error
         grid = ["mirror", "--omega-min", "1", "--omega-max", "2",
                 "--omega-steps", "2", "--theta-steps", "3"]
+        assert_outside_the_bound(capsys, grid, "e-squared", "1e308")
         _, out, _ = run(capsys, grid + ["--e-squared", "1.0"])
         unit = [float(r["beta_squared"]) for r in parse_csv(out)[1]]
-        code, out, err = run(capsys, grid + ["--e-squared", "1e308"])
+        code, out, err = run(capsys, grid + ["--e-squared", HIGH])
         assert code == 0 and err == ""
         got = [float(r["beta_squared"]) for r in parse_csv(out)[1]]
         assert got == pytest.approx(unit, rel=1e-14)
+
+    def test_duality_at_a_subnormal_charge_exits_2(self, capsys):
+        # at e^2 1e-320 the electron count is subnormal and its quotient by
+        # e^2 read 0.013 off the mirror count: that charge is a usage error
+        assert_outside_the_bound(capsys, ["mirror", "--duality"], "e-squared", "1e-320")
+
+    def test_duality_at_the_bottom_of_the_bound_is_exact(self, capsys):
+        code, out, _ = run(capsys, ["mirror", "--duality", "--format", "json",
+                                    "--e-squared", LOW])
+        assert code == 0
+        assert json.loads(out)["summary"]["duality_rel_diff"] == 0.0
 
     def test_emission_grid_route(self, capsys):
         code, out, _ = run(capsys, [

@@ -35,6 +35,7 @@ from fdradiance.trajectory import TrajectoryParams
 
 # frozen: occupancy form at p = q = 0.5, kappa = 1, zeta = 0
 BETA2_HALF = 2.966587484687330053575e-4
+KAPPA_MIN = 2.0**-256     # the smallest kappa or e^2 a worldline takes
 
 
 def rel(got, want):
@@ -98,7 +99,7 @@ class TestBetaSquared:
         with pytest.raises(OverflowRangeError, match="frequency 9.99989e-321,"):
             beta_squared_fd([0.5, 5e-321, 5e-322], [0.5, 5e-321, 5e-322], 1.0, 0.0)
         with pytest.raises(OverflowRangeError):
-            beta_squared_fd(5e-161, 5e-161, 1e-155, 0.0)
+            beta_squared_fd(5e-241, 5e-241, KAPPA_MIN, 0.0)
         with pytest.raises(OverflowRangeError):
             beta_squared_fd_limit(1e-320, 1.0, -0.95)
         # omega^2 underflows to 0 under a lit sample; a dark one's 0 stays 0
@@ -107,23 +108,41 @@ class TestBetaSquared:
         assert beta_squared_from_distribution(1e-170, 0.0, 1.0) == 0.0
 
     def test_underflow_is_zero(self):
-        # at kappa 1e-310 the prefactor overflows but the occupancy
-        # e^{-2 pi u/kappa} underflows faster: the true |beta|^2 is 0.
-        # Where it does not underflow, the log form keeps the scaling
-        # |beta|^2(u, kappa) = |beta|^2(u/kappa, 1)/kappa^2 to the log's
-        # roundoff
-        assert beta_squared_fd(0.05, 0.05, 1e-310, 0.0) == 0.0
-        assert beta_squared_fd_limit(0.1, 1e-310, -0.95) == 0.0
-        tiny = beta_squared_fd(5e-156, 5e-156, 1e-155, 0.0)
+        # at kappa 2^-256 the occupancy e^{-2 pi u/kappa} of u = 0.1 is
+        # e^{-7e76}: the true |beta|^2 is 0. Where it does not underflow,
+        # |beta|^2(u, kappa) = |beta|^2(u/kappa, 1)/kappa^2
+        assert beta_squared_fd(0.05, 0.05, KAPPA_MIN, 0.0) == 0.0
+        assert beta_squared_fd_limit(0.1, KAPPA_MIN, -0.95) == 0.0
+        tiny = beta_squared_fd(0.5 * KAPPA_MIN, 0.5 * KAPPA_MIN, KAPPA_MIN, 0.0)
         unit = beta_squared_fd(0.5, 0.5, 1.0, 0.0)
-        assert tiny / 1e155 == pytest.approx(unit * 1e155, rel=1e-12)
+        assert tiny * KAPPA_MIN == pytest.approx(unit / KAPPA_MIN, rel=1e-12)
         # the occupancy e^{-754} underflows, but the true |beta|^2 does not:
-        # the log form takes ln occupancy as -x
-        u, kappa = 0.6e-168 + 0.6e-168, 1e-170
+        # the log form takes ln occupancy as -x - ln(1 + e^{-x})
+        kappa = KAPPA_MIN
+        p = 60.0 * kappa
         with mp.workdps(60):
-            x = 2 * mp.pi * mp.mpf(u) / mp.mpf(kappa)
-            want = 1 / (2 * mp.pi * mp.mpf(u) * mp.mpf(kappa)) / (mp.exp(x) + 1)
-        assert rel(beta_squared_fd(0.6e-168, 0.6e-168, kappa, 0.0), want) < 1e-12
+            u = 2 * mp.mpf(p)
+            x = 2 * mp.pi * u / mp.mpf(kappa)
+            want = 1 / (2 * mp.pi * u * mp.mpf(kappa)) / (mp.exp(x) + 1)
+        assert rel(beta_squared_fd(p, p, kappa, 0.0), want) < 1e-12
+
+    # |beta|^2 at zeta 0 and p = q = omega/2, omega = kappa y, from the
+    # closed form at 60 digits; the occupancy e^{-2 pi y} is subnormal and
+    # the value is a normal double. A direct product with the subnormal
+    # occupancy read 2.0e-11, 3.7e-9, 8.0e-5 and 2.0e-3 off at these y
+    @pytest.mark.parametrize("kappa, values", [
+        (8.636168555094445e-78, (1.9128412222829746e-162, 5.3629757236580911e-166,
+                                 3.4072713568416767e-169, 9.8001615883336661e-172)),
+        (1e-60, (1.4266621600471601e-196, 3.9998900280198995e-200,
+                 2.5412590742984755e-203, 7.3092944346608954e-206)),
+        (1e-40, (1.4266621600472133e-236, 3.999890028019623e-240,
+                 2.5412590742984852e-243, 7.3092944346616505e-246)),
+        (1e-20, (1.4266621600472091e-276, 3.9998900280195686e-280,
+                 2.5412590742984959e-283, 7.3092944346610912e-286))])
+    def test_subnormal_occupancy_keeps_its_bits(self, kappa, values):
+        omega = np.array([114.7, 116.0, 117.17, 118.1]) * kappa
+        got = beta_squared_fd(omega / 2.0, omega / 2.0, kappa, 0.0)
+        assert np.all(np.abs(got - values) <= 1e-12 * np.array(values))
 
     def test_constraint_accepts_matched_pair(self):
         zeta = 0.3

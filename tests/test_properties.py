@@ -41,6 +41,8 @@ from fdradiance.trajectory import (
 )
 
 KAPPA = st.floats(0.5, 2.0)
+# the ends of the bound on kappa and e^2
+KAPPA_MIN, KAPPA_MAX = 2.0**-256, 2.0**256
 
 
 def rel(got, want):
@@ -48,6 +50,8 @@ def rel(got, want):
 
 
 @given(kappa=KAPPA, y=st.floats(0.1, 8.0))
+@example(kappa=KAPPA_MIN, y=2.0)
+@example(kappa=KAPPA_MAX, y=2.0)
 def test_exact_spectrum_matches_quadrature(kappa, y):
     # the closed form at zeta = 0 against direct quadrature of each direction
     params = TrajectoryParams(kappa, 0.0)
@@ -58,6 +62,8 @@ def test_exact_spectrum_matches_quadrature(kappa, y):
 
 
 @given(kappa=KAPPA, y=st.floats(0.05, 3.0), theta=st.floats(0.0, math.pi))
+@example(kappa=KAPPA_MIN, y=1.0, theta=1.0)
+@example(kappa=KAPPA_MAX, y=1.0, theta=1.0)
 def test_numeric_matches_exact_pointwise_at_zeta0(kappa, y, theta):
     # the quadrature of the emission integral against the closed form at
     # zeta = 0, direction by direction over all of [0, pi], poles included.
@@ -71,6 +77,8 @@ def test_numeric_matches_exact_pointwise_at_zeta0(kappa, y, theta):
 
 
 @given(kappa=KAPPA, zeta=st.floats(-0.9, 0.9), y=st.floats(0.1, 40.0))
+@example(kappa=KAPPA_MIN, zeta=0.3, y=4.0)
+@example(kappa=KAPPA_MAX, zeta=-0.3, y=4.0)
 def test_numeric_matches_fermi_dirac_at_the_special_angle(kappa, zeta, y):
     # at cos(theta) = zeta the quadrature of the phase integral against the
     # closed Fermi-Dirac form, within the sample's own error bar and to
@@ -86,6 +94,8 @@ def test_numeric_matches_fermi_dirac_at_the_special_angle(kappa, zeta, y):
 
 @settings(max_examples=4)
 @given(kappa=KAPPA)
+@example(kappa=KAPPA_MIN)
+@example(kappa=KAPPA_MAX)
 def test_spectral_energy_closes_against_larmor(kappa):
     # the frequency integral of the closed-form spectrum against the
     # worldline integral
@@ -98,6 +108,8 @@ def test_spectral_energy_closes_against_larmor(kappa):
 @given(kappa=st.floats(0.01, 100.0),
        zeta=st.floats(-0.99, 0.99, exclude_min=True, exclude_max=True),
        t=st.floats(-1e308, 1e308))
+@example(kappa=KAPPA_MIN, zeta=0.5, t=-1e300)
+@example(kappa=KAPPA_MAX, zeta=-0.5, t=1e300)
 def test_position_at_time_inverts_coordinate_time(kappa, zeta, t):
     # the root finder against the closed-form t(z) it inverts, over the
     # whole float range of t; z below the smallest normal double refuses
@@ -140,8 +152,8 @@ def test_ln_gamma_reflection_off_the_critical_line(x, y):
 
 def test_spectral_layer_reads_kappa_only_through_omega_over_kappa():
     # every spectral quantity at omega = kappa y is its kappa = 1 value, and
-    # every total kappa times it, to 4 ulp across the double range; y is a
-    # power of two, so omega/kappa is y exactly
+    # every total kappa times it, to 4 ulp across the bound on kappa; y is
+    # a power of two, so omega/kappa is y exactly
     ys = np.array([0.125, 0.5, 1.0, 2.0, 4.0])
 
     def quantities(kappa):
@@ -158,33 +170,39 @@ def test_spectral_layer_reads_kappa_only_through_omega_over_kappa():
         }
 
     want = quantities(1.0)
-    for kappa in (1e-300, 1e-200, 1e-155, 1e150, 1e300, 1e306):
+    for kappa in (KAPPA_MIN, 1e-60, 1e-40, 1e40, 1e60, KAPPA_MAX):
         for name, got in quantities(kappa).items():
             assert np.all(np.abs(np.asarray(got) - want[name])
                           <= 4 * np.spacing(want[name])), (name, kappa)
 
 
 def test_spectral_commands_at_the_ends_of_the_double_range(capsys):
-    # at kappa 1e-310, y = omega/kappa overflows and the Fermi-Dirac value
-    # underflows to 0, a numerical failure; at kappa 1e308 the spectral
-    # total is kappa e^2 times its unit total, within two roundings
-    assert main(["distribution", "--method", "fermi-dirac", "--kappa", "1e-310",
+    # kappa 1e-310 and 1e308 lie outside the bound, a usage error. At kappa
+    # 2^-256 the Fermi-Dirac value at y = omega/kappa = 5.8e75 underflows
+    # to 0, a numerical failure; at kappa 2^256 the spectral total is kappa
+    # e^2 times its unit total, within two roundings
+    for argv in (["distribution", "--kappa", "1e-310"], ["energy", "--kappa", "1e308"]):
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: kappa must lie in [2^-256, 2^256]")
+    assert main(["distribution", "--method", "fermi-dirac", "--kappa", repr(KAPPA_MIN),
                  "--omega-min", "0.05", "--omega-max", "0.05",
                  "--omega-steps", "1"]) == 3
     out, err = capsys.readouterr()
     assert out == "" and "underflows a double" in err
-    assert main(["energy", "--method", "spectral", "--kappa", "1e308"]) == 0
+    assert main(["energy", "--method", "spectral", "--kappa", repr(KAPPA_MAX)]) == 0
     got = float(capsys.readouterr().out.splitlines()[1].split(",")[2])
     unit = total_energy_spectral(TrajectoryParams(1.0, 0.0, 1.0), 1e-6)
-    want = Fraction(1e308) * Fraction(E_SQUARED_DEFAULT) * Fraction(unit)
+    want = Fraction(KAPPA_MAX) * Fraction(E_SQUARED_DEFAULT) * Fraction(unit)
     assert abs(Fraction(got) - want) <= 2 * Fraction(math.ulp(got))
 
 
 def test_mirror_functions_keep_each_elements_bits():
     # an array call gives each element the bits of its own one-element call:
-    # on the direct product, in the log form (kappa 1e-155, u below about
-    # 2e-155), where |beta|^2 underflows (u 1e-150; kappa 1e-310), and for
-    # pairs up to 5e-10 off the constraint line
+    # on the direct product, in the log form (kappa 2^-256, u 1e-75 and
+    # 1.1e-75, where the occupancy is subnormal or 0), where |beta|^2
+    # underflows (u 1e-70 and 0.1), and for pairs up to 5e-10 off the
+    # constraint line
     def elementwise(f, *arrays):
         batch = np.asarray(f(*arrays))
         for i in range(arrays[0].size):
@@ -199,8 +217,8 @@ def test_mirror_functions_keep_each_elements_bits():
                 omega[:6], rng.uniform(0.0, 1e-3, 6))
     for kappa, zeta, u in [
             (1.0, -0.6, np.geomspace(1e-3, 200.0, 9)),
-            (1e-155, 0.3, np.array([5e-156, 1e-155, 1.5e-155, 1e-154, 1e-150])),
-            (1e-310, 0.0, np.array([0.1, 1e-300, 5.0]))]:
+            (KAPPA_MIN, 0.3, np.array([5e-78, 9e-76, 1e-75, 1.1e-75, 1e-70])),
+            (KAPPA_MIN, 0.0, np.array([0.1, 1e-77, 5.0]))]:
         off = 1.0 + 5e-10 * np.resize([0.0, 1.0, -1.0], u.size)
         p, q = u * (1.0 + zeta) / 2.0 * off, u * (1.0 - zeta) / 2.0
         elementwise(lambda p, q: beta_squared_fd(p, q, kappa, zeta), p, q)

@@ -35,7 +35,7 @@ from fdradiance.spectra import (
 from fdradiance.specfun import ln_gamma
 from fdradiance.trajectory import E_SQUARED_DEFAULT, TrajectoryParams, total_energy_larmor
 
-from oracles import exact_distribution
+from oracles import exact_distribution, fd_closed_forms, scaled_product
 
 # frozen 60-digit values for the closed hypergeometric form
 D_1_1_1_PI3 = 1.303252512116249394232e-4
@@ -45,6 +45,10 @@ D_2_1_31_20 = 7.627328544545876641992e-8
 FD_UNIT = 2.36073531151270470246e-5
 # frozen 30-digit angular integral at omega = kappa = e^2 = 1, zeta = 0
 I_UNIT = 7.4753226014285361776e-4
+
+
+# the ends of the bound on kappa and e^2
+KAPPA_MIN, KAPPA_MAX = 2.0**-256, 2.0**256
 
 
 def rel(got, want):
@@ -786,16 +790,18 @@ class TestBatchedSpectra:
         assert max(sizes) <= spectra._SLICE_ELEMENTS
         assert rel(total, total_energy_larmor(params)) < 1e-8
 
-    def test_overflowing_row_raises(self, monkeypatch):
-        # the unit-charge I(omega = 2) is 1.3e301, a double, but e^2 times
-        # it is not: the row is refused, with no warning
-        def huge(params, omegas, us, sin2, tol):
-            values = np.where(omegas[:, None] > 1.0, 1e300, 1.0) * np.ones(us.size)
-            return values, np.zeros_like(values)
-
-        monkeypatch.setattr(spectra, "_exact_zeta0_values", huge)
-        with pytest.raises(OverflowRangeError, match="omega=2 overflows"):
-            energy_spectrum(TrajectoryParams(1, 0, 1e10), np.array([0.5, 2.0]))
+    def test_overflowing_row_raises(self):
+        # an e^2 that could carry a row of I past the largest double lies
+        # outside the bound and is refused with the worldline; inside it the
+        # rows are e^2 times their unit-charge values, exactly for a power
+        # of two
+        with pytest.raises(DomainError, match=r"e_squared must lie in \[2\^-256, 2\^256\]"):
+            energy_spectrum(TrajectoryParams(1, 0, 1e300), np.array([0.5, 2.0]))
+        omegas = np.array([0.5, 2.0])
+        unit = energy_spectrum(TrajectoryParams(1, 0, 1.0), omegas)
+        for e2 in (KAPPA_MIN, KAPPA_MAX):
+            assert np.array_equal(energy_spectrum(TrajectoryParams(1, 0, e2), omegas),
+                                  e2 * unit)
 
     def test_unsettled_row_raises_with_its_own_best(self, monkeypatch):
         # rows with omega >= 1 vary over u and scale with the size of the
@@ -972,12 +978,16 @@ class TestUnitTotal:
         misses = spectra._unit_total.cache_info().misses
         unit = total_energy_spectral(TrajectoryParams(1.0, 0.0, 1.0))
         assert total_energy_spectral(params) == 6.0 * unit
-        # a product past the double range is refused after the unit run,
-        # which stays cached
-        with pytest.raises(ConvergenceError, match="underflows a double"):
-            total_energy_spectral(TrajectoryParams(1e-300, 0.0, 1e-300))
+        # a unit total of 0, where every node missed the spectrum (lit only
+        # at the probe's omega 0.1), is refused; the run at another zeta
+        # stays cached
+        monkeypatch.setattr(spectra, "energy_spectrum",
+                            lambda params, omegas, *args, **kw: np.where(omegas == 0.1, 1.0, 0.0))
+        with pytest.raises(ConvergenceError, match="integral is 0"):
+            total_energy_spectral(TrajectoryParams(1.0, 0.2, 1.0))
+        monkeypatch.undo()
         info = spectra._unit_total.cache_info()
-        assert (info.misses, info.currsize) == (misses + 1, 1)
+        assert (info.misses, info.currsize) == (misses + 2, 1)
 
     def test_refusals_state_the_callers_units(self, monkeypatch, fresh_caches):
         # the unit run's refusals restated at kappa 2 and e^2 3: a frequency
@@ -1025,33 +1035,17 @@ class TestUnitTotal:
         assert spectra._unit_total.cache_info().currsize == 0
 
     def test_total_is_charge_and_kappa_times_the_unit_total(self):
-        # E/(e^2 kappa), taken exactly, is within 2 ulp of the unit total
-        # wherever E is a normal double, also where e^2 alone is subnormal,
-        # and E within one subnormal step of e^2 kappa E_1 where it is
-        # subnormal; a product past the largest double, or one whose
-        # subnormal step exceeds tol of it, is refused, and none overflows
-        # on its way. The Larmor total, at its own tol, is scaled alike
-        kappas = [1e-300, 1e-200, 1e-100, 1e-10, 0.7, 1.0, 3.0, 1e10, 1e100, 1e200,
-                  1e300, 1e308]
+        # E/(e^2 kappa), taken exactly, is within 2 ulp of the unit total,
+        # and E a normal double, across the bound on kappa and e^2, its
+        # corners included. The Larmor total, at its own tol, is scaled alike
+        kappas = [KAPPA_MIN, 1e-40, 1e-10, 0.7, 1.0, 3.0, 1e10, 1e40, KAPPA_MAX]
         for total, tol in ((total_energy_spectral, 1e-4), (total_energy_larmor, 1e-9)):
             unit = total(TrajectoryParams(1.0, 0.0, 1.0), tol)
-            for kappa, e2 in itertools.product(kappas, (1e-320, 1e-315, 1e-300, 1.0, 1e308)):
-                params = TrajectoryParams(kappa, 0.0, e2)
-                exact = Fraction(e2) * Fraction(kappa) * Fraction(unit)
-                if exact > sys.float_info.max:
-                    with pytest.raises(OverflowRangeError,
-                                       match="the total energy overflows a double"):
-                        total(params, tol)
-                elif math.ulp(0.0) > tol * exact:
-                    with pytest.raises(ConvergenceError, match="underflows a double"):
-                        total(params, tol)
-                elif exact >= sys.float_info.min:
-                    got = Fraction(total(params, tol))
-                    assert abs(got / (Fraction(e2) * Fraction(kappa)) - Fraction(unit)) \
-                        <= 2 * Fraction(math.ulp(unit)), (total, kappa, e2)
-                else:
-                    got = Fraction(total(params, tol))
-                    assert abs(got - exact) <= Fraction(math.ulp(0.0)), (total, kappa, e2)
+            for kappa, e2 in itertools.product(kappas, (KAPPA_MIN, 1e-40, 1.0, 1e40, KAPPA_MAX)):
+                got = total(TrajectoryParams(kappa, 0.0, e2), tol)
+                assert sys.float_info.min <= got <= sys.float_info.max
+                assert abs(Fraction(got) / (Fraction(e2) * Fraction(kappa)) - Fraction(unit)) \
+                    <= 2 * Fraction(math.ulp(unit)), (total, kappa, e2)
 
     @pytest.mark.parametrize("zeta, bits", [(0.0, "0x1.9af4e7c309cf8p-9"),
                                             (0.3, "0x1.ed04b97c7198ep-10"),
@@ -1121,7 +1115,7 @@ class TestPartialForms:
 
     @pytest.mark.parametrize("zeta", [-0.99, -0.5, 0.0, 0.5, 0.99])
     def test_companions_match_closed_forms_across_scales(self, zeta):
-        scales = [10.0 ** k for k in range(-300, 301, 50)]
+        scales = [KAPPA_MIN] + [10.0 ** k for k in range(-75, 76, 25)] + [KAPPA_MAX]
         worlds = ([TrajectoryParams(kappa, zeta, 1.0) for kappa in scales]
                   + [TrajectoryParams(1.0, zeta, e2) for e2 in scales])
         for params in worlds:
@@ -1134,24 +1128,17 @@ class TestPartialForms:
                        mirror.mirror_fd_energy(kappa, zeta)) < 1e-12
             assert rel(mirror.mirror_particle_count_quadrature(zeta, kappa),
                        mirror.mirror_particle_count(zeta, kappa)) < 1e-12
-        # kappa and e^2 near opposite ends of the double range. At (10,
-        # 1e308) e^2 kappa overflows; at (1e300, 1e-320) the unit times e^2,
-        # and at (1e-320, 1e300) and (1e-310, 1e300) the unit times kappa,
-        # is subnormal and rounds off up to 11% of the total; (1e-300,
-        # 1e300) keeps every order in range. A count that is itself
-        # subnormal is held to its rounding
+        # kappa and e^2 at the corners of the bound, where a plain product
+        # keeps every factor and partial product a normal double
         with mp.workdps(60):
-            for kappa, e2 in [(10.0, 1e308), (1e300, 1e-320), (1e-300, 1e300),
-                              (1e-320, 1e300), (1e-310, 1e300)]:
+            for kappa, e2 in itertools.product((KAPPA_MIN, 10.0, KAPPA_MAX), repeat=2):
                 params = TrajectoryParams(kappa, zeta, e2)
-                unit = (1 - mp.mpf(zeta) ** 2) * mp.mpf(e2)
-                energy = unit * mp.mpf(kappa) / (192 * mp.pi)
-                count = unit * mp.log(2) / (8 * mp.pi**2)
+                energy, count = fd_closed_forms(kappa, zeta, e2)
                 for got, want in [(fd_partial_energy(params), energy),
                                   (fd_partial_energy_quadrature(params), energy),
                                   (fd_particle_count(params), count),
                                   (fd_particle_count_quadrature(params), count)]:
-                    assert abs(got - want) <= 1e-12 * want + math.ulp(0.0)
+                    assert abs(got - want) <= 1e-12 * want
 
     def test_partial_below_total(self):
         for zeta in (-0.5, 0.0, 0.5):
@@ -1167,3 +1154,57 @@ class TestPartialForms:
         a = fd_particle_count(TrajectoryParams(1.0, 0.2, 1.0))
         b = fd_particle_count(TrajectoryParams(5.0, 0.2, 1.0))
         assert rel(b, a) < 1e-15
+
+
+class TestScaleBound:
+    # kappa and e^2 lie in [2^-256, 2^256]; every total is kappa^p e^2
+    # times its value at kappa = e^2 = 1, as a plain product
+
+    @pytest.mark.parametrize("name", ["kappa", "e_squared"])
+    def test_one_ulp_outside_the_bound_is_refused(self, name):
+        below, above = math.nextafter(KAPPA_MIN, 0.0), math.nextafter(KAPPA_MAX, math.inf)
+        for value in (below, above, 0.0, math.inf, math.nan):
+            with pytest.raises(DomainError, match=rf"{name} must lie in \[2\^-256, 2\^256\]"):
+                TrajectoryParams(**{"kappa": 1.0, "zeta": 0.0, "e_squared": 1.0, name: value})
+        for value in (KAPPA_MIN, KAPPA_MAX):
+            TrajectoryParams(**{"kappa": 1.0, "zeta": 0.0, "e_squared": 1.0, name: value})
+        # the callers that take kappa or e^2 alone keep the same rule
+        check = ((lambda v: mirror.beta_squared_fd(0.5, 0.5, v, 0.0)) if name == "kappa"
+                 else (lambda v: mirror.beta_squared_from_distribution(1.0, 1e-3, v)))
+        for value in (below, above):
+            with pytest.raises(DomainError, match=name):
+                check(value)
+        for value in (KAPPA_MIN, KAPPA_MAX):
+            assert math.isfinite(check(value))
+
+    # a zeta at or below -0.99 warns on the Larmor route; at -(1 - 2^-30)
+    # the Larmor integral stalls and the spectral one reads 0, and both are
+    # refused at every kappa and e^2 alike
+    @pytest.mark.filterwarnings("ignore:total energy grows without bound")
+    @pytest.mark.parametrize("zeta", [-(1.0 - 2.0**-30), -0.99, 0.0, 0.99, 1.0 - 2.0**-30])
+    def test_totals_at_the_corners_are_normal_scaled_products(self, zeta):
+        corners = list(itertools.product((KAPPA_MIN, KAPPA_MAX), repeat=2))
+        quantities = [(total_energy_larmor, 1), (lambda p: total_energy_spectral(p, 1e-4), 1),
+                      (fd_partial_energy, 1), (fd_partial_energy_quadrature, 1),
+                      (fd_particle_count, 0), (fd_particle_count_quadrature, 0)]
+        for quantity, power in quantities:
+            try:
+                unit = quantity(TrajectoryParams(1.0, zeta, 1.0))
+            except ConvergenceError:
+                assert zeta < -0.99
+                for kappa, e2 in corners:
+                    with pytest.raises(ConvergenceError):
+                        quantity(TrajectoryParams(kappa, zeta, e2))
+                continue
+            for kappa, e2 in corners:
+                got = quantity(TrajectoryParams(kappa, zeta, e2))
+                want = scaled_product(unit, kappa, e2, power)
+                assert sys.float_info.min <= got <= sys.float_info.max
+                # within two roundings of the 60-digit product
+                assert abs(got - want) <= 2.0**-52 * want, (quantity, kappa, e2)
+        # the closed forms against their own 60-digit values
+        for kappa, e2 in corners:
+            params = TrajectoryParams(kappa, zeta, e2)
+            energy, count = fd_closed_forms(kappa, zeta, e2)
+            assert rel(fd_partial_energy(params), energy) < 1e-14
+            assert rel(fd_particle_count(params), count) < 1e-14

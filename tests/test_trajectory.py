@@ -29,6 +29,10 @@ from fdradiance.trajectory import (
 )
 
 
+# the ends of the bound on kappa and e^2
+KAPPA_MIN, KAPPA_MAX = 2.0**-256, 2.0**256
+
+
 def rel(got, want):
     return abs(got - want) / abs(want)
 
@@ -120,25 +124,25 @@ class TestWorldline:
             penrose_coordinates(TrajectoryParams(1.0, 0.0), 1e300)
 
     def test_subnormal_kappa_time_refused(self):
-        # below 2/max, 2/kappa is inf, and at kappa z = 1 its product with
-        # ln(kappa z) = 0 is nan: refused like an infinite t(z), with no
-        # numpy warning
-        kappa = 1.1e-308
-        with pytest.raises(OverflowRangeError, match="finite"):
-            coordinate_time(TrajectoryParams(kappa, 0.0), 1.0 / kappa)
+        # below 2/max, 2/kappa would be inf, and its product with ln(kappa
+        # z) = 0 at kappa z = 1 nan; such a kappa lies below the bound and
+        # is refused with the worldline
+        with pytest.raises(DomainError, match=re.escape("kappa must lie in [2^-256, 2^256]")):
+            TrajectoryParams(1.1e-308, 0.0)
 
     def test_tiny_kappa_ceiling_is_bisected(self):
-        # at kappa 1e-300 the log term (2/kappa) ln(kappa z) overflows far
-        # below where kappa z^2/4 does; the ceiling walk of one ulp of ln z
-        # per probe took 12 s to get there, the bisection a few dozen probes.
-        # The z is the one the walk returned
-        params = TrajectoryParams(1e-300, 0.0)
+        # at kappa 2^-256 the log term (2/kappa) ln(kappa z) takes t(z) past
+        # the largest double where kappa z^2/4 reaches it, so the ceiling is
+        # bisected, in a few dozen probes. The z is the one returned before
+        # the bound; t(z) = 1 lies within a step of z there
+        params = TrajectoryParams(KAPPA_MIN, 0.0)
         start = time.perf_counter()
-        assert position_at_time(params, 1.0) == 9.030799625774899e+299
+        assert position_at_time(params, 1.0) == 1.0456951561520488e+77
         assert time.perf_counter() - start < 1.0
-        # below 2/max, 2/kappa itself overflows and no z has a finite t(z)
-        with pytest.raises(OverflowRangeError):
-            position_at_time(TrajectoryParams(5e-324, 0.0), 1.0)
+        # below 2/max, 2/kappa itself would overflow and no z have a finite
+        # t(z): such a kappa is refused with the worldline
+        with pytest.raises(DomainError, match="kappa"):
+            TrajectoryParams(5e-324, 0.0)
 
     def test_numpy_time_matches_float_time(self):
         # a numpy float t must not overflow in the seed's t / kappa, which a
@@ -343,16 +347,16 @@ class TestRadiation:
     @pytest.mark.parametrize("zeta", [-0.9, 0.0, 0.3])
     def test_energy_over_kappa_is_the_same_at_every_scale(self, zeta):
         # in s = kappa z the energy integral depends on zeta alone, so E/kappa
-        # keeps its kappa = 1 value across the double range
+        # keeps its kappa = 1 value across the bound on kappa
         want = total_energy_larmor(TrajectoryParams(1.0, zeta))
-        for kappa in (1e-300, 1e-200, 1e-160, 1e-156, 1e150, 1e300):
+        for kappa in (KAPPA_MIN, 1e-60, 1e-40, 1e-10, 1e10, 1e40, 1e60, KAPPA_MAX):
             got = total_energy_larmor(TrajectoryParams(kappa, zeta)) / kappa
             assert abs(got - want) <= 4 * np.spacing(want), kappa
 
     def test_power_is_kappa_squared_times_a_function_of_kappa_z(self):
         s = np.geomspace(1e-3, 1e3, 13)
         want = larmor_power(TrajectoryParams(1.0, 0.2), s)
-        got = larmor_power(TrajectoryParams(1e150, 0.2), s / 1e150) / 1e300
+        got = larmor_power(TrajectoryParams(KAPPA_MAX, 0.2), s / KAPPA_MAX) / KAPPA_MAX**2
         assert np.max(np.abs(got - want) / want) < 1e-14
 
     @pytest.mark.parametrize("kappa, zeta", [(1.0, 0.0), (1e50, 0.3), (1e-50, -0.6)])
@@ -379,18 +383,17 @@ class TestRadiation:
         assert (P[(s > 1e-150) & (s < 1e50)] > 0.0).all()
 
     def test_overflow_is_refused(self):
-        # at kappa 1e300, P = kappa^2 P(kappa z)|_{kappa=1} is 8e298 out at
-        # kappa z = 1e50 and overflows a double near kappa z = 1 (but for
-        # the turning point kappa z = 2, where the acceleration vanishes)
-        params = TrajectoryParams(1e300, 0.0)
-        assert 1e298 < larmor_power(params, 1e-250) < 1e299
-        with pytest.raises(OverflowRangeError, match="z=1e-300 is not a finite double"):
-            larmor_power(params, 1e-300)
-        with pytest.raises(OverflowRangeError, match="z=3e-300 "):
-            larmor_power(params, np.array([1e-250, 3e-300, 5e-300]))
-        # E/kappa = e^2 x 0.0031: finite, but not once multiplied by kappa
-        with pytest.raises(OverflowRangeError, match="total energy overflows a double"):
-            total_energy_larmor(TrajectoryParams(1e300, 0.0, 1e12))
+        # at kappa 1e300, P would overflow a double near kappa z = 1, and at
+        # (kappa, e^2) = (1e300, 1e12) so would E: such a kappa is refused.
+        # Inside the bound P stays finite: kappa^2 e^2 <= 2^768 times a unit
+        # power that peaks near 1/(1 + zeta)^2, close to kappa z = 2
+        with pytest.raises(DomainError, match="kappa"):
+            TrajectoryParams(1e300, 0.0)
+        for zeta in (-(1.0 - 2.0**-30), -0.99, 0.0, 0.99, 1.0 - 2.0**-30):
+            near = 2.0 + math.sqrt(1.0 + zeta) * np.geomspace(0.01, 100.0, 41)
+            s = np.concatenate([np.geomspace(1e-6, 1e6, 241), near, 4.0 - near])
+            P = larmor_power(TrajectoryParams(KAPPA_MAX, zeta, KAPPA_MAX), s[s > 0.0] / KAPPA_MAX)
+            assert np.isfinite(P).all() and (P >= 0.0).all() and P.max() > 1e227
 
     def test_energy_warns_near_divergence(self):
         with pytest.warns(RuntimeWarning):
@@ -452,9 +455,7 @@ class TestUnitLarmor:
                 total_energy_larmor(TrajectoryParams(1.0, 0.0), 1e-13)
         assert calls == [1e-13, 1e-13]
         assert trajectory._unit_larmor.cache_info().currsize == 0
-        # a product past the double range is refused after the unit run,
-        # which stays cached
+        # the unit run at the bound's top corner is finite, and stays cached
         monkeypatch.undo()
-        with pytest.raises(OverflowRangeError, match="total energy overflows a double"):
-            total_energy_larmor(TrajectoryParams(1e300, 0.0, 1e12))
+        assert math.isfinite(total_energy_larmor(TrajectoryParams(KAPPA_MAX, 0.0, KAPPA_MAX)))
         assert trajectory._unit_larmor.cache_info().currsize == 1
