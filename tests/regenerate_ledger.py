@@ -61,6 +61,7 @@ CASES = [
     ("spectral-total-zeta-neg-0.9", "energy --method spectral --zeta -0.9 --tol 1e-4"),
     ("spectral-total-zeta-0.3", "energy --method spectral --zeta 0.3 --tol 1e-4"),
     ("larmor-total-warning", "energy --zeta -0.995"),
+    ("spectral-total-zeta-neg-0.999999", "energy --method both --zeta -0.999999 --tol 1e-4"),
     ("spectrum-numeric-zeta-0.3",
      "spectrum --zeta 0.3 --tol 1e-6 --omega-min 0.1 --omega-max 8 --omega-steps 9"),
     ("numeric-both-sides-zeta-neg-0.6",
