@@ -15,11 +15,15 @@ Routes, kept deliberately independent of each other:
   integrator for any (zeta, theta); a whole (omega, theta) grid runs as
   one batched integration. Behind the special angle the contour cancels
   by up to e^{omega/kappa}, so its error bar can outgrow the value.
-* ``distribution_exact_zeta0`` uses the closed hypergeometric form that
-  exists when zeta = 0, for any theta; a whole (omega, theta) grid is one
-  vectorized evaluation. Its two terms cancel behind the special angle,
-  and its error bar, _CLOSED_FORM_REL of the value times that
-  cancellation factor, grows with it.
+* ``distribution_exact_zeta0`` uses the closed hypergeometric form at
+  zeta = 0, for any theta; a whole (omega, theta) grid is one vectorized
+  evaluation. Its two terms cancel behind the special angle, and its
+  error bar, _CLOSED_FORM_REL of the value times that cancellation
+  factor, grows with it. The phase reads zeta and theta only through
+  zeta - cos(theta), so the same form, with cos(theta) - zeta in place of
+  cos(theta) and sin^2(theta) kept, holds at every zeta; the angular
+  integral ``energy_spectrum`` uses it there too, but
+  ``distribution_grid`` offers it at zeta = 0 alone.
 * ``fermi_dirac_distribution`` is the special observation angle
   cos(theta0) = zeta, where the linear phase term drops and the
   distribution collapses to (1 - zeta^2)(e^2/8 pi^2)(omega/kappa) times
@@ -56,9 +60,10 @@ from 128 to 512 then calls the integrand on only the nodes it adds to the
 last, for only the rows not yet settled. At zeta = 0 an angular call is one
 closed-form evaluation of the (omega, u) grid, whose two 1F1 series are
 one ``specfun._kummer_grid`` call with a row per (series, omega) and a
-column per distinct u^2; off zeta = 0 it is one batched quadrature with a
-row, and a phase, per (omega, u). A value does not depend on the grid it
-is batched with.
+column per distinct u^2. Off zeta = 0 each omega row picks its route: the
+closed form, in u - zeta, up to X = (omega/kappa)(1 + |zeta|)^2 =
+_EXACT_X_MAX, and above it one batched quadrature with a row, and a phase,
+per (omega, u). A value does not depend on the grid it is batched with.
 """
 from __future__ import annotations
 
@@ -101,6 +106,15 @@ _TINY = float(np.finfo(float).tiny)
 # contour's cancellation grows like e^{omega/kappa}, and such a value has
 # fewer than three significant digits left.
 _REFUSAL = 1e-3
+# ``energy_spectrum`` integrates a row off zeta = 0 with the closed form when
+# X = (omega/kappa)(1 + |zeta|)^2, the largest |iy (cos(theta) - zeta)^2| its
+# 1F1s meet, is at most this, and on the contour above it. On a scan at zeta
+# -0.99..0.99 in steps of 0.05 and tol 1e-6 and 1e-8
+# (tests/scan_closed_form_reach.py), every closed row up to X 14 lay within
+# 2.2e-13 of the contour's, also with long double read as double, and the
+# first closed row off by more than tol was at X 22 (zeta 0.99): 1.57 times
+# this.
+_EXACT_X_MAX = 14.0
 # Most elements one slice of an (omega, u) grid evaluates: the closed form's
 # two series, or the quadrature's one integral, per (omega, u). Bigger grids
 # run in slices of whole omega rows (one at the least), bounding their memory.
@@ -190,36 +204,39 @@ def _numeric_values(params: TrajectoryParams, omegas, us, sin2, tol: float):
 
 
 def _exact_zeta0_values(params: TrajectoryParams, omegas, us, sin2, tol: float):
-    """Closed-form dI/dOmega/e^2 at zeta = 0 and its error on the grid omegas x us.
+    """Closed-form dI/dOmega/e^2 and its error on the grid omegas x us.
 
     Arguments and result as for ``_numeric_values``; tol is not read.
-    sin^2 is not 1 - u^2, which cancels near the poles. The values follow
-    from
+    sin^2 is not 1 - u^2, which cancels near the poles. The form is the
+    zeta = 0 one, which holds at every zeta with u = cos(theta) - zeta,
+    since the phase reads zeta and theta only through zeta - cos(theta); at
+    zeta = 0 the shift is exact and changes no bit. The values follow from
 
         m(u) = t1 + t2,  t1 = Gamma(1/2 - iy) 1F1(1/2 - iy; 1/2; iyu^2),
                          t2 = 2u sqrt(iy) Gamma(1 - iy) 1F1(1 - iy; 3/2; iyu^2),
 
-    y = omega/kappa. For u < 0 the two terms cancel by the factor K =
-    (|t1| + |t2|)/|t1 + t2|, which grows like e^{2y|u|}, and the relative
-    error grows with it: the bar is _CLOSED_FORM_REL K times the value, a
-    roundoff envelope rather than an estimate. The 1F1s depend on u only
-    through u^2 and share a = 1/2 - iy or 1 - iy across it, so both series
-    are one ``_kummer_grid`` call with a row per (series, omega) and a
-    column per distinct u^2, whose values go back to every u of that
-    square; negating u negates t2 exactly, so a value keeps its bits
-    whatever other nodes share its u^2, and the exactly odd nodes of
-    ``_cc_rule`` sum half as many series. A cell of that grid keeps its
-    bits in any grid, so an element does not depend on the rest of the
-    grid; grids whose two series hold more than _SLICE_ELEMENTS cells run
-    in slices of whole omega rows. Dark directions (sin^2(theta) = 0) skip
-    the series, as in ``_numeric_values``.
+    y = omega/kappa and u = cos(theta) - zeta. For u < 0 the two terms
+    cancel by the factor K = (|t1| + |t2|)/|t1 + t2|, which grows like
+    e^{2y|u|}, and the relative error grows with it: the bar is
+    _CLOSED_FORM_REL K times the value, a roundoff envelope rather than an
+    estimate. The 1F1s depend on u only through u^2 and share a = 1/2 - iy
+    or 1 - iy across it, so both series are one ``_kummer_grid`` call with
+    a row per (series, omega) and a column per distinct u^2, whose values
+    go back to every u of that square; negating u negates t2 exactly, so a
+    value keeps its bits whatever other nodes share its u^2, and at zeta =
+    0 the exactly odd nodes of ``_cc_rule`` sum half as many series. A
+    cell of that grid keeps its bits in any grid, so an element does not
+    depend on the rest of the grid; grids whose two series hold more than
+    _SLICE_ELEMENTS cells run in slices of whole omega rows. Dark
+    directions (sin^2(theta) = 0) skip the series, as in
+    ``_numeric_values``.
     """
     kappa = params.kappa
     out, err = np.zeros((2, omegas.size, us.size))
     lit = sin2 != 0.0
     if not lit.any():
         return out, err
-    us, sin2 = us[lit], sin2[lit]
+    us, sin2 = us[lit] - params.zeta, sin2[lit]
     squares, at = np.unique(us**2, return_inverse=True)
     step = max(1, _SLICE_ELEMENTS // (2 * squares.size))
     for s in range(0, omegas.size, step):
@@ -448,11 +465,13 @@ def energy_spectrum(params: TrajectoryParams, omega, tol: float = 1e-6,
     tails of a larger frequency integral stop without chasing relative
     accuracy of negligible numbers; it changes when a row settles, never
     which nodes a call takes. The rows run at unit charge, and e^2
-    multiplies I. The integrand is the closed form at zeta = 0 and
-    quadrature otherwise (``force_numeric`` uses quadrature at zeta = 0
-    too). A row's value is the same in any batch. tol must lie
-    in (0, 1e-2]. A row unsettled at order 512 raises ``ConvergenceError``
-    with its last value as ``best`` (``_unit_refusal``).
+    multiplies I. Each row picks its integrand once: the closed form
+    (``_exact_zeta0_values``) at zeta = 0, and off it where X =
+    (omega/kappa)(1 + |zeta|)^2 is at most _EXACT_X_MAX; quadrature on the
+    saddle contour (``_numeric_values``) otherwise. ``force_numeric`` sends
+    every row to the contour. A row's value is the same in any batch. tol
+    must lie in (0, 1e-2]. A row unsettled at order 512 raises
+    ``ConvergenceError`` with its last value as ``best`` (``_unit_refusal``).
     """
     _check_tol(tol)
     omegas = np.asarray(omega, dtype=float)
@@ -461,11 +480,20 @@ def energy_spectrum(params: TrajectoryParams, omega, tol: float = 1e-6,
     if omegas.ndim != 1:
         raise DomainError("omega must be a float or a 1-d array")
     _check_omega(omegas)
-    route = (_exact_zeta0_values if params.zeta == 0.0 and not force_numeric
-             else _numeric_values)
-    out, todo = _nested_cc(
-        lambda rows, us, sin2: route(params, omegas[rows], us, sin2, tol / 8.0)[0],
-        omegas.size, 2.0 * math.pi, tol, abs_floor / params.e_squared)
+    closed = np.full(omegas.size, not force_numeric)
+    if params.zeta != 0.0:
+        closed &= omegas / params.kappa * (1.0 + abs(params.zeta)) ** 2 <= _EXACT_X_MAX
+
+    def integrand(rows, us, sin2):
+        out = np.empty((rows.size, us.size))
+        for route, pick in ((_exact_zeta0_values, closed[rows]),
+                            (_numeric_values, ~closed[rows])):
+            if pick.any():
+                out[pick] = route(params, omegas[rows[pick]], us, sin2, tol / 8.0)[0]
+        return out
+
+    out, todo = _nested_cc(integrand, omegas.size, 2.0 * math.pi, tol,
+                           abs_floor / params.e_squared)
     if todo.size:
         w, best = float(omegas[todo[0]]), params.e_squared * float(out[todo[0]])
         raise _unit_refusal(lambda kappa, e2: ConvergenceError(
@@ -545,11 +573,17 @@ def _unit_total(zeta: float, tol: float) -> float:
     no positive finite double, raises ``ConvergenceError`` with hi as
     ``best``. These refusals, like those of its ``energy_spectrum`` calls,
     state kappa = 1, unit-charge numbers and carry their restatement in a
-    caller's units (``_unit_refusal``). A total of 0 raises
-    ``ConvergenceError`` too. A refused run leaves nothing in the cache.
+    caller's units (``_unit_refusal``). A tail rate that rounds to 0, a
+    total of 0, and a total below 0.9 min(I(0.1), I(1)), which bounds the
+    integral over [0.1, 1] of a spectrum unimodal there, raise
+    ``ConvergenceError`` too; the last is a restated refusal with the total
+    as ``best``. A refused run leaves nothing in the cache.
     """
     params = TrajectoryParams(1.0, zeta, 1.0)
     c = _tail_rate(zeta)
+    if not c > 0.0:     # (1 - zeta)/2 rounds to 1 at zeta = -(1 - 2^-53)
+        raise ConvergenceError(f"the tail rate of I(omega) at zeta={float(zeta)!r} "
+                               f"rounds to {c!r}, which places no frequency cutoff")
     probe_tol = min(1e-4, tol)
     omegas = np.array([0.1, 0.3, 1.0, 20.0 / c])
     *low, I0 = energy_spectrum(params, omegas, probe_tol).tolist()
@@ -581,6 +615,14 @@ def _unit_total(zeta: float, tol: float) -> float:
             best=e2 * kappa * float(total[0])))
     if total[0] == 0.0:     # near zeta = -1 every node can lie past the spectrum
         raise ConvergenceError("the frequency integral is 0", best=0.0)
+    # near zeta = -1 the frequency rule's nodes can miss the spectrum's bulk
+    floor = 0.9 * min(low[0], low[2])
+    if total[0] < floor:
+        unit = float(total[0])
+        raise _unit_refusal(lambda kappa, e2: ConvergenceError(
+            f"the frequency integral {e2 * kappa * unit:.3e} is below "
+            f"0.9 min(I(0.1 kappa), I(kappa)) = {e2 * kappa * floor:.3e}, "
+            "a lower bound on it", best=e2 * kappa * unit))
     return float(total[0])
 
 

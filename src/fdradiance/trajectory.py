@@ -239,22 +239,29 @@ def _larmor(zeta: float, s, power: int):
     unit length, so power 5 integrated over s is E/(e^2 kappa). It is taken
     in v, as (v^2 dw/ds)^2 v^(power - 4) gamma^6 with v^2 dw/ds = v^2/2 -
     2 (v/s)^2, where no factor overflows: far out on either side it
-    underflows to 0 with the power.
+    underflows to 0 with the power. Where 1 - v^2 rounds to 0 it is inf or
+    nan, without a warning, for its callers to refuse.
     """
     v = 1.0 / (0.5 * s + 2.0 / s + zeta)
     v2_dw_ds = 0.5 * v * v - 2.0 * (v / s) ** 2
-    return (v2_dw_ds**2 * v ** (power - 4)
-            / (6.0 * math.pi * ((1.0 - v) * (1.0 + v)) ** 3))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return (v2_dw_ds**2 * v ** (power - 4)
+                / (6.0 * math.pi * ((1.0 - v) * (1.0 + v)) ** 3))
 
 
 def larmor_power(params: TrajectoryParams, z):
     """Instantaneous radiated power P = e^2 gamma^6 accel^2 / (6 pi).
 
     P = e^2 kappa^2 times a function of kappa z alone; a P that underflows
-    is 0.
+    is 0. Where 1 - v^2 rounds to 0 (near kappa z = 2 at zeta = -(1 -
+    2^-53), where 2 + zeta rounds to 1) gamma has no value, and
+    ``OverflowRangeError`` names the first such z.
     """
     zs = _check_positions(z)
     unit = _larmor(params.zeta, params.kappa * zs, 6)
+    if not np.isfinite(unit).all():
+        bad = np.atleast_1d(zs)[~np.isfinite(np.atleast_1d(unit))][0]
+        raise OverflowRangeError(f"P at z={float(bad)!r} has no value: 1 - v^2 rounds to 0 there")
     P = params.kappa * (params.kappa * (params.e_squared * unit))
     return float(P) if zs.ndim == 0 else P
 

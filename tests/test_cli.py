@@ -450,6 +450,23 @@ class TestEnergyCommand:
         assert_outside_the_bound(capsys, ["energy", "--method", "spectral", "--tol", "1e-4"],
                                  "e-squared", "1e-320")
 
+    @pytest.mark.filterwarnings("default::RuntimeWarning")
+    @pytest.mark.parametrize("method, zeta, why", [
+        ("spectral", "-0.9999999999999999",
+         "the tail rate of I(omega) at zeta=-0.9999999999999999 rounds to 0.0"),
+        ("spectral", "-0.999999", "the frequency integral 1.046e-12 is below "
+                                  "0.9 min(I(0.1 kappa), I(kappa)) = 5.589e-04"),
+        ("both", "-0.999999", "the frequency integral 1.046e-12 is below")])
+    def test_spectral_total_near_zeta_minus_1_exits_3(self, capsys, fresh_caches,
+                                                      method, zeta, why):
+        # at zeta = -(1 - 2^-53) the tail rate rounds to 0, where the cutoff
+        # 20/c divided by zero; at -0.999999 the frequency rule missed the
+        # spectrum's bulk and printed 1.05e-12 beside the Larmor 4.8e5
+        code, out, err = run(capsys, ["energy", "--method", method, "--zeta", zeta,
+                                      "--tol", "1e-4"])
+        assert code == 3 and out == ""
+        assert f"numerical failure: {why}" in err
+
     def test_spectrum_that_never_decays_exits_3(self, capsys, monkeypatch, fresh_caches):
         # the frequency cutoff refuses instead of truncating the integral
         monkeypatch.setattr(spectra, "energy_spectrum",
@@ -850,6 +867,34 @@ class TestCheckCommand:
         code, _, err = run(capsys, ["check", "--criteria", "1",
                                     "--tolerance-scale", scale])
         assert code == 2 and "error:" in err
+
+
+class TestEndsOfZetaRange:
+    """Every command keeps the exit-code contract at the ends of zeta's range."""
+
+    SMALL = ["--omega-min", "0.5", "--omega-max", "2", "--omega-steps", "2"]
+    COMMANDS = {
+        "energy-larmor": ["energy", "--method", "larmor", "--tol", "1e-4"],
+        "energy-spectral": ["energy", "--method", "spectral", "--tol", "1e-4"],
+        "spectrum": ["spectrum", *SMALL],
+        "distribution": ["distribution", *SMALL, "--theta-min", "0.5", "--theta-max", "2",
+                         "--theta-steps", "2"],
+        "mirror": ["mirror", "--duality"],
+    }
+
+    # the Larmor total's warning near zeta = -1 prints, as on the command line
+    @pytest.mark.filterwarnings("default::RuntimeWarning")
+    @pytest.mark.parametrize("command", COMMANDS)
+    @pytest.mark.parametrize("zeta", [-(1.0 - 2.0**-53), -(1.0 - 2.0**-30), -0.999999,
+                                      1.0 - 2.0**-53])
+    def test_exits_0_2_or_3_without_a_traceback(self, capsys, fresh_caches, zeta, command):
+        # an uncaught exception would end the process with a traceback and
+        # exit 1, the code of a failed acceptance check; numpy's warnings
+        # would show a rounding the command did not handle
+        code, out, err = run(capsys, [*self.COMMANDS[command], "--zeta", repr(zeta)])
+        assert code in (0, 2, 3), err
+        assert (out != "") == (code == 0)
+        assert "Traceback" not in err and "encountered in" not in err
 
 
 class TestCsvWriter:

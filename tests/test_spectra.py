@@ -591,8 +591,9 @@ class TestIntegratedSpectrum:
         pytest.param(0.9, 1e-4, id="0.9"), pytest.param(-0.99, 1e-4, id="-0.99"),
         pytest.param(0.99, 1e-4, id="0.99")])
     def test_total_energy_closure(self, zeta, tol):
-        # the angular integrand is the exact route at zeta = 0 and the
-        # numeric route elsewhere; 1e-6 is the CLI's floor for this route.
+        # the angular integrand is the exact route at zeta = 0 and at the
+        # frequencies below X = _EXACT_X_MAX elsewhere, the numeric route
+        # above them; 1e-6 is the CLI's floor for this route.
         # At zeta -0.9 the frequency rule runs past the first pair of
         # orders that could stop it early. At zeta -0.99 the tail rate c is
         # 0.0027 and the spectrum ends near 9,200 kappa; the Larmor route
@@ -682,6 +683,36 @@ class TestBatchedSpectra:
             energy_spectrum(params, omegas.reshape(1, 3))
         with pytest.raises(DomainError):
             energy_spectrum(params, np.array([1.0, -1.0]))
+
+    @pytest.mark.parametrize("zeta", [-0.6, 0.0, 0.3])
+    def test_each_row_takes_its_own_route(self, monkeypatch, zeta):
+        # off zeta = 0 a row takes the closed form at X = (omega/kappa)(1 +
+        # |zeta|)^2 <= _EXACT_X_MAX and the contour above it, whatever rows
+        # share its batch, and within tol of the contour's value; at zeta = 0
+        # every row takes the closed form, and force_numeric sends every row
+        # to the contour
+        kappa = 1.3
+        xs = np.array([0.2, 6.0, 13.5, 14.5, 25.0])
+        omegas = kappa * xs / (1.0 + abs(zeta)) ** 2
+        params = TrajectoryParams(kappa, zeta, 0.7)
+        seen = {"closed": [], "contour": []}
+        routes = {"closed": ("_exact_zeta0_values", spectra._exact_zeta0_values),
+                  "contour": ("_numeric_values", spectra._numeric_values)}
+        for name, (attr, route) in routes.items():
+            def recording(params, omegas, us, sin2, tol, name=name, route=route):
+                seen[name].extend(omegas.tolist())
+                return route(params, omegas, us, sin2, tol)
+            monkeypatch.setattr(spectra, attr, recording)
+        batch = energy_spectrum(params, omegas, 1e-6)
+        closed = xs <= spectra._EXACT_X_MAX if zeta != 0.0 else np.ones(xs.size, bool)
+        assert set(seen["closed"]) == set(omegas[closed].tolist())
+        assert set(seen["contour"]) == set(omegas[~closed].tolist())
+        assert batch.tolist() == [energy_spectrum(params, w, 1e-6) for w in omegas.tolist()]
+        seen["closed"].clear()
+        contour = energy_spectrum(params, omegas, 1e-6, force_numeric=True)
+        assert seen["closed"] == []
+        assert np.array_equal(contour[~closed], batch[~closed])
+        assert (np.abs(batch - contour) <= 1e-6 * contour).all()
 
     def test_mirrored_half_matches_full_nodes(self):
         # the 1F1s run once per distinct |u|; every value must keep the bits
@@ -848,7 +879,8 @@ class TestBatchedSpectra:
         for abs_floor in (0.0, 1e-300):
             calls.clear()
             with pytest.raises(ConvergenceError):
-                energy_spectrum(TrajectoryParams(1, 0.3), 1.0, 1e-6, abs_floor=abs_floor)
+                energy_spectrum(TrajectoryParams(1, 0.3), 1.0, 1e-6, abs_floor=abs_floor,
+                                force_numeric=True)
             assert [us.size for us, _ in calls] == [65, 64, 128, 256]
             assert [np.count_nonzero(sin2) for _, sin2 in calls] == [63, 64, 128, 256]
             for (us, sin2), order in zip(calls, orders):
@@ -858,7 +890,11 @@ class TestBatchedSpectra:
         monkeypatch.undo()
 
         # the real routes, which settle at order 64: the numeric one
-        # integrates the lit nodes, the exact one sums its series per |u|
+        # integrates the lit nodes, the exact one sums its series per
+        # |cos(theta) - zeta|, which pairs the nodes only at zeta = 0. At
+        # zeta -0.6 a row at X = (omega/kappa)(1.6)^2 = 2.56 takes the closed
+        # form unless forced onto the contour, and one at X = 51.2 takes the
+        # contour
         rows, moduli = [], []
         oscillatory, exact = spectra._oscillatory_rows, spectra._exact_zeta0_values
 
@@ -867,7 +903,7 @@ class TestBatchedSpectra:
             return oscillatory(b, d, tol)
 
         def counting_moduli(params, omegas, us, sin2, tol):
-            moduli.append(np.unique(np.abs(us)).size)
+            moduli.append(np.unique(np.abs(us - params.zeta)).size)
             return exact(params, omegas, us, sin2, tol)
 
         monkeypatch.setattr(spectra, "_oscillatory_rows", counting_rows)
@@ -875,9 +911,15 @@ class TestBatchedSpectra:
         for abs_floor in (0.0, 1e-300):
             rows.clear()
             moduli.clear()
-            energy_spectrum(TrajectoryParams(1, -0.6), 1.0, 1e-6, abs_floor=abs_floor)
+            energy_spectrum(TrajectoryParams(1, -0.6), 1.0, 1e-6, abs_floor=abs_floor,
+                            force_numeric=True)
             energy_spectrum(TrajectoryParams(1, 0), 1.0, 1e-6, abs_floor=abs_floor)
             assert rows == [63] and moduli == [33]
+            rows.clear()
+            moduli.clear()
+            energy_spectrum(TrajectoryParams(1, -0.6), np.array([1.0, 20.0]), 1e-6,
+                            abs_floor=abs_floor)
+            assert rows == [63] and moduli == [65]
 
     @pytest.mark.parametrize("zeta", [-0.6, 0.0, 0.3])
     def test_both_schedules_give_the_same_bits(self, zeta):
@@ -1047,12 +1089,56 @@ class TestUnitTotal:
                 assert abs(Fraction(got) / (Fraction(e2) * Fraction(kappa)) - Fraction(unit)) \
                     <= 2 * Fraction(math.ulp(unit)), (total, kappa, e2)
 
+    def test_zero_tail_rate_is_refused(self, fresh_caches):
+        # at zeta = -(1 - 2^-53), (1 - zeta)/2 rounds to 1 and the tail rate
+        # c to 0, where the cutoff 20/c has no value
+        zeta = -(1.0 - 2.0**-53)
+        assert spectra._tail_rate(zeta) == 0.0
+        for _ in range(2):
+            with pytest.raises(ConvergenceError, match="tail rate .* rounds to 0.0"):
+                total_energy_spectral(TrajectoryParams(1.0, zeta), 1e-4)
+        assert spectra._unit_total.cache_info().currsize == 0
+
+    def test_total_below_its_floor_is_refused(self, fresh_caches):
+        # at zeta -0.999999 the frequency rule's nodes miss the spectrum's
+        # bulk, and the unit total came out 1.14e-11 against the Larmor
+        # route's 5.2e6. Below 0.9 min(I(0.1), I(1)), which bounds the integral over
+        # [0.1, 1] of a spectrum unimodal there, the total is refused, with
+        # the total in the caller's units as best; correct totals measured
+        # 2.5 to 857 times that floor at zeta -0.99..0.99
+        refusals = []
+        for kappa, e2 in ((1.0, 1.0), (2.0, 3.0)):
+            with pytest.raises(ConvergenceError, match="below 0.9 min") as err:
+                total_energy_spectral(TrajectoryParams(kappa, -0.999999, e2), 1e-4)
+            refusals.append(err.value)
+        unit, scaled = refusals
+        assert 0.0 < unit.best < 1e-10 and scaled.best == 6.0 * unit.best
+        assert spectra._unit_total.cache_info().currsize == 0
+
+    def test_floor_reads_the_probe(self, monkeypatch, fresh_caches):
+        # a spectrum of e^{-5 omega} but at the probe's omega 0.1, 0.3 and 1
+        # integrates to 0.2: below 0.9 min(1, 1) = 0.9, above 0.9 min(0.2, 1)
+        for low, refused in ((1.0, True), (0.2, False)):
+            probe = {0.1: low, 0.3: 1.0, 1.0: 1.0}
+            monkeypatch.setattr(spectra, "energy_spectrum",
+                                lambda params, omegas, *args, **kw: np.array(
+                                    [probe.get(w, math.exp(-5.0 * w)) for w in omegas.tolist()]))
+            if refused:
+                with pytest.raises(ConvergenceError, match="= 9.000e-01, a lower") as err:
+                    total_energy_spectral(TrajectoryParams(1.0, 0.0, 1.0))
+                assert err.value.best == pytest.approx(0.2, rel=1e-3)
+            else:
+                assert total_energy_spectral(TrajectoryParams(1.0, 0.0, 1.0)) == \
+                    pytest.approx(0.2, rel=1e-3)
+
     @pytest.mark.parametrize("zeta, bits", [(0.0, "0x1.9af4e7c309cf8p-9"),
-                                            (0.3, "0x1.ed04b97c7198ep-10"),
-                                            (-0.3, "0x1.9156461d61c7cp-8")])
+                                            (0.3, "0x1.ed04b97c761a8p-10"),
+                                            (-0.3, "0x1.9156461d605d4p-8")])
     def test_unit_total_keeps_its_bits(self, zeta, bits):
-        # at kappa = e^2 = 1 the total is the unit run itself, with the bits
-        # it had when every total integrated its own spectrum
+        # at kappa = e^2 = 1 the total is the unit run itself. At zeta 0 it
+        # has the bits it had when every total integrated its own spectrum;
+        # off zeta = 0 the frequencies up to X = _EXACT_X_MAX take the closed
+        # form, and 0.3 lies 3.7e-13, -0.3 6.2e-13 from the Larmor total
         assert total_energy_spectral(TrajectoryParams(1.0, zeta, 1.0), 1e-4) \
             == float.fromhex(bits)
 

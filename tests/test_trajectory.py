@@ -382,6 +382,24 @@ class TestRadiation:
         assert P[0] == 0.0 and P[-1] == 0.0
         assert (P[(s > 1e-150) & (s < 1e50)] > 0.0).all()
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_power_refuses_where_one_minus_v_squared_rounds_to_0(self):
+        # at zeta = -(1 - 2^-53), 2 + zeta rounds to 1, so v rounds to 1 near
+        # kappa z = 2 and gamma has no value: 0/0 at 2 and x/0 just above.
+        # The refusal names the first such z, with no warning on the way,
+        # and every other value keeps its bits
+        params = TrajectoryParams(1.0, -(1.0 - 2.0**-53), 1.0)
+        above = 2.0000000001053673
+        for z, first in (([1.0, 2.0, above, 3.0], 2.0), ([1.0, above, 2.0], above),
+                         (2.0, 2.0), (above, above)):
+            with pytest.raises(OverflowRangeError, match=f"P at z={first!r} has no value"):
+                larmor_power(params, np.array(z))
+        z = np.array([1e-3, 1.0, 1.9, 1.99999, 2.00001, 2.1, 3.0, 1e3])
+        P = larmor_power(params, z)
+        assert np.isfinite(P).all() and (P > 0.0).all()
+        assert P.tolist() == trajectory._larmor(params.zeta, z, 6).tolist()
+        assert P.tolist() == [larmor_power(params, w) for w in z.tolist()]
+
     def test_overflow_is_refused(self):
         # at kappa 1e300, P would overflow a double near kappa z = 1, and at
         # (kappa, e^2) = (1e300, 1e12) so would E: such a kappa is refused.
