@@ -1102,10 +1102,10 @@ class TestUnitTotal:
     def test_total_below_its_floor_is_refused(self, fresh_caches):
         # at zeta -0.999999 the frequency rule's nodes miss the spectrum's
         # bulk, and the unit total came out 1.14e-11 against the Larmor
-        # route's 5.2e6. Below 0.9 min(I(0.1), I(1)), which bounds the integral over
-        # [0.1, 1] of a spectrum unimodal there, the total is refused, with
-        # the total in the caller's units as best; correct totals measured
-        # 2.5 to 857 times that floor at zeta -0.99..0.99
+        # route's 5.2e6. Below 0.9 min(I(0.1), I(1)), which bounds the
+        # integral over [0.1, 1] of a spectrum unimodal there, the total is
+        # refused, with the total in the caller's units as best; correct
+        # totals measured 2.5 to 857 times that floor at zeta -0.99..0.99
         refusals = []
         for kappa, e2 in ((1.0, 1.0), (2.0, 3.0)):
             with pytest.raises(ConvergenceError, match="below 0.9 min") as err:
