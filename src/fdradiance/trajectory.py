@@ -259,9 +259,10 @@ def larmor_power(params: TrajectoryParams, z):
     """
     zs = _check_positions(z)
     unit = _larmor(params.zeta, params.kappa * zs, 6)
-    if not np.isfinite(unit).all():
-        bad = np.atleast_1d(zs)[~np.isfinite(np.atleast_1d(unit))][0]
-        raise OverflowRangeError(f"P at z={float(bad)!r} has no value: 1 - v^2 rounds to 0 there")
+    finite = np.isfinite(unit)
+    if not finite.all():
+        bad = float(zs.flat[np.argmin(finite)])
+        raise OverflowRangeError(f"P at z={bad!r} has no value: 1 - v^2 rounds to 0 there")
     P = params.kappa * (params.kappa * (params.e_squared * unit))
     return float(P) if zs.ndim == 0 else P
 
