@@ -143,6 +143,20 @@ def cc_squares(order):
     return np.unique(np.sin(np.pi * (order - 2 * np.arange(order + 1)) / (2 * order)) ** 2)
 
 
+def shifted_squares(order, zeta):
+    """The distinct (u - zeta)^2 of the lit Clenshaw-Curtis nodes of
+    ``order`` (the poles u = +-1 are dark), as ``energy_spectrum``'s closed
+    rows take them off zeta = 0: columns in [0, (1 + |zeta|)^2)."""
+    us = np.sin(np.pi * (order - 2 * np.arange(order + 1)) / (2 * order))[1:-1]
+    return np.unique((us - zeta) ** 2)
+
+
+def closed_row_ys(zeta, size):
+    """``size`` values of y = omega/kappa, geometric from 0.01 up to the
+    last closed row at zeta, X = y (1 + |zeta|)^2 = 14."""
+    return np.geomspace(0.01, 14.0 / (1.0 + abs(zeta)) ** 2, size)
+
+
 class TestLnGamma:
     @pytest.mark.parametrize("size", [*range(1, 34), 63, 64, 65, 255, 256, 257, 511, 1000])
     def test_lanczos_sum_adds_its_terms_in_order(self, size, monkeypatch):
@@ -654,6 +668,21 @@ class TestKummerGrid:
         got = specfun._kummer_grid(a, b, c, z)
         want = kummer_1f1(a[:, None], b[:, None], c[:, None] * z)
         assert np.max(np.abs(got - want) / np.abs(want)) < 1e-13
+        # the columns energy_spectrum's closed rows pass off zeta = 0,
+        # (cos(theta) - zeta)^2 up to (1 + |zeta|)^2 and y up to X = 14. Near
+        # z = 4 a cell cancels by up to 260 (at zeta 0.99), and the two sums
+        # group its terms differently, so they agree to 1e-13 of the cell's
+        # largest term, cancellation times |sum|, rather than of its sum
+        for ys, z in ((np.array([2.7]), shifted_squares(64, 0.3)),
+                      (closed_row_ys(-0.6, 8), shifted_squares(512, -0.6)),
+                      (closed_row_ys(0.99, 6), shifted_squares(128, 0.99))):
+            a, b, c = self.series_rows(ys)
+            got = specfun._kummer_grid(a, b, c, z)
+            a, b, x = np.broadcast_arrays(a[:, None], b[:, None], c[:, None] * z)
+            want = kummer_1f1(a, b, x)
+            cancel = _taylor_1f1(a.ravel(), b.ravel(), x.ravel())[1].reshape(want.shape)
+            assert np.all(cancel < specfun._CANCEL_RETRY)
+            assert np.max(np.abs(got - want) / (cancel * np.abs(want))) < 1e-13
 
     def test_cancelling_cells_carry_kummer_1f1_bits(self, monkeypatch):
         # at y = 60 the series cancel by 4.3e4 at z = 0.9 and by 4.4e5 at
@@ -724,7 +753,11 @@ class TestKummerGrid:
         (np.geomspace(0.01, 15.0, 8), cc_squares(512), []),
         (np.array([0.3, 4.0, 11.0]), np.array([0.0, 0.25, 0.0, 1.0]), []),
         (np.array([60.0, 2.0]), np.array([0.5, 0.9, 1.0]), [4]),
-    ], ids=["1x1", "2x33", "50x33", "16x257", "z=0", "fallback"])
+        (np.array([2.7]), shifted_squares(64, 0.3), []),
+        (closed_row_ys(-0.6, 8), shifted_squares(512, -0.6), [110]),
+        (closed_row_ys(0.99, 6), shifted_squares(128, 0.99), []),
+    ], ids=["1x1", "2x33", "50x33", "16x257", "z=0", "fallback", "zeta0.3-2x63",
+            "zeta-0.6-16x511", "zeta0.99-12x127"])
     def test_masked_state_keeps_the_compacting_loops_bits(self, ys, z, cells,
                                                            monkeypatch):
         # the (band, row) state updated by masks gives every cell the bits
@@ -732,7 +765,9 @@ class TestKummerGrid:
         # cells their band's top does not clear go to kummer_1f1 in one
         # call: at y = 60 the z = 0.9 and z = 1 cells, the latter retried in
         # long double; at y = 20 the one cell at z = 0.549, whose top z = 1
-        # has terms far above its own
+        # has terms far above its own; at zeta -0.6 the 110 cells of y 5.47
+        # (two series, 55 columns) with z in (2, 2.49], whose top z = 4 has
+        # terms far above their own
         handed = []
         kummer = specfun.kummer_1f1
 
