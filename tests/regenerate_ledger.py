@@ -34,8 +34,9 @@ LEDGER = os.path.join(os.path.dirname(os.path.abspath(__file__)), "ledger")
 
 # (name, argv): the six README commands, then the grids and refusals the
 # distribution routes meet on the command line, a spectral total on each
-# side of zeta = 0, the Larmor total's warning near zeta = -1, two spectral
-# totals refused nearer zeta = -1, and kappa and e^2 at and past their bound
+# side of zeta = 0, the Larmor total's warning near zeta = -1 and its refusal
+# at zeta = -(1 - 2^-53), two spectral totals refused nearer zeta = -1, and
+# kappa and e^2 at and past their bound
 CASES = [
     ("readme-trajectory", "trajectory --zeta-min -0.5 --zeta-max 0.5 --zeta-steps 3 --penrose"),
     ("readme-energy", "energy --method both --tol 1e-4"),
@@ -61,6 +62,7 @@ CASES = [
     ("spectral-total-zeta-neg-0.9", "energy --method spectral --zeta -0.9 --tol 1e-4"),
     ("spectral-total-zeta-0.3", "energy --method spectral --zeta 0.3 --tol 1e-4"),
     ("larmor-total-warning", "energy --zeta -0.995"),
+    ("larmor-total-no-value", "energy --zeta -0.9999999999999999"),
     ("spectral-total-zeta-neg-0.999999", "energy --method both --zeta -0.999999 --tol 1e-4"),
     ("spectral-total-zero-tail-rate",
      "energy --method spectral --zeta -0.9999999999999999 --tol 1e-4"),
