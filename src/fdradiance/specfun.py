@@ -7,7 +7,8 @@ pure, so they are safe under any amount of concurrency.
 g = 607/128) with reflection into the left half-plane; measured accuracy is
 a few ulp relative to the scale of ln Gamma for |z| <= 100, far inside the
 1e-12 contract. Its sum is one table of terms, added row after row by one
-reduction.
+reduction; a 1-d array wholly in Re z >= 1/2 goes to it whole, with no
+pole test or reflection.
 
 ``kummer_1f1`` sums the Taylor series directly, applying the Kummer
 transform 1F1(a;b;x) = e^x 1F1(b-a;b;-x) when Re x < 0 so the summed
@@ -28,8 +29,9 @@ its best estimate is the value its own call returns, so one call can sum
 many independent series and drop only the refused ones.
 
 The private ``_kummer_grid`` sums 1F1(a_r; b_r; c_r z_k) on a grid of rows
-(a, b, c) and real columns z in [0, 1], as the closed form of ``spectra``
-needs it: two series per frequency, one column per distinct cos^2(theta).
+(a, b, c) and real columns z >= 0, as the closed form of ``spectra`` needs
+it: two series per frequency, and a column per (cos(theta) - zeta)^2, in
+[0, (1 + |zeta|)^2) (one per distinct cos^2(theta) at zeta = 0).
 A row's coefficients D_n = (a)_n c^n/((b)_n n!) are shared by its columns,
 so each block of terms is one product accumulation per row and one dot
 product per cell against the powers z^n. Each (band of z, row) pair's
@@ -137,29 +139,31 @@ def ln_gamma(z):
     arr = np.asarray(z, dtype=complex)
     scalar = arr.ndim == 0
     arr = np.atleast_1d(arr)
-
-    pole = _is_nonpositive_integer(arr)
-    if pole.any():
-        raise PoleError(f"ln_gamma pole at z = {arr[pole][0]}")
-
-    out = np.empty(arr.shape, dtype=complex)
     right = arr.real >= 0.5
-    out[right] = _ln_gamma_right(arr[right])
-    left = ~right
-    if left.any():
-        w = arr[left]
-        # Reflection, kept continuous on the principal branch: for Im w >= 0,
-        #   ln Gamma(w) = ln(2*pi) - ln Gamma(1-w) - i*pi/2 + i*pi*w
-        #                 - Log(1 - exp(2*pi*i*w));
-        # the lower half-plane follows by conjugation symmetry.
-        upper = w.imag >= 0.0
-        wu = np.where(upper, w, np.conj(w))
-        ref = (_LN_2PI - _ln_gamma_right(1.0 - wu)
-               - 1j * np.pi / 2 + 1j * np.pi * wu
-               - np.log(1.0 - np.exp(2j * np.pi * wu)))
-        out[left] = np.where(upper, ref, np.conj(ref))
+    if arr.ndim == 1 and right.all():
+        # no pole lies in the right half-plane, and no element is reflected
+        out = _ln_gamma_right(arr)
+    else:
+        pole = _is_nonpositive_integer(arr)
+        if pole.any():
+            raise PoleError(f"ln_gamma pole at z = {arr[pole][0]}")
+        out = np.empty(arr.shape, dtype=complex)
+        out[right] = _ln_gamma_right(arr[right])
+        left = ~right
+        if left.any():
+            w = arr[left]
+            # Reflection, kept continuous on the principal branch: for Im w >= 0,
+            #   ln Gamma(w) = ln(2*pi) - ln Gamma(1-w) - i*pi/2 + i*pi*w
+            #                 - Log(1 - exp(2*pi*i*w));
+            # the lower half-plane follows by conjugation symmetry.
+            upper = w.imag >= 0.0
+            wu = np.where(upper, w, np.conj(w))
+            ref = (_LN_2PI - _ln_gamma_right(1.0 - wu)
+                   - 1j * np.pi / 2 + 1j * np.pi * wu
+                   - np.log(1.0 - np.exp(2j * np.pi * wu)))
+            out[left] = np.where(upper, ref, np.conj(ref))
 
-    if not np.all(np.isfinite(out)):
+    if not np.isfinite(out).all():
         raise OverflowRangeError("ln_gamma produced a non-finite value")
     return complex(out[0]) if scalar else out
 
@@ -325,19 +329,21 @@ def _kummer_grid(a, b, c, z):
 
     a, b and c are 1-d arrays with one element per row, no Re c is
     negative (so no cell takes the Kummer transform), and z is a float 1-d
-    array of columns in [0, 1]; the result, complex, has shape (a.size,
-    z.size). Its temporaries hold at most _BLOCK elements per cell. A
-    row's series is sum_n D_n z^n, with D_n = (a)_n c^n/((b)_n n!) shared
-    by all its columns, so each block of _BLOCK terms takes every row's
-    D_n by one product accumulation and every cell's part by one dot
-    product of length _BLOCK against its column's powers z^n. The state
-    of each (band, row) pair -- whether it sums, whether it settled and
-    the ln of its top's largest and last three terms -- is a whole (band,
-    row) array that each block updates by masks (``np.where``), with no
-    gathers of the pairs still summing, and a cell adds the block's part
-    only where its pair summed the block. A cell thus adds its own parts
-    in order, and its sum does not depend on how many terms any other
-    cell takes. The blocks end when no pair sums.
+    array of columns z >= 0 (the closed form's (cos(theta) - zeta)^2, in
+    [0, (1 + |zeta|)^2)); the result, complex, has shape (a.size, z.size).
+    Its temporaries hold at most _BLOCK elements per cell. A row's series
+    is sum_n D_n z^n, with D_n = (a)_n c^n/((b)_n n!) shared by all its
+    columns, so each block of _BLOCK terms takes every row's D_n by one
+    product accumulation and every cell's part by one dot product of
+    length _BLOCK against its column's powers z^n. Every pair sums the
+    first block, whose values set the state of each (band, row) pair --
+    whether it sums, whether it settled and the ln of its top's largest
+    and last three terms -- and every cell's sum. Each later block updates
+    that state, whole (band, row) arrays, by masks, with no gathers of the
+    pairs still summing, and a cell adds the block's part only where its
+    pair summed the block. A cell thus adds its own parts in order, and
+    its sum does not depend on how many terms any other cell takes. The
+    blocks end when no pair sums.
 
     A cell's term count depends on its row and its column's dyadic band of
     z alone, so its bits depend only on its row and its z. A band (2^(e-1),
@@ -360,19 +366,27 @@ def _kummer_grid(a, b, c, z):
     exp = np.where(z > 0.0, exp - (frac == 0.5), -1100)   # 2^-1100 rounds to 0
     tops, band = np.unique(exp, return_inverse=True)
     log_top = tops * _LOG_2
-    pairs = (tops.size, a.size)                         # (band, row)
-    summing, settled = np.ones(pairs, dtype=bool), np.zeros(pairs, dtype=bool)
-    top_peak, top_last = np.full((2, *pairs), -np.inf)  # ln of the top's terms
-    total = np.zeros((a.size, z.size), dtype=complex)
-    coef = np.ones(a.size, dtype=complex)               # D_n of the next block
     j = np.arange(_BLOCK)[:, None]
     with np.errstate(over="ignore", under="ignore", invalid="ignore", divide="ignore"):
         powers = z[:, None] ** j.T
-        for start in range(0, _SERIES_BUDGET, _BLOCK):
+        # The first block: every (band, row) pair sums it, so its own values
+        # are the pairs' state and every cell's sum (0 + part is part: the
+        # dot product's sum starts from +0 and never reads -0).
+        d = _ratio_terms(np.ones(a.size, dtype=complex), a, b, c, j)
+        coef, d = d[-1], d[:-1]                         # D_n of the next block
+        # the band tops' terms, (term, band, row), ln of the largest and of
+        # the largest of the last three, and the pairs' stop rule
+        f = np.log(np.abs(d))[:, None, :] + (j * log_top)[..., None]
+        top_peak, top_last = f.max(axis=0), f[-3:].max(axis=0)
+        settled = top_last <= top_peak + _LOG_GRID_TOL - _LOG_RETRY
+        total = np.vecdot(powers.astype(complex), np.ascontiguousarray(d.T)[:, None])
+        summing = ~settled & (top_peak <= _LOG_MAX)
+        for start in range(_BLOCK, _SERIES_BUDGET, _BLOCK):
+            if not summing.any():
+                break
             n = start + j
             d = _ratio_terms(coef, a, b, c, n)
             coef, d = d[-1], d[:-1]
-            # the band tops' terms, (term, band, row), and the pairs' stop rule
             f = np.log(np.abs(d))[:, None, :] + (n * log_top)[..., None]
             peak, last = np.maximum(top_peak, f.max(axis=0)), f[-3:].max(axis=0)
             top_peak = np.where(summing, peak, top_peak)
@@ -382,14 +396,15 @@ def _kummer_grid(a, b, c, z):
             # every cell's part; the cells of the pairs that summed add it
             part = np.vecdot((powers * z[:, None] ** start).astype(complex),
                              np.ascontiguousarray(d.T)[:, None])
-            total = np.where(summing[band].T, np.add(total, part), total)
+            np.add(total, part, out=total, where=summing.take(band, axis=0).T)
             summing &= ~stops & (peak <= _LOG_MAX)
-            if not summing.any():
-                break
         log_size = np.log(np.abs(total))
-        ok = (settled[band].T & np.isfinite(total)
-              & (top_peak[band].T <= _LOG_RETRY + log_size)
-              & (top_last[band].T <= _LOG_GRID_TOL + log_size))
+        # the pairs' state at every cell, gathered in one pass (settled as 1.0)
+        peak_at, last_at, settled_at = np.array(
+            (top_peak, top_last, settled)).take(band, axis=1).mT
+        ok = ((settled_at == 1.0) & np.isfinite(total)
+              & (peak_at <= _LOG_RETRY + log_size)
+              & (last_at <= _LOG_GRID_TOL + log_size))
     if not ok.all():
         i, k = np.nonzero(~ok)
         total[i, k] = kummer_1f1(a[i], b[i], c[i] * z[k])

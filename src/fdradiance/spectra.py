@@ -219,12 +219,14 @@ def _exact_zeta0_values(params: TrajectoryParams, omegas, us, sin2, tol: float):
     cancel by the factor K = (|t1| + |t2|)/|t1 + t2|, which grows like
     e^{2y|u|}, and the relative error grows with it: the bar is
     _CLOSED_FORM_REL K times the value, a roundoff envelope rather than an
-    estimate. The 1F1s depend on u only through u^2 and share a = 1/2 - iy
-    or 1 - iy across it, so both series are one ``_kummer_grid`` call with
-    a row per (series, omega) and a column per distinct u^2, whose values
-    go back to every u of that square; negating u negates t2 exactly, so a
-    value keeps its bits whatever other nodes share its u^2, and at zeta =
-    0 the exactly odd nodes of ``_cc_rule`` sum half as many series. A
+    estimate. The 1F1s depend on u only through u^2, in [0, (1 + |zeta|)^2),
+    and share a = 1/2 - iy or 1 - iy across it, so both series are one
+    ``_kummer_grid`` call with a row per (series, omega) and a column per
+    u^2. At zeta = 0 that is a column per distinct u^2, whose values go
+    back to every u of that square: negating u negates t2 exactly, so a
+    value keeps its bits whatever other nodes share its u^2, and the
+    exactly odd nodes of ``_cc_rule`` sum half as many series. Off zeta = 0
+    the nodes' squares do not pair, and each lit node is a column. A
     cell of that grid keeps its bits in any grid, so an element does not
     depend on the rest of the grid; grids whose two series hold more than
     _SLICE_ELEMENTS cells run in slices of whole omega rows. Dark
@@ -237,7 +239,10 @@ def _exact_zeta0_values(params: TrajectoryParams, omegas, us, sin2, tol: float):
     if not lit.any():
         return out, err
     us, sin2 = us[lit] - params.zeta, sin2[lit]
-    squares, at = np.unique(us**2, return_inverse=True)
+    if params.zeta == 0.0:
+        squares, at = np.unique(us**2, return_inverse=True)
+    else:
+        squares, at = us**2, slice(None)
     step = max(1, _SLICE_ELEMENTS // (2 * squares.size))
     for s in range(0, omegas.size, step):
         y = omegas[s:s + step] / kappa
@@ -484,13 +489,20 @@ def energy_spectrum(params: TrajectoryParams, omega, tol: float = 1e-6,
     if params.zeta != 0.0:
         closed &= omegas / params.kappa * (1.0 + abs(params.zeta)) ** 2 <= _EXACT_X_MAX
 
-    def integrand(rows, us, sin2):
-        out = np.empty((rows.size, us.size))
-        for route, pick in ((_exact_zeta0_values, closed[rows]),
-                            (_numeric_values, ~closed[rows])):
-            if pick.any():
-                out[pick] = route(params, omegas[rows[pick]], us, sin2, tol / 8.0)[0]
-        return out
+    if closed.all() or not closed.any():
+        # every row takes one route, which the integrand calls directly
+        route = _exact_zeta0_values if closed[0] else _numeric_values
+
+        def integrand(rows, us, sin2):
+            return route(params, omegas[rows], us, sin2, tol / 8.0)[0]
+    else:
+        def integrand(rows, us, sin2):
+            out = np.empty((rows.size, us.size))
+            for route, pick in ((_exact_zeta0_values, closed[rows]),
+                                (_numeric_values, ~closed[rows])):
+                if pick.any():
+                    out[pick] = route(params, omegas[rows[pick]], us, sin2, tol / 8.0)[0]
+            return out
 
     out, todo = _nested_cc(integrand, omegas.size, 2.0 * math.pi, tol,
                            abs_floor / params.e_squared)

@@ -170,6 +170,38 @@ class TestLnGamma:
         monkeypatch.setattr(specfun, "_ln_gamma_right", lanczos_loop)
         assert np.array_equal(got.view(float), ln_gamma(z).view(float))
 
+    @pytest.mark.parametrize("size", [*range(1, 34), 63, 64, 65, 257])
+    def test_right_half_plane_array_keeps_the_loops_bits(self, size, monkeypatch):
+        # an array wholly in Re z >= 0.5, as the closed form's 1/2 - iy and
+        # 1 - iy are, goes to the Lanczos sum whole, with no pole test, and
+        # keeps the bits of the term-by-term loop; every third element lies
+        # on Re z = 1/2
+        rng = np.random.default_rng(1000 + size)
+        z = rng.uniform(0.5, 40.0, size) + 1j * rng.uniform(-60.0, 60.0, size)
+        z[::3] = 0.5 + 1j * z[::3].imag
+
+        def no_pole_test(z):
+            raise AssertionError("a right-half-plane array took the pole test")
+
+        monkeypatch.setattr(specfun, "_is_nonpositive_integer", no_pole_test)
+        assert np.array_equal(ln_gamma(z).view(float), lanczos_loop(z).view(float))
+
+    def test_one_element_off_the_right_half_plane(self):
+        # one left-half-plane element sends the array to the general path:
+        # it is reflected (the frozen value below), and every element keeps
+        # the bits of its own one-element call; a pole among right-half-plane
+        # elements raises
+        rng = np.random.default_rng(1033)
+        z = rng.uniform(0.5, 40.0, 65) + 1j * rng.uniform(-60.0, 60.0, 65)
+        z[40] = -3.2 + 1.4j
+        got = ln_gamma(z)
+        assert rel(got[40], -4.351362281868092409329 - 9.75661545520525021763j) < 1e-13
+        assert np.array_equal(got.view(float),
+                              np.array([ln_gamma(v) for v in z]).view(float))
+        z[40] = -2.0
+        with pytest.raises(PoleError):
+            ln_gamma(z)
+
     def test_frozen_values(self):
         assert rel(ln_gamma(5.5), 3.957813967618716293877) < 1e-14
         assert rel(ln_gamma(0.5 + 3j),
