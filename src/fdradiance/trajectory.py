@@ -249,6 +249,17 @@ def _larmor(zeta: float, s, power: int):
                 / (6.0 * math.pi * ((1.0 - v) * (1.0 + v)) ** 3))
 
 
+def _finite_larmor(unit, points, name: str):
+    """``unit``, a value of ``_larmor`` at each of ``points``, if all are
+    finite; else ``OverflowRangeError`` names the first point where one is
+    not, as ``name``=point: 1 - v^2 rounds to 0 there."""
+    finite = np.isfinite(unit)
+    if not finite.all():
+        bad = float(points.flat[np.argmin(finite)])
+        raise OverflowRangeError(f"{name}={bad!r} has no value: 1 - v^2 rounds to 0 there")
+    return unit
+
+
 def larmor_power(params: TrajectoryParams, z):
     """Instantaneous radiated power P = e^2 gamma^6 accel^2 / (6 pi).
 
@@ -258,11 +269,7 @@ def larmor_power(params: TrajectoryParams, z):
     ``OverflowRangeError`` names the first such z.
     """
     zs = _check_positions(z)
-    unit = _larmor(params.zeta, params.kappa * zs, 6)
-    finite = np.isfinite(unit)
-    if not finite.all():
-        bad = float(zs.flat[np.argmin(finite)])
-        raise OverflowRangeError(f"P at z={bad!r} has no value: 1 - v^2 rounds to 0 there")
+    unit = _finite_larmor(_larmor(params.zeta, params.kappa * zs, 6), zs, "P at z")
     P = params.kappa * (params.kappa * (params.e_squared * unit))
     return float(P) if zs.ndim == 0 else P
 
@@ -294,7 +301,10 @@ def total_energy_larmor(params: TrajectoryParams, tol: float = 1e-9) -> float:
 def _unit_larmor(zeta: float, tol: float) -> float:
     """E/(e^2 kappa) by the Larmor route, int_0^inf P/(e^2 kappa^2 v) ds, once
     per (zeta, tol) per process. A stalled integral raises and leaves
-    nothing in the cache."""
+    nothing in the cache; so does a node s = kappa z where 1 - v^2 rounds
+    to 0 (near s = 2 at zeta = -(1 - 2^-53)), which ``OverflowRangeError``
+    names."""
     res: QuadratureResult = integrate_semi_infinite(
-        lambda s: _larmor(zeta, s, 5), scale=1.0, tol=tol)
+        lambda s: _finite_larmor(_larmor(zeta, s, 5), s, "the Larmor integrand at kappa z"),
+        scale=1.0, tol=tol)
     return float(res.value)

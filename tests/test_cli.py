@@ -467,6 +467,20 @@ class TestEnergyCommand:
         assert code == 3 and out == ""
         assert f"numerical failure: {why}" in err
 
+    @pytest.mark.filterwarnings("default::RuntimeWarning")
+    def test_larmor_total_names_where_1_minus_v_squared_rounds_to_0(self, capsys,
+                                                                     fresh_caches):
+        # at zeta = -(1 - 2^-53), 2 + zeta rounds to 1, so 1 - v^2 rounds to 0
+        # near kappa z = 2 and the integrand has no value there: the refusal
+        # names the node and the cause, as larmor_power's does
+        code, out, err = run(capsys, ["energy", "--zeta", "-0.9999999999999999"])
+        assert code == 3 and out == ""
+        failure = err.splitlines()[-1]
+        head = "numerical failure: the Larmor integrand at kappa z="
+        tail = " has no value: 1 - v^2 rounds to 0 there"
+        assert failure.startswith(head) and failure.endswith(tail)
+        assert abs(float(failure[len(head):-len(tail)]) - 2.0) < 1e-6
+
     def test_spectrum_that_never_decays_exits_3(self, capsys, monkeypatch, fresh_caches):
         # the frequency cutoff refuses instead of truncating the integral
         monkeypatch.setattr(spectra, "energy_spectrum",
