@@ -370,8 +370,9 @@ def _kummer_grid(a, b, c, z):
     with np.errstate(over="ignore", under="ignore", invalid="ignore", divide="ignore"):
         powers = z[:, None] ** j.T
         # The first block: every (band, row) pair sums it, so its own values
-        # are the pairs' state and every cell's sum (0 + part is part: the
-        # dot product's sum starts from +0 and never reads -0).
+        # are the pairs' state and every cell's sum (adding that part to
+        # zeros would change no bit: a dot product's sum starts from +0, so
+        # it is never -0).
         d = _ratio_terms(np.ones(a.size, dtype=complex), a, b, c, j)
         coef, d = d[-1], d[:-1]                         # D_n of the next block
         # the band tops' terms, (term, band, row), ln of the largest and of
