@@ -397,7 +397,7 @@ def _kummer_grid(a, b, c, z):
             # every cell's part; the cells of the pairs that summed add it
             part = np.vecdot((powers * z[:, None] ** start).astype(complex),
                              np.ascontiguousarray(d.T)[:, None])
-            np.add(total, part, out=total, where=summing.take(band, axis=0).T)
+            total = np.where(summing.take(band, axis=0).T, np.add(total, part), total)
             summing &= ~stops & (peak <= _LOG_MAX)
         log_size = np.log(np.abs(total))
         # the pairs' state at every cell, gathered in one pass (settled as 1.0)
